@@ -6,7 +6,7 @@
 
 CARGO ?= cargo
 
-.PHONY: build test bench-check bench-smoke fmt fmt-check clippy lint-check lint tsan doc ci clean
+.PHONY: build test bench-check bench-smoke bench-contract fmt fmt-check clippy lint-check lint tsan doc ci clean
 
 build:
 	$(CARGO) build --release
@@ -77,6 +77,18 @@ bench-smoke:
 	diff /tmp/lapse-trace-1.json /tmp/lapse-trace-2.json
 	@echo "bench-smoke: output bit-identical across runs"
 
+## The `benchmark/` package is a workspace of its own that links against
+## the crates' public API and is frozen between benchmark PRs, so nothing
+## above ever compiles it: build it against the current tree, run its
+## unit tests and its seconds-long `--smoke` pass (every workload, both
+## passes, output checks on). Build output stays under target/, out of
+## the package's directory.
+bench-contract:
+	CARGO_TARGET_DIR=$(CURDIR)/target/bench-contract \
+		$(CARGO) test --release --offline --manifest-path benchmark/Cargo.toml
+	CARGO_TARGET_DIR=$(CURDIR)/target/bench-contract \
+		$(CARGO) run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- --smoke > /dev/null
+
 fmt:
 	$(CARGO) fmt
 
@@ -98,7 +110,9 @@ lint: fmt-check clippy lint-check
 ## unavailable (the container pins stable). LAPSE_NO_SEQLOCK=1 disables
 ## the wait-free read path: its volatile racy reads are benign by the
 ## seqlock argument (DESIGN.md §7) but are exactly what tsan reports, so
-## the sanitizer pass exercises the latched configuration.
+## the sanitizer pass exercises the latched configuration. `-p lapse-core`
+## covers the dispatch tests (crates/core/tests/dispatch.rs: role
+## hand-off race, oversubscribed stress) and the WakeCell hammer.
 tsan:
 	@if rustup component list --toolchain nightly 2>/dev/null | grep -q "rust-src (installed)"; then \
 		LAPSE_NO_SEQLOCK=1 RUSTFLAGS="-Zsanitizer=thread" RUSTDOCFLAGS="-Zsanitizer=thread" \
@@ -111,7 +125,7 @@ tsan:
 doc:
 	$(CARGO) doc --no-deps
 
-ci: fmt-check clippy lint-check build test bench-check bench-smoke
+ci: fmt-check clippy lint-check build test bench-check bench-smoke bench-contract
 
 clean:
 	$(CARGO) clean

@@ -17,7 +17,9 @@ use lapse_utils::metrics::Metrics;
 use crate::api::PsWorker;
 use crate::sim_backend::{LapseProto, SimPsWorker};
 use crate::stats::ClusterStats;
-use crate::threaded::{spawn_server, ThreadedPsWorker, WakeCell};
+use crate::threaded::{
+    spawn_server, Dispatch, Driver, ThreadedPsWorker, WakeCell, SERVER_DRAIN_CAP,
+};
 
 /// Parameter-server configuration (builder style).
 #[derive(Debug, Clone)]
@@ -313,11 +315,30 @@ where
 }
 
 /// Runs `body` on every worker of an in-process threaded cluster (real
-/// time): one server thread and `workers_per_node` worker threads per
-/// node.
+/// time): `workers_per_node` worker threads per node, which also drive
+/// the nodes' servers (see [`Dispatch`]), and one parked fallback server
+/// thread per node.
 pub fn run_threaded<R, F>(
     cfg: PsConfig,
     workers_per_node: usize,
+    init: impl FnMut(Key) -> Option<Vec<f32>>,
+    body: F,
+) -> (Vec<R>, ClusterStats)
+where
+    R: Send + 'static,
+    F: Fn(&mut dyn PsWorker) -> R + Send + Sync + 'static,
+{
+    run_threaded_with_drain_cap(cfg, workers_per_node, SERVER_DRAIN_CAP, init, body)
+}
+
+/// [`run_threaded`] with the per-visit drain cap forced to `drain_cap`.
+/// A test hook, not a setting: the dispatch tests force it down to 2 so
+/// that the doorbell path runs on a small cluster.
+#[doc(hidden)]
+pub fn run_threaded_with_drain_cap<R, F>(
+    cfg: PsConfig,
+    workers_per_node: usize,
+    drain_cap: usize,
     init: impl FnMut(Key) -> Option<Vec<f32>>,
     body: F,
 ) -> (Vec<R>, ClusterStats)
@@ -338,12 +359,12 @@ where
     let shareds = build_shareds(&proto, clock, &recorder, init);
 
     let nodes = proto.nodes as usize;
-    let metrics = Metrics::new();
     let net = if recorder.on() {
-        ThreadedNet::with_trace(nodes, metrics.clone(), recorder.clone())
+        ThreadedNet::with_trace(nodes, Metrics::new(), recorder.clone())
     } else {
-        ThreadedNet::new(nodes, metrics.clone())
+        ThreadedNet::new(nodes, Metrics::new())
     };
+    let dispatch = Dispatch::new(&shareds, net.clone(), drain_cap);
 
     // Per-worker wake cells, wired into each node's tracker.
     let wakes: Vec<Vec<Arc<WakeCell>>> = (0..nodes)
@@ -362,7 +383,7 @@ where
 
     let server_joins: Vec<_> = shareds
         .iter()
-        .map(|sh| spawn_server(sh.clone(), net.clone()))
+        .map(|sh| spawn_server(dispatch.clone(), sh.node))
         .collect();
 
     let barrier = Arc::new(std::sync::Barrier::new(nodes * workers_per_node));
@@ -371,7 +392,7 @@ where
     for n in 0..nodes {
         for (slot, node_wake) in wakes[n].iter().enumerate() {
             let shared = shareds[n].clone();
-            let net = net.clone();
+            let dispatch = dispatch.clone();
             let wake = node_wake.clone();
             let barrier = barrier.clone();
             let body = body.clone();
@@ -382,7 +403,7 @@ where
                         let client = ClientCore::new(shared, slot as u16);
                         let mut worker = ThreadedPsWorker::new(
                             client,
-                            net,
+                            dispatch,
                             wake,
                             barrier,
                             slot,
@@ -402,22 +423,27 @@ where
         .map(|j| j.join().expect("worker thread panicked"))
         .collect();
 
-    // Stop the servers.
+    // Stop the servers: one `Shutdown` per node, handled like any other
+    // message by this thread or by whoever holds the node's role.
+    let mut driver = Driver::new(dispatch.clone());
     for n in 0..nodes {
-        net.send(
+        driver.send(
             NodeId(0),
             NodeId(n as u16),
             lapse_proto::messages::Msg::Shutdown,
         );
     }
+    driver.drive();
     for j in server_joins {
         j.join().expect("server thread panicked");
     }
 
     let mut stats = ClusterStats::collect(&shareds);
-    stats.messages = metrics.get("net.messages");
-    stats.bytes = metrics.get("net.bytes");
-    stats.self_messages = metrics.get("net.self_messages");
+    stats.messages = net.total_messages();
+    stats.bytes = net.total_bytes();
+    stats.self_messages = net.self_messages();
+    stats.doorbell_rings = dispatch.doorbell_rings();
+    stats.wake_parks = wakes.iter().flatten().map(|w| w.parks()).sum();
     export_trace(&recorder, &mut stats);
     (results, stats)
 }

@@ -7,10 +7,12 @@
 //!   `localize` (each sync or async), `pull_if_local`, and a global
 //!   barrier. Workload code is written once against this trait and runs
 //!   unchanged on both backends.
-//! * [`run_threaded`] — the **threaded runtime**: one real server thread
-//!   plus `w` worker threads per simulated node inside this process,
-//!   connected by FIFO channels; local parameters are accessed through
-//!   shared memory under latches, exactly as in Figure 2 of the paper.
+//! * [`run_threaded`] — the **threaded runtime**: `w` worker threads per
+//!   simulated node inside this process, connected by FIFO channels;
+//!   local parameters are accessed through shared memory under latches,
+//!   exactly as in Figure 2 of the paper. A node's server is a passive
+//!   object driven by whichever thread sent it a message (see
+//!   [`threaded::Dispatch`]), so a remote operation wakes no thread.
 //!   This is the backend a downstream user embeds.
 //! * [`run_sim`] — the **discrete-event backend**: the same protocol
 //!   driven in virtual time by `lapse-sim`, used by the experiment suite

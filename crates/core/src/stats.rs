@@ -91,6 +91,14 @@ pub struct ClusterStats {
     pub snapshot_stale_waits: u64,
     /// Snapshot-plane reads that fell back to the latched path.
     pub snapshot_fallbacks: u64,
+    /// Times a thread driving a server hit the drain cap and rang the
+    /// node's fallback server thread (threaded backend; 0 on the
+    /// simulator).
+    pub doorbell_rings: u64,
+    /// Times a worker slept waiting for an operation to complete
+    /// (threaded backend; 0 on the simulator). An operation that ran to
+    /// completion on the issuing worker's own thread costs none.
+    pub wake_parks: u64,
     /// Virtual run time (simulator backend only).
     pub virtual_time_ns: Option<u64>,
     /// Chrome trace-event JSON exported by the flight recorder
@@ -139,6 +147,8 @@ impl ClusterStats {
             snapshot_reads: 0,
             snapshot_stale_waits: 0,
             snapshot_fallbacks: 0,
+            doorbell_rings: 0,
+            wake_parks: 0,
             virtual_time_ns: None,
             trace_json: None,
         };

@@ -1,18 +1,26 @@
 //! Threaded runtime: the real in-process parameter server.
 //!
-//! One server thread plus `w` worker threads per node, all in this
-//! process, connected by the FIFO transport of `lapse-net` (Figure 2 of
-//! the paper). Workers access local parameters directly through the
-//! latched shared state; remote operations travel as messages and block
-//! the worker on a per-worker condvar until the tracker completes them.
+//! `w` worker threads per node, all in this process, connected by the
+//! FIFO transport of `lapse-net` (Figure 2 of the paper). Workers access
+//! local parameters directly through the latched shared state; remote
+//! operations travel as messages.
+//!
+//! A node's server is a passive object that **whichever thread just
+//! enqueued a message for it drives** (see [`Dispatch`]): a worker that
+//! sends a request runs the destination's handler itself, then the
+//! handlers of whatever that produced, so a relocation chain runs to
+//! completion on the issuing worker's thread and no thread is woken on
+//! the way. Each node keeps one server thread, parked on a doorbell, for
+//! the work a driver leaves behind when it hits the drain cap.
 
 use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::Ordering::Relaxed;
+use std::sync::atomic::Ordering::{Relaxed, SeqCst};
+use std::sync::atomic::{fence, AtomicBool, AtomicI64, AtomicU32, AtomicU64};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use lapse_net::{Key, NodeId, ThreadedNet};
-use lapse_proto::client::{ClientCore, IssueHandle};
+use lapse_net::{Endpoint, Key, NodeId, ThreadedNet};
+use lapse_proto::client::{ClientCore, IssueHandle, MsgSink};
 use lapse_proto::coalesce::{Coalescer, PackStats};
 use lapse_proto::messages::Msg;
 use lapse_proto::server::ServerCore;
@@ -20,40 +28,323 @@ use lapse_proto::shard::NodeShared;
 
 use crate::api::{OpToken, PsWorker, TokenKind, TokenState};
 
-/// Missed-wakeup-safe wake cell: the waker bumps the generation under the
-/// lock before notifying, the waiter re-checks its condition under the
-/// same lock before parking.
+/// Where a worker waits for the completion of one of its operations.
+///
+/// Most completions arrive with nobody parked: the operation ran to
+/// completion on the waiter's own thread before it came to wait. So
+/// `notify` takes the lock only when the parked count says someone may
+/// be asleep.
+///
+/// No wake-up is missed. The waiter announces itself (`parked += 1`),
+/// fences, then re-checks `done` under the lock before every sleep. The
+/// notifier is called after the completion was published, fences, then
+/// reads `parked`. The two `SeqCst` fences are ordered one way or the
+/// other: if the waiter's comes first, the notifier reads `parked > 0`
+/// and takes the lock, which it gets either before the waiter's check
+/// (the check then sees the completion) or once the waiter sleeps (the
+/// `notify_all` wakes it); if the notifier's comes first, the waiter's
+/// check already sees the completion and it never sleeps.
 #[derive(Default)]
 pub(crate) struct WakeCell {
-    gen: Mutex<u64>,
+    parked: AtomicU32,
+    lock: Mutex<()>,
     cv: Condvar,
+    /// Times the waiter actually slept (a statistic).
+    parks: AtomicU64,
 }
 
 impl WakeCell {
+    /// Wakes the waiter, if one is parked. Call after publishing the
+    /// completion that its `done` observes.
     pub(crate) fn notify(&self) {
-        let mut g = self.gen.lock();
-        *g += 1;
+        fence(SeqCst);
+        if self.parked.load(SeqCst) == 0 {
+            return;
+        }
+        let _g = self.lock.lock();
         self.cv.notify_all();
     }
 
+    /// Blocks until `done()`.
     pub(crate) fn wait_until(&self, mut done: impl FnMut() -> bool) {
         if done() {
             return;
         }
-        let mut g = self.gen.lock();
-        loop {
-            if done() {
-                return;
-            }
+        self.parked.fetch_add(1, SeqCst);
+        fence(SeqCst);
+        let mut g = self.lock.lock();
+        while !done() {
+            self.parks.fetch_add(1, Relaxed);
             self.cv.wait(&mut g);
         }
+        drop(g);
+        self.parked.fetch_sub(1, SeqCst);
+    }
+
+    /// Times the waiter slept in [`WakeCell::wait_until`].
+    pub(crate) fn parks(&self) -> u64 {
+        self.parks.load(Relaxed)
+    }
+}
+
+/// Where a node's fallback server thread sleeps until a driver leaves it
+/// work (or the run ends).
+#[derive(Default)]
+struct Doorbell {
+    rung: Mutex<bool>,
+    cv: Condvar,
+}
+
+impl Doorbell {
+    fn ring(&self) {
+        *self.rung.lock() = true;
+        self.cv.notify_one();
+    }
+
+    fn wait(&self) {
+        let mut rung = self.rung.lock();
+        while !*rung {
+            self.cv.wait(&mut rung);
+        }
+        *rung = false;
+    }
+}
+
+/// Upper bound on messages one thread ingests for one node per visit:
+/// bounds both the latency a queued message can accrue behind a deep
+/// drain and the time a worker spends on other workers' traffic.
+pub const SERVER_DRAIN_CAP: usize = 256;
+
+/// Everything that makes up one node's server. Private, and reachable
+/// only through [`Dispatch::visit`]'s `try_lock`: a thread holds at most
+/// one role at a time and never blocks on one, so roles cannot deadlock,
+/// and the lock order below a role is `role → shard latch → tracker`
+/// (what `ServerCore::handle_batch` takes).
+struct Role {
+    server: ServerCore,
+    endpoint: Endpoint<Msg>,
+    /// `None` when coalescing is off: the sink is then sent as it is.
+    coalescer: Option<Coalescer>,
+    burst: Vec<Msg>,
+    sink: MsgSink,
+}
+
+struct NodeServer {
+    shared: Arc<NodeShared>,
+    role: Mutex<Role>,
+    /// Envelopes sent to this node minus envelopes taken off its inbox.
+    /// A sender bumps it *after* the enqueue, so it can dip below zero
+    /// for a moment when the holder dequeues in between.
+    pending: AtomicI64,
+    /// Set under the role by whoever handles the node's `Shutdown`.
+    stopped: AtomicBool,
+    doorbell: Doorbell,
+    /// Times a driver hit the drain cap here and rang the doorbell (a
+    /// statistic).
+    rings: AtomicU64,
+}
+
+/// Who runs a server: the dispatch state shared by every thread of a
+/// threaded cluster.
+///
+/// A sender enqueues through [`ThreadedNet::send`], bumps the
+/// destination's `pending` count, and then *visits* the destination:
+/// `try_lock` its role, drain the inbox, handle the burst, enqueue the
+/// output, unlock — and goes on to the destinations of that output, from
+/// a worklist, holding one role at a time and blocking on none.
+///
+/// **No message is stranded.** Every sender bumps `pending` and then
+/// tries the role; every holder re-reads `pending` after releasing the
+/// role and goes round again while it is positive (a `SeqCst` fence sits
+/// between bump and `try_lock`, and between unlock and re-read, so one of
+/// the two sees the other). Suppose a message stayed in the inbox with
+/// no thread left to visit. Its sender's `try_lock` failed, so some
+/// thread held the role then; take the last holder. Its final re-read
+/// came out `<= 0` although our sender's bump was visible, so some other
+/// envelope had been dequeued before *its* sender's bump — and that
+/// sender tries the role after its bump, after the last holder's unlock,
+/// and gets it: a later holder, contradiction. (A holder that stops at
+/// the drain cap instead rings the doorbell, and the fallback thread is
+/// the later holder.)
+///
+/// **Per-link FIFO is untouched.** Every message still goes through the
+/// destination's one channel and is handled in dequeue order under the
+/// role; a server's output is enqueued *under its role* (the enqueue is a
+/// non-blocking channel push), so two successive holders cannot reorder
+/// what the node sends on a link.
+///
+/// **Helping is bounded.** A visit handles at most the drain cap; if
+/// more is queued it rings the node's doorbell and leaves the rest to the
+/// fallback server thread, which runs this same code.
+pub struct Dispatch {
+    net: Arc<ThreadedNet<Msg>>,
+    nodes: Vec<NodeServer>,
+    drain_cap: usize,
+}
+
+impl Dispatch {
+    /// The dispatch state of a cluster: one passive server per entry of
+    /// `shareds`, receiving on its endpoint of `net`. A visit handles at
+    /// most `drain_cap` messages ([`SERVER_DRAIN_CAP`] outside tests).
+    pub fn new(
+        shareds: &[Arc<NodeShared>],
+        net: Arc<ThreadedNet<Msg>>,
+        drain_cap: usize,
+    ) -> Arc<Self> {
+        assert!(drain_cap > 0, "a visit must be allowed to handle a message");
+        let nodes = shareds
+            .iter()
+            .map(|shared| NodeServer {
+                shared: shared.clone(),
+                role: Mutex::new(Role {
+                    server: ServerCore::new(shared.clone()),
+                    endpoint: net.take_endpoint(shared.node),
+                    coalescer: shared.cfg.coalesce.then(|| Coalescer::new(&shared.cfg)),
+                    burst: Vec::new(),
+                    sink: Vec::new(),
+                }),
+                pending: AtomicI64::new(0),
+                stopped: AtomicBool::new(false),
+                doorbell: Doorbell::default(),
+                rings: AtomicU64::new(0),
+            })
+            .collect();
+        Arc::new(Dispatch {
+            net,
+            nodes,
+            drain_cap,
+        })
+    }
+
+    /// Envelopes sent to `node` and not yet taken off its inbox (zero on
+    /// a quiescent cluster).
+    pub fn pending(&self, node: NodeId) -> i64 {
+        self.nodes[node.idx()].pending.load(SeqCst)
+    }
+
+    /// Times a driver hit the drain cap with more queued and left the
+    /// rest to a node's fallback server thread, over all nodes.
+    pub fn doorbell_rings(&self) -> u64 {
+        self.nodes.iter().map(|ns| ns.rings.load(Relaxed)).sum()
+    }
+
+    /// Enqueue, then bump, then remember to visit.
+    fn enqueue(&self, src: NodeId, dst: NodeId, msg: Msg, worklist: &mut Vec<NodeId>) {
+        self.net.send(src, dst, msg);
+        self.nodes[dst.idx()].pending.fetch_add(1, SeqCst);
+        if !worklist.contains(&dst) {
+            worklist.push(dst);
+        }
+    }
+
+    /// Drives `node`'s server if nobody else is: handles what is queued,
+    /// up to the drain cap, and adds the destinations of its output to
+    /// `worklist`. Returns the number of messages handled.
+    fn visit(&self, node: NodeId, worklist: &mut Vec<NodeId>) -> usize {
+        let ns = &self.nodes[node.idx()];
+        let mut handled = 0;
+        loop {
+            fence(SeqCst);
+            let Some(mut role) = ns.role.try_lock() else {
+                // The holder re-reads `pending` after it unlocks.
+                return handled;
+            };
+            if ns.stopped.load(SeqCst) {
+                return handled;
+            }
+            let Role {
+                server,
+                endpoint,
+                coalescer,
+                burst,
+                sink,
+            } = &mut *role;
+            let mut envelopes = 0;
+            let mut stop = false;
+            while !stop && handled + burst.len() < self.drain_cap {
+                let Some(incoming) = endpoint.try_recv() else {
+                    break;
+                };
+                envelopes += 1;
+                push_flat(incoming.msg, burst, &mut stop);
+            }
+            if envelopes > 0 {
+                ns.pending.fetch_sub(envelopes, SeqCst);
+            }
+            if !burst.is_empty() {
+                handled += burst.len();
+                server.handle_batch(std::mem::take(burst), sink);
+                flush(coalescer, &ns.shared, sink, &mut |dst, msg| {
+                    self.enqueue(node, dst, msg, worklist)
+                });
+            }
+            if stop {
+                ns.stopped.store(true, SeqCst);
+                drop(role);
+                // Lets the fallback thread see the flag and exit.
+                ns.doorbell.ring();
+                return handled;
+            }
+            drop(role);
+            fence(SeqCst);
+            if ns.pending.load(SeqCst) <= 0 {
+                return handled;
+            }
+            if handled >= self.drain_cap {
+                ns.rings.fetch_add(1, Relaxed);
+                ns.doorbell.ring();
+                return handled;
+            }
+        }
+    }
+}
+
+/// One thread's handle on the [`Dispatch`]: sends into the cluster and
+/// drives the servers its messages reach. The worklist is the thread's
+/// own scratch, reused across calls.
+pub struct Driver {
+    dispatch: Arc<Dispatch>,
+    /// Nodes that were sent something and not yet visited by this thread.
+    worklist: Vec<NodeId>,
+}
+
+impl Driver {
+    /// A driver for the calling thread.
+    pub fn new(dispatch: Arc<Dispatch>) -> Self {
+        let worklist = Vec::with_capacity(dispatch.nodes.len());
+        Driver { dispatch, worklist }
+    }
+
+    /// Enqueues `msg` on the `src → dst` link; [`Driver::drive`] then
+    /// visits `dst`.
+    pub fn send(&mut self, src: NodeId, dst: NodeId, msg: Msg) {
+        self.dispatch.enqueue(src, dst, msg, &mut self.worklist);
+    }
+
+    /// Visits every node this thread sent to, then every node those
+    /// visits sent to, until the worklist is empty. Returns the number
+    /// of messages this thread handled.
+    pub fn drive(&mut self) -> usize {
+        let mut handled = 0;
+        while let Some(node) = self.worklist.pop() {
+            handled += self.dispatch.visit(node, &mut self.worklist);
+        }
+        handled
+    }
+
+    /// [`Driver::drive`], starting with a visit to `node` although this
+    /// thread sent it nothing: what a fallback server thread does when
+    /// its doorbell rings.
+    pub fn drive_from(&mut self, node: NodeId) -> usize {
+        self.worklist.push(node);
+        self.drive()
     }
 }
 
 /// Worker handle on the threaded backend.
 pub struct ThreadedPsWorker {
     client: ClientCore,
-    net: Arc<ThreadedNet<Msg>>,
+    driver: Driver,
     wake: Arc<WakeCell>,
     barrier: Arc<std::sync::Barrier>,
     slot: usize,
@@ -62,13 +353,15 @@ pub struct ThreadedPsWorker {
     start: std::time::Instant,
     /// Per-link batching of flushed sinks (`None` when coalescing is off).
     coalescer: Option<Coalescer>,
+    /// What the operation being issued emits; drained by every flush.
+    sink: MsgSink,
 }
 
 impl ThreadedPsWorker {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         client: ClientCore,
-        net: Arc<ThreadedNet<Msg>>,
+        dispatch: Arc<Dispatch>,
         wake: Arc<WakeCell>,
         barrier: Arc<std::sync::Barrier>,
         slot: usize,
@@ -80,7 +373,7 @@ impl ThreadedPsWorker {
         let coalescer = cfg.coalesce.then(|| Coalescer::new(cfg));
         ThreadedPsWorker {
             client,
-            net,
+            driver: Driver::new(dispatch),
             wake,
             barrier,
             slot,
@@ -88,28 +381,25 @@ impl ThreadedPsWorker {
             workers_per_node,
             start,
             coalescer,
+            sink: Vec::new(),
         }
     }
 
-    fn send_sink(&mut self, mut sink: Vec<(NodeId, Msg)>) {
+    /// Sends what the last operation emitted and drives the servers it
+    /// reaches: when this returns, the operation has usually completed.
+    fn send_sink(&mut self) {
         let ThreadedPsWorker {
             client,
-            net,
+            driver,
             coalescer,
+            sink,
             ..
         } = self;
         let src = client.node();
-        match coalescer.as_mut() {
-            None => {
-                for (dst, msg) in sink {
-                    net.send(src, dst, msg);
-                }
-            }
-            Some(c) => {
-                let packed = c.pack(&mut sink, &mut |dst, msg| net.send(src, dst, msg));
-                record_pack(client.shared(), packed);
-            }
-        }
+        flush(coalescer, client.shared(), sink, &mut |dst, msg| {
+            driver.send(src, dst, msg)
+        });
+        driver.drive();
     }
 
     fn wait_done(&self, seq: u64) {
@@ -140,9 +430,8 @@ impl PsWorker for ThreadedPsWorker {
     }
 
     fn pull(&mut self, keys: &[Key], out: &mut [f32]) {
-        let mut sink = Vec::new();
-        let handle = self.client.pull(keys, Some(out), &mut sink);
-        self.send_sink(sink);
+        let handle = self.client.pull(keys, Some(out), &mut self.sink);
+        self.send_sink();
         if let IssueHandle::Pending(seq) = handle {
             self.wait_done(seq);
             self.client.finish_pull(seq, out);
@@ -150,9 +439,8 @@ impl PsWorker for ThreadedPsWorker {
     }
 
     fn push(&mut self, keys: &[Key], vals: &[f32]) {
-        let mut sink = Vec::new();
-        let handle = self.client.push(keys, vals, &mut sink);
-        self.send_sink(sink);
+        let handle = self.client.push(keys, vals, &mut self.sink);
+        self.send_sink();
         if let IssueHandle::Pending(seq) = handle {
             self.wait_done(seq);
             self.client.finish_ack(seq);
@@ -160,9 +448,8 @@ impl PsWorker for ThreadedPsWorker {
     }
 
     fn localize(&mut self, keys: &[Key]) {
-        let mut sink = Vec::new();
-        let handle = self.client.localize(keys, &mut sink);
-        self.send_sink(sink);
+        let handle = self.client.localize(keys, &mut self.sink);
+        self.send_sink();
         if let IssueHandle::Pending(seq) = handle {
             self.wait_done(seq);
             self.client.finish_ack(seq);
@@ -170,9 +457,8 @@ impl PsWorker for ThreadedPsWorker {
     }
 
     fn pull_async(&mut self, keys: &[Key]) -> OpToken {
-        let mut sink = Vec::new();
-        let handle = self.client.pull(keys, None, &mut sink);
-        self.send_sink(sink);
+        let handle = self.client.pull(keys, None, &mut self.sink);
+        self.send_sink();
         match handle {
             IssueHandle::Ready(vals) => OpToken {
                 kind: TokenKind::Pull,
@@ -186,9 +472,8 @@ impl PsWorker for ThreadedPsWorker {
     }
 
     fn push_async(&mut self, keys: &[Key], vals: &[f32]) -> OpToken {
-        let mut sink = Vec::new();
-        let handle = self.client.push(keys, vals, &mut sink);
-        self.send_sink(sink);
+        let handle = self.client.push(keys, vals, &mut self.sink);
+        self.send_sink();
         OpToken {
             kind: TokenKind::Push,
             state: match handle {
@@ -201,9 +486,8 @@ impl PsWorker for ThreadedPsWorker {
     }
 
     fn localize_async(&mut self, keys: &[Key]) -> OpToken {
-        let mut sink = Vec::new();
-        let handle = self.client.localize(keys, &mut sink);
-        self.send_sink(sink);
+        let handle = self.client.localize(keys, &mut self.sink);
+        self.send_sink();
         OpToken {
             kind: TokenKind::Localize,
             state: match handle {
@@ -262,10 +546,9 @@ impl PsWorker for ThreadedPsWorker {
         // accumulated replicated pushes to the owners, and run the
         // adaptive transition controller. A no-op (and free) under the
         // relocation-only variants.
-        let mut sink = Vec::new();
-        self.client.flush_replicas(&mut sink);
-        self.client.run_controller(&mut sink);
-        self.send_sink(sink);
+        self.client.flush_replicas(&mut self.sink);
+        self.client.run_controller(&mut self.sink);
+        self.send_sink();
     }
 
     fn now_ns(&self) -> u64 {
@@ -284,9 +567,20 @@ fn record_pack(shared: &NodeShared, packed: PackStats) {
     }
 }
 
-/// Upper bound on messages ingested per server dispatch round: bounds the
-/// latency a queued message can accrue behind an arbitrarily deep drain.
-const SERVER_DRAIN_CAP: usize = 256;
+/// Sends a flushed sink, workers' and servers' alike: through the
+/// coalescer when there is one, message by message when coalescing is
+/// off. Drains `sink`.
+fn flush(
+    coalescer: &mut Option<Coalescer>,
+    shared: &NodeShared,
+    sink: &mut MsgSink,
+    emit: &mut dyn FnMut(NodeId, Msg),
+) {
+    match coalescer {
+        Some(c) => record_pack(shared, c.pack(sink, emit)),
+        None => sink.drain(..).for_each(|(dst, msg)| emit(dst, msg)),
+    }
+}
 
 /// Appends one received envelope to the ingest burst, unpacking batch
 /// envelopes into their constituents (per-link FIFO holds because the
@@ -307,54 +601,63 @@ fn push_flat(msg: Msg, burst: &mut Vec<Msg>, stop: &mut bool) {
     }
 }
 
-/// Spawns the server thread of one node.
-pub(crate) fn spawn_server(shared: Arc<NodeShared>, net: Arc<ThreadedNet<Msg>>) -> JoinHandle<()> {
-    let node = shared.node;
-    let endpoint = net.take_endpoint(node);
+/// Spawns the fallback server thread of `node`: parked on the node's
+/// doorbell, it runs the same [`Driver::drive`] as every other thread
+/// when a driver hit the drain cap and left work behind, and exits once
+/// the node's `Shutdown` was handled (by whichever thread).
+pub(crate) fn spawn_server(dispatch: Arc<Dispatch>, node: NodeId) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name(format!("lapse-server-{node}"))
         .spawn(move || {
-            let coalesce = shared.cfg.coalesce;
-            let mut coalescer = coalesce.then(|| Coalescer::new(&shared.cfg));
-            let server_shared = shared.clone();
-            let mut server = ServerCore::new(shared);
-            let mut sink = Vec::new();
-            if !coalesce {
-                // Historical per-message loop (kill switch / sim parity).
-                while let Some(incoming) = endpoint.recv() {
-                    if matches!(incoming.msg, Msg::Shutdown) {
-                        return;
-                    }
-                    server.handle(incoming.msg, &mut sink);
-                    for (dst, msg) in sink.drain(..) {
-                        net.send(node, dst, msg);
-                    }
-                }
-                return;
-            }
-            // Batched ingest: block for the first message, then drain
-            // whatever else is already queued (bounded), dispatch the
-            // whole burst as one round, and coalesce the outgoing sink.
-            let mut burst: Vec<Msg> = Vec::new();
-            let mut stop = false;
-            while let Some(incoming) = endpoint.recv() {
-                push_flat(incoming.msg, &mut burst, &mut stop);
-                while !stop && burst.len() < SERVER_DRAIN_CAP {
-                    match endpoint.try_recv() {
-                        Some(next) => push_flat(next.msg, &mut burst, &mut stop),
-                        None => break,
-                    }
-                }
-                if !burst.is_empty() {
-                    server.handle_batch(std::mem::take(&mut burst), &mut sink);
-                    let c = coalescer.as_mut().expect("coalescing loop");
-                    let packed = c.pack(&mut sink, &mut |dst, msg| net.send(node, dst, msg));
-                    record_pack(&server_shared, packed);
-                }
-                if stop {
-                    return;
-                }
+            let mut driver = Driver::new(dispatch.clone());
+            let ns = &dispatch.nodes[node.idx()];
+            while !ns.stopped.load(SeqCst) {
+                ns.doorbell.wait();
+                driver.drive_from(node);
             }
         })
         .expect("spawn server thread")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A million rounds of one waiter against one notifier that answers
+    /// by spinning, so its `notify` lands while the waiter is between its
+    /// first check and its sleep — the window in which a wake-up could go
+    /// missing. One missed wake-up and the test hangs.
+    #[test]
+    fn wake_cell_hammer_never_misses_a_wake() {
+        const ROUNDS: u64 = 1_000_000;
+        let turn = AtomicU64::new(0);
+        let cell = WakeCell::default();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for round in 0..ROUNDS {
+                    while turn.load(SeqCst) != 2 * round + 1 {
+                        std::hint::spin_loop();
+                    }
+                    turn.store(2 * round + 2, SeqCst);
+                    cell.notify();
+                }
+            });
+            for round in 0..ROUNDS {
+                turn.store(2 * round + 1, SeqCst);
+                cell.wait_until(|| turn.load(SeqCst) == 2 * round + 2);
+            }
+        });
+        assert_eq!(turn.load(SeqCst), 2 * ROUNDS);
+    }
+
+    #[test]
+    fn doorbell_ring_before_wait_is_not_lost() {
+        let bell = Doorbell::default();
+        bell.ring();
+        bell.wait();
+        std::thread::scope(|scope| {
+            scope.spawn(|| bell.wait());
+            bell.ring();
+        });
+    }
 }

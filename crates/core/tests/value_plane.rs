@@ -15,113 +15,17 @@
 //! produce per-value heap allocations beyond the parked-payload copies
 //! the protocol legitimately makes.
 
-use lapse_core::{
-    run_sim, run_threaded, ClusterStats, CostModel, HotSet, PsConfig, PsWorker, Variant,
-};
-use lapse_net::Key;
-use lapse_utils::rng::derive_rng;
-use lapse_utils::zipf::Zipf;
+mod common;
+
+use common::{expected_state, stress_config, workload, VARIANTS};
+use lapse_core::{run_sim, run_threaded, ClusterStats, CostModel, Variant};
 
 const NODES: u16 = 2;
 const WORKERS_PER_NODE: usize = 4;
-const KEYS: u64 = 32;
-const DIM: usize = 2;
-const OPS: u64 = 150;
-const SEED: u64 = 0x7A1E;
-
-/// The deterministic key/op schedule of one worker: `(key, push value)`;
-/// a zero push value means the op at that step is a pull or localize.
-fn schedule(gid: u64) -> Vec<(Key, f32)> {
-    let mut rng = derive_rng(SEED, gid);
-    let zipf = Zipf::new(KEYS, 0.8);
-    (0..OPS)
-        .map(|i| {
-            let k = Key(zipf.sample(&mut rng) - 1); // ranks are 1..=n
-            let push = match i % 5 {
-                0..=2 => (gid + 1) as f32,   // sync push
-                3 => ((gid + 1) * 2) as f32, // async push
-                _ => 0.0,                    // pull / localize
-            };
-            (k, push)
-        })
-        .collect()
-}
-
-/// Expected per-key totals: the sum of every worker's push schedule
-/// (exact in f32 — all terms are small integers).
-fn expected_state() -> Vec<f32> {
-    let mut state = vec![0.0f32; (KEYS as usize) * DIM];
-    for gid in 0..(NODES as u64 * WORKERS_PER_NODE as u64) {
-        for (k, push) in schedule(gid) {
-            if push > 0.0 {
-                for d in 0..DIM {
-                    state[k.0 as usize * DIM + d] += push;
-                }
-            }
-        }
-    }
-    state
-}
-
-fn workload(w: &mut dyn PsWorker) -> Vec<f32> {
-    let gid = w.global_id() as u64;
-    let mut out = vec![0.0f32; DIM];
-    let mut pending = Vec::new();
-    for (i, (k, push)) in schedule(gid).into_iter().enumerate() {
-        match i % 5 {
-            0..=2 => w.push(&[k], &[push; DIM]),
-            3 => pending.push(w.push_async(&[k], &[push; DIM])),
-            _ => {
-                if i % 10 == 4 {
-                    w.localize(&[k]);
-                } else {
-                    w.pull(&[k], &mut out);
-                }
-            }
-        }
-    }
-    for t in pending {
-        w.wait(t);
-    }
-    w.advance_clock(); // propagate accumulated replicated pushes
-    w.barrier();
-    // Poll until every contribution is visible (replica propagation is
-    // asynchronous; for the relocation variants the first pull already
-    // matches). Charging keeps virtual time advancing on the simulator.
-    let all: Vec<Key> = (0..KEYS).map(Key).collect();
-    let expect: f32 = expected_state().iter().sum();
-    let mut state = vec![0.0f32; KEYS as usize * DIM];
-    for _ in 0..200_000 {
-        w.pull(&all, &mut state);
-        if state.iter().sum::<f32>() == expect {
-            break;
-        }
-        w.charge(10_000);
-        std::hint::spin_loop();
-    }
-    w.barrier();
-    state
-}
+const WORKERS: u64 = NODES as u64 * WORKERS_PER_NODE as u64;
 
 fn run_variant(variant: Variant) -> (Vec<Vec<f32>>, Vec<Vec<f32>>, ClusterStats) {
-    let cfg = move || {
-        // Aggressive adaptive knobs so the Zipf head actually transitions
-        // mid-run (promotions and — on cooled keys — demotions exercise
-        // the fencing on both backends, not just the static routes).
-        let adaptive = lapse_core::AdaptiveConfig {
-            sample_every: 1,
-            tick_every: 64,
-            sketch_capacity: 16,
-            promote_count: 8,
-            demote_count: 0,
-            ..Default::default()
-        };
-        PsConfig::new(NODES, KEYS, DIM as u32)
-            .variant(variant)
-            .hot_set(HotSet::Prefix(8))
-            .adaptive(adaptive)
-            .latches(8)
-    };
+    let cfg = move || stress_config(NODES, variant);
     let (threaded, _) = run_threaded(cfg(), WORKERS_PER_NODE, |_| None, workload);
     let (sim, sim_stats) = run_sim(
         cfg(),
@@ -135,15 +39,8 @@ fn run_variant(variant: Variant) -> (Vec<Vec<f32>>, Vec<Vec<f32>>, ClusterStats)
 
 #[test]
 fn final_state_identical_across_backends_for_all_variants() {
-    let expect = expected_state();
-    for variant in [
-        Variant::Classic,
-        Variant::ClassicFastLocal,
-        Variant::Lapse,
-        Variant::Replication,
-        Variant::Hybrid,
-        Variant::Adaptive,
-    ] {
+    let expect = expected_state(WORKERS);
+    for variant in VARIANTS {
         let (threaded, sim, sim_stats) = run_variant(variant);
         for (gid, state) in threaded.iter().enumerate() {
             assert_eq!(state, &expect, "threaded {variant:?} worker {gid}");
@@ -182,29 +79,9 @@ fn final_state_identical_across_backends_for_all_variants() {
 /// per-message expected state is already pinned by the test above.
 #[test]
 fn coalescing_with_tiny_caps_preserves_final_state() {
-    let expect = expected_state();
-    for variant in [
-        Variant::Classic,
-        Variant::ClassicFastLocal,
-        Variant::Lapse,
-        Variant::Replication,
-        Variant::Hybrid,
-        Variant::Adaptive,
-    ] {
-        let adaptive = lapse_core::AdaptiveConfig {
-            sample_every: 1,
-            tick_every: 64,
-            sketch_capacity: 16,
-            promote_count: 8,
-            demote_count: 0,
-            ..Default::default()
-        };
-        let mut cfg = PsConfig::new(NODES, KEYS, DIM as u32)
-            .variant(variant)
-            .hot_set(HotSet::Prefix(8))
-            .adaptive(adaptive)
-            .latches(8)
-            .coalesce(true);
+    let expect = expected_state(WORKERS);
+    for variant in VARIANTS {
+        let mut cfg = stress_config(NODES, variant).coalesce(true);
         cfg.proto.coalesce_max_msgs = 3;
         cfg.proto.coalesce_max_bytes = 256;
         let (threaded, stats) = run_threaded(cfg, WORKERS_PER_NODE, |_| None, workload);

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use lapse_trace::{EventKind, Recorder, Ring, ACTOR_NET};
-use lapse_utils::metrics::{Counter, Metrics};
+use lapse_utils::metrics::Metrics;
 
 use crate::id::NodeId;
 use crate::wire::{message_bytes, WireSize};
@@ -30,8 +30,11 @@ use crate::wire::{message_bytes, WireSize};
 /// a `(src, dst)` link.
 pub type DelayPolicy = Arc<dyn Fn(NodeId, NodeId) -> Duration + Send + Sync>;
 
-/// Per-link counters.
+/// Per-link counters. Only threads of the link's source node write them,
+/// so each link gets a cache line of its own: senders on different nodes
+/// never share one.
 #[derive(Debug, Default)]
+#[repr(align(64))]
 struct LinkStats {
     messages: AtomicU64,
     bytes: AtomicU64,
@@ -59,12 +62,6 @@ pub struct ThreadedNet<M> {
     /// Helper senders used when a delay policy is active: one channel per
     /// link keeps FIFO despite the sleeping.
     delayed_links: Option<Vec<Vec<DelayedSender<M>>>>,
-    /// Cached handles into `metrics` for the per-send counters: `send` is
-    /// the transport's hottest path, and resolving a counter by name
-    /// locks the registry and hashes the key on every call.
-    msgs_counter: Counter,
-    bytes_counter: Counter,
-    self_msgs_counter: Counter,
     /// Flight-recorder lanes, one per sending node (`None` when tracing
     /// is off, so the disabled send path costs one pointer test).
     trace: Option<(Arc<Recorder>, Vec<Arc<Ring>>)>,
@@ -72,29 +69,30 @@ pub struct ThreadedNet<M> {
 
 impl<M: Send + WireSize + 'static> ThreadedNet<M> {
     /// Creates a network of `n` nodes with no artificial delay.
-    pub fn new(n: usize, metrics: Metrics) -> Arc<Self> {
-        Self::build(n, metrics, None, Recorder::disabled())
+    ///
+    /// The registry argument (here and on the other constructors) is
+    /// accepted for the callers that pass one and is not written: the
+    /// send path counts per link only, and the cluster totals are sums
+    /// over the links ([`Self::total_messages`], [`Self::total_bytes`],
+    /// [`Self::self_messages`]).
+    pub fn new(n: usize, _metrics: Metrics) -> Arc<Self> {
+        Self::build(n, None, Recorder::disabled())
     }
 
     /// Creates a network of `n` nodes with per-send flight-recorder
     /// events (one `net` lane per sending node).
-    pub fn with_trace(n: usize, metrics: Metrics, trace: Arc<Recorder>) -> Arc<Self> {
-        Self::build(n, metrics, None, trace)
+    pub fn with_trace(n: usize, _metrics: Metrics, trace: Arc<Recorder>) -> Arc<Self> {
+        Self::build(n, None, trace)
     }
 
     /// Creates a network of `n` nodes, optionally with injected per-link
     /// delays (fault-injection tests only; delays cost one helper thread
     /// per link).
-    pub fn with_delay(n: usize, metrics: Metrics, delay: Option<DelayPolicy>) -> Arc<Self> {
-        Self::build(n, metrics, delay, Recorder::disabled())
+    pub fn with_delay(n: usize, _metrics: Metrics, delay: Option<DelayPolicy>) -> Arc<Self> {
+        Self::build(n, delay, Recorder::disabled())
     }
 
-    fn build(
-        n: usize,
-        metrics: Metrics,
-        delay: Option<DelayPolicy>,
-        trace: Arc<Recorder>,
-    ) -> Arc<Self> {
+    fn build(n: usize, delay: Option<DelayPolicy>, trace: Arc<Recorder>) -> Arc<Self> {
         assert!(n > 0, "network needs at least one node");
         let mut senders = Vec::with_capacity(n);
         let mut receivers = Vec::with_capacity(n);
@@ -147,9 +145,6 @@ impl<M: Send + WireSize + 'static> ThreadedNet<M> {
             stats,
             delay,
             delayed_links,
-            msgs_counter: metrics.counter("net.messages"),
-            bytes_counter: metrics.counter("net.bytes"),
-            self_msgs_counter: metrics.counter("net.self_messages"),
             trace,
         })
     }
@@ -171,11 +166,6 @@ impl<M: Send + WireSize + 'static> ThreadedNet<M> {
         let link = &self.stats[src.idx()][dst.idx()];
         link.messages.fetch_add(1, Ordering::Relaxed);
         link.bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.msgs_counter.inc();
-        self.bytes_counter.add(bytes);
-        if src == dst {
-            self.self_msgs_counter.inc();
-        }
         if let Some((rec, lanes)) = &self.trace {
             rec.record(&lanes[src.idx()], EventKind::MsgSend, dst.0 as u64, bytes);
         }
@@ -222,6 +212,22 @@ impl<M: Send + WireSize + 'static> ThreadedNet<M> {
             .iter()
             .flatten()
             .map(|l| l.messages.load(Ordering::Relaxed))
+            .sum()
+    }
+
+    /// Total bytes sent (envelopes included).
+    pub fn total_bytes(&self) -> u64 {
+        self.stats
+            .iter()
+            .flatten()
+            .map(|l| l.bytes.load(Ordering::Relaxed))
+            .sum()
+    }
+
+    /// Node-local messages sent: the diagonal of the link matrix.
+    pub fn self_messages(&self) -> u64 {
+        (0..self.len())
+            .map(|n| self.stats[n][n].messages.load(Ordering::Relaxed))
             .sum()
     }
 }
@@ -328,6 +334,30 @@ mod tests {
         let expected = 2 * (crate::wire::ENVELOPE_OVERHEAD_BYTES as u64 + 8);
         assert_eq!(net.link_bytes(NodeId(0), NodeId(1)), expected);
         assert_eq!(net.total_messages(), 2);
+    }
+
+    #[test]
+    fn totals_are_sums_over_the_links() {
+        let net: Arc<ThreadedNet<TestMsg>> = ThreadedNet::new(3, Metrics::new());
+        let script = [
+            (0, 1),
+            (0, 1),
+            (1, 1),
+            (2, 0),
+            (1, 2),
+            (2, 2),
+            (2, 2),
+            (0, 0),
+        ];
+        for (i, &(src, dst)) in script.iter().enumerate() {
+            net.send(NodeId(src), NodeId(dst), TestMsg(i as u64));
+        }
+        let per_msg = crate::wire::ENVELOPE_OVERHEAD_BYTES as u64 + 8;
+        assert_eq!(net.total_messages(), script.len() as u64);
+        assert_eq!(net.total_bytes(), script.len() as u64 * per_msg);
+        assert_eq!(net.self_messages(), 4);
+        assert_eq!(net.link_messages(NodeId(2), NodeId(2)), 2);
+        assert_eq!(std::mem::align_of::<LinkStats>(), 64);
     }
 
     #[test]
