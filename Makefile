@@ -6,7 +6,7 @@
 
 CARGO ?= cargo
 
-.PHONY: build test bench-check bench-smoke bench-contract fmt fmt-check clippy lint-check lint tsan doc ci clean
+.PHONY: build test bench-check bench-smoke bench-contract bench-pairs fmt fmt-check clippy lint-check lint tsan doc ci clean
 
 build:
 	$(CARGO) build --release
@@ -88,6 +88,17 @@ bench-contract:
 		$(CARGO) test --release --offline --manifest-path benchmark/Cargo.toml
 	CARGO_TARGET_DIR=$(CURDIR)/target/bench-contract \
 		$(CARGO) run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- --smoke > /dev/null
+
+## Before/after rows for a performance claim: builds the frozen
+## `benchmark/` package at PARENT (a git ref) and at the working tree
+## (or CHANGE=<ref>), each into its own directory under
+## target/bench-pairs/, runs PAIRS alternating pairs of one workload and
+## seed, and prints the EXPERIMENTS.md table (medians, quartiles, pairs
+## won, parent IQR, failed). ~1 min per pair; keep the host idle.
+##   make bench-pairs PARENT=HEAD~1 WORKLOAD=serve_train SEED=7 PAIRS=10
+PAIRS ?= 10
+bench-pairs:
+	tools/bench-pairs.sh $(PARENT) $(WORKLOAD) $(SEED) $(PAIRS)
 
 fmt:
 	$(CARGO) fmt

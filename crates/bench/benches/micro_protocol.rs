@@ -96,7 +96,6 @@ criterion_group! {
 fn smoke() {
     use lapse_proto::client::IssueHandle;
     use lapse_proto::testkit::IssueOp;
-    use std::sync::atomic::Ordering::Relaxed;
     println!("micro_protocol smoke (deterministic, LAPSE_SMOKE)");
     let mut c = ProtoConfig::new(4, 256, Layout::Uniform(8));
     c.latches = 16;
@@ -175,27 +174,24 @@ fn smoke() {
     out.copy_from_slice(&local);
     cluster.check_ownership_invariant();
 
-    let mut pull_local = 0u64;
-    let mut pull_remote = 0u64;
-    let mut relocations = 0u64;
-    let mut handovers = 0u64;
-    let mut bytes_moved = 0u64;
+    let mut stats = lapse_proto::shard::AccessStats::default();
     let mut arena = lapse_proto::storage::ArenaStats::default();
     for n in &cluster.nodes {
-        let s = &n.shared.stats;
-        pull_local += s.pull_local.load(Relaxed);
-        pull_remote += s.pull_remote.load(Relaxed);
-        relocations += s.relocations.load(Relaxed);
-        handovers += s.handovers_in.load(Relaxed);
-        bytes_moved += s.value_bytes_moved.load(Relaxed);
+        stats += n.shared.stats();
         arena.merge(n.shared.store_alloc_stats());
     }
     println!("message hops delivered: {hops}");
-    println!("pull keys: local {pull_local}, remote {pull_remote}");
-    println!("relocations {relocations}, handovers {handovers}");
     println!(
-        "value plane: {bytes_moved} bytes moved, {} arena / {} heap allocs",
-        arena.arena, arena.heap
+        "pull keys: local {}, remote {}",
+        stats.pull_local, stats.pull_remote
+    );
+    println!(
+        "relocations {}, handovers {}",
+        stats.relocations, stats.handovers_in
+    );
+    println!(
+        "value plane: {} bytes moved, {} arena / {} heap allocs",
+        stats.value_bytes_moved, arena.arena, arena.heap
     );
     println!("pull checksum {checksum:.3}, local probe {:?}", &out[..2]);
     println!("in-flight ops at quiescence: {}", cluster.in_flight_ops());

@@ -213,10 +213,7 @@ fn measure_paths(dim: u32) -> PathResult {
 }
 
 fn value_bytes(node: &lapse_proto::testkit::TestNode) -> u64 {
-    node.shared
-        .stats
-        .value_bytes_moved
-        .load(std::sync::atomic::Ordering::Relaxed)
+    node.shared.stats().value_bytes_moved
 }
 
 fn main() {

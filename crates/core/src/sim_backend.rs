@@ -80,8 +80,8 @@ impl<'a> SimPsWorker<'a> {
     }
 
     fn wait_done(&mut self, seq: u64) {
-        let shared = self.client.shared().clone();
-        self.ctx.wait_until(move || shared.tracker.is_done(seq));
+        let tracker = self.client.shared().tracker.clone();
+        self.ctx.wait_until(move || tracker.is_done(seq));
     }
 }
 

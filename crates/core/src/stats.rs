@@ -1,8 +1,9 @@
 //! Aggregated run statistics.
 
-use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
+use lapse_proto::shard::AccessStats;
+use lapse_proto::storage::ArenaStats;
 use lapse_proto::NodeShared;
 use lapse_utils::stats::LogHistogram;
 
@@ -110,86 +111,90 @@ pub struct ClusterStats {
 impl ClusterStats {
     /// Gathers protocol counters from every node's shared state.
     pub fn collect(nodes: &[Arc<NodeShared>]) -> Self {
+        let mut access = AccessStats::default();
+        let mut arena = ArenaStats::default();
         let mut reloc_time = LogHistogram::new(1_000.0, 1.05, 360);
-        let mut s = ClusterStats {
-            pull_local: 0,
-            pull_queued: 0,
-            pull_remote: 0,
-            push_local: 0,
-            push_queued: 0,
-            push_remote: 0,
-            localize_sent: 0,
-            relocations: 0,
-            handovers: 0,
-            loc_cache_hits: 0,
-            loc_cache_stale_forwards: 0,
-            unexpected_relocates: 0,
-            pull_replica: 0,
-            push_replica: 0,
-            replica_flushes: 0,
-            replica_pushes_applied: 0,
-            replica_refreshes: 0,
-            sketch_samples: 0,
-            tech_promote_reqs: 0,
-            tech_demote_reqs: 0,
-            tech_promotions: 0,
-            tech_demotions: 0,
-            tracker_in_flight: 0,
-            value_bytes_moved: 0,
-            value_allocs_arena: 0,
-            value_allocs_heap: 0,
-            reloc_time: reloc_time.clone(),
+        let mut tracker_in_flight = 0;
+        for n in nodes {
+            access += n.stats();
+            arena.merge(n.store_alloc_stats());
+            reloc_time.merge(&n.tracker.reloc_time_stats());
+            tracker_in_flight += n.tracker.in_flight() as u64;
+        }
+        // Exhaustive on purpose: a counter added to the lanes and not
+        // reported here is a compile error, not a silent zero.
+        let AccessStats {
+            pull_local,
+            pull_queued,
+            pull_remote,
+            push_local,
+            push_queued,
+            push_remote,
+            localize_sent,
+            relocations,
+            handovers_in,
+            loc_cache_hits,
+            loc_cache_stale_forwards,
+            unexpected_relocates,
+            pull_replica,
+            push_replica,
+            replica_flushes,
+            replica_pushes_applied,
+            replica_refreshes,
+            sketch_samples,
+            tech_promote_reqs,
+            tech_demote_reqs,
+            tech_promotions,
+            tech_demotions,
+            value_bytes_moved,
+            value_allocs_heap,
+            net_batches,
+            net_batched_msgs,
+            snapshot_reads,
+            snapshot_stale_waits,
+            snapshot_fallbacks,
+        } = access;
+        ClusterStats {
+            pull_local,
+            pull_queued,
+            pull_remote,
+            push_local,
+            push_queued,
+            push_remote,
+            localize_sent,
+            relocations,
+            handovers: handovers_in,
+            loc_cache_hits,
+            loc_cache_stale_forwards,
+            unexpected_relocates,
+            pull_replica,
+            push_replica,
+            replica_flushes,
+            replica_pushes_applied,
+            replica_refreshes,
+            sketch_samples,
+            tech_promote_reqs,
+            tech_demote_reqs,
+            tech_promotions,
+            tech_demotions,
+            tracker_in_flight,
+            value_bytes_moved,
+            value_allocs_arena: arena.arena,
+            value_allocs_heap: arena.heap + value_allocs_heap,
+            reloc_time,
             messages: 0,
             bytes: 0,
             self_messages: 0,
-            net_batches: 0,
-            net_batched_msgs: 0,
-            snapshot_reads: 0,
-            snapshot_stale_waits: 0,
-            snapshot_fallbacks: 0,
+            net_batches,
+            net_batched_msgs,
+            snapshot_reads,
+            snapshot_stale_waits,
+            snapshot_fallbacks,
             doorbell_rings: 0,
             wake_parks: 0,
             virtual_time_ns: None,
             trace_json: None,
-        };
-        for n in nodes {
-            let a = &n.stats;
-            s.pull_local += a.pull_local.load(Relaxed);
-            s.pull_queued += a.pull_queued.load(Relaxed);
-            s.pull_remote += a.pull_remote.load(Relaxed);
-            s.push_local += a.push_local.load(Relaxed);
-            s.push_queued += a.push_queued.load(Relaxed);
-            s.push_remote += a.push_remote.load(Relaxed);
-            s.localize_sent += a.localize_sent.load(Relaxed);
-            s.relocations += a.relocations.load(Relaxed);
-            s.handovers += a.handovers_in.load(Relaxed);
-            s.loc_cache_hits += a.loc_cache_hits.load(Relaxed);
-            s.loc_cache_stale_forwards += a.loc_cache_stale_forwards.load(Relaxed);
-            s.unexpected_relocates += a.unexpected_relocates.load(Relaxed);
-            s.pull_replica += a.pull_replica.load(Relaxed);
-            s.push_replica += a.push_replica.load(Relaxed);
-            s.replica_flushes += a.replica_flushes.load(Relaxed);
-            s.replica_pushes_applied += a.replica_pushes_applied.load(Relaxed);
-            s.replica_refreshes += a.replica_refreshes.load(Relaxed);
-            s.sketch_samples += a.sketch_samples.load(Relaxed);
-            s.tech_promote_reqs += a.tech_promote_reqs.load(Relaxed);
-            s.tech_demote_reqs += a.tech_demote_reqs.load(Relaxed);
-            s.tech_promotions += a.tech_promotions.load(Relaxed);
-            s.tech_demotions += a.tech_demotions.load(Relaxed);
-            s.tracker_in_flight += n.tracker.in_flight() as u64;
-            s.net_batches += a.net_batches.load(Relaxed);
-            s.net_batched_msgs += a.net_batched_msgs.load(Relaxed);
-            s.snapshot_reads += a.snapshot_reads.load(Relaxed);
-            s.snapshot_stale_waits += a.snapshot_stale_waits.load(Relaxed);
-            s.snapshot_fallbacks += a.snapshot_fallbacks.load(Relaxed);
-            s.value_bytes_moved += a.value_bytes_moved.load(Relaxed);
-            let arena = n.store_alloc_stats();
-            s.value_allocs_arena += arena.arena;
-            s.value_allocs_heap += arena.heap + a.value_allocs_heap.load(Relaxed);
-            reloc_time.merge(&n.tracker.reloc_time_stats());
         }
-        s.reloc_time = reloc_time;
-        s
     }
 
     /// The run as a [`lapse_sim::SimReport`], with the value-plane
@@ -240,5 +245,41 @@ impl ClusterStats {
     /// Pull keys that never crossed the network.
     pub fn pull_local_total(&self) -> u64 {
         self.pull_local + self.pull_queued + self.pull_replica
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lapse_net::NodeId;
+    use lapse_proto::{Layout, ProtoConfig};
+
+    /// `collect` sums each counter over the lanes of every node and
+    /// reports it under its own name — including the two that are not a
+    /// plain copy (`handovers`, and `value_allocs_heap` on top of the
+    /// stores' own heap allocations).
+    #[test]
+    fn collect_sums_lanes_across_nodes_under_the_right_names() {
+        let mut cfg = ProtoConfig::new(2, 8, Layout::Uniform(1));
+        cfg.dense = false; // sparse stores: every initial insert allocates
+        let cfg = Arc::new(cfg);
+        let nodes: Vec<_> = (0..2)
+            .map(|n| NodeShared::new(cfg.clone(), NodeId(n), Arc::new(|| 0)))
+            .collect();
+        let store_heap: u64 = nodes.iter().map(|n| n.store_alloc_stats().heap).sum();
+        for (n, node) in nodes.iter().enumerate() {
+            for lane in [node.claim_lane(), node.claim_lane()] {
+                lane.pull_local.add(1 + n as u64);
+                lane.handovers_in.add(10);
+                lane.value_allocs_heap.add(100);
+                lane.snapshot_fallbacks.add(1000);
+            }
+        }
+        let s = ClusterStats::collect(&nodes);
+        assert_eq!(s.pull_local, 2 * (1 + 2));
+        assert_eq!(s.handovers, 40);
+        assert_eq!(s.value_allocs_heap, store_heap + 400);
+        assert_eq!(s.snapshot_fallbacks, 4000);
+        assert_eq!((s.pull_total(), s.pull_remote, s.messages), (6, 0, 0));
     }
 }

@@ -21,10 +21,10 @@ use std::thread::JoinHandle;
 
 use lapse_net::{Endpoint, Key, NodeId, ThreadedNet};
 use lapse_proto::client::{ClientCore, IssueHandle, MsgSink};
-use lapse_proto::coalesce::{Coalescer, PackStats};
+use lapse_proto::coalesce::Coalescer;
 use lapse_proto::messages::Msg;
 use lapse_proto::server::ServerCore;
-use lapse_proto::shard::NodeShared;
+use lapse_proto::shard::{AccessLane, NodeShared};
 
 use crate::api::{OpToken, PsWorker, TokenKind, TokenState};
 
@@ -130,7 +130,6 @@ struct Role {
 }
 
 struct NodeServer {
-    shared: Arc<NodeShared>,
     role: Mutex<Role>,
     /// Envelopes sent to this node minus envelopes taken off its inbox.
     /// A sender bumps it *after* the enqueue, so it can dip below zero
@@ -195,7 +194,6 @@ impl Dispatch {
         let nodes = shareds
             .iter()
             .map(|shared| NodeServer {
-                shared: shared.clone(),
                 role: Mutex::new(Role {
                     server: ServerCore::new(shared.clone()),
                     endpoint: net.take_endpoint(shared.node),
@@ -274,7 +272,7 @@ impl Dispatch {
             if !burst.is_empty() {
                 handled += burst.len();
                 server.handle_batch(std::mem::take(burst), sink);
-                flush(coalescer, &ns.shared, sink, &mut |dst, msg| {
+                flush(coalescer, server.lane(), sink, &mut |dst, msg| {
                     self.enqueue(node, dst, msg, worklist)
                 });
             }
@@ -396,7 +394,7 @@ impl ThreadedPsWorker {
             ..
         } = self;
         let src = client.node();
-        flush(coalescer, client.shared(), sink, &mut |dst, msg| {
+        flush(coalescer, client.lane(), sink, &mut |dst, msg| {
             driver.send(src, dst, msg)
         });
         driver.drive();
@@ -556,28 +554,25 @@ impl PsWorker for ThreadedPsWorker {
     }
 }
 
-/// Accumulates one pack's batching counters into the node statistics.
-fn record_pack(shared: &NodeShared, packed: PackStats) {
-    if packed.batches > 0 {
-        shared.stats.net_batches.fetch_add(packed.batches, Relaxed);
-        shared
-            .stats
-            .net_batched_msgs
-            .fetch_add(packed.batched_msgs, Relaxed);
-    }
-}
-
 /// Sends a flushed sink, workers' and servers' alike: through the
 /// coalescer when there is one, message by message when coalescing is
-/// off. Drains `sink`.
+/// off. Drains `sink`. The pack's batching counters go to `lane`, the
+/// lane of the core whose sink this is (a worker's own, or the server's
+/// under its role).
 fn flush(
     coalescer: &mut Option<Coalescer>,
-    shared: &NodeShared,
+    lane: &AccessLane,
     sink: &mut MsgSink,
     emit: &mut dyn FnMut(NodeId, Msg),
 ) {
     match coalescer {
-        Some(c) => record_pack(shared, c.pack(sink, emit)),
+        Some(c) => {
+            let packed = c.pack(sink, emit);
+            if packed.batches > 0 {
+                lane.net_batches.add(packed.batches);
+                lane.net_batched_msgs.add(packed.batched_msgs);
+            }
+        }
         None => sink.drain(..).for_each(|(dst, msg)| emit(dst, msg)),
     }
 }

@@ -81,6 +81,23 @@ pub fn expected_state(workers: u64) -> Vec<f32> {
     state
 }
 
+/// What `workers` workers issue before the final polling: `(push keys,
+/// pull keys)`. The schedule fixes both, whatever route each key takes
+/// on whichever backend — so a cluster's counters must add up to them.
+pub fn issued_keys(workers: u64) -> (u64, u64) {
+    let (mut pushes, mut pulls) = (0, 0);
+    for gid in 0..workers {
+        for (i, (_, push)) in schedule(gid).into_iter().enumerate() {
+            if push > 0.0 {
+                pushes += 1;
+            } else if i % 10 != 4 {
+                pulls += 1;
+            }
+        }
+    }
+    (pushes, pulls)
+}
+
 /// One worker's part of the stress; returns the final state it read.
 pub fn workload(w: &mut dyn PsWorker) -> Vec<f32> {
     let gid = w.global_id() as u64;

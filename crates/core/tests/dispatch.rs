@@ -18,10 +18,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use common::{expected_state, stress_config, workload, VARIANTS};
+use common::{expected_state, issued_keys, stress_config, workload, KEYS, VARIANTS};
 use lapse_core::cluster::run_threaded_with_drain_cap;
 use lapse_core::threaded::{Dispatch, Driver, SERVER_DRAIN_CAP};
-use lapse_core::{run_sim, run_threaded, CostModel, PsConfig, PsWorker, Variant};
+use lapse_core::{run_sim, run_threaded, ClusterStats, CostModel, PsConfig, PsWorker, Variant};
 use lapse_net::{Key, NodeId, ThreadedNet};
 use lapse_proto::client::{ClientCore, IssueHandle, MsgSink};
 use lapse_proto::coalesce::Coalescer;
@@ -214,18 +214,24 @@ fn a_visit_stops_at_the_drain_cap_and_rings_the_doorbell() {
 /// (b) 3 nodes × 3 workers on a host with fewer cores, the drain cap
 /// forced down to 2 so that drivers keep leaving work to the fallback
 /// server threads: every variant must still reach the exact final state
-/// of the simulator and of the replayed push sums.
+/// of the simulator and of the replayed push sums — and count every key
+/// it issued exactly once, as the simulator does: nine workers and three
+/// servers bump counters here at once, each in a lane of its own.
 #[test]
 fn oversubscribed_stress_with_a_tiny_drain_cap_keeps_exact_sums() {
     const NODES: u16 = 3;
     const WORKERS_PER_NODE: usize = 3;
-    let expect = expected_state(NODES as u64 * WORKERS_PER_NODE as u64);
+    const WORKERS: u64 = NODES as u64 * WORKERS_PER_NODE as u64;
+    let expect = expected_state(WORKERS);
+    let (pushes, pulls) = issued_keys(WORKERS);
+    let push_keys =
+        |s: &ClusterStats| s.push_local + s.push_queued + s.push_remote + s.push_replica;
     let mut rings = 0;
     for variant in VARIANTS {
         let cfg = || stress_config(NODES, variant);
         let (threaded, stats) =
             run_threaded_with_drain_cap(cfg(), WORKERS_PER_NODE, 2, |_| None, workload);
-        let (sim, _) = run_sim(
+        let (sim, sim_stats) = run_sim(
             cfg(),
             WORKERS_PER_NODE,
             CostModel::default(),
@@ -236,6 +242,14 @@ fn oversubscribed_stress_with_a_tiny_drain_cap_keeps_exact_sums() {
             assert_eq!(state, &expect, "{variant:?} worker {gid}");
         }
         assert_eq!(threaded, sim, "{variant:?}: backends disagree");
+        for (backend, s) in [("threaded", &stats), ("sim", &sim_stats)] {
+            assert_eq!(push_keys(s), pushes, "{variant:?} {backend}: push keys");
+            // Beyond the schedule, each worker polls all keys at least
+            // once; how often depends on the backend's timing.
+            let polled = s.pull_total() - pulls;
+            assert_eq!(polled % KEYS, 0, "{variant:?} {backend}: pull keys");
+            assert!(polled >= WORKERS * KEYS, "{variant:?} {backend}");
+        }
         assert_eq!(stats.tracker_in_flight, 0, "{variant:?}: leaked ops");
         assert_eq!(stats.unexpected_relocates, 0, "{variant:?}");
         rings += stats.doorbell_rings;

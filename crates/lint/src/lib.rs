@@ -1,6 +1,6 @@
 //! `lapse-lint` — the workspace invariant checker.
 //!
-//! Seven static passes keep the protocol crates honest (see DESIGN.md
+//! Six static passes keep the protocol crates honest (see DESIGN.md
 //! "Static invariants"):
 //!
 //! 1. **wire-schema** — every `Msg` variant covered by codec
@@ -19,10 +19,7 @@
 //!    sequence, so such writes are invisible to optimistic readers);
 //! 6. **batch-construct** — `Msg::Batch(..)` built only in the
 //!    coalescer and the codec, so the decoder's unconditional
-//!    nested-batch rejection stays sound by construction;
-//! 7. **stats-drift** — every `AtomicU64` counter declared in
-//!    `AccessStats` is read by `ClusterStats::collect`, so no counter
-//!    silently reports zero in the aggregated statistics.
+//!    nested-batch rejection stays sound by construction.
 //!
 //! Benign sites carry `// lint:allow(<rule>, <reason>)`; the reason is
 //! mandatory. The binary (`cargo run -p lapse-lint -- check`) exits
@@ -70,7 +67,6 @@ pub fn check_workspace(ws: &Workspace) -> Vec<Finding> {
     raw.extend(passes::seqlock::run(&lexed));
     raw.extend(passes::wire_consts::run(&lexed));
     raw.extend(passes::batch_nesting::run(&lexed));
-    raw.extend(passes::stats_drift::run(&lexed));
 
     for f in raw {
         let allows = allows_by_file

@@ -31,8 +31,6 @@ const WIRE_BATCH_GOOD: &str = include_str!("fixtures/wire_batch_good.rs");
 const MSG_LOAD_BATCH_GOOD: &str = include_str!("fixtures/msg_load_batch_good.rs");
 const BATCH_OK: &str = include_str!("fixtures/batch_construct_ok.rs");
 const BATCH_BAD: &str = include_str!("fixtures/batch_construct_bad.rs");
-const STATS_GOOD: &str = include_str!("fixtures/stats_good.rs");
-const STATS_DRIFT_BAD: &str = include_str!("fixtures/stats_drift_bad.rs");
 
 /// Virtual path that makes a fixture the protocol messages file.
 const MESSAGES: &str = "crates/proto/src/messages.rs";
@@ -418,72 +416,6 @@ fn drifted_const_detected() {
             "wire-const",
             "HEADER_BYTES is 10 but struct Header's fields"
         ),
-        "got: {f:?}"
-    );
-}
-
-// ---- stats-drift ----
-
-#[test]
-fn fully_aggregated_stats_are_clean() {
-    let f = check(vec![(PROTO_SRC, STATS_GOOD)]);
-    assert!(f.is_empty(), "expected no findings, got: {f:?}");
-}
-
-#[test]
-fn unaggregated_counter_detected() {
-    let f = check(vec![(PROTO_SRC, STATS_DRIFT_BAD)]);
-    assert_eq!(count(&f, "stats-drift"), 1, "got: {f:?}");
-    assert!(has(&f, "stats-drift", "AccessStats.pushes"), "got: {f:?}");
-}
-
-#[test]
-fn stats_struct_without_collect_is_silent() {
-    // A partial tree (struct only, no aggregation in sight) is not
-    // drift: the pass needs both sides before it can judge.
-    let no_collect = "pub struct AccessStats { pub pulls: AtomicU64 }";
-    let f = check(vec![(PROTO_SRC, no_collect)]);
-    assert!(f.is_empty(), "expected no findings, got: {f:?}");
-}
-
-#[test]
-fn real_stats_sources_pass_the_stats_pass() {
-    // The shipped counter struct and aggregation, lexed verbatim: every
-    // AccessStats counter is read by ClusterStats::collect.
-    let f = check(vec![
-        (
-            "crates/proto/src/shard.rs",
-            include_str!("../../proto/src/shard.rs"),
-        ),
-        (
-            "crates/core/src/stats.rs",
-            include_str!("../../core/src/stats.rs"),
-        ),
-    ]);
-    let drift: Vec<_> = f.iter().filter(|x| x.rule == "stats-drift").collect();
-    assert!(drift.is_empty(), "got: {drift:?}");
-}
-
-#[test]
-fn deleting_an_aggregation_line_is_caught() {
-    // The drill the pass exists for: drop the `relocations` aggregation
-    // from the real collect (both the sum and the zero-init mention) and
-    // the counter must light up.
-    let real = include_str!("../../core/src/stats.rs");
-    let broken: String = real
-        .lines()
-        .filter(|l| !l.contains("relocations"))
-        .collect::<Vec<_>>()
-        .join("\n");
-    let f = check(vec![
-        (
-            "crates/proto/src/shard.rs",
-            include_str!("../../proto/src/shard.rs"),
-        ),
-        ("crates/core/src/stats.rs", &broken),
-    ]);
-    assert!(
-        has(&f, "stats-drift", "AccessStats.relocations"),
         "got: {f:?}"
     );
 }

@@ -158,8 +158,11 @@ impl SpaceSaving {
 /// Per-node shared state of the adaptive technique: the sampled sketch
 /// plus the controller's bookkeeping. Lives in
 /// [`NodeShared`](crate::shard::NodeShared) (present only under
-/// [`Variant::Adaptive`](crate::config::Variant)).
+/// [`Variant::Adaptive`](crate::config::Variant)), in a block of its own:
+/// every worker's plan phase bumps the sampling gate, and that must not
+/// dirty the lines of the read-only header beside it.
 #[derive(Debug)]
+#[repr(align(128))]
 pub struct AdaptiveShared {
     /// Planned keys seen (sampling gate).
     accesses: AtomicU64,

@@ -65,7 +65,7 @@ use crate::messages::{
     LocalizeReqMsg, Msg, OpId, OpKind, OpMsg, ReplicaPushMsg, ReplicaRegMsg, TechniqueDemoteMsg,
     TechniquePromoteMsg,
 };
-use crate::shard::{IncomingState, NodeShared, OptRead, Queued, QueuedOp};
+use crate::shard::{AccessLane, IncomingState, LaneCounter, NodeShared, OptRead, Queued, QueuedOp};
 use crate::technique::IssueRoute;
 use crate::tracker::{GuardMap, TrackedKind};
 
@@ -170,6 +170,8 @@ fn pull_group_optimistic(
 /// The client half of the protocol for one worker.
 pub struct ClientCore {
     shared: Arc<NodeShared>,
+    /// This worker's access counters (written by its thread only).
+    lane: Arc<AccessLane>,
     /// Worker slot on this node (wake routing).
     slot: u16,
     /// Keys with in-flight remote operations of this worker.
@@ -232,7 +234,7 @@ impl WorkerTracer {
 fn ensure_registered(shared: &NodeShared, sink: &mut MsgSink) {
     // Load-first so the steady state is a read-only check; the swap
     // (a contended RMW) runs at most once per worker.
-    if shared.replica_registered.load(Relaxed) || shared.replica_registered.swap(true, Relaxed) {
+    if shared.replica.registered.load(Relaxed) || shared.replica.registered.swap(true, Relaxed) {
         return;
     }
     for n in 0..shared.cfg.nodes {
@@ -255,6 +257,7 @@ impl ClientCore {
             rec: Arc::clone(&shared.trace),
         });
         ClientCore {
+            lane: shared.claim_lane(),
             shared,
             slot,
             guard: Arc::new(Mutex::new(HashMap::new())),
@@ -271,6 +274,11 @@ impl ClientCore {
     /// The shared node state.
     pub fn shared(&self) -> &Arc<NodeShared> {
         &self.shared
+    }
+
+    /// The counter lane this worker writes.
+    pub fn lane(&self) -> &AccessLane {
+        &self.lane
     }
 
     fn cfg(&self) -> &ProtoConfig {
@@ -292,6 +300,7 @@ impl ClientCore {
     fn plan(&mut self, keys: &[Key]) -> (u32, bool) {
         let ClientCore {
             shared,
+            lane,
             guard,
             scratch,
             ..
@@ -330,7 +339,7 @@ impl ClientCore {
             off += len;
         }
         if sampled > 0 {
-            shared.stats.sketch_samples.fetch_add(sampled, Relaxed);
+            lane.sketch_samples.add(sampled);
         }
         (off, any_replicated)
     }
@@ -364,13 +373,13 @@ impl ClientCore {
         // Group a decision's keys per home node and emit one request
         // message each, in deterministic (first-appearance) order.
         let emit = |keys: Vec<Key>,
-                    counter: &std::sync::atomic::AtomicU64,
+                    counter: &LaneCounter,
                     msg: &dyn Fn(Vec<Key>) -> Msg,
                     sink: &mut MsgSink| {
             if keys.is_empty() {
                 return;
             }
-            counter.fetch_add(keys.len() as u64, Relaxed);
+            counter.add(keys.len() as u64);
             let mut per_home: OrderedGroups<NodeId, Vec<Key>> = OrderedGroups::new();
             for k in keys {
                 per_home.entry(self.cfg().home(k)).push(k);
@@ -380,16 +389,15 @@ impl ClientCore {
             }
         };
         let node = self.shared.node;
-        let stats = &self.shared.stats;
         emit(
             decision.promote,
-            &stats.tech_promote_reqs,
+            &self.lane.tech_promote_reqs,
             &|keys| Msg::TechniquePromote(TechniquePromoteMsg { node, keys }),
             sink,
         );
         emit(
             decision.demote,
-            &stats.tech_demote_reqs,
+            &self.lane.tech_demote_reqs,
             &|keys| Msg::TechniqueDemote(TechniqueDemoteMsg { node, keys }),
             sink,
         );
@@ -427,13 +435,13 @@ impl ClientCore {
         // fetch_add so concurrent flushes of two workers get distinct
         // sequence numbers (gaps for empty flushes are harmless — acks
         // match batches exactly by sequence number).
-        let flush_seq = self.shared.replica_flush_seq.fetch_add(1, Relaxed) + 1;
+        let flush_seq = self.shared.replica.flush_seq.fetch_add(1, Relaxed) + 1;
         // Atomically take the accumulation count before draining: pushes
         // counted here are all in the pending sets this flush is about to
         // drain, while a concurrent worker's later increments survive for
         // the next auto-flush threshold check (an increment racing in
         // between merely triggers one extra empty — free — flush).
-        self.shared.replica_unflushed.swap(0, Relaxed);
+        self.shared.replica.unflushed.swap(0, Relaxed);
         for cell in &self.shared.shards {
             // Pending deltas imply the hint (recomputed at every write
             // commit), so untouched shards are skipped without latching.
@@ -461,9 +469,8 @@ impl ClientCore {
         if groups.is_empty() {
             return;
         }
-        let stats = &self.shared.stats;
         for (owner, group) in groups.into_iter() {
-            stats.replica_flushes.fetch_add(1, Relaxed);
+            self.lane.replica_flushes.add(1);
             sink.push((
                 owner,
                 Msg::ReplicaPush(ReplicaPushMsg {
@@ -515,6 +522,7 @@ impl ClientCore {
         // Shard phase: one latch acquisition per touched shard.
         let ClientCore {
             shared,
+            lane,
             slot,
             guard,
             scratch,
@@ -550,7 +558,7 @@ impl ClientCore {
             for &i in items {
                 let p = &mut scratch.plan[i as usize];
                 let (off, len) = (p.off as usize, p.len as usize);
-                match policy.issue_route(p.key, &shard, p.forced, &shared.stats) {
+                match policy.issue_route(p.key, &shard, p.forced, lane) {
                     IssueRoute::OwnedLocal => {
                         let v = shard.store.get(p.key).expect("routed to owned store");
                         n_local += 1;
@@ -604,18 +612,17 @@ impl ClientCore {
                 }
             }
         }
-        let stats = &shared.stats;
         if n_local > 0 {
-            stats.pull_local.fetch_add(n_local, Relaxed);
+            lane.pull_local.add(n_local);
         }
         if n_replica > 0 {
-            stats.pull_replica.fetch_add(n_replica, Relaxed);
+            lane.pull_replica.add(n_replica);
         }
         if n_queued > 0 {
-            stats.pull_queued.fetch_add(n_queued, Relaxed);
+            lane.pull_queued.add(n_queued);
         }
         if bytes_moved > 0 {
-            stats.value_bytes_moved.fetch_add(bytes_moved, Relaxed);
+            lane.value_bytes_moved.add(bytes_moved);
         }
         let t2 = t0.map(|_| tracer.as_ref().expect("t0 set with tracer").rec.now());
 
@@ -639,7 +646,7 @@ impl ClientCore {
                     matches!(p.route, Planned::Remote(_)).then_some((p.key, p.len, p.off))
                 }),
             );
-            stats.pull_remote.fetch_add(n_remote, Relaxed);
+            lane.pull_remote.add(n_remote);
             self.guard_remotes();
         }
         let handle = self.flush(seq, OpKind::Pull, groups, sink);
@@ -672,6 +679,7 @@ impl ClientCore {
 
         let ClientCore {
             shared,
+            lane,
             slot,
             guard,
             scratch,
@@ -687,7 +695,7 @@ impl ClientCore {
             for &i in items {
                 let p = &mut scratch.plan[i as usize];
                 let val = &vals[p.off as usize..(p.off + p.len) as usize];
-                match policy.issue_route(p.key, &shard, p.forced, &shared.stats) {
+                match policy.issue_route(p.key, &shard, p.forced, lane) {
                     IssueRoute::OwnedLocal => {
                         let applied = shard.store.add(p.key, val);
                         debug_assert!(applied);
@@ -715,18 +723,17 @@ impl ClientCore {
                 }
             }
         }
-        let stats = &shared.stats;
         if n_local > 0 {
-            stats.push_local.fetch_add(n_local, Relaxed);
+            lane.push_local.add(n_local);
         }
         if n_replica > 0 {
-            stats.push_replica.fetch_add(n_replica, Relaxed);
+            lane.push_replica.add(n_replica);
         }
         if n_queued > 0 {
-            stats.push_queued.fetch_add(n_queued, Relaxed);
+            lane.push_queued.add(n_queued);
         }
         if park_allocs > 0 {
-            stats.value_allocs_heap.fetch_add(park_allocs, Relaxed);
+            lane.value_allocs_heap.add(park_allocs);
         }
         let t2 = t0.map(|_| tracer.as_ref().expect("t0 set with tracer").rec.now());
 
@@ -753,13 +760,14 @@ impl ClientCore {
                     .iter()
                     .filter_map(|p| matches!(p.route, Planned::Remote(_)).then_some((p.key, 0, 0))),
             );
-            stats.push_remote.fetch_add(n_remote, Relaxed);
+            lane.push_remote.add(n_remote);
             self.guard_remotes();
         }
         if accumulated > 0 {
             let unflushed = self
                 .shared
-                .replica_unflushed
+                .replica
+                .unflushed
                 .fetch_add(accumulated, Relaxed)
                 + accumulated;
             if unflushed >= self.cfg().replica_flush_every {
@@ -789,7 +797,7 @@ impl ClientCore {
             self.cfg().ordered_async_guard && self.guard.lock().get(&key).is_some_and(|&n| n > 0);
         if let Some(ad) = &self.shared.adaptive {
             if ad.sample(key, &self.cfg().adaptive) {
-                self.shared.stats.sketch_samples.fetch_add(1, Relaxed);
+                self.lane.sketch_samples.add(1);
             }
         }
         if self.cfg().policy().may_replicate(key) {
@@ -808,16 +816,15 @@ impl ClientCore {
         // the op or leaves nothing half-done).
         if !is_async {
             if let Some(buf) = out.as_deref_mut() {
-                let stats = &self.shared.stats;
                 match self.shared.try_optimistic_read(key, forced, buf) {
                     Some(OptRead::Owned) => {
-                        stats.pull_local.fetch_add(1, Relaxed);
-                        stats.value_bytes_moved.fetch_add(4 * len as u64, Relaxed);
+                        self.lane.pull_local.add(1);
+                        self.lane.value_bytes_moved.add(4 * len as u64);
                         return IssueHandle::Ready(None);
                     }
                     Some(OptRead::Replica) => {
-                        stats.pull_replica.fetch_add(1, Relaxed);
-                        stats.value_bytes_moved.fetch_add(4 * len as u64, Relaxed);
+                        self.lane.pull_replica.add(1);
+                        self.lane.value_bytes_moved.add(4 * len as u64);
                         return IssueHandle::Ready(None);
                     }
                     Some(OptRead::Absent) | None => {}
@@ -826,6 +833,7 @@ impl ClientCore {
         }
         let ClientCore {
             shared,
+            lane,
             slot,
             guard,
             scratch,
@@ -833,15 +841,14 @@ impl ClientCore {
         } = &mut *self;
         let policy = shared.cfg.policy();
         let tracker = &shared.tracker;
-        let stats = &shared.stats;
         let mut remote: Option<NodeId> = None;
         {
             let mut shard = shared.shard_for(key).write();
-            match policy.issue_route(key, &shard, forced, stats) {
+            match policy.issue_route(key, &shard, forced, lane) {
                 IssueRoute::OwnedLocal => {
                     let v = shard.store.get(key).expect("routed to owned store");
-                    stats.pull_local.fetch_add(1, Relaxed);
-                    stats.value_bytes_moved.fetch_add(4 * len as u64, Relaxed);
+                    lane.pull_local.add(1);
+                    lane.value_bytes_moved.add(4 * len as u64);
                     match &mut out {
                         Some(buf) => buf.copy_from_slice(v),
                         None => {
@@ -852,8 +859,8 @@ impl ClientCore {
                     }
                 }
                 IssueRoute::Replica => {
-                    stats.pull_replica.fetch_add(1, Relaxed);
-                    stats.value_bytes_moved.fetch_add(4 * len as u64, Relaxed);
+                    lane.pull_replica.add(1);
+                    lane.value_bytes_moved.add(4 * len as u64);
                     match &mut out {
                         Some(buf) => {
                             let ok = shard.read_replicated(key, buf);
@@ -884,7 +891,7 @@ impl ClientCore {
                         kind: OpKind::Pull,
                         val: Vec::new(),
                     }));
-                    stats.pull_queued.fetch_add(1, Relaxed);
+                    lane.pull_queued.add(1);
                 }
                 IssueRoute::Remote(dst) => remote = Some(dst),
             }
@@ -893,7 +900,7 @@ impl ClientCore {
         if let Some(dst) = remote {
             let s = *seq.get_or_insert_with(|| begin(shared, *slot, guard, TrackedKind::Pull));
             tracker.add_keys(s, is_async, true, std::iter::once((key, len, 0)));
-            stats.pull_remote.fetch_add(1, Relaxed);
+            lane.pull_remote.add(1);
             if shared.cfg.ordered_async_guard {
                 *guard.lock().entry(key).or_insert(0) += 1;
             }
@@ -911,7 +918,7 @@ impl ClientCore {
             self.cfg().ordered_async_guard && self.guard.lock().get(&key).is_some_and(|&n| n > 0);
         if let Some(ad) = &self.shared.adaptive {
             if ad.sample(key, &self.cfg().adaptive) {
-                self.shared.stats.sketch_samples.fetch_add(1, Relaxed);
+                self.lane.sketch_samples.add(1);
             }
         }
         if self.cfg().policy().may_replicate(key) {
@@ -921,26 +928,26 @@ impl ClientCore {
         let mut seq: Option<u64> = None;
         let ClientCore {
             shared,
+            lane,
             slot,
             guard,
             ..
         } = &mut *self;
         let policy = shared.cfg.policy();
         let tracker = &shared.tracker;
-        let stats = &shared.stats;
         let mut remote: Option<NodeId> = None;
         let mut accumulated = false;
         {
             let mut shard = shared.shard_for(key).write();
-            match policy.issue_route(key, &shard, forced, stats) {
+            match policy.issue_route(key, &shard, forced, lane) {
                 IssueRoute::OwnedLocal => {
                     let applied = shard.store.add(key, val);
                     debug_assert!(applied);
-                    stats.push_local.fetch_add(1, Relaxed);
+                    lane.push_local.add(1);
                 }
                 IssueRoute::Replica => {
                     shard.replica.accumulate(key, val);
-                    stats.push_replica.fetch_add(1, Relaxed);
+                    lane.push_replica.add(1);
                     accumulated = true;
                 }
                 IssueRoute::Park => {
@@ -953,8 +960,8 @@ impl ClientCore {
                         kind: OpKind::Push,
                         val: val.to_vec(),
                     }));
-                    stats.push_queued.fetch_add(1, Relaxed);
-                    stats.value_allocs_heap.fetch_add(1, Relaxed);
+                    lane.push_queued.add(1);
+                    lane.value_allocs_heap.add(1);
                 }
                 IssueRoute::Remote(dst) => remote = Some(dst),
             }
@@ -963,7 +970,7 @@ impl ClientCore {
         if let Some(dst) = remote {
             let s = *seq.get_or_insert_with(|| begin(shared, *slot, guard, TrackedKind::Push));
             tracker.add_keys(s, false, true, std::iter::once((key, 0, 0)));
-            stats.push_remote.fetch_add(1, Relaxed);
+            lane.push_remote.add(1);
             if shared.cfg.ordered_async_guard {
                 *guard.lock().entry(key).or_insert(0) += 1;
             }
@@ -972,7 +979,7 @@ impl ClientCore {
             group.vals.extend_from_slice(val);
         }
         if accumulated {
-            let unflushed = self.shared.replica_unflushed.fetch_add(1, Relaxed) + 1;
+            let unflushed = self.shared.replica.unflushed.fetch_add(1, Relaxed) + 1;
             if unflushed >= self.cfg().replica_flush_every {
                 self.flush_replicas(sink);
             }
@@ -988,6 +995,7 @@ impl ClientCore {
         let t0 = self.tracer.as_ref().map(|t| t.rec.now());
         let ClientCore {
             shared,
+            lane,
             slot,
             guard,
             scratch,
@@ -1051,7 +1059,7 @@ impl ClientCore {
             }
         }
         if n_sent > 0 {
-            shared.stats.localize_sent.fetch_add(n_sent, Relaxed);
+            lane.localize_sent.add(n_sent);
         }
         let t2 = t0.map(|_| tracer.as_ref().expect("t0 set with tracer").rec.now());
         // Emit phase: requests per home node, in original key order.
@@ -1100,11 +1108,11 @@ impl ClientCore {
         // the local-or-not question and copies the value in one pass.
         match self.shared.try_optimistic_read(key, false, out) {
             Some(OptRead::Owned) => {
-                self.shared.stats.pull_local.fetch_add(1, Relaxed);
+                self.lane.pull_local.add(1);
                 return true;
             }
             Some(OptRead::Replica) => {
-                self.shared.stats.pull_replica.fetch_add(1, Relaxed);
+                self.lane.pull_replica.add(1);
                 return true;
             }
             Some(OptRead::Absent) => return false,
@@ -1114,13 +1122,13 @@ impl ClientCore {
         if policy.replicated_in(key, &shard) {
             let ok = shard.read_replicated(key, out);
             debug_assert!(ok, "replicated key {key} without replica state");
-            self.shared.stats.pull_replica.fetch_add(1, Relaxed);
+            self.lane.pull_replica.add(1);
             return ok;
         }
         match shard.store.get(key) {
             Some(v) => {
                 out.copy_from_slice(v);
-                self.shared.stats.pull_local.fetch_add(1, Relaxed);
+                self.lane.pull_local.add(1);
                 true
             }
             None => false,

@@ -48,7 +48,7 @@ use crate::messages::{
     ReplicaRefreshMsg, ReplicaRegMsg, TechniqueDemoteAckMsg, TechniqueDemoteMsg,
     TechniqueDrainedMsg, TechniquePromoteAckMsg, TechniquePromoteMsg,
 };
-use crate::shard::{IncomingState, NodeShared, Queued, QueuedOp, Shard};
+use crate::shard::{AccessLane, IncomingState, NodeShared, Queued, QueuedOp, Shard};
 
 /// A keys-plus-values accumulator for forwarded requests (they become
 /// [`OpMsg`]s, whose push payloads stay `Vec<f32>`).
@@ -250,6 +250,10 @@ struct DemoteDrain {
 /// The server half of the protocol for one node.
 pub struct ServerCore {
     shared: Arc<NodeShared>,
+    /// This server's access counters. One writer at a time: the core is
+    /// `&mut self` throughout, and the threaded backend only reaches it
+    /// under the node's role lock.
+    lane: Arc<AccessLane>,
     /// Current owner of every key homed at this node, indexed by
     /// `ProtoConfig::home_slot`. Only the server logic touches it, so no
     /// lock is needed (one logical server thread per node, Figure 2).
@@ -361,6 +365,7 @@ impl ServerCore {
             ),
         });
         ServerCore {
+            lane: shared.claim_lane(),
             shared,
             owner,
             replica_subs: Vec::new(),
@@ -401,6 +406,11 @@ impl ServerCore {
     /// The shared node state.
     pub fn shared(&self) -> &Arc<NodeShared> {
         &self.shared
+    }
+
+    /// The counter lane this server writes.
+    pub fn lane(&self) -> &AccessLane {
+        &self.lane
     }
 
     /// Current owner of `key` according to this home node (diagnostics
@@ -632,10 +642,7 @@ impl ServerCore {
             }
         }
         if stale_forwards > 0 {
-            self.shared
-                .stats
-                .loc_cache_stale_forwards
-                .fetch_add(stale_forwards, Relaxed);
+            self.lane.loc_cache_stale_forwards.add(stale_forwards);
         }
 
         // Emit phase: replay decisions per message, in original key
@@ -682,10 +689,7 @@ impl ServerCore {
             }
         }
         if resp_bytes > 0 {
-            self.shared
-                .stats
-                .value_bytes_moved
-                .fetch_add(resp_bytes, Relaxed);
+            self.lane.value_bytes_moved.add(resp_bytes);
         }
 
         // Adaptive: broadcast refreshes for replicated keys that were
@@ -772,7 +776,7 @@ impl ServerCore {
             let slot = cfg.home_slot(k);
             let old = self.owner[slot];
             self.owner[slot] = requester;
-            self.shared.stats.relocations.fetch_add(1, Relaxed);
+            self.lane.relocations.add(1);
             if let Some(t) = &self.tracer {
                 t.event(EventKind::RelocStart, k.0, old.0 as u64);
             }
@@ -857,10 +861,7 @@ impl ServerCore {
             }
         }
         if unexpected > 0 {
-            self.shared
-                .stats
-                .unexpected_relocates
-                .fetch_add(unexpected, Relaxed);
+            self.lane.unexpected_relocates.add(unexpected);
         }
 
         // Emit phase: hand-over payload in original key order.
@@ -880,10 +881,7 @@ impl ServerCore {
             }
         }
         if moved_bytes > 0 {
-            self.shared
-                .stats
-                .value_bytes_moved
-                .fetch_add(moved_bytes, Relaxed);
+            self.lane.value_bytes_moved.add(moved_bytes);
         }
     }
 
@@ -996,7 +994,7 @@ impl ServerCore {
             }
         }
         if installed > 0 {
-            self.shared.stats.handovers_in.fetch_add(installed, Relaxed);
+            self.lane.handovers_in.add(installed);
         }
 
         // Emit phase: replay each key's recorded emissions in original
@@ -1011,10 +1009,7 @@ impl ServerCore {
             batches,
         );
         if moved_bytes > 0 {
-            self.shared
-                .stats
-                .value_bytes_moved
-                .fetch_add(moved_bytes, Relaxed);
+            self.lane.value_bytes_moved.add(moved_bytes);
         }
 
         // Adaptive: promotions that were waiting for this relocation to
@@ -1105,10 +1100,7 @@ impl ServerCore {
         if keys.is_empty() || self.replica_subs.is_empty() {
             return;
         }
-        self.shared
-            .stats
-            .value_bytes_moved
-            .fetch_add(4 * block.len() as u64, Relaxed);
+        self.lane.value_bytes_moved.add(4 * block.len() as u64);
         self.replica_round += 1;
         for &sub in &self.replica_subs {
             batches.refreshes.push((
@@ -1223,10 +1215,7 @@ impl ServerCore {
             }
         }
         if applied_keys > 0 {
-            self.shared
-                .stats
-                .replica_pushes_applied
-                .fetch_add(applied_keys, Relaxed);
+            self.lane.replica_pushes_applied.add(applied_keys);
         }
         for (k, off, len) in stragglers {
             let owner = self.owner[cfg.home_slot(k)];
@@ -1359,10 +1348,7 @@ impl ServerCore {
             }
         }
         if refreshed > 0 {
-            self.shared
-                .stats
-                .replica_refreshes
-                .fetch_add(refreshed, Relaxed);
+            self.lane.replica_refreshes.add(refreshed);
             // Serving-epoch publication: the replica tier just caught up
             // with owner state as of the current epoch (snapshot plane
             // staleness bound, see `crate::serving`).
@@ -1434,7 +1420,7 @@ impl ServerCore {
             per_old.entry(owner).push(k);
         }
         if started > 0 {
-            self.shared.stats.relocations.fetch_add(started, Relaxed);
+            self.lane.relocations.add(started);
         }
         for (old, keys) in per_old.into_iter() {
             batches.relocates.push((
@@ -1473,10 +1459,7 @@ impl ServerCore {
             block.push_slice(v);
             shard.loc_cache.remove(&k);
         }
-        self.shared
-            .stats
-            .tech_promotions
-            .fetch_add(keys.len() as u64, Relaxed);
+        self.lane.tech_promotions.add(keys.len() as u64);
         self.tech_epoch += 1;
         if let Some(t) = &self.tracer {
             t.event(
@@ -1486,10 +1469,7 @@ impl ServerCore {
             );
         }
         let vals = block.finish();
-        self.shared
-            .stats
-            .value_bytes_moved
-            .fetch_add(vals.len() as u64 * 4, Relaxed);
+        self.lane.value_bytes_moved.add(vals.len() as u64 * 4);
         for n in 0..cfg.nodes {
             let dst = NodeId(n);
             if dst != self.shared.node {
@@ -1627,7 +1607,8 @@ impl ServerCore {
             // Keep the auto-flush trigger honest about the drained
             // pushes (the issuing workers flush after completion anyway).
             self.shared
-                .replica_unflushed
+                .replica
+                .unflushed
                 .fetch_add(accumulated, Relaxed);
         }
 
@@ -1641,10 +1622,7 @@ impl ServerCore {
             batches,
         );
         if moved_bytes > 0 {
-            self.shared
-                .stats
-                .value_bytes_moved
-                .fetch_add(moved_bytes, Relaxed);
+            self.lane.value_bytes_moved.add(moved_bytes);
         }
         if let Some(ad) = &self.shared.adaptive {
             ad.transition_applied(&m.keys);
@@ -1717,10 +1695,7 @@ impl ServerCore {
             drop(shard);
             self.demote_pinned.insert(k, epoch);
         }
-        self.shared
-            .stats
-            .tech_demotions
-            .fetch_add(keys.len() as u64, Relaxed);
+        self.lane.tech_demotions.add(keys.len() as u64);
         let awaiting: BTreeSet<NodeId> = (0..cfg.nodes)
             .map(NodeId)
             .filter(|&n| n != self.shared.node)
@@ -1826,10 +1801,7 @@ impl ServerCore {
         }
         debug_assert_eq!(off, m.vals.len(), "drain payload mismatch");
         if applied_keys > 0 {
-            self.shared
-                .stats
-                .replica_pushes_applied
-                .fetch_add(applied_keys, Relaxed);
+            self.lane.replica_pushes_applied.add(applied_keys);
         }
         if let Some(drain) = self.demote_draining.get_mut(&m.epoch) {
             let removed = drain.awaiting.remove(&m.node);

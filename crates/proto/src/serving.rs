@@ -48,15 +48,18 @@ use std::sync::Arc;
 use lapse_net::Key;
 use lapse_trace::{EventKind, Recorder, Ring, ACTOR_SERVING};
 
-use crate::shard::{NodeShared, OptRead};
+use crate::shard::{AccessLane, NodeShared, OptRead};
 
 /// Spin iterations a stale replica-tier read waits for a refresh before
 /// falling back to the latched path. Latch-free and bounded: the wait
 /// must never turn a wait-free read into an unbounded stall.
 const STALE_WAIT_SPINS: usize = 64;
 
-/// Node-local serving-epoch publication (one per [`NodeShared`]).
+/// Node-local serving-epoch publication (one per [`NodeShared`]), in a
+/// block of its own: workers tick it and the server stamps it, while
+/// every snapshot read loads the read-only header beside it.
 #[derive(Debug, Default)]
+#[repr(align(128))]
 pub struct ServingState {
     /// Serving epoch: advances at every propagation tick.
     epoch: AtomicU64,
@@ -134,6 +137,8 @@ pub struct SnapshotRead {
 /// remote keys belong to the protocol path (`pull`).
 pub struct SnapshotReader {
     shared: Arc<NodeShared>,
+    /// This reader's counters (`&mut self` reads: one writer).
+    lane: Arc<AccessLane>,
     last_epoch: u64,
     max_staleness: u64,
     /// Flight-recorder lane for this reader (`None` when tracing is off).
@@ -153,6 +158,7 @@ impl SnapshotReader {
             (Arc::clone(&shared.trace), ring)
         });
         SnapshotReader {
+            lane: shared.claim_lane(),
             shared,
             last_epoch: 0,
             max_staleness,
@@ -163,6 +169,11 @@ impl SnapshotReader {
     /// The epoch of the latest read (0 before the first).
     pub fn epoch(&self) -> u64 {
         self.last_epoch
+    }
+
+    /// The counter lane this reader writes.
+    pub fn lane(&self) -> &AccessLane {
+        &self.lane
     }
 
     /// Reads `key`'s local value into `out` without latching, tracking,
@@ -180,30 +191,27 @@ impl SnapshotReader {
         }
         match shared.optimistic_read_raw(key, out) {
             Some(OptRead::Owned) => {
-                shared.stats.snapshot_reads.fetch_add(1, Ordering::Relaxed);
+                self.lane.snapshot_reads.add(1);
                 return Some(self.pin(SnapshotTier::Owned, key));
             }
             Some(OptRead::Replica) => {
                 if shared.serving.replica_lag() <= self.max_staleness {
-                    shared.stats.snapshot_reads.fetch_add(1, Ordering::Relaxed);
+                    self.lane.snapshot_reads.add(1);
                     return Some(self.pin(SnapshotTier::Replica, key));
                 }
                 // Too stale: wait (bounded, latch-free) for a refresh to
                 // land, re-serving wait-free if it does.
-                shared
-                    .stats
-                    .snapshot_stale_waits
-                    .fetch_add(1, Ordering::Relaxed);
+                self.lane.snapshot_stale_waits.add(1);
                 for _ in 0..STALE_WAIT_SPINS {
                     std::hint::spin_loop();
                     if shared.serving.replica_lag() <= self.max_staleness {
                         match shared.optimistic_read_raw(key, out) {
                             Some(OptRead::Owned) => {
-                                shared.stats.snapshot_reads.fetch_add(1, Ordering::Relaxed);
+                                self.lane.snapshot_reads.add(1);
                                 return Some(self.pin(SnapshotTier::Owned, key));
                             }
                             Some(OptRead::Replica) => {
-                                shared.stats.snapshot_reads.fetch_add(1, Ordering::Relaxed);
+                                self.lane.snapshot_reads.add(1);
                                 return Some(self.pin(SnapshotTier::Replica, key));
                             }
                             _ => {}
@@ -222,13 +230,10 @@ impl SnapshotReader {
     /// latch. Shares the route logic of `pull_if_local` — replica view
     /// first (owned values included), owned store second.
     fn read_latched(&mut self, key: Key, out: &mut [f32]) -> Option<SnapshotRead> {
-        let shared = Arc::clone(&self.shared);
-        shared
-            .stats
-            .snapshot_fallbacks
-            .fetch_add(1, Ordering::Relaxed);
-        let policy = shared.cfg.policy();
+        self.lane.snapshot_fallbacks.add(1);
         let served = {
+            let shared = &self.shared;
+            let policy = shared.cfg.policy();
             let shard = shared.shard_for(key).read();
             if policy.replicated_in(key, &shard) {
                 let ok = shard.read_replicated(key, out);

@@ -252,98 +252,207 @@ impl Shard {
     }
 }
 
-/// Hot counters for the paper's access statistics (Table 5 and the
-/// workload table). Plain atomics — these sit on every parameter access.
+/// One access counter of an [`AccessLane`].
+///
+/// A bump is a relaxed load and a relaxed store — no `lock` prefix — so
+/// it is exact only while the lane has one writer (see [`AccessLane`]).
+/// The storage is still an `AtomicU64`: a reader on another thread sees
+/// a stale value, never a torn one.
 #[derive(Debug, Default)]
-pub struct AccessStats {
+pub struct LaneCounter(AtomicU64);
+
+impl LaneCounter {
+    /// Adds `n`. Only the lane's one writer may call this.
+    #[inline]
+    pub fn add(&self, n: u64) {
+        self.0.store(
+            self.0.load(Ordering::Relaxed).wrapping_add(n),
+            Ordering::Relaxed,
+        );
+    }
+
+    /// The current count (possibly stale on a thread other than the
+    /// writer's).
+    #[inline]
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// Declares the access counters once: the per-core [`AccessLane`] that
+/// counts them, the plain [`AccessStats`] snapshot that reports them,
+/// and the two conversions between (lane → snapshot, snapshot sum).
+/// `ClusterStats::collect` destructures the snapshot exhaustively, so a
+/// counter added here and not aggregated there does not compile.
+macro_rules! access_counters {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// One core's block of access counters (Table 5 and the workload
+        /// table of the paper; they sit on every parameter access).
+        ///
+        /// Every `ClientCore`, `ServerCore` and `SnapshotReader` claims
+        /// a lane of its own from its node when it is built
+        /// ([`NodeShared::claim_lane`]) and is the only writer of that
+        /// lane, so bumps need no atomic read-modify-write and two
+        /// cores never write the same cache line:
+        ///
+        /// * a `ClientCore` is owned by its worker thread (the threaded
+        ///   worker also counts its own coalescer's envelopes there);
+        /// * a `ServerCore`, and the coalescer beside it, is only run
+        ///   under the node's role lock, whose release/acquire orders
+        ///   the plain stores of one holder before the loads of the
+        ///   next (on the simulator one task runs at a time);
+        /// * a `SnapshotReader` reads through `&mut self`.
+        ///
+        /// Aligned to 128 bytes: a lane shares neither a line nor an
+        /// adjacent-line-prefetch pair with anything else.
+        #[derive(Debug, Default)]
+        #[repr(align(128))]
+        pub struct AccessLane {
+            $($(#[$doc])* pub $name: LaneCounter,)*
+        }
+
+        impl AccessLane {
+            /// The lane's counts as plain numbers.
+            pub fn snapshot(&self) -> AccessStats {
+                AccessStats { $($name: self.$name.get(),)* }
+            }
+        }
+
+        /// A snapshot of a node's access counters, summed over its lanes
+        /// ([`NodeShared::stats`]). Exact once the writers have stopped
+        /// (joined threads, a quiescent test cluster); a mid-run
+        /// snapshot may lag each writer by its latest bumps.
+        #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+        pub struct AccessStats {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl std::ops::AddAssign for AccessStats {
+            fn add_assign(&mut self, other: Self) {
+                $(self.$name += other.$name;)*
+            }
+        }
+    };
+}
+
+access_counters! {
     /// Pull keys served via the shared-memory fast path.
-    pub pull_local: AtomicU64,
+    pull_local,
     /// Pull keys parked in a relocation queue on the issuing node.
-    pub pull_queued: AtomicU64,
+    pull_queued,
     /// Pull keys routed over the network.
-    pub pull_remote: AtomicU64,
+    pull_remote,
     /// Push keys served via the shared-memory fast path.
-    pub push_local: AtomicU64,
+    push_local,
     /// Push keys parked in a relocation queue on the issuing node.
-    pub push_queued: AtomicU64,
+    push_queued,
     /// Push keys routed over the network.
-    pub push_remote: AtomicU64,
+    push_remote,
     /// Keys this node asked to localize (messages actually sent).
-    pub localize_sent: AtomicU64,
+    localize_sent,
     /// Keys relocated by this node acting as home (paper: "relocations").
-    pub relocations: AtomicU64,
+    relocations,
     /// Keys received via hand-over.
-    pub handovers_in: AtomicU64,
+    handovers_in,
     /// Remote keys routed to a location-cache entry instead of the home
     /// node (cache hits; only meaningful with `location_caches` on).
-    pub loc_cache_hits: AtomicU64,
+    loc_cache_hits,
     /// Operations double-forwarded due to a stale location cache.
-    pub loc_cache_stale_forwards: AtomicU64,
+    loc_cache_stale_forwards,
     /// Relocate messages for keys this node neither owned nor expected
     /// (protocol-invariant violations; must stay 0).
-    pub unexpected_relocates: AtomicU64,
+    unexpected_relocates,
     /// Pull keys served by the replication technique (local replica view).
-    pub pull_replica: AtomicU64,
+    pull_replica,
     /// Push keys accumulated by the replication technique.
-    pub push_replica: AtomicU64,
+    push_replica,
     /// Replica flushes this node propagated (ReplicaPush messages sent).
-    pub replica_flushes: AtomicU64,
+    replica_flushes,
     /// Replicated push keys applied at this node acting as owner.
-    pub replica_pushes_applied: AtomicU64,
+    replica_pushes_applied,
     /// Replicated keys refreshed on this node by owner broadcasts.
-    pub replica_refreshes: AtomicU64,
+    replica_refreshes,
     /// Accesses sampled into this node's adaptive sketch.
-    pub sketch_samples: AtomicU64,
+    sketch_samples,
     /// Promotion requests this node's controller sent.
-    pub tech_promote_reqs: AtomicU64,
+    tech_promote_reqs,
     /// Demotion votes this node's controller sent.
-    pub tech_demote_reqs: AtomicU64,
+    tech_demote_reqs,
     /// Keys this node promoted to replication, acting as home.
-    pub tech_promotions: AtomicU64,
+    tech_promotions,
     /// Keys this node demoted back to relocation, acting as home.
-    pub tech_demotions: AtomicU64,
+    tech_demotions,
     /// Bytes of parameter values moved through this node's value plane:
     /// local/replica pull serves into caller buffers plus value payloads
     /// assembled into outgoing responses, hand-overs, and refreshes
     /// (counted once per broadcast). Incremented once per operation or
     /// message, never per key.
-    pub value_bytes_moved: AtomicU64,
+    value_bytes_moved,
     /// Per-value heap allocations on the hot paths (e.g. parked-operation
     /// payload copies). The arena/heap allocation split of the stores
     /// themselves is collected separately from the store arenas; owned
     /// local serves contribute **zero** here — the property the
     /// value-plane stress test pins down.
-    pub value_allocs_heap: AtomicU64,
+    value_allocs_heap,
     /// Batch envelopes this node sent (sender-side coalescing; threaded
     /// backend only — the simulator never coalesces).
-    pub net_batches: AtomicU64,
+    net_batches,
     /// Constituent messages carried inside those envelopes.
-    pub net_batched_msgs: AtomicU64,
+    net_batched_msgs,
     /// Snapshot-plane reads served wait-free (owned or replica tier,
     /// within the staleness bound; threaded backend only).
-    pub snapshot_reads: AtomicU64,
+    snapshot_reads,
     /// Snapshot-plane reads that waited on the staleness bound for a
     /// replica refresh.
-    pub snapshot_stale_waits: AtomicU64,
+    snapshot_stale_waits,
     /// Snapshot-plane reads that fell back to the latched path.
-    pub snapshot_fallbacks: AtomicU64,
+    snapshot_fallbacks,
 }
 
 impl AccessStats {
     /// Total pull keys.
     pub fn pull_total(&self) -> u64 {
-        self.pull_local.load(Ordering::Relaxed)
-            + self.pull_queued.load(Ordering::Relaxed)
-            + self.pull_remote.load(Ordering::Relaxed)
-            + self.pull_replica.load(Ordering::Relaxed)
+        self.pull_local + self.pull_queued + self.pull_remote + self.pull_replica
     }
 
     /// Pull keys that never left the node (fast path + replica view +
     /// parked locally).
     pub fn pull_local_total(&self) -> u64 {
-        self.pull_local.load(Ordering::Relaxed)
-            + self.pull_queued.load(Ordering::Relaxed)
-            + self.pull_replica.load(Ordering::Relaxed)
+        self.pull_local + self.pull_queued + self.pull_replica
+    }
+}
+
+/// The words that pace a node's replica propagation. Every worker of the
+/// node writes them (replicated pushes, flushes), so they sit in a block
+/// of their own, away from both the read-only [`NodeShared`] header and
+/// the single-writer lanes.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+pub struct ReplicaCtl {
+    /// Whether this node has subscribed to replica refreshes yet
+    /// (flipped by the first replicated access).
+    pub registered: AtomicBool,
+    /// Replicated pushes accumulated since the last flush (the automatic
+    /// flush trigger, see `ProtoConfig::replica_flush_every`).
+    pub unflushed: AtomicU64,
+    /// Flush sequence numbers for this node's replica propagation.
+    pub flush_seq: AtomicU64,
+}
+
+/// The lanes claimed on a node so far. Behind a mutex that only core
+/// construction and [`NodeShared::stats`] take, in a block of its own so
+/// that a claim made mid-run writes nothing next to the header.
+#[derive(Debug)]
+#[repr(align(128))]
+struct LaneRegistry(Mutex<Vec<Arc<AccessLane>>>);
+
+impl LaneRegistry {
+    /// Room for a node's usual handful of cores (workers, server,
+    /// readers), so that claims made as threads start do not reallocate.
+    const INITIAL_LANES: usize = 16;
+
+    fn new() -> Self {
+        LaneRegistry(Mutex::new(Vec::with_capacity(Self::INITIAL_LANES)))
     }
 }
 
@@ -366,6 +475,12 @@ impl AccessStats {
 /// data structures are not safe (or not meaningful) to read racily. The
 /// hints are recomputed under the latch at every write-guard drop, so a
 /// `false` hint observed under a validated sequence is authoritative.
+///
+/// Aligned to 128 bytes: the sequence word, hints and latch of one shard
+/// never share a cache line (or an adjacent-line-prefetch pair) with the
+/// tail of the previous shard's state — contiguous range sharding puts
+/// the Zipf-hot keys in neighbouring shards.
+#[repr(align(128))]
 pub struct ShardCell {
     /// Seqlock generation: odd while a write guard is live.
     seq: AtomicU64,
@@ -377,8 +492,9 @@ pub struct ShardCell {
     techniques_nonempty: AtomicBool,
     latch: Mutex<()>,
     /// Flight-recorder hookup for latch-wait spans (`None` when tracing
-    /// is off: acquisitions skip instrumentation entirely).
-    trace: Option<LatchTrace>,
+    /// is off: acquisitions skip instrumentation entirely). Boxed so
+    /// that a cell fills three 128-byte blocks, not four.
+    trace: Option<Box<LatchTrace>>,
     shard: UnsafeCell<Shard>,
 }
 
@@ -415,11 +531,11 @@ impl ShardCell {
     /// Attaches the node's latch-wait lane (called once at node
     /// construction, before the cell is shared).
     fn set_trace(&mut self, rec: Arc<Recorder>, ring: Arc<Ring>, shard_idx: u64) {
-        self.trace = Some(LatchTrace {
+        self.trace = Some(Box::new(LatchTrace {
             rec,
             ring,
             shard_idx,
-        });
+        }));
     }
 
     /// Acquires the latch, recording a latch-wait span when the
@@ -595,6 +711,16 @@ pub enum OptRead {
 
 /// The shared state of one node, accessed by its worker threads (fast
 /// local path) and its server logic.
+///
+/// **Read-only header.** The fields every operation loads — `cfg`,
+/// `node`, `shards`, `tracker`, `trace` — are never written after
+/// construction. Everything that is written lives in a 128-byte-aligned
+/// block of its own: the replica control words, the serving epochs, the
+/// adaptive sampler, the lane registry (and, behind it, one
+/// [`AccessLane`] per core). That alignment also pushes the header a
+/// full block away from the `Arc` counts in front of it, which no
+/// operation path touches either (cores borrow their `Arc<NodeShared>`,
+/// they do not clone it per operation).
 pub struct NodeShared {
     /// Cluster-wide configuration.
     pub cfg: Arc<ProtoConfig>,
@@ -606,16 +732,10 @@ pub struct NodeShared {
     /// Client operation tracker (shared so async tokens can reclaim
     /// their entries on drop).
     pub tracker: Arc<OpTracker>,
-    /// Access statistics.
-    pub stats: AccessStats,
-    /// Whether this node has subscribed to replica refreshes yet
-    /// (replication technique; flipped by the first replicated access).
-    pub replica_registered: AtomicBool,
-    /// Replicated pushes accumulated since the last flush (the automatic
-    /// flush trigger, see `ProtoConfig::replica_flush_every`).
-    pub replica_unflushed: AtomicU64,
-    /// Flush sequence numbers for this node's replica propagation.
-    pub replica_flush_seq: AtomicU64,
+    /// Counter lanes claimed by this node's cores.
+    lanes: LaneRegistry,
+    /// Replica-propagation control words (replication technique).
+    pub replica: ReplicaCtl,
     /// Online access statistics + transition controller of the adaptive
     /// technique (`Some` only under [`Variant::Adaptive`]).
     pub adaptive: Option<AdaptiveShared>,
@@ -699,14 +819,40 @@ impl NodeShared {
             node,
             shards,
             tracker: Arc::new(OpTracker::new(clock)),
-            stats: AccessStats::default(),
-            replica_registered: AtomicBool::new(false),
-            replica_unflushed: AtomicU64::new(0),
-            replica_flush_seq: AtomicU64::new(0),
+            lanes: LaneRegistry::new(),
+            replica: ReplicaCtl::default(),
             adaptive,
             serving: ServingState::default(),
             trace,
         })
+    }
+
+    /// Claims a counter lane for a core being built on this node. A
+    /// lane whose previous owner was dropped is handed out again (its
+    /// counts carry over — they are only ever summed), so a node holds
+    /// as many lanes as it ever had cores alive at once.
+    pub fn claim_lane(&self) -> Arc<AccessLane> {
+        let mut lanes = self.lanes.0.lock();
+        // `get_mut` succeeds only for a lane nobody else holds, and its
+        // acquire load pairs with the previous owner's release on drop:
+        // the new owner's first bump sees the old owner's last one.
+        for lane in lanes.iter_mut() {
+            if Arc::get_mut(lane).is_some() {
+                return Arc::clone(lane);
+            }
+        }
+        let lane = Arc::new(AccessLane::default());
+        lanes.push(Arc::clone(&lane));
+        lane
+    }
+
+    /// This node's access counters, summed over its lanes.
+    pub fn stats(&self) -> AccessStats {
+        let mut total = AccessStats::default();
+        for lane in self.lanes.0.lock().iter() {
+            total += lane.snapshot();
+        }
+        total
     }
 
     /// The latch-guarded shard cell containing `key`.
@@ -905,12 +1051,32 @@ mod tests {
     }
 
     #[test]
-    fn stats_totals() {
-        let s = AccessStats::default();
-        s.pull_local.store(5, Ordering::Relaxed);
-        s.pull_queued.store(2, Ordering::Relaxed);
-        s.pull_remote.store(3, Ordering::Relaxed);
-        assert_eq!(s.pull_total(), 10);
-        assert_eq!(s.pull_local_total(), 7);
+    fn stats_sum_over_lanes_and_dropped_lanes_are_reused() {
+        let cfg = Arc::new(ProtoConfig::new(1, 4, Layout::Uniform(1)));
+        let n = NodeShared::new(cfg, NodeId(0), clock());
+        let (a, b) = (n.claim_lane(), n.claim_lane());
+        assert!(!Arc::ptr_eq(&a, &b));
+        a.pull_local.add(5);
+        a.pull_queued.add(2);
+        b.pull_remote.add(3);
+        b.pull_local.add(1);
+        let s = n.stats();
+        assert_eq!((s.pull_local, s.pull_queued, s.pull_remote), (6, 2, 3));
+        assert_eq!(s.pull_total(), 11);
+        assert_eq!(s.pull_local_total(), 8);
+        // A dropped core's lane keeps its counts and goes to the next
+        // claimer; lanes still held are never handed out twice.
+        let a_addr = Arc::as_ptr(&a);
+        drop(a);
+        let c = n.claim_lane();
+        assert_eq!(Arc::as_ptr(&c), a_addr);
+        assert!(!Arc::ptr_eq(&c, &b));
+        c.pull_local.add(1);
+        assert_eq!(n.stats().pull_local, 7);
+        assert!(!Arc::ptr_eq(&n.claim_lane(), &c));
+        // The registry a mid-run claim locks is private, so the layout
+        // test outside the crate cannot see it: whole blocks of its own.
+        assert_eq!(std::mem::align_of::<LaneRegistry>(), 128);
+        assert_eq!(std::mem::size_of::<LaneRegistry>() % 128, 0);
     }
 }

@@ -27,12 +27,11 @@
 //!   piggybacked cache refreshes of Section 3.3.
 
 use std::collections::HashMap;
-use std::sync::atomic::Ordering::Relaxed;
 
 use lapse_net::{Key, NodeId};
 
 use crate::config::{ProtoConfig, Variant};
-use crate::shard::{AccessStats, Shard};
+use crate::shard::{AccessLane, Shard};
 
 /// How one key's parameter is managed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -163,15 +162,16 @@ impl<'c> Policy<'c> {
 
     /// Routes one key of a client operation. `forced` is the
     /// ordered-async guard (see `ProtoConfig::ordered_async_guard`):
-    /// guard-forced keys always take the remote path via home. `stats`
-    /// receives the location-cache hit accounting of the remote path.
+    /// guard-forced keys always take the remote path via home. `lane`
+    /// (the issuing core's) receives the location-cache hit accounting
+    /// of the remote path.
     #[inline]
     pub fn issue_route(
         &self,
         key: Key,
         shard: &Shard,
         forced: bool,
-        stats: &AccessStats,
+        lane: &AccessLane,
     ) -> IssueRoute {
         if !forced {
             match self.technique_in(key, shard) {
@@ -191,26 +191,24 @@ impl<'c> Policy<'c> {
                 }
             }
         }
-        IssueRoute::Remote(self.remote_dst(key, &shard.loc_cache, forced, Some(stats)))
+        IssueRoute::Remote(self.remote_dst(key, &shard.loc_cache, forced, lane))
     }
 
     /// Remote destination for `key`: the home node, or the cached owner
     /// when location caches are enabled. Guard-forced operations always
     /// travel via the home node so they share one FIFO path with the
-    /// outstanding operation. Cache hits are counted into `stats`.
+    /// outstanding operation. Cache hits are counted into `lane`.
     #[inline]
     pub fn remote_dst(
         &self,
         key: Key,
         loc_cache: &HashMap<Key, NodeId>,
         forced: bool,
-        stats: Option<&AccessStats>,
+        lane: &AccessLane,
     ) -> NodeId {
         if !forced && self.cfg.location_caches {
             if let Some(&owner) = loc_cache.get(&key) {
-                if let Some(stats) = stats {
-                    stats.loc_cache_hits.fetch_add(1, Relaxed);
-                }
+                lane.loc_cache_hits.add(1);
                 return owner;
             }
         }
@@ -299,6 +297,37 @@ mod tests {
         assert_eq!(p.technique(Key(11)), Technique::Replication);
         assert_eq!(p.technique(Key(4)), Technique::Relocation);
         assert!(p.any_replication());
+    }
+
+    #[test]
+    fn cache_hits_are_counted_into_the_lane_that_routed() {
+        use crate::shard::NodeShared;
+        use lapse_net::NodeId;
+        use std::sync::Arc;
+
+        let mut c = cfg(Variant::Lapse);
+        c.location_caches = true;
+        let cfg = Arc::new(c);
+        let node = NodeShared::new(cfg.clone(), NodeId(0), Arc::new(|| 0));
+        let (mine, other) = (node.claim_lane(), node.claim_lane());
+        let key = Key(12); // homed at node 1
+        node.shard_for(key).write().loc_cache.insert(key, NodeId(1));
+        let shard = node.shard_for(key).read();
+        let p = cfg.policy();
+        assert_eq!(
+            p.issue_route(key, &shard, false, &mine),
+            IssueRoute::Remote(NodeId(1))
+        );
+        // Guard-forced: via home, the cache is not consulted.
+        assert_eq!(
+            p.issue_route(key, &shard, true, &mine),
+            IssueRoute::Remote(cfg.home(key))
+        );
+        assert_eq!(
+            (mine.loc_cache_hits.get(), other.loc_cache_hits.get()),
+            (1, 0)
+        );
+        assert_eq!(node.stats().loc_cache_hits, 1);
     }
 
     #[test]

@@ -6,8 +6,6 @@
 //! a demotion, localizes deferred while a demotion drains — is pinned
 //! down as a plain unit test.
 
-use std::sync::atomic::Ordering::Relaxed;
-
 use lapse_net::{Key, NodeId};
 use lapse_proto::client::IssueHandle;
 use lapse_proto::messages::{Msg, TechniqueDemoteMsg, TechniquePromoteMsg};
@@ -95,7 +93,7 @@ fn promotion_relocates_remotely_owned_key_home_first() {
     );
     assert!(c.transitions_idle());
     c.check_ownership_invariant();
-    let promotions: u64 = c.nodes[0].shared.stats.tech_promotions.load(Relaxed);
+    let promotions: u64 = c.nodes[0].shared.stats().tech_promotions;
     assert_eq!(promotions, 1);
 }
 
@@ -172,7 +170,7 @@ fn demotion_drains_pending_deltas_without_loss() {
     assert_eq!(c.value_of(k), vec![1.0, 1.0]);
     assert!(c.transitions_idle());
     c.check_ownership_invariant();
-    let demotions: u64 = c.nodes[0].shared.stats.tech_demotions.load(Relaxed);
+    let demotions: u64 = c.nodes[0].shared.stats().tech_demotions;
     assert_eq!(demotions, 1);
     // Relocation works again after the drain.
     c.localize_now(NodeId(1), 1, &[k]);
@@ -308,9 +306,9 @@ fn controller_end_to_end_promotes_hot_key() {
     }
     c.run_until_quiet();
     assert_eq!(c.value_of(Key(0)), vec![16.0]);
-    let reqs: u64 = c.nodes[1].shared.stats.tech_promote_reqs.load(Relaxed);
+    let reqs: u64 = c.nodes[1].shared.stats().tech_promote_reqs;
     assert!(reqs >= 1, "controller sent no promotion request");
-    let samples: u64 = c.nodes[1].shared.stats.sketch_samples.load(Relaxed);
+    let samples: u64 = c.nodes[1].shared.stats().sketch_samples;
     assert!(samples >= 16, "sampler fed no accesses");
     c.check_ownership_invariant();
 }

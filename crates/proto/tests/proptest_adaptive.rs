@@ -259,7 +259,8 @@ fn run_storm(nodes: u16, workers: u16, actions: &[Action], seed: u64) -> HashMap
             for n in 0..nodes {
                 let registered = cluster.nodes[n as usize]
                     .shared
-                    .replica_registered
+                    .replica
+                    .registered
                     .load(std::sync::atomic::Ordering::Relaxed);
                 if !registered {
                     continue;

@@ -208,7 +208,8 @@ fn run_schedule(
     for node in &cluster.nodes {
         let registered = node
             .shared
-            .replica_registered
+            .replica
+            .registered
             .load(std::sync::atomic::Ordering::Relaxed);
         for k in 0..keys {
             let key = Key(k);

@@ -7,8 +7,6 @@
 //! location caches — and the Theorem 3 counterexample showing location
 //! caches break sequential consistency for asynchronous operations.
 
-use std::sync::atomic::Ordering::Relaxed;
-
 use lapse_net::{Key, NodeId};
 use lapse_proto::client::IssueHandle;
 use lapse_proto::testkit::{IssueOp, TestCluster};
@@ -58,7 +56,7 @@ fn fast_local_access_sends_no_messages() {
     assert!(matches!(h, IssueHandle::Ready(None)));
     assert!(sink.is_empty(), "local pull must not produce messages");
     assert_eq!(out, [1.0, 1.0]);
-    assert_eq!(c.nodes[0].shared.stats.pull_local.load(Relaxed), 1);
+    assert_eq!(c.nodes[0].shared.stats().pull_local, 1);
 }
 
 #[test]
@@ -219,8 +217,8 @@ fn ops_issued_during_relocation_park_and_drain_in_order() {
         before,
         "parked ops must not hit the network"
     );
-    assert_eq!(c.nodes[0].shared.stats.push_queued.load(Relaxed), 1);
-    assert_eq!(c.nodes[0].shared.stats.pull_queued.load(Relaxed), 1);
+    assert_eq!(c.nodes[0].shared.stats().push_queued, 1);
+    assert_eq!(c.nodes[0].shared.stats().pull_queued, 1);
     assert!(!c.op_done(N0, &h_push));
     assert!(!c.op_done(N0, &h_pull));
 
@@ -290,10 +288,7 @@ fn localization_conflict_transfers_key_once_per_request() {
         "n1 ends up owning"
     );
     c.check_ownership_invariant();
-    assert_eq!(
-        c.nodes[0].shared.stats.unexpected_relocates.load(Relaxed),
-        0
-    );
+    assert_eq!(c.nodes[0].shared.stats().unexpected_relocates, 0);
 }
 
 #[test]
@@ -322,7 +317,7 @@ fn relocate_parks_when_key_still_in_flight() {
     );
     c.check_ownership_invariant();
     for n in &c.nodes {
-        assert_eq!(n.shared.stats.unexpected_relocates.load(Relaxed), 0);
+        assert_eq!(n.shared.stats().unexpected_relocates, 0);
     }
 }
 
@@ -386,7 +381,7 @@ fn loc_cache_counters_observe_hits_and_staleness() {
     let mut c = TestCluster::with_init(cached_cfg(4, 16), 1, |k| Some(vec![k.0 as f32, 0.0]));
     let k = Key(8); // homed at n2
     c.localize_now(N3, 0, &[k]);
-    let hits = |c: &TestCluster| c.nodes[0].shared.stats.loc_cache_hits.load(Relaxed);
+    let hits = |c: &TestCluster| c.nodes[0].shared.stats().loc_cache_hits;
     // Cold access: routed via home — no hit counted.
     let _ = c.pull_now(N0, 0, &[k]);
     assert_eq!(hits(&c), 0, "cold access is not a cache hit");
@@ -399,21 +394,14 @@ fn loc_cache_counters_observe_hits_and_staleness() {
     c.localize_now(N1, 0, &[k]);
     let _ = c.pull_now(N0, 0, &[k]);
     assert_eq!(hits(&c), 3);
-    assert_eq!(
-        c.nodes[3]
-            .shared
-            .stats
-            .loc_cache_stale_forwards
-            .load(Relaxed),
-        1
-    );
+    assert_eq!(c.nodes[3].shared.stats().loc_cache_stale_forwards, 1);
 
     // Caches off: nothing is ever counted.
     let mut c = TestCluster::with_init(cfg(4, 16), 1, |k| Some(vec![k.0 as f32, 0.0]));
     c.localize_now(N3, 0, &[Key(8)]);
     let _ = c.pull_now(N0, 0, &[Key(8)]);
     let _ = c.pull_now(N0, 0, &[Key(8)]);
-    assert_eq!(c.nodes[0].shared.stats.loc_cache_hits.load(Relaxed), 0);
+    assert_eq!(c.nodes[0].shared.stats().loc_cache_hits, 0);
 }
 
 #[test]
@@ -431,14 +419,7 @@ fn stale_cache_double_forwards() {
     let h = c.issue(N0, 0, IssueOp::Pull(&[k]), Some(&mut out));
     c.run_until_quiet_counting(&mut hops);
     assert_eq!(hops, 4, "stale cache: double-forward");
-    assert_eq!(
-        c.nodes[3]
-            .shared
-            .stats
-            .loc_cache_stale_forwards
-            .load(Relaxed),
-        1
-    );
+    assert_eq!(c.nodes[3].shared.stats().loc_cache_stale_forwards, 1);
     c.nodes[0].clients[0].finish_pull(h.seq().unwrap(), &mut out);
     assert_eq!(out, [8.0, 0.0]);
 }
@@ -691,8 +672,8 @@ fn replicated_ops_complete_locally_without_op_messages() {
         [1.0, 2.0],
         "read-your-writes through the pending overlay"
     );
-    assert_eq!(c.nodes[0].shared.stats.pull_replica.load(Relaxed), 1);
-    assert_eq!(c.nodes[0].shared.stats.push_replica.load(Relaxed), 1);
+    assert_eq!(c.nodes[0].shared.stats().pull_replica, 1);
+    assert_eq!(c.nodes[0].shared.stats().push_replica, 1);
 }
 
 #[test]
@@ -732,7 +713,7 @@ fn refresh_propagates_fresh_values_to_registered_replicas() {
     // The owner's refresh reached every subscriber.
     assert_eq!(c.replica_view(N2, k).unwrap(), vec![1.0, 0.0]);
     assert_eq!(c.replica_view(N0, k).unwrap(), vec![1.0, 0.0]);
-    assert!(c.nodes[2].shared.stats.replica_refreshes.load(Relaxed) >= 1);
+    assert!(c.nodes[2].shared.stats().replica_refreshes >= 1);
 }
 
 #[test]
@@ -778,10 +759,10 @@ fn auto_flush_triggers_at_threshold() {
     let k = Key(4);
     c.issue(N0, 0, IssueOp::Push(&[k], &[1.0, 0.0]), None);
     c.issue(N0, 0, IssueOp::Push(&[k], &[1.0, 0.0]), None);
-    assert_eq!(c.nodes[0].shared.stats.replica_flushes.load(Relaxed), 0);
+    assert_eq!(c.nodes[0].shared.stats().replica_flushes, 0);
     c.issue(N0, 0, IssueOp::Push(&[k], &[1.0, 0.0]), None);
     assert_eq!(
-        c.nodes[0].shared.stats.replica_flushes.load(Relaxed),
+        c.nodes[0].shared.stats().replica_flushes,
         1,
         "third accumulated push crosses the threshold"
     );
@@ -835,9 +816,9 @@ fn hybrid_mixed_op_splits_by_technique() {
     c.run_until_quiet();
     assert_eq!(c.value_of(hot), vec![1.0, 1.0]);
     assert_eq!(c.value_of(tail), vec![2.0, 2.0]);
-    let stats = &c.nodes[1].shared.stats;
-    assert_eq!(stats.push_replica.load(Relaxed), 1);
-    assert_eq!(stats.push_remote.load(Relaxed), 1);
+    let stats = c.nodes[1].shared.stats();
+    assert_eq!(stats.push_replica, 1);
+    assert_eq!(stats.push_remote, 1);
     c.check_ownership_invariant();
 }
 
@@ -903,18 +884,17 @@ fn owned_local_sync_pull_allocates_nothing() {
     let h = c.issue(N0, 0, IssueOp::Pull(&keys), Some(&mut out));
     assert!(matches!(h, IssueHandle::Ready(_)));
 
-    let stats = &c.nodes[0].shared.stats;
-    let heap_before = stats.value_allocs_heap.load(Relaxed);
-    let bytes_before = stats.value_bytes_moved.load(Relaxed);
+    let stats = c.nodes[0].shared.stats();
+    let heap_before = stats.value_allocs_heap;
+    let bytes_before = stats.value_bytes_moved;
     let arena_before = c.nodes[0].shared.store_alloc_stats();
     for _ in 0..100 {
         let h = c.issue(N0, 0, IssueOp::Pull(&keys), Some(&mut out));
         assert!(matches!(h, IssueHandle::Ready(_)), "stayed local");
     }
-    let stats = &c.nodes[0].shared.stats;
+    let stats = c.nodes[0].shared.stats();
     assert_eq!(
-        stats.value_allocs_heap.load(Relaxed),
-        heap_before,
+        stats.value_allocs_heap, heap_before,
         "owned-local sync pulls must not allocate per value"
     );
     let arena_after = c.nodes[0].shared.store_alloc_stats();
@@ -922,7 +902,7 @@ fn owned_local_sync_pull_allocates_nothing() {
     assert_eq!(arena_after.heap, arena_before.heap);
     // 100 ops × 4 keys × 2 floats × 4 bytes.
     assert_eq!(
-        stats.value_bytes_moved.load(Relaxed) - bytes_before,
+        stats.value_bytes_moved - bytes_before,
         100 * 4 * 2 * 4,
         "value-plane byte accounting"
     );

@@ -46,13 +46,7 @@ fn unexpected_relocate_dumps_the_recorder() {
         assert!(result.is_err(), "debug builds assert on the violation");
     } else {
         assert!(result.is_ok());
-        assert_eq!(
-            shared
-                .stats
-                .unexpected_relocates
-                .load(std::sync::atomic::Ordering::Relaxed),
-            1
-        );
+        assert_eq!(shared.stats().unexpected_relocates, 1);
     }
 
     // In debug builds the panic hook re-dumps (reason "panic") after the

@@ -1,0 +1,140 @@
+#!/usr/bin/env bash
+# Alternating parent/change pairs of the repo's benchmark, and the
+# EXPERIMENTS.md table that goes with a performance claim.
+#
+#   tools/bench-pairs.sh <parent-ref> <workload> <seed> [pairs] [seconds]
+#   make bench-pairs PARENT=<ref> WORKLOAD=<w> SEED=<s> PAIRS=10
+#
+# The frozen `benchmark/` package is built once per side, each side from
+# its own source tree into its own target directory under
+# target/bench-pairs/ (outside `benchmark/`): the parent from a
+# `git archive` of <parent-ref>, the change from CHANGE=<ref> the same
+# way, or from the working tree when CHANGE is unset. Then <pairs> pairs
+# of runs, the side that goes first alternating, with the benchmark's
+# own settings (`--seconds 25 --trace 0`). Every run's result line is
+# kept in target/bench-pairs/runs-<workload>-<seed>.tsv; the table is
+# computed from that file: per metric the median and quartiles of each
+# side, the change of the median, the pairs the change won (ties count
+# for neither), and the parent's interquartile range relative to its
+# median — the spread a difference has to exceed. A gain may be claimed
+# at >= 9/10 pairs won and a median difference above the parent IQR.
+#
+# Run it on an otherwise idle host: a build running beside it is the
+# kind of neighbour the benchmark's README warns about.
+set -euo pipefail
+
+parent=${1:?usage: bench-pairs.sh <parent-ref> <workload> <seed> [pairs] [seconds]}
+workload=${2:?workload (see BENCHMARK.json)}
+seed=${3:?seed}
+pairs=${4:-10}
+seconds=${5:-25}
+
+root=$(git rev-parse --show-toplevel)
+work=$root/target/bench-pairs
+runs=$work/runs-$workload-$seed.tsv
+mkdir -p "$work"
+
+# build <side> <ref|""> -> path of the side's benchmark binary
+build() {
+    local side=$1 ref=$2 src=$root
+    if [ -n "$ref" ]; then
+        src=$work/$side/src
+        rm -rf "$src" && mkdir -p "$src"
+        git -C "$root" archive "$ref" | tar -x -C "$src"
+    fi
+    CARGO_TARGET_DIR=$work/$side/target cargo build --release --quiet --offline \
+        --manifest-path "$src/benchmark/Cargo.toml" >&2
+    echo "$work/$side/target/release/lapse-benchmark"
+}
+
+# run_once <side> <binary> <pair>: one benchmark run, one row in $runs
+run_once() {
+    local side=$1 bin=$2 pair=$3 line
+    line=$(cd "$work/$side" && CARGO_TARGET_DIR=$work/$side/target \
+        "$bin" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 | tail -n 1)
+    printf '%s\t%s\t%s\n' "$side" "$pair" "$line" >> "$runs"
+}
+
+parent_bin=$(build parent "$parent")
+change_bin=$(build change "${CHANGE:-}")
+
+: > "$runs"
+for pair in $(seq 1 "$pairs"); do
+    if [ $((pair % 2)) -eq 1 ]; then
+        run_once parent "$parent_bin" "$pair"
+        run_once change "$change_bin" "$pair"
+    else
+        run_once change "$change_bin" "$pair"
+        run_once parent "$parent_bin" "$pair"
+    fi
+    echo "pair $pair/$pairs done" >&2
+done
+
+# Metric names and directions come from the contract, not from here.
+directions=$(sed -n '/"end_to_end"/,/\]/s/.*"name": "\([a-z0-9_]*\)".*"better": "\([a-z]*\)".*/\1=\2/p' \
+    "$root/BENCHMARK.json" | tr '\n' ' ')
+
+awk -F'\t' -v workload="$workload" -v seed="$seed" -v directions="$directions" '
+function metric(line, name,    re, s) {
+    re = "\"" name "\": [{]\"value\": [-0-9.e+]+"
+    if (!match(line, re)) return "nan"
+    s = substr(line, RSTART, RLENGTH); sub(/.*"value": /, "", s); return s + 0
+}
+function field(line, name,    re, s) {
+    re = "\"" name "\": [a-z0-9]+"
+    if (!match(line, re)) return "?"
+    s = substr(line, RSTART, RLENGTH); sub(/.*: /, "", s); return s
+}
+function quantile(side, m, p,    n, i, pos, lo, tmp) {   # type-7, on a sorted copy
+    n = count[side]
+    for (i = 1; i <= n; i++) tmp[i] = val[side, m, i]
+    sort(tmp, n)
+    pos = (n - 1) * p + 1; lo = int(pos)
+    if (lo >= n) return tmp[n]
+    return tmp[lo] + (pos - lo) * (tmp[lo + 1] - tmp[lo])
+}
+function sort(a, n,    i, j, t) {
+    for (i = 2; i <= n; i++) { t = a[i]; for (j = i - 1; j >= 1 && a[j] > t; j--) a[j + 1] = a[j]; a[j + 1] = t }
+}
+function fmt(x,    a) {
+    a = x < 0 ? -x : x
+    if (a >= 1e6) return sprintf("%.2f M", x / 1e6)
+    if (a >= 100) return sprintf("%.0f", x)
+    if (a >= 1) return sprintf("%.2f", x)
+    return sprintf("%.4f", x)
+}
+BEGIN {
+    n = split(directions, d, " ")
+    for (i = 1; i <= n; i++) { split(d[i], kv, "="); names[i] = kv[1]; better[kv[1]] = kv[2] }
+    nmetrics = n
+}
+{
+    side = $1; pair = $2; count[side]++
+    for (i = 1; i <= nmetrics; i++) {
+        v = metric($3, names[i]); val[side, names[i], count[side]] = v; bypair[side, names[i], pair] = v
+    }
+    if (pair > npairs) npairs = pair
+    failed[side] += field($3, "failed")
+    if (field($3, "correct") != "true") incorrect[side]++
+}
+END {
+    print "| workload (seed, pairs) | metric | parent median [q1, q3] | change median [q1, q3] | Δ median | pairs won | parent IQR |"
+    print "|---|---|---|---|---|---|---|"
+    for (i = 1; i <= nmetrics; i++) {
+        m = names[i]
+        pm = quantile("parent", m, 0.5); p1 = quantile("parent", m, 0.25); p3 = quantile("parent", m, 0.75)
+        cm = quantile("change", m, 0.5); c1 = quantile("change", m, 0.25); c3 = quantile("change", m, 0.75)
+        won = 0; ties = 0
+        for (p = 1; p <= npairs; p++) {
+            a = bypair["parent", m, p]; b = bypair["change", m, p]
+            if (a == b) ties++
+            else if ((better[m] == "higher") == (b > a)) won++
+        }
+        tie_note = ties ? sprintf(" (%d ties)", ties) : ""
+        printf "| `%s` (%s, %d) | `%s` | %s [%s, %s] | %s [%s, %s] | %+.1f %% | %d/%d%s | %.1f %% |\n",
+            workload, seed, npairs, m, fmt(pm), fmt(p1), fmt(p3), fmt(cm), fmt(c1), fmt(c3),
+            100 * (cm - pm) / pm, won, npairs, tie_note, 100 * (p3 - p1) / pm
+    }
+    printf "\n`failed`: parent %d, change %d; runs not `correct`: parent %d, change %d (of %d runs a side).\n",
+        failed["parent"], failed["change"], incorrect["parent"], incorrect["change"], npairs
+}' "$runs"
