@@ -96,9 +96,12 @@ bench-contract:
 ## seed, and prints the EXPERIMENTS.md table (medians, quartiles, pairs
 ## won, parent IQR, failed). ~1 min per pair; keep the host idle.
 ##   make bench-pairs PARENT=HEAD~1 WORKLOAD=serve_train SEED=7 PAIRS=10
+## TRACE=1 runs the pairs with `--trace 1` and prints the per-layer rows
+## instead (where the saving is; the claim itself rests on TRACE=0).
 PAIRS ?= 10
+TRACE ?= 0
 bench-pairs:
-	tools/bench-pairs.sh $(PARENT) $(WORKLOAD) $(SEED) $(PAIRS)
+	TRACE=$(TRACE) tools/bench-pairs.sh $(PARENT) $(WORKLOAD) $(SEED) $(PAIRS)
 
 fmt:
 	$(CARGO) fmt
@@ -113,6 +116,12 @@ clippy:
 ## lock discipline, wire-const drift — see DESIGN.md "Static invariants").
 lint-check:
 	$(CARGO) run --release -q -p lapse-lint -- check
+	@# The one cluster-wide `Arc<ProtoConfig>` is borrowed on operation
+	@# paths, never cloned: its strong count sits on the line every
+	@# operation of every node reads (DESIGN.md §7, "Who writes which line").
+	@if grep -n "cfg\.clone()" crates/proto/src/client.rs crates/proto/src/server.rs; then \
+		echo "lint-check: cfg.clone() on an operation path (borrow the config instead)"; exit 1; \
+	fi
 
 lint: fmt-check clippy lint-check
 

@@ -84,10 +84,80 @@ fn bench_grouped_push(c: &mut Criterion) {
     });
 }
 
+/// The threaded backend's configuration (`run_threaded` turns the
+/// wait-free read path on), three nodes so that requester, home and old
+/// owner of a relocated key are three different nodes, 64-byte values.
+fn shipped_cfg() -> ProtoConfig {
+    let mut c = ProtoConfig::new(3, 3 * 2048, Layout::Uniform(16));
+    c.wait_free_reads = true;
+    c
+}
+
+/// One pre-localize of Appendix A's size, hand-cranked on one thread:
+/// node 0 localizes 1 000 keys of which 800 are already there and every
+/// fifth is owned by node 1 and homed at node 2 — the issue at the client
+/// plus the three handlers of the 200-key relocation it starts. Untimed,
+/// node 1 then takes its 200 keys back.
+fn bench_localize_1000(c: &mut Criterion) {
+    c.bench_function("localize_1000_keys_20pct_remote", |b| {
+        let mut cluster = TestCluster::new(shipped_cfg(), 1);
+        let remote: Vec<Key> = (0..200).map(|i| Key(2 * 2048 + 8 * i)).collect();
+        let keys: Vec<Key> = (0..1000)
+            .map(|i| {
+                if i % 5 == 4 {
+                    remote[i / 5]
+                } else {
+                    Key(2 * i as u64)
+                }
+            })
+            .collect();
+        cluster.localize_now(NodeId(1), 0, &remote);
+        b.iter_custom(|iters| {
+            let mut timed = std::time::Duration::ZERO;
+            for _ in 0..iters {
+                let start = std::time::Instant::now();
+                cluster.localize_now(NodeId(0), 0, &keys);
+                timed += start.elapsed();
+                cluster.localize_now(NodeId(1), 0, &remote);
+            }
+            timed
+        });
+    });
+}
+
+/// The last hop of a relocation alone: the new owner's server handles a
+/// 256-key `HandOver` (install 256 values, complete 256 waiting
+/// localizes of one operation). The two hops before it and the way back
+/// are untimed.
+fn bench_handover_256(c: &mut Criterion) {
+    use lapse_proto::testkit::IssueOp;
+    c.bench_function("handover_256_keys", |b| {
+        let mut cluster = TestCluster::new(shipped_cfg(), 1);
+        let keys: Vec<Key> = (0..256).map(|i| Key(2 * 2048 + 8 * i)).collect();
+        cluster.localize_now(NodeId(1), 0, &keys);
+        b.iter_custom(|iters| {
+            let mut timed = std::time::Duration::ZERO;
+            for _ in 0..iters {
+                let handle = cluster.issue(NodeId(0), 0, IssueOp::Localize(&keys), None);
+                cluster.deliver_one(NodeId(0), NodeId(2)); // LocalizeReq at home
+                cluster.deliver_one(NodeId(2), NodeId(1)); // Relocate at old owner
+                let start = std::time::Instant::now();
+                cluster.deliver_one(NodeId(1), NodeId(0)); // HandOver at new owner
+                timed += start.elapsed();
+                assert!(cluster.op_done(NodeId(0), &handle));
+                let seq = handle.seq().expect("a remote localize is pending");
+                cluster.nodes[0].clients[0].finish_ack(seq);
+                cluster.localize_now(NodeId(1), 0, &keys);
+            }
+            timed
+        });
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_relocation, bench_remote_pull, bench_remote_pull_grouped, bench_local_fast_path, bench_grouped_push
+    targets = bench_relocation, bench_remote_pull, bench_remote_pull_grouped, bench_local_fast_path, bench_grouped_push, bench_localize_1000, bench_handover_256
 }
 
 /// Deterministic smoke run: a fixed mix of the benchmarked scenarios at

@@ -271,7 +271,7 @@ impl Dispatch {
             }
             if !burst.is_empty() {
                 handled += burst.len();
-                server.handle_batch(std::mem::take(burst), sink);
+                server.handle_burst(burst, sink);
                 flush(coalescer, server.lane(), sink, &mut |dst, msg| {
                     self.enqueue(node, dst, msg, worklist)
                 });

@@ -41,6 +41,11 @@
 //!    the bit-identical experiment outputs depend on. All guard-map
 //!    increments for remote keys happen under one final lock.
 //!
+//! `localize` runs the same phases over fewer keys: it first asks of every
+//! key whether it is here already — an unlatched probe where the
+//! wait-free read path is on ([`NodeShared::probe_local`]) — and plans
+//! only the absent ones.
+//!
 //! The *ordered-async guard* (see
 //! [`ProtoConfig::ordered_async_guard`](crate::config::ProtoConfig::ordered_async_guard))
 //! forces the remote path whenever this worker still has an in-flight
@@ -49,6 +54,7 @@
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::iter::once;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
@@ -442,9 +448,10 @@ impl ClientCore {
         // the next auto-flush threshold check (an increment racing in
         // between merely triggers one extra empty — free — flush).
         self.shared.replica.unflushed.swap(0, Relaxed);
-        for cell in &self.shared.shards {
+        for &s in &self.shared.replica_shards {
             // Pending deltas imply the hint (recomputed at every write
             // commit), so untouched shards are skipped without latching.
+            let cell = &self.shared.shards[s as usize];
             if !cell.maybe_replica_deltas() {
                 continue;
             }
@@ -567,7 +574,7 @@ impl ClientCore {
                             Some(buf) => buf[off..off + len].copy_from_slice(v),
                             None => {
                                 let s = seq.expect("async op registered");
-                                tracker.add_key_at(s, p.key, p.len, p.off, false);
+                                tracker.add_keys(s, true, false, once((p.key, p.len, p.off)));
                                 tracker.complete_key(s, p.key, Some(v));
                             }
                         }
@@ -587,7 +594,7 @@ impl ClientCore {
                                 let ok = shard.read_replicated(p.key, &mut scratch.replica_buf);
                                 debug_assert!(ok, "replicated key {} without replica state", p.key);
                                 let s = seq.expect("async op registered");
-                                tracker.add_key_at(s, p.key, p.len, p.off, false);
+                                tracker.add_keys(s, true, false, once((p.key, p.len, p.off)));
                                 tracker.complete_key(s, p.key, Some(&scratch.replica_buf));
                             }
                         }
@@ -595,11 +602,7 @@ impl ClientCore {
                     IssueRoute::Park => {
                         let s = *seq
                             .get_or_insert_with(|| begin(shared, *slot, guard, TrackedKind::Pull));
-                        if is_async {
-                            tracker.add_key_at(s, p.key, p.len, p.off, false);
-                        } else {
-                            tracker.add_key(s, p.key, p.len, p.off, false);
-                        }
+                        tracker.add_keys(s, is_async, false, once((p.key, p.len, p.off)));
                         let inc = shard.incoming.get_mut(&p.key).expect("routed to queue");
                         inc.queue.push_back(Queued::Op(QueuedOp {
                             op: OpId::new(shared.node, s),
@@ -649,7 +652,7 @@ impl ClientCore {
             lane.pull_remote.add(n_remote);
             self.guard_remotes();
         }
-        let handle = self.flush(seq, OpKind::Pull, groups, sink);
+        let handle = self.flush(seq, OpKind::Pull, 0, groups, sink);
         if let (Some(t), Some(t0), Some(t1), Some(t2)) = (self.tracer.as_ref(), t0, t1, t2) {
             t.op(CLASS_PULL, keys.len() as u64, t0, t1, t2, t.rec.now());
         }
@@ -709,7 +712,7 @@ impl ClientCore {
                     IssueRoute::Park => {
                         let s = *seq
                             .get_or_insert_with(|| begin(shared, *slot, guard, TrackedKind::Push));
-                        tracker.add_key(s, p.key, 0, 0, false);
+                        tracker.note_counted(s, p.key, 1);
                         let inc = shard.incoming.get_mut(&p.key).expect("routed to queue");
                         inc.queue.push_back(Queued::Op(QueuedOp {
                             op: OpId::new(shared.node, s),
@@ -774,7 +777,8 @@ impl ClientCore {
                 self.flush_replicas(sink);
             }
         }
-        let handle = self.flush(seq, OpKind::Push, groups, sink);
+        // Parked keys complete with their hand-over, by count.
+        let handle = self.flush(seq, OpKind::Push, n_queued as u32, groups, sink);
         if let (Some(t), Some(t0), Some(t1), Some(t2)) = (self.tracer.as_ref(), t0, t1, t2) {
             t.op(CLASS_PUSH, keys.len() as u64, t0, t1, t2, t.rec.now());
         }
@@ -853,7 +857,7 @@ impl ClientCore {
                         Some(buf) => buf.copy_from_slice(v),
                         None => {
                             let s = seq.expect("async op registered");
-                            tracker.add_key_at(s, key, len, 0, false);
+                            tracker.add_keys(s, true, false, once((key, len, 0)));
                             tracker.complete_key(s, key, Some(v));
                         }
                     }
@@ -872,7 +876,7 @@ impl ClientCore {
                             let ok = shard.read_replicated(key, &mut scratch.replica_buf);
                             debug_assert!(ok, "replicated key {key} without replica state");
                             let s = seq.expect("async op registered");
-                            tracker.add_key_at(s, key, len, 0, false);
+                            tracker.add_keys(s, true, false, once((key, len, 0)));
                             tracker.complete_key(s, key, Some(&scratch.replica_buf));
                         }
                     }
@@ -880,11 +884,7 @@ impl ClientCore {
                 IssueRoute::Park => {
                     let s =
                         *seq.get_or_insert_with(|| begin(shared, *slot, guard, TrackedKind::Pull));
-                    if is_async {
-                        tracker.add_key_at(s, key, len, 0, false);
-                    } else {
-                        tracker.add_key(s, key, len, 0, false);
-                    }
+                    tracker.add_keys(s, is_async, false, once((key, len, 0)));
                     let inc = shard.incoming.get_mut(&key).expect("routed to queue");
                     inc.queue.push_back(Queued::Op(QueuedOp {
                         op: OpId::new(shared.node, s),
@@ -899,14 +899,14 @@ impl ClientCore {
         let mut groups: OrderedGroups<NodeId, RemoteGroup> = OrderedGroups::new();
         if let Some(dst) = remote {
             let s = *seq.get_or_insert_with(|| begin(shared, *slot, guard, TrackedKind::Pull));
-            tracker.add_keys(s, is_async, true, std::iter::once((key, len, 0)));
+            tracker.add_keys(s, is_async, true, once((key, len, 0)));
             lane.pull_remote.add(1);
             if shared.cfg.ordered_async_guard {
                 *guard.lock().entry(key).or_insert(0) += 1;
             }
             groups.entry(dst).keys.push(key);
         }
-        self.flush(seq, OpKind::Pull, groups, sink)
+        self.flush(seq, OpKind::Pull, 0, groups, sink)
     }
 
     /// Single-key push fast path; see [`ClientCore::pull1`].
@@ -937,6 +937,7 @@ impl ClientCore {
         let tracker = &shared.tracker;
         let mut remote: Option<NodeId> = None;
         let mut accumulated = false;
+        let mut parked = 0u32;
         {
             let mut shard = shared.shard_for(key).write();
             match policy.issue_route(key, &shard, forced, lane) {
@@ -953,7 +954,8 @@ impl ClientCore {
                 IssueRoute::Park => {
                     let s =
                         *seq.get_or_insert_with(|| begin(shared, *slot, guard, TrackedKind::Push));
-                    tracker.add_key(s, key, 0, 0, false);
+                    tracker.note_counted(s, key, 1);
+                    parked = 1;
                     let inc = shard.incoming.get_mut(&key).expect("routed to queue");
                     inc.queue.push_back(Queued::Op(QueuedOp {
                         op: OpId::new(shared.node, s),
@@ -969,7 +971,7 @@ impl ClientCore {
         let mut groups: OrderedGroups<NodeId, RemoteGroup> = OrderedGroups::new();
         if let Some(dst) = remote {
             let s = *seq.get_or_insert_with(|| begin(shared, *slot, guard, TrackedKind::Push));
-            tracker.add_keys(s, false, true, std::iter::once((key, 0, 0)));
+            tracker.add_keys(s, false, true, once((key, 0, 0)));
             lane.push_remote.add(1);
             if shared.cfg.ordered_async_guard {
                 *guard.lock().entry(key).or_insert(0) += 1;
@@ -984,13 +986,23 @@ impl ClientCore {
                 self.flush_replicas(sink);
             }
         }
-        self.flush(seq, OpKind::Push, groups, sink)
+        self.flush(seq, OpKind::Push, parked, groups, sink)
     }
 
     /// Issues a localize of `keys`: requests that all of them be relocated
     /// to this node (Table 2). Keys whose technique does not relocate —
     /// all of them under the classic variants, replicated keys under the
     /// replication/hybrid variants — are skipped.
+    ///
+    /// Most keys of a pre-localize are already here (the sentence or the
+    /// negative-sample buffer before it shared them), so every key is
+    /// **probed first** ([`NodeShared::probe_local`]: no latch where the
+    /// wait-free read path is on) and only the absent ones are planned,
+    /// grouped by shard and write-latched. Under the latch the check is
+    /// repeated — a key may have arrived since the probe — and a key that
+    /// is still absent is handed to the shard's incoming state, which
+    /// completes it by count when the hand-over arrives; the tracker
+    /// hears of them once, at the seal.
     pub fn localize(&mut self, keys: &[Key], sink: &mut MsgSink) -> IssueHandle {
         let t0 = self.tracer.as_ref().map(|t| t.rec.now());
         let ClientCore {
@@ -1006,7 +1018,7 @@ impl ClientCore {
         scratch.plan.clear();
         scratch.groups.clear();
         for &k in keys {
-            if !policy.relocation_enabled(k) {
+            if !policy.relocation_enabled(k) || shared.probe_local(k) {
                 continue;
             }
             let idx = scratch.plan.len();
@@ -1023,35 +1035,29 @@ impl ClientCore {
 
         let tracker = &shared.tracker;
         let mut seq: Option<u64> = None;
-        let mut n_sent = 0u64;
+        let (mut n_waiting, mut n_sent) = (0u32, 0u64);
         for (shard_idx, items) in scratch.groups.iter() {
             let mut shard = shared.shards[shard_idx].write();
             for &i in items {
                 let p = &mut scratch.plan[i as usize];
-                if policy.adaptive() && shard.techniques.replicated(p.key) {
-                    // Currently promoted to replication: localize is a
-                    // no-op, like a statically replicated key.
-                    continue;
-                }
-                if shard.store.contains(p.key) {
-                    // Already local: nothing to do.
+                if policy.replicated_in(p.key, &shard) || shard.store.contains(p.key) {
+                    // Arrived (or was promoted to replication) since the
+                    // probe: nothing to do.
                     continue;
                 }
                 let s =
                     *seq.get_or_insert_with(|| begin(shared, *slot, guard, TrackedKind::Localize));
-                tracker.add_key(s, p.key, 0, 0, false);
+                tracker.note_counted(s, p.key, 1);
+                n_waiting += 1;
                 let op = OpId::new(shared.node, s);
                 match shard.incoming.entry(p.key) {
                     std::collections::hash_map::Entry::Occupied(mut e) => {
                         // A relocation towards this node is already in
                         // flight; piggyback on it.
-                        e.get_mut().waiting_localize.push(op);
+                        e.get_mut().push_localize(op);
                     }
                     std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(IncomingState {
-                            waiting_localize: vec![op],
-                            ..Default::default()
-                        });
+                        e.insert(IncomingState::default()).push_localize(op);
                         p.route = Planned::Remote(cfg.home(p.key));
                         n_sent += 1;
                     }
@@ -1076,20 +1082,20 @@ impl ClientCore {
                     sink.push((
                         home,
                         Msg::LocalizeReq(LocalizeReqMsg {
-                            op: OpId::new(self.shared.node, s),
+                            op: OpId::new(shared.node, s),
                             keys,
                         }),
                     ));
                 }
-                if self.shared.tracker.seal(s) {
-                    self.shared.tracker.discard(s);
+                if tracker.seal_counted(s, n_waiting) {
+                    tracker.discard(s);
                     IssueHandle::Ready(None)
                 } else {
                     IssueHandle::Pending(s)
                 }
             }
         };
-        if let (Some(t), Some(t0), Some(t1), Some(t2)) = (self.tracer.as_ref(), t0, t1, t2) {
+        if let (Some(t), Some(t0), Some(t1), Some(t2)) = (tracer.as_ref(), t0, t1, t2) {
             t.op(CLASS_LOCALIZE, keys.len() as u64, t0, t1, t2, t.rec.now());
         }
         handle
@@ -1169,10 +1175,13 @@ impl ClientCore {
         self.shared.tracker.discard(seq);
     }
 
+    /// Sends an operation's remote groups and seals it, registering its
+    /// `counted` keys (parked pushes) in the same step.
     fn flush(
         &self,
         seq: Option<u64>,
         kind: OpKind,
+        counted: u32,
         groups: OrderedGroups<NodeId, RemoteGroup>,
         sink: &mut MsgSink,
     ) -> IssueHandle {
@@ -1194,7 +1203,7 @@ impl ClientCore {
                         }),
                     ));
                 }
-                if self.shared.tracker.seal(s) {
+                if self.shared.tracker.seal_counted(s, counted) {
                     // All keys completed during issue (e.g. a queued key
                     // drained concurrently).
                     match kind {

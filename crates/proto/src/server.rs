@@ -42,6 +42,7 @@ use lapse_net::{Key, NodeId, ValueBlock, ValueBlockBuilder};
 use lapse_trace::{EventKind, Recorder, Ring, ACTOR_SERVER};
 
 use crate::client::MsgSink;
+use crate::config::ProtoConfig;
 use crate::group::{OrderedGroups, ShardGroups};
 use crate::messages::{
     HandOverMsg, LocalizeReqMsg, Msg, OpId, OpKind, OpMsg, OpRespMsg, RelocateMsg, ReplicaPushMsg,
@@ -163,12 +164,9 @@ enum OpAction {
         /// Offset into the scratch value buffer (floats).
         soff: u32,
     },
-    /// Hand the key's value over to the new owner; value staged in
-    /// scratch (relocate messages).
-    HandOver {
-        /// Offset into the scratch value buffer (floats).
-        soff: u32,
-    },
+    /// The key's value went into the hand-over block for the new owner
+    /// (relocate messages).
+    HandOver,
     /// Forward to the current owner (this node is the home).
     FwdOwner(NodeId),
     /// Double-forward to the home (stale location cache, Figure 5d).
@@ -179,8 +177,12 @@ enum OpAction {
 /// of one key occupy a contiguous span of the action list. Tracker
 /// completions are replayed here too — not in the shard phase — because
 /// one hand-over can complete operations of **several** workers, and the
-/// order their wake notifications are enqueued must match the original
-/// per-key dispatch (the simulator's task schedule depends on it).
+/// order their wake notifications are enqueued must match a key-by-key
+/// dispatch in message order (the simulator's task schedule depends on
+/// it): a parked pull or push completes where the replay reaches it, and
+/// an operation's waiting localizes ([`CountedOps`]) complete together
+/// where the replay reaches the last of them — the place a key-by-key
+/// dispatch would have completed the operation.
 #[derive(Debug, Default)]
 enum HoAction {
     /// Nothing to emit.
@@ -210,6 +212,45 @@ enum HoAction {
     Onward(OpId, NodeId, u32),
 }
 
+/// The counted completions one message owes, per operation: the waiting
+/// localizes of this node's workers, which the tracker completes by count ([`OpTracker::complete_counted`](crate::tracker::OpTracker::complete_counted)),
+/// once per `(message, operation)`. The shard phase records each
+/// ([`CountedOps::owe`]); the replay reports each
+/// ([`CountedOps::replayed`]) and learns when it has reached an
+/// operation's last one. A message completes keys of very few operations
+/// (one per waiting worker), so this is a short list.
+#[derive(Debug, Default)]
+struct CountedOps {
+    /// `(op seq, keys owed, keys replayed so far)`.
+    ops: Vec<(u64, u32, u32)>,
+}
+
+impl CountedOps {
+    fn clear(&mut self) {
+        self.ops.clear();
+    }
+
+    /// One more counted key of operation `seq` completes in this message.
+    fn owe(&mut self, seq: u64) {
+        match self.ops.iter_mut().find(|(s, _, _)| *s == seq) {
+            Some((_, owed, _)) => *owed += 1,
+            None => self.ops.push((seq, 1, 0)),
+        }
+    }
+
+    /// The replay reached a counted key of operation `seq`; returns how
+    /// many the message owed the operation if this was the last of them.
+    fn replayed(&mut self, seq: u64) -> Option<u32> {
+        let (_, owed, replayed) = self
+            .ops
+            .iter_mut()
+            .find(|(s, _, _)| *s == seq)
+            .expect("replayed a counted key the shard phase did not record");
+        *replayed += 1;
+        (*replayed == *owed).then_some(*owed)
+    }
+}
+
 /// Reusable per-server buffers for the shard-grouped message phases.
 #[derive(Debug, Default)]
 struct ServerScratch {
@@ -225,10 +266,12 @@ struct ServerScratch {
     msg_starts: Vec<u32>,
     /// Flat replay actions of a hand-over's queue drains.
     ho_actions: Vec<HoAction>,
+    /// Counted completions those drains owe, per operation.
+    counted: CountedOps,
     /// Per-key `(start, end)` span into `ho_actions`.
     spans: Vec<(u32, u32)>,
-    /// Staged values (served pulls, hand-over payloads, fresh replica
-    /// values), copied on into the outgoing message block.
+    /// Staged values (served pulls, onward hand-overs of a drain, fresh
+    /// replica values), copied on into the outgoing message block.
     vals: Vec<f32>,
 }
 
@@ -463,13 +506,19 @@ impl ServerCore {
     /// before technique traffic) is a per-message contract; merging it
     /// across, say, a promotion ack and a replica push would reorder a
     /// refresh ahead of the promotion broadcast it depends on.
-    pub fn handle_batch(&mut self, msgs: Vec<Msg>, sink: &mut MsgSink) {
+    pub fn handle_batch(&mut self, mut msgs: Vec<Msg>, sink: &mut MsgSink) {
+        self.handle_burst(&mut msgs, sink);
+    }
+
+    /// [`ServerCore::handle_batch`] for a caller that keeps its ingest
+    /// buffer: drains `msgs` and leaves its capacity behind.
+    pub fn handle_burst(&mut self, msgs: &mut Vec<Msg>, sink: &mut MsgSink) {
         if let Some(t) = &self.tracer {
             t.event(EventKind::MsgBatch, 0, msgs.len() as u64);
         }
         let mut run = std::mem::take(&mut self.op_run);
         debug_assert!(run.is_empty());
-        for msg in msgs {
+        for msg in msgs.drain(..) {
             match msg {
                 Msg::Op(m) => run.push(m),
                 other => {
@@ -511,7 +560,7 @@ impl ServerCore {
     /// so every per-key state transition happens exactly as it would have
     /// one message at a time.
     fn handle_op_run(&mut self, msgs: &[OpMsg], batches: &mut Batches) {
-        let cfg = self.shared.cfg.clone();
+        let cfg: &ProtoConfig = &self.shared.cfg;
         let policy = cfg.policy();
         if let Some(t) = &self.tracer {
             for m in msgs {
@@ -658,7 +707,7 @@ impl ServerCore {
                 let (off, len) = items[f];
                 match actions[f] {
                     OpAction::Done => {}
-                    OpAction::HandOver { .. } => unreachable!("hand-over action in op dispatch"),
+                    OpAction::HandOver => unreachable!("hand-over action in op dispatch"),
                     OpAction::RespPush => {
                         batches.resp.entry((m.op, m.kind)).keys.push(k);
                     }
@@ -705,7 +754,7 @@ impl ServerCore {
                     if fmi != mi {
                         continue;
                     }
-                    let vlen = cfg.layout.len(k);
+                    let vlen = self.shared.cfg.layout.len(k);
                     keys.push(k);
                     block.push_slice(&self.scratch.vals[soff as usize..soff as usize + vlen]);
                 }
@@ -717,7 +766,7 @@ impl ServerCore {
     }
 
     fn handle_resp(&mut self, m: OpRespMsg) {
-        let cfg = self.shared.cfg.clone();
+        let cfg: &ProtoConfig = &self.shared.cfg;
         debug_assert_eq!(m.op.node, self.shared.node, "response at wrong node");
         if cfg.location_caches {
             for &k in &m.keys {
@@ -742,7 +791,7 @@ impl ServerCore {
     /// drains its incoming entry — and keys pinned by a draining demotion
     /// are deferred until the drain completes.
     fn handle_localize(&mut self, m: LocalizeReqMsg, batches: &mut Batches) {
-        let cfg = self.shared.cfg.clone();
+        let cfg: &ProtoConfig = &self.shared.cfg;
         let policy = cfg.policy();
         let requester = m.op.node;
         let mut per_old: OrderedGroups<NodeId, Vec<Key>> = OrderedGroups::new();
@@ -803,27 +852,39 @@ impl ServerCore {
     /// it over. If the key is still relocating towards this node, the
     /// instruction is parked and executed right after the hand-over
     /// arrives (localization conflicts, Section 3.2).
+    ///
+    /// A value is copied once, from its arena slot into the hand-over
+    /// block, under its shard's latch. Shards are visited in grouping
+    /// order and the block must be in message key order, so the block
+    /// gets room for every key up front and each value is written at its
+    /// key's offset; the gaps of keys that turned out not to be handed
+    /// over (parked, degenerate) are closed afterwards.
     fn handle_relocate(&mut self, m: RelocateMsg, batches: &mut Batches) {
-        let cfg = self.shared.cfg.clone();
+        let cfg: &ProtoConfig = &self.shared.cfg;
         let policy = cfg.policy();
         let ServerScratch {
             groups,
             items,
             actions,
-            vals,
             ..
         } = &mut self.scratch;
         groups.clear();
         items.clear();
         actions.clear();
-        vals.clear();
+        let mut total = 0u32;
         for (i, &k) in m.keys.iter().enumerate() {
-            items.push((0, cfg.layout.len(k) as u32));
+            let len = cfg.layout.len(k) as u32;
+            items.push((total, len));
             actions.push(OpAction::Done);
             groups.push(cfg.shard_of(k), i as u32);
+            total += len;
         }
 
-        let mut unexpected = 0u64;
+        let dst = (m.new_owner, m.op);
+        // Float offset of this message's values in the hand-over block
+        // for `dst`, once the first of them is written.
+        let mut base: Option<usize> = None;
+        let (mut handed, mut degenerate, mut unexpected) = (0usize, 0u32, 0u64);
         for (shard_idx, idxs) in groups.iter() {
             let mut shard = self.shared.shards[shard_idx].write();
             for &i in idxs {
@@ -832,13 +893,19 @@ impl ServerCore {
                     // Degenerate self-relocation (the requester already
                     // owned the key when the home processed its request):
                     // the value stays in place; complete the localize.
-                    self.shared.tracker.complete_key(m.op.seq, k, None);
+                    self.shared.tracker.note_counted(m.op.seq, k, -1);
+                    degenerate += 1;
                 } else if let Some(slot) = shard.store.take(k) {
                     policy.note_owner(&mut shard, k, m.new_owner);
-                    let soff = vals.len() as u32;
-                    vals.extend_from_slice(shard.store.slot_slice(slot));
+                    let block = &mut batches.handover.entry(dst).vals;
+                    let base = *base.get_or_insert_with(|| block.extend_zeroed(total as usize));
+                    block.write_at(
+                        base + items[i as usize].0 as usize,
+                        shard.store.slot_slice(slot),
+                    );
                     shard.store.release(slot);
-                    actions[i as usize] = OpAction::HandOver { soff };
+                    actions[i as usize] = OpAction::HandOver;
+                    handed += 1;
                 } else if let Some(inc) = shard.incoming.get_mut(&k) {
                     inc.queue.push_back(Queued::Relocate {
                         op: m.op,
@@ -860,41 +927,54 @@ impl ServerCore {
                 }
             }
         }
+        if degenerate > 0 {
+            self.shared.tracker.complete_counted(m.op.seq, degenerate);
+        }
         if unexpected > 0 {
             self.lane.unexpected_relocates.add(unexpected);
         }
+        let Some(base) = base else {
+            return;
+        };
 
-        // Emit phase: hand-over payload in original key order.
-        let mut moved_bytes = 0u64;
-        for (i, &k) in m.keys.iter().enumerate() {
-            if let OpAction::HandOver { soff } = actions[i] {
-                let (_, len) = items[i];
-                if let Some(t) = &self.tracer {
+        // Emit phase: the hand-over's keys in original key order.
+        let entry = batches.handover.entry(dst);
+        if let Some(t) = &self.tracer {
+            for (i, &k) in m.keys.iter().enumerate() {
+                if matches!(actions[i], OpAction::HandOver) {
                     t.event(EventKind::RelocHandOver, k.0, m.new_owner.0 as u64);
                 }
-                let entry = batches.handover.entry((m.new_owner, m.op));
-                entry.keys.push(k);
-                entry
-                    .vals
-                    .push_slice(&vals[soff as usize..(soff + len) as usize]);
-                moved_bytes += 4 * len as u64;
             }
         }
-        if moved_bytes > 0 {
-            self.lane.value_bytes_moved.add(moved_bytes);
+        let mut end = base + total as usize;
+        if handed == m.keys.len() {
+            entry.keys.extend_from_slice(&m.keys);
+        } else {
+            end = base;
+            for (i, &k) in m.keys.iter().enumerate() {
+                if matches!(actions[i], OpAction::HandOver) {
+                    let (off, len) = (items[i].0 as usize, items[i].1 as usize);
+                    entry.keys.push(k);
+                    entry.vals.copy_within(base + off, len, end);
+                    end += len;
+                }
+            }
+            entry.vals.truncate(end);
         }
+        self.lane.value_bytes_moved.add(4 * (end - base) as u64);
     }
 
     /// Message 3, at the new owner: install the values straight from the
     /// message block into the store arena, complete waiting localizes,
     /// and drain parked operations in arrival order.
     fn handle_handover(&mut self, m: HandOverMsg, batches: &mut Batches) {
-        let cfg = self.shared.cfg.clone();
+        let cfg: &ProtoConfig = &self.shared.cfg;
         let policy = cfg.policy();
         let ServerScratch {
             groups,
             items,
             ho_actions,
+            counted,
             spans,
             vals,
             ..
@@ -902,6 +982,7 @@ impl ServerCore {
         groups.clear();
         items.clear();
         ho_actions.clear();
+        counted.clear();
         spans.clear();
         vals.clear();
         let mut block_off = 0u32;
@@ -937,9 +1018,10 @@ impl ServerCore {
                     continue;
                 };
                 let start = ho_actions.len() as u32;
-                for op in &entry.waiting_localize {
+                for op in entry.waiting_localizes() {
                     debug_assert_eq!(op.node, self.shared.node);
-                    ho_actions.push(HoAction::LocalizeDone(*op));
+                    counted.owe(op.seq);
+                    ho_actions.push(HoAction::LocalizeDone(op));
                 }
                 // Drain parked work in arrival order, recording state
                 // changes now (under the latch) and emissions/completions
@@ -1001,10 +1083,10 @@ impl ServerCore {
         // key order (and per key in queue-arrival order).
         let moved_bytes = replay_drain(
             &self.shared,
-            &cfg,
             &m.keys,
             spans,
             ho_actions,
+            counted,
             vals,
             batches,
         );
@@ -1041,7 +1123,7 @@ impl ServerCore {
             return;
         }
         self.replica_subs.push(m.node);
-        let cfg = self.shared.cfg.clone();
+        let cfg: &ProtoConfig = &self.shared.cfg;
         let policy = cfg.policy();
         let mut keys = Vec::new();
         let mut vals = ValueBlockBuilder::default();
@@ -1127,7 +1209,7 @@ impl ServerCore {
     /// it — flushes of concurrent workers that overtake each other on the
     /// wire cannot retire one another's batches.
     fn handle_replica_push(&mut self, m: ReplicaPushMsg, batches: &mut Batches) {
-        let cfg = self.shared.cfg.clone();
+        let cfg: &ProtoConfig = &self.shared.cfg;
         let policy = cfg.policy();
         let own_flush = m.node == self.shared.node;
         let adaptive = policy.adaptive();
@@ -1226,7 +1308,9 @@ impl ServerCore {
                 .shared
                 .tracker
                 .begin(crate::tracker::TrackedKind::Push, 0, None);
-            self.shared.tracker.add_key(seq, k, 0, 0, false);
+            self.shared
+                .tracker
+                .add_keys(seq, false, false, std::iter::once((k, 0, 0)));
             self.shared.tracker.seal(seq);
             self.shared.tracker.abandon(seq);
             let entry =
@@ -1292,7 +1376,7 @@ impl ServerCore {
     /// already include the acknowledged deltas, so a reader must never
     /// see both (double count) or neither (dropped writes).
     fn handle_replica_refresh(&mut self, m: ReplicaRefreshMsg) {
-        let cfg = self.shared.cfg.clone();
+        let cfg: &ProtoConfig = &self.shared.cfg;
         let policy = cfg.policy();
         // Rounds from one owner arrive strictly increasing (per-link
         // FIFO); a violation means refreshes were reordered and stale
@@ -1367,7 +1451,7 @@ impl ServerCore {
     /// dropped (the controller re-sends after its TTL); any promotion
     /// interest clears stale demotion votes.
     fn handle_technique_promote(&mut self, m: TechniquePromoteMsg, batches: &mut Batches) {
-        let cfg = self.shared.cfg.clone();
+        let cfg: &ProtoConfig = &self.shared.cfg;
         debug_assert!(
             cfg.policy().adaptive(),
             "technique transition without adaptive variant"
@@ -1444,7 +1528,7 @@ impl ServerCore {
     /// [`TechniquePromoteAckMsg`] with the authoritative values to every
     /// other node.
     fn finish_promotion(&mut self, keys: &[Key], batches: &mut Batches) {
-        let cfg = self.shared.cfg.clone();
+        let cfg: &ProtoConfig = &self.shared.cfg;
         let mut block = ValueBlockBuilder::default();
         for &k in keys {
             self.pending_promote.remove(&k);
@@ -1498,7 +1582,7 @@ impl ServerCore {
     /// view, and parked remote-origin operations re-dispatch to the
     /// owning home — not a single update is lost or applied twice.
     fn handle_technique_promote_ack(&mut self, m: TechniquePromoteAckMsg, batches: &mut Batches) {
-        let cfg = self.shared.cfg.clone();
+        let cfg: &ProtoConfig = &self.shared.cfg;
         debug_assert_ne!(m.home, self.shared.node, "self-addressed promote broadcast");
         // Epoch fencing: transitions from one home arrive strictly
         // increasing (per-link FIFO); a violation means a stale broadcast
@@ -1516,6 +1600,7 @@ impl ServerCore {
             groups,
             items,
             ho_actions,
+            counted,
             spans,
             vals,
             ..
@@ -1523,6 +1608,7 @@ impl ServerCore {
         groups.clear();
         items.clear();
         ho_actions.clear();
+        counted.clear();
         spans.clear();
         vals.clear();
         let mut block_off = 0u32;
@@ -1553,9 +1639,10 @@ impl ServerCore {
                     // A localize raced the promotion and was refused at
                     // home; complete it (the key is as local as it gets)
                     // and drain everything parked behind it.
-                    for op in &entry.waiting_localize {
+                    for op in entry.waiting_localizes() {
                         debug_assert_eq!(op.node, self.shared.node);
-                        ho_actions.push(HoAction::LocalizeDone(*op));
+                        counted.owe(op.seq);
+                        ho_actions.push(HoAction::LocalizeDone(op));
                     }
                     for item in entry.queue {
                         match item {
@@ -1614,10 +1701,10 @@ impl ServerCore {
 
         let moved_bytes = replay_drain(
             &self.shared,
-            &cfg,
             &m.keys,
             spans,
             ho_actions,
+            counted,
             vals,
             batches,
         );
@@ -1633,7 +1720,7 @@ impl ServerCore {
     /// demotes once every node (including this one — its controller votes
     /// over the self link) has voted; promotion interest clears votes.
     fn handle_technique_demote(&mut self, m: TechniqueDemoteMsg, batches: &mut Batches) {
-        let cfg = self.shared.cfg.clone();
+        let cfg: &ProtoConfig = &self.shared.cfg;
         debug_assert!(
             cfg.policy().adaptive(),
             "technique transition without adaptive variant"
@@ -1665,7 +1752,7 @@ impl ServerCore {
     /// already-flushed self batch has been delivered, so no delta can
     /// chase a key that has moved away.
     fn start_demotion(&mut self, keys: Vec<Key>, batches: &mut Batches) {
-        let cfg = self.shared.cfg.clone();
+        let cfg: &ProtoConfig = &self.shared.cfg;
         self.tech_epoch += 1;
         let epoch = self.tech_epoch;
         if let Some(t) = &self.tracer {
@@ -1732,7 +1819,7 @@ impl ServerCore {
     /// wire to the home (which owns the key and applies them regardless
     /// of technique), so their records drop from the in-flight overlay.
     fn handle_technique_demote_ack(&mut self, m: TechniqueDemoteAckMsg, batches: &mut Batches) {
-        let cfg = self.shared.cfg.clone();
+        let cfg: &ProtoConfig = &self.shared.cfg;
         debug_assert_ne!(m.home, self.shared.node, "self-addressed demote broadcast");
         let last = self.tech_epochs_in.entry(m.home).or_insert(0);
         debug_assert!(
@@ -1787,7 +1874,7 @@ impl ServerCore {
     /// relocation and replaying deferred localizes — once every node has
     /// confirmed and the home's own flushed batches have been delivered.
     fn handle_technique_drained(&mut self, m: TechniqueDrainedMsg, batches: &mut Batches) {
-        let cfg = self.shared.cfg.clone();
+        let cfg: &ProtoConfig = &self.shared.cfg;
         let mut off = 0usize;
         let mut applied_keys = 0u64;
         for &k in &m.keys {
@@ -1854,16 +1941,16 @@ impl ServerCore {
 /// batching, onward hand-overs. Shared by the hand-over path and the
 /// promotion-broadcast drain. Returns the value bytes moved into
 /// outgoing messages.
-#[allow(clippy::too_many_arguments)]
 fn replay_drain(
     shared: &NodeShared,
-    cfg: &crate::config::ProtoConfig,
     keys: &[Key],
     spans: &[(u32, u32)],
     ho_actions: &mut [HoAction],
+    counted: &mut CountedOps,
     vals: &[f32],
     batches: &mut Batches,
 ) -> u64 {
+    let cfg: &ProtoConfig = &shared.cfg;
     let mut moved_bytes = 0u64;
     for (i, &k) in keys.iter().enumerate() {
         let (start, end) = spans[i];
@@ -1871,9 +1958,15 @@ fn replay_drain(
             match std::mem::take(&mut ho_actions[j as usize]) {
                 HoAction::None => {}
                 HoAction::LocalizeDone(op) => {
-                    shared.tracker.complete_key(op.seq, k, None);
+                    shared.tracker.note_counted(op.seq, k, -1);
+                    if let Some(n) = counted.replayed(op.seq) {
+                        shared.tracker.complete_counted(op.seq, n);
+                    }
                 }
                 HoAction::LocalPush(op) => {
+                    // Parked by its issuer (a counted key) or by this
+                    // server after a trip via the home node (identified,
+                    // guard-counted): the tracker knows which.
                     shared.tracker.complete_key(op.seq, k, None);
                 }
                 HoAction::LocalPull(op, soff) => {

@@ -76,14 +76,37 @@ pub enum Queued {
 }
 
 /// State of one key currently relocating to this node.
+///
+/// Almost every entry lives for one round trip and holds exactly one
+/// waiting localize — the one whose request started the relocation — so
+/// that one is stored inline: creating the entry allocates nothing, and
+/// only a second waiter or a parked operation does.
 #[derive(Debug, Default)]
 pub struct IncomingState {
     /// Parked work, in arrival order.
     pub queue: VecDeque<Queued>,
-    /// Local localize operations waiting for the hand-over (several
-    /// workers may localize the same key concurrently; only the first
-    /// sends a message).
-    pub waiting_localize: Vec<OpId>,
+    /// The first local localize operation waiting for the hand-over.
+    first_localize: Option<OpId>,
+    /// Further waiters, in arrival order (several workers may localize
+    /// the same key concurrently; only the first sends a message).
+    more_localizes: Vec<OpId>,
+}
+
+impl IncomingState {
+    /// Adds a local localize operation waiting for the hand-over.
+    pub fn push_localize(&mut self, op: OpId) {
+        match self.first_localize {
+            None => self.first_localize = Some(op),
+            Some(_) => self.more_localizes.push(op),
+        }
+    }
+
+    /// The waiting localize operations, in arrival order.
+    pub fn waiting_localizes(&self) -> impl Iterator<Item = OpId> + '_ {
+        self.first_localize
+            .into_iter()
+            .chain(self.more_localizes.iter().copied())
+    }
 }
 
 /// The shard's slice of the replica state used by the replication
@@ -646,6 +669,41 @@ impl ShardCell {
         fence(Ordering::Acquire);
         self.seq.load(Ordering::Relaxed) == s1
     }
+
+    /// Runs `observe` on the shard **without the latch**, under the
+    /// seqlock read protocol, and returns what it saw only if the
+    /// sequence number was even and unchanged across the observation — a
+    /// validated snapshot, exactly what a latched reader would have seen
+    /// at that instant. `None` when `observe` gives up (it met state the
+    /// racy path cannot read) or the retry budget ran out under writer
+    /// pressure: the caller takes the latch.
+    ///
+    /// `observe` may run concurrently with a writer and may run more
+    /// than once. It must touch only memory that writers never
+    /// reallocate (the dense store's flags and arena, a frozen replica
+    /// map) and must treat everything it reads as possibly torn until
+    /// this function returns `Some`; the hint atomics tell it which
+    /// structures those are.
+    #[inline]
+    fn optimistic<R>(&self, mut observe: impl FnMut(&Shard) -> Option<R>) -> Option<R> {
+        for _ in 0..SEQLOCK_RETRIES {
+            let s1 = self.seq_enter();
+            if s1 & 1 == 1 {
+                std::hint::spin_loop();
+                continue;
+            }
+            // SAFETY: a shared borrow that may alias a writer's `&mut`.
+            // `observe` keeps to realloc-free memory (see above), so it
+            // can read torn values but never follow a dangling pointer,
+            // and `seq_validate` rejects whatever a writer overlapped.
+            let shard = unsafe { &*self.shard.get() };
+            let outcome = observe(shard)?;
+            if self.seq_validate(s1) {
+                return Some(outcome);
+            }
+        }
+        None
+    }
 }
 
 /// Read-only latch guard for a [`ShardCell`] (no sequence bump).
@@ -732,6 +790,11 @@ pub struct NodeShared {
     /// Client operation tracker (shared so async tokens can reclaim
     /// their entries on drop).
     pub tracker: Arc<OpTracker>,
+    /// The shards that can hold replica deltas, ascending: those with a
+    /// statically replicated key in their range, every shard under
+    /// [`Variant::Adaptive`] (any key can be promoted), none under the
+    /// variants that replicate nothing. What a replica flush walks.
+    pub replica_shards: Vec<u32>,
     /// Counter lanes claimed by this node's cores.
     lanes: LaneRegistry,
     /// Replica-propagation control words (replication technique).
@@ -776,7 +839,9 @@ impl NodeShared {
         mut init: impl FnMut(Key) -> Option<Vec<f32>>,
     ) -> Arc<Self> {
         let shard_count = cfg.shard_count();
+        let policy = cfg.policy();
         let mut shards = Vec::with_capacity(shard_count);
+        let mut replica_shards = Vec::new();
         for s in 0..shard_count {
             let (start, end) = cfg.shard_range(s);
             let store = if cfg.dense {
@@ -794,15 +859,21 @@ impl NodeShared {
             // Initially every key is owned by its home node (Section 3.5);
             // replicated keys homed elsewhere start as local replicas of
             // the same deterministic initial values.
+            let mut replicates = policy.adaptive();
             for k in start..end {
                 let key = Key(k);
+                let replicated = policy.replicated(key);
+                replicates |= replicated;
                 if cfg.home(key) == node {
                     let v = init(key).unwrap_or_else(|| vec![0.0; cfg.layout.len(key)]);
                     shard.store.insert(key, &v);
-                } else if cfg.policy().replicated(key) {
+                } else if replicated {
                     let v = init(key).unwrap_or_else(|| vec![0.0; cfg.layout.len(key)]);
                     shard.replica.values.insert(key, v);
                 }
+            }
+            if replicates {
+                replica_shards.push(s as u32);
             }
             shards.push(ShardCell::new(shard));
         }
@@ -819,6 +890,7 @@ impl NodeShared {
             node,
             shards,
             tracker: Arc::new(OpTracker::new(clock)),
+            replica_shards,
             lanes: LaneRegistry::new(),
             replica: ReplicaCtl::default(),
             adaptive,
@@ -950,19 +1022,10 @@ impl NodeShared {
         let replicated = policy.replicated(key);
         let at_home = self.cfg.home(key) == self.node;
         let cell = self.shard_for(key);
-        for _ in 0..SEQLOCK_RETRIES {
-            let s1 = cell.seq_enter();
-            if s1 & 1 == 1 {
-                std::hint::spin_loop();
-                continue;
-            }
+        cell.optimistic(|shard| {
             if cell.maybe_incoming() || cell.maybe_techniques() {
                 return None;
             }
-            // SAFETY: reads under the seqlock protocol touch only memory
-            // that writers never reallocate (dense arena, frozen replica
-            // map); torn float values are rejected by `seq_validate`.
-            let shard = unsafe { &*cell.shard.get() };
             let outcome = if replicated {
                 if cell.maybe_replica_deltas() {
                     // The local view would need the pending/in-flight
@@ -1000,11 +1063,44 @@ impl NodeShared {
                     RacyRead::Unsupported => return None,
                 }
             };
-            if cell.seq_validate(s1) {
-                return Some(outcome);
+            Some(outcome)
+        })
+    }
+
+    /// Whether a `localize` of `key` would find nothing to do on this
+    /// node: the key is owned here (or, under adaptive management,
+    /// currently replicated). `localize` asks this of every key first
+    /// and plans, groups and write-latches only the rest.
+    ///
+    /// Where the wait-free read path is on, the answer is a
+    /// seqlock-validated read of the dense store's owned flag — same
+    /// gate, same protocol and same adaptive exclusion as
+    /// [`NodeShared::try_optimistic_read`], and no value is copied.
+    /// Otherwise (simulator, sparse stores, a live technique table, a
+    /// writer that outlasts the retries) it is read under the latch,
+    /// through [`ShardCell::read`], which bumps no sequence number.
+    ///
+    /// Either way the answer is one a latched check could have given at
+    /// some instant during the call: `true` linearises the `localize` of
+    /// that key there, as the no-op it would have been; a key that
+    /// leaves right after was localized and then taken by a later
+    /// request. `false` decides nothing — the caller checks again under
+    /// the write latch.
+    pub fn probe_local(&self, key: Key) -> bool {
+        let cell = self.shard_for(key);
+        if self.cfg.wait_free_reads && self.cfg.policy().shared_memory() {
+            let owned = cell.optimistic(|shard| {
+                if cell.maybe_techniques() {
+                    return None;
+                }
+                shard.store.owned_racy(key)
+            });
+            if let Some(owned) = owned {
+                return owned;
             }
         }
-        None
+        let shard = cell.read();
+        self.cfg.policy().replicated_in(key, &shard) || shard.store.contains(key)
     }
 }
 

@@ -300,6 +300,22 @@ impl ShardStore {
             ShardStore::Sparse(_) => RacyRead::Unsupported,
         }
     }
+
+    /// Unsynchronized (seqlock-optimistic) read of whether `key` is owned,
+    /// without holding the shard latch: the first half of
+    /// [`ShardStore::read_racy`], for callers that need the ownership
+    /// decision and no value (a `localize` of an already-local key). The
+    /// same argument carries it: the dense store's `owned` flags never
+    /// move after construction, so a concurrent writer can make the
+    /// answer stale (which the caller detects by re-checking the shard
+    /// sequence number) but can never dangle the pointer. `None` for
+    /// sparse stores, whose map reallocates.
+    pub(crate) fn owned_racy(&self, key: Key) -> Option<bool> {
+        match self {
+            ShardStore::Dense(s) => Some(s.owned_racy(key)),
+            ShardStore::Sparse(_) => None,
+        }
+    }
 }
 
 /// Dense store: one preallocated arena slot per key in `[start, end)`.
@@ -414,21 +430,33 @@ impl DenseStore {
         Some(self.slot(idx))
     }
 
+    /// See [`ShardStore::owned_racy`]: the owned flag of `key`, read
+    /// volatilely so the stale states the seqlock protocol tolerates are
+    /// not compiled away. Keys outside the range are not owned.
+    #[inline]
+    fn owned_racy(&self, key: Key) -> bool {
+        if key.0 < self.start || key.0 >= self.end {
+            return false;
+        }
+        let idx = (key.0 - self.start) as usize;
+        // SAFETY: `idx < owned.len()` by the range check (`owned` has one
+        // flag per key of `[start, end)`), and the backing memory is
+        // stable: the Vec is never resized after `new`. The flag races
+        // only with `insert_with`/`take` under the shard latch, which
+        // store `true`/`false` — every bit pattern a racing read can see
+        // is a valid `bool`.
+        unsafe { std::ptr::read_volatile(self.owned.as_ptr().add(idx)) }
+    }
+
     /// See [`ShardStore::read_racy`]. `start`, `end`, and `offsets` are
     /// immutable after construction, so the plain reads of the slot
     /// geometry are safe; only the owned flag and the value floats race
     /// with writers.
     fn read_racy(&self, key: Key, out: &mut [f32]) -> RacyRead {
-        if key.0 < self.start || key.0 >= self.end {
+        if !self.owned_racy(key) {
             return RacyRead::NotOwned;
         }
-        let idx = (key.0 - self.start) as usize;
-        // SAFETY: `idx < owned.len()` by the range check; the backing
-        // memory is stable (the Vec is never resized after `new`).
-        if !unsafe { std::ptr::read_volatile(self.owned.as_ptr().add(idx)) } {
-            return RacyRead::NotOwned;
-        }
-        let slot = self.slot(idx);
+        let slot = self.slot((key.0 - self.start) as usize);
         debug_assert_eq!(out.len(), slot.len(), "racy read length mismatch");
         // SAFETY: the slot range is within the preallocated arena slab,
         // whose backing memory never moves; concurrent writers may tear

@@ -2,20 +2,20 @@
 //!
 //! Every pull/push/localize that cannot be served entirely through the
 //! fast local path registers an operation here. Responses and hand-overs
-//! complete the operation key by key; when the last key completes, the
-//! tracker fires a wake callback so the issuing worker (blocked in a sync
-//! call, or in `wait` on an async handle) can resume. The mechanism is
-//! backend-agnostic: the threaded runtime wakes a condvar, the simulator
-//! marks a virtual task runnable.
+//! complete its keys — a message's worth under one lock; when the last
+//! key completes, the tracker fires a wake callback so the issuing worker
+//! (blocked in a sync call, or in `wait` on an async handle) can resume.
+//! The mechanism is backend-agnostic: the threaded runtime wakes a
+//! condvar, the simulator marks a virtual task runnable.
 //!
 //! The tracker also measures **relocation times** (the paper's definition,
 //! Section 3.2: from issuing `localize` until the new owner starts
 //! answering operations locally, i.e. until the hand-over completed).
 
-use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use parking_lot::{Mutex, MutexGuard};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use lapse_net::{Key, ValueBlock};
 use lapse_utils::stats::LogHistogram;
@@ -46,17 +46,32 @@ struct KeyDest {
     out_off: u32,
     /// Whether this key was routed over the network (guard accounting).
     remote: bool,
-    /// Completed yet?
-    done: bool,
+    /// The next registration of the same key ([`NO_DEST`] if none).
+    next: u32,
 }
 
+/// End of a key's chain of dests.
+const NO_DEST: u32 = u32::MAX;
+
 /// State of one in-flight operation.
+///
+/// A key is tracked in one of two ways. **Identified** keys
+/// ([`OpTracker::add_keys`]) have a `dests` entry reachable through
+/// `by_key`: the keys a completion has to find again, because it carries a
+/// value to place (pulls) or a guard count to give back (keys routed over
+/// the network). **Counted** keys ([`OpTracker::seal_counted`]) are only a
+/// contribution to `pending`: every localize key and every push parked on
+/// the issuing node completes with no value and no guard count, so all the
+/// tracker has to know is how many are left. A completion that names a key
+/// `by_key` does not know is a counted key's.
 struct OpState {
     kind: TrackedKind,
     /// Worker slot (on this node) to wake on completion.
     waiter: u16,
-    /// Keys still outstanding.
-    pending: u32,
+    /// Keys registered minus keys completed. Counted keys are registered
+    /// at the seal and may complete before it, so the difference can be
+    /// negative until then; it decides nothing before the seal.
+    pending: i64,
     /// True once the issuing client registered all keys.
     sealed: bool,
     /// True once sealed and all keys completed.
@@ -67,14 +82,50 @@ struct OpState {
     /// Pull result buffer.
     result: Vec<f32>,
     dests: Vec<KeyDest>,
-    /// Incomplete dest indices per key, in registration order (keys may
-    /// legitimately repeat within one operation).
-    by_key: HashMap<Key, VecDeque<u32>>,
+    /// Per identified key, the `(first incomplete, last)` dest of its
+    /// registrations, chained through `KeyDest::next` in registration
+    /// order (keys may legitimately repeat within one operation; a chain
+    /// instead of a queue per key, so registering allocates nothing per
+    /// key).
+    by_key: HashMap<Key, (u32, u32)>,
     /// Guard map of the issuing worker, decremented as remote keys
     /// complete.
     guard: Option<GuardMap>,
     /// Issue timestamp (ns) for relocation timing.
     issued_ns: u64,
+}
+
+impl OpState {
+    /// Takes the next incomplete dest of identified key `key` off its
+    /// chain.
+    fn pop_dest(&mut self, key: Key) -> Option<KeyDest> {
+        let (head, _) = self.by_key.get_mut(&key)?;
+        let dest = *self.dests.get(*head as usize)?; // `NO_DEST`: all completed
+        *head = dest.next;
+        Some(dest)
+    }
+
+    /// Registers one more dest of identified key `key`.
+    fn push_dest(&mut self, key: Key, dest: KeyDest) {
+        debug_assert_eq!(dest.next, NO_DEST);
+        let idx = self.dests.len() as u32;
+        self.dests.push(dest);
+        match self.by_key.entry(key) {
+            std::collections::hash_map::Entry::Vacant(e) => {
+                e.insert((idx, idx));
+            }
+            std::collections::hash_map::Entry::Occupied(mut e) => {
+                let (head, tail) = e.get_mut();
+                if *head == NO_DEST {
+                    *head = idx;
+                } else {
+                    self.dests[*tail as usize].next = idx;
+                }
+                *tail = idx;
+            }
+        }
+        self.pending += 1;
+    }
 }
 
 /// Result of a completed operation, handed back to the issuing worker.
@@ -93,17 +144,34 @@ pub type WakeFn = Arc<dyn Fn(u16, u64) + Send + Sync>;
 /// Clock used for relocation timing (virtual in the simulator).
 pub type ClockFn = Arc<dyn Fn() -> u64 + Send + Sync>;
 
+type OpMap = HashMap<u64, OpState>;
+
 /// The per-node operation tracker.
 pub struct OpTracker {
     next_seq: AtomicU64,
-    shards: Vec<Mutex<HashMap<u64, OpState>>>,
-    waker: Mutex<Option<WakeFn>>,
+    shards: Vec<Mutex<OpMap>>,
+    /// Installed once, before the first completion; read on every wake
+    /// with one acquire load.
+    waker: OnceLock<WakeFn>,
     clock: ClockFn,
     /// Relocation-time distribution (ns), per the paper's definition.
     reloc_times: Mutex<LogHistogram>,
+    /// Debug builds keep the identity release builds drop: per operation,
+    /// registrations minus completions of each counted key
+    /// ([`OpTracker::note_counted`]). All zero when the operation is done,
+    /// or a key was completed that was never registered (or twice).
+    #[cfg(debug_assertions)]
+    counted_keys: Mutex<HashMap<u64, HashMap<Key, i32>>>,
 }
 
 const TRACKER_SHARDS: usize = 16;
+
+#[cfg(test)]
+thread_local! {
+    /// Tracker lock acquisitions of the current thread (tests count them
+    /// around a protocol round; the debug-only `note_counted` is not one).
+    pub(crate) static LOCKS_TAKEN: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
 
 impl OpTracker {
     /// Creates a tracker using `clock` for relocation timing.
@@ -113,21 +181,31 @@ impl OpTracker {
             shards: (0..TRACKER_SHARDS)
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
-            waker: Mutex::new(None),
+            waker: OnceLock::new(),
             clock,
             // 1 µs .. ~18 s in 5%-wide buckets.
             reloc_times: Mutex::new(LogHistogram::new(1_000.0, 1.05, 360)),
+            #[cfg(debug_assertions)]
+            counted_keys: Mutex::new(HashMap::new()),
         }
     }
 
-    /// Installs the wake callback. Must be called once before operations
-    /// complete; later calls replace the callback (used by tests).
+    /// Installs the wake callback. Call once, before operations complete.
+    ///
+    /// # Panics
+    /// Panics if a callback is already installed.
     pub fn set_waker(&self, waker: WakeFn) {
-        *self.waker.lock() = Some(waker);
+        assert!(
+            self.waker.set(waker).is_ok(),
+            "tracker waker installed twice"
+        );
     }
 
-    fn shard(&self, seq: u64) -> &Mutex<HashMap<u64, OpState>> {
-        &self.shards[(seq % TRACKER_SHARDS as u64) as usize]
+    /// Locks the tracker shard of operation `seq`.
+    fn lock(&self, seq: u64) -> MutexGuard<'_, OpMap> {
+        #[cfg(test)]
+        LOCKS_TAKEN.with(|n| n.set(n.get() + 1));
+        self.shards[(seq % TRACKER_SHARDS as u64) as usize].lock()
     }
 
     /// Begins a new operation; returns its sequence number.
@@ -150,59 +228,28 @@ impl OpTracker {
             guard,
             issued_ns: (self.clock)(),
         };
-        self.shard(seq).lock().insert(seq, state);
+        self.lock(seq).insert(seq, state);
         seq
     }
 
-    /// Registers one pending key of operation `seq` and reserves `len`
-    /// floats of result space for it; returns the key's result offset.
-    ///
-    /// `out_off` is the key's offset in the caller's output buffer (sync
-    /// pulls). `remote` marks keys routed over the network (guard
-    /// accounting).
-    pub fn add_key(&self, seq: u64, key: Key, len: u32, out_off: u32, remote: bool) -> u32 {
-        let mut shard = self.shard(seq).lock();
-        let op = shard.get_mut(&seq).expect("add_key on unknown op");
-        debug_assert!(!op.sealed, "add_key after seal");
-        let res_off = op.result.len() as u32;
-        op.result.resize(res_off as usize + len as usize, 0.0);
-        Self::push_dest(op, key, res_off, len, out_off, remote);
-        res_off
-    }
-
     /// Pre-sizes the result buffer of operation `seq` to `len` floats so
-    /// keys can be registered at fixed offsets with
-    /// [`OpTracker::add_key_at`]. Used by async pulls: the result buffer
+    /// keys can be registered at fixed offsets (`pinned`
+    /// [`OpTracker::add_keys`]). Used by async pulls: the result buffer
     /// is laid out in caller key order up front, so registration order
     /// (which follows shard grouping, not key order) stops mattering.
     pub fn reserve(&self, seq: u64, len: u32) {
-        let mut shard = self.shard(seq).lock();
+        let mut shard = self.lock(seq);
         let op = shard.get_mut(&seq).expect("reserve on unknown op");
         debug_assert!(op.result.is_empty(), "reserve on non-empty result");
         op.result.resize(len as usize, 0.0);
     }
 
-    /// Registers one pending key of operation `seq` whose result offset
-    /// equals its caller-buffer offset (requires a prior
-    /// [`OpTracker::reserve`] covering `out_off + len`).
-    pub fn add_key_at(&self, seq: u64, key: Key, len: u32, out_off: u32, remote: bool) {
-        let mut shard = self.shard(seq).lock();
-        let op = shard.get_mut(&seq).expect("add_key_at on unknown op");
-        debug_assert!(!op.sealed, "add_key_at after seal");
-        debug_assert!(
-            (out_off + len) as usize <= op.result.len(),
-            "add_key_at past reserved result"
-        );
-        Self::push_dest(op, key, out_off, len, out_off, remote);
-    }
-
-    /// Registers a batch of pending keys of operation `seq` under a
-    /// **single** tracker lock (the per-key `add_key`/`add_key_at` loop
-    /// costs one lock acquisition per key). `pinned` selects
-    /// [`OpTracker::add_key_at`] semantics (result offset = caller-buffer
-    /// offset into the reserved result) instead of compact append;
-    /// `remote` marks all keys as network-routed (guard accounting).
-    /// Items are `(key, len, out_off)` in registration order.
+    /// Registers a batch of **identified** pending keys of operation
+    /// `seq` under a single tracker lock. `pinned` makes a key's result
+    /// offset its caller-buffer offset (into a result sized by
+    /// [`OpTracker::reserve`]) instead of a compact append; `remote`
+    /// marks all keys as network-routed (guard accounting). Items are
+    /// `(key, len, out_off)` in registration order.
     pub fn add_keys(
         &self,
         seq: u64,
@@ -210,7 +257,7 @@ impl OpTracker {
         remote: bool,
         items: impl Iterator<Item = (Key, u32, u32)>,
     ) {
-        let mut shard = self.shard(seq).lock();
+        let mut shard = self.lock(seq);
         let op = shard.get_mut(&seq).expect("add_keys on unknown op");
         debug_assert!(!op.sealed, "add_keys after seal");
         for (key, len, out_off) in items {
@@ -225,100 +272,117 @@ impl OpTracker {
                 op.result.resize(r as usize + len as usize, 0.0);
                 r
             };
-            Self::push_dest(op, key, res_off, len, out_off, remote);
+            op.push_dest(
+                key,
+                KeyDest {
+                    res_off,
+                    len,
+                    out_off,
+                    remote,
+                    next: NO_DEST,
+                },
+            );
         }
-    }
-
-    fn push_dest(op: &mut OpState, key: Key, res_off: u32, len: u32, out_off: u32, remote: bool) {
-        let idx = op.dests.len() as u32;
-        op.dests.push(KeyDest {
-            res_off,
-            len,
-            out_off,
-            remote,
-            done: false,
-        });
-        op.by_key.entry(key).or_default().push_back(idx);
-        op.pending += 1;
     }
 
     /// Marks registration complete. Returns `true` if the operation is
     /// already done (all keys completed concurrently, or none registered).
     pub fn seal(&self, seq: u64) -> bool {
-        let mut shard = self.shard(seq).lock();
+        self.seal_counted(seq, 0)
+    }
+
+    /// [`OpTracker::seal`], registering `counted` **counted** keys in the
+    /// same step: keys whose completion carries no value and no guard
+    /// count (localize keys, pushes parked on the issuing node). Some may
+    /// have completed already — the issuer has handed them to the shard
+    /// state key by key, under the shard latches, and registers them here
+    /// once.
+    pub fn seal_counted(&self, seq: u64, counted: u32) -> bool {
+        let mut shard = self.lock(seq);
         let op = shard.get_mut(&seq).expect("seal on unknown op");
+        debug_assert!(!op.sealed, "operation {seq} sealed twice");
+        op.pending += i64::from(counted);
         op.sealed = true;
+        debug_assert!(op.pending >= 0, "operation {seq} over-completed");
         if op.pending == 0 {
             op.done = true;
-            self.finish_timing(op);
+            self.finish(seq, op);
             true
         } else {
             false
         }
     }
 
-    /// Completes one key of operation `seq`, storing `vals` for pulls.
+    /// Debug builds only (a no-op in release builds): notes that counted
+    /// key `key` of operation `seq` was registered (`delta = 1`) or
+    /// completed (`delta = -1`), for the check that every counted key is
+    /// completed exactly as often as it was registered.
+    #[inline]
+    pub fn note_counted(&self, seq: u64, key: Key, delta: i32) {
+        #[cfg(debug_assertions)]
+        {
+            let mut ops = self.counted_keys.lock();
+            let keys = ops.entry(seq).or_default();
+            let n = keys.entry(key).or_insert(0);
+            *n += delta;
+            if *n == 0 {
+                keys.remove(&key);
+            }
+        }
+        #[cfg(not(debug_assertions))]
+        let _ = (seq, key, delta);
+    }
+
+    /// Completes `n` counted keys of operation `seq` under one tracker
+    /// lock (see [`OpTracker::seal_counted`]). Fires the wake callback
+    /// when the operation becomes done.
+    pub fn complete_counted(&self, seq: u64, n: u32) {
+        let waiter = {
+            let mut shard = self.lock(seq);
+            let Some(op) = shard.get_mut(&seq) else {
+                debug_assert!(false, "completion for unknown op {seq}");
+                return;
+            };
+            op.pending -= i64::from(n);
+            self.settle(&mut shard, seq)
+        };
+        self.wake(waiter, seq);
+    }
+
+    /// Completes one key of operation `seq`, storing `vals` for pulls. A
+    /// key that was not registered by [`OpTracker::add_keys`] and carries
+    /// no value is a counted one.
     ///
     /// Safe to call from any thread (server threads call it while holding
     /// shard latches). Fires the wake callback when the operation becomes
     /// done.
     pub fn complete_key(&self, seq: u64, key: Key, vals: Option<&[f32]>) {
-        let (wake, waiter) = {
-            let mut shard = self.shard(seq).lock();
-            let op = match shard.get_mut(&seq) {
-                Some(op) => op,
-                None => {
-                    debug_assert!(false, "completion for unknown op {seq}");
-                    return;
-                }
+        let waiter = {
+            let mut shard = self.lock(seq);
+            let Some(op) = shard.get_mut(&seq) else {
+                debug_assert!(false, "completion for unknown op {seq}");
+                return;
             };
-            let idx = op
-                .by_key
-                .get_mut(&key)
-                .and_then(|q| q.pop_front())
-                .unwrap_or_else(|| panic!("completion for unregistered key {key} of op {seq}"));
-            let dest = &mut op.dests[idx as usize];
-            debug_assert!(!dest.done, "double completion of {key} in op {seq}");
-            dest.done = true;
-            if let Some(vals) = vals {
-                let off = dest.res_off as usize;
-                let len = dest.len as usize;
-                debug_assert_eq!(vals.len(), len, "value length mismatch for {key}");
-                op.result[off..off + len].copy_from_slice(vals);
-            }
-            if dest.remote {
-                if let Some(guard) = &op.guard {
-                    let mut g = guard.lock();
-                    if let Some(n) = g.get_mut(&key) {
-                        *n -= 1;
-                        if *n == 0 {
-                            g.remove(&key);
+            match (op.pop_dest(key), vals) {
+                (Some(dest), vals) => {
+                    if let Some(vals) = vals {
+                        let off = dest.res_off as usize;
+                        debug_assert_eq!(vals.len(), dest.len as usize, "value length of {key}");
+                        op.result[off..off + vals.len()].copy_from_slice(vals);
+                    }
+                    if dest.remote {
+                        if let Some(guard) = &op.guard {
+                            release_guard(&mut guard.lock(), key);
                         }
                     }
                 }
+                (None, None) => self.note_counted(seq, key, -1),
+                (None, Some(_)) => panic!("value for unregistered key {key} of op {seq}"),
             }
             op.pending -= 1;
-            if op.sealed && op.pending == 0 {
-                op.done = true;
-                self.finish_timing(op);
-                if op.abandoned {
-                    // The issuing worker dropped its handle; reclaim the
-                    // entry now instead of waking anyone.
-                    shard.remove(&seq);
-                    (false, 0)
-                } else {
-                    (true, op.waiter)
-                }
-            } else {
-                (false, 0)
-            }
+            self.settle(&mut shard, seq)
         };
-        if wake {
-            let waker = self.waker.lock().clone();
-            if let Some(w) = waker {
-                w(waiter, seq);
-            }
-        }
+        self.wake(waiter, seq);
     }
 
     /// Completes every key of one grouped response under a **single**
@@ -327,30 +391,29 @@ impl OpTracker {
     /// batching all guard decrements under one guard-lock acquisition.
     ///
     /// `block` carries the concatenated values in `keys` order for pulls
-    /// and is empty for push acknowledgements (every push key was
-    /// registered with length 0). Fires the wake callback at most once.
+    /// and is empty for push acknowledgements (every push key has length
+    /// 0; one that [`OpTracker::add_keys`] did not register — a parked
+    /// push that was re-dispatched — is a counted one). Fires the wake
+    /// callback at most once.
     pub fn complete_resp(&self, seq: u64, keys: &[Key], block: &ValueBlock) {
-        let (wake, waiter) = {
-            let mut shard = self.shard(seq).lock();
-            let op = match shard.get_mut(&seq) {
-                Some(op) => op,
-                None => {
-                    debug_assert!(false, "response for unknown op {seq}");
-                    return;
-                }
+        let waiter = {
+            let mut shard = self.lock(seq);
+            let Some(op) = shard.get_mut(&seq) else {
+                debug_assert!(false, "response for unknown op {seq}");
+                return;
             };
             let guard_arc = op.guard.clone();
             let mut guard = guard_arc.as_ref().map(|g| g.lock());
             let mut block_off = 0usize;
             for &key in keys {
-                let idx = op
-                    .by_key
-                    .get_mut(&key)
-                    .and_then(|q| q.pop_front())
-                    .unwrap_or_else(|| panic!("completion for unregistered key {key} of op {seq}"));
-                let dest = &mut op.dests[idx as usize];
-                debug_assert!(!dest.done, "double completion of {key} in op {seq}");
-                dest.done = true;
+                let Some(dest) = op.pop_dest(key) else {
+                    assert!(
+                        block.is_empty(),
+                        "value for unregistered key {key} of op {seq}"
+                    );
+                    self.note_counted(seq, key, -1);
+                    continue;
+                };
                 if dest.len > 0 {
                     let off = dest.res_off as usize;
                     let len = dest.len as usize;
@@ -363,53 +426,69 @@ impl OpTracker {
                 }
                 if dest.remote {
                     if let Some(g) = guard.as_mut() {
-                        if let Some(n) = g.get_mut(&key) {
-                            *n -= 1;
-                            if *n == 0 {
-                                g.remove(&key);
-                            }
-                        }
+                        release_guard(g, key);
                     }
                 }
-                op.pending -= 1;
             }
             debug_assert_eq!(block_off, block.len(), "response block not consumed");
             drop(guard);
-            if op.sealed && op.pending == 0 {
-                op.done = true;
-                self.finish_timing(op);
-                if op.abandoned {
-                    shard.remove(&seq);
-                    (false, 0)
-                } else {
-                    (true, op.waiter)
-                }
-            } else {
-                (false, 0)
-            }
+            op.pending -= keys.len() as i64;
+            self.settle(&mut shard, seq)
         };
-        if wake {
-            let waker = self.waker.lock().clone();
-            if let Some(w) = waker {
-                w(waiter, seq);
-            }
+        self.wake(waiter, seq);
+    }
+
+    /// After a completion: if operation `seq` is sealed and nothing is
+    /// pending it becomes done; returns the worker slot to wake, unless
+    /// the operation was abandoned (then it is reclaimed here).
+    fn settle(&self, shard: &mut OpMap, seq: u64) -> Option<u16> {
+        let op = shard.get_mut(&seq).expect("settled op is present");
+        debug_assert!(
+            !op.sealed || op.pending >= 0,
+            "operation {seq} over-completed"
+        );
+        if !op.sealed || op.pending != 0 {
+            return None;
+        }
+        op.done = true;
+        self.finish(seq, op);
+        if op.abandoned {
+            // The issuing worker dropped its handle; reclaim the entry
+            // now instead of waking anyone.
+            shard.remove(&seq);
+            None
+        } else {
+            Some(op.waiter)
         }
     }
 
-    fn finish_timing(&self, op: &OpState) {
+    fn wake(&self, waiter: Option<u16>, seq: u64) {
+        if let (Some(waiter), Some(waker)) = (waiter, self.waker.get()) {
+            waker(waiter, seq);
+        }
+    }
+
+    /// Operation `seq` just became done: relocation timing, and in debug
+    /// builds the check that its counted keys balance.
+    fn finish(&self, seq: u64, op: &OpState) {
         if op.kind == TrackedKind::Localize {
             let elapsed = (self.clock)().saturating_sub(op.issued_ns);
             self.reloc_times.lock().record(elapsed as f64);
         }
+        #[cfg(debug_assertions)]
+        if let Some(keys) = self.counted_keys.lock().remove(&seq) {
+            assert!(
+                keys.is_empty(),
+                "op {seq} done with unbalanced counted keys (registered − completed): {keys:?}"
+            );
+        }
+        #[cfg(not(debug_assertions))]
+        let _ = seq;
     }
 
     /// Whether operation `seq` has completed.
     pub fn is_done(&self, seq: u64) -> bool {
-        self.shard(seq)
-            .lock()
-            .get(&seq)
-            .map(|op| op.done)
-            .unwrap_or(true) // already taken ⇒ done
+        self.lock(seq).get(&seq).map(|op| op.done).unwrap_or(true) // already taken ⇒ done
     }
 
     /// Removes a completed operation and returns its result.
@@ -417,11 +496,7 @@ impl OpTracker {
     /// # Panics
     /// Panics if the operation is not done (callers must wait first).
     pub fn take(&self, seq: u64) -> OpResult {
-        let op = self
-            .shard(seq)
-            .lock()
-            .remove(&seq)
-            .expect("take of unknown op");
+        let op = self.lock(seq).remove(&seq).expect("take of unknown op");
         assert!(op.done, "take of incomplete op {seq}");
         OpResult {
             result: op.result,
@@ -437,7 +512,7 @@ impl OpTracker {
     /// Discards a completed operation without materializing results
     /// (pushes, localizes).
     pub fn discard(&self, seq: u64) {
-        let op = self.shard(seq).lock().remove(&seq);
+        let op = self.lock(seq).remove(&seq);
         debug_assert!(
             op.map(|o| o.done).unwrap_or(true),
             "discard of incomplete op"
@@ -449,7 +524,7 @@ impl OpTracker {
     /// marked and reclaimed when its last key completes. Unknown
     /// sequence numbers (already taken/discarded) are ignored.
     pub fn abandon(&self, seq: u64) {
-        let mut shard = self.shard(seq).lock();
+        let mut shard = self.lock(seq);
         if let Some(op) = shard.get_mut(&seq) {
             if op.done {
                 shard.remove(&seq);
@@ -470,6 +545,16 @@ impl OpTracker {
     }
 }
 
+/// Gives back one guard count of `key` (a remote key completed).
+fn release_guard(guard: &mut HashMap<Key, u32>, key: Key) {
+    if let Some(n) = guard.get_mut(&key) {
+        *n -= 1;
+        if *n == 0 {
+            guard.remove(&key);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -479,12 +564,28 @@ mod tests {
         OpTracker::new(Arc::new(|| 0))
     }
 
+    /// Registers one identified key, appended to the result.
+    fn add_key(t: &OpTracker, seq: u64, key: Key, len: u32, out_off: u32, remote: bool) {
+        t.add_keys(seq, false, remote, std::iter::once((key, len, out_off)));
+    }
+
+    /// A tracker that counts its wake-ups.
+    fn counting_tracker() -> (OpTracker, Arc<AtomicUsize>) {
+        let t = tracker();
+        let fired = Arc::new(AtomicUsize::new(0));
+        let fired2 = fired.clone();
+        t.set_waker(Arc::new(move |_, _| {
+            fired2.fetch_add(1, Ordering::SeqCst);
+        }));
+        (t, fired)
+    }
+
     #[test]
     fn pull_completes_and_assembles() {
         let t = tracker();
         let seq = t.begin(TrackedKind::Pull, 3, None);
-        assert_eq!(t.add_key(seq, Key(10), 2, 6, true), 0);
-        assert_eq!(t.add_key(seq, Key(11), 2, 0, true), 2);
+        add_key(&t, seq, Key(10), 2, 6, true);
+        add_key(&t, seq, Key(11), 2, 0, true);
         assert!(!t.seal(seq));
         assert!(!t.is_done(seq));
         t.complete_key(seq, Key(11), Some(&[3.0, 4.0]));
@@ -509,8 +610,8 @@ mod tests {
     fn duplicate_keys_complete_in_order() {
         let t = tracker();
         let seq = t.begin(TrackedKind::Pull, 0, None);
-        t.add_key(seq, Key(5), 1, 0, true);
-        t.add_key(seq, Key(5), 1, 1, true);
+        add_key(&t, seq, Key(5), 1, 0, true);
+        add_key(&t, seq, Key(5), 1, 1, true);
         t.seal(seq);
         t.complete_key(seq, Key(5), Some(&[7.0]));
         t.complete_key(seq, Key(5), Some(&[8.0]));
@@ -528,8 +629,8 @@ mod tests {
             fired2.fetch_add(1, Ordering::SeqCst);
         }));
         let seq = t.begin(TrackedKind::Push, 9, None);
-        t.add_key(seq, Key(1), 0, 0, true);
-        t.add_key(seq, Key(2), 0, 0, true);
+        add_key(&t, seq, Key(1), 0, 0, true);
+        add_key(&t, seq, Key(2), 0, 0, true);
         t.seal(seq);
         t.complete_key(seq, Key(1), None);
         assert_eq!(fired.load(Ordering::SeqCst), 0);
@@ -543,13 +644,13 @@ mod tests {
         let guard: GuardMap = Arc::new(Mutex::new(HashMap::new()));
         guard.lock().insert(Key(4), 2);
         let seq = t.begin(TrackedKind::Push, 0, Some(guard.clone()));
-        t.add_key(seq, Key(4), 0, 0, true);
+        add_key(&t, seq, Key(4), 0, 0, true);
         t.seal(seq);
         t.complete_key(seq, Key(4), None);
         assert_eq!(guard.lock().get(&Key(4)), Some(&1));
         // Second op clears it.
         let seq2 = t.begin(TrackedKind::Push, 0, Some(guard.clone()));
-        t.add_key(seq2, Key(4), 0, 0, true);
+        add_key(&t, seq2, Key(4), 0, 0, true);
         t.seal(seq2);
         t.complete_key(seq2, Key(4), None);
         assert!(guard.lock().get(&Key(4)).is_none());
@@ -561,7 +662,7 @@ mod tests {
         let time2 = time.clone();
         let t = OpTracker::new(Arc::new(move || time2.load(Ordering::SeqCst)));
         let seq = t.begin(TrackedKind::Localize, 0, None);
-        t.add_key(seq, Key(0), 0, 0, true);
+        add_key(&t, seq, Key(0), 0, 0, true);
         t.seal(seq);
         time.store(3_000_000, Ordering::SeqCst);
         t.complete_key(seq, Key(0), None);
@@ -579,7 +680,7 @@ mod tests {
             fired2.fetch_add(1, Ordering::SeqCst);
         }));
         let seq = t.begin(TrackedKind::Push, 0, None);
-        t.add_key(seq, Key(1), 0, 0, true);
+        add_key(&t, seq, Key(1), 0, 0, true);
         t.seal(seq);
         t.abandon(seq);
         assert_eq!(t.in_flight(), 1, "in-flight op stays until completion");
@@ -592,7 +693,7 @@ mod tests {
     fn abandon_of_completed_op_reclaims_immediately() {
         let t = tracker();
         let seq = t.begin(TrackedKind::Push, 0, None);
-        t.add_key(seq, Key(1), 0, 0, true);
+        add_key(&t, seq, Key(1), 0, 0, true);
         t.seal(seq);
         t.complete_key(seq, Key(1), None);
         assert_eq!(t.in_flight(), 1);
@@ -607,7 +708,7 @@ mod tests {
     fn take_before_done_panics() {
         let t = tracker();
         let seq = t.begin(TrackedKind::Pull, 0, None);
-        t.add_key(seq, Key(0), 1, 0, true);
+        add_key(&t, seq, Key(0), 1, 0, true);
         t.seal(seq);
         let _ = t.take(seq);
     }
@@ -619,8 +720,12 @@ mod tests {
         t.reserve(seq, 4);
         // Registered out of key order (shard grouping); offsets pin the
         // layout.
-        t.add_key_at(seq, Key(9), 2, 2, false);
-        t.add_key_at(seq, Key(8), 2, 0, false);
+        t.add_keys(
+            seq,
+            true,
+            false,
+            [(Key(9), 2, 2), (Key(8), 2, 0)].into_iter(),
+        );
         t.seal(seq);
         t.complete_key(seq, Key(9), Some(&[3.0, 4.0]));
         t.complete_key(seq, Key(8), Some(&[1.0, 2.0]));
@@ -672,5 +777,163 @@ mod tests {
         assert!(t.is_done(seq));
         assert_eq!(fired.load(Ordering::SeqCst), 1, "exactly one wake");
         t.discard(seq);
+    }
+
+    // ---- counted keys -------------------------------------------------------
+
+    #[test]
+    fn counted_op_with_repeated_keys_completes_by_count() {
+        let (t, fired) = counting_tracker();
+        let seq = t.begin(TrackedKind::Localize, 0, None);
+        // localize [7, 7, 9]: the second 7 piggybacks on the first.
+        for k in [Key(7), Key(7), Key(9)] {
+            t.note_counted(seq, k, 1);
+        }
+        assert!(!t.seal_counted(seq, 3));
+        // One hand-over brings both waiters of key 7, another key 9.
+        t.note_counted(seq, Key(7), -1);
+        t.note_counted(seq, Key(7), -1);
+        t.complete_counted(seq, 2);
+        assert!(!t.is_done(seq));
+        t.note_counted(seq, Key(9), -1);
+        t.complete_counted(seq, 1);
+        assert!(t.is_done(seq));
+        assert_eq!(fired.load(Ordering::SeqCst), 1);
+        t.discard(seq);
+        assert_eq!(t.in_flight(), 0);
+    }
+
+    #[test]
+    fn counted_keys_may_complete_before_the_seal() {
+        let (t, fired) = counting_tracker();
+        let seq = t.begin(TrackedKind::Localize, 0, None);
+        // The issuer has handed both keys to the shard state and dropped
+        // the latch; one hand-over arrives before it seals.
+        t.note_counted(seq, Key(1), 1);
+        t.note_counted(seq, Key(2), 1);
+        t.note_counted(seq, Key(1), -1);
+        t.complete_counted(seq, 1);
+        assert!(!t.is_done(seq), "nothing is decided before the seal");
+        assert!(!t.seal_counted(seq, 2));
+        t.note_counted(seq, Key(2), -1);
+        t.complete_counted(seq, 1);
+        assert!(t.is_done(seq));
+        assert_eq!(fired.load(Ordering::SeqCst), 1);
+
+        // All of them before the seal: done at the seal, nobody to wake.
+        let seq = t.begin(TrackedKind::Push, 0, None);
+        t.note_counted(seq, Key(3), 1);
+        t.note_counted(seq, Key(3), -1);
+        t.complete_counted(seq, 1);
+        assert!(t.seal_counted(seq, 1));
+        assert_eq!(fired.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn counted_op_abandoned_before_and_after_its_last_completion() {
+        let (t, fired) = counting_tracker();
+        // Before: reclaimed by the last completion, nobody woken.
+        let seq = t.begin(TrackedKind::Localize, 0, None);
+        t.seal_counted(seq, 2);
+        t.complete_counted(seq, 1);
+        t.abandon(seq);
+        assert_eq!(t.in_flight(), 1);
+        t.complete_counted(seq, 1);
+        assert_eq!(t.in_flight(), 0);
+        assert_eq!(fired.load(Ordering::SeqCst), 0);
+        // After: reclaimed by the abandon.
+        let seq = t.begin(TrackedKind::Localize, 0, None);
+        t.seal_counted(seq, 1);
+        t.complete_counted(seq, 1);
+        assert_eq!((t.in_flight(), fired.load(Ordering::SeqCst)), (1, 1));
+        t.abandon(seq);
+        assert_eq!(t.in_flight(), 0);
+    }
+
+    #[test]
+    fn one_op_mixes_counted_and_identified_keys() {
+        let (t, fired) = counting_tracker();
+        let guard: GuardMap = Arc::new(Mutex::new(HashMap::new()));
+        // A push: key 1 routed over the network (identified, guarded),
+        // keys 2 and 3 parked on the issuing node (counted).
+        let seq = t.begin(TrackedKind::Push, 0, Some(guard.clone()));
+        guard.lock().insert(Key(1), 1);
+        add_key(&t, seq, Key(1), 0, 0, true);
+        t.note_counted(seq, Key(2), 1);
+        t.note_counted(seq, Key(3), 1);
+        assert!(!t.seal_counted(seq, 2));
+        // Key 2 drains with its hand-over; key 3 was re-dispatched and
+        // comes back in the same response as key 1.
+        t.note_counted(seq, Key(2), -1);
+        t.complete_counted(seq, 1);
+        assert!(!t.is_done(seq));
+        t.complete_resp(seq, &[Key(3), Key(1)], &ValueBlock::empty());
+        assert!(t.is_done(seq));
+        assert_eq!(fired.load(Ordering::SeqCst), 1);
+        assert!(guard.lock().is_empty(), "one guard count, given back once");
+        t.discard(seq);
+
+        // A pull keeps its offsets next to a counted completion of the
+        // same tracker (another op's): neither sees the other.
+        let pull = t.begin(TrackedKind::Pull, 0, None);
+        add_key(&t, pull, Key(5), 2, 0, false);
+        t.seal(pull);
+        let loc = t.begin(TrackedKind::Localize, 0, None);
+        t.note_counted(loc, Key(5), 1);
+        t.seal_counted(loc, 1);
+        t.complete_key(pull, Key(5), Some(&[1.0, 2.0]));
+        t.complete_key(loc, Key(5), None); // counted: not in `by_key`
+        assert!(t.is_done(pull) && t.is_done(loc));
+        assert_eq!(t.take(pull).result, vec![1.0, 2.0]);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "unbalanced counted keys")]
+    fn double_completion_of_a_counted_key_is_caught_in_debug_builds() {
+        let t = tracker();
+        let seq = t.begin(TrackedKind::Localize, 0, None);
+        t.note_counted(seq, Key(1), 1);
+        t.note_counted(seq, Key(2), 1);
+        t.seal_counted(seq, 2);
+        // Key 1 twice, key 2 never: the count alone says "done".
+        t.note_counted(seq, Key(1), -1);
+        t.note_counted(seq, Key(1), -1);
+        t.complete_counted(seq, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "installed twice")]
+    fn second_waker_is_refused() {
+        let t = tracker();
+        t.set_waker(Arc::new(|_, _| {}));
+        t.set_waker(Arc::new(|_, _| {}));
+    }
+
+    /// Tracker locks this thread takes for one three-node localize round
+    /// of `keys` (requester 0, old owner 1, home 2), `is_done` and
+    /// `discard` of the hand-cranked driver included.
+    fn locks_of_round(cluster: &mut crate::testkit::TestCluster, keys: &[Key]) -> u64 {
+        use lapse_net::NodeId;
+        cluster.localize_now(NodeId(1), 0, keys);
+        let before = LOCKS_TAKEN.with(|n| n.get());
+        cluster.localize_now(NodeId(0), 0, keys);
+        LOCKS_TAKEN.with(|n| n.get()) - before
+    }
+
+    #[test]
+    fn a_localize_round_locks_the_tracker_per_message_not_per_key() {
+        use crate::config::ProtoConfig;
+        use crate::layout::Layout;
+        let mut cfg = ProtoConfig::new(3, 3 * 2048, Layout::Uniform(16));
+        cfg.wait_free_reads = true;
+        let mut cluster = crate::testkit::TestCluster::new(cfg, 1);
+        let keys: Vec<Key> = (0..512).map(|i| Key(2 * 2048 + 4 * i)).collect();
+        let large = locks_of_round(&mut cluster, &keys);
+        let small = locks_of_round(&mut cluster, &keys[..32]);
+        // begin, seal, one completion for the one hand-over message, the
+        // driver's is_done and discard.
+        assert_eq!(large, 5, "tracker locks of a 512-key round");
+        assert_eq!(small, large, "the count does not depend on the keys");
     }
 }

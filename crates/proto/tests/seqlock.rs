@@ -7,6 +7,12 @@
 //! validate (a write guard is live), it reports failure within its retry
 //! bound and the client falls back to the latched route, which blocks
 //! until the writer commits and then serves the committed value.
+//!
+//! `localize`'s probe ([`NodeShared::probe_local`]) reads the dense
+//! store's owned flag under the same protocol and is held to the same
+//! contract: a validated answer is one of a committed state, never the
+//! middle of a writer's critical section, and a probe that cannot
+//! validate answers from under the latch.
 
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::{mpsc, Arc};
@@ -134,4 +140,64 @@ fn concurrent_writers_never_yield_torn_snapshots() {
     // The fast path must actually have served reads (hints allow it:
     // no incoming queues, no dynamic techniques on this node).
     assert!(validated > 0, "optimistic path never validated");
+}
+
+#[test]
+fn probe_answers_from_the_owned_flag_and_waits_out_a_writer() {
+    let shared = node(1.0);
+    assert!(shared.probe_local(Key(5)));
+    let slot = shared.shard_for(Key(5)).write().store.take(Key(5)).unwrap();
+    assert!(!shared.probe_local(Key(5)), "taken key still probed local");
+    {
+        let mut g = shared.shard_for(Key(5)).write();
+        g.store.release(slot);
+        g.store.insert_with(Key(5), |dst| dst.fill(2.0));
+    }
+    assert!(shared.probe_local(Key(5)));
+
+    // A live writer: the optimistic probe cannot validate, so the probe
+    // takes the latch, blocks until the guard drops, and answers for the
+    // committed state (the key gone) — not for the state it raced with.
+    let (tx, rx) = mpsc::channel();
+    let writer = {
+        let shared = shared.clone();
+        std::thread::spawn(move || {
+            let mut g = shared.shard_for(Key(5)).write();
+            tx.send(()).unwrap();
+            std::thread::sleep(Duration::from_millis(50));
+            let slot = g.store.take(Key(5)).unwrap();
+            g.store.release(slot);
+        })
+    };
+    rx.recv().unwrap();
+    assert!(!shared.probe_local(Key(5)));
+    writer.join().unwrap();
+}
+
+#[test]
+fn probe_never_reports_the_inside_of_a_critical_section() {
+    let shared = node(0.0);
+    let stop = Arc::new(AtomicBool::new(false));
+    // The writer takes key 3 out and puts it back within one critical
+    // section, over and over: the key is owned in every committed state,
+    // and unowned only while the sequence number is odd.
+    let writer = {
+        let (shared, stop) = (shared.clone(), stop.clone());
+        std::thread::spawn(move || {
+            while !stop.load(Relaxed) {
+                let mut g = shared.shard_for(Key(3)).write();
+                let slot = g.store.take(Key(3)).unwrap();
+                g.store.release(slot);
+                g.store.insert_with(Key(3), |dst| dst.fill(1.0));
+            }
+        })
+    };
+    for i in 0..200_000u64 {
+        assert!(
+            shared.probe_local(Key(3)),
+            "probe {i} saw the key gone: an unvalidated read of the flag"
+        );
+    }
+    stop.store(true, Relaxed);
+    writer.join().unwrap();
 }

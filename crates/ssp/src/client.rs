@@ -177,10 +177,18 @@ impl<'a> SspWorker<'a> {
             .begin(TrackedKind::Pull, self.slot as u16, None);
         let mut groups: OrderedGroups<NodeId, Vec<Key>> = OrderedGroups::new();
         let mut out_off = 0u32;
+        self.shared.tracker.add_keys(
+            seq,
+            false,
+            false,
+            keys.iter().map(|&k| {
+                let len = cfg.layout.len(k) as u32;
+                let item = (k, len, out_off);
+                out_off += len;
+                item
+            }),
+        );
         for &k in keys {
-            let len = cfg.layout.len(k) as u32;
-            self.shared.tracker.add_key(seq, k, len, out_off, false);
-            out_off += len;
             groups.entry(cfg.home(k)).push(k);
         }
         for (server, keys) in groups.into_iter() {

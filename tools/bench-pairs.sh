@@ -4,6 +4,7 @@
 #
 #   tools/bench-pairs.sh <parent-ref> <workload> <seed> [pairs] [seconds]
 #   make bench-pairs PARENT=<ref> WORKLOAD=<w> SEED=<s> PAIRS=10
+#   make bench-pairs PARENT=<ref> WORKLOAD=<w> SEED=<s> PAIRS=3 TRACE=1
 #
 # The frozen `benchmark/` package is built once per side, each side from
 # its own source tree into its own target directory under
@@ -19,6 +20,12 @@
 # median — the spread a difference has to exceed. A gain may be claimed
 # at >= 9/10 pairs won and a median difference above the parent IQR.
 #
+# With TRACE=1 in the environment the pairs run with `--trace 1` and the
+# table has the contract's per-layer rows instead (the "where the saving
+# is" table of a claim; rows a workload does not report are left out).
+# Traced runs are slower and their end-to-end numbers carry the tracing
+# overhead: a claim rests on the TRACE=0 table.
+#
 # Run it on an otherwise idle host: a build running beside it is the
 # kind of neighbour the benchmark's README warns about.
 set -euo pipefail
@@ -28,10 +35,16 @@ workload=${2:?workload (see BENCHMARK.json)}
 seed=${3:?seed}
 pairs=${4:-10}
 seconds=${5:-25}
+trace=${TRACE:-0}
+case $trace in
+    0) section=end_to_end ;;
+    1) section=per_layer ;;
+    *) echo "TRACE takes 0 or 1, not $trace" >&2; exit 2 ;;
+esac
 
 root=$(git rev-parse --show-toplevel)
 work=$root/target/bench-pairs
-runs=$work/runs-$workload-$seed.tsv
+runs=$work/runs-$workload-$seed-trace$trace.tsv
 mkdir -p "$work"
 
 # build <side> <ref|""> -> path of the side's benchmark binary
@@ -51,7 +64,7 @@ build() {
 run_once() {
     local side=$1 bin=$2 pair=$3 line
     line=$(cd "$work/$side" && CARGO_TARGET_DIR=$work/$side/target \
-        "$bin" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 | tail -n 1)
+        "$bin" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace "$trace" | tail -n 1)
     printf '%s\t%s\t%s\n' "$side" "$pair" "$line" >> "$runs"
 }
 
@@ -71,7 +84,7 @@ for pair in $(seq 1 "$pairs"); do
 done
 
 # Metric names and directions come from the contract, not from here.
-directions=$(sed -n '/"end_to_end"/,/\]/s/.*"name": "\([a-z0-9_]*\)".*"better": "\([a-z]*\)".*/\1=\2/p' \
+directions=$(sed -n '/"'$section'"/,/\]/s/.*"name": "\([a-z0-9_.]*\)".*"better": "\([a-z]*\)".*/\1=\2/p' \
     "$root/BENCHMARK.json" | tr '\n' ' ')
 
 awk -F'\t' -v workload="$workload" -v seed="$seed" -v directions="$directions" '
@@ -122,6 +135,7 @@ END {
     print "|---|---|---|---|---|---|---|"
     for (i = 1; i <= nmetrics; i++) {
         m = names[i]
+        if (val["parent", m, 1] == "nan" || val["change", m, 1] == "nan") continue
         pm = quantile("parent", m, 0.5); p1 = quantile("parent", m, 0.25); p3 = quantile("parent", m, 0.75)
         cm = quantile("change", m, 0.5); c1 = quantile("change", m, 0.25); c3 = quantile("change", m, 0.75)
         won = 0; ties = 0
@@ -131,9 +145,12 @@ END {
             else if ((better[m] == "higher") == (b > a)) won++
         }
         tie_note = ties ? sprintf(" (%d ties)", ties) : ""
-        printf "| `%s` (%s, %d) | `%s` | %s [%s, %s] | %s [%s, %s] | %+.1f %% | %d/%d%s | %.1f %% |\n",
+        # A row that is zero on both sides has no relative change.
+        delta = pm != 0 ? sprintf("%+.1f %%", 100 * (cm - pm) / pm) : (cm == 0 ? "=" : "n/a")
+        iqr = pm != 0 ? sprintf("%.1f %%", 100 * (p3 - p1) / pm) : "n/a"
+        printf "| `%s` (%s, %d) | `%s` | %s [%s, %s] | %s [%s, %s] | %s | %d/%d%s | %s |\n",
             workload, seed, npairs, m, fmt(pm), fmt(p1), fmt(p3), fmt(cm), fmt(c1), fmt(c3),
-            100 * (cm - pm) / pm, won, npairs, tie_note, 100 * (p3 - p1) / pm
+            delta, won, npairs, tie_note, iqr
     }
     printf "\n`failed`: parent %d, change %d; runs not `correct`: parent %d, change %d (of %d runs a side).\n",
         failed["parent"], failed["change"], incorrect["parent"], incorrect["change"], npairs
