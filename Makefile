@@ -1,8 +1,8 @@
 # Developer/CI entry points for the lapse workspace.
 #
 # The tier-1 verify is `make build && make test` (same commands CI runs);
-# `make ci` additionally checks formatting, clippy, and that every bench
-# target compiles.
+# `make ci` additionally checks formatting, clippy, the workspace
+# invariants, the API docs, and that every bench target compiles.
 
 CARGO ?= cargo
 
@@ -112,8 +112,8 @@ fmt-check:
 clippy:
 	$(CARGO) clippy --all-targets -- -D warnings
 
-## Run the workspace invariant checker (wire-schema sync, determinism,
-## lock discipline, wire-const drift — see DESIGN.md "Static invariants").
+## Run the workspace invariant checker (determinism, lock discipline,
+## batch-envelope construction sites — see DESIGN.md "Static invariants").
 lint-check:
 	$(CARGO) run --release -q -p lapse-lint -- check
 	@# The one cluster-wide `Arc<ProtoConfig>` is borrowed on operation
@@ -142,10 +142,12 @@ tsan:
 		echo "tsan: no nightly toolchain with rust-src; skipping (best-effort target)"; \
 	fi
 
+## API docs with every rustdoc warning an error: a doc link that names a
+## deleted or private item fails here instead of rotting.
 doc:
-	$(CARGO) doc --no-deps
+	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --no-deps
 
-ci: fmt-check clippy lint-check build test bench-check bench-smoke bench-contract
+ci: fmt-check clippy lint-check doc build test bench-check bench-smoke bench-contract
 
 clean:
 	$(CARGO) clean

@@ -22,6 +22,7 @@ use lapse_ml::opt::{AdaGrad, Sgd};
 use lapse_net::{Key, NodeId, ValueBlockBuilder};
 use lapse_proto::testkit::TestCluster;
 use lapse_proto::{Layout, ProtoConfig};
+use lapse_utils::fmt;
 use lapse_utils::table::Table;
 
 const KEYS_PER_OP: usize = 64;
@@ -293,9 +294,14 @@ fn main() {
             }
         },
     );
-    let report = stats.sim_report().expect("sim run has virtual time");
     println!(
-        "sim probe (2x2, 256 keys x dim 16, 8 rounds): {}",
-        report.summary()
+        "sim probe (2x2, 256 keys x dim 16, 8 rounds): virtual time {}, {} msgs, {}, \
+         value plane {} moved / {} arena / {} heap allocs",
+        fmt::duration_ns(stats.virtual_time_ns.expect("sim run has virtual time")),
+        fmt::count(stats.messages),
+        fmt::bytes(stats.bytes),
+        fmt::bytes(stats.value_bytes_moved),
+        fmt::count(stats.value_allocs_arena),
+        fmt::count(stats.value_allocs_heap)
     );
 }

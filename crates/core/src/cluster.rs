@@ -15,11 +15,12 @@ use lapse_trace::Recorder;
 use lapse_utils::metrics::Metrics;
 
 use crate::api::PsWorker;
-use crate::sim_backend::{LapseProto, SimPsWorker};
+use crate::sim_backend::{LapseProto, SimBackend};
 use crate::stats::ClusterStats;
 use crate::threaded::{
-    spawn_server, Dispatch, Driver, ThreadedPsWorker, WakeCell, SERVER_DRAIN_CAP,
+    spawn_server, Dispatch, Driver, ThreadedBackend, WakeCell, SERVER_DRAIN_CAP,
 };
+use crate::worker::Worker;
 
 /// Parameter-server configuration (builder style).
 #[derive(Debug, Clone)]
@@ -301,7 +302,7 @@ where
     let worker_shareds = shareds.clone();
     let (report, results, _servers) = sim.run(move |ctx, node, slot| {
         let client = ClientCore::new(worker_shareds[node.idx()].clone(), slot as u16);
-        let mut worker = SimPsWorker::new(client, ctx, slot, nodes, workers_per_node);
+        let mut worker = Worker::new(client, SimBackend { ctx }, slot, nodes, workers_per_node);
         body(&mut worker)
     });
 
@@ -401,16 +402,10 @@ where
                     .name(format!("lapse-worker-n{n}w{slot}"))
                     .spawn(move || {
                         let client = ClientCore::new(shared, slot as u16);
-                        let mut worker = ThreadedPsWorker::new(
-                            client,
-                            dispatch,
-                            wake,
-                            barrier,
-                            slot,
-                            nodes,
-                            workers_per_node,
-                            start,
-                        );
+                        let cfg = &client.shared().cfg;
+                        let backend = ThreadedBackend::new(cfg, dispatch, wake, barrier, start);
+                        let mut worker =
+                            Worker::new(client, backend, slot, nodes, workers_per_node);
                         body(&mut worker)
                     })
                     .expect("spawn worker thread"),

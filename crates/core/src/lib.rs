@@ -23,7 +23,7 @@
 //! local access, full Lapse, NuPS-style Replication, the Hybrid of both
 //! techniques, or the Adaptive variant that detects hot keys online and
 //! switches techniques at runtime — is selected by
-//! [`Variant`](lapse_proto::Variant) in the [`PsConfig`]; the per-key
+//! [`Variant`] in the [`PsConfig`]; the per-key
 //! decisions live in the technique policy layer of `lapse-proto`.
 //!
 //! ```
@@ -47,6 +47,7 @@ pub mod cluster;
 pub mod sim_backend;
 pub mod stats;
 pub mod threaded;
+mod worker;
 
 pub use api::{api_internals, OpToken, PsWorker};
 pub use cluster::{run_sim, run_threaded, PsConfig};

@@ -197,34 +197,6 @@ impl ClusterStats {
         }
     }
 
-    /// The run as a [`lapse_sim::SimReport`], with the value-plane
-    /// accounting filled in (the simulator itself only sees messages).
-    /// `None` on the threaded backend, which has no virtual time.
-    pub fn sim_report(&self) -> Option<lapse_sim::SimReport> {
-        Some(lapse_sim::SimReport {
-            virtual_time_ns: self.virtual_time_ns?,
-            messages: self.messages,
-            bytes: self.bytes,
-            self_messages: self.self_messages,
-            net_batches: self.net_batches,
-            net_batched_msgs: self.net_batched_msgs,
-            snapshot_reads: self.snapshot_reads,
-            snapshot_stale_waits: self.snapshot_stale_waits,
-            snapshot_fallbacks: self.snapshot_fallbacks,
-            value_bytes_moved: self.value_bytes_moved,
-            value_allocs_arena: self.value_allocs_arena,
-            value_allocs_heap: self.value_allocs_heap,
-            loc_cache_hits: self.loc_cache_hits,
-            loc_cache_stale_forwards: self.loc_cache_stale_forwards,
-            sketch_samples: self.sketch_samples,
-            tech_promotions: self.tech_promotions,
-            tech_demotions: self.tech_demotions,
-            reloc_p50_ns: self.reloc_quantile_ns(0.50),
-            reloc_p99_ns: self.reloc_quantile_ns(0.99),
-            reloc_p999_ns: self.reloc_quantile_ns(0.999),
-        })
-    }
-
     /// Relocation-time quantile in nanoseconds (paper Section 3.2).
     /// Zero when the run relocated nothing (the underlying histogram
     /// reports `NaN` on an empty distribution).

@@ -19,14 +19,15 @@ use std::sync::atomic::{fence, AtomicBool, AtomicI64, AtomicU32, AtomicU64};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use lapse_net::{Endpoint, Key, NodeId, ThreadedNet};
-use lapse_proto::client::{ClientCore, IssueHandle, MsgSink};
+use lapse_net::{Endpoint, NodeId, ThreadedNet};
+use lapse_proto::client::{ClientCore, MsgSink};
 use lapse_proto::coalesce::Coalescer;
 use lapse_proto::messages::Msg;
 use lapse_proto::server::ServerCore;
 use lapse_proto::shard::{AccessLane, NodeShared};
+use lapse_proto::{ProtoConfig, SnapshotReader};
 
-use crate::api::{OpToken, PsWorker, TokenKind, TokenState};
+use crate::worker::Backend;
 
 /// Where a worker waits for the completion of one of its operations.
 ///
@@ -339,59 +340,43 @@ impl Driver {
     }
 }
 
-/// Worker handle on the threaded backend.
-pub struct ThreadedPsWorker {
-    client: ClientCore,
+/// The threaded runtime under a [`Worker`](crate::worker::Worker): real
+/// time passes, a send drives the servers it reaches, a wait parks on the
+/// worker's wake cell.
+pub(crate) struct ThreadedBackend {
     driver: Driver,
     wake: Arc<WakeCell>,
     barrier: Arc<std::sync::Barrier>,
-    slot: usize,
-    nodes: usize,
-    workers_per_node: usize,
     start: std::time::Instant,
     /// Per-link batching of flushed sinks (`None` when coalescing is off).
     coalescer: Option<Coalescer>,
-    /// What the operation being issued emits; drained by every flush.
-    sink: MsgSink,
 }
 
-impl ThreadedPsWorker {
-    #[allow(clippy::too_many_arguments)]
+impl ThreadedBackend {
     pub(crate) fn new(
-        client: ClientCore,
+        cfg: &ProtoConfig,
         dispatch: Arc<Dispatch>,
         wake: Arc<WakeCell>,
         barrier: Arc<std::sync::Barrier>,
-        slot: usize,
-        nodes: usize,
-        workers_per_node: usize,
         start: std::time::Instant,
     ) -> Self {
-        let cfg = &client.shared().cfg;
         let coalescer = cfg.coalesce.then(|| Coalescer::new(cfg));
-        ThreadedPsWorker {
-            client,
+        ThreadedBackend {
             driver: Driver::new(dispatch),
             wake,
             barrier,
-            slot,
-            nodes,
-            workers_per_node,
             start,
             coalescer,
-            sink: Vec::new(),
         }
     }
+}
 
+impl Backend for ThreadedBackend {
     /// Sends what the last operation emitted and drives the servers it
     /// reaches: when this returns, the operation has usually completed.
-    fn send_sink(&mut self) {
-        let ThreadedPsWorker {
-            client,
-            driver,
-            coalescer,
-            sink,
-            ..
+    fn send(&mut self, client: &ClientCore, sink: &mut MsgSink) {
+        let ThreadedBackend {
+            driver, coalescer, ..
         } = self;
         let src = client.node();
         flush(coalescer, client.lane(), sink, &mut |dst, msg| {
@@ -400,135 +385,9 @@ impl ThreadedPsWorker {
         driver.drive();
     }
 
-    fn wait_done(&self, seq: u64) {
-        let tracker = &self.client.shared().tracker;
+    fn wait_done(&mut self, client: &ClientCore, seq: u64) {
+        let tracker = &client.shared().tracker;
         self.wake.wait_until(|| tracker.is_done(seq));
-    }
-}
-
-impl PsWorker for ThreadedPsWorker {
-    fn node(&self) -> NodeId {
-        self.client.node()
-    }
-
-    fn slot(&self) -> usize {
-        self.slot
-    }
-
-    fn num_nodes(&self) -> usize {
-        self.nodes
-    }
-
-    fn workers_per_node(&self) -> usize {
-        self.workers_per_node
-    }
-
-    fn value_len(&self, key: Key) -> usize {
-        self.client.shared().cfg.layout.len(key)
-    }
-
-    fn pull(&mut self, keys: &[Key], out: &mut [f32]) {
-        let handle = self.client.pull(keys, Some(out), &mut self.sink);
-        self.send_sink();
-        if let IssueHandle::Pending(seq) = handle {
-            self.wait_done(seq);
-            self.client.finish_pull(seq, out);
-        }
-    }
-
-    fn push(&mut self, keys: &[Key], vals: &[f32]) {
-        let handle = self.client.push(keys, vals, &mut self.sink);
-        self.send_sink();
-        if let IssueHandle::Pending(seq) = handle {
-            self.wait_done(seq);
-            self.client.finish_ack(seq);
-        }
-    }
-
-    fn localize(&mut self, keys: &[Key]) {
-        let handle = self.client.localize(keys, &mut self.sink);
-        self.send_sink();
-        if let IssueHandle::Pending(seq) = handle {
-            self.wait_done(seq);
-            self.client.finish_ack(seq);
-        }
-    }
-
-    fn pull_async(&mut self, keys: &[Key]) -> OpToken {
-        let handle = self.client.pull(keys, None, &mut self.sink);
-        self.send_sink();
-        match handle {
-            IssueHandle::Ready(vals) => OpToken {
-                kind: TokenKind::Pull,
-                state: TokenState::Ready(vals),
-            },
-            IssueHandle::Pending(seq) => OpToken {
-                kind: TokenKind::Pull,
-                state: TokenState::Pending(seq, self.client.shared().tracker.clone()),
-            },
-        }
-    }
-
-    fn push_async(&mut self, keys: &[Key], vals: &[f32]) -> OpToken {
-        let handle = self.client.push(keys, vals, &mut self.sink);
-        self.send_sink();
-        OpToken {
-            kind: TokenKind::Push,
-            state: match handle {
-                IssueHandle::Ready(_) => TokenState::Ready(None),
-                IssueHandle::Pending(seq) => {
-                    TokenState::Pending(seq, self.client.shared().tracker.clone())
-                }
-            },
-        }
-    }
-
-    fn localize_async(&mut self, keys: &[Key]) -> OpToken {
-        let handle = self.client.localize(keys, &mut self.sink);
-        self.send_sink();
-        OpToken {
-            kind: TokenKind::Localize,
-            state: match handle {
-                IssueHandle::Ready(_) => TokenState::Ready(None),
-                IssueHandle::Pending(seq) => {
-                    TokenState::Pending(seq, self.client.shared().tracker.clone())
-                }
-            },
-        }
-    }
-
-    fn wait_pull(&mut self, mut token: OpToken) -> Vec<f32> {
-        assert_eq!(token.kind, TokenKind::Pull, "wait_pull on non-pull token");
-        match token.take_state() {
-            TokenState::Ready(vals) => vals.expect("async pull carries values"),
-            TokenState::Pending(seq, _) => {
-                self.wait_done(seq);
-                self.client.take_pull(seq)
-            }
-            TokenState::Taken => unreachable!("token waited twice"),
-        }
-    }
-
-    fn wait(&mut self, mut token: OpToken) {
-        assert_ne!(token.kind, TokenKind::Pull, "use wait_pull for pulls");
-        match token.take_state() {
-            TokenState::Ready(_) => {}
-            TokenState::Pending(seq, _) => {
-                self.wait_done(seq);
-                self.client.finish_ack(seq);
-            }
-            TokenState::Taken => unreachable!("token waited twice"),
-        }
-    }
-
-    fn pull_if_local(&mut self, key: Key, out: &mut [f32]) -> bool {
-        self.client.pull_if_local(key, out)
-    }
-
-    fn snapshot_reader(&self) -> Option<lapse_proto::SnapshotReader> {
-        Some(lapse_proto::SnapshotReader::new(
-            self.client.shared().clone(),
-        ))
     }
 
     fn barrier(&mut self) {
@@ -539,18 +398,12 @@ impl PsWorker for ThreadedPsWorker {
         // Real time passes on the threaded backend.
     }
 
-    fn advance_clock(&mut self) {
-        // The replication technique's propagation tick: flush this node's
-        // accumulated replicated pushes to the owners, and run the
-        // adaptive transition controller. A no-op (and free) under the
-        // relocation-only variants.
-        self.client.flush_replicas(&mut self.sink);
-        self.client.run_controller(&mut self.sink);
-        self.send_sink();
-    }
-
     fn now_ns(&self) -> u64 {
         self.start.elapsed().as_nanos() as u64
+    }
+
+    fn snapshot_reader(&self, client: &ClientCore) -> Option<SnapshotReader> {
+        Some(SnapshotReader::new(client.shared().clone()))
     }
 }
 

@@ -3,7 +3,7 @@
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule identifier (kebab-case), e.g. `wire-schema`.
+    /// Rule identifier (kebab-case), e.g. `lock-cycle`.
     pub rule: &'static str,
     /// Workspace-relative file path.
     pub file: String,
@@ -80,7 +80,7 @@ mod tests {
 
     #[test]
     fn text_format() {
-        let f = Finding::new("wire-schema", "crates/x.rs", 7, "boom");
-        assert_eq!(f.render_text(), "crates/x.rs:7: [wire-schema] boom");
+        let f = Finding::new("lock-cycle", "crates/x.rs", 7, "boom");
+        assert_eq!(f.render_text(), "crates/x.rs:7: [lock-cycle] boom");
     }
 }

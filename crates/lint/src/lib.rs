@@ -1,25 +1,22 @@
 //! `lapse-lint` — the workspace invariant checker.
 //!
-//! Six static passes keep the protocol crates honest (see DESIGN.md
-//! "Static invariants"):
+//! Three static passes keep the protocol crates honest (see DESIGN.md
+//! "Static invariants") — the three no type can express:
 //!
-//! 1. **wire-schema** — every `Msg` variant covered by codec
-//!    encode/decode (dense unique tags), `wire_bytes`, `label`, and every
-//!    `msg_load`;
-//! 2. **nondet-iter / wall-clock / entropy** — no HashMap/HashSet
-//!    iteration order, wall-clock read, or entropy-seeded RNG in the
-//!    protocol/scheduling crates;
-//! 3. **lock-cycle / lock-in-loop** — no lock-order cycles, no shard
+//! 1. **nondet-iter / wall-clock / entropy / thread-sleep** — no
+//!    HashMap/HashSet iteration order, wall-clock read, entropy-seeded
+//!    RNG or timed blocking in the protocol/scheduling crates;
+//! 2. **lock-cycle / lock-in-loop** — no lock-order cycles, no shard
 //!    latch/guard-map/tracker acquisition inside per-key loops
 //!    (`.lock()`, `.read()`, and `.write()` all count as acquisitions);
-//! 4. **wire-const** — `<NAME>_BYTES` constants agree with the field
-//!    lists of their structs;
-//! 5. **seqlock-write** — no mutation of seqlock-protected shard state
-//!    through a `.read()` guard (read guards do not bump the shard
-//!    sequence, so such writes are invisible to optimistic readers);
-//! 6. **batch-construct** — `Msg::Batch(..)` built only in the
+//! 3. **batch-construct** — `Msg::Batch(..)` built only in the
 //!    coalescer and the codec, so the decoder's unconditional
 //!    nested-batch rejection stays sound by construction.
+//!
+//! What used to be three more passes now holds by construction: the wire
+//! schema and the op-id width expand from one message table
+//! (`crates/proto/src/messages.rs`), and a write through a shard read
+//! guard does not compile.
 //!
 //! Benign sites carry `// lint:allow(<rule>, <reason>)`; the reason is
 //! mandatory. The binary (`cargo run -p lapse-lint -- check`) exits
@@ -61,11 +58,8 @@ pub fn check_workspace(ws: &Workspace) -> Vec<Finding> {
     }
 
     let mut raw = Vec::new();
-    raw.extend(passes::wire_schema::run(&lexed));
     raw.extend(passes::determinism::run(&lexed));
     raw.extend(passes::locks::run(&lexed));
-    raw.extend(passes::seqlock::run(&lexed));
-    raw.extend(passes::wire_consts::run(&lexed));
     raw.extend(passes::batch_nesting::run(&lexed));
 
     for f in raw {

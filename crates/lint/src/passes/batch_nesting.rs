@@ -1,4 +1,4 @@
-//! Pass 6: batch-envelope construction sites.
+//! Pass 3: batch-envelope construction sites.
 //!
 //! **`batch-construct`** — `Msg::Batch(..)` built outside its two
 //! sanctioned sites. The decoder rejects tag 15 inside a batch

@@ -1,4 +1,4 @@
-//! Pass 2: determinism.
+//! Pass 1: determinism.
 //!
 //! The CI bit-identical smoke diff (and the simulator's replayability)
 //! assume no iteration-order or wall-clock nondeterminism can reach

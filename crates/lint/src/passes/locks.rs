@@ -1,4 +1,4 @@
-//! Pass 3: lock discipline.
+//! Pass 2: lock discipline.
 //!
 //! Two rules over the protocol/scheduler crates:
 //!

@@ -1,8 +1,5 @@
-//! The six invariant passes.
+//! The three invariant passes.
 
 pub mod batch_nesting;
 pub mod determinism;
 pub mod locks;
-pub mod seqlock;
-pub mod wire_consts;
-pub mod wire_schema;

@@ -2,8 +2,8 @@
 //!
 //! No AST: items are located by keyword patterns and delimited by
 //! balanced-bracket matching. This is exactly as much structure as the
-//! passes need (enum variant lists, function bodies, match arms,
-//! receiver chains) and nothing more.
+//! passes need (function bodies, test-module ranges, receiver chains)
+//! and nothing more.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -25,60 +25,6 @@ pub fn match_bracket(toks: &[Token], open: usize) -> Option<usize> {
             }
             _ => {}
         }
-    }
-    None
-}
-
-/// Extracts the variant names of `enum <name> { ... }`, with the line of
-/// the enum keyword. Tuple/struct variant payloads and attributes are
-/// skipped.
-pub fn enum_variants(toks: &[Token], name: &str) -> Option<(Vec<String>, u32)> {
-    let mut i = 0;
-    while i + 1 < toks.len() {
-        if toks[i].is_ident("enum") && toks[i + 1].is_ident(name) {
-            let line = toks[i].line;
-            // Find the opening brace (skipping generics).
-            let mut j = i + 2;
-            while j < toks.len() && !toks[j].is_punct("{") {
-                j += 1;
-            }
-            let close = match_bracket(toks, j)?;
-            let mut variants = Vec::new();
-            let mut k = j + 1;
-            while k < close {
-                // Skip attributes.
-                if toks[k].is_punct("#") {
-                    if k + 1 < close && toks[k + 1].is_punct("[") {
-                        k = match_bracket(toks, k + 1)? + 1;
-                        continue;
-                    }
-                    k += 1;
-                    continue;
-                }
-                // A variant name is an identifier at this depth.
-                if let Some(id) = toks[k].ident() {
-                    variants.push(id.to_string());
-                    k += 1;
-                    // Skip the payload and discriminant up to the comma.
-                    while k < close {
-                        match &toks[k].tok {
-                            Tok::Punct("(") | Tok::Punct("{") | Tok::Punct("[") => {
-                                k = match_bracket(toks, k)? + 1;
-                            }
-                            Tok::Punct(",") => {
-                                k += 1;
-                                break;
-                            }
-                            _ => k += 1,
-                        }
-                    }
-                } else {
-                    k += 1;
-                }
-            }
-            return Some((variants, line));
-        }
-        i += 1;
     }
     None
 }
@@ -136,137 +82,6 @@ pub fn functions(toks: &[Token]) -> Vec<FnItem> {
         i += 1;
     }
     out
-}
-
-/// One arm of a `match` expression.
-#[derive(Debug, Clone)]
-pub struct Arm {
-    pub pat: Range<usize>,
-    pub body: Range<usize>,
-    pub line: u32,
-}
-
-/// A `match` expression: the scrutinee ("head") tokens and its arms.
-#[derive(Debug, Clone)]
-pub struct MatchExpr {
-    pub head: Range<usize>,
-    pub arms: Vec<Arm>,
-}
-
-/// Finds `match` expressions inside `range` (including nested ones).
-pub fn find_matches(toks: &[Token], range: Range<usize>) -> Vec<MatchExpr> {
-    let mut out = Vec::new();
-    let mut i = range.start;
-    while i < range.end {
-        if toks[i].is_ident("match") {
-            // Head: up to the `{` at bracket depth 0 relative to here.
-            let mut j = i + 1;
-            while j < range.end {
-                match &toks[j].tok {
-                    Tok::Punct("(") | Tok::Punct("[") => {
-                        j = match match_bracket(toks, j) {
-                            Some(c) => c + 1,
-                            None => return out,
-                        };
-                    }
-                    Tok::Punct("{") => break,
-                    _ => j += 1,
-                }
-            }
-            if j >= range.end {
-                break;
-            }
-            let open = j;
-            let close = match match_bracket(toks, open) {
-                Some(c) => c,
-                None => return out,
-            };
-            let mut arms = Vec::new();
-            let mut k = open + 1;
-            while k < close {
-                // Skip attributes on arms.
-                if toks[k].is_punct("#") && k + 1 < close && toks[k + 1].is_punct("[") {
-                    k = match_bracket(toks, k + 1).unwrap_or(close) + 1;
-                    continue;
-                }
-                let pat_start = k;
-                // Pattern: up to `=>` at depth 0.
-                while k < close && !toks[k].is_punct("=>") {
-                    match &toks[k].tok {
-                        Tok::Punct("(") | Tok::Punct("[") | Tok::Punct("{") => {
-                            k = match_bracket(toks, k).unwrap_or(close) + 1;
-                        }
-                        _ => k += 1,
-                    }
-                }
-                if k >= close {
-                    break;
-                }
-                let pat = pat_start..k;
-                let line = toks[pat_start].line;
-                k += 1; // past `=>`
-                let body_start = k;
-                let body_end;
-                if k < close && toks[k].is_punct("{") {
-                    let b = match_bracket(toks, k).unwrap_or(close);
-                    body_end = b;
-                    k = b + 1;
-                    if k < close && toks[k].is_punct(",") {
-                        k += 1;
-                    }
-                } else {
-                    while k < close && !toks[k].is_punct(",") {
-                        match &toks[k].tok {
-                            Tok::Punct("(") | Tok::Punct("[") | Tok::Punct("{") => {
-                                k = match_bracket(toks, k).unwrap_or(close) + 1;
-                            }
-                            _ => k += 1,
-                        }
-                    }
-                    body_end = k;
-                    if k < close {
-                        k += 1; // past `,`
-                    }
-                }
-                arms.push(Arm {
-                    pat,
-                    body: body_start..body_end,
-                    line,
-                });
-            }
-            out.push(MatchExpr {
-                head: i + 1..open,
-                arms,
-            });
-            i = open + 1;
-            continue;
-        }
-        i += 1;
-    }
-    out
-}
-
-/// Collects the variant names referenced as `<enum>::<Variant>` inside
-/// `range`, restricted to names in `variants`.
-pub fn referenced_variants(
-    toks: &[Token],
-    range: Range<usize>,
-    enum_name: &str,
-    variants: &[String],
-) -> Vec<String> {
-    let mut found = Vec::new();
-    let mut i = range.start;
-    while i + 2 < range.end {
-        if toks[i].is_ident(enum_name) && toks[i + 1].is_punct("::") {
-            if let Some(v) = toks[i + 2].ident() {
-                if variants.iter().any(|x| x == v) && !found.iter().any(|x: &String| x == v) {
-                    found.push(v.to_string());
-                }
-            }
-        }
-        i += 1;
-    }
-    found
 }
 
 /// Token index ranges (inclusive of the braces) of `#[cfg(test)] mod`
@@ -413,28 +228,11 @@ mod tests {
     use crate::lexer::lex;
 
     #[test]
-    fn enum_extraction() {
-        let l = lex("pub enum Msg { A(Foo), #[cfg(test)] B { x: u32 }, C, }").unwrap();
-        let (vars, _) = enum_variants(&l.tokens, "Msg").unwrap();
-        assert_eq!(vars, vec!["A", "B", "C"]);
-    }
-
-    #[test]
     fn fn_bodies() {
         let l = lex("impl T for S { fn a(&self) -> u32 { 1 } fn b(); fn c(&self) { 2 } }").unwrap();
         let fns = functions(&l.tokens);
         let names: Vec<&str> = fns.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, vec!["a", "c"]);
-    }
-
-    #[test]
-    fn match_arm_split() {
-        let src = "fn f(m: &Msg) { match m { Msg::A(x) => put(1), Msg::B { .. } => { put(2); } _ => other(), } }";
-        let l = lex(src).unwrap();
-        let fns = functions(&l.tokens);
-        let ms = find_matches(&l.tokens, fns[0].body.clone());
-        assert_eq!(ms.len(), 1);
-        assert_eq!(ms[0].arms.len(), 3);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! [`Bytes`]:
 //!
 //! * **encode** appends the block verbatim (the wire format is identical
-//!   to the length-prefixed `f32` list of [`crate::codec::put_f32s`], so
+//!   to the length-prefixed `f32` list a `Vec<f32>` field encodes to, so
 //!   wire sizes are unchanged);
 //! * **decode** slices the block out of the incoming buffer without
 //!   copying (`Bytes::split_to` shares the allocation);

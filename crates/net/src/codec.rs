@@ -7,7 +7,7 @@
 //! in-process "cluster"), but the codec keeps the wire format honest:
 //! round-trip tests in the protocol crate encode and decode every message
 //! kind, and [`crate::wire::WireSize`] implementations must agree with the
-//! encoded length.
+//! encoded length. A message is a tag byte and a list of [`WireField`]s.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -28,6 +28,9 @@ pub enum CodecError {
     /// the tag before recursing also bounds decode stack depth against
     /// crafted `15,1,15,1,…` inputs.
     NestedBatch,
+    /// A byte that encodes an enumerated value (a flag, an operation
+    /// kind) held none of its values.
+    InvalidValue(u8),
 }
 
 impl std::fmt::Display for CodecError {
@@ -37,6 +40,7 @@ impl std::fmt::Display for CodecError {
             CodecError::UnknownTag(t) => write!(f, "unknown message tag {t}"),
             CodecError::LengthOutOfRange(n) => write!(f, "length {n} out of range"),
             CodecError::NestedBatch => write!(f, "batch envelope nested inside a batch"),
+            CodecError::InvalidValue(b) => write!(f, "byte {b} is not a value of its field"),
         }
     }
 }
@@ -56,35 +60,9 @@ pub trait WireCodec: Sized {
     fn decode(buf: &mut Bytes) -> Result<Self, CodecError>;
 }
 
-// ---- primitive helpers used by protocol crates ----
+// ---- primitives used by protocol crates ----
 
-/// Encodes a `u32` (little endian).
-pub fn put_u32(buf: &mut BytesMut, v: u32) {
-    buf.put_u32_le(v);
-}
-
-/// Decodes a `u32`.
-pub fn get_u32(buf: &mut Bytes) -> Result<u32, CodecError> {
-    if buf.remaining() < 4 {
-        return Err(CodecError::UnexpectedEof);
-    }
-    Ok(buf.get_u32_le())
-}
-
-/// Encodes a `u64` (little endian).
-pub fn put_u64(buf: &mut BytesMut, v: u64) {
-    buf.put_u64_le(v);
-}
-
-/// Decodes a `u64`.
-pub fn get_u64(buf: &mut Bytes) -> Result<u64, CodecError> {
-    if buf.remaining() < 8 {
-        return Err(CodecError::UnexpectedEof);
-    }
-    Ok(buf.get_u64_le())
-}
-
-/// Encodes a byte.
+/// Encodes a byte (message tags).
 pub fn put_u8(buf: &mut BytesMut, v: u8) {
     buf.put_u8(v);
 }
@@ -97,111 +75,182 @@ pub fn get_u8(buf: &mut Bytes) -> Result<u8, CodecError> {
     Ok(buf.get_u8())
 }
 
-/// Encodes a node id.
-pub fn put_node(buf: &mut BytesMut, n: NodeId) {
-    buf.put_u16_le(n.0);
+/// Encodes a `u32` (little endian; length prefixes).
+pub fn put_u32(buf: &mut BytesMut, v: u32) {
+    buf.put_u32_le(v);
 }
 
-/// Decodes a node id.
-pub fn get_node(buf: &mut Bytes) -> Result<NodeId, CodecError> {
-    if buf.remaining() < 2 {
+/// Decodes a `u32`.
+pub fn get_u32(buf: &mut Bytes) -> Result<u32, CodecError> {
+    if buf.remaining() < 4 {
         return Err(CodecError::UnexpectedEof);
     }
-    Ok(NodeId(buf.get_u16_le()))
+    Ok(buf.get_u32_le())
 }
 
-/// Encodes a key list with a `u32` length prefix.
-pub fn put_keys(buf: &mut BytesMut, keys: &[Key]) {
-    put_u32(buf, keys.len() as u32);
-    for k in keys {
-        buf.put_u64_le(k.0);
-    }
-}
-
-/// Decodes a key list.
-pub fn get_keys(buf: &mut Bytes) -> Result<Vec<Key>, CodecError> {
+/// Decodes the `u32` length prefix of a list of `elem_bytes`-wide
+/// elements: bounded by [`MAX_LEN`], and the elements must already be in
+/// `buf` (so the caller may allocate for them).
+fn get_len(buf: &mut Bytes, elem_bytes: usize) -> Result<usize, CodecError> {
     let n = get_u32(buf)? as u64;
     if n > MAX_LEN {
         return Err(CodecError::LengthOutOfRange(n));
     }
     let n = n as usize;
-    if buf.remaining() < n * 8 {
+    if buf.remaining() < n * elem_bytes {
         return Err(CodecError::UnexpectedEof);
     }
-    let mut keys = Vec::with_capacity(n);
-    for _ in 0..n {
-        keys.push(Key(buf.get_u64_le()));
-    }
-    Ok(keys)
+    Ok(n)
 }
 
-/// Encodes an `f32` slice with a `u32` length prefix.
-pub fn put_f32s(buf: &mut BytesMut, vals: &[f32]) {
-    put_u32(buf, vals.len() as u32);
-    for &v in vals {
-        buf.put_f32_le(v);
+/// One field of a wire message. A message's size, encoder and decoder
+/// are its field list read three ways (`wire_len` summed, `put` in order,
+/// `get` in order), so they cannot disagree; protocol crates implement
+/// the trait for their own field types out of these.
+pub trait WireField: Sized {
+    /// Encoded length in bytes.
+    fn wire_len(&self) -> usize;
+    /// Appends the encoded form to `buf`.
+    fn put(&self, buf: &mut BytesMut);
+    /// Parses one value from the front of `buf`.
+    fn get(buf: &mut Bytes) -> Result<Self, CodecError>;
+    /// `(keys, floats)` the field carries — what the simulator's cost
+    /// model charges a message for. Scalars carry neither.
+    #[inline]
+    fn load(&self) -> (u64, u64) {
+        (0, 0)
     }
 }
 
-/// Decodes an `f32` vector.
-pub fn get_f32s(buf: &mut Bytes) -> Result<Vec<f32>, CodecError> {
-    let n = get_u32(buf)? as u64;
-    if n > MAX_LEN {
-        return Err(CodecError::LengthOutOfRange(n));
+/// Little endian.
+impl WireField for u64 {
+    #[inline]
+    fn wire_len(&self) -> usize {
+        8
     }
-    let n = n as usize;
-    if buf.remaining() < n * 4 {
-        return Err(CodecError::UnexpectedEof);
+    #[inline]
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_u64_le(*self);
     }
-    let mut vals = Vec::with_capacity(n);
-    for _ in 0..n {
-        vals.push(buf.get_f32_le());
+    #[inline]
+    fn get(buf: &mut Bytes) -> Result<Self, CodecError> {
+        if buf.remaining() < 8 {
+            return Err(CodecError::UnexpectedEof);
+        }
+        Ok(buf.get_u64_le())
     }
-    Ok(vals)
 }
 
-/// Encodes a [`ValueBlock`] with a `u32` float-count prefix. The wire
-/// format is identical to [`put_f32s`] of the same values.
-pub fn put_value_block(buf: &mut BytesMut, block: &ValueBlock) {
-    put_u32(buf, block.len() as u32);
-    buf.extend_from_slice(block.as_bytes());
-}
-
-/// Decodes a [`ValueBlock`], sharing the input allocation (zero-copy).
-pub fn get_value_block(buf: &mut Bytes) -> Result<ValueBlock, CodecError> {
-    let n = get_u32(buf)? as u64;
-    if n > MAX_LEN {
-        return Err(CodecError::LengthOutOfRange(n));
+/// One byte, 0 or 1; anything else is [`CodecError::InvalidValue`].
+impl WireField for bool {
+    #[inline]
+    fn wire_len(&self) -> usize {
+        1
     }
-    let n = n as usize;
-    if buf.remaining() < n * 4 {
-        return Err(CodecError::UnexpectedEof);
+    #[inline]
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_u8(*self as u8);
     }
-    Ok(ValueBlock::split_from(buf, n))
+    #[inline]
+    fn get(buf: &mut Bytes) -> Result<Self, CodecError> {
+        match get_u8(buf)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(CodecError::InvalidValue(b)),
+        }
+    }
 }
 
-/// Serialized size of a [`ValueBlock`] (must agree with
-/// [`put_value_block`] — and with [`put_f32s`] of the same values).
-pub fn value_block_wire_bytes(block: &ValueBlock) -> usize {
-    4 + block.len() * 4
+/// A `u16`, little endian.
+impl WireField for NodeId {
+    #[inline]
+    fn wire_len(&self) -> usize {
+        2
+    }
+    #[inline]
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_u16_le(self.0);
+    }
+    #[inline]
+    fn get(buf: &mut Bytes) -> Result<Self, CodecError> {
+        if buf.remaining() < 2 {
+            return Err(CodecError::UnexpectedEof);
+        }
+        Ok(NodeId(buf.get_u16_le()))
+    }
 }
 
-/// Serialized size of a key list (must agree with [`put_keys`]).
-pub fn keys_wire_bytes(keys: &[Key]) -> usize {
-    4 + keys.len() * 8
+/// A `u32` count, then the keys as `u64`s.
+impl WireField for Vec<Key> {
+    #[inline]
+    fn wire_len(&self) -> usize {
+        4 + self.len() * 8
+    }
+    fn put(&self, buf: &mut BytesMut) {
+        put_u32(buf, self.len() as u32);
+        for k in self {
+            buf.put_u64_le(k.0);
+        }
+    }
+    fn get(buf: &mut Bytes) -> Result<Self, CodecError> {
+        let n = get_len(buf, 8)?;
+        Ok((0..n).map(|_| Key(buf.get_u64_le())).collect())
+    }
+    #[inline]
+    fn load(&self) -> (u64, u64) {
+        (self.len() as u64, 0)
+    }
 }
 
-/// Serialized size of an `f32` list (must agree with [`put_f32s`]).
-pub fn f32s_wire_bytes(vals: &[f32]) -> usize {
-    4 + vals.len() * 4
+/// A `u32` count, then the floats.
+impl WireField for Vec<f32> {
+    #[inline]
+    fn wire_len(&self) -> usize {
+        4 + self.len() * 4
+    }
+    fn put(&self, buf: &mut BytesMut) {
+        put_u32(buf, self.len() as u32);
+        for &v in self {
+            buf.put_f32_le(v);
+        }
+    }
+    fn get(buf: &mut Bytes) -> Result<Self, CodecError> {
+        let n = get_len(buf, 4)?;
+        Ok((0..n).map(|_| buf.get_f32_le()).collect())
+    }
+    #[inline]
+    fn load(&self) -> (u64, u64) {
+        (0, self.len() as u64)
+    }
+}
+
+/// Byte-identical to the `Vec<f32>` of the same values; decoding shares
+/// the input allocation (zero-copy).
+impl WireField for ValueBlock {
+    #[inline]
+    fn wire_len(&self) -> usize {
+        4 + self.len() * 4
+    }
+    fn put(&self, buf: &mut BytesMut) {
+        put_u32(buf, self.len() as u32);
+        buf.extend_from_slice(self.as_bytes());
+    }
+    fn get(buf: &mut Bytes) -> Result<Self, CodecError> {
+        let n = get_len(buf, 4)?;
+        Ok(ValueBlock::split_from(buf, n))
+    }
+    #[inline]
+    fn load(&self) -> (u64, u64) {
+        (0, self.len() as u64)
+    }
 }
 
 /// Encodes an envelope (src, dst, payload) into a framed buffer:
 /// `len(u32) | src(u16) | dst(u16) | payload…`.
 pub fn encode_framed<M: WireCodec>(src: NodeId, dst: NodeId, payload: &M) -> BytesMut {
     let mut body = BytesMut::new();
-    put_node(&mut body, src);
-    put_node(&mut body, dst);
+    src.put(&mut body);
+    dst.put(&mut body);
     payload.encode(&mut body);
     let mut framed = BytesMut::with_capacity(4 + body.len());
     framed.put_u32_le(body.len() as u32);
@@ -216,8 +265,8 @@ pub fn decode_framed<M: WireCodec>(buf: &mut Bytes) -> Result<(NodeId, NodeId, M
         return Err(CodecError::UnexpectedEof);
     }
     let mut body = buf.split_to(len);
-    let src = get_node(&mut body)?;
-    let dst = get_node(&mut body)?;
+    let src = NodeId::get(&mut body)?;
+    let dst = NodeId::get(&mut body)?;
     let payload = M::decode(&mut body)?;
     Ok((src, dst, payload))
 }
@@ -230,29 +279,39 @@ mod tests {
     fn primitives_round_trip() {
         let mut buf = BytesMut::new();
         put_u32(&mut buf, 7);
-        put_u64(&mut buf, u64::MAX - 3);
+        (u64::MAX - 3).put(&mut buf);
         put_u8(&mut buf, 0xAB);
-        put_node(&mut buf, NodeId(513));
-        put_keys(&mut buf, &[Key(1), Key(u64::MAX)]);
-        put_f32s(&mut buf, &[1.5, -2.25]);
+        NodeId(513).put(&mut buf);
+        true.put(&mut buf);
+        vec![Key(1), Key(u64::MAX)].put(&mut buf);
+        vec![1.5f32, -2.25].put(&mut buf);
+        ValueBlock::from_f32s(&[0.5]).put(&mut buf);
         let mut b = buf.freeze();
         assert_eq!(get_u32(&mut b).unwrap(), 7);
-        assert_eq!(get_u64(&mut b).unwrap(), u64::MAX - 3);
+        assert_eq!(u64::get(&mut b).unwrap(), u64::MAX - 3);
         assert_eq!(get_u8(&mut b).unwrap(), 0xAB);
-        assert_eq!(get_node(&mut b).unwrap(), NodeId(513));
-        assert_eq!(get_keys(&mut b).unwrap(), vec![Key(1), Key(u64::MAX)]);
-        assert_eq!(get_f32s(&mut b).unwrap(), vec![1.5, -2.25]);
+        assert_eq!(NodeId::get(&mut b).unwrap(), NodeId(513));
+        assert!(bool::get(&mut b).unwrap());
+        assert_eq!(
+            Vec::<Key>::get(&mut b).unwrap(),
+            vec![Key(1), Key(u64::MAX)]
+        );
+        assert_eq!(Vec::<f32>::get(&mut b).unwrap(), vec![1.5, -2.25]);
+        assert_eq!(
+            <ValueBlock as WireField>::get(&mut b).unwrap(),
+            ValueBlock::from_f32s(&[0.5])
+        );
         assert_eq!(b.remaining(), 0);
     }
 
     #[test]
     fn truncated_input_errors() {
         let mut buf = BytesMut::new();
-        put_keys(&mut buf, &[Key(1), Key(2)]);
+        vec![Key(1), Key(2)].put(&mut buf);
         let full = buf.freeze();
         for cut in 0..full.len() {
             let mut b = full.slice(..cut);
-            assert!(get_keys(&mut b).is_err(), "cut={cut} should fail");
+            assert!(Vec::<Key>::get(&mut b).is_err(), "cut={cut} should fail");
         }
     }
 
@@ -262,20 +321,22 @@ mod tests {
         put_u32(&mut buf, u32::MAX);
         let mut b = buf.freeze();
         // Not enough bytes follow, and even the length itself is suspect.
-        assert!(get_keys(&mut b).is_err());
+        assert!(Vec::<Key>::get(&mut b).is_err());
     }
 
     #[test]
     fn wire_byte_helpers_match_encoding() {
-        let keys = [Key(3), Key(4), Key(5)];
-        let mut buf = BytesMut::new();
-        put_keys(&mut buf, &keys);
-        assert_eq!(buf.len(), keys_wire_bytes(&keys));
-
-        let vals = [0.5f32; 7];
-        let mut buf = BytesMut::new();
-        put_f32s(&mut buf, &vals);
-        assert_eq!(buf.len(), f32s_wire_bytes(&vals));
+        fn check(field: impl WireField) {
+            let mut buf = BytesMut::new();
+            field.put(&mut buf);
+            assert_eq!(buf.len(), field.wire_len());
+        }
+        check(7u64);
+        check(true);
+        check(NodeId(3));
+        check(vec![Key(3), Key(4), Key(5)]);
+        check(vec![0.5f32; 7]);
+        check(ValueBlock::from_f32s(&[0.5; 7]));
     }
 
     #[derive(Debug, PartialEq)]
@@ -284,11 +345,11 @@ mod tests {
     impl WireCodec for Ping {
         fn encode(&self, buf: &mut BytesMut) {
             put_u8(buf, 1);
-            put_u64(buf, self.0);
+            self.0.put(buf);
         }
         fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
             match get_u8(buf)? {
-                1 => Ok(Ping(get_u64(buf)?)),
+                1 => Ok(Ping(u64::get(buf)?)),
                 t => Err(CodecError::UnknownTag(t)),
             }
         }
@@ -307,8 +368,8 @@ mod tests {
     #[test]
     fn framed_unknown_tag() {
         let mut body = BytesMut::new();
-        put_node(&mut body, NodeId(0));
-        put_node(&mut body, NodeId(1));
+        NodeId(0).put(&mut body);
+        NodeId(1).put(&mut body);
         put_u8(&mut body, 99);
         let mut framed = BytesMut::new();
         framed.put_u32_le(body.len() as u32);

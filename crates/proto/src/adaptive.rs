@@ -1,5 +1,6 @@
 //! Online access statistics and the technique-transition controller of
-//! the adaptive management technique ([`Variant::Adaptive`]).
+//! the adaptive management technique
+//! ([`Variant::Adaptive`](crate::config::Variant::Adaptive)).
 //!
 //! Dynamic parameter allocation relocates every parameter and NuPS-style
 //! hybrid management replicates a **pre-declared** hot set; both assume

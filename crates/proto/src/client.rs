@@ -1166,13 +1166,16 @@ impl ClientCore {
 
     /// Releases the tracker entry of a completed push/localize.
     pub fn finish_ack(&self, seq: u64) {
+        let kind = self.shared.tracker.discard(seq);
         if let Some(t) = self.tracer.as_ref() {
-            // Push and localize acks share a release path; the class
-            // payload records the push class for both.
-            t.rec
-                .record(&t.ring, EventKind::OpComplete, CLASS_PUSH, seq);
+            // Push and localize acks share this release path; the tracker
+            // entry says which one finished.
+            let class = match kind {
+                Some(TrackedKind::Localize) => CLASS_LOCALIZE,
+                _ => CLASS_PUSH,
+            };
+            t.rec.record(&t.ring, EventKind::OpComplete, class, seq);
         }
-        self.shared.tracker.discard(seq);
     }
 
     /// Sends an operation's remote groups and seals it, registering its

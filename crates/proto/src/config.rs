@@ -10,7 +10,7 @@ use crate::technique::Policy;
 /// management techniques of the NuPS follow-up).
 ///
 /// Every per-key decision derived from the variant lives in the
-/// [`Policy`](crate::technique::Policy) layer; the variant itself is just
+/// [`Policy`] layer; the variant itself is just
 /// the named configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Variant {

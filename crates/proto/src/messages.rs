@@ -42,9 +42,11 @@
 //!   and strictly one level deep: a batch inside a batch is rejected at
 //!   decode (guarding both protocol sanity and decode stack depth).
 //!
-//! Every message implements [`WireSize`] (used by the simulator's
-//! bandwidth accounting) and [`WireCodec`] (the actual byte encoding);
-//! tests assert that the two agree.
+//! [`Msg`] implements [`WireSize`] (used by the simulator's bandwidth
+//! accounting) and [`WireCodec`] (the actual byte encoding). Both, and
+//! the tags, labels and loads, expand from the one `wire_messages!`
+//! table below the message structs, so a message's size, encoder and
+//! decoder are the same field list; tests still assert that they agree.
 //!
 //! The value-carrying messages ([`OpRespMsg`], [`HandOverMsg`],
 //! [`ReplicaRefreshMsg`]) move their concatenated per-key values as one
@@ -55,9 +57,7 @@
 use bytes::{Bytes, BytesMut};
 
 use lapse_net::codec::{
-    f32s_wire_bytes, get_f32s, get_keys, get_node, get_u32, get_u64, get_u8, get_value_block,
-    keys_wire_bytes, put_f32s, put_keys, put_node, put_u32, put_u64, put_u8, put_value_block,
-    value_block_wire_bytes, CodecError, WireCodec, MAX_LEN,
+    get_u32, get_u8, put_u32, put_u8, CodecError, WireCodec, WireField, MAX_LEN,
 };
 use lapse_net::{Key, NodeId, ValueBlock, WireSize};
 
@@ -278,363 +278,239 @@ pub struct TechniqueDrainedMsg {
     pub vals: Vec<f32>,
 }
 
-/// All protocol messages.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Msg {
+/// Implements [`WireField`] for a struct from its field list **in wire
+/// order**: the length is the sum of the fields', the encoder writes them
+/// in that order, the decoder reads them in that order (a struct literal
+/// evaluates its fields as written), the load is the sum of theirs.
+macro_rules! wire_fields {
+    ($ty:ident { $($field:ident),* }) => {
+        impl WireField for $ty {
+            #[inline]
+            fn wire_len(&self) -> usize {
+                0 $(+ self.$field.wire_len())*
+            }
+            #[inline]
+            fn put(&self, buf: &mut BytesMut) {
+                $(self.$field.put(buf);)*
+            }
+            #[inline]
+            fn get(buf: &mut Bytes) -> Result<Self, CodecError> {
+                Ok($ty { $($field: WireField::get(buf)?),* })
+            }
+            #[inline]
+            fn load(&self) -> (u64, u64) {
+                let mut load = (0, 0);
+                $(
+                    let (keys, floats) = self.$field.load();
+                    load.0 += keys;
+                    load.1 += floats;
+                )*
+                load
+            }
+        }
+    };
+}
+
+wire_fields!(OpId { node, seq });
+
+/// One byte: 0 pull, 1 push.
+impl WireField for OpKind {
+    #[inline]
+    fn wire_len(&self) -> usize {
+        1
+    }
+    #[inline]
+    fn put(&self, buf: &mut BytesMut) {
+        matches!(self, OpKind::Push).put(buf);
+    }
+    #[inline]
+    fn get(buf: &mut Bytes) -> Result<Self, CodecError> {
+        Ok(if bool::get(buf)? {
+            OpKind::Push
+        } else {
+            OpKind::Pull
+        })
+    }
+}
+
+/// The wire protocol, declared once. A row is `tag Variant(binding:
+/// Struct) => label, { fields in wire order }`; the label expression may
+/// read the message through the row's binding. The table expands to
+/// [`Msg`], its tag, label and load, and its [`WireSize`] and
+/// [`WireCodec`] impls, so nothing about a message is written twice.
+/// `Shutdown` (no payload) and `Batch` (a counted list of messages, one
+/// level deep) have no struct; the macro writes their codec by hand.
+macro_rules! wire_messages {
+    (
+        $(
+            $(#[$doc:meta])*
+            $tag:literal $variant:ident($m:tt: $ty:ident) => $label:expr, { $($field:ident),* };
+        )*
+        unit:
+        $(#[$unit_doc:meta])*
+        $unit_tag:literal Shutdown => $unit_label:literal;
+        batch:
+        $(#[$batch_doc:meta])*
+        $batch_tag:literal Batch(Vec<Msg>) => $batch_label:literal;
+    ) => {
+        $(wire_fields!($ty { $($field),* });)*
+
+        /// All protocol messages.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum Msg {
+            $($(#[$doc])* $variant($ty),)*
+            $(#[$unit_doc])*
+            Shutdown,
+            $(#[$batch_doc])*
+            Batch(Vec<Msg>),
+        }
+
+        impl Msg {
+            /// Every wire tag, in table order.
+            pub const TAGS: &'static [u8] = &[$($tag,)* $unit_tag, $batch_tag];
+
+            /// The message's wire tag: the first byte of its encoding.
+            pub fn tag(&self) -> u8 {
+                match self {
+                    $(Msg::$variant(_) => $tag,)*
+                    Msg::Shutdown => $unit_tag,
+                    Msg::Batch(_) => $batch_tag,
+                }
+            }
+
+            /// Short label for metrics.
+            pub fn label(&self) -> &'static str {
+                match self {
+                    $(Msg::$variant($m) => $label,)*
+                    Msg::Shutdown => $unit_label,
+                    Msg::Batch(_) => $batch_label,
+                }
+            }
+
+            /// `(keys, floats)` the message carries: what the simulator's
+            /// cost model charges for it. A batch carries the sum of its
+            /// constituents.
+            pub fn load(&self) -> (u64, u64) {
+                match self {
+                    $(Msg::$variant(m) => m.load(),)*
+                    Msg::Shutdown => (0, 0),
+                    Msg::Batch(msgs) => msgs
+                        .iter()
+                        .map(Msg::load)
+                        .fold((0, 0), |(k, v), (mk, mv)| (k + mk, v + mv)),
+                }
+            }
+        }
+
+        impl WireSize for Msg {
+            fn wire_bytes(&self) -> usize {
+                // 1 byte variant tag, matching the codec below.
+                1 + match self {
+                    $(Msg::$variant(m) => m.wire_len(),)*
+                    Msg::Shutdown => 0,
+                    Msg::Batch(msgs) => 4 + msgs.iter().map(Msg::wire_bytes).sum::<usize>(),
+                }
+            }
+        }
+
+        impl WireCodec for Msg {
+            fn encode(&self, buf: &mut BytesMut) {
+                match self {
+                    $(Msg::$variant(m) => {
+                        put_u8(buf, $tag);
+                        m.put(buf);
+                    })*
+                    Msg::Shutdown => put_u8(buf, $unit_tag),
+                    Msg::Batch(msgs) => {
+                        put_u8(buf, $batch_tag);
+                        put_u32(buf, msgs.len() as u32);
+                        for m in msgs {
+                            debug_assert!(
+                                !matches!(m, Msg::Batch(_)),
+                                "batch envelopes must not nest"
+                            );
+                            m.encode(buf);
+                        }
+                    }
+                }
+            }
+
+            fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
+                match get_u8(buf)? {
+                    $($tag => Ok(Msg::$variant(WireField::get(buf)?)),)*
+                    $unit_tag => Ok(Msg::Shutdown),
+                    $batch_tag => {
+                        let n = get_u32(buf)? as u64;
+                        if n > MAX_LEN {
+                            return Err(CodecError::LengthOutOfRange(n));
+                        }
+                        // Clamp the pre-allocation: `n` is attacker-controlled
+                        // until the constituents actually decode.
+                        let mut msgs = Vec::with_capacity(n.min(64) as usize);
+                        for _ in 0..n {
+                            // Reject a nested batch *before* recursing: a
+                            // crafted `batch,count,batch,…` stream must not
+                            // grow the stack.
+                            if buf.first() == Some(&$batch_tag) {
+                                return Err(CodecError::NestedBatch);
+                            }
+                            msgs.push(Msg::decode(buf)?);
+                        }
+                        Ok(Msg::Batch(msgs))
+                    }
+                    // The only wildcard over tags: anything the table does
+                    // not name.
+                    t => Err(CodecError::UnknownTag(t)),
+                }
+            }
+        }
+    };
+}
+
+wire_messages! {
     /// Pull/push request.
-    Op(OpMsg),
+    1 Op(m: OpMsg) => match m.kind {
+        OpKind::Pull => "op.pull",
+        OpKind::Push => "op.push",
+    }, { op, kind, routed_by_home, keys, vals };
     /// Pull/push response.
-    OpResp(OpRespMsg),
+    2 OpResp(_: OpRespMsg) => "op.resp", { op, kind, keys, vals, owner };
     /// Relocation message 1 (requester → home).
-    LocalizeReq(LocalizeReqMsg),
+    3 LocalizeReq(_: LocalizeReqMsg) => "reloc.localize", { op, keys };
     /// Relocation message 2 (home → old owner).
-    Relocate(RelocateMsg),
+    4 Relocate(_: RelocateMsg) => "reloc.relocate", { op, keys, new_owner };
     /// Relocation message 3 (old owner → new owner).
-    HandOver(HandOverMsg),
+    5 HandOver(_: HandOverMsg) => "reloc.handover", { op, keys, vals };
     /// Replica-sync message 1 (subscriber → owner).
-    ReplicaReg(ReplicaRegMsg),
+    7 ReplicaReg(_: ReplicaRegMsg) => "repl.reg", { node };
     /// Replica-sync message 2 (replica holder → owner).
-    ReplicaPush(ReplicaPushMsg),
+    8 ReplicaPush(_: ReplicaPushMsg) => "repl.push", { node, flush_seq, keys, vals };
     /// Replica-sync message 3 (owner → replica holder).
-    ReplicaRefresh(ReplicaRefreshMsg),
+    9 ReplicaRefresh(_: ReplicaRefreshMsg) => "repl.refresh", { owner, round, ack, keys, vals };
     /// Technique transition 1 (controller → home): promote request.
-    TechniquePromote(TechniquePromoteMsg),
+    10 TechniquePromote(_: TechniquePromoteMsg) => "tech.promote", { node, keys };
     /// Technique transition 2 (home → all): promotion broadcast.
-    TechniquePromoteAck(TechniquePromoteAckMsg),
+    11 TechniquePromoteAck(_: TechniquePromoteAckMsg) => "tech.promote_ack",
+        { home, epoch, keys, vals };
     /// Technique transition 3 (controller → home): demote vote.
-    TechniqueDemote(TechniqueDemoteMsg),
+    12 TechniqueDemote(_: TechniqueDemoteMsg) => "tech.demote", { node, keys };
     /// Technique transition 4 (home → all): demotion broadcast.
-    TechniqueDemoteAck(TechniqueDemoteAckMsg),
+    13 TechniqueDemoteAck(_: TechniqueDemoteAckMsg) => "tech.demote_ack", { home, epoch, keys };
     /// Technique transition 5 (node → home): demotion drain confirmation.
-    TechniqueDrained(TechniqueDrainedMsg),
+    14 TechniqueDrained(_: TechniqueDrainedMsg) => "tech.drained", { node, epoch, keys, vals };
+    unit:
     /// Stop the receiving server loop.
-    Shutdown,
+    6 Shutdown => "shutdown";
+    batch:
     /// Coalescing envelope: constituent messages for one link, delivered
     /// as a unit and handled in order. Never nested.
-    Batch(Vec<Msg>),
+    15 Batch(Vec<Msg>) => "batch";
 }
 
 impl Msg {
-    /// Short label for metrics.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Msg::Op(m) => match m.kind {
-                OpKind::Pull => "op.pull",
-                OpKind::Push => "op.push",
-            },
-            Msg::OpResp(_) => "op.resp",
-            Msg::LocalizeReq(_) => "reloc.localize",
-            Msg::Relocate(_) => "reloc.relocate",
-            Msg::HandOver(_) => "reloc.handover",
-            Msg::ReplicaReg(_) => "repl.reg",
-            Msg::ReplicaPush(_) => "repl.push",
-            Msg::ReplicaRefresh(_) => "repl.refresh",
-            Msg::TechniquePromote(_) => "tech.promote",
-            Msg::TechniquePromoteAck(_) => "tech.promote_ack",
-            Msg::TechniqueDemote(_) => "tech.demote",
-            Msg::TechniqueDemoteAck(_) => "tech.demote_ack",
-            Msg::TechniqueDrained(_) => "tech.drained",
-            Msg::Shutdown => "shutdown",
-            Msg::Batch(_) => "batch",
-        }
-    }
-}
-
-const OP_ID_BYTES: usize = 2 + 8;
-
-fn put_op_id(buf: &mut BytesMut, op: OpId) {
-    put_node(buf, op.node);
-    put_u64(buf, op.seq);
-}
-
-fn get_op_id(buf: &mut Bytes) -> Result<OpId, CodecError> {
-    let node = get_node(buf)?;
-    let seq = get_u64(buf)?;
-    Ok(OpId { node, seq })
-}
-
-impl WireSize for Msg {
-    fn wire_bytes(&self) -> usize {
-        // 1 byte variant tag, matching the codec below.
-        1 + match self {
-            Msg::Op(m) => OP_ID_BYTES + 1 + 1 + keys_wire_bytes(&m.keys) + f32s_wire_bytes(&m.vals),
-            Msg::OpResp(m) => {
-                OP_ID_BYTES + 1 + keys_wire_bytes(&m.keys) + value_block_wire_bytes(&m.vals) + 2
-            }
-            Msg::LocalizeReq(m) => OP_ID_BYTES + keys_wire_bytes(&m.keys),
-            Msg::Relocate(m) => OP_ID_BYTES + keys_wire_bytes(&m.keys) + 2,
-            Msg::HandOver(m) => {
-                OP_ID_BYTES + keys_wire_bytes(&m.keys) + value_block_wire_bytes(&m.vals)
-            }
-            Msg::ReplicaReg(_) => 2,
-            Msg::ReplicaPush(m) => 2 + 8 + keys_wire_bytes(&m.keys) + f32s_wire_bytes(&m.vals),
-            Msg::ReplicaRefresh(m) => {
-                2 + 8 + 8 + keys_wire_bytes(&m.keys) + value_block_wire_bytes(&m.vals)
-            }
-            Msg::TechniquePromote(m) => 2 + keys_wire_bytes(&m.keys),
-            Msg::TechniquePromoteAck(m) => {
-                2 + 8 + keys_wire_bytes(&m.keys) + value_block_wire_bytes(&m.vals)
-            }
-            Msg::TechniqueDemote(m) => 2 + keys_wire_bytes(&m.keys),
-            Msg::TechniqueDemoteAck(m) => 2 + 8 + keys_wire_bytes(&m.keys),
-            Msg::TechniqueDrained(m) => 2 + 8 + keys_wire_bytes(&m.keys) + f32s_wire_bytes(&m.vals),
-            Msg::Shutdown => 0,
-            Msg::Batch(msgs) => 4 + msgs.iter().map(Msg::wire_bytes).sum::<usize>(),
-        }
-    }
-}
-
-impl WireCodec for Msg {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            Msg::Op(m) => {
-                put_u8(buf, 1);
-                put_op_id(buf, m.op);
-                put_u8(buf, matches!(m.kind, OpKind::Push) as u8);
-                put_u8(buf, m.routed_by_home as u8);
-                put_keys(buf, &m.keys);
-                put_f32s(buf, &m.vals);
-            }
-            Msg::OpResp(m) => {
-                put_u8(buf, 2);
-                put_op_id(buf, m.op);
-                put_u8(buf, matches!(m.kind, OpKind::Push) as u8);
-                put_keys(buf, &m.keys);
-                put_value_block(buf, &m.vals);
-                put_node(buf, m.owner);
-            }
-            Msg::LocalizeReq(m) => {
-                put_u8(buf, 3);
-                put_op_id(buf, m.op);
-                put_keys(buf, &m.keys);
-            }
-            Msg::Relocate(m) => {
-                put_u8(buf, 4);
-                put_op_id(buf, m.op);
-                put_keys(buf, &m.keys);
-                put_node(buf, m.new_owner);
-            }
-            Msg::HandOver(m) => {
-                put_u8(buf, 5);
-                put_op_id(buf, m.op);
-                put_keys(buf, &m.keys);
-                put_value_block(buf, &m.vals);
-            }
-            Msg::ReplicaReg(m) => {
-                put_u8(buf, 7);
-                put_node(buf, m.node);
-            }
-            Msg::ReplicaPush(m) => {
-                put_u8(buf, 8);
-                put_node(buf, m.node);
-                put_u64(buf, m.flush_seq);
-                put_keys(buf, &m.keys);
-                put_f32s(buf, &m.vals);
-            }
-            Msg::ReplicaRefresh(m) => {
-                put_u8(buf, 9);
-                put_node(buf, m.owner);
-                put_u64(buf, m.round);
-                put_u64(buf, m.ack);
-                put_keys(buf, &m.keys);
-                put_value_block(buf, &m.vals);
-            }
-            Msg::TechniquePromote(m) => {
-                put_u8(buf, 10);
-                put_node(buf, m.node);
-                put_keys(buf, &m.keys);
-            }
-            Msg::TechniquePromoteAck(m) => {
-                put_u8(buf, 11);
-                put_node(buf, m.home);
-                put_u64(buf, m.epoch);
-                put_keys(buf, &m.keys);
-                put_value_block(buf, &m.vals);
-            }
-            Msg::TechniqueDemote(m) => {
-                put_u8(buf, 12);
-                put_node(buf, m.node);
-                put_keys(buf, &m.keys);
-            }
-            Msg::TechniqueDemoteAck(m) => {
-                put_u8(buf, 13);
-                put_node(buf, m.home);
-                put_u64(buf, m.epoch);
-                put_keys(buf, &m.keys);
-            }
-            Msg::TechniqueDrained(m) => {
-                put_u8(buf, 14);
-                put_node(buf, m.node);
-                put_u64(buf, m.epoch);
-                put_keys(buf, &m.keys);
-                put_f32s(buf, &m.vals);
-            }
-            Msg::Shutdown => put_u8(buf, 6),
-            Msg::Batch(msgs) => {
-                put_u8(buf, 15);
-                put_u32(buf, msgs.len() as u32);
-                for m in msgs {
-                    debug_assert!(!matches!(m, Msg::Batch(_)), "batch envelopes must not nest");
-                    m.encode(buf);
-                }
-            }
-        }
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        match get_u8(buf)? {
-            1 => {
-                let op = get_op_id(buf)?;
-                let kind = if get_u8(buf)? == 1 {
-                    OpKind::Push
-                } else {
-                    OpKind::Pull
-                };
-                let routed_by_home = get_u8(buf)? == 1;
-                let keys = get_keys(buf)?;
-                let vals = get_f32s(buf)?;
-                Ok(Msg::Op(OpMsg {
-                    op,
-                    kind,
-                    keys,
-                    vals,
-                    routed_by_home,
-                }))
-            }
-            2 => {
-                let op = get_op_id(buf)?;
-                let kind = if get_u8(buf)? == 1 {
-                    OpKind::Push
-                } else {
-                    OpKind::Pull
-                };
-                let keys = get_keys(buf)?;
-                let vals = get_value_block(buf)?;
-                let owner = get_node(buf)?;
-                Ok(Msg::OpResp(OpRespMsg {
-                    op,
-                    kind,
-                    keys,
-                    vals,
-                    owner,
-                }))
-            }
-            3 => {
-                let op = get_op_id(buf)?;
-                let keys = get_keys(buf)?;
-                Ok(Msg::LocalizeReq(LocalizeReqMsg { op, keys }))
-            }
-            4 => {
-                let op = get_op_id(buf)?;
-                let keys = get_keys(buf)?;
-                let new_owner = get_node(buf)?;
-                Ok(Msg::Relocate(RelocateMsg {
-                    op,
-                    keys,
-                    new_owner,
-                }))
-            }
-            5 => {
-                let op = get_op_id(buf)?;
-                let keys = get_keys(buf)?;
-                let vals = get_value_block(buf)?;
-                Ok(Msg::HandOver(HandOverMsg { op, keys, vals }))
-            }
-            6 => Ok(Msg::Shutdown),
-            7 => {
-                let node = get_node(buf)?;
-                Ok(Msg::ReplicaReg(ReplicaRegMsg { node }))
-            }
-            8 => {
-                let node = get_node(buf)?;
-                let flush_seq = get_u64(buf)?;
-                let keys = get_keys(buf)?;
-                let vals = get_f32s(buf)?;
-                Ok(Msg::ReplicaPush(ReplicaPushMsg {
-                    node,
-                    flush_seq,
-                    keys,
-                    vals,
-                }))
-            }
-            9 => {
-                let owner = get_node(buf)?;
-                let round = get_u64(buf)?;
-                let ack = get_u64(buf)?;
-                let keys = get_keys(buf)?;
-                let vals = get_value_block(buf)?;
-                Ok(Msg::ReplicaRefresh(ReplicaRefreshMsg {
-                    owner,
-                    round,
-                    ack,
-                    keys,
-                    vals,
-                }))
-            }
-            10 => {
-                let node = get_node(buf)?;
-                let keys = get_keys(buf)?;
-                Ok(Msg::TechniquePromote(TechniquePromoteMsg { node, keys }))
-            }
-            11 => {
-                let home = get_node(buf)?;
-                let epoch = get_u64(buf)?;
-                let keys = get_keys(buf)?;
-                let vals = get_value_block(buf)?;
-                Ok(Msg::TechniquePromoteAck(TechniquePromoteAckMsg {
-                    home,
-                    epoch,
-                    keys,
-                    vals,
-                }))
-            }
-            12 => {
-                let node = get_node(buf)?;
-                let keys = get_keys(buf)?;
-                Ok(Msg::TechniqueDemote(TechniqueDemoteMsg { node, keys }))
-            }
-            13 => {
-                let home = get_node(buf)?;
-                let epoch = get_u64(buf)?;
-                let keys = get_keys(buf)?;
-                Ok(Msg::TechniqueDemoteAck(TechniqueDemoteAckMsg {
-                    home,
-                    epoch,
-                    keys,
-                }))
-            }
-            14 => {
-                let node = get_node(buf)?;
-                let epoch = get_u64(buf)?;
-                let keys = get_keys(buf)?;
-                let vals = get_f32s(buf)?;
-                Ok(Msg::TechniqueDrained(TechniqueDrainedMsg {
-                    node,
-                    epoch,
-                    keys,
-                    vals,
-                }))
-            }
-            15 => {
-                let n = get_u32(buf)? as u64;
-                if n > MAX_LEN {
-                    return Err(CodecError::LengthOutOfRange(n));
-                }
-                // Clamp the pre-allocation: `n` is attacker-controlled
-                // until the constituents actually decode.
-                let mut msgs = Vec::with_capacity(n.min(64) as usize);
-                for _ in 0..n {
-                    // Reject a nested batch *before* recursing: a crafted
-                    // `15,count,15,…` stream must not grow the stack.
-                    if buf.first() == Some(&15) {
-                        return Err(CodecError::NestedBatch);
-                    }
-                    msgs.push(Msg::decode(buf)?);
-                }
-                Ok(Msg::Batch(msgs))
-            }
-            t => Err(CodecError::UnknownTag(t)),
-        }
+    /// Keys the message names (a batch: its constituents').
+    pub fn key_count(&self) -> u64 {
+        self.load().0
     }
 }
 
@@ -773,6 +649,25 @@ mod tests {
                 let mut b = full.slice(..cut);
                 let _ = Msg::decode(&mut b); // must not panic
             }
+        }
+    }
+
+    #[test]
+    fn tags_are_dense_and_every_row_has_a_sample() {
+        let mut tags = Msg::TAGS.to_vec();
+        tags.sort_unstable();
+        let dense: Vec<u8> = (1..=Msg::TAGS.len() as u8).collect();
+        assert_eq!(tags, dense, "tags must be unique and dense from 1");
+        // A row added to the table without a sample fails here, so the
+        // round-trip, size and truncation tests above cover every row.
+        let mut sampled: Vec<u8> = samples().iter().map(Msg::tag).collect();
+        sampled.sort_unstable();
+        sampled.dedup();
+        assert_eq!(sampled, dense, "every table row needs a sample");
+        for msg in samples() {
+            let mut buf = BytesMut::new();
+            msg.encode(&mut buf);
+            assert_eq!(buf[0], msg.tag(), "{} starts with its tag", msg.label());
         }
     }
 

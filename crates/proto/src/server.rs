@@ -349,47 +349,11 @@ impl ServerTracer {
     fn event(&self, kind: EventKind, a: u64, b: u64) {
         self.rec.record(&self.ring, kind, a, b);
     }
-}
 
-/// Numeric wire tag of a message for trace payloads; mirrors the codec
-/// tags in `messages.rs` (`Msg::label` is for metrics strings, not
-/// numeric trace fields).
-fn msg_tag(msg: &Msg) -> u64 {
-    match msg {
-        Msg::Op(_) => 1,
-        Msg::OpResp(_) => 2,
-        Msg::LocalizeReq(_) => 3,
-        Msg::Relocate(_) => 4,
-        Msg::HandOver(_) => 5,
-        Msg::Shutdown => 6,
-        Msg::ReplicaReg(_) => 7,
-        Msg::ReplicaPush(_) => 8,
-        Msg::ReplicaRefresh(_) => 9,
-        Msg::TechniquePromote(_) => 10,
-        Msg::TechniquePromoteAck(_) => 11,
-        Msg::TechniqueDemote(_) => 12,
-        Msg::TechniqueDemoteAck(_) => 13,
-        Msg::TechniqueDrained(_) => 14,
-        Msg::Batch(_) => 15,
-    }
-}
-
-/// Key count carried by a message (trace payload).
-fn msg_keys(msg: &Msg) -> u64 {
-    match msg {
-        Msg::Op(m) => m.keys.len() as u64,
-        Msg::OpResp(m) => m.keys.len() as u64,
-        Msg::LocalizeReq(m) => m.keys.len() as u64,
-        Msg::Relocate(m) => m.keys.len() as u64,
-        Msg::HandOver(m) => m.keys.len() as u64,
-        Msg::ReplicaPush(m) => m.keys.len() as u64,
-        Msg::ReplicaRefresh(m) => m.keys.len() as u64,
-        Msg::TechniquePromote(m) => m.keys.len() as u64,
-        Msg::TechniquePromoteAck(m) => m.keys.len() as u64,
-        Msg::TechniqueDemote(m) => m.keys.len() as u64,
-        Msg::TechniqueDemoteAck(m) => m.keys.len() as u64,
-        Msg::TechniqueDrained(m) => m.keys.len() as u64,
-        Msg::ReplicaReg(_) | Msg::Shutdown | Msg::Batch(_) => 0,
+    /// Records that the server consumed `msg`.
+    #[inline]
+    fn recv(&self, msg: &Msg) {
+        self.event(EventKind::MsgRecv, msg.tag() as u64, msg.key_count());
     }
 }
 
@@ -470,11 +434,7 @@ impl ServerCore {
             return self.handle_batch(msgs, sink);
         }
         if let Some(t) = &self.tracer {
-            // Op messages are recorded per constituent in `handle_op_run`
-            // (batched runs bypass this entry point).
-            if !matches!(msg, Msg::Op(_)) {
-                t.event(EventKind::MsgRecv, msg_tag(&msg), msg_keys(&msg));
-            }
+            t.recv(&msg);
         }
         let mut batches = Batches::default();
         match msg {
@@ -501,7 +461,7 @@ impl ServerCore {
     /// arrival order (per-link FIFO is untouched), but runs of
     /// **consecutive operation messages** dispatch together so each shard
     /// latch is taken once per run instead of once per message. Every
-    /// non-operation constituent flushes its own [`Batches`] — the
+    /// non-operation constituent flushes its own `Batches` — the
     /// category flush order (responses before relocates before refreshes
     /// before technique traffic) is a per-message contract; merging it
     /// across, say, a promotion ack and a replica push would reorder a
@@ -519,6 +479,11 @@ impl ServerCore {
         let mut run = std::mem::take(&mut self.op_run);
         debug_assert!(run.is_empty());
         for msg in msgs.drain(..) {
+            if let (Some(t), Msg::Op(_)) = (&self.tracer, &msg) {
+                // An operation joining a run bypasses `handle`, which
+                // records every other message.
+                t.recv(&msg);
+            }
             match msg {
                 Msg::Op(m) => run.push(m),
                 other => {
@@ -562,11 +527,6 @@ impl ServerCore {
     fn handle_op_run(&mut self, msgs: &[OpMsg], batches: &mut Batches) {
         let cfg: &ProtoConfig = &self.shared.cfg;
         let policy = cfg.policy();
-        if let Some(t) = &self.tracer {
-            for m in msgs {
-                t.event(EventKind::MsgRecv, 1, m.keys.len() as u64);
-            }
-        }
 
         // Plan phase: flatten the run's keys, group by shard, record
         // payload spans (per-message value offsets).

@@ -117,7 +117,8 @@ impl IncomingState {
 /// A local read of a replicated key must never go backwards, so deltas
 /// stay visible through their whole life cycle: they accumulate in
 /// `pending`, move to `in_flight` when a flush ships them to the owner,
-/// and are retired only when a [`ReplicaRefreshMsg`] acknowledges that
+/// and are retired only when a
+/// [`ReplicaRefreshMsg`](crate::messages::ReplicaRefreshMsg) acknowledges that
 /// the owner applied them (its values then include them). The local view
 /// of a key is always `values + in_flight + pending` (with the owned
 /// store standing in for `values` at the owner).
@@ -487,8 +488,8 @@ impl LaneRegistry {
 /// protocol. [`ShardCell::read`] takes the latch without bumping the
 /// sequence — read-only guard holders never invalidate concurrent
 /// optimistic readers. Optimistic readers load the sequence (acquire),
-/// copy racily out of *stable* memory only (see
-/// [`ShardStore::read_racy`]), and accept the snapshot iff the sequence
+/// copy racily out of *stable* memory only (see `ShardStore::read_racy`),
+/// and accept the snapshot iff the sequence
 /// is unchanged and even afterwards.
 ///
 /// Three hint atomics summarize the shard state as of the last committed
@@ -604,6 +605,31 @@ impl ShardCell {
 
     /// Takes the latch for read-only access. Does **not** bump the
     /// sequence counter, so concurrent optimistic readers stay valid.
+    ///
+    /// The guard is `Deref` only and [`Shard`] has no interior
+    /// mutability, so a write through it — which optimistic readers
+    /// could not notice, the sequence being unchanged — does not compile:
+    ///
+    /// ```compile_fail,E0596
+    /// # use std::sync::Arc;
+    /// # use lapse_net::{Key, NodeId};
+    /// # use lapse_proto::{Layout, NodeShared, ProtoConfig};
+    /// let cfg = Arc::new(ProtoConfig::new(1, 4, Layout::Uniform(1)));
+    /// let node = NodeShared::new(cfg, NodeId(0), Arc::new(|| 0));
+    /// node.shard_for(Key(0)).read().store.add(Key(0), &[1.0]);
+    /// ```
+    ///
+    /// The same line through [`ShardCell::write`] does (so the failure
+    /// above is the borrow, nothing else):
+    ///
+    /// ```
+    /// # use std::sync::Arc;
+    /// # use lapse_net::{Key, NodeId};
+    /// # use lapse_proto::{Layout, NodeShared, ProtoConfig};
+    /// let cfg = Arc::new(ProtoConfig::new(1, 4, Layout::Uniform(1)));
+    /// let node = NodeShared::new(cfg, NodeId(0), Arc::new(|| 0));
+    /// assert!(node.shard_for(Key(0)).write().store.add(Key(0), &[1.0]));
+    /// ```
     pub fn read(&self) -> ShardReadGuard<'_> {
         let latch = self.lock_latch();
         // SAFETY: the latch excludes all writers (they hold it for their

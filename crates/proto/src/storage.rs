@@ -7,7 +7,7 @@
 //! during relocations), and a **sparse** store backed by a hash map that
 //! only materializes currently-owned keys.
 //!
-//! Both flavours keep their values in one per-shard [`ValueArena`]: a
+//! Both flavours keep their values in one per-shard `ValueArena`: a
 //! contiguous `f32` slab addressed by [`ValueSlot`] handles. The dense
 //! store's arena is fully preallocated (one fixed slot per key); the
 //! sparse store's arena grows on demand and recycles freed spans through
@@ -26,7 +26,7 @@ use lapse_net::Key;
 
 use crate::layout::Layout;
 
-/// Handle to one value's span inside a store's [`ValueArena`].
+/// Handle to one value's span inside a store's `ValueArena`.
 ///
 /// A slot stays readable (via [`ShardStore::slot_slice`]) from the moment
 /// it is returned by [`ShardStore::take`] until it is passed to
@@ -146,7 +146,7 @@ impl ValueArena {
 }
 
 /// Outcome of a seqlock-optimistic store read
-/// ([`ShardStore::read_racy`]). The observation is only trustworthy once
+/// (`ShardStore::read_racy`). The observation is only trustworthy once
 /// the caller has validated the shard's sequence number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RacyRead {

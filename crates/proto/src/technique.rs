@@ -12,7 +12,7 @@
 //! * **per-key technique** — [`Policy::technique`] maps a key to
 //!   [`Technique::Static`], [`Technique::Relocation`], or
 //!   [`Technique::Replication`] according to the configured
-//!   [`Variant`](crate::config::Variant) and hot set. Under
+//!   [`Variant`] and hot set. Under
 //!   [`Variant::Adaptive`] the technique is no longer a pure function of
 //!   the configuration: [`Policy::technique_in`] additionally consults
 //!   the shard's **dynamic technique table**

@@ -510,13 +510,12 @@ impl OpTracker {
     }
 
     /// Discards a completed operation without materializing results
-    /// (pushes, localizes).
-    pub fn discard(&self, seq: u64) {
-        let op = self.lock(seq).remove(&seq);
-        debug_assert!(
-            op.map(|o| o.done).unwrap_or(true),
-            "discard of incomplete op"
-        );
+    /// (pushes, localizes). Returns what it tracked, if it was still
+    /// registered.
+    pub fn discard(&self, seq: u64) -> Option<TrackedKind> {
+        let op = self.lock(seq).remove(&seq)?;
+        debug_assert!(op.done, "discard of incomplete op");
+        Some(op.kind)
     }
 
     /// Abandons an operation whose handle was dropped without waiting:

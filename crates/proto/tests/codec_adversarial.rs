@@ -1,8 +1,10 @@
 //! Adversarial codec tests: exhaustive tag coverage, the unknown-tag
 //! boundary, byte-by-byte truncation of the technique-transition frames
 //! (tags 10–14), absurd length prefixes, and the batch envelope's
-//! nesting/recursion bounds (tag 15). Complements the proptest suite
-//! with deterministic, boundary-targeted cases.
+//! nesting/recursion bounds (tag 15), golden frames, and flag bytes
+//! outside 0/1. Complements the proptest suite with deterministic,
+//! boundary-targeted cases. The tag numbers here are written out by hand
+//! on purpose: they are the reference the generated table is held to.
 
 use bytes::{Bytes, BytesMut};
 
@@ -171,6 +173,64 @@ fn every_tag_round_trips_with_its_tag_byte() {
         assert_eq!(&back, msg);
         assert_eq!(rest.len(), 0, "decode consumed the frame exactly");
     }
+}
+
+/// The encoding of each `samples_by_tag()` frame as the hand-written
+/// encoder of commit `913c885` produced it: the generated codec is held
+/// to those bytes, not just to its own decoder.
+#[test]
+fn encoded_bytes_match_the_golden_frames() {
+    let golden: [(u8, &str); 15] = [
+        (1, "0101002a0000000000000001010200000003000000000000000900000000000000020000000000803f000000c0"),
+        (2, "020000010000000000000000010000000500000000000000020000000000803e0000003f0300"),
+        (3, "03010008000000000000000200000000000000000000000100000000000000"),
+        (4, "04010008000000000000000100000000000000000000000100"),
+        (5, "05010008000000000000000100000000000000000000000100000000001041"),
+        (6, "06"),
+        (7, "070200"),
+        (8, "08020004000000000000000200000001000000000000000200000000000000020000000000003f0000c0bf"),
+        (9, "090000090000000000000004000000000000000100000001000000000000000100000000001040"),
+        (10, "0a03000200000007000000000000000800000000000000"),
+        (11, "0b00000300000000000000010000000700000000000000020000000000c03f000000bf"),
+        (12, "0c0100010000000700000000000000"),
+        (13, "0d00000400000000000000010000000700000000000000"),
+        (14, "0e02000400000000000000010000000700000000000000020000000000403f0000803e"),
+        (15, "0f0300000001000007000000000000000000010000000b0000000000000000000000060202000300000000000000010200000004000000000000000600000000000000000000000100"),
+    ];
+    for ((tag, msg), (golden_tag, hex)) in samples_by_tag().iter().zip(golden) {
+        assert_eq!(*tag, golden_tag);
+        let got: String = encode(msg).iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(got, hex, "tag {tag} ({})", msg.label());
+    }
+}
+
+/// Overwrites byte `at` of `msg`'s frame with 2 and with 255 and expects
+/// the decoder to refuse each.
+fn assert_flag_byte_is_strict(msg: &Msg, at: usize) {
+    for bad in [2u8, 255] {
+        let mut frame = encode(msg).to_vec();
+        assert!(frame[at] <= 1, "byte {at} of {} is a flag", msg.label());
+        frame[at] = bad;
+        match Msg::decode(&mut Bytes::from(frame)) {
+            Err(CodecError::InvalidValue(b)) => assert_eq!(b, bad),
+            other => panic!("{}: byte {bad} at {at} gave {other:?}", msg.label()),
+        }
+    }
+}
+
+#[test]
+fn op_kind_and_home_routed_bytes_are_zero_or_one() {
+    // Tag 1: tag, op id (2 + 8), kind, routed_by_home, …
+    let (_, op) = &samples_by_tag()[0];
+    assert_flag_byte_is_strict(op, 11);
+    assert_flag_byte_is_strict(op, 12);
+}
+
+#[test]
+fn resp_kind_byte_is_zero_or_one() {
+    // Tag 2: tag, op id (2 + 8), kind, …
+    let (_, resp) = &samples_by_tag()[1];
+    assert_flag_byte_is_strict(resp, 11);
 }
 
 #[test]

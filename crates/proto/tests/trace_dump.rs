@@ -1,4 +1,5 @@
-//! Flight-recorder auto-dump on protocol-invariant violations.
+//! Flight-recorder auto-dump on protocol-invariant violations, and the
+//! op class a completion is recorded under.
 //!
 //! An `unexpected_relocates` violation (a `Relocate` for a key the node
 //! neither owns nor expects) must flush the recorder *before* the debug
@@ -9,14 +10,16 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use lapse_net::{Key, NodeId};
+use lapse_proto::client::ClientCore;
 use lapse_proto::messages::{Msg, OpId, RelocateMsg};
 use lapse_proto::server::ServerCore;
 use lapse_proto::shard::NodeShared;
+use lapse_proto::tracker::TrackedKind;
 use lapse_proto::{Layout, ProtoConfig, Variant};
-use lapse_trace::Recorder;
+use lapse_trace::{EventKind, Recorder, CLASS_LOCALIZE, CLASS_PUSH};
 
-#[test]
-fn unexpected_relocate_dumps_the_recorder() {
+/// Node 0 of a traced two-node Lapse cluster, and its recorder.
+fn traced_node() -> (Arc<NodeShared>, Arc<Recorder>) {
     let mut cfg = ProtoConfig::new(2, 8, Layout::Uniform(1));
     cfg.variant = Variant::Lapse;
     cfg.latches = 2;
@@ -29,6 +32,36 @@ fn unexpected_relocate_dumps_the_recorder() {
         recorder.clone(),
         |_| None,
     );
+    (shared, recorder)
+}
+
+/// `finish_ack` releases pushes and localizes alike; the trace must still
+/// say which of the two finished.
+#[test]
+fn a_finished_localize_is_not_recorded_as_a_push() {
+    let (shared, recorder) = traced_node();
+    let client = ClientCore::new(shared.clone(), 0);
+    let localize = shared.tracker.begin(TrackedKind::Localize, 0, None);
+    let push = shared.tracker.begin(TrackedKind::Push, 0, None);
+    for seq in [localize, push] {
+        assert!(shared.tracker.seal(seq), "an op without keys is done");
+        client.finish_ack(seq);
+    }
+    let completions: Vec<(u64, u64)> = recorder
+        .take_events()
+        .iter()
+        .filter(|e| e.kind == EventKind::OpComplete)
+        .map(|e| (e.a, e.b))
+        .collect();
+    assert_eq!(
+        completions,
+        [(CLASS_LOCALIZE, localize), (CLASS_PUSH, push)]
+    );
+}
+
+#[test]
+fn unexpected_relocate_dumps_the_recorder() {
+    let (shared, recorder) = traced_node();
     let mut server = ServerCore::new(shared.clone());
     assert!(recorder.last_dump().is_none());
 

@@ -1,10 +1,9 @@
 //! Simulation results.
 
-use lapse_utils::fmt;
-
-/// Aggregate outcome of one simulation run. Protocol-specific statistics
-/// (access counts, relocation times) live in the protocol's own state and
-/// are read back by the caller after `run` returns.
+/// What the simulator measures in one run. Protocol-specific statistics
+/// (access counts, relocation times, the value plane) live in the
+/// protocol's own state and are read back by the caller after `run`
+/// returns.
 #[derive(Debug, Clone)]
 pub struct SimReport {
     /// Virtual time at which the last event (or worker) finished.
@@ -16,94 +15,4 @@ pub struct SimReport {
     /// Messages whose source and destination coincide (the classic PS's
     /// local-access IPC path).
     pub self_messages: u64,
-    /// Batch envelopes sent by per-link coalescing. Always zero on the
-    /// simulator itself — it never coalesces — and filled in by the
-    /// threaded runner's statistics.
-    pub net_batches: u64,
-    /// Constituent messages carried inside those envelopes.
-    pub net_batched_msgs: u64,
-    /// Snapshot-plane reads served wait-free. Always zero on the
-    /// simulator itself — its serving reads stay latched — and filled in
-    /// by the threaded runner's statistics.
-    pub snapshot_reads: u64,
-    /// Snapshot-plane reads that waited on the staleness bound.
-    pub snapshot_stale_waits: u64,
-    /// Snapshot-plane reads that fell back to the latched path.
-    pub snapshot_fallbacks: u64,
-    /// Value-plane accounting injected by the protocol layer after the
-    /// run (the simulator itself only moves messages): bytes of parameter
-    /// values copied through the value plane, and value-slot allocations
-    /// served from store arenas vs the heap. Zero until the runner fills
-    /// them in.
-    pub value_bytes_moved: u64,
-    /// Value-slot allocations served by store arenas (no heap traffic).
-    pub value_allocs_arena: u64,
-    /// Value allocations that hit the heap (arena growth + per-value
-    /// copies such as parked-operation payloads).
-    pub value_allocs_heap: u64,
-    /// Location-cache hits (remote keys routed via a cached owner);
-    /// injected by the protocol layer, zero until a runner fills it in.
-    pub loc_cache_hits: u64,
-    /// Stale-location-cache double-forwards.
-    pub loc_cache_stale_forwards: u64,
-    /// Accesses sampled into the adaptive management sketches.
-    pub sketch_samples: u64,
-    /// Runtime technique promotions (relocation → replication).
-    pub tech_promotions: u64,
-    /// Runtime technique demotions (replication → relocation).
-    pub tech_demotions: u64,
-    /// Relocation-time median (ns; the paper's Section 3.2 definition),
-    /// injected by the protocol layer after the run. Zero until a runner
-    /// fills it in, and zero when the run relocated nothing.
-    pub reloc_p50_ns: u64,
-    /// Relocation-time 99th percentile (ns).
-    pub reloc_p99_ns: u64,
-    /// Relocation-time 99.9th percentile (ns).
-    pub reloc_p999_ns: u64,
-}
-
-impl SimReport {
-    /// Virtual seconds.
-    pub fn seconds(&self) -> f64 {
-        self.virtual_time_ns as f64 / 1e9
-    }
-
-    /// Human-readable one-liner. The value-plane counters appear once a
-    /// runner has filled them in.
-    pub fn summary(&self) -> String {
-        let mut s = format!(
-            "virtual time {}, {} msgs, {}",
-            fmt::duration_ns(self.virtual_time_ns),
-            fmt::count(self.messages),
-            fmt::bytes(self.bytes)
-        );
-        if self.value_bytes_moved > 0 || self.value_allocs_arena > 0 {
-            s.push_str(&format!(
-                ", value plane {} moved / {} arena / {} heap allocs",
-                fmt::bytes(self.value_bytes_moved),
-                fmt::count(self.value_allocs_arena),
-                fmt::count(self.value_allocs_heap)
-            ));
-        }
-        // Only with coalescing active (threaded backend): simulator
-        // summaries stay byte-identical.
-        if self.net_batches > 0 {
-            s.push_str(&format!(
-                ", {} batches / {} coalesced msgs",
-                fmt::count(self.net_batches),
-                fmt::count(self.net_batched_msgs)
-            ));
-        }
-        // Only with the snapshot serving plane active (threaded backend):
-        // simulator summaries stay byte-identical.
-        if self.snapshot_reads > 0 {
-            s.push_str(&format!(
-                ", {} snapshot reads / {} stale waits / {} fallbacks",
-                fmt::count(self.snapshot_reads),
-                fmt::count(self.snapshot_stale_waits),
-                fmt::count(self.snapshot_fallbacks)
-            ));
-        }
-        s
-    }
 }

@@ -344,25 +344,6 @@ impl<P: SimProtocol> SimCluster<P> {
             messages: self.shared.messages.load(Ordering::Relaxed),
             bytes: self.shared.bytes.load(Ordering::Relaxed),
             self_messages: self.shared.self_messages.load(Ordering::Relaxed),
-            // The simulator never coalesces and keeps serving latched.
-            net_batches: 0,
-            net_batched_msgs: 0,
-            snapshot_reads: 0,
-            snapshot_stale_waits: 0,
-            snapshot_fallbacks: 0,
-            // Filled in by the protocol runner (the simulator itself has
-            // no view of the value plane or the protocol counters).
-            value_bytes_moved: 0,
-            value_allocs_arena: 0,
-            value_allocs_heap: 0,
-            loc_cache_hits: 0,
-            loc_cache_stale_forwards: 0,
-            sketch_samples: 0,
-            tech_promotions: 0,
-            tech_demotions: 0,
-            reloc_p50_ns: 0,
-            reloc_p99_ns: 0,
-            reloc_p999_ns: 0,
         };
         let results = Arc::try_unwrap(results)
             .unwrap_or_else(|_| panic!("worker result references leaked"))

@@ -27,7 +27,8 @@ pub enum YieldReason {
     Until(u64),
     /// Arrived at the global barrier.
     Barrier,
-    /// Worker body returned (or panicked; see [`TaskSync::panicked`]).
+    /// Worker body returned (or panicked; the payload is kept in its
+    /// [`TaskSync`]).
     Finished,
 }
 

@@ -59,102 +59,84 @@ mod export;
 /// (virtual time on sim, monotonic elapsed on threaded).
 pub type TimeFn = Arc<dyn Fn() -> u64 + Send + Sync>;
 
-/// Compact event vocabulary. Field meanings per kind are documented on
-/// the variant; `a`/`b` are kind-specific payload words.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum EventKind {
+/// Declares [`EventKind`] once: discriminant, variant and dotted name per
+/// row, read as the enum, its decoder and its names.
+macro_rules! event_kinds {
+    ($($(#[$doc:meta])* $disc:literal $variant:ident $name:literal,)*) => {
+        /// Compact event vocabulary. Field meanings per kind are
+        /// documented on the variant; `a`/`b` are kind-specific payload
+        /// words.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(u8)]
+        pub enum EventKind {
+            $($(#[$doc])* $variant = $disc,)*
+        }
+
+        impl EventKind {
+            /// Decodes a wire byte; `None` for bytes outside the
+            /// vocabulary.
+            pub fn from_u8(x: u8) -> Option<EventKind> {
+                match x {
+                    $($disc => Some(EventKind::$variant),)*
+                    _ => None,
+                }
+            }
+
+            /// Stable dotted name used by both exporters.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(EventKind::$variant => $name,)*
+                }
+            }
+        }
+    };
+}
+
+event_kinds! {
     /// A grouped op was issued. `a` = op class, `b` = key count.
-    OpIssue = 0,
+    0 OpIssue "op.issue",
     /// One issue phase finished (span). `a` packs `class << 32 | phase`
     /// (phase 0 plan, 1 shard, 2 emit), `b` = duration ns; the event
     /// timestamp is the phase *end*.
-    OpPhase = 1,
+    1 OpPhase "op.phase",
     /// An op completed (last response consumed). `a` = op class,
     /// `b` = op sequence number.
-    OpComplete = 2,
+    2 OpComplete "op.complete",
     /// A message left a node. `a` = destination node, `b` = payload
     /// bytes.
-    MsgSend = 3,
+    3 MsgSend "msg.send",
     /// A server consumed a message. `a` = wire tag, `b` = key count.
-    MsgRecv = 4,
+    4 MsgRecv "msg.recv",
     /// A batch/burst boundary. `a` = destination (or 0 for an ingest
     /// burst), `b` = messages in the batch.
-    MsgBatch = 5,
+    5 MsgBatch "msg.batch",
     /// Home node started relocating a key. `a` = key, `b` = old owner.
-    RelocStart = 6,
+    6 RelocStart "reloc.start",
     /// Old owner handed a key's value over. `a` = key, `b` = new owner.
-    RelocHandOver = 7,
+    7 RelocHandOver "reloc.handover",
     /// New owner installed a relocated value. `a` = key, `b` = value
     /// length.
-    RelocInstall = 8,
+    8 RelocInstall "reloc.install",
     /// A `Relocate` arrived for a key neither owned nor expected —
     /// the invariant-violation trigger. `a` = key.
-    RelocUnexpected = 9,
+    9 RelocUnexpected "reloc.unexpected",
     /// Management node asked an owner to promote. `a` = key.
-    TechPromote = 10,
+    10 TechPromote "tech.promote",
     /// Promotion finished on the owner. `a` = key, `b` = epoch.
-    TechPromoteAck = 11,
+    11 TechPromoteAck "tech.promote_ack",
     /// Demotion started. `a` = key, `b` = epoch.
-    TechDemote = 12,
+    12 TechDemote "tech.demote",
     /// Demotion drained and completed. `a` = key, `b` = epoch.
-    TechDrained = 13,
+    13 TechDrained "tech.drained",
     /// Snapshot-plane read served. `a` = tier (0 owned, 1 replica,
     /// 2 latched), `b` = key.
-    SnapshotRead = 14,
+    14 SnapshotRead "snapshot.read",
     /// A shard-latch acquisition had to wait (span). `a` = shard index,
     /// `b` = wait ns; the event timestamp is the acquisition.
-    LatchWait = 15,
+    15 LatchWait "latch.wait",
 }
 
 impl EventKind {
-    /// Decodes a wire byte; `None` for bytes outside the vocabulary.
-    pub fn from_u8(x: u8) -> Option<EventKind> {
-        use EventKind::*;
-        Some(match x {
-            0 => OpIssue,
-            1 => OpPhase,
-            2 => OpComplete,
-            3 => MsgSend,
-            4 => MsgRecv,
-            5 => MsgBatch,
-            6 => RelocStart,
-            7 => RelocHandOver,
-            8 => RelocInstall,
-            9 => RelocUnexpected,
-            10 => TechPromote,
-            11 => TechPromoteAck,
-            12 => TechDemote,
-            13 => TechDrained,
-            14 => SnapshotRead,
-            15 => LatchWait,
-            _ => return None,
-        })
-    }
-
-    /// Stable dotted name used by both exporters.
-    pub fn name(self) -> &'static str {
-        use EventKind::*;
-        match self {
-            OpIssue => "op.issue",
-            OpPhase => "op.phase",
-            OpComplete => "op.complete",
-            MsgSend => "msg.send",
-            MsgRecv => "msg.recv",
-            MsgBatch => "msg.batch",
-            RelocStart => "reloc.start",
-            RelocHandOver => "reloc.handover",
-            RelocInstall => "reloc.install",
-            RelocUnexpected => "reloc.unexpected",
-            TechPromote => "tech.promote",
-            TechPromoteAck => "tech.promote_ack",
-            TechDemote => "tech.demote",
-            TechDrained => "tech.drained",
-            SnapshotRead => "snapshot.read",
-            LatchWait => "latch.wait",
-        }
-    }
-
     /// Span kinds render as Chrome `"X"` complete events (the stamp is
     /// the span end, `b` the duration); everything else is an instant.
     pub fn is_span(self) -> bool {

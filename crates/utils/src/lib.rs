@@ -13,8 +13,8 @@
 //!   used by the experiment harness and the simulator's metric collection.
 //! * [`table`] — plain-text table and series rendering for the experiment
 //!   binaries that regenerate the paper's tables and figures.
-//! * [`metrics`] — a counter registry shared by the runtime and the
-//!   simulator.
+//! * [`metrics`] — the empty handle `ThreadedNet`'s constructors still
+//!   take (the registry behind it is gone).
 //! * [`fmt`] — human-readable formatting of durations, byte counts, and
 //!   rates.
 

@@ -1,194 +1,19 @@
-//! Counter registry used by the runtime and the simulator.
+//! What is left of the counter registry.
 //!
-//! The paper reports several message- and access-count statistics (Table 5,
-//! Table 3, the ablation study). Rather than threading dozens of counters
-//! through every call path, components increment named counters in a
-//! [`Metrics`] registry owned by the cluster/simulation, and the harness
-//! snapshots it at epoch boundaries.
+//! Message and access counts live where they are written: per-link in
+//! `ThreadedNet`, per-lane in the protocol's `AccessLane`s, and
+//! `ClusterStats` reads both. Nothing has written to this registry since
+//! then; only the handle remains, because `ThreadedNet`'s constructors
+//! take one and the frozen `benchmark/` package passes it. The parameter
+//! and this type go with the next `benchmark` PR.
 
-use parking_lot::Mutex;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-/// A shared, thread-safe registry of named `u64` counters.
-///
-/// Counter handles ([`Counter`]) are cheap to clone and increment without
-/// locking; registering a new name takes a short-lived lock.
+/// An empty handle; see the module docs.
 #[derive(Debug, Clone, Default)]
-pub struct Metrics {
-    inner: Arc<Mutex<BTreeMap<String, Arc<AtomicU64>>>>,
-}
-
-/// A handle to a single counter.
-#[derive(Debug, Clone)]
-pub struct Counter(Arc<AtomicU64>);
-
-impl Counter {
-    /// Increments by one.
-    #[inline]
-    pub fn inc(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Increments by `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
+pub struct Metrics;
 
 impl Metrics {
-    /// Creates an empty registry.
+    /// The handle.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns the counter registered under `name`, creating it at zero if
-    /// absent.
-    pub fn counter(&self, name: &str) -> Counter {
-        let mut map = self.inner.lock();
-        let cell = map
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(AtomicU64::new(0)))
-            .clone();
-        Counter(cell)
-    }
-
-    /// Adds `n` to the counter named `name` (registering it if needed).
-    pub fn add(&self, name: &str, n: u64) {
-        self.counter(name).add(n);
-    }
-
-    /// Snapshot of all counters, sorted by name.
-    pub fn snapshot(&self) -> BTreeMap<String, u64> {
-        self.inner
-            .lock()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
-            .collect()
-    }
-
-    /// Value of one counter; 0 if it was never registered.
-    pub fn get(&self, name: &str) -> u64 {
-        self.inner
-            .lock()
-            .get(name)
-            .map(|c| c.load(Ordering::Relaxed))
-            .unwrap_or(0)
-    }
-
-    /// Resets every counter to zero (keeps registrations).
-    pub fn reset(&self) {
-        for c in self.inner.lock().values() {
-            c.store(0, Ordering::Relaxed);
-        }
-    }
-
-    /// Difference `after - before` over the union of both snapshots.
-    /// Counters only in `before` (e.g. dropped by a re-registration
-    /// between snapshots) report 0 rather than vanishing; saturating, so
-    /// a counter that shrank (reset between snapshots) also reports 0.
-    pub fn delta(
-        before: &BTreeMap<String, u64>,
-        after: &BTreeMap<String, u64>,
-    ) -> BTreeMap<String, u64> {
-        let mut out: BTreeMap<String, u64> = after
-            .iter()
-            .map(|(k, &v)| {
-                (
-                    k.clone(),
-                    v.saturating_sub(before.get(k).copied().unwrap_or(0)),
-                )
-            })
-            .collect();
-        for k in before.keys() {
-            out.entry(k.clone()).or_insert(0);
-        }
-        out
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::thread;
-
-    #[test]
-    fn counters_accumulate() {
-        let m = Metrics::new();
-        let c = m.counter("msgs");
-        c.inc();
-        c.add(4);
-        assert_eq!(m.get("msgs"), 5);
-        assert_eq!(m.get("missing"), 0);
-    }
-
-    #[test]
-    fn same_name_same_counter() {
-        let m = Metrics::new();
-        m.counter("a").inc();
-        m.counter("a").inc();
-        assert_eq!(m.get("a"), 2);
-    }
-
-    #[test]
-    fn concurrent_increments() {
-        let m = Metrics::new();
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let c = m.counter("shared");
-                thread::spawn(move || {
-                    for _ in 0..1000 {
-                        c.inc();
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(m.get("shared"), 4000);
-    }
-
-    #[test]
-    fn snapshot_and_delta() {
-        let m = Metrics::new();
-        m.add("x", 3);
-        let before = m.snapshot();
-        m.add("x", 2);
-        m.add("y", 7);
-        let after = m.snapshot();
-        let d = Metrics::delta(&before, &after);
-        assert_eq!(d["x"], 2);
-        assert_eq!(d["y"], 7);
-    }
-
-    #[test]
-    fn delta_keeps_before_only_counters() {
-        let mut before = BTreeMap::new();
-        before.insert("gone".to_string(), 5u64);
-        before.insert("shrunk".to_string(), 9u64);
-        let mut after = BTreeMap::new();
-        after.insert("shrunk".to_string(), 3u64);
-        after.insert("new".to_string(), 2u64);
-        let d = Metrics::delta(&before, &after);
-        assert_eq!(d["gone"], 0, "before-only counters must not vanish");
-        assert_eq!(d["shrunk"], 0, "shrinking counters saturate at zero");
-        assert_eq!(d["new"], 2);
-        assert_eq!(d.len(), 3);
-    }
-
-    #[test]
-    fn reset_zeroes_counters() {
-        let m = Metrics::new();
-        m.add("x", 3);
-        m.reset();
-        assert_eq!(m.get("x"), 0);
+        Metrics
     }
 }
