@@ -98,6 +98,8 @@ bench-contract:
 ##   make bench-pairs PARENT=HEAD~1 WORKLOAD=serve_train SEED=7 PAIRS=10
 ## TRACE=1 runs the pairs with `--trace 1` and prints the per-layer rows
 ## instead (where the saving is; the claim itself rests on TRACE=0).
+## WORKLOAD=all runs the four workloads of BENCHMARK.json back to back on
+## the same two builds and prints one table (the must-not-move guard).
 PAIRS ?= 10
 TRACE ?= 0
 bench-pairs:

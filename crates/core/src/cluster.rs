@@ -329,12 +329,16 @@ where
     R: Send + 'static,
     F: Fn(&mut dyn PsWorker) -> R + Send + Sync + 'static,
 {
-    run_threaded_with_drain_cap(cfg, workers_per_node, SERVER_DRAIN_CAP, init, body)
+    let (results, stats, _) =
+        run_threaded_with_drain_cap(cfg, workers_per_node, SERVER_DRAIN_CAP, init, body);
+    (results, stats)
 }
 
-/// [`run_threaded`] with the per-visit drain cap forced to `drain_cap`.
-/// A test hook, not a setting: the dispatch tests force it down to 2 so
-/// that the doorbell path runs on a small cluster.
+/// [`run_threaded`] with the per-visit drain cap forced to `drain_cap`,
+/// handing back the stopped cluster's [`Dispatch`] as well. A test hook,
+/// not a setting: the dispatch tests force the cap down to 2 so that the
+/// doorbell path runs on a small cluster, and check that a run left
+/// nothing queued.
 #[doc(hidden)]
 pub fn run_threaded_with_drain_cap<R, F>(
     cfg: PsConfig,
@@ -342,7 +346,7 @@ pub fn run_threaded_with_drain_cap<R, F>(
     drain_cap: usize,
     init: impl FnMut(Key) -> Option<Vec<f32>>,
     body: F,
-) -> (Vec<R>, ClusterStats)
+) -> (Vec<R>, ClusterStats, Arc<Dispatch>)
 where
     R: Send + 'static,
     F: Fn(&mut dyn PsWorker) -> R + Send + Sync + 'static,
@@ -438,7 +442,9 @@ where
     stats.bytes = net.total_bytes();
     stats.self_messages = net.self_messages();
     stats.doorbell_rings = dispatch.doorbell_rings();
-    stats.wake_parks = wakes.iter().flatten().map(|w| w.parks()).sum();
+    for wake in wakes.iter().flatten() {
+        wake.report(&mut stats);
+    }
     export_trace(&recorder, &mut stats);
-    (results, stats)
+    (results, stats, dispatch)
 }

@@ -12,8 +12,10 @@
 //!   local parameters are accessed through shared memory under latches,
 //!   exactly as in Figure 2 of the paper. A node's server is a passive
 //!   object driven by whichever thread sent it a message (see
-//!   [`threaded::Dispatch`]), so a remote operation wakes no thread.
-//!   This is the backend a downstream user embeds.
+//!   [`threaded::Dispatch`]), so a remote operation wakes no thread; a
+//!   worker whose operation another thread is finishing polls for it
+//!   briefly before it sleeps. This is the backend a downstream user
+//!   embeds.
 //! * [`run_sim`] — the **discrete-event backend**: the same protocol
 //!   driven in virtual time by `lapse-sim`, used by the experiment suite
 //!   to reproduce the paper's cluster-scaling results on a single

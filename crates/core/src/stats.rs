@@ -96,10 +96,23 @@ pub struct ClusterStats {
     /// node's fallback server thread (threaded backend; 0 on the
     /// simulator).
     pub doorbell_rings: u64,
-    /// Times a worker slept waiting for an operation to complete
-    /// (threaded backend; 0 on the simulator). An operation that ran to
-    /// completion on the issuing worker's own thread costs none.
+    /// Waits for an operation that found it complete at the first check:
+    /// it ran to completion on the issuing worker's own thread (threaded
+    /// backend; 0 on the simulator, like the three below). Every wait
+    /// counts as exactly one of `wake_immediate`, `wake_spins`,
+    /// `wake_parks`.
+    pub wake_immediate: u64,
+    /// Waits that ended while the worker polled: another thread held the
+    /// destination's role and finished the operation within the spin
+    /// budget.
+    pub wake_spins: u64,
+    /// Waits that outlasted the spin budget, so that the worker went on
+    /// to sleep and the completing thread had to wake it.
     pub wake_parks: u64,
+    /// Nanoseconds workers spent waiting after a failed first check,
+    /// polling and asleep, summed over workers: the "remote wait" term
+    /// of an epoch's attribution.
+    pub wait_ns: u64,
     /// Virtual run time (simulator backend only).
     pub virtual_time_ns: Option<u64>,
     /// Chrome trace-event JSON exported by the flight recorder
@@ -191,7 +204,10 @@ impl ClusterStats {
             snapshot_stale_waits,
             snapshot_fallbacks,
             doorbell_rings: 0,
+            wake_immediate: 0,
+            wake_spins: 0,
             wake_parks: 0,
+            wait_ns: 0,
             virtual_time_ns: None,
             trace_json: None,
         }
@@ -253,5 +269,10 @@ mod tests {
         assert_eq!(s.value_allocs_heap, store_heap + 400);
         assert_eq!(s.snapshot_fallbacks, 4000);
         assert_eq!((s.pull_total(), s.pull_remote, s.messages), (6, 0, 0));
+        // The runtime's own counters are not the lanes': `collect` leaves
+        // them zero (the simulator's values) and `run_threaded` fills
+        // them in (their names are tested beside `WakeCell::report`).
+        let waits = (s.wake_immediate, s.wake_spins, s.wake_parks, s.wait_ns);
+        assert_eq!((s.doorbell_rings, waits), (0, (0, 0, 0, 0)));
     }
 }

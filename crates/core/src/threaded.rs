@@ -12,29 +12,67 @@
 //! completion on the issuing worker's thread and no thread is woken on
 //! the way. Each node keeps one server thread, parked on a doorbell, for
 //! the work a driver leaves behind when it hits the drain cap.
+//!
+//! When the destination's role is held by another thread, that thread
+//! finishes the operation, and the issuing worker waits for it in one
+//! place, `WakeCell::wait_until`: check, spin for about what a sleep
+//! costs, then park. The epoch barrier and the doorbell sleep at once —
+//! nobody behind them is microseconds away.
 
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::Ordering::{Relaxed, SeqCst};
 use std::sync::atomic::{fence, AtomicBool, AtomicI64, AtomicU32, AtomicU64};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use lapse_net::{Endpoint, NodeId, ThreadedNet};
 use lapse_proto::client::{ClientCore, MsgSink};
 use lapse_proto::coalesce::Coalescer;
 use lapse_proto::messages::Msg;
 use lapse_proto::server::ServerCore;
-use lapse_proto::shard::{AccessLane, NodeShared};
+use lapse_proto::shard::{AccessLane, LaneCounter, NodeShared};
 use lapse_proto::{ProtoConfig, SnapshotReader};
 
+use crate::stats::ClusterStats;
 use crate::worker::Backend;
 
-/// Where a worker waits for the completion of one of its operations.
+/// How long a waiter polls before it goes to sleep: about what the sleep
+/// costs (ski rental — whenever the completion arrives, polling this long
+/// first costs at most twice the better of "poll" and "sleep at once").
+/// On the benchmark host a park costs the sleeper 16–32 µs and the
+/// notifier a futex wake, for completions that arrive within 2–8 µs when
+/// another worker held the destination's role. It also bounds what a
+/// waiter burns when the thread it waits for was descheduled. The gain is
+/// flat between 20 and 100 µs (EXPERIMENTS.md, "before/after PR 18"), so
+/// this is a constant, not a setting.
+const SPIN_BUDGET: Duration = Duration::from_micros(30);
+
+/// What a waiter counts about its own waits. It is the only writer, so
+/// the bumps are plain stores, and the block has its lines to itself:
+/// the notifiers, which read `parked` on every completion, never see
+/// them move.
+#[derive(Default)]
+#[repr(align(128))]
+struct WaitCounts {
+    /// Waits whose first check found the operation done.
+    immediate: LaneCounter,
+    /// Waits that ended in the spin stage.
+    spins: LaneCounter,
+    /// Waits that outlasted the spin stage and went on to park.
+    parks: LaneCounter,
+    /// Nanoseconds between a failed first check and the end of the wait.
+    wait_ns: LaneCounter,
+}
+
+/// Where a worker waits for the completion of one of its operations:
+/// check, spin, park.
 ///
 /// Most completions arrive with nobody parked: the operation ran to
-/// completion on the waiter's own thread before it came to wait. So
-/// `notify` takes the lock only when the parked count says someone may
-/// be asleep.
+/// completion on the waiter's own thread before it came to wait, or —
+/// when another thread held the destination's role and finishes the work
+/// — a few microseconds later, while the waiter still polls. So `notify`
+/// takes the lock only when the parked count says someone may be asleep.
 ///
 /// No wake-up is missed. The waiter announces itself (`parked += 1`),
 /// fences, then re-checks `done` under the lock before every sleep. The
@@ -44,14 +82,15 @@ use crate::worker::Backend;
 /// and takes the lock, which it gets either before the waiter's check
 /// (the check then sees the completion) or once the waiter sleeps (the
 /// `notify_all` wakes it); if the notifier's comes first, the waiter's
-/// check already sees the completion and it never sleeps.
+/// check already sees the completion and it never sleeps. (The spin
+/// stage before the announcement only reads `done`: it can end a wait
+/// early, never make one miss its wake-up.)
 #[derive(Default)]
 pub(crate) struct WakeCell {
     parked: AtomicU32,
     lock: Mutex<()>,
     cv: Condvar,
-    /// Times the waiter actually slept (a statistic).
-    parks: AtomicU64,
+    counts: WaitCounts,
 }
 
 impl WakeCell {
@@ -66,25 +105,50 @@ impl WakeCell {
         self.cv.notify_all();
     }
 
-    /// Blocks until `done()`.
+    /// Blocks until `done()`: polls it for [`SPIN_BUDGET`], then parks.
+    /// Every wait bumps exactly one of the three stage counters.
     pub(crate) fn wait_until(&self, mut done: impl FnMut() -> bool) {
+        let counts = &self.counts;
         if done() {
+            counts.immediate.add(1);
             return;
         }
+        // lint:allow(wall-clock, bounds the spin stage and times the wait for a statistic; it never feeds message contents or ordering)
+        let start = Instant::now();
+        loop {
+            std::hint::spin_loop();
+            if done() {
+                counts.spins.add(1);
+                break;
+            }
+            if start.elapsed() >= SPIN_BUDGET {
+                counts.parks.add(1);
+                self.park_until(&mut done);
+                break;
+            }
+        }
+        counts.wait_ns.add(start.elapsed().as_nanos() as u64);
+    }
+
+    /// The park stage of [`WakeCell::wait_until`]: announce, fence,
+    /// re-check under the lock, sleep.
+    fn park_until(&self, done: &mut impl FnMut() -> bool) {
         self.parked.fetch_add(1, SeqCst);
         fence(SeqCst);
         let mut g = self.lock.lock();
         while !done() {
-            self.parks.fetch_add(1, Relaxed);
             self.cv.wait(&mut g);
         }
         drop(g);
         self.parked.fetch_sub(1, SeqCst);
     }
 
-    /// Times the waiter slept in [`WakeCell::wait_until`].
-    pub(crate) fn parks(&self) -> u64 {
-        self.parks.load(Relaxed)
+    /// Adds this cell's counts to `stats`. Exact once the waiter stopped.
+    pub(crate) fn report(&self, stats: &mut ClusterStats) {
+        stats.wake_immediate += self.counts.immediate.get();
+        stats.wake_spins += self.counts.spins.get();
+        stats.wake_parks += self.counts.parks.get();
+        stats.wait_ns += self.counts.wait_ns.get();
     }
 }
 
@@ -341,13 +405,13 @@ impl Driver {
 }
 
 /// The threaded runtime under a [`Worker`](crate::worker::Worker): real
-/// time passes, a send drives the servers it reaches, a wait parks on the
-/// worker's wake cell.
+/// time passes, a send drives the servers it reaches, a wait spins, then
+/// parks, on the worker's wake cell.
 pub(crate) struct ThreadedBackend {
     driver: Driver,
     wake: Arc<WakeCell>,
     barrier: Arc<std::sync::Barrier>,
-    start: std::time::Instant,
+    start: Instant,
     /// Per-link batching of flushed sinks (`None` when coalescing is off).
     coalescer: Option<Coalescer>,
 }
@@ -358,7 +422,7 @@ impl ThreadedBackend {
         dispatch: Arc<Dispatch>,
         wake: Arc<WakeCell>,
         barrier: Arc<std::sync::Barrier>,
-        start: std::time::Instant,
+        start: Instant,
     ) -> Self {
         let coalescer = cfg.coalesce.then(|| Coalescer::new(cfg));
         ThreadedBackend {
@@ -471,31 +535,110 @@ pub(crate) fn spawn_server(dispatch: Arc<Dispatch>, node: NodeId) -> JoinHandle<
 mod tests {
     use super::*;
 
-    /// A million rounds of one waiter against one notifier that answers
-    /// by spinning, so its `notify` lands while the waiter is between its
-    /// first check and its sleep — the window in which a wake-up could go
-    /// missing. One missed wake-up and the test hangs.
-    #[test]
-    fn wake_cell_hammer_never_misses_a_wake() {
-        const ROUNDS: u64 = 1_000_000;
+    /// One waiter against one notifier for `rounds` rounds: the waiter
+    /// opens a round and waits with `wait`, the notifier sees it,
+    /// `dawdle`s, then closes the round and notifies. One missed wake-up
+    /// and the test hangs; one round skipped and `turn` is off.
+    fn hammer(
+        rounds: u64,
+        cell: &WakeCell,
+        wait: impl Fn(&WakeCell, &mut dyn FnMut() -> bool),
+        mut dawdle: impl FnMut() + Send,
+    ) {
         let turn = AtomicU64::new(0);
-        let cell = WakeCell::default();
         std::thread::scope(|scope| {
             scope.spawn(|| {
-                for round in 0..ROUNDS {
+                for round in 0..rounds {
                     while turn.load(SeqCst) != 2 * round + 1 {
                         std::hint::spin_loop();
                     }
+                    dawdle();
                     turn.store(2 * round + 2, SeqCst);
                     cell.notify();
                 }
             });
-            for round in 0..ROUNDS {
+            for round in 0..rounds {
                 turn.store(2 * round + 1, SeqCst);
-                cell.wait_until(|| turn.load(SeqCst) == 2 * round + 2);
+                wait(cell, &mut || turn.load(SeqCst) == 2 * round + 2);
             }
         });
-        assert_eq!(turn.load(SeqCst), 2 * ROUNDS);
+        assert_eq!(turn.load(SeqCst), 2 * rounds);
+    }
+
+    /// A million rounds against the park stage alone (with the spin stage
+    /// in front the waiter would almost never reach the sleep this test
+    /// is about): the notifier answers by spinning, so its `notify` lands
+    /// while the waiter is between its check and its sleep — the window
+    /// in which a wake-up could go missing.
+    #[test]
+    fn wake_cell_hammer_never_misses_a_wake() {
+        hammer(
+            1_000_000,
+            &WakeCell::default(),
+            |cell, done| {
+                if !done() {
+                    cell.park_until(&mut || done());
+                }
+            },
+            || {},
+        );
+    }
+
+    /// The whole wait against a notifier that answers after a
+    /// pseudo-random 0–2× the spin budget, so completions land in the
+    /// spin stage, on its boundary and in the sleep (when the two threads
+    /// have a CPU each; sharing one, every wait parks). Every wait counts
+    /// as exactly one of immediate, spun, parked.
+    #[test]
+    fn wake_cell_hammer_across_the_spin_boundary() {
+        const ROUNDS: u64 = 4_000;
+        let cell = WakeCell::default();
+        let mut rng = lapse_utils::rng::rng_from_seed(18);
+        hammer(
+            ROUNDS,
+            &cell,
+            |cell, done| cell.wait_until(done),
+            move || {
+                let delay = SPIN_BUDGET.mul_f64(rand::Rng::gen_range(&mut rng, 0.0..2.0));
+                let start = Instant::now();
+                while start.elapsed() < delay {
+                    std::hint::spin_loop();
+                }
+            },
+        );
+        let mut stats = ClusterStats::collect(&[]);
+        cell.report(&mut stats);
+        assert_eq!(
+            stats.wake_immediate + stats.wake_spins + stats.wake_parks,
+            ROUNDS
+        );
+    }
+
+    /// Each stage on one thread, and each under its own name in
+    /// `ClusterStats`: done at the first check, done at the second, and
+    /// done only once the waiter announced that it parks.
+    #[test]
+    fn every_wait_counts_as_exactly_one_stage() {
+        let cell = WakeCell::default();
+        let report = || {
+            let mut stats = ClusterStats::collect(&[]);
+            cell.report(&mut stats);
+            let stages = (stats.wake_immediate, stats.wake_spins, stats.wake_parks);
+            (stages, stats.wait_ns)
+        };
+        cell.wait_until(|| true);
+        assert_eq!(report(), ((1, 0, 0), 0));
+        let mut checks = 0;
+        cell.wait_until(|| {
+            checks += 1;
+            checks == 2
+        });
+        assert_eq!(report().0, (1, 1, 0));
+        cell.wait_until(|| cell.parked.load(SeqCst) > 0);
+        let (stages, wait_ns) = report();
+        assert_eq!(stages, (1, 1, 1));
+        assert!(wait_ns >= SPIN_BUDGET.as_nanos() as u64);
+        assert_eq!(cell.parked.load(SeqCst), 0);
     }
 
     #[test]

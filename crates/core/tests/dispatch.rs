@@ -9,7 +9,11 @@
 //! * an oversubscribed cluster with the cap forced down to 2, so that
 //!   the fallback server threads do real work: exact final state;
 //! * a quiet cluster: a sync remote pull and a sync localize wake no
-//!   thread at all — a count that repeats exactly.
+//!   thread at all and never wait — a count that repeats exactly;
+//! * a busy cluster: two workers steal keys from each other while each
+//!   keeps sync operations in flight at the other's node, so operations
+//!   are finished by whoever held the role and the issuer waits for it:
+//!   exact sums, nothing left queued, every wait counted once.
 
 mod common;
 
@@ -229,7 +233,7 @@ fn oversubscribed_stress_with_a_tiny_drain_cap_keeps_exact_sums() {
     let mut rings = 0;
     for variant in VARIANTS {
         let cfg = || stress_config(NODES, variant);
-        let (threaded, stats) =
+        let (threaded, stats, _) =
             run_threaded_with_drain_cap(cfg(), WORKERS_PER_NODE, 2, |_| None, workload);
         let (sim, sim_stats) = run_sim(
             cfg(),
@@ -261,7 +265,8 @@ fn oversubscribed_stress_with_a_tiny_drain_cap_keeps_exact_sums() {
 /// to completion on the issuing worker's thread: the destination's
 /// handler, the response's handler and the tracker completion all happen
 /// before the worker comes to wait, so no doorbell rings and no worker
-/// sleeps. A count, not a timing: it must repeat exactly.
+/// sleeps or even polls: all three waits are over at their first check.
+/// A count, not a timing: it must repeat exactly.
 #[test]
 fn quiet_remote_ops_wake_nobody() {
     for _ in 0..20 {
@@ -283,14 +288,98 @@ fn quiet_remote_ops_wake_nobody() {
         assert_eq!(outs[0], 9.0);
         assert_eq!(stats.relocations, 1);
         assert_eq!(
-            (stats.doorbell_rings, stats.wake_parks),
-            (0, 0),
-            "a quiet remote op woke a thread"
+            (stats.doorbell_rings, stats.wake_parks, stats.wake_spins),
+            (0, 0, 0),
+            "a quiet remote op woke a thread or waited for one"
         );
+        assert_eq!((stats.wake_immediate, stats.wait_ns), (2, 0));
         // Request and response; localize request and hand-over (key 12's
         // home is its owner, so no relocate message in between); the
         // two `Shutdown` envelopes `run_threaded` ends with.
         assert_eq!(stats.messages, 2 + 2 + 2);
         assert_eq!(stats.tracker_in_flight, 0);
+    }
+}
+
+/// (d) The collision the benchmark's messaging workloads hit: on a busy
+/// 2×1 cluster each worker keeps sync pushes and pulls in flight on keys
+/// the other node owns for good, while both keep localizing — and so
+/// stealing from each other — one shared pool of keys that they push to
+/// as well. A request then often finds the destination's role held by
+/// the other worker, who finishes the operation while the issuer waits
+/// in `WakeCell::wait_until`. Whichever stage each wait ends in (that
+/// depends on the host and is not asserted), pulls see exactly the
+/// pushes before them, the sums are exact, nothing stays queued, and
+/// every wait is counted as exactly one of immediate, spun, parked.
+#[test]
+fn busy_cluster_waits_are_exact_and_counted_once() {
+    const ROUNDS: u64 = 1_000;
+    const POOL: std::ops::Range<u64> = 8..16; // homed at node 0; both workers localize it
+    let (waits, stats, dispatch) = run_threaded_with_drain_cap(
+        PsConfig::new(2, 32, 1).variant(Variant::Lapse),
+        1,
+        SERVER_DRAIN_CAP,
+        |_| None,
+        |w: &mut dyn PsWorker| {
+            let me = w.global_id() as u64;
+            // Homed at the other node and never localized: always remote,
+            // and this worker is the only one that pushes to them.
+            let far = [Key((1 - me) * 16), Key((1 - me) * 16 + 1)];
+            let pool: Vec<Key> = POOL.map(Key).collect();
+            let mut waits = 0;
+            let mut got = [0.0f32; 2];
+            w.barrier();
+            for round in 0..ROUNDS {
+                w.push(&far, &[1.0, 2.0]);
+                w.pull(&far, &mut got);
+                waits += 2;
+                let pushed = (round + 1) as f32;
+                assert_eq!(got, [pushed, 2.0 * pushed], "worker {me}, round {round}");
+                // Three pool keys, a different three each round, localized
+                // and pushed to in one go: the push finds each key here
+                // already, on its way (and parks behind the hand-over), or
+                // still at the other node — so whether these two
+                // operations wait at all is theirs to say.
+                let at = (round * 5 + me * 3) as usize % (pool.len() - 2);
+                let steal = &pool[at..at + 3];
+                for token in [w.localize_async(steal), w.push_async(steal, &[1.0; 3])] {
+                    waits += u64::from(!token.completed_at_issue());
+                    w.wait(token);
+                }
+            }
+            w.barrier();
+            let token = w.pull_async(&pool);
+            waits += u64::from(!token.completed_at_issue());
+            let sums = w.wait_pull(token);
+            w.barrier();
+            // Each key of the pool got 1.0 from each worker in every round
+            // whose window of three covered it.
+            let mut expect = vec![0.0f32; pool.len()];
+            for round in 0..ROUNDS {
+                for who in 0..2 {
+                    let at = (round * 5 + who * 3) as usize % (pool.len() - 2);
+                    expect[at..at + 3].iter_mut().for_each(|x| *x += 1.0);
+                }
+            }
+            assert_eq!(sums, expect, "worker {me}: push sums of the pool");
+            waits
+        },
+    );
+    assert_eq!(
+        stats.wake_immediate + stats.wake_spins + stats.wake_parks,
+        waits.iter().sum::<u64>(),
+        "a wait was counted twice or not at all: {stats:?}"
+    );
+    assert_eq!(stats.wait_ns == 0, stats.wake_spins + stats.wake_parks == 0);
+    assert!(
+        stats.relocations > POOL.count() as u64,
+        "the workers never stole a key back"
+    );
+    assert_eq!(stats.tracker_in_flight, 0);
+    assert_eq!(stats.unexpected_relocates, 0);
+    // Every envelope that was sent was taken off its inbox, the two
+    // `Shutdown`s included.
+    for node in 0..2 {
+        assert_eq!(dispatch.pending(NodeId(node)), 0, "pending at node {node}");
     }
 }

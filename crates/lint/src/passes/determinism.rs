@@ -15,8 +15,11 @@
 //! * entropy-seeded RNG construction (`entropy`);
 //! * `thread::sleep` / `thread::park_timeout` timed blocking
 //!   (`thread-sleep`) — waits on protocol state must be bounded spins
-//!   (the serving plane's stale-wait) or channel receives, never a
-//!   wall-clock stall that couples schedules to elapsed time.
+//!   (the serving plane's stale-wait, bounded by attempts; the spin
+//!   stage of the threaded worker's `WakeCell::wait_until`, bounded by
+//!   an allowed clock read, after which it parks until notified) or
+//!   channel receives, never a wall-clock stall that couples schedules
+//!   to elapsed time.
 //!
 //! Point lookups (`get`, `entry`, `contains_key`, ...) are always fine —
 //! only order-revealing operations are flagged. Benign sites carry a

@@ -402,7 +402,11 @@ impl OpTracker {
                 debug_assert!(false, "response for unknown op {seq}");
                 return;
             };
-            let guard_arc = op.guard.clone();
+            // Taken out for the loop and put back after it, not cloned:
+            // the count of the worker's `Arc` sits on a line the issuing
+            // worker owns, and this runs on whichever thread drives the
+            // server.
+            let guard_arc = op.guard.take();
             let mut guard = guard_arc.as_ref().map(|g| g.lock());
             let mut block_off = 0usize;
             for &key in keys {
@@ -432,6 +436,7 @@ impl OpTracker {
             }
             debug_assert_eq!(block_off, block.len(), "response block not consumed");
             drop(guard);
+            op.guard = guard_arc;
             op.pending -= keys.len() as i64;
             self.settle(&mut shard, seq)
         };

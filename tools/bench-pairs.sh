@@ -2,9 +2,10 @@
 # Alternating parent/change pairs of the repo's benchmark, and the
 # EXPERIMENTS.md table that goes with a performance claim.
 #
-#   tools/bench-pairs.sh <parent-ref> <workload> <seed> [pairs] [seconds]
+#   tools/bench-pairs.sh <parent-ref> <workload|all> <seed> [pairs] [seconds]
 #   make bench-pairs PARENT=<ref> WORKLOAD=<w> SEED=<s> PAIRS=10
 #   make bench-pairs PARENT=<ref> WORKLOAD=<w> SEED=<s> PAIRS=3 TRACE=1
+#   make bench-pairs PARENT=<ref> WORKLOAD=all SEED=<s> PAIRS=5
 #
 # The frozen `benchmark/` package is built once per side, each side from
 # its own source tree into its own target directory under
@@ -13,12 +14,16 @@
 # way, or from the working tree when CHANGE is unset. Then <pairs> pairs
 # of runs, the side that goes first alternating, with the benchmark's
 # own settings (`--seconds 25 --trace 0`). Every run's result line is
-# kept in target/bench-pairs/runs-<workload>-<seed>.tsv; the table is
-# computed from that file: per metric the median and quartiles of each
+# kept in target/bench-pairs/runs-<workload>-<seed>-trace<t>.tsv; the table
+# is computed from that file: per metric the median and quartiles of each
 # side, the change of the median, the pairs the change won (ties count
 # for neither), and the parent's interquartile range relative to its
 # median — the spread a difference has to exceed. A gain may be claimed
 # at >= 9/10 pairs won and a median difference above the parent IQR.
+#
+# Workload `all` runs every workload of BENCHMARK.json back to back, the
+# two builds shared, and prints one table: the "nothing else got worse"
+# guard of a claim in one command instead of four.
 #
 # With TRACE=1 in the environment the pairs run with `--trace 1` and the
 # table has the contract's per-layer rows instead (the "where the saving
@@ -30,8 +35,8 @@
 # kind of neighbour the benchmark's README warns about.
 set -euo pipefail
 
-parent=${1:?usage: bench-pairs.sh <parent-ref> <workload> <seed> [pairs] [seconds]}
-workload=${2:?workload (see BENCHMARK.json)}
+parent=${1:?usage: bench-pairs.sh <parent-ref> <workload|all> <seed> [pairs] [seconds]}
+workloads=${2:?workload (see BENCHMARK.json), or all}
 seed=${3:?seed}
 pairs=${4:-10}
 seconds=${5:-25}
@@ -44,8 +49,11 @@ esac
 
 root=$(git rev-parse --show-toplevel)
 work=$root/target/bench-pairs
-runs=$work/runs-$workload-$seed-trace$trace.tsv
 mkdir -p "$work"
+if [ "$workloads" = all ]; then
+    workloads=$(sed -n '/"workloads"/,/\]/s/.*{"name": "\([a-z0-9_]*\)".*/\1/p' "$root/BENCHMARK.json" | tr '\n' ' ')
+fi
+runs_of() { echo "$work/runs-$1-$seed-trace$trace.tsv"; }
 
 # build <side> <ref|""> -> path of the side's benchmark binary
 build() {
@@ -60,34 +68,41 @@ build() {
     echo "$work/$side/target/release/lapse-benchmark"
 }
 
-# run_once <side> <binary> <pair>: one benchmark run, one row in $runs
+# run_once <workload> <side> <binary> <pair>: one benchmark run, one row
+# in the workload's runs file
 run_once() {
-    local side=$1 bin=$2 pair=$3 line
+    local workload=$1 side=$2 bin=$3 pair=$4 line
     line=$(cd "$work/$side" && CARGO_TARGET_DIR=$work/$side/target \
         "$bin" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace "$trace" | tail -n 1)
-    printf '%s\t%s\t%s\n' "$side" "$pair" "$line" >> "$runs"
+    printf '%s\t%s\t%s\n' "$side" "$pair" "$line" >> "$(runs_of "$workload")"
 }
 
 parent_bin=$(build parent "$parent")
 change_bin=$(build change "${CHANGE:-}")
 
-: > "$runs"
-for pair in $(seq 1 "$pairs"); do
-    if [ $((pair % 2)) -eq 1 ]; then
-        run_once parent "$parent_bin" "$pair"
-        run_once change "$change_bin" "$pair"
-    else
-        run_once change "$change_bin" "$pair"
-        run_once parent "$parent_bin" "$pair"
-    fi
-    echo "pair $pair/$pairs done" >&2
+files=()
+for workload in $workloads; do
+    files+=("$(runs_of "$workload")")
+    : > "${files[-1]}"
+    for pair in $(seq 1 "$pairs"); do
+        if [ $((pair % 2)) -eq 1 ]; then
+            run_once "$workload" parent "$parent_bin" "$pair"
+            run_once "$workload" change "$change_bin" "$pair"
+        else
+            run_once "$workload" change "$change_bin" "$pair"
+            run_once "$workload" parent "$parent_bin" "$pair"
+        fi
+        echo "$workload: pair $pair/$pairs done" >&2
+    done
 done
 
 # Metric names and directions come from the contract, not from here.
 directions=$(sed -n '/"'$section'"/,/\]/s/.*"name": "\([a-z0-9_.]*\)".*"better": "\([a-z]*\)".*/\1=\2/p' \
     "$root/BENCHMARK.json" | tr '\n' ' ')
 
-awk -F'\t' -v workload="$workload" -v seed="$seed" -v directions="$directions" '
+# One runs file per workload, in order: its rows go to the table when the
+# next file starts (or the input ends), its `failed` note below the table.
+awk -F'\t' -v workloads="$workloads" -v seed="$seed" -v directions="$directions" '
 function metric(line, name,    re, s) {
     re = "\"" name "\": [{]\"value\": [-0-9.e+]+"
     if (!match(line, re)) return "nan"
@@ -120,6 +135,14 @@ BEGIN {
     n = split(directions, d, " ")
     for (i = 1; i <= n; i++) { split(d[i], kv, "="); names[i] = kv[1]; better[kv[1]] = kv[2] }
     nmetrics = n
+    split(workloads, workload_of, " ")
+    print "| workload (seed, pairs) | metric | parent median [q1, q3] | change median [q1, q3] | Δ median | pairs won | parent IQR |"
+    print "|---|---|---|---|---|---|---|"
+}
+FNR == 1 {
+    if (NR > 1) rows()
+    workload = workload_of[++nfiles]
+    split("", count); split("", val); split("", bypair); split("", failed); split("", incorrect); npairs = 0
 }
 {
     side = $1; pair = $2; count[side]++
@@ -130,9 +153,7 @@ BEGIN {
     failed[side] += field($3, "failed")
     if (field($3, "correct") != "true") incorrect[side]++
 }
-END {
-    print "| workload (seed, pairs) | metric | parent median [q1, q3] | change median [q1, q3] | Δ median | pairs won | parent IQR |"
-    print "|---|---|---|---|---|---|---|"
+function rows(    i, m, pm, p1, p3, cm, c1, c3, won, ties, p, a, b, tie_note, delta, iqr) {
     for (i = 1; i <= nmetrics; i++) {
         m = names[i]
         if (val["parent", m, 1] == "nan" || val["change", m, 1] == "nan") continue
@@ -152,6 +173,10 @@ END {
             workload, seed, npairs, m, fmt(pm), fmt(p1), fmt(p3), fmt(cm), fmt(c1), fmt(c3),
             delta, won, npairs, tie_note, iqr
     }
-    printf "\n`failed`: parent %d, change %d; runs not `correct`: parent %d, change %d (of %d runs a side).\n",
-        failed["parent"], failed["change"], incorrect["parent"], incorrect["change"], npairs
-}' "$runs"
+    notes = notes sprintf("`%s` `failed`: parent %d, change %d; runs not `correct`: parent %d, change %d (of %d runs a side).\n",
+        workload, failed["parent"], failed["change"], incorrect["parent"], incorrect["change"], npairs)
+}
+END {
+    rows()
+    printf "\n%s", notes
+}' "${files[@]}"
