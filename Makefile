@@ -6,7 +6,7 @@
 
 CARGO ?= cargo
 
-.PHONY: build test bench-check bench-smoke bench-contract bench-pairs fmt fmt-check clippy lint-check lint tsan doc ci clean
+.PHONY: build test bench-check bench-smoke smoke-parent bench-contract bench-pairs fmt fmt-check clippy lint-check lint tsan doc ci clean
 
 build:
 	$(CARGO) build --release
@@ -45,37 +45,19 @@ bench-check:
 ## Finally, the simulator trace itself must be deterministic: two traced
 ## table5_relocation runs (LAPSE_TRACE=1, virtual-time clock + global
 ## event sequence) must export byte-identical Chrome-JSON traces.
+## The nine commands are listed once, in tools/smoke.sh.
 bench-smoke:
-	LAPSE_SCALE=0.05 $(CARGO) bench --bench table_nups_techniques > /tmp/lapse-bench-smoke-1.txt 2>/dev/null
-	LAPSE_SCALE=0.05 $(CARGO) bench --bench table_nups_techniques > /tmp/lapse-bench-smoke-2.txt 2>/dev/null
-	diff /tmp/lapse-bench-smoke-1.txt /tmp/lapse-bench-smoke-2.txt
-	LAPSE_SMOKE=1 $(CARGO) bench --bench micro_protocol > /tmp/lapse-bench-smoke-3.txt 2>/dev/null
-	LAPSE_SMOKE=1 $(CARGO) bench --bench micro_protocol > /tmp/lapse-bench-smoke-4.txt 2>/dev/null
-	diff /tmp/lapse-bench-smoke-3.txt /tmp/lapse-bench-smoke-4.txt
-	LAPSE_SMOKE=1 $(CARGO) bench --bench table_adaptive > /tmp/lapse-bench-smoke-5.txt 2>/dev/null
-	LAPSE_SMOKE=1 $(CARGO) bench --bench table_adaptive > /tmp/lapse-bench-smoke-6.txt 2>/dev/null
-	diff /tmp/lapse-bench-smoke-5.txt /tmp/lapse-bench-smoke-6.txt
-	LAPSE_SMOKE=1 $(CARGO) bench --bench micro_contended > /tmp/lapse-bench-smoke-7.txt 2>/dev/null
-	LAPSE_SMOKE=1 $(CARGO) bench --bench micro_contended > /tmp/lapse-bench-smoke-8.txt 2>/dev/null
-	diff /tmp/lapse-bench-smoke-7.txt /tmp/lapse-bench-smoke-8.txt
-	LAPSE_SCALE=0.05 $(CARGO) bench --bench table1_consistency > /tmp/lapse-bench-smoke-9.txt 2>/dev/null
-	LAPSE_SCALE=0.05 $(CARGO) bench --bench table1_consistency > /tmp/lapse-bench-smoke-10.txt 2>/dev/null
-	diff /tmp/lapse-bench-smoke-9.txt /tmp/lapse-bench-smoke-10.txt
-	LAPSE_SCALE=0.05 $(CARGO) bench --bench table5_relocation > /tmp/lapse-bench-smoke-11.txt 2>/dev/null
-	LAPSE_SCALE=0.05 $(CARGO) bench --bench table5_relocation > /tmp/lapse-bench-smoke-12.txt 2>/dev/null
-	diff /tmp/lapse-bench-smoke-11.txt /tmp/lapse-bench-smoke-12.txt
-	LAPSE_SMOKE=1 $(CARGO) bench --bench micro_comms > /tmp/lapse-bench-smoke-13.txt 2>/dev/null
-	LAPSE_SMOKE=1 $(CARGO) bench --bench micro_comms > /tmp/lapse-bench-smoke-14.txt 2>/dev/null
-	diff /tmp/lapse-bench-smoke-13.txt /tmp/lapse-bench-smoke-14.txt
-	LAPSE_SMOKE=1 $(CARGO) bench --bench micro_serving > /tmp/lapse-bench-smoke-15.txt 2>/dev/null
-	LAPSE_SMOKE=1 $(CARGO) bench --bench micro_serving > /tmp/lapse-bench-smoke-16.txt 2>/dev/null
-	diff /tmp/lapse-bench-smoke-15.txt /tmp/lapse-bench-smoke-16.txt
-	LAPSE_SCALE=0.05 LAPSE_TRACE=1 LAPSE_TRACE_OUT=/tmp/lapse-trace-1.json \
-		$(CARGO) bench --bench table5_relocation > /dev/null 2>&1
-	LAPSE_SCALE=0.05 LAPSE_TRACE=1 LAPSE_TRACE_OUT=/tmp/lapse-trace-2.json \
-		$(CARGO) bench --bench table5_relocation > /dev/null 2>&1
-	diff /tmp/lapse-trace-1.json /tmp/lapse-trace-2.json
+	CARGO="$(CARGO)" tools/smoke.sh target/bench-smoke/1
+	CARGO="$(CARGO)" tools/smoke.sh target/bench-smoke/2
+	diff -r target/bench-smoke/1 target/bench-smoke/2
 	@echo "bench-smoke: output bit-identical across runs"
+
+## The same nine outputs against a parent commit's: what a refactor that
+## promises "same bytes, same schedules" has to show. Builds PARENT from
+## a `git archive` under target/smoke-parent/ and prints which differ.
+##   make smoke-parent PARENT=HEAD~1
+smoke-parent:
+	CARGO="$(CARGO)" tools/smoke-vs-parent.sh $(PARENT)
 
 ## The `benchmark/` package is a workspace of its own that links against
 ## the crates' public API and is frozen between benchmark PRs, so nothing

@@ -11,9 +11,15 @@
 //!   seqlock guards both take the shard latch, so they participate in
 //!   lock ordering exactly like plain mutex guards.
 //! * **`lock-in-loop`** — an acquisition inside a per-key loop (`for ...
-//!   in ... keys ...`) re-acquires a shard latch / guard map / tracker
-//!   once per key; the PR 3 value-plane refactor hoists these to once
-//!   per op, and this rule keeps it that way.
+//!   in ... keys ...`) that does not depend on the key re-acquires one
+//!   lock — a guard map, the tracker — once per key; the protocol takes
+//!   these once per operation or message (PR 15 measured it), and this
+//!   rule keeps it that way. An acquisition that names the loop variable
+//!   — in its receiver (`self.shard_for(k).write()`), in its argument
+//!   (`cursor.write(cfg.shard_of(k))`), or through a `let` of the loop
+//!   body derived from it — is a different lock per key and inherent:
+//!   that is how shard latches are taken, one key at a time, under the
+//!   walk's latch cursor.
 //!
 //! Limitations (documented, deliberate): analysis is intra-procedural
 //! and name-based — two mutexes stored in fields of the same name are
@@ -75,9 +81,11 @@ fn scan_fn(
     let mut held: Vec<Held> = Vec::new();
     let mut aliases: HashMap<String, String> = HashMap::new();
     // Per-key loops currently open: body brace depth at entry plus the
-    // loop pattern's bound variables (a lock whose receiver expression
-    // uses one of them is a *different* lock each iteration — e.g.
-    // `self.shard_for(k).lock()` — and is inherent, not hoistable).
+    // loop pattern's bound variables and the `let` bindings of the body
+    // derived from them (a lock whose receiver or argument uses one of
+    // them is a *different* lock each iteration — e.g.
+    // `self.shard_for(k).lock()`, `cursor.write(idx)` — and is
+    // inherent, not hoistable).
     let mut key_loops: Vec<(i64, Vec<String>)> = Vec::new();
 
     let mut i = body.start;
@@ -175,16 +183,15 @@ fn scan_fn(
                             });
                         }
                     }
-                    // Key-dependent receivers (`self.shard_for(k).lock()`)
-                    // name a different lock per iteration; only
-                    // loop-invariant acquisitions are hoistable
-                    // regressions.
-                    let recv_expr = &toks[seg..i - 1];
+                    // Key-dependent acquisitions — the loop variable in
+                    // the receiver (`self.shard_for(k).lock()`) or in the
+                    // argument (`cursor.write(shard_of(k))`) — name a
+                    // different lock per iteration; only loop-invariant
+                    // acquisitions are hoistable regressions.
+                    let args_end = match_bracket(toks, i + 1).unwrap_or(i + 1);
                     let key_dependent = key_loops.iter().any(|(_, vars)| {
-                        recv_expr
-                            .iter()
-                            .filter_map(|t| t.ident())
-                            .any(|id| vars.iter().any(|v| v == id))
+                        names_any(&toks[seg..i - 1], vars)
+                            || names_any(&toks[i + 1..args_end], vars)
                     });
                     if !key_loops.is_empty() && !key_dependent {
                         out.push(Finding::new(
@@ -193,8 +200,8 @@ fn scan_fn(
                             line,
                             format!(
                                 "`{name}.{id}()` inside a per-key loop in fn {func} — \
-                                 acquire shard latches/guard maps/trackers once per op, \
-                                 not once per key"
+                                 the same lock every iteration: acquire guard maps and \
+                                 trackers once per op, not once per key"
                             ),
                         ));
                     }
@@ -218,6 +225,14 @@ fn scan_fn(
                                 end = match_bracket(toks, end).map(|c| c + 1).unwrap_or(body.end);
                             }
                             _ => end += 1,
+                        }
+                    }
+                    // A binding computed from a loop variable is as
+                    // key-dependent as the variable (`let idx =
+                    // shard_of(k);`).
+                    for (_, vars) in &mut key_loops {
+                        if names_any(&toks[init_start..end], vars) {
+                            vars.push(bound.clone());
                         }
                     }
                     // Only alias plain borrows (no calls) — guard bindings
@@ -246,6 +261,13 @@ fn scan_fn(
         }
         i += 1;
     }
+}
+
+/// Whether an expression mentions one of `vars`.
+fn names_any(expr: &[Token], vars: &[String]) -> bool {
+    expr.iter()
+        .filter_map(|t| t.ident())
+        .any(|id| vars.iter().any(|v| v == id))
 }
 
 /// If the statement containing token `at` is `let [mut] g = ...`, returns

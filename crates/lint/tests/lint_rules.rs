@@ -16,6 +16,8 @@ const DET_SLEEP_OK: &str = include_str!("fixtures/det_sleep_ok.rs");
 const LOCK_CYCLE: &str = include_str!("fixtures/lock_cycle.rs");
 const LOCK_NO_CYCLE: &str = include_str!("fixtures/lock_no_cycle.rs");
 const LOCK_IN_LOOP: &str = include_str!("fixtures/lock_in_loop.rs");
+const LOCK_WALK_BAD: &str = include_str!("fixtures/lock_walk_bad.rs");
+const LOCK_WALK_OK: &str = include_str!("fixtures/lock_walk_ok.rs");
 const BATCH_OK: &str = include_str!("fixtures/batch_construct_ok.rs");
 const BATCH_BAD: &str = include_str!("fixtures/batch_construct_bad.rs");
 
@@ -192,6 +194,18 @@ fn loop_invariant_lock_in_key_loop_detected() {
     // names a different lock per key and is not.
     assert_eq!(count(&f, "lock-in-loop"), 1, "got: {f:?}");
     assert!(has(&f, "lock-in-loop", "`tracker.lock()`"), "got: {f:?}");
+}
+
+#[test]
+fn a_key_walk_may_take_the_cursor_per_key_but_not_the_tracker() {
+    // The cursor's argument names the loop variable (directly, or via a
+    // `let` of the loop body): a different latch per key. The tracker is
+    // the same lock every time.
+    let f = check(vec![(PROTO_SRC, LOCK_WALK_BAD)]);
+    assert_eq!(count(&f, "lock-in-loop"), 1, "got: {f:?}");
+    assert!(has(&f, "lock-in-loop", "`tracker.lock()`"), "got: {f:?}");
+    let f = check(vec![(PROTO_SRC, LOCK_WALK_OK)]);
+    assert!(f.is_empty(), "expected no findings, got: {f:?}");
 }
 
 #[test]

@@ -133,6 +133,12 @@ impl ValueBlockBuilder {
         self.buf.is_empty()
     }
 
+    /// Makes room for `floats` more values: a builder that knows how much
+    /// is coming allocates once instead of once per doubling.
+    pub fn reserve(&mut self, floats: usize) {
+        self.buf.reserve(floats * 4);
+    }
+
     /// Appends a float slice. Floats are converted chunk-wise through a
     /// stack buffer so the byte buffer grows by one bulk append per chunk
     /// (the per-float path does not inline across crates and is ~20×
@@ -147,38 +153,6 @@ impl ValueBlockBuilder {
             }
             self.buf.extend_from_slice(&tmp[..chunk.len() * 4]);
         }
-    }
-
-    /// Appends `floats` zeroed values and returns the float offset of the
-    /// first: room for values whose place in the block is known before
-    /// they are at hand ([`ValueBlockBuilder::write_at`] fills it in any
-    /// order).
-    pub fn extend_zeroed(&mut self, floats: usize) -> usize {
-        let off = self.len();
-        self.buf.resize(self.buf.len() + floats * 4, 0);
-        off
-    }
-
-    /// Overwrites the floats at float offset `off` with `vals`.
-    ///
-    /// # Panics
-    /// Panics if `off + vals.len()` is past the end of the block.
-    pub fn write_at(&mut self, off: usize, vals: &[f32]) {
-        let dst = &mut self.buf[off * 4..(off + vals.len()) * 4];
-        for (d, &v) in dst.chunks_exact_mut(4).zip(vals) {
-            d.copy_from_slice(&v.to_le_bytes());
-        }
-    }
-
-    /// Moves `len` floats from float offset `src` to `dst` (the ranges
-    /// may overlap), as `slice::copy_within` does.
-    pub fn copy_within(&mut self, src: usize, len: usize, dst: usize) {
-        self.buf.copy_within(src * 4..(src + len) * 4, dst * 4);
-    }
-
-    /// Shortens the block to `floats` values.
-    pub fn truncate(&mut self, floats: usize) {
-        self.buf.truncate(floats * 4);
     }
 
     /// Freezes the builder into an immutable block.
@@ -207,20 +181,6 @@ mod tests {
         let mut out = [0.0f32; 2];
         block.copy_to(1, &mut out);
         assert_eq!(out, [-2.5, 3.25]);
-    }
-
-    #[test]
-    fn reserved_room_is_filled_in_any_order_and_compacted() {
-        let mut b = ValueBlockBuilder::default();
-        b.push_slice(&[9.0]);
-        let base = b.extend_zeroed(6);
-        assert_eq!((base, b.len()), (1, 7));
-        b.write_at(base + 4, &[5.0, 6.0]);
-        b.write_at(base, &[1.0, 2.0]);
-        // The middle pair never came: close the gap.
-        b.copy_within(base + 4, 2, base + 2);
-        b.truncate(base + 4);
-        assert_eq!(b.finish().to_vec(), vec![9.0, 1.0, 2.0, 5.0, 6.0]);
     }
 
     #[test]

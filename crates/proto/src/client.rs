@@ -21,30 +21,34 @@
 //!    strategy), or directly to the cached owner when location caches are
 //!    enabled (Section 3.3).
 //!
-//! ## Lock-once issue (the value plane)
+//! ## One in-order walk per operation
 //!
-//! A grouped operation runs in three phases so that every lock on its
-//! path is taken **once per operation**, not once per key:
+//! An operation handles its keys **in the order the caller gave them**,
+//! one key at a time:
 //!
-//! 1. **Plan** — compute per-key lengths, buffer offsets, and the
-//!    ordered-async-guard bit under a single guard-map lock; group key
-//!    indices by shard into reusable scratch buffers (no allocation in
-//!    steady state).
-//! 2. **Shard** — for each touched shard, acquire its latch once and
-//!    route all of the operation's keys in that shard: local and replica
-//!    keys are served immediately (values copied directly between the
-//!    store arena and the caller's buffer — no intermediate `Vec`),
-//!    parked keys enqueue, remote keys record their destination.
-//! 3. **Emit** — walk the keys in their **original order**, appending
-//!    remote keys to per-destination groups; this keeps message contents
-//!    and emission order identical to the historical per-key path, which
-//!    the bit-identical experiment outputs depend on. All guard-map
-//!    increments for remote keys happen under one final lock.
+//! 1. **Prepass** (no latch) — per key its value length, its offset into
+//!    the caller's buffer, its shard and its ordered-async-guard bit,
+//!    all guard bits read under one guard-map lock; the adaptive sampler
+//!    is fed; the caller's buffer length is checked against the keys'
+//!    total **before any key is touched**. Reusable scratch, no
+//!    allocation in steady state.
+//! 2. **Walk** — under a [`LatchCursor`] (one write latch at a time,
+//!    kept across adjacent keys of one shard) each key is routed and
+//!    handled on the spot: local and replica keys are served (values
+//!    copied directly between the store arena and the caller's buffer),
+//!    parked keys enqueue, remote keys append to their destination's
+//!    group — so a message's keys are in the operation's key order by
+//!    construction. A sync pull first tries each key as a wait-free
+//!    seqlock read and asks the cursor only for the keys that could not
+//!    serve.
+//! 3. **Register and flush** — what is cheaper once per operation than
+//!    once per key stays batched: one tracker registration and one
+//!    guard-map lock for all remote keys, then the messages and the seal.
 //!
-//! `localize` runs the same phases over fewer keys: it first asks of every
+//! `localize` is the same walk over fewer keys: its prepass asks of every
 //! key whether it is here already — an unlatched probe where the
-//! wait-free read path is on ([`NodeShared::probe_local`]) — and plans
-//! only the absent ones.
+//! wait-free read path is on ([`NodeShared::probe_local`]) — and the walk
+//! visits only the absent ones.
 //!
 //! The *ordered-async guard* (see
 //! [`ProtoConfig::ordered_async_guard`](crate::config::ProtoConfig::ordered_async_guard))
@@ -66,12 +70,14 @@ use lapse_trace::{
 
 use crate::adaptive::controller_tick;
 use crate::config::ProtoConfig;
-use crate::group::{OrderedGroups, ShardGroups};
+use crate::group::OrderedGroups;
 use crate::messages::{
     LocalizeReqMsg, Msg, OpId, OpKind, OpMsg, ReplicaPushMsg, ReplicaRegMsg, TechniqueDemoteMsg,
     TechniquePromoteMsg,
 };
-use crate::shard::{AccessLane, IncomingState, LaneCounter, NodeShared, OptRead, Queued, QueuedOp};
+use crate::shard::{
+    AccessLane, IncomingState, LaneCounter, LatchCursor, NodeShared, OptRead, Queued, QueuedOp,
+};
 use crate::technique::IssueRoute;
 use crate::tracker::{GuardMap, TrackedKind};
 
@@ -105,72 +111,30 @@ struct RemoteGroup {
     vals: Vec<f32>,
 }
 
-/// What the shard phase decided for one planned key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Planned {
-    /// Handled during the shard phase (served, parked, or skipped).
-    Done,
-    /// Ship remotely to this destination during the emit phase.
-    Remote(NodeId),
-}
-
-/// One key of an issue plan.
+/// One key of an operation, as the prepass leaves it for the walk.
 #[derive(Debug)]
 struct KeyPlan {
     key: Key,
+    /// Index of the key's shard ([`NodeShared::shard_index`]).
+    shard: u32,
     /// Value length in floats.
     len: u32,
     /// Offset into the caller's value buffer (floats).
     off: u32,
     /// Ordered-async guard forces the remote path.
     forced: bool,
-    route: Planned,
 }
 
-/// Reusable per-worker buffers for the three issue phases.
+/// Reusable per-worker buffers of the issue paths.
 #[derive(Debug, Default)]
 struct IssueScratch {
     plan: Vec<KeyPlan>,
-    groups: ShardGroups,
+    /// Indices into `plan` of the keys the walk routed over the network,
+    /// in key order: registered with the tracker and the guard map once,
+    /// after the walk.
+    remote: Vec<u32>,
     /// Staging for async replica reads (reused, never per-key allocated).
     replica_buf: Vec<f32>,
-}
-
-/// Attempts to serve every key of one shard group of a sync pull via the
-/// wait-free seqlock path. Returns whether the whole group was served;
-/// on failure the caller takes the latch and re-routes the group
-/// (partially copied output regions are overwritten by the latched
-/// serve, so nothing torn can leak). Statistics are committed only on
-/// success, keeping the counters identical to the latched path.
-fn pull_group_optimistic(
-    shared: &NodeShared,
-    plan: &[KeyPlan],
-    items: &[u32],
-    buf: &mut [f32],
-    n_local: &mut u64,
-    n_replica: &mut u64,
-    bytes_moved: &mut u64,
-) -> bool {
-    let (mut local, mut replica, mut bytes) = (0u64, 0u64, 0u64);
-    for &i in items {
-        let p = &plan[i as usize];
-        let (off, len) = (p.off as usize, p.len as usize);
-        match shared.try_optimistic_read(p.key, p.forced, &mut buf[off..off + len]) {
-            Some(OptRead::Owned) => {
-                local += 1;
-                bytes += 4 * len as u64;
-            }
-            Some(OptRead::Replica) => {
-                replica += 1;
-                bytes += 4 * len as u64;
-            }
-            Some(OptRead::Absent) | None => return false,
-        }
-    }
-    *n_local += local;
-    *n_replica += replica;
-    *bytes_moved += bytes;
-    true
 }
 
 /// The client half of the protocol for one worker.
@@ -198,9 +162,11 @@ struct WorkerTracer {
 }
 
 impl WorkerTracer {
-    /// Records one grouped op's lifecycle: an issue instant at `t0` and
-    /// the plan (`t0..t1`), shard (`t1..t2`), and emit (`t2..t3`) phase
-    /// spans, with the durations fed to the per-class phase histograms.
+    /// Records one multi-phase op's lifecycle: an issue instant at `t0`
+    /// and its prepass (`t0..t1`), walk (`t1..t2`) and register-and-flush
+    /// (`t2..t3`) spans — under the trace format's phase names `plan`,
+    /// `shard` and `emit` — with the durations fed to the per-class phase
+    /// histograms.
     fn op(&self, class: u64, keys: u64, t0: u64, t1: u64, t2: u64, t3: u64) {
         let (plan, shard, emit) = (
             t1.saturating_sub(t0),
@@ -251,6 +217,12 @@ fn ensure_registered(shared: &NodeShared, sink: &mut MsgSink) {
     }
 }
 
+/// The end of a phase of a traced multi-phase operation (`t0` is its
+/// start, `None` when the operation records no phases).
+fn phase_end(tracer: &Option<WorkerTracer>, t0: Option<u64>) -> Option<u64> {
+    t0.map(|_| tracer.as_ref().expect("t0 set with tracer").rec.now())
+}
+
 impl ClientCore {
     /// Creates the client core for worker `slot` of the node.
     pub fn new(shared: Arc<NodeShared>, slot: u16) -> Self {
@@ -299,11 +271,31 @@ impl ClientCore {
         self.guard.lock().len()
     }
 
-    /// Plan phase: clears the scratch, computes per-key offsets and guard
-    /// bits (one guard-map lock for the whole operation), groups key
-    /// indices by shard, and feeds the adaptive access sampler. Returns
-    /// `(total value length, any possibly-replicated key)`.
-    fn plan(&mut self, keys: &[Key]) -> (u32, bool) {
+    /// Opens the trace record of a pull or push. A one-key operation
+    /// records its issue instant and nothing else (four events an
+    /// operation would quarter the window an event ring covers); any
+    /// other gets its start time back and records its phases when it
+    /// ends ([`WorkerTracer::op`]).
+    fn trace_begin(&self, class: u64, keys: usize) -> Option<u64> {
+        let t = self.tracer.as_ref()?;
+        if keys == 1 {
+            t.rec.record(&t.ring, EventKind::OpIssue, class, 1);
+            return None;
+        }
+        Some(t.rec.now())
+    }
+
+    /// Prepass of a pull or push, before any latch: fills the plan
+    /// scratch with per-key lengths, buffer offsets, shards and guard
+    /// bits (one guard-map lock for the whole operation), feeds the
+    /// adaptive access sampler, and checks the caller's buffer of
+    /// `buf_len` floats against the keys' total length — hard, and
+    /// before any key is touched: a short buffer must not apply half a
+    /// push and then fail a slice index under a latch, a long one must
+    /// not be silently truncated. Then subscribes to replica refreshes
+    /// if a key may be replicated and runs a due controller tick.
+    /// Returns the total value length.
+    fn prepass(&mut self, keys: &[Key], buf_len: Option<usize>, sink: &mut MsgSink) -> u32 {
         let ClientCore {
             shared,
             lane,
@@ -314,40 +306,53 @@ impl ClientCore {
         let cfg = &shared.cfg;
         let policy = cfg.policy();
         scratch.plan.clear();
-        scratch.groups.clear();
+        scratch.remote.clear();
         let mut any_replicated = false;
         let mut sampled = 0u64;
-        // One guard-map lock per operation (hoisted out of the per-key
-        // loop). Lock order inside the loop: guard map → adaptive
-        // sketch (`AdaptiveShared::inner`); the sketch is a leaf lock —
-        // nothing acquires the guard map (or any latch) while holding
-        // it — so holding the guard map across the loop cannot deadlock
-        // with completions.
-        let g = cfg.ordered_async_guard.then(|| guard.lock());
         let mut off = 0u32;
-        for (i, &k) in keys.iter().enumerate() {
-            let len = cfg.layout.len(k) as u32;
-            let forced = g
-                .as_ref()
-                .is_some_and(|g| g.get(&k).is_some_and(|&n| n > 0));
-            any_replicated |= policy.may_replicate(k);
-            if let Some(ad) = &shared.adaptive {
-                sampled += ad.sample(k, &cfg.adaptive) as u64;
+        {
+            // One guard-map lock per operation. It is released before
+            // the walk: a completion takes latch → tracker → guard map,
+            // so the map must never be held while a latch is waited for.
+            // Under it the adaptive sketch (`AdaptiveShared::inner`) is a
+            // leaf lock — nothing acquires the guard map or a latch
+            // while holding it.
+            let g = cfg.ordered_async_guard.then(|| guard.lock());
+            for &k in keys {
+                let len = cfg.layout.len(k) as u32;
+                let forced = g
+                    .as_ref()
+                    .is_some_and(|g| g.get(&k).is_some_and(|&n| n > 0));
+                any_replicated |= policy.may_replicate(k);
+                if let Some(ad) = &shared.adaptive {
+                    sampled += ad.sample(k, &cfg.adaptive) as u64;
+                }
+                scratch.plan.push(KeyPlan {
+                    key: k,
+                    shard: shared.shard_index(k) as u32,
+                    len,
+                    off,
+                    forced,
+                });
+                off += len;
             }
-            scratch.plan.push(KeyPlan {
-                key: k,
-                len,
-                off,
-                forced,
-                route: Planned::Done,
-            });
-            scratch.groups.push(cfg.shard_of(k), i as u32);
-            off += len;
         }
         if sampled > 0 {
             lane.sketch_samples.add(sampled);
         }
-        (off, any_replicated)
+        if let Some(buf_len) = buf_len {
+            assert_eq!(
+                buf_len,
+                off as usize,
+                "value buffer of {buf_len} floats for {} keys of {off} floats in total",
+                keys.len()
+            );
+        }
+        if any_replicated {
+            ensure_registered(shared, sink);
+        }
+        self.tick_adaptive(sink);
+        off
     }
 
     /// Runs the adaptive controller if a tick is pending: turns the
@@ -407,20 +412,6 @@ impl ClientCore {
             &|keys| Msg::TechniqueDemote(TechniqueDemoteMsg { node, keys }),
             sink,
         );
-    }
-
-    /// Emit-phase epilogue: records all guard-map increments for the
-    /// remote keys of the plan under a single lock.
-    fn guard_remotes(&self) {
-        if !self.cfg().ordered_async_guard {
-            return;
-        }
-        let mut g = self.guard.lock();
-        for p in &self.scratch.plan {
-            if matches!(p.route, Planned::Remote(_)) {
-                *g.entry(p.key).or_insert(0) += 1;
-            }
-        }
     }
 
     /// Propagates all accumulated replicated pushes of this node to the
@@ -497,27 +488,24 @@ impl ClientCore {
     /// completes, [`ClientCore::finish_pull`] fills in the rest. Async
     /// use: pass `None`; all values are delivered through the handle /
     /// [`ClientCore::take_pull`].
+    ///
+    /// # Panics
+    /// Panics, before any key is touched, if the output buffer's length
+    /// is not the total value length of `keys`.
     pub fn pull(
         &mut self,
         keys: &[Key],
         mut out: Option<&mut [f32]>,
         sink: &mut MsgSink,
     ) -> IssueHandle {
-        if keys.len() == 1 {
-            return self.pull1(keys[0], out, sink);
-        }
-        let t0 = self.tracer.as_ref().map(|t| t.rec.now());
+        let t0 = self.trace_begin(CLASS_PULL, keys.len());
         let is_async = out.is_none();
-        let (total, any_replicated) = self.plan(keys);
-        if any_replicated {
-            ensure_registered(&self.shared, sink);
-        }
-        self.tick_adaptive(sink);
-        let t1 = t0.map(|_| self.tracer.as_ref().expect("t0 set with tracer").rec.now());
+        let total = self.prepass(keys, out.as_deref().map(<[f32]>::len), sink);
+        let t1 = phase_end(&self.tracer, t0);
         // Async pulls register every key so the result buffer is in key
-        // order (reserved up front, offsets fixed by the plan); sync pulls
-        // register lazily (a fully-local sync pull never touches the
-        // tracker).
+        // order (reserved up front, offsets fixed by the prepass); sync
+        // pulls register lazily (a fully-local sync pull never touches
+        // the tracker).
         let mut seq: Option<u64> = if is_async {
             let s = begin(&self.shared, self.slot, &self.guard, TrackedKind::Pull);
             self.shared.tracker.reserve(s, total);
@@ -526,7 +514,6 @@ impl ClientCore {
             None
         };
 
-        // Shard phase: one latch acquisition per touched shard.
         let ClientCore {
             shared,
             lane,
@@ -535,86 +522,95 @@ impl ClientCore {
             scratch,
             tracer,
         } = &mut *self;
+        let IssueScratch {
+            plan,
+            remote,
+            replica_buf,
+        } = scratch;
         let policy = shared.cfg.policy();
         let tracker = &shared.tracker;
+        let wait_free = shared.cfg.wait_free_reads;
         let (mut n_local, mut n_replica, mut n_queued) = (0u64, 0u64, 0u64);
         let mut bytes_moved = 0u64;
-        let wait_free = shared.cfg.wait_free_reads;
-        for (shard_idx, items) in scratch.groups.iter() {
-            // Wait-free fast path (threaded backend): serve the whole
-            // group without the latch when every key is a validated
-            // owned/replica read. Async pulls stay latched — their
-            // tracker registration is a side effect that cannot be
-            // rolled back if a later key of the group bails.
-            if wait_free {
+        let mut groups: OrderedGroups<NodeId, RemoteGroup> = OrderedGroups::new();
+        let mut cursor = LatchCursor::new(&shared.shards);
+        for (i, p) in plan.iter().enumerate() {
+            let (off, len) = (p.off as usize, p.len as usize);
+            // Wait-free first (threaded backend): a validated seqlock
+            // read serves an owned or replicated key of a sync pull
+            // without the latch. Not tried against the shard the cursor
+            // holds (the read could only spin on this walk's own write
+            // section), nor for async pulls, whose values go through
+            // the tracker. A read that does not serve leaves the key to
+            // the latched route below; floats it copied are overwritten.
+            if wait_free && !cursor.holds(p.shard as usize) {
                 if let Some(buf) = out.as_deref_mut() {
-                    if pull_group_optimistic(
-                        shared,
-                        &scratch.plan,
-                        items,
-                        buf,
-                        &mut n_local,
-                        &mut n_replica,
-                        &mut bytes_moved,
-                    ) {
+                    let dst = &mut buf[off..off + len];
+                    let served = match shared.try_optimistic_read(p.key, p.forced, dst) {
+                        Some(OptRead::Owned) => Some(&mut n_local),
+                        Some(OptRead::Replica) => Some(&mut n_replica),
+                        Some(OptRead::Absent) | None => None,
+                    };
+                    if let Some(n) = served {
+                        *n += 1;
+                        bytes_moved += 4 * len as u64;
                         continue;
                     }
                 }
             }
-            let mut shard = shared.shards[shard_idx].write();
-            for &i in items {
-                let p = &mut scratch.plan[i as usize];
-                let (off, len) = (p.off as usize, p.len as usize);
-                match policy.issue_route(p.key, &shard, p.forced, lane) {
-                    IssueRoute::OwnedLocal => {
-                        let v = shard.store.get(p.key).expect("routed to owned store");
-                        n_local += 1;
-                        bytes_moved += 4 * len as u64;
-                        match &mut out {
-                            Some(buf) => buf[off..off + len].copy_from_slice(v),
-                            None => {
-                                let s = seq.expect("async op registered");
-                                tracker.add_keys(s, true, false, once((p.key, p.len, p.off)));
-                                tracker.complete_key(s, p.key, Some(v));
-                            }
+            let shard = cursor.write(p.shard as usize);
+            match policy.issue_route(p.key, shard, p.forced, lane) {
+                IssueRoute::OwnedLocal => {
+                    let v = shard.store.get(p.key).expect("routed to owned store");
+                    n_local += 1;
+                    bytes_moved += 4 * len as u64;
+                    match &mut out {
+                        Some(buf) => buf[off..off + len].copy_from_slice(v),
+                        None => {
+                            let s = seq.expect("async op registered");
+                            tracker.add_keys(s, true, false, once((p.key, p.len, p.off)));
+                            tracker.complete_key(s, p.key, Some(v));
                         }
                     }
-                    IssueRoute::Replica => {
-                        n_replica += 1;
-                        bytes_moved += 4 * len as u64;
-                        match &mut out {
-                            Some(buf) => {
-                                let dst = &mut buf[off..off + len];
-                                let ok = shard.read_replicated(p.key, dst);
-                                debug_assert!(ok, "replicated key {} without replica state", p.key);
-                            }
-                            None => {
-                                scratch.replica_buf.clear();
-                                scratch.replica_buf.resize(len, 0.0);
-                                let ok = shard.read_replicated(p.key, &mut scratch.replica_buf);
-                                debug_assert!(ok, "replicated key {} without replica state", p.key);
-                                let s = seq.expect("async op registered");
-                                tracker.add_keys(s, true, false, once((p.key, p.len, p.off)));
-                                tracker.complete_key(s, p.key, Some(&scratch.replica_buf));
-                            }
+                }
+                IssueRoute::Replica => {
+                    n_replica += 1;
+                    bytes_moved += 4 * len as u64;
+                    let dst = match &mut out {
+                        Some(buf) => &mut buf[off..off + len],
+                        None => {
+                            replica_buf.clear();
+                            replica_buf.resize(len, 0.0);
+                            &mut replica_buf[..]
                         }
+                    };
+                    let ok = shard.read_replicated(p.key, dst);
+                    debug_assert!(ok, "replicated key {} without replica state", p.key);
+                    if is_async {
+                        let s = seq.expect("async op registered");
+                        tracker.add_keys(s, true, false, once((p.key, p.len, p.off)));
+                        tracker.complete_key(s, p.key, Some(replica_buf));
                     }
-                    IssueRoute::Park => {
-                        let s = *seq
-                            .get_or_insert_with(|| begin(shared, *slot, guard, TrackedKind::Pull));
-                        tracker.add_keys(s, is_async, false, once((p.key, p.len, p.off)));
-                        let inc = shard.incoming.get_mut(&p.key).expect("routed to queue");
-                        inc.queue.push_back(Queued::Op(QueuedOp {
-                            op: OpId::new(shared.node, s),
-                            kind: OpKind::Pull,
-                            val: Vec::new(),
-                        }));
-                        n_queued += 1;
-                    }
-                    IssueRoute::Remote(dst) => p.route = Planned::Remote(dst),
+                }
+                IssueRoute::Park => {
+                    let s =
+                        *seq.get_or_insert_with(|| begin(shared, *slot, guard, TrackedKind::Pull));
+                    tracker.add_keys(s, is_async, false, once((p.key, p.len, p.off)));
+                    let inc = shard.incoming.get_mut(&p.key).expect("routed to queue");
+                    inc.queue.push_back(Queued::Op(QueuedOp {
+                        op: OpId::new(shared.node, s),
+                        kind: OpKind::Pull,
+                        val: Vec::new(),
+                    }));
+                    n_queued += 1;
+                }
+                IssueRoute::Remote(dst) => {
+                    groups.entry(dst).keys.push(p.key);
+                    remote.push(i as u32);
                 }
             }
         }
+        drop(cursor);
         if n_local > 0 {
             lane.pull_local.add(n_local);
         }
@@ -627,32 +623,18 @@ impl ClientCore {
         if bytes_moved > 0 {
             lane.value_bytes_moved.add(bytes_moved);
         }
-        let t2 = t0.map(|_| tracer.as_ref().expect("t0 set with tracer").rec.now());
+        let t2 = phase_end(tracer, t0);
 
-        // Emit phase: remote keys in original key order, so grouped
-        // message contents and emission order match the per-key path.
-        let mut groups: OrderedGroups<NodeId, RemoteGroup> = OrderedGroups::new();
-        let mut n_remote = 0u64;
-        for p in &scratch.plan {
-            if let Planned::Remote(dst) = p.route {
-                groups.entry(dst).keys.push(p.key);
-                n_remote += 1;
-            }
-        }
-        if n_remote > 0 {
+        if !remote.is_empty() {
             let s = *seq.get_or_insert_with(|| begin(shared, *slot, guard, TrackedKind::Pull));
-            tracker.add_keys(
-                s,
-                is_async,
-                true,
-                scratch.plan.iter().filter_map(|p| {
-                    matches!(p.route, Planned::Remote(_)).then_some((p.key, p.len, p.off))
-                }),
-            );
-            lane.pull_remote.add(n_remote);
-            self.guard_remotes();
+            register_remotes(shared, guard, s, OpKind::Pull, is_async, plan, remote);
+            lane.pull_remote.add(remote.len() as u64);
         }
-        let handle = self.flush(seq, OpKind::Pull, 0, groups, sink);
+        // An untracked pull was served here, every key of it.
+        let handle = match seq {
+            Some(s) => self.flush(s, OpKind::Pull, 0, groups, sink),
+            None => IssueHandle::Ready(None),
+        };
         if let (Some(t), Some(t0), Some(t1), Some(t2)) = (self.tracer.as_ref(), t0, t1, t2) {
             t.op(CLASS_PULL, keys.len() as u64, t0, t1, t2, t.rec.now());
         }
@@ -662,22 +644,14 @@ impl ClientCore {
     /// Issues a push of `keys` with concatenated update terms `vals`.
     /// Pushes are cumulative: the owner adds each term to the current
     /// value (Section 2.1).
+    ///
+    /// # Panics
+    /// Panics, before any key is touched, if `vals.len()` is not the
+    /// total value length of `keys`.
     pub fn push(&mut self, keys: &[Key], vals: &[f32], sink: &mut MsgSink) -> IssueHandle {
-        debug_assert_eq!(
-            vals.len(),
-            self.cfg().layout.keys_len(keys),
-            "push value length mismatch"
-        );
-        if keys.len() == 1 {
-            return self.push1(keys[0], vals, sink);
-        }
-        let t0 = self.tracer.as_ref().map(|t| t.rec.now());
-        let (_, any_replicated) = self.plan(keys);
-        if any_replicated {
-            ensure_registered(&self.shared, sink);
-        }
-        self.tick_adaptive(sink);
-        let t1 = t0.map(|_| self.tracer.as_ref().expect("t0 set with tracer").rec.now());
+        let t0 = self.trace_begin(CLASS_PUSH, keys.len());
+        self.prepass(keys, Some(vals.len()), sink);
+        let t1 = phase_end(&self.tracer, t0);
         let mut seq: Option<u64> = None;
 
         let ClientCore {
@@ -688,44 +662,47 @@ impl ClientCore {
             scratch,
             tracer,
         } = &mut *self;
+        let IssueScratch { plan, remote, .. } = scratch;
         let policy = shared.cfg.policy();
         let tracker = &shared.tracker;
         let (mut n_local, mut n_replica, mut n_queued) = (0u64, 0u64, 0u64);
-        let mut accumulated = 0u64;
-        let mut park_allocs = 0u64;
-        for (shard_idx, items) in scratch.groups.iter() {
-            let mut shard = shared.shards[shard_idx].write();
-            for &i in items {
-                let p = &mut scratch.plan[i as usize];
-                let val = &vals[p.off as usize..(p.off + p.len) as usize];
-                match policy.issue_route(p.key, &shard, p.forced, lane) {
-                    IssueRoute::OwnedLocal => {
-                        let applied = shard.store.add(p.key, val);
-                        debug_assert!(applied);
-                        n_local += 1;
-                    }
-                    IssueRoute::Replica => {
-                        shard.replica.accumulate(p.key, val);
-                        n_replica += 1;
-                        accumulated += 1;
-                    }
-                    IssueRoute::Park => {
-                        let s = *seq
-                            .get_or_insert_with(|| begin(shared, *slot, guard, TrackedKind::Push));
-                        tracker.note_counted(s, p.key, 1);
-                        let inc = shard.incoming.get_mut(&p.key).expect("routed to queue");
-                        inc.queue.push_back(Queued::Op(QueuedOp {
-                            op: OpId::new(shared.node, s),
-                            kind: OpKind::Push,
-                            val: val.to_vec(),
-                        }));
-                        n_queued += 1;
-                        park_allocs += 1;
-                    }
-                    IssueRoute::Remote(dst) => p.route = Planned::Remote(dst),
+        let mut groups: OrderedGroups<NodeId, RemoteGroup> = OrderedGroups::new();
+        let mut cursor = LatchCursor::new(&shared.shards);
+        for (i, p) in plan.iter().enumerate() {
+            let val = &vals[p.off as usize..(p.off + p.len) as usize];
+            let shard = cursor.write(p.shard as usize);
+            match policy.issue_route(p.key, shard, p.forced, lane) {
+                IssueRoute::OwnedLocal => {
+                    let applied = shard.store.add(p.key, val);
+                    debug_assert!(applied);
+                    n_local += 1;
+                }
+                IssueRoute::Replica => {
+                    shard.replica.accumulate(p.key, val);
+                    n_replica += 1;
+                }
+                IssueRoute::Park => {
+                    // Completes with the hand-over, by count.
+                    let s =
+                        *seq.get_or_insert_with(|| begin(shared, *slot, guard, TrackedKind::Push));
+                    tracker.note_counted(s, p.key, 1);
+                    let inc = shard.incoming.get_mut(&p.key).expect("routed to queue");
+                    inc.queue.push_back(Queued::Op(QueuedOp {
+                        op: OpId::new(shared.node, s),
+                        kind: OpKind::Push,
+                        val: val.to_vec(),
+                    }));
+                    n_queued += 1;
+                }
+                IssueRoute::Remote(dst) => {
+                    let group = groups.entry(dst);
+                    group.keys.push(p.key);
+                    group.vals.extend_from_slice(val);
+                    remote.push(i as u32);
                 }
             }
         }
+        drop(cursor);
         if n_local > 0 {
             lane.push_local.add(n_local);
         }
@@ -734,259 +711,29 @@ impl ClientCore {
         }
         if n_queued > 0 {
             lane.push_queued.add(n_queued);
+            lane.value_allocs_heap.add(n_queued);
         }
-        if park_allocs > 0 {
-            lane.value_allocs_heap.add(park_allocs);
-        }
-        let t2 = t0.map(|_| tracer.as_ref().expect("t0 set with tracer").rec.now());
+        let t2 = phase_end(tracer, t0);
 
-        let mut groups: OrderedGroups<NodeId, RemoteGroup> = OrderedGroups::new();
-        let mut n_remote = 0u64;
-        for p in &scratch.plan {
-            if let Planned::Remote(dst) = p.route {
-                let group = groups.entry(dst);
-                group.keys.push(p.key);
-                group
-                    .vals
-                    .extend_from_slice(&vals[p.off as usize..(p.off + p.len) as usize]);
-                n_remote += 1;
-            }
-        }
-        if n_remote > 0 {
+        if !remote.is_empty() {
             let s = *seq.get_or_insert_with(|| begin(shared, *slot, guard, TrackedKind::Push));
-            tracker.add_keys(
-                s,
-                false,
-                true,
-                scratch
-                    .plan
-                    .iter()
-                    .filter_map(|p| matches!(p.route, Planned::Remote(_)).then_some((p.key, 0, 0))),
-            );
-            lane.push_remote.add(n_remote);
-            self.guard_remotes();
+            register_remotes(shared, guard, s, OpKind::Push, false, plan, remote);
+            lane.push_remote.add(remote.len() as u64);
         }
-        if accumulated > 0 {
-            let unflushed = self
-                .shared
-                .replica
-                .unflushed
-                .fetch_add(accumulated, Relaxed)
-                + accumulated;
-            if unflushed >= self.cfg().replica_flush_every {
+        if n_replica > 0 {
+            let unflushed = shared.replica.unflushed.fetch_add(n_replica, Relaxed) + n_replica;
+            if unflushed >= shared.cfg.replica_flush_every {
                 self.flush_replicas(sink);
             }
         }
-        // Parked keys complete with their hand-over, by count.
-        let handle = self.flush(seq, OpKind::Push, n_queued as u32, groups, sink);
+        let handle = match seq {
+            Some(s) => self.flush(s, OpKind::Push, n_queued as u32, groups, sink),
+            None => IssueHandle::Ready(None),
+        };
         if let (Some(t), Some(t0), Some(t1), Some(t2)) = (self.tracer.as_ref(), t0, t1, t2) {
             t.op(CLASS_PUSH, keys.len() as u64, t0, t1, t2, t.rec.now());
         }
         handle
-    }
-
-    /// Single-key pull fast path: bypasses the plan-phase scratch
-    /// (`ShardGroups` clear/regroup, ~15 ns of fixed overhead per op —
-    /// see EXPERIMENTS.md §value plane) and routes the one key directly.
-    /// Bookkeeping — adaptive sampling, guard bits, tracker traffic,
-    /// statistics, and emitted messages — is identical to the general
-    /// path for a one-key operation.
-    fn pull1(&mut self, key: Key, mut out: Option<&mut [f32]>, sink: &mut MsgSink) -> IssueHandle {
-        if let Some(t) = self.tracer.as_ref() {
-            t.rec.record(&t.ring, EventKind::OpIssue, CLASS_PULL, 1);
-        }
-        let is_async = out.is_none();
-        let len = self.cfg().layout.len(key) as u32;
-        let forced =
-            self.cfg().ordered_async_guard && self.guard.lock().get(&key).is_some_and(|&n| n > 0);
-        if let Some(ad) = &self.shared.adaptive {
-            if ad.sample(key, &self.cfg().adaptive) {
-                self.lane.sketch_samples.add(1);
-            }
-        }
-        if self.cfg().policy().may_replicate(key) {
-            ensure_registered(&self.shared, sink);
-        }
-        self.tick_adaptive(sink);
-        let mut seq: Option<u64> = if is_async {
-            let s = begin(&self.shared, self.slot, &self.guard, TrackedKind::Pull);
-            self.shared.tracker.reserve(s, len);
-            Some(s)
-        } else {
-            None
-        };
-        // Wait-free fast path (sync only; async registration above is a
-        // side effect, but a single optimistic read either fully serves
-        // the op or leaves nothing half-done).
-        if !is_async {
-            if let Some(buf) = out.as_deref_mut() {
-                match self.shared.try_optimistic_read(key, forced, buf) {
-                    Some(OptRead::Owned) => {
-                        self.lane.pull_local.add(1);
-                        self.lane.value_bytes_moved.add(4 * len as u64);
-                        return IssueHandle::Ready(None);
-                    }
-                    Some(OptRead::Replica) => {
-                        self.lane.pull_replica.add(1);
-                        self.lane.value_bytes_moved.add(4 * len as u64);
-                        return IssueHandle::Ready(None);
-                    }
-                    Some(OptRead::Absent) | None => {}
-                }
-            }
-        }
-        let ClientCore {
-            shared,
-            lane,
-            slot,
-            guard,
-            scratch,
-            ..
-        } = &mut *self;
-        let policy = shared.cfg.policy();
-        let tracker = &shared.tracker;
-        let mut remote: Option<NodeId> = None;
-        {
-            let mut shard = shared.shard_for(key).write();
-            match policy.issue_route(key, &shard, forced, lane) {
-                IssueRoute::OwnedLocal => {
-                    let v = shard.store.get(key).expect("routed to owned store");
-                    lane.pull_local.add(1);
-                    lane.value_bytes_moved.add(4 * len as u64);
-                    match &mut out {
-                        Some(buf) => buf.copy_from_slice(v),
-                        None => {
-                            let s = seq.expect("async op registered");
-                            tracker.add_keys(s, true, false, once((key, len, 0)));
-                            tracker.complete_key(s, key, Some(v));
-                        }
-                    }
-                }
-                IssueRoute::Replica => {
-                    lane.pull_replica.add(1);
-                    lane.value_bytes_moved.add(4 * len as u64);
-                    match &mut out {
-                        Some(buf) => {
-                            let ok = shard.read_replicated(key, buf);
-                            debug_assert!(ok, "replicated key {key} without replica state");
-                        }
-                        None => {
-                            scratch.replica_buf.clear();
-                            scratch.replica_buf.resize(len as usize, 0.0);
-                            let ok = shard.read_replicated(key, &mut scratch.replica_buf);
-                            debug_assert!(ok, "replicated key {key} without replica state");
-                            let s = seq.expect("async op registered");
-                            tracker.add_keys(s, true, false, once((key, len, 0)));
-                            tracker.complete_key(s, key, Some(&scratch.replica_buf));
-                        }
-                    }
-                }
-                IssueRoute::Park => {
-                    let s =
-                        *seq.get_or_insert_with(|| begin(shared, *slot, guard, TrackedKind::Pull));
-                    tracker.add_keys(s, is_async, false, once((key, len, 0)));
-                    let inc = shard.incoming.get_mut(&key).expect("routed to queue");
-                    inc.queue.push_back(Queued::Op(QueuedOp {
-                        op: OpId::new(shared.node, s),
-                        kind: OpKind::Pull,
-                        val: Vec::new(),
-                    }));
-                    lane.pull_queued.add(1);
-                }
-                IssueRoute::Remote(dst) => remote = Some(dst),
-            }
-        }
-        let mut groups: OrderedGroups<NodeId, RemoteGroup> = OrderedGroups::new();
-        if let Some(dst) = remote {
-            let s = *seq.get_or_insert_with(|| begin(shared, *slot, guard, TrackedKind::Pull));
-            tracker.add_keys(s, is_async, true, once((key, len, 0)));
-            lane.pull_remote.add(1);
-            if shared.cfg.ordered_async_guard {
-                *guard.lock().entry(key).or_insert(0) += 1;
-            }
-            groups.entry(dst).keys.push(key);
-        }
-        self.flush(seq, OpKind::Pull, 0, groups, sink)
-    }
-
-    /// Single-key push fast path; see [`ClientCore::pull1`].
-    fn push1(&mut self, key: Key, val: &[f32], sink: &mut MsgSink) -> IssueHandle {
-        if let Some(t) = self.tracer.as_ref() {
-            t.rec.record(&t.ring, EventKind::OpIssue, CLASS_PUSH, 1);
-        }
-        let forced =
-            self.cfg().ordered_async_guard && self.guard.lock().get(&key).is_some_and(|&n| n > 0);
-        if let Some(ad) = &self.shared.adaptive {
-            if ad.sample(key, &self.cfg().adaptive) {
-                self.lane.sketch_samples.add(1);
-            }
-        }
-        if self.cfg().policy().may_replicate(key) {
-            ensure_registered(&self.shared, sink);
-        }
-        self.tick_adaptive(sink);
-        let mut seq: Option<u64> = None;
-        let ClientCore {
-            shared,
-            lane,
-            slot,
-            guard,
-            ..
-        } = &mut *self;
-        let policy = shared.cfg.policy();
-        let tracker = &shared.tracker;
-        let mut remote: Option<NodeId> = None;
-        let mut accumulated = false;
-        let mut parked = 0u32;
-        {
-            let mut shard = shared.shard_for(key).write();
-            match policy.issue_route(key, &shard, forced, lane) {
-                IssueRoute::OwnedLocal => {
-                    let applied = shard.store.add(key, val);
-                    debug_assert!(applied);
-                    lane.push_local.add(1);
-                }
-                IssueRoute::Replica => {
-                    shard.replica.accumulate(key, val);
-                    lane.push_replica.add(1);
-                    accumulated = true;
-                }
-                IssueRoute::Park => {
-                    let s =
-                        *seq.get_or_insert_with(|| begin(shared, *slot, guard, TrackedKind::Push));
-                    tracker.note_counted(s, key, 1);
-                    parked = 1;
-                    let inc = shard.incoming.get_mut(&key).expect("routed to queue");
-                    inc.queue.push_back(Queued::Op(QueuedOp {
-                        op: OpId::new(shared.node, s),
-                        kind: OpKind::Push,
-                        val: val.to_vec(),
-                    }));
-                    lane.push_queued.add(1);
-                    lane.value_allocs_heap.add(1);
-                }
-                IssueRoute::Remote(dst) => remote = Some(dst),
-            }
-        }
-        let mut groups: OrderedGroups<NodeId, RemoteGroup> = OrderedGroups::new();
-        if let Some(dst) = remote {
-            let s = *seq.get_or_insert_with(|| begin(shared, *slot, guard, TrackedKind::Push));
-            tracker.add_keys(s, false, true, once((key, 0, 0)));
-            lane.push_remote.add(1);
-            if shared.cfg.ordered_async_guard {
-                *guard.lock().entry(key).or_insert(0) += 1;
-            }
-            let group = groups.entry(dst);
-            group.keys.push(key);
-            group.vals.extend_from_slice(val);
-        }
-        if accumulated {
-            let unflushed = self.shared.replica.unflushed.fetch_add(1, Relaxed) + 1;
-            if unflushed >= self.cfg().replica_flush_every {
-                self.flush_replicas(sink);
-            }
-        }
-        self.flush(seq, OpKind::Push, parked, groups, sink)
     }
 
     /// Issues a localize of `keys`: requests that all of them be relocated
@@ -997,12 +744,12 @@ impl ClientCore {
     /// Most keys of a pre-localize are already here (the sentence or the
     /// negative-sample buffer before it shared them), so every key is
     /// **probed first** ([`NodeShared::probe_local`]: no latch where the
-    /// wait-free read path is on) and only the absent ones are planned,
-    /// grouped by shard and write-latched. Under the latch the check is
-    /// repeated — a key may have arrived since the probe — and a key that
-    /// is still absent is handed to the shard's incoming state, which
-    /// completes it by count when the hand-over arrives; the tracker
-    /// hears of them once, at the seal.
+    /// wait-free read path is on) and only the absent ones are walked
+    /// under the latch cursor. Under the latch the check is repeated — a
+    /// key may have arrived since the probe — and a key that is still
+    /// absent is handed to the shard's incoming state, which completes it
+    /// by count when the hand-over arrives; the tracker hears of them
+    /// once, at the seal.
     pub fn localize(&mut self, keys: &[Key], sink: &mut MsgSink) -> IssueHandle {
         let t0 = self.tracer.as_ref().map(|t| t.rec.now());
         let ClientCore {
@@ -1016,69 +763,60 @@ impl ClientCore {
         let cfg = &shared.cfg;
         let policy = cfg.policy();
         scratch.plan.clear();
-        scratch.groups.clear();
         for &k in keys {
-            if !policy.relocation_enabled(k) || shared.probe_local(k) {
+            if !policy.relocation_enabled(k) {
                 continue;
             }
-            let idx = scratch.plan.len();
-            scratch.plan.push(KeyPlan {
-                key: k,
-                len: 0,
-                off: 0,
-                forced: false,
-                route: Planned::Done,
-            });
-            scratch.groups.push(cfg.shard_of(k), idx as u32);
+            let shard = shared.shard_index(k);
+            if !shared.probe_local(shard, k) {
+                scratch.plan.push(KeyPlan {
+                    key: k,
+                    shard: shard as u32,
+                    len: 0,
+                    off: 0,
+                    forced: false,
+                });
+            }
         }
-        let t1 = t0.map(|_| tracer.as_ref().expect("t0 set with tracer").rec.now());
+        let t1 = phase_end(tracer, t0);
 
         let tracker = &shared.tracker;
         let mut seq: Option<u64> = None;
-        let (mut n_waiting, mut n_sent) = (0u32, 0u64);
-        for (shard_idx, items) in scratch.groups.iter() {
-            let mut shard = shared.shards[shard_idx].write();
-            for &i in items {
-                let p = &mut scratch.plan[i as usize];
-                if policy.replicated_in(p.key, &shard) || shard.store.contains(p.key) {
-                    // Arrived (or was promoted to replication) since the
-                    // probe: nothing to do.
-                    continue;
-                }
-                let s =
-                    *seq.get_or_insert_with(|| begin(shared, *slot, guard, TrackedKind::Localize));
-                tracker.note_counted(s, p.key, 1);
-                n_waiting += 1;
-                let op = OpId::new(shared.node, s);
-                match shard.incoming.entry(p.key) {
-                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                        // A relocation towards this node is already in
-                        // flight; piggyback on it.
-                        e.get_mut().push_localize(op);
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(IncomingState::default()).push_localize(op);
-                        p.route = Planned::Remote(cfg.home(p.key));
-                        n_sent += 1;
-                    }
-                }
-            }
-        }
-        if n_sent > 0 {
-            lane.localize_sent.add(n_sent);
-        }
-        let t2 = t0.map(|_| tracer.as_ref().expect("t0 set with tracer").rec.now());
-        // Emit phase: requests per home node, in original key order.
+        let mut n_waiting = 0u32;
+        // Requests per home node, in key order.
         let mut groups: OrderedGroups<NodeId, Vec<Key>> = OrderedGroups::new();
+        let mut cursor = LatchCursor::new(&shared.shards);
         for p in &scratch.plan {
-            if let Planned::Remote(home) = p.route {
-                groups.entry(home).push(p.key);
+            let shard = cursor.write(p.shard as usize);
+            if policy.replicated_in(p.key, shard) || shard.store.contains(p.key) {
+                // Arrived (or was promoted to replication) since the
+                // probe: nothing to do.
+                continue;
+            }
+            let s = *seq.get_or_insert_with(|| begin(shared, *slot, guard, TrackedKind::Localize));
+            tracker.note_counted(s, p.key, 1);
+            n_waiting += 1;
+            let op = OpId::new(shared.node, s);
+            match shard.incoming.entry(p.key) {
+                std::collections::hash_map::Entry::Occupied(mut e) => {
+                    // A relocation towards this node is already in
+                    // flight; piggyback on it.
+                    e.get_mut().push_localize(op);
+                }
+                std::collections::hash_map::Entry::Vacant(e) => {
+                    e.insert(IncomingState::default()).push_localize(op);
+                    groups.entry(cfg.home(p.key)).push(p.key);
+                }
             }
         }
+        drop(cursor);
+        let t2 = phase_end(tracer, t0);
         let handle = match seq {
             None => IssueHandle::Ready(None),
             Some(s) => {
+                let mut n_sent = 0u64;
                 for (home, keys) in groups.into_iter() {
+                    n_sent += keys.len() as u64;
                     sink.push((
                         home,
                         Msg::LocalizeReq(LocalizeReqMsg {
@@ -1086,6 +824,9 @@ impl ClientCore {
                             keys,
                         }),
                     ));
+                }
+                if n_sent > 0 {
+                    lane.localize_sent.add(n_sent);
                 }
                 if tracker.seal_counted(s, n_waiting) {
                     tracker.discard(s);
@@ -1178,48 +919,63 @@ impl ClientCore {
         }
     }
 
-    /// Sends an operation's remote groups and seals it, registering its
-    /// `counted` keys (parked pushes) in the same step.
+    /// Sends the remote groups of tracked operation `seq` and seals it,
+    /// registering its `counted` keys (parked pushes) in the same step.
     fn flush(
         &self,
-        seq: Option<u64>,
+        seq: u64,
         kind: OpKind,
         counted: u32,
         groups: OrderedGroups<NodeId, RemoteGroup>,
         sink: &mut MsgSink,
     ) -> IssueHandle {
-        match seq {
-            None => {
-                debug_assert!(groups.is_empty());
-                IssueHandle::Ready(None)
-            }
-            Some(s) => {
-                for (dst, group) in groups.into_iter() {
-                    sink.push((
-                        dst,
-                        Msg::Op(OpMsg {
-                            op: OpId::new(self.shared.node, s),
-                            kind,
-                            keys: group.keys,
-                            vals: group.vals,
-                            routed_by_home: false,
-                        }),
-                    ));
-                }
-                if self.shared.tracker.seal_counted(s, counted) {
-                    // All keys completed during issue (e.g. a queued key
-                    // drained concurrently).
-                    match kind {
-                        OpKind::Pull => IssueHandle::Pending(s), // caller still assembles
-                        OpKind::Push => {
-                            self.shared.tracker.discard(s);
-                            IssueHandle::Ready(None)
-                        }
-                    }
-                } else {
-                    IssueHandle::Pending(s)
-                }
-            }
+        for (dst, group) in groups.into_iter() {
+            sink.push((
+                dst,
+                Msg::Op(OpMsg {
+                    op: OpId::new(self.shared.node, seq),
+                    kind,
+                    keys: group.keys,
+                    vals: group.vals,
+                    routed_by_home: false,
+                }),
+            ));
+        }
+        // Done at the seal if every key completed during issue (e.g. a
+        // queued key drained concurrently); a pull stays pending even
+        // so: its caller still assembles the values.
+        if self.shared.tracker.seal_counted(seq, counted) && kind == OpKind::Push {
+            self.shared.tracker.discard(seq);
+            return IssueHandle::Ready(None);
+        }
+        IssueHandle::Pending(seq)
+    }
+}
+
+/// After the walk, once per operation: registers the keys it routed over
+/// the network (`remote`: indices into `plan`, in key order) with the
+/// tracker under one tracker lock — a pull's with the place of their
+/// values, `pinned` to the caller's offsets for an async one — then
+/// counts them into the worker's guard map under one guard-map lock.
+fn register_remotes(
+    shared: &NodeShared,
+    guard: &GuardMap,
+    seq: u64,
+    kind: OpKind,
+    pinned: bool,
+    plan: &[KeyPlan],
+    remote: &[u32],
+) {
+    let keys = || remote.iter().map(|&i| &plan[i as usize]);
+    let dests = keys().map(|p| match kind {
+        OpKind::Pull => (p.key, p.len, p.off),
+        OpKind::Push => (p.key, 0, 0),
+    });
+    shared.tracker.add_keys(seq, pinned, true, dests);
+    if shared.cfg.ordered_async_guard {
+        let mut g = guard.lock();
+        for p in keys() {
+            *g.entry(p.key).or_insert(0) += 1;
         }
     }
 }

@@ -346,23 +346,29 @@ impl ProtoConfig {
             .collect()
     }
 
-    /// The latch/shard index for `key` on any node.
+    /// Keys per latch/shard: shards are contiguous key ranges of this
+    /// width, so that dense shards hold contiguous keys.
+    #[inline]
+    pub fn keys_per_shard(&self) -> u64 {
+        self.keys.div_ceil(self.latches as u64).max(1)
+    }
+
+    /// The latch/shard index for `key` on any node. For callers without
+    /// a node at hand: a node has divided once already and indexes with
+    /// [`NodeShared::shard_index`](crate::shard::NodeShared::shard_index).
     #[inline]
     pub fn shard_of(&self, key: Key) -> usize {
-        // Range-based striping so that dense shards hold contiguous keys.
-        let per = self.keys.div_ceil(self.latches as u64).max(1);
-        ((key.0 / per) as usize).min(self.latches - 1)
+        ((key.0 / self.keys_per_shard()) as usize).min(self.latches - 1)
     }
 
     /// Number of shards actually used (≤ `latches` when keys are few).
     pub fn shard_count(&self) -> usize {
-        let per = self.keys.div_ceil(self.latches as u64).max(1);
-        self.keys.div_ceil(per).max(1) as usize
+        self.keys.div_ceil(self.keys_per_shard()).max(1) as usize
     }
 
     /// Key range `[start, end)` covered by shard `s`.
     pub fn shard_range(&self, s: usize) -> (u64, u64) {
-        let per = self.keys.div_ceil(self.latches as u64).max(1);
+        let per = self.keys_per_shard();
         let start = s as u64 * per;
         let end = ((s as u64 + 1) * per).min(self.keys);
         (start, end)

@@ -18,18 +18,27 @@
 //!   location caches by piggybacking on responses and relocations only
 //!   (the paper sends no dedicated cache-maintenance messages).
 //!
-//! ## Lock-once dispatch (the value plane)
+//! ## One in-order walk per message
 //!
-//! Every grouped message is processed in the same three phases as the
-//! client issue path: keys are pre-grouped by shard (reusable scratch, no
-//! steady-state allocation), each shard latch is acquired **once per
-//! message**, and batch emission replays the per-key decisions in the
-//! message's **original key order** so outgoing messages are identical —
-//! in content and order — to the historical per-key path (the
-//! bit-identical experiment outputs depend on this). Outgoing value
-//! payloads are assembled into [`ValueBlockBuilder`]s: one buffer per
-//! message, zero per-key `Vec`s; hand-over installs copy message-block
-//! bytes straight into the store arena.
+//! Every keyed message is handled as the client issues an operation:
+//! its keys are visited **once, in the order they arrive**, under a
+//! [`LatchCursor`] (one write latch at a time, kept across adjacent keys
+//! of one shard), and each key is decided *and emitted* on the spot —
+//! straight into the per-destination `Batches`, so outgoing messages
+//! are in the incoming message's key order by construction. Values copy
+//! once, store arena → outgoing [`ValueBlockBuilder`] (or message block
+//! → arena for a hand-over install), under the key's latch.
+//!
+//! Two things wait for the end of the walk. Emission: the `Batches` of a
+//! message flush when its handler returns, in a fixed category order.
+//! And the completions a queue drain owes **this node's** workers: they
+//! go into one flat list in walk order and fire after the last latch is
+//! dropped (`Drain::finish`) — one hand-over can complete
+//! operations of several workers, the order their wake-ups are enqueued
+//! is the order a key-by-key dispatch would produce (the simulator's
+//! task schedule depends on it), and an operation's waiting localizes
+//! complete together, by count, where that dispatch would have completed
+//! the last of them (`CountedOps`).
 //!
 //! All batching uses insertion-ordered maps so message emission order is
 //! deterministic and re-dispatched operations keep their arrival order.
@@ -43,13 +52,13 @@ use lapse_trace::{EventKind, Recorder, Ring, ACTOR_SERVER};
 
 use crate::client::MsgSink;
 use crate::config::ProtoConfig;
-use crate::group::{OrderedGroups, ShardGroups};
+use crate::group::OrderedGroups;
 use crate::messages::{
     HandOverMsg, LocalizeReqMsg, Msg, OpId, OpKind, OpMsg, OpRespMsg, RelocateMsg, ReplicaPushMsg,
     ReplicaRefreshMsg, ReplicaRegMsg, TechniqueDemoteAckMsg, TechniqueDemoteMsg,
     TechniqueDrainedMsg, TechniquePromoteAckMsg, TechniquePromoteMsg,
 };
-use crate::shard::{AccessLane, IncomingState, NodeShared, Queued, QueuedOp, Shard};
+use crate::shard::{AccessLane, IncomingState, LatchCursor, NodeShared, Queued, QueuedOp, Shard};
 
 /// A keys-plus-values accumulator for forwarded requests (they become
 /// [`OpMsg`]s, whose push payloads stay `Vec<f32>`).
@@ -150,86 +159,34 @@ impl Batches {
     }
 }
 
-/// Per-key decision of one operation message, replayed in original key
-/// order during batch emission.
-#[derive(Debug, Clone, Copy, Default)]
-enum OpAction {
-    /// Handled entirely during the shard phase (local completion, park).
-    #[default]
-    Done,
-    /// Acknowledge a served push to a remote origin.
-    RespPush,
-    /// Answer a served pull to a remote origin; value staged in scratch.
-    RespPull {
-        /// Offset into the scratch value buffer (floats).
-        soff: u32,
-    },
-    /// The key's value went into the hand-over block for the new owner
-    /// (relocate messages).
-    HandOver,
-    /// Forward to the current owner (this node is the home).
-    FwdOwner(NodeId),
-    /// Double-forward to the home (stale location cache, Figure 5d).
-    FwdHome(NodeId),
-}
-
-/// Per-key replay action of a hand-over's queue drain. Ordered sub-steps
-/// of one key occupy a contiguous span of the action list. Tracker
-/// completions are replayed here too — not in the shard phase — because
-/// one hand-over can complete operations of **several** workers, and the
-/// order their wake notifications are enqueued must match a key-by-key
-/// dispatch in message order (the simulator's task schedule depends on
-/// it): a parked pull or push completes where the replay reaches it, and
-/// an operation's waiting localizes ([`CountedOps`]) complete together
-/// where the replay reaches the last of them — the place a key-by-key
-/// dispatch would have completed the operation.
-#[derive(Debug, Default)]
-enum HoAction {
-    /// Nothing to emit.
-    #[default]
-    None,
-    /// Complete a waiting localize of this node.
-    LocalizeDone(OpId),
-    /// Complete a parked push issued by this node.
-    LocalPush(OpId),
-    /// Complete a parked pull issued by this node; value staged in
-    /// scratch.
-    LocalPull(OpId, u32),
-    /// Acknowledge a parked push of a remote origin.
-    RespPush(OpId),
-    /// Answer a parked pull of a remote origin; value staged in scratch.
-    RespPull(OpId, u32),
-    /// Re-dispatch an operation parked behind an onward relocation.
-    Redispatch {
-        op: OpId,
-        kind: OpKind,
-        val: Vec<f32>,
-        /// Forward to the owner (home here) or double-forward to home.
-        to_owner: bool,
-        dst: NodeId,
-    },
-    /// Hand the key onward to its next owner (parked relocation).
-    Onward(OpId, NodeId, u32),
+/// A completion a queue drain owes one of this node's workers.
+#[derive(Debug)]
+enum Done {
+    /// A waiting localize (completed by count, see [`CountedOps`]).
+    Localize,
+    /// A parked push: issued here (a counted key) or parked by this
+    /// server after a trip via the home node (identified,
+    /// guard-counted) — the tracker knows which.
+    Push,
+    /// A parked pull; its value is staged at this float offset of
+    /// [`ServerScratch::vals`].
+    Pull(u32),
 }
 
 /// The counted completions one message owes, per operation: the waiting
 /// localizes of this node's workers, which the tracker completes by count ([`OpTracker::complete_counted`](crate::tracker::OpTracker::complete_counted)),
-/// once per `(message, operation)`. The shard phase records each
-/// ([`CountedOps::owe`]); the replay reports each
-/// ([`CountedOps::replayed`]) and learns when it has reached an
-/// operation's last one. A message completes keys of very few operations
-/// (one per waiting worker), so this is a short list.
+/// once per `(message, operation)`. The walk records each
+/// ([`CountedOps::owe`]); firing reports each ([`CountedOps::fired`])
+/// and learns when it has reached an operation's last one. A message
+/// completes keys of very few operations (one per waiting worker), so
+/// this is a short list.
 #[derive(Debug, Default)]
 struct CountedOps {
-    /// `(op seq, keys owed, keys replayed so far)`.
+    /// `(op seq, keys owed, keys fired so far)`.
     ops: Vec<(u64, u32, u32)>,
 }
 
 impl CountedOps {
-    fn clear(&mut self) {
-        self.ops.clear();
-    }
-
     /// One more counted key of operation `seq` completes in this message.
     fn owe(&mut self, seq: u64) {
         match self.ops.iter_mut().find(|(s, _, _)| *s == seq) {
@@ -238,41 +195,229 @@ impl CountedOps {
         }
     }
 
-    /// The replay reached a counted key of operation `seq`; returns how
-    /// many the message owed the operation if this was the last of them.
-    fn replayed(&mut self, seq: u64) -> Option<u32> {
-        let (_, owed, replayed) = self
+    /// A counted key of operation `seq` fires; returns how many the
+    /// message owed the operation if this was the last of them.
+    fn fired(&mut self, seq: u64) -> Option<u32> {
+        let (_, owed, fired) = self
             .ops
             .iter_mut()
             .find(|(s, _, _)| *s == seq)
-            .expect("replayed a counted key the shard phase did not record");
-        *replayed += 1;
-        (*replayed == *owed).then_some(*owed)
+            .expect("fired a counted key the walk did not record");
+        *fired += 1;
+        (*fired == *owed).then_some(*owed)
     }
 }
 
-/// Reusable per-server buffers for the shard-grouped message phases.
+/// What the queue drains of one message ([`Drain`]) leave for after its
+/// walk; reusable per-server buffers (amortized alloc-free).
 #[derive(Debug, Default)]
 struct ServerScratch {
-    groups: ShardGroups,
-    /// Per-key `(value offset, value length)` into the message payload.
-    items: Vec<(u32, u32)>,
-    /// Per-key replay decision (operation messages).
-    actions: Vec<OpAction>,
-    /// Constituent-message index per flattened key of an operation run
-    /// (batched ingest; a run of one has all zeros).
-    flat_msg: Vec<u32>,
-    /// First flattened index of each constituent message of a run.
-    msg_starts: Vec<u32>,
-    /// Flat replay actions of a hand-over's queue drains.
-    ho_actions: Vec<HoAction>,
-    /// Counted completions those drains owe, per operation.
+    /// Completions owed to this node's workers, in walk order (per key
+    /// in queue-arrival order).
+    done: Vec<(OpId, Key, Done)>,
+    /// The counted ones among them, per operation.
     counted: CountedOps,
-    /// Per-key `(start, end)` span into `ho_actions`.
-    spans: Vec<(u32, u32)>,
-    /// Staged values (served pulls, onward hand-overs of a drain, fresh
-    /// replica values), copied on into the outgoing message block.
+    /// Staged values of the parked pulls among them.
     vals: Vec<f32>,
+}
+
+impl ServerScratch {
+    /// Fires the owed completions, in walk order. Called once the walk
+    /// has dropped its last latch.
+    fn fire(&mut self, shared: &NodeShared) {
+        for (op, k, what) in self.done.drain(..) {
+            match what {
+                Done::Localize => {
+                    shared.tracker.note_counted(op.seq, k, -1);
+                    if let Some(n) = self.counted.fired(op.seq) {
+                        shared.tracker.complete_counted(op.seq, n);
+                    }
+                }
+                Done::Push => shared.tracker.complete_key(op.seq, k, None),
+                Done::Pull(soff) => {
+                    let soff = soff as usize;
+                    let v = &self.vals[soff..soff + shared.cfg.layout.len(k)];
+                    shared.tracker.complete_key(op.seq, k, Some(v));
+                }
+            }
+        }
+    }
+}
+
+/// How the key of a draining incoming entry has arrived.
+#[derive(Debug, Clone, Copy)]
+enum Arrival {
+    /// Handed over: this node owns it. Parked operations are served from
+    /// the store, remote origins answered, a parked relocation moves the
+    /// key onward.
+    Owned,
+    /// Promoted to replication by `home` while a localize of it was
+    /// refused there: the key is as local as it gets. Parked local
+    /// pushes accumulate into the replica (visible to subsequent local
+    /// reads), parked local pulls read the fresh replica view, parked
+    /// remote-origin operations re-dispatch to the owning home.
+    Replica { home: NodeId },
+}
+
+/// The queue drains of one message: state changes and emissions happen
+/// at once, under the key's latch; completions for this node's workers
+/// are left in the scratch and fire when the drains end ([`Drain::finish`]).
+struct Drain<'a> {
+    shared: &'a NodeShared,
+    /// The home's owner table ([`ServerCore::owner`]).
+    owner: &'a [NodeId],
+    scratch: &'a mut ServerScratch,
+    batches: &'a mut Batches,
+    /// Value bytes moved into outgoing messages.
+    moved_bytes: u64,
+    /// Parked pushes accumulated into replicas.
+    accumulated: u64,
+}
+
+impl<'a> Drain<'a> {
+    /// Starts the drains of one message on an empty scratch.
+    fn begin(
+        shared: &'a NodeShared,
+        owner: &'a [NodeId],
+        scratch: &'a mut ServerScratch,
+        batches: &'a mut Batches,
+    ) -> Self {
+        scratch.done.clear();
+        scratch.counted.ops.clear();
+        scratch.vals.clear();
+        Drain {
+            shared,
+            owner,
+            scratch,
+            batches,
+            moved_bytes: 0,
+            accumulated: 0,
+        }
+    }
+
+    /// Ends them, once the walk has dropped its last latch: fires the
+    /// completions owed to this node's workers, in walk order, and
+    /// settles the counts (`lane` is the server's).
+    fn finish(self, lane: &AccessLane) {
+        if self.accumulated > 0 {
+            // Keep the auto-flush trigger honest about the drained
+            // pushes (the issuing workers flush after completion anyway).
+            let unflushed = &self.shared.replica.unflushed;
+            unflushed.fetch_add(self.accumulated, Relaxed);
+        }
+        self.scratch.fire(self.shared);
+        if self.moved_bytes > 0 {
+            lane.value_bytes_moved.add(self.moved_bytes);
+        }
+    }
+
+    /// Drains the incoming entry of `k`, which has just arrived in
+    /// `shard`: completes the waiting localizes, then walks the parked
+    /// queue in arrival order. Returns whether a parked relocation moved
+    /// the key onward.
+    fn key(&mut self, shard: &mut Shard, k: Key, entry: IncomingState, arrival: Arrival) -> bool {
+        let cfg: &ProtoConfig = &self.shared.cfg;
+        let node = self.shared.node;
+        for op in entry.waiting_localizes() {
+            debug_assert_eq!(op.node, node);
+            self.scratch.counted.owe(op.seq);
+            self.scratch.done.push((op, k, Done::Localize));
+        }
+        let replica_home = match arrival {
+            Arrival::Owned => None,
+            Arrival::Replica { home } => Some(home),
+        };
+        let mut moved_on = false;
+        for item in entry.queue {
+            match item {
+                // Operations parked behind an onward relocation re-enter
+                // normal routing and reach the key's current owner via
+                // home; so do a remote origin's when the key arrived as
+                // a replica (the home serves it).
+                Queued::Op(q) if moved_on || (replica_home.is_some() && q.op.node != node) => {
+                    let entry = match replica_home {
+                        Some(home) => self.batches.fwd_home.entry((home, q.op, q.kind)),
+                        None if cfg.home(k) == node => {
+                            let owner = self.owner[cfg.home_slot(k)];
+                            self.batches.fwd_owner.entry((owner, q.op, q.kind))
+                        }
+                        None => self.batches.fwd_home.entry((cfg.home(k), q.op, q.kind)),
+                    };
+                    entry.keys.push(k);
+                    entry.vals.extend_from_slice(&q.val);
+                }
+                // Every other parked operation is served here and now:
+                // a push is applied (to the replica's pending deltas if
+                // that is how the key arrived) …
+                Queued::Op(q) if q.kind == OpKind::Push => {
+                    match arrival {
+                        Arrival::Owned => {
+                            let applied = shard.store.add(k, &q.val);
+                            debug_assert!(applied);
+                        }
+                        Arrival::Replica { .. } => {
+                            shard.replica.accumulate(k, &q.val);
+                            self.accumulated += 1;
+                        }
+                    }
+                    if q.op.node == node {
+                        self.scratch.done.push((q.op, k, Done::Push));
+                    } else {
+                        self.batches.resp.entry((q.op, OpKind::Push)).keys.push(k);
+                    }
+                }
+                // … a local worker's pull is staged for its completion …
+                Queued::Op(q) if q.op.node == node => {
+                    let vals = &mut self.scratch.vals;
+                    let soff = vals.len();
+                    match arrival {
+                        Arrival::Owned => {
+                            let v = shard.store.get(k).expect("handed-over key is owned");
+                            vals.extend_from_slice(v);
+                        }
+                        Arrival::Replica { .. } => {
+                            vals.resize(soff + cfg.layout.len(k), 0.0);
+                            let ok = shard.read_replicated(k, &mut vals[soff..]);
+                            debug_assert!(ok, "promoted {k} without replica view");
+                        }
+                    }
+                    self.scratch.done.push((q.op, k, Done::Pull(soff as u32)));
+                }
+                // … and a remote origin's pull (of a key that arrived
+                // owned: the guards above leave nothing else) answered.
+                Queued::Op(q) => {
+                    let v = shard.store.get(k).expect("handed-over key is owned");
+                    let entry = self.batches.resp.entry((q.op, OpKind::Pull));
+                    entry.keys.push(k);
+                    entry.vals.push_slice(v);
+                    self.moved_bytes += 4 * v.len() as u64;
+                }
+                Queued::Relocate { op, new_owner } => {
+                    if replica_home.is_some() {
+                        // Home refuses localizes for promoting keys, so
+                        // no relocate instruction can be parked here.
+                        debug_assert!(false, "parked relocate for promoted {k}");
+                        continue;
+                    }
+                    debug_assert!(!moved_on, "second parked relocate for {k}");
+                    debug_assert_ne!(new_owner, node);
+                    let slot = shard
+                        .store
+                        .take(k)
+                        .expect("parked relocate found missing key");
+                    cfg.policy().note_owner(shard, k, new_owner);
+                    let v = shard.store.slot_slice(slot);
+                    let entry = self.batches.handover.entry((new_owner, op));
+                    entry.keys.push(k);
+                    entry.vals.push_slice(v);
+                    self.moved_bytes += 4 * v.len() as u64;
+                    shard.store.release(slot);
+                    moved_on = true;
+                }
+            }
+        }
+        moved_on
+    }
 }
 
 /// One draining demotion batch at its coordinating home node: the keys
@@ -328,11 +473,8 @@ pub struct ServerCore {
     /// Localize requests for pinned keys, deferred in arrival order and
     /// replayed when their key's drain completes.
     deferred_localizes: Vec<(OpId, Key)>,
-    /// Reusable dispatch buffers (amortized alloc-free).
+    /// What the queue drains of the message being handled owe.
     scratch: ServerScratch,
-    /// Reusable accumulator of consecutive [`Msg::Op`] constituents
-    /// during batched ingest.
-    op_run: Vec<OpMsg>,
     /// Flight-recorder lane for this server thread (`None` when tracing
     /// is off, so the disabled path costs one pointer test).
     tracer: Option<ServerTracer>,
@@ -386,7 +528,6 @@ impl ServerCore {
             demote_pinned: HashMap::new(),
             deferred_localizes: Vec::new(),
             scratch: ServerScratch::default(),
-            op_run: Vec::new(),
             tracer,
         }
     }
@@ -438,7 +579,7 @@ impl ServerCore {
         }
         let mut batches = Batches::default();
         match msg {
-            Msg::Op(m) => self.handle_op_run(std::slice::from_ref(&m), &mut batches),
+            Msg::Op(m) => self.handle_op(m, &mut batches),
             Msg::OpResp(m) => self.handle_resp(m),
             Msg::LocalizeReq(m) => self.handle_localize(m, &mut batches),
             Msg::Relocate(m) => self.handle_relocate(m, &mut batches),
@@ -457,15 +598,15 @@ impl ServerCore {
         batches.flush(self.shared.node, sink);
     }
 
-    /// Handles one batch envelope: constituents are processed strictly in
-    /// arrival order (per-link FIFO is untouched), but runs of
-    /// **consecutive operation messages** dispatch together so each shard
-    /// latch is taken once per run instead of once per message. Every
-    /// non-operation constituent flushes its own `Batches` — the
-    /// category flush order (responses before relocates before refreshes
-    /// before technique traffic) is a per-message contract; merging it
-    /// across, say, a promotion ack and a replica push would reorder a
-    /// refresh ahead of the promotion broadcast it depends on.
+    /// Handles one batch envelope: its constituents, strictly in arrival
+    /// order (per-link FIFO is untouched), each as a message of its own.
+    /// Every constituent flushes its own `Batches` — the category flush
+    /// order (responses before relocates before refreshes before
+    /// technique traffic) is a per-message contract; merging it across,
+    /// say, a promotion ack and a replica push would reorder a refresh
+    /// ahead of the promotion broadcast it depends on. What consecutive
+    /// messages send to one destination is merged again per link, by the
+    /// sender's coalescer.
     pub fn handle_batch(&mut self, mut msgs: Vec<Msg>, sink: &mut MsgSink) {
         self.handle_burst(&mut msgs, sink);
     }
@@ -476,252 +617,121 @@ impl ServerCore {
         if let Some(t) = &self.tracer {
             t.event(EventKind::MsgBatch, 0, msgs.len() as u64);
         }
-        let mut run = std::mem::take(&mut self.op_run);
-        debug_assert!(run.is_empty());
         for msg in msgs.drain(..) {
-            if let (Some(t), Msg::Op(_)) = (&self.tracer, &msg) {
-                // An operation joining a run bypasses `handle`, which
-                // records every other message.
-                t.recv(&msg);
-            }
-            match msg {
-                Msg::Op(m) => run.push(m),
-                other => {
-                    debug_assert!(
-                        !matches!(other, Msg::Batch(_)),
-                        "nested batch envelope delivered"
-                    );
-                    self.flush_op_run(&mut run, sink);
-                    self.handle(other, sink);
-                }
-            }
+            debug_assert!(
+                !matches!(msg, Msg::Batch(_)),
+                "nested batch envelope delivered"
+            );
+            self.handle(msg, sink);
         }
-        self.flush_op_run(&mut run, sink);
-        self.op_run = run;
-    }
-
-    /// Dispatches the accumulated operation run (if any) as one grouped
-    /// round and clears it.
-    fn flush_op_run(&mut self, run: &mut Vec<OpMsg>, sink: &mut MsgSink) {
-        if run.is_empty() {
-            return;
-        }
-        let mut batches = Batches::default();
-        self.handle_op_run(run, &mut batches);
-        batches.flush(self.shared.node, sink);
-        run.clear();
     }
 
     // ---- operations ------------------------------------------------------
 
-    /// Dispatches a run of operation messages that arrived back-to-back
-    /// on this server's endpoint. A run of one is exactly the historical
-    /// per-message path (the simulator and the hand-driven test clusters
-    /// only ever pass runs of one, so their outputs are bit-identical);
-    /// longer runs — unpacked batch envelopes and ingest bursts — share
-    /// the plan/shard/emit phases so each shard latch is acquired once
-    /// per **run** instead of once per message. Within a shard, flattened
-    /// order preserves message arrival order and per-message key order,
-    /// so every per-key state transition happens exactly as it would have
-    /// one message at a time.
-    fn handle_op_run(&mut self, msgs: &[OpMsg], batches: &mut Batches) {
+    /// An operation message: each key is served if this node owns it,
+    /// parked if it is relocating here, and otherwise forwarded — to the
+    /// owner if this node is the key's home, to the home if the sender's
+    /// location cache was stale (double-forward, Figure 5d).
+    fn handle_op(&mut self, m: OpMsg, batches: &mut Batches) {
         let cfg: &ProtoConfig = &self.shared.cfg;
         let policy = cfg.policy();
-
-        // Plan phase: flatten the run's keys, group by shard, record
-        // payload spans (per-message value offsets).
-        let ServerScratch {
-            groups,
-            items,
-            actions,
-            flat_msg,
-            msg_starts,
-            vals,
-            ..
-        } = &mut self.scratch;
-        groups.clear();
-        items.clear();
-        actions.clear();
-        flat_msg.clear();
-        msg_starts.clear();
-        vals.clear();
-        let mut flat = 0u32;
-        for (mi, m) in msgs.iter().enumerate() {
-            msg_starts.push(flat);
-            let mut val_off = 0u32;
-            for &k in m.keys.iter() {
-                let len = match m.kind {
-                    OpKind::Push => cfg.layout.len(k) as u32,
-                    OpKind::Pull => 0,
-                };
-                flat_msg.push(mi as u32);
-                items.push((val_off, len));
-                actions.push(OpAction::Done);
-                groups.push(cfg.shard_of(k), flat);
-                val_off += len;
-                flat += 1;
-            }
-            debug_assert_eq!(
-                val_off as usize,
-                m.vals.len(),
-                "push payload length mismatch"
-            );
-        }
-
-        // Shard phase: one latch per shard per run; route every key (see
-        // module docs for the cases).
-        let mut stale_forwards = 0u64;
+        let node = self.shared.node;
+        let local = m.op.node == node;
+        debug_assert!(
+            m.kind == OpKind::Pull || cfg.layout.keys_len(&m.keys) == m.vals.len(),
+            "push payload length mismatch"
+        );
         // Under adaptive management, ops routed before a promotion
         // broadcast reached their issuer legitimately arrive here for
         // now-replicated keys; the owning home serves them, and served
-        // pushes are re-broadcast as refreshes so replicas converge.
-        // Tagged with the constituent index: refresh rounds stay
-        // per-message.
-        let mut repl_fresh: Vec<(u32, Key, u32)> = Vec::new();
-        for (shard_idx, idxs) in groups.iter() {
-            let mut shard = self.shared.shards[shard_idx].write();
-            for &f in idxs {
-                let mi = flat_msg[f as usize] as usize;
-                let m = &msgs[mi];
-                let k = m.keys[(f - msg_starts[mi]) as usize];
-                let (off, len) = items[f as usize];
-                let val = &m.vals[off as usize..(off + len) as usize];
-                debug_assert!(
-                    policy.adaptive() || !policy.replicated(k),
-                    "op message for replicated key {k} (replicated access is always local)"
-                );
-                if shard.store.contains(k) {
-                    // Serve as owner.
-                    match m.kind {
-                        OpKind::Push => {
-                            let applied = shard.store.add(k, val);
-                            debug_assert!(applied);
-                            if policy.adaptive()
-                                && shard.techniques.replicated(k)
-                                && !self.replica_subs.is_empty()
-                            {
-                                let fresh = shard.store.get(k).expect("just updated");
-                                let soff = vals.len() as u32;
-                                vals.extend_from_slice(fresh);
-                                repl_fresh.push((mi as u32, k, soff));
-                            }
-                            if m.op.node == self.shared.node {
-                                self.shared.tracker.complete_key(m.op.seq, k, None);
-                            } else {
-                                actions[f as usize] = OpAction::RespPush;
-                            }
+        // pushes are re-broadcast as a refresh so replicas converge
+        // without waiting for an unrelated flush.
+        let refresh = policy.adaptive() && !self.replica_subs.is_empty();
+        let mut fresh_keys: Vec<Key> = Vec::new();
+        let mut fresh = ValueBlockBuilder::default();
+        let (mut stale_forwards, mut resp_bytes) = (0u64, 0u64);
+        let mut val_off = 0usize;
+        let mut cursor = LatchCursor::new(&self.shared.shards);
+        for &k in &m.keys {
+            let len = match m.kind {
+                OpKind::Push => cfg.layout.len(k),
+                OpKind::Pull => 0,
+            };
+            let val = &m.vals[val_off..val_off + len];
+            val_off += len;
+            debug_assert!(
+                policy.adaptive() || !policy.replicated(k),
+                "op message for replicated key {k} (replicated access is always local)"
+            );
+            let shard = cursor.write(self.shared.shard_index(k));
+            if shard.store.contains(k) {
+                // Serve as owner.
+                match m.kind {
+                    OpKind::Push => {
+                        let applied = shard.store.add(k, val);
+                        debug_assert!(applied);
+                        if refresh && shard.techniques.replicated(k) {
+                            fresh_keys.push(k);
+                            fresh.push_slice(shard.store.get(k).expect("just updated"));
                         }
-                        OpKind::Pull => {
-                            let v = shard.store.get(k).expect("contains implies get");
-                            if m.op.node == self.shared.node {
-                                self.shared.tracker.complete_key(m.op.seq, k, Some(v));
-                            } else {
-                                let soff = vals.len() as u32;
-                                vals.extend_from_slice(v);
-                                actions[f as usize] = OpAction::RespPull { soff };
-                            }
+                        if local {
+                            self.shared.tracker.complete_key(m.op.seq, k, None);
+                        } else {
+                            batches.resp.entry((m.op, m.kind)).keys.push(k);
                         }
                     }
-                } else if let Some(inc) = shard.incoming.get_mut(&k) {
-                    // Relocating towards this node: park until the
-                    // hand-over (Section 3.2).
-                    inc.queue.push_back(Queued::Op(QueuedOp {
-                        op: m.op,
-                        kind: m.kind,
-                        val: val.to_vec(),
-                    }));
-                } else if cfg.home(k) == self.shared.node {
-                    // Act as home: forward to the current owner.
-                    let owner = self.owner[cfg.home_slot(k)];
-                    debug_assert_ne!(
-                        owner, self.shared.node,
-                        "home believes it owns {k} but the store disagrees"
-                    );
-                    actions[f as usize] = OpAction::FwdOwner(owner);
-                } else {
-                    // Direct delivery based on a stale location cache:
-                    // forward to the home node (double-forward, Figure 5d).
-                    debug_assert!(
-                        !m.routed_by_home,
-                        "home-routed op for {k} reached a non-owner"
-                    );
-                    stale_forwards += 1;
-                    actions[f as usize] = OpAction::FwdHome(cfg.home(k));
+                    OpKind::Pull => {
+                        let v = shard.store.get(k).expect("contains implies get");
+                        if local {
+                            self.shared.tracker.complete_key(m.op.seq, k, Some(v));
+                        } else {
+                            let entry = batches.resp.entry((m.op, m.kind));
+                            entry.keys.push(k);
+                            entry.vals.push_slice(v);
+                            resp_bytes += 4 * v.len() as u64;
+                        }
+                    }
                 }
+            } else if let Some(inc) = shard.incoming.get_mut(&k) {
+                // Relocating towards this node: park until the
+                // hand-over (Section 3.2).
+                inc.queue.push_back(Queued::Op(QueuedOp {
+                    op: m.op,
+                    kind: m.kind,
+                    val: val.to_vec(),
+                }));
+            } else if cfg.home(k) == node {
+                // Act as home: forward to the current owner.
+                let owner = self.owner[cfg.home_slot(k)];
+                debug_assert_ne!(
+                    owner, node,
+                    "home believes it owns {k} but the store disagrees"
+                );
+                let entry = batches.fwd_owner.entry((owner, m.op, m.kind));
+                entry.keys.push(k);
+                entry.vals.extend_from_slice(val);
+            } else {
+                // Direct delivery based on a stale location cache:
+                // forward to the home node (double-forward, Figure 5d).
+                debug_assert!(
+                    !m.routed_by_home,
+                    "home-routed op for {k} reached a non-owner"
+                );
+                stale_forwards += 1;
+                let entry = batches.fwd_home.entry((cfg.home(k), m.op, m.kind));
+                entry.keys.push(k);
+                entry.vals.extend_from_slice(val);
             }
         }
+        drop(cursor);
         if stale_forwards > 0 {
             self.lane.loc_cache_stale_forwards.add(stale_forwards);
-        }
-
-        // Emit phase: replay decisions per message, in original key
-        // order, so grouped replies are identical to the per-key dispatch
-        // path. Two constituents carrying the same (op, kind) merge into
-        // one response — the origin's tracker completes grouped keys
-        // regardless of how they were split across messages.
-        let mut resp_bytes = 0u64;
-        for (mi, m) in msgs.iter().enumerate() {
-            let start = msg_starts[mi];
-            for (ki, &k) in m.keys.iter().enumerate() {
-                let f = (start + ki as u32) as usize;
-                let (off, len) = items[f];
-                match actions[f] {
-                    OpAction::Done => {}
-                    OpAction::HandOver => unreachable!("hand-over action in op dispatch"),
-                    OpAction::RespPush => {
-                        batches.resp.entry((m.op, m.kind)).keys.push(k);
-                    }
-                    OpAction::RespPull { soff } => {
-                        let vlen = cfg.layout.len(k);
-                        let entry = batches.resp.entry((m.op, OpKind::Pull));
-                        entry.keys.push(k);
-                        entry
-                            .vals
-                            .push_slice(&vals[soff as usize..soff as usize + vlen]);
-                        resp_bytes += 4 * vlen as u64;
-                    }
-                    OpAction::FwdOwner(owner) => {
-                        let entry = batches.fwd_owner.entry((owner, m.op, m.kind));
-                        entry.keys.push(k);
-                        entry
-                            .vals
-                            .extend_from_slice(&m.vals[off as usize..(off + len) as usize]);
-                    }
-                    OpAction::FwdHome(home) => {
-                        let entry = batches.fwd_home.entry((home, m.op, m.kind));
-                        entry.keys.push(k);
-                        entry
-                            .vals
-                            .extend_from_slice(&m.vals[off as usize..(off + len) as usize]);
-                    }
-                }
-            }
         }
         if resp_bytes > 0 {
             self.lane.value_bytes_moved.add(resp_bytes);
         }
-
-        // Adaptive: broadcast refreshes for replicated keys that were
-        // just pushed directly (drained in-flight traffic), so replica
-        // holders see the update without waiting for an unrelated flush.
-        // One broadcast per constituent message that served such pushes:
-        // refresh rounds bump exactly as on the per-message path.
-        if !repl_fresh.is_empty() {
-            for mi in 0..msgs.len() as u32 {
-                let mut keys = Vec::new();
-                let mut block = ValueBlockBuilder::default();
-                for &(fmi, k, soff) in &repl_fresh {
-                    if fmi != mi {
-                        continue;
-                    }
-                    let vlen = self.shared.cfg.layout.len(k);
-                    keys.push(k);
-                    block.push_slice(&self.scratch.vals[soff as usize..soff as usize + vlen]);
-                }
-                if !keys.is_empty() {
-                    self.broadcast_refresh(keys, block.finish(), None, batches);
-                }
-            }
+        if !fresh_keys.is_empty() {
+            self.broadcast_refresh(fresh_keys, fresh.finish(), None, batches);
         }
     }
 
@@ -814,244 +824,121 @@ impl ServerCore {
     /// arrives (localization conflicts, Section 3.2).
     ///
     /// A value is copied once, from its arena slot into the hand-over
-    /// block, under its shard's latch. Shards are visited in grouping
-    /// order and the block must be in message key order, so the block
-    /// gets room for every key up front and each value is written at its
-    /// key's offset; the gaps of keys that turned out not to be handed
-    /// over (parked, degenerate) are closed afterwards.
+    /// block, under its shard's latch; keys and values append in message
+    /// key order (a key that is parked or degenerate adds nothing).
     fn handle_relocate(&mut self, m: RelocateMsg, batches: &mut Batches) {
         let cfg: &ProtoConfig = &self.shared.cfg;
         let policy = cfg.policy();
-        let ServerScratch {
-            groups,
-            items,
-            actions,
-            ..
-        } = &mut self.scratch;
-        groups.clear();
-        items.clear();
-        actions.clear();
-        let mut total = 0u32;
-        for (i, &k) in m.keys.iter().enumerate() {
-            let len = cfg.layout.len(k) as u32;
-            items.push((total, len));
-            actions.push(OpAction::Done);
-            groups.push(cfg.shard_of(k), i as u32);
-            total += len;
-        }
-
         let dst = (m.new_owner, m.op);
-        // Float offset of this message's values in the hand-over block
-        // for `dst`, once the first of them is written.
-        let mut base: Option<usize> = None;
-        let (mut handed, mut degenerate, mut unexpected) = (0usize, 0u32, 0u64);
-        for (shard_idx, idxs) in groups.iter() {
-            let mut shard = self.shared.shards[shard_idx].write();
-            for &i in idxs {
-                let k = m.keys[i as usize];
-                if m.new_owner == self.shared.node && shard.store.contains(k) {
-                    // Degenerate self-relocation (the requester already
-                    // owned the key when the home processed its request):
-                    // the value stays in place; complete the localize.
-                    self.shared.tracker.note_counted(m.op.seq, k, -1);
-                    degenerate += 1;
-                } else if let Some(slot) = shard.store.take(k) {
-                    policy.note_owner(&mut shard, k, m.new_owner);
-                    let block = &mut batches.handover.entry(dst).vals;
-                    let base = *base.get_or_insert_with(|| block.extend_zeroed(total as usize));
-                    block.write_at(
-                        base + items[i as usize].0 as usize,
-                        shard.store.slot_slice(slot),
-                    );
-                    shard.store.release(slot);
-                    actions[i as usize] = OpAction::HandOver;
-                    handed += 1;
-                } else if let Some(inc) = shard.incoming.get_mut(&k) {
-                    inc.queue.push_back(Queued::Relocate {
-                        op: m.op,
-                        new_owner: m.new_owner,
-                    });
-                } else {
-                    if let Some(t) = &self.tracer {
-                        // Flush the recorder before the debug assertion so
-                        // the events leading up to the violation survive
-                        // the panic in debug builds.
-                        t.event(EventKind::RelocUnexpected, k.0, m.new_owner.0 as u64);
-                        t.rec.dump("unexpected relocate");
-                    }
-                    debug_assert!(
-                        false,
-                        "relocate for {k} which is neither owned nor expected"
-                    );
-                    unexpected += 1;
+        let (mut moved_bytes, mut degenerate, mut unexpected) = (0u64, 0u32, 0u64);
+        let mut cursor = LatchCursor::new(&self.shared.shards);
+        for (i, &k) in m.keys.iter().enumerate() {
+            let shard = cursor.write(self.shared.shard_index(k));
+            if m.new_owner == self.shared.node && shard.store.contains(k) {
+                // Degenerate self-relocation (the requester already
+                // owned the key when the home processed its request):
+                // the value stays in place; complete the localize.
+                self.shared.tracker.note_counted(m.op.seq, k, -1);
+                degenerate += 1;
+            } else if let Some(slot) = shard.store.take(k) {
+                policy.note_owner(shard, k, m.new_owner);
+                let v = shard.store.slot_slice(slot);
+                let entry = batches.handover.entry(dst);
+                if entry.keys.is_empty() {
+                    // The hand-over's first key: room for all that may
+                    // follow, allocated once.
+                    let rest = &m.keys[i..];
+                    entry.keys.reserve(rest.len());
+                    entry.vals.reserve(cfg.layout.keys_len(rest));
                 }
+                entry.keys.push(k);
+                entry.vals.push_slice(v);
+                moved_bytes += 4 * v.len() as u64;
+                shard.store.release(slot);
+                if let Some(t) = &self.tracer {
+                    t.event(EventKind::RelocHandOver, k.0, m.new_owner.0 as u64);
+                }
+            } else if let Some(inc) = shard.incoming.get_mut(&k) {
+                inc.queue.push_back(Queued::Relocate {
+                    op: m.op,
+                    new_owner: m.new_owner,
+                });
+            } else {
+                if let Some(t) = &self.tracer {
+                    // Flush the recorder before the debug assertion so
+                    // the events leading up to the violation survive
+                    // the panic in debug builds.
+                    t.event(EventKind::RelocUnexpected, k.0, m.new_owner.0 as u64);
+                    t.rec.dump("unexpected relocate");
+                }
+                debug_assert!(
+                    false,
+                    "relocate for {k} which is neither owned nor expected"
+                );
+                unexpected += 1;
             }
         }
+        drop(cursor);
         if degenerate > 0 {
             self.shared.tracker.complete_counted(m.op.seq, degenerate);
         }
         if unexpected > 0 {
             self.lane.unexpected_relocates.add(unexpected);
         }
-        let Some(base) = base else {
-            return;
-        };
-
-        // Emit phase: the hand-over's keys in original key order.
-        let entry = batches.handover.entry(dst);
-        if let Some(t) = &self.tracer {
-            for (i, &k) in m.keys.iter().enumerate() {
-                if matches!(actions[i], OpAction::HandOver) {
-                    t.event(EventKind::RelocHandOver, k.0, m.new_owner.0 as u64);
-                }
-            }
+        if moved_bytes > 0 {
+            self.lane.value_bytes_moved.add(moved_bytes);
         }
-        let mut end = base + total as usize;
-        if handed == m.keys.len() {
-            entry.keys.extend_from_slice(&m.keys);
-        } else {
-            end = base;
-            for (i, &k) in m.keys.iter().enumerate() {
-                if matches!(actions[i], OpAction::HandOver) {
-                    let (off, len) = (items[i].0 as usize, items[i].1 as usize);
-                    entry.keys.push(k);
-                    entry.vals.copy_within(base + off, len, end);
-                    end += len;
-                }
-            }
-            entry.vals.truncate(end);
-        }
-        self.lane.value_bytes_moved.add(4 * (end - base) as u64);
     }
 
     /// Message 3, at the new owner: install the values straight from the
     /// message block into the store arena, complete waiting localizes,
-    /// and drain parked operations in arrival order.
+    /// and drain parked operations in arrival order ([`Drain`]).
     fn handle_handover(&mut self, m: HandOverMsg, batches: &mut Batches) {
-        let cfg: &ProtoConfig = &self.shared.cfg;
-        let policy = cfg.policy();
-        let ServerScratch {
-            groups,
-            items,
-            ho_actions,
-            counted,
-            spans,
-            vals,
+        let ServerCore {
+            shared,
+            lane,
+            owner,
+            pending_promote,
+            scratch,
+            tracer,
             ..
-        } = &mut self.scratch;
-        groups.clear();
-        items.clear();
-        ho_actions.clear();
-        counted.clear();
-        spans.clear();
-        vals.clear();
-        let mut block_off = 0u32;
-        for (i, &k) in m.keys.iter().enumerate() {
-            let len = cfg.layout.len(k) as u32;
-            items.push((block_off, len));
-            spans.push((0, 0));
-            groups.push(cfg.shard_of(k), i as u32);
-            block_off += len;
-        }
+        } = &mut *self;
+        let cfg: &ProtoConfig = &shared.cfg;
         debug_assert_eq!(
-            block_off as usize,
+            cfg.layout.keys_len(&m.keys),
             m.vals.len(),
             "handover payload length mismatch"
         );
-
-        let mut installed = 0u64;
-        for (shard_idx, idxs) in groups.iter() {
-            let mut shard = self.shared.shards[shard_idx].write();
-            for &i in idxs {
-                let k = m.keys[i as usize];
-                let (off, _) = items[i as usize];
-                // Install: block bytes copy directly into the arena slot.
-                shard
-                    .store
-                    .insert_with(k, |dst| m.vals.copy_to(off as usize, dst));
-                installed += 1;
-                if let Some(t) = &self.tracer {
-                    t.event(EventKind::RelocInstall, k.0, items[i as usize].1 as u64);
-                }
-                let Some(entry) = shard.incoming.remove(&k) else {
-                    debug_assert!(false, "hand-over for {k} without incoming entry");
-                    continue;
-                };
-                let start = ho_actions.len() as u32;
-                for op in entry.waiting_localizes() {
-                    debug_assert_eq!(op.node, self.shared.node);
-                    counted.owe(op.seq);
-                    ho_actions.push(HoAction::LocalizeDone(op));
-                }
-                // Drain parked work in arrival order, recording state
-                // changes now (under the latch) and emissions/completions
-                // for the in-order replay below. A parked Relocate moves
-                // the key onward; operations parked after it are
-                // re-dispatched through normal routing and will reach the
-                // key's current owner via home.
-                let mut moved_on = false;
-                for item in entry.queue {
-                    match item {
-                        Queued::Op(q) => {
-                            if !moved_on {
-                                ho_actions.push(serve_parked(&self.shared, &mut shard, k, q, vals));
-                            } else {
-                                let (to_owner, dst) = if cfg.home(k) == self.shared.node {
-                                    (true, self.owner[cfg.home_slot(k)])
-                                } else {
-                                    (false, cfg.home(k))
-                                };
-                                ho_actions.push(HoAction::Redispatch {
-                                    op: q.op,
-                                    kind: q.kind,
-                                    val: q.val,
-                                    to_owner,
-                                    dst,
-                                });
-                            }
-                        }
-                        Queued::Relocate { op, new_owner } => {
-                            debug_assert!(!moved_on, "second parked relocate for {k}");
-                            debug_assert_ne!(new_owner, self.shared.node);
-                            let slot = shard
-                                .store
-                                .take(k)
-                                .expect("parked relocate found missing key");
-                            policy.note_owner(&mut shard, k, new_owner);
-                            let soff = vals.len() as u32;
-                            vals.extend_from_slice(shard.store.slot_slice(slot));
-                            shard.store.release(slot);
-                            ho_actions.push(HoAction::Onward(op, new_owner, soff));
-                            moved_on = true;
-                        }
-                    }
-                }
-                if moved_on && self.pending_promote.contains(&k) {
-                    // A pre-promotion relocation chain is still playing
-                    // out; the promote coordinator's relocation-to-home
-                    // chases it, so expect the key to come back.
-                    shard.incoming.insert(k, IncomingState::default());
-                }
-                spans[i as usize] = (start, ho_actions.len() as u32);
+        let mut drain = Drain::begin(shared, owner, scratch, batches);
+        let mut block_off = 0usize;
+        let mut cursor = LatchCursor::new(&shared.shards);
+        for &k in &m.keys {
+            let len = cfg.layout.len(k);
+            let shard = cursor.write(shared.shard_index(k));
+            // Install: block bytes copy directly into the arena slot.
+            shard
+                .store
+                .insert_with(k, |dst| m.vals.copy_to(block_off, dst));
+            block_off += len;
+            if let Some(t) = tracer.as_ref() {
+                t.event(EventKind::RelocInstall, k.0, len as u64);
+            }
+            let Some(entry) = shard.incoming.remove(&k) else {
+                debug_assert!(false, "hand-over for {k} without incoming entry");
+                continue;
+            };
+            let moved_on = drain.key(shard, k, entry, Arrival::Owned);
+            if moved_on && pending_promote.contains(&k) {
+                // A pre-promotion relocation chain is still playing
+                // out; the promote coordinator's relocation-to-home
+                // chases it, so expect the key to come back.
+                shard.incoming.insert(k, IncomingState::default());
             }
         }
-        if installed > 0 {
-            self.lane.handovers_in.add(installed);
-        }
-
-        // Emit phase: replay each key's recorded emissions in original
-        // key order (and per key in queue-arrival order).
-        let moved_bytes = replay_drain(
-            &self.shared,
-            &m.keys,
-            spans,
-            ho_actions,
-            counted,
-            vals,
-            batches,
-        );
-        if moved_bytes > 0 {
-            self.lane.value_bytes_moved.add(moved_bytes);
+        drop(cursor);
+        drain.finish(lane);
+        if !m.keys.is_empty() {
+            lane.handovers_in.add(m.keys.len() as u64);
         }
 
         // Adaptive: promotions that were waiting for this relocation to
@@ -1168,57 +1055,40 @@ impl ServerCore {
     /// in-flight batch is retired only once the owner has really applied
     /// it — flushes of concurrent workers that overtake each other on the
     /// wire cannot retire one another's batches.
+    ///
+    /// For the owner's own flushes a shard's deltas are applied and its
+    /// in-flight batch retired under **one** latch hold: the owned store
+    /// is the owner's replica view, so a local reader must never see a
+    /// shard's batch retired while some of its deltas are still
+    /// unapplied (dropped writes) or vice versa (double count). A flush
+    /// lists its keys shard by shard, ascending ([`ascends`]), so the
+    /// cursor meets each shard once and retires as it enters.
     fn handle_replica_push(&mut self, m: ReplicaPushMsg, batches: &mut Batches) {
         let cfg: &ProtoConfig = &self.shared.cfg;
         let policy = cfg.policy();
-        let own_flush = m.node == self.shared.node;
+        let node = self.shared.node;
+        let own_flush = m.node == node;
         let adaptive = policy.adaptive();
-        let broadcast = !self.replica_subs.is_empty();
-        // Under adaptive management, keys demoted since the flush left
-        // its sender still apply here (the home owns them while pinned)
-        // but are excluded from the refresh broadcast — the subscribers
-        // have dropped (or are about to drop) their replicas.
-        let mut included: Vec<bool> = Vec::new();
-        // Group by shard so each shard's deltas are applied — and, for the
-        // owner's own flushes, its in-flight batch retired — under one
-        // latch: the owned store is the owner's replica view, so a local
-        // reader must never see a shard's batch retired while some of its
-        // deltas are still unapplied (dropped writes) or vice versa
-        // (double count).
-        let ServerScratch {
-            groups,
-            items,
-            vals,
-            ..
-        } = &mut self.scratch;
-        groups.clear();
-        items.clear();
-        vals.clear();
-        let mut val_off = 0u32;
-        for (i, &k) in m.keys.iter().enumerate() {
-            debug_assert!(
-                adaptive || policy.replicated(k),
-                "replica push for unreplicated {k}"
-            );
-            debug_assert_eq!(cfg.home(k), self.shared.node, "replica push at wrong owner");
-            let len = cfg.layout.len(k) as u32;
-            items.push((val_off, len));
-            groups.push(cfg.shard_of(k), i as u32);
-            val_off += len;
-        }
-        if adaptive && broadcast {
-            included.resize(m.keys.len(), false);
-        }
         debug_assert_eq!(
-            val_off as usize,
+            cfg.layout.keys_len(&m.keys),
             m.vals.len(),
             "replica push payload mismatch"
         );
-        if broadcast {
-            // Stage the fresh values at the same offsets as the incoming
-            // deltas, so the broadcast block is in `m.keys` order.
-            vals.resize(val_off as usize, 0.0);
-        }
+        // The broadcast payload, built once in `m.keys` order; every
+        // subscriber's refresh clones the same block (a reference-count
+        // bump, not a copy). Under adaptive management, keys demoted
+        // since the flush left its sender still apply here (the home
+        // owns them while pinned) but are excluded — the subscribers
+        // have dropped (or are about to drop) their replicas.
+        let broadcast = !self.replica_subs.is_empty();
+        let (mut bkeys, mut block) = if broadcast {
+            (
+                Vec::with_capacity(m.keys.len()),
+                ValueBlockBuilder::with_capacity(m.vals.len()),
+            )
+        } else {
+            Default::default()
+        };
         let mut applied_keys = 0u64;
         // Straggler deltas (adaptive, threaded backend): a worker records
         // a flush's in-flight batch under the latch before its message is
@@ -1226,89 +1096,61 @@ impl ServerCore {
         // — and the key relocate away — with that flush still undelivered.
         // The home then no longer owns the key; the delta is forwarded to
         // the current owner below instead of being dropped.
-        let mut stragglers: Vec<(Key, u32, u32)> = Vec::new();
-        for (shard_idx, idxs) in groups.iter() {
-            let mut shard = self.shared.shards[shard_idx].write();
-            for &i in idxs {
-                let k = m.keys[i as usize];
-                let (off, len) = items[i as usize];
-                let applied = shard
-                    .store
-                    .add(k, &m.vals[off as usize..(off + len) as usize]);
-                if !applied {
-                    debug_assert!(adaptive, "owner lost replicated key {k}");
-                    stragglers.push((k, off, len));
-                    if broadcast && adaptive {
-                        included[i as usize] = false;
-                    }
-                    continue;
-                }
-                if broadcast {
-                    let fresh = shard.store.get(k).expect("just updated");
-                    vals[off as usize..(off + len) as usize].copy_from_slice(fresh);
-                    if adaptive {
-                        included[i as usize] = shard.techniques.replicated(k);
-                    }
-                }
-                applied_keys += 1;
+        let mut stragglers: Vec<(Key, &[f32])> = Vec::new();
+        let mut val_off = 0usize;
+        let mut last_shard = None;
+        let mut cursor = LatchCursor::new(&self.shared.shards);
+        for &k in &m.keys {
+            debug_assert!(
+                adaptive || policy.replicated(k),
+                "replica push for unreplicated {k}"
+            );
+            debug_assert_eq!(cfg.home(k), node, "replica push at wrong owner");
+            let len = cfg.layout.len(k);
+            let delta = &m.vals[val_off..val_off + len];
+            val_off += len;
+            let idx = self.shared.shard_index(k);
+            let entered = ascends(&mut last_shard, idx, k);
+            let shard = cursor.write(idx);
+            if entered && own_flush {
+                shard.replica.retire(node, m.flush_seq);
             }
-            if own_flush {
-                shard.replica.retire(self.shared.node, m.flush_seq);
+            if !shard.store.add(k, delta) {
+                debug_assert!(adaptive, "owner lost replicated key {k}");
+                stragglers.push((k, delta));
+                continue;
+            }
+            applied_keys += 1;
+            if broadcast && (!adaptive || shard.techniques.replicated(k)) {
+                bkeys.push(k);
+                block.push_slice(shard.store.get(k).expect("just updated"));
             }
         }
+        drop(cursor);
         if applied_keys > 0 {
             self.lane.replica_pushes_applied.add(applied_keys);
         }
-        for (k, off, len) in stragglers {
+        for (k, delta) in stragglers {
             let owner = self.owner[cfg.home_slot(k)];
             // Fire-and-forget tracked push: the abandoned entry is
             // reclaimed when the owner's acknowledgement completes it,
             // so nothing leaks and nobody is woken.
-            let seq = self
-                .shared
-                .tracker
-                .begin(crate::tracker::TrackedKind::Push, 0, None);
-            self.shared
-                .tracker
-                .add_keys(seq, false, false, std::iter::once((k, 0, 0)));
-            self.shared.tracker.seal(seq);
-            self.shared.tracker.abandon(seq);
-            let entry =
-                batches
-                    .fwd_owner
-                    .entry((owner, OpId::new(self.shared.node, seq), OpKind::Push));
+            let tracker = &self.shared.tracker;
+            let seq = tracker.begin(crate::tracker::TrackedKind::Push, 0, None);
+            tracker.add_keys(seq, false, false, std::iter::once((k, 0, 0)));
+            tracker.seal(seq);
+            tracker.abandon(seq);
+            let entry = batches
+                .fwd_owner
+                .entry((owner, OpId::new(node, seq), OpKind::Push));
             entry.keys.push(k);
-            entry
-                .vals
-                .extend_from_slice(&m.vals[off as usize..(off + len) as usize]);
+            entry.vals.extend_from_slice(delta);
         }
         if broadcast {
-            // Build the broadcast payload once; every subscriber's
-            // refresh clones the same block (a reference-count bump, not
-            // a copy). Under adaptive management only keys that are still
-            // replicated broadcast (possibly none).
-            let (bkeys, block) = if adaptive {
-                let mut keys: Vec<Key> = Vec::new();
-                let mut blk = ValueBlockBuilder::default();
-                for (i, &k) in m.keys.iter().enumerate() {
-                    if included[i] {
-                        let (off, len) = items[i];
-                        keys.push(k);
-                        blk.push_slice(&vals[off as usize..(off + len) as usize]);
-                    }
-                }
-                (keys, blk.finish())
-            } else {
-                let mut blk = ValueBlockBuilder::with_capacity(vals.len());
-                blk.push_slice(vals);
-                (m.keys.clone(), blk.finish())
-            };
-            self.broadcast_refresh(bkeys, block, Some((m.node, m.flush_seq)), batches);
+            self.broadcast_refresh(bkeys, block.finish(), Some((m.node, m.flush_seq)), batches);
         }
         // A delivered self flush releases its hold on keys pinned by a
-        // draining demotion (their deltas were applied above). Done last:
-        // completing a drain replays deferred localizes, which reuse the
-        // dispatch scratch this handler has finished with.
+        // draining demotion (their deltas were applied above).
         if own_flush && adaptive && !self.demote_pinned.is_empty() {
             let mut touched: Vec<u64> = Vec::new();
             for &k in &m.keys {
@@ -1332,9 +1174,11 @@ impl ServerCore {
 
     /// Replica-sync message 3, at a replica holder: install the fresh
     /// values and retire the acknowledged in-flight batch. Install and
-    /// retirement happen under one latch per shard: the refreshed values
-    /// already include the acknowledged deltas, so a reader must never
-    /// see both (double count) or neither (dropped writes).
+    /// retirement happen under one latch hold per shard (the refresh
+    /// echoes the flush's ascending key list, see [`ascends`]): the
+    /// refreshed values already include the acknowledged deltas, so a
+    /// reader must never see both (double count) or neither (dropped
+    /// writes).
     fn handle_replica_refresh(&mut self, m: ReplicaRefreshMsg) {
         let cfg: &ProtoConfig = &self.shared.cfg;
         let policy = cfg.policy();
@@ -1349,50 +1193,42 @@ impl ServerCore {
             m.owner
         );
         *last_round = m.round;
-        let ServerScratch { groups, items, .. } = &mut self.scratch;
-        groups.clear();
-        items.clear();
-        let mut val_off = 0u32;
-        for (i, &k) in m.keys.iter().enumerate() {
-            debug_assert!(
-                policy.adaptive() || policy.replicated(k),
-                "refresh for unreplicated {k}"
-            );
+        debug_assert_eq!(
+            cfg.layout.keys_len(&m.keys),
+            m.vals.len(),
+            "refresh payload mismatch"
+        );
+        let mut val_off = 0usize;
+        let mut last_shard = None;
+        let mut cursor = LatchCursor::new(&self.shared.shards);
+        for &k in &m.keys {
             debug_assert_eq!(cfg.home(k), m.owner, "refresh from non-owner");
-            let len = cfg.layout.len(k) as u32;
-            items.push((val_off, len));
-            groups.push(cfg.shard_of(k), i as u32);
-            val_off += len;
-        }
-        debug_assert_eq!(val_off as usize, m.vals.len(), "refresh payload mismatch");
-        let mut refreshed = 0u64;
-        for (shard_idx, idxs) in groups.iter() {
-            let mut shard = self.shared.shards[shard_idx].write();
-            for &i in idxs {
-                let k = m.keys[i as usize];
-                let (off, len) = items[i as usize];
-                // Per-link FIFO fences refreshes against transition
-                // broadcasts: a refresh for a key this node demoted (or
-                // has not promoted yet) cannot arrive.
-                debug_assert!(
-                    policy.replicated_in(k, &shard),
-                    "refresh for unreplicated {k}"
-                );
-                // Fresh values copy straight from the message block into
-                // the replica view.
-                shard
-                    .replica
-                    .refresh_with(k, len as usize, |dst| m.vals.copy_to(off as usize, dst));
-                refreshed += 1;
-            }
-            if m.ack > 0 {
-                // An acked batch's keys are exactly the refreshed keys, so
-                // every shard holding a part of it is visited here.
+            let len = cfg.layout.len(k);
+            let idx = self.shared.shard_index(k);
+            let entered = m.ack > 0 && ascends(&mut last_shard, idx, k);
+            let shard = cursor.write(idx);
+            if entered {
+                // An acked batch's keys are exactly the refreshed keys,
+                // so every shard holding a part of it is entered here.
                 shard.replica.retire(m.owner, m.ack);
             }
+            // Per-link FIFO fences refreshes against transition
+            // broadcasts: a refresh for a key this node demoted (or
+            // has not promoted yet) cannot arrive.
+            debug_assert!(
+                policy.replicated_in(k, shard),
+                "refresh for unreplicated {k}"
+            );
+            // Fresh values copy straight from the message block into
+            // the replica view.
+            shard
+                .replica
+                .refresh_with(k, len, |dst| m.vals.copy_to(val_off, dst));
+            val_off += len;
         }
-        if refreshed > 0 {
-            self.lane.replica_refreshes.add(refreshed);
+        drop(cursor);
+        if !m.keys.is_empty() {
+            self.lane.replica_refreshes.add(m.keys.len() as u64);
             // Serving-epoch publication: the replica tier just caught up
             // with owner state as of the current epoch (snapshot plane
             // staleness bound, see `crate::serving`).
@@ -1536,13 +1372,10 @@ impl ServerCore {
 
     /// Transition message 2, at every other node: install the replicas
     /// and flip the local technique table. If a refused localize left an
-    /// incoming entry here, drain it: waiting localizes complete, parked
-    /// local pushes accumulate into the replica (visible to subsequent
-    /// local reads), parked local pulls serve from the fresh replica
-    /// view, and parked remote-origin operations re-dispatch to the
-    /// owning home — not a single update is lost or applied twice.
+    /// incoming entry here, drain it as a replica arrival
+    /// ([`Arrival::Replica`]) — not a single update is lost or applied
+    /// twice.
     fn handle_technique_promote_ack(&mut self, m: TechniquePromoteAckMsg, batches: &mut Batches) {
-        let cfg: &ProtoConfig = &self.shared.cfg;
         debug_assert_ne!(m.home, self.shared.node, "self-addressed promote broadcast");
         // Epoch fencing: transitions from one home arrive strictly
         // increasing (per-link FIFO); a violation means a stale broadcast
@@ -1556,122 +1389,43 @@ impl ServerCore {
         );
         *last = m.epoch;
 
-        let ServerScratch {
-            groups,
-            items,
-            ho_actions,
-            counted,
-            spans,
-            vals,
+        let ServerCore {
+            shared,
+            lane,
+            owner,
+            scratch,
             ..
-        } = &mut self.scratch;
-        groups.clear();
-        items.clear();
-        ho_actions.clear();
-        counted.clear();
-        spans.clear();
-        vals.clear();
-        let mut block_off = 0u32;
-        for (i, &k) in m.keys.iter().enumerate() {
+        } = &mut *self;
+        let cfg: &ProtoConfig = &shared.cfg;
+        debug_assert_eq!(
+            cfg.layout.keys_len(&m.keys),
+            m.vals.len(),
+            "promote payload mismatch"
+        );
+        let mut drain = Drain::begin(shared, owner, scratch, batches);
+        let mut block_off = 0usize;
+        let mut cursor = LatchCursor::new(&shared.shards);
+        for &k in &m.keys {
             debug_assert_eq!(cfg.home(k), m.home, "promote broadcast from non-home");
-            let len = cfg.layout.len(k) as u32;
-            items.push((block_off, len));
-            spans.push((0, 0));
-            groups.push(cfg.shard_of(k), i as u32);
+            let len = cfg.layout.len(k);
+            let shard = cursor.write(shared.shard_index(k));
+            let promoted = shard.techniques.promote(k);
+            debug_assert!(promoted, "promote broadcast for already-promoted {k}");
+            shard
+                .replica
+                .refresh_with(k, len, |dst| m.vals.copy_to(block_off, dst));
             block_off += len;
-        }
-        debug_assert_eq!(block_off as usize, m.vals.len(), "promote payload mismatch");
-
-        let mut accumulated = 0u64;
-        for (shard_idx, idxs) in groups.iter() {
-            let mut shard = self.shared.shards[shard_idx].write();
-            for &i in idxs {
-                let k = m.keys[i as usize];
-                let (off, len) = items[i as usize];
-                let promoted = shard.techniques.promote(k);
-                debug_assert!(promoted, "promote broadcast for already-promoted {k}");
-                shard
-                    .replica
-                    .refresh_with(k, len as usize, |dst| m.vals.copy_to(off as usize, dst));
-                shard.loc_cache.remove(&k);
-                let start = ho_actions.len() as u32;
-                if let Some(entry) = shard.incoming.remove(&k) {
-                    // A localize raced the promotion and was refused at
-                    // home; complete it (the key is as local as it gets)
-                    // and drain everything parked behind it.
-                    for op in entry.waiting_localizes() {
-                        debug_assert_eq!(op.node, self.shared.node);
-                        counted.owe(op.seq);
-                        ho_actions.push(HoAction::LocalizeDone(op));
-                    }
-                    for item in entry.queue {
-                        match item {
-                            Queued::Op(q) => {
-                                if q.op.node == self.shared.node {
-                                    match q.kind {
-                                        OpKind::Push => {
-                                            shard.replica.accumulate(k, &q.val);
-                                            accumulated += 1;
-                                            ho_actions.push(HoAction::LocalPush(q.op));
-                                        }
-                                        OpKind::Pull => {
-                                            let vlen = cfg.layout.len(k);
-                                            let soff = vals.len() as u32;
-                                            vals.resize(soff as usize + vlen, 0.0);
-                                            let ok = shard.read_replicated(
-                                                k,
-                                                &mut vals[soff as usize..soff as usize + vlen],
-                                            );
-                                            debug_assert!(ok, "promoted {k} without replica view");
-                                            ho_actions.push(HoAction::LocalPull(q.op, soff));
-                                        }
-                                    }
-                                } else {
-                                    // Remote-origin operations re-route to
-                                    // the owning home.
-                                    ho_actions.push(HoAction::Redispatch {
-                                        op: q.op,
-                                        kind: q.kind,
-                                        val: q.val,
-                                        to_owner: false,
-                                        dst: m.home,
-                                    });
-                                }
-                            }
-                            Queued::Relocate { .. } => {
-                                // Home refuses localizes for promoting
-                                // keys, so no relocate instruction can be
-                                // parked here.
-                                debug_assert!(false, "parked relocate for promoted {k}");
-                            }
-                        }
-                    }
-                }
-                spans[i as usize] = (start, ho_actions.len() as u32);
+            shard.loc_cache.remove(&k);
+            if let Some(entry) = shard.incoming.remove(&k) {
+                // A localize raced the promotion and was refused at
+                // home; complete it and drain everything parked behind
+                // it.
+                drain.key(shard, k, entry, Arrival::Replica { home: m.home });
             }
         }
-        if accumulated > 0 {
-            // Keep the auto-flush trigger honest about the drained
-            // pushes (the issuing workers flush after completion anyway).
-            self.shared
-                .replica
-                .unflushed
-                .fetch_add(accumulated, Relaxed);
-        }
-
-        let moved_bytes = replay_drain(
-            &self.shared,
-            &m.keys,
-            spans,
-            ho_actions,
-            counted,
-            vals,
-            batches,
-        );
-        if moved_bytes > 0 {
-            self.lane.value_bytes_moved.add(moved_bytes);
-        }
-        if let Some(ad) = &self.shared.adaptive {
+        drop(cursor);
+        drain.finish(lane);
+        if let Some(ad) = &shared.adaptive {
             ad.transition_applied(&m.keys);
         }
     }
@@ -1896,117 +1650,18 @@ impl ServerCore {
     }
 }
 
-/// Replays recorded per-key drain actions in original key order (and per
-/// key in queue-arrival order): tracker completions, response/forward
-/// batching, onward hand-overs. Shared by the hand-over path and the
-/// promotion-broadcast drain. Returns the value bytes moved into
-/// outgoing messages.
-fn replay_drain(
-    shared: &NodeShared,
-    keys: &[Key],
-    spans: &[(u32, u32)],
-    ho_actions: &mut [HoAction],
-    counted: &mut CountedOps,
-    vals: &[f32],
-    batches: &mut Batches,
-) -> u64 {
-    let cfg: &ProtoConfig = &shared.cfg;
-    let mut moved_bytes = 0u64;
-    for (i, &k) in keys.iter().enumerate() {
-        let (start, end) = spans[i];
-        for j in start..end {
-            match std::mem::take(&mut ho_actions[j as usize]) {
-                HoAction::None => {}
-                HoAction::LocalizeDone(op) => {
-                    shared.tracker.note_counted(op.seq, k, -1);
-                    if let Some(n) = counted.replayed(op.seq) {
-                        shared.tracker.complete_counted(op.seq, n);
-                    }
-                }
-                HoAction::LocalPush(op) => {
-                    // Parked by its issuer (a counted key) or by this
-                    // server after a trip via the home node (identified,
-                    // guard-counted): the tracker knows which.
-                    shared.tracker.complete_key(op.seq, k, None);
-                }
-                HoAction::LocalPull(op, soff) => {
-                    let vlen = cfg.layout.len(k);
-                    shared.tracker.complete_key(
-                        op.seq,
-                        k,
-                        Some(&vals[soff as usize..soff as usize + vlen]),
-                    );
-                }
-                HoAction::RespPush(op) => {
-                    batches.resp.entry((op, OpKind::Push)).keys.push(k);
-                }
-                HoAction::RespPull(op, soff) => {
-                    let vlen = cfg.layout.len(k);
-                    let entry = batches.resp.entry((op, OpKind::Pull));
-                    entry.keys.push(k);
-                    entry
-                        .vals
-                        .push_slice(&vals[soff as usize..soff as usize + vlen]);
-                    moved_bytes += 4 * vlen as u64;
-                }
-                HoAction::Redispatch {
-                    op,
-                    kind,
-                    val,
-                    to_owner,
-                    dst,
-                } => {
-                    let entry = if to_owner {
-                        batches.fwd_owner.entry((dst, op, kind))
-                    } else {
-                        batches.fwd_home.entry((dst, op, kind))
-                    };
-                    entry.keys.push(k);
-                    entry.vals.extend_from_slice(&val);
-                }
-                HoAction::Onward(op, new_owner, soff) => {
-                    let vlen = cfg.layout.len(k);
-                    let entry = batches.handover.entry((new_owner, op));
-                    entry.keys.push(k);
-                    entry
-                        .vals
-                        .push_slice(&vals[soff as usize..soff as usize + vlen]);
-                    moved_bytes += 4 * vlen as u64;
-                }
-            }
-        }
-    }
-    moved_bytes
-}
-
-/// Serves a parked operation now that the key is owned: applies state
-/// under the latch, returns the completion/emission to replay in order.
-fn serve_parked(
-    shared: &NodeShared,
-    shard: &mut Shard,
-    k: Key,
-    q: QueuedOp,
-    vals: &mut Vec<f32>,
-) -> HoAction {
-    match q.kind {
-        OpKind::Push => {
-            let applied = shard.store.add(k, &q.val);
-            debug_assert!(applied);
-            if q.op.node == shared.node {
-                HoAction::LocalPush(q.op)
-            } else {
-                HoAction::RespPush(q.op)
-            }
-        }
-        OpKind::Pull => {
-            let v = shard.store.get(k).expect("just served key");
-            let soff = vals.len() as u32;
-            vals.extend_from_slice(v);
-            if q.op.node == shared.node {
-                HoAction::LocalPull(q.op, soff)
-            } else {
-                HoAction::RespPull(q.op, soff)
-            }
-        }
-    }
+/// Whether a replica round's walk enters a new shard at `shard` (the
+/// shard of `k`), remembering it in `last`. Asserts that the round's key
+/// list ascends shard by shard — it does by construction:
+/// `flush_replicas` visits `replica_shards` ascending, a shard's pending
+/// deltas are a `BTreeMap`, a refresh echoes its push — which is what
+/// makes "once per shard entered" the same as "once per shard".
+fn ascends(last: &mut Option<usize>, shard: usize, k: Key) -> bool {
+    let entered = *last != Some(shard);
+    debug_assert!(
+        !entered || last.is_none_or(|l| l < shard),
+        "replica round does not ascend at {k}: shard {shard} after {last:?}"
+    );
+    *last = Some(shard);
+    entered
 }

@@ -780,6 +780,49 @@ impl Drop for ShardWriteGuard<'_> {
     }
 }
 
+/// The one write latch a key walk holds.
+///
+/// Every keyed path of the protocol — an operation a client issues, a
+/// message a server handles — visits its keys once, in the order they
+/// arrive, and asks the cursor for each key's shard. The cursor keeps
+/// the write guard of the shard it handed out last: a key in the same
+/// shard reuses it (adjacent keys share one acquisition), a key
+/// elsewhere drops it **before** the next latch is taken. A walk
+/// therefore never holds two shard latches, whatever its key order, so
+/// no two walks can deadlock on them; what a walk may take *under* the
+/// held latch is the tracker and, below that, a guard map (DESIGN.md §4).
+pub struct LatchCursor<'a> {
+    shards: &'a [ShardCell],
+    held: Option<(usize, ShardWriteGuard<'a>)>,
+}
+
+impl<'a> LatchCursor<'a> {
+    /// A cursor over `shards`, holding nothing yet.
+    pub fn new(shards: &'a [ShardCell]) -> Self {
+        LatchCursor { shards, held: None }
+    }
+
+    /// Whether the cursor holds the latch of shard `idx` (an optimistic
+    /// read of that shard could only spin against the walk's own write
+    /// section).
+    #[inline]
+    pub fn holds(&self, idx: usize) -> bool {
+        matches!(self.held, Some((held, _)) if held == idx)
+    }
+
+    /// Shard `idx`, write-latched until the walk asks for another.
+    #[inline]
+    pub fn write(&mut self, idx: usize) -> &mut Shard {
+        if !self.holds(idx) {
+            // Release first: the old guard must be gone before the new
+            // latch is waited for.
+            self.held = None;
+            self.held = Some((idx, self.shards[idx].write()));
+        }
+        &mut self.held.as_mut().expect("a guard is held").1
+    }
+}
+
 /// Outcome of a validated optimistic read
 /// ([`NodeShared::try_optimistic_read`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -811,8 +854,11 @@ pub struct NodeShared {
     /// This node.
     pub node: NodeId,
     /// Latch-guarded, seqlock-instrumented shards, indexed by
-    /// `ProtoConfig::shard_of`.
+    /// [`NodeShared::shard_index`].
     pub shards: Vec<ShardCell>,
+    /// Width of a shard's key range (`ProtoConfig::keys_per_shard`,
+    /// divided out once).
+    keys_per_shard: u64,
     /// Client operation tracker (shared so async tokens can reclaim
     /// their entries on drop).
     pub tracker: Arc<OpTracker>,
@@ -915,6 +961,7 @@ impl NodeShared {
             cfg: cfg.clone(),
             node,
             shards,
+            keys_per_shard: cfg.keys_per_shard(),
             tracker: Arc::new(OpTracker::new(clock)),
             replica_shards,
             lanes: LaneRegistry::new(),
@@ -953,10 +1000,19 @@ impl NodeShared {
         total
     }
 
+    /// The index of `key`'s shard in [`NodeShared::shards`]: one
+    /// division. Equal to `ProtoConfig::shard_of` for every key of the
+    /// key space; a key beyond it indexes past the shards (a bounds-check
+    /// panic where it is used) instead of aliasing into the last one.
+    #[inline]
+    pub fn shard_index(&self, key: Key) -> usize {
+        (key.0 / self.keys_per_shard) as usize
+    }
+
     /// The latch-guarded shard cell containing `key`.
     #[inline]
     pub fn shard_for(&self, key: Key) -> &ShardCell {
-        &self.shards[self.cfg.shard_of(key)]
+        &self.shards[self.shard_index(key)]
     }
 
     /// Reads an owned value, if present (test/diagnostic helper; takes the
@@ -1093,10 +1149,11 @@ impl NodeShared {
         })
     }
 
-    /// Whether a `localize` of `key` would find nothing to do on this
+    /// Whether a `localize` of `key` (of shard `shard`, its
+    /// [`NodeShared::shard_index`]) would find nothing to do on this
     /// node: the key is owned here (or, under adaptive management,
     /// currently replicated). `localize` asks this of every key first
-    /// and plans, groups and write-latches only the rest.
+    /// and write-latches only the rest, at the index it probed with.
     ///
     /// Where the wait-free read path is on, the answer is a
     /// seqlock-validated read of the dense store's owned flag — same
@@ -1112,8 +1169,8 @@ impl NodeShared {
     /// leaves right after was localized and then taken by a later
     /// request. `false` decides nothing — the caller checks again under
     /// the write latch.
-    pub fn probe_local(&self, key: Key) -> bool {
-        let cell = self.shard_for(key);
+    pub fn probe_local(&self, shard: usize, key: Key) -> bool {
+        let cell = &self.shards[shard];
         if self.cfg.wait_free_reads && self.cfg.policy().shared_memory() {
             let owned = cell.optimistic(|shard| {
                 if cell.maybe_techniques() {
@@ -1170,6 +1227,50 @@ mod tests {
         let cfg = Arc::new(cfg);
         let n = NodeShared::new(cfg.clone(), NodeId(1), clock());
         assert_eq!(n.owned_keys(), cfg.home_keys(NodeId(1)).len());
+    }
+
+    #[test]
+    fn a_nodes_shard_index_is_the_configurations_for_every_key() {
+        // Many keys per shard with a ragged last one; more latches than keys.
+        for (keys, latches) in [(10_000, 16), (5, 1_000)] {
+            let mut cfg = ProtoConfig::new(2, keys, Layout::Uniform(1));
+            cfg.latches = latches;
+            let cfg = Arc::new(cfg);
+            let n = NodeShared::new(cfg.clone(), NodeId(0), clock());
+            assert_eq!(n.shards.len(), cfg.shard_count());
+            for k in (0..keys).map(Key) {
+                assert_eq!(n.shard_index(k), cfg.shard_of(k), "{keys} keys, key {k}");
+            }
+            // A key past the key space does not alias into the last shard.
+            assert!(n.shard_index(Key(keys + cfg.keys_per_shard())) >= n.shards.len());
+        }
+    }
+
+    #[test]
+    fn the_cursor_shares_a_latch_between_neighbours_and_never_holds_two() {
+        let mut cfg = ProtoConfig::new(1, 8, Layout::Uniform(1));
+        cfg.latches = 4; // shards of two keys
+        let n = NodeShared::new(Arc::new(cfg), NodeId(0), clock());
+        let written = |s: usize| n.shards[s].generation();
+        let mut cursor = LatchCursor::new(&n.shards);
+        assert!(!cursor.holds(0));
+        for k in [Key(0), Key(1)] {
+            assert!(cursor.write(n.shard_index(k)).store.add(k, &[1.0]));
+        }
+        // Both keys under one write section, which is still open.
+        assert!(cursor.holds(0));
+        assert_eq!(written(0), 0);
+        // Moving on closes it before the next opens: shard 0 can be
+        // latched again while the cursor sits on shard 2.
+        cursor.write(2);
+        assert!(cursor.holds(2) && !cursor.holds(0));
+        assert_eq!(written(0), 1);
+        drop(n.shards[0].write());
+        // Coming back is a second acquisition.
+        cursor.write(0);
+        drop(cursor);
+        assert_eq!((written(0), written(2)), (3, 1));
+        assert_eq!(n.read_value(Key(1)), Some(vec![1.0]));
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! plus random (FIFO-respecting) delivery schedules, with ownership and
 //! value-conservation invariants checked at quiescence.
 
+use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -32,6 +33,18 @@ pub struct TestNode {
     pub clients: Vec<ClientCore>,
 }
 
+/// What a recording cluster ([`TestCluster::recording`]) has observed:
+/// the two orders the protocol promises to keep — what is sent, and who
+/// is woken.
+#[derive(Debug, Default)]
+pub struct Recorded {
+    /// Every delivered message as `(src, dst, message)`, in delivery
+    /// order.
+    pub delivered: Vec<(NodeId, NodeId, Msg)>,
+    /// Every tracker wake as `(node, worker slot)`, in firing order.
+    pub wakes: Vec<(NodeId, u16)>,
+}
+
 /// A hand-driven cluster.
 pub struct TestCluster {
     /// Cluster configuration.
@@ -40,6 +53,8 @@ pub struct TestCluster {
     pub nodes: Vec<TestNode>,
     /// Per-link FIFO queues: `queues[src][dst]`.
     queues: Vec<Vec<VecDeque<Msg>>>,
+    /// The log of a recording cluster.
+    recorded: Option<Arc<Mutex<Recorded>>>,
 }
 
 impl TestCluster {
@@ -53,7 +68,23 @@ impl TestCluster {
     pub fn with_init(
         cfg: ProtoConfig,
         workers_per_node: u16,
+        init: impl FnMut(Key) -> Option<Vec<f32>>,
+    ) -> Self {
+        Self::build(cfg, workers_per_node, init, None)
+    }
+
+    /// Builds a zero-initialized cluster that logs every delivered
+    /// message and every tracker wake ([`TestCluster::recorded`]).
+    pub fn recording(cfg: ProtoConfig, workers_per_node: u16) -> Self {
+        let log = Arc::new(Mutex::new(Recorded::default()));
+        Self::build(cfg, workers_per_node, |_| None, Some(log))
+    }
+
+    fn build(
+        cfg: ProtoConfig,
+        workers_per_node: u16,
         mut init: impl FnMut(Key) -> Option<Vec<f32>>,
+        recorded: Option<Arc<Mutex<Recorded>>>,
     ) -> Self {
         let cfg = Arc::new(cfg);
         let n = cfg.nodes as usize;
@@ -61,8 +92,15 @@ impl TestCluster {
         for id in 0..n {
             let shared =
                 NodeShared::with_init(cfg.clone(), NodeId(id as u16), Arc::new(|| 0), &mut init);
-            // Tests poll `is_done`; completions need no wake-up.
-            shared.tracker.set_waker(Arc::new(|_, _| {}));
+            // Tests poll `is_done`; completions need no wake-up, so the
+            // waker (installed once per tracker) only ever logs.
+            let node = NodeId(id as u16);
+            match recorded.clone() {
+                Some(log) => shared
+                    .tracker
+                    .set_waker(Arc::new(move |slot, _| log.lock().wakes.push((node, slot)))),
+                None => shared.tracker.set_waker(Arc::new(|_, _| {})),
+            }
             let server = ServerCore::new(shared.clone());
             let clients = (0..workers_per_node)
                 .map(|slot| ClientCore::new(shared.clone(), slot))
@@ -76,7 +114,21 @@ impl TestCluster {
         let queues = (0..n)
             .map(|_| (0..n).map(|_| VecDeque::new()).collect())
             .collect();
-        TestCluster { cfg, nodes, queues }
+        TestCluster {
+            cfg,
+            nodes,
+            queues,
+            recorded,
+        }
+    }
+
+    /// Takes what a recording cluster has logged so far.
+    ///
+    /// # Panics
+    /// Panics if the cluster was not built by [`TestCluster::recording`].
+    pub fn recorded(&self) -> Recorded {
+        let log = self.recorded.as_ref().expect("not a recording cluster");
+        std::mem::take(&mut *log.lock())
     }
 
     /// Enqueues all messages of an issue sink, preserving order.
@@ -134,6 +186,9 @@ impl TestCluster {
         let msg = self.queues[src.idx()][dst.idx()]
             .pop_front()
             .expect("deliver_one on empty link");
+        if let Some(log) = &self.recorded {
+            log.lock().delivered.push((src, dst, msg.clone()));
+        }
         let mut sink = Vec::new();
         self.nodes[dst.idx()].server.handle(msg, &mut sink);
         self.send_all(dst, sink);
@@ -327,6 +382,18 @@ impl TestCluster {
             }
         }
         found.unwrap_or_else(|| panic!("key {key} owned nowhere"))
+    }
+
+    /// Whether no node holds a replica delta that is still pending or in
+    /// flight (every replicated push has reached its owner and been
+    /// acknowledged).
+    pub fn replica_deltas_settled(&self) -> bool {
+        self.nodes.iter().all(|n| {
+            n.shared.shards.iter().all(|s| {
+                let s = s.read();
+                s.replica.pending.is_empty() && s.replica.in_flight.is_empty()
+            })
+        })
     }
 
     /// Number of in-flight tracker operations across all nodes.

@@ -142,18 +142,23 @@ fn concurrent_writers_never_yield_torn_snapshots() {
     assert!(validated > 0, "optimistic path never validated");
 }
 
+/// `localize`'s probe of `key`, at the shard index `localize` computes.
+fn probe(shared: &NodeShared, key: Key) -> bool {
+    shared.probe_local(shared.shard_index(key), key)
+}
+
 #[test]
 fn probe_answers_from_the_owned_flag_and_waits_out_a_writer() {
     let shared = node(1.0);
-    assert!(shared.probe_local(Key(5)));
+    assert!(probe(&shared, Key(5)));
     let slot = shared.shard_for(Key(5)).write().store.take(Key(5)).unwrap();
-    assert!(!shared.probe_local(Key(5)), "taken key still probed local");
+    assert!(!probe(&shared, Key(5)), "taken key still probed local");
     {
         let mut g = shared.shard_for(Key(5)).write();
         g.store.release(slot);
         g.store.insert_with(Key(5), |dst| dst.fill(2.0));
     }
-    assert!(shared.probe_local(Key(5)));
+    assert!(probe(&shared, Key(5)));
 
     // A live writer: the optimistic probe cannot validate, so the probe
     // takes the latch, blocks until the guard drops, and answers for the
@@ -170,7 +175,7 @@ fn probe_answers_from_the_owned_flag_and_waits_out_a_writer() {
         })
     };
     rx.recv().unwrap();
-    assert!(!shared.probe_local(Key(5)));
+    assert!(!probe(&shared, Key(5)));
     writer.join().unwrap();
 }
 
@@ -194,7 +199,7 @@ fn probe_never_reports_the_inside_of_a_critical_section() {
     };
     for i in 0..200_000u64 {
         assert!(
-            shared.probe_local(Key(3)),
+            probe(&shared, Key(3)),
             "probe {i} saw the key gone: an unvalidated read of the flag"
         );
     }
