@@ -6,7 +6,7 @@
 
 CARGO ?= cargo
 
-.PHONY: build test bench-check bench-smoke smoke-parent bench-contract bench-pairs fmt fmt-check clippy lint-check lint tsan doc ci clean
+.PHONY: build test bench-check bench-smoke smoke-parent bench-contract bench-pairs loc fmt fmt-check clippy lint-check lint tsan doc ci clean
 
 build:
 	$(CARGO) build --release
@@ -86,6 +86,13 @@ PAIRS ?= 10
 TRACE ?= 0
 bench-pairs:
 	TRACE=$(TRACE) tools/bench-pairs.sh $(PARENT) $(WORKLOAD) $(SEED) $(PAIRS)
+
+## What a simplicity PR counts: `src` lines and `unsafe` sites per crate,
+## the `pub` fields of `ProtoConfig`/`PsConfig`, the `LAPSE_*` variables
+## read — from tracked files. "Simpler" is a diff of two outputs:
+##   diff <(tools/loc.sh HEAD~1) <(tools/loc.sh)
+loc:
+	@tools/loc.sh $(REF)
 
 fmt:
 	$(CARGO) fmt

@@ -245,10 +245,8 @@ fn smoke() {
     cluster.check_ownership_invariant();
 
     let mut stats = lapse_proto::shard::AccessStats::default();
-    let mut arena = lapse_proto::storage::ArenaStats::default();
     for n in &cluster.nodes {
         stats += n.shared.stats();
-        arena.merge(n.shared.store_alloc_stats());
     }
     println!("message hops delivered: {hops}");
     println!(
@@ -259,10 +257,7 @@ fn smoke() {
         "relocations {}, handovers {}",
         stats.relocations, stats.handovers_in
     );
-    println!(
-        "value plane: {} bytes moved, {} arena / {} heap allocs",
-        stats.value_bytes_moved, arena.arena, arena.heap
-    );
+    println!("value plane: {} bytes moved", stats.value_bytes_moved);
     println!("pull checksum {checksum:.3}, local probe {:?}", &out[..2]);
     println!("in-flight ops at quiescence: {}", cluster.in_flight_ops());
 }

@@ -4,7 +4,7 @@
 //! Three paths per dimension:
 //!
 //! * **local pull** — the owned-local shared-memory sync path (must stay
-//!   allocation-free: store arena → caller buffer, one latch, no
+//!   allocation-free: store slot → caller buffer, one latch, no
 //!   tracker);
 //! * **remote pull** — a 64-key grouped pull served by a remote owner
 //!   (request → grouped response block → tracker → caller buffer);
@@ -253,7 +253,7 @@ fn main() {
     table.print();
     println!(
         "note: ops are 64-key groups; local pull must allocate nothing per key \
-         (arena → caller buffer); remote pulls move one contiguous block per response"
+         (store slot → caller buffer); remote pulls move one contiguous block per response"
     );
 
     // Update-kernel throughput: the split-pass optimizer kernels vs their
@@ -296,12 +296,11 @@ fn main() {
     );
     println!(
         "sim probe (2x2, 256 keys x dim 16, 8 rounds): virtual time {}, {} msgs, {}, \
-         value plane {} moved / {} arena / {} heap allocs",
+         value plane {} moved / {} heap allocs",
         fmt::duration_ns(stats.virtual_time_ns.expect("sim run has virtual time")),
         fmt::count(stats.messages),
         fmt::bytes(stats.bytes),
         fmt::bytes(stats.value_bytes_moved),
-        fmt::count(stats.value_allocs_arena),
         fmt::count(stats.value_allocs_heap)
     );
 }

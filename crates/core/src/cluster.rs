@@ -35,16 +35,8 @@ pub struct PsConfig {
     pub wait_free_reads: Option<bool>,
     /// Per-link message coalescing: `None` leaves the backend default
     /// (sim: off — its cost model charges per message and its schedules
-    /// must stay bit-identical; threaded: on), `Some(v)` forces it. The
-    /// `LAPSE_NO_COALESCE` environment variable overrides both to off
-    /// (per-message baselines, bisecting batching bugs).
+    /// must stay bit-identical; threaded: on), `Some(v)` forces it.
     pub coalesce: Option<bool>,
-    /// Snapshot serving plane (wait-free epoch-pinned reads): `None`
-    /// leaves the backend default (sim: off — every read stays latched
-    /// so schedules and outputs stay bit-identical; threaded: on),
-    /// `Some(v)` forces it. The `LAPSE_NO_SNAPSHOT` environment variable
-    /// overrides both to off (latched serving baselines).
-    pub snapshot_reads: Option<bool>,
     /// Flight recorder (always compiled in, off by default): `None`
     /// leaves it off unless `LAPSE_TRACE=1` opts in, `Some(v)` forces
     /// it. On the simulator the recorder stamps virtual time, so traces
@@ -61,7 +53,6 @@ impl PsConfig {
             proto: ProtoConfig::new(nodes, keys, Layout::Uniform(value_len)),
             wait_free_reads: None,
             coalesce: None,
-            snapshot_reads: None,
             trace: None,
         }
     }
@@ -90,21 +81,9 @@ impl PsConfig {
         self
     }
 
-    /// Chooses dense or sparse local stores.
-    pub fn dense(mut self, dense: bool) -> Self {
-        self.proto.dense = dense;
-        self
-    }
-
     /// Chooses the home partitioning scheme.
     pub fn partition(mut self, p: HomePartition) -> Self {
         self.proto.partition = p;
-        self
-    }
-
-    /// Enables/disables the ordered-async guard.
-    pub fn ordered_async_guard(mut self, on: bool) -> Self {
-        self.proto.ordered_async_guard = on;
         self
     }
 
@@ -141,20 +120,6 @@ impl PsConfig {
         self
     }
 
-    /// Forces the snapshot serving plane on or off (default: backend
-    /// decides — off for the simulator, on for the threaded backend).
-    pub fn snapshot_reads(mut self, on: bool) -> Self {
-        self.snapshot_reads = Some(on);
-        self
-    }
-
-    /// Sets the staleness bound of the snapshot serving plane (epochs a
-    /// replica-tier read may lag before waiting for a refresh).
-    pub fn max_staleness_epochs(mut self, epochs: u64) -> Self {
-        self.proto.max_staleness_epochs = epochs;
-        self
-    }
-
     /// Forces the flight recorder on or off (default: off unless
     /// `LAPSE_TRACE=1` opts in).
     pub fn trace(mut self, on: bool) -> Self {
@@ -170,24 +135,8 @@ fn seqlock_disabled_by_env() -> bool {
     std::env::var_os("LAPSE_NO_SEQLOCK").is_some_and(|v| !v.is_empty() && v != "0")
 }
 
-/// `LAPSE_NO_COALESCE=1` disables per-link message coalescing everywhere:
-/// every message travels in its own envelope, exactly as before the
-/// batching path existed — the kill switch for per-message baselines and
-/// for bisecting suspected batching bugs.
-fn coalesce_disabled_by_env() -> bool {
-    std::env::var_os("LAPSE_NO_COALESCE").is_some_and(|v| !v.is_empty() && v != "0")
-}
-
-/// `LAPSE_NO_SNAPSHOT=1` disables the snapshot serving plane everywhere:
-/// `SnapshotReader` reads fall back to the latched path — the kill switch
-/// for latched serving baselines and for bisecting suspected
-/// snapshot-plane bugs.
-fn snapshot_disabled_by_env() -> bool {
-    std::env::var_os("LAPSE_NO_SNAPSHOT").is_some_and(|v| !v.is_empty() && v != "0")
-}
-
 /// `LAPSE_TRACE=1` enables the flight recorder everywhere (opt-in, unlike
-/// the kill switches above): every node records protocol events into
+/// the kill switch above): every node records protocol events into
 /// per-thread ring buffers, exported after the run.
 fn trace_enabled_by_env() -> bool {
     std::env::var_os("LAPSE_TRACE").is_some_and(|v| !v.is_empty() && v != "0")
@@ -353,8 +302,8 @@ where
 {
     let mut proto = cfg.proto;
     proto.wait_free_reads = cfg.wait_free_reads.unwrap_or(true) && !seqlock_disabled_by_env();
-    proto.coalesce = cfg.coalesce.unwrap_or(true) && !coalesce_disabled_by_env();
-    proto.snapshot_reads = cfg.snapshot_reads.unwrap_or(true) && !snapshot_disabled_by_env();
+    proto.coalesce = cfg.coalesce.unwrap_or(true);
+    proto.snapshot_reads = true;
     proto.trace = cfg.trace.unwrap_or(false) || trace_enabled_by_env();
     let proto = Arc::new(proto);
     // lint:allow(wall-clock, threaded backend timestamps real elapsed time; it never feeds message contents or ordering)

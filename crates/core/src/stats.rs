@@ -3,7 +3,6 @@
 use std::sync::Arc;
 
 use lapse_proto::shard::AccessStats;
-use lapse_proto::storage::ArenaStats;
 use lapse_proto::NodeShared;
 use lapse_utils::stats::LogHistogram;
 
@@ -63,12 +62,9 @@ pub struct ClusterStats {
     /// replica pull serves plus value payloads assembled into responses,
     /// hand-overs, and refreshes (once per broadcast).
     pub value_bytes_moved: u64,
-    /// Value-slot allocations served by the per-shard store arenas
-    /// (preallocated dense slots, free-list reuse, in-capacity growth).
-    pub value_allocs_arena: u64,
-    /// Value allocations that hit the heap: arena-growing store inserts
-    /// plus per-value copies on the hot paths (parked-operation
-    /// payloads). Owned-local serves contribute zero.
+    /// Value allocations that hit the heap: per-value copies on the hot
+    /// paths (parked-operation payloads). The stores allocate nothing
+    /// after construction, and owned-local serves contribute zero.
     pub value_allocs_heap: u64,
     /// Distribution of relocation times (ns), the paper's Section 3.2
     /// definition.
@@ -125,12 +121,10 @@ impl ClusterStats {
     /// Gathers protocol counters from every node's shared state.
     pub fn collect(nodes: &[Arc<NodeShared>]) -> Self {
         let mut access = AccessStats::default();
-        let mut arena = ArenaStats::default();
         let mut reloc_time = LogHistogram::new(1_000.0, 1.05, 360);
         let mut tracker_in_flight = 0;
         for n in nodes {
             access += n.stats();
-            arena.merge(n.store_alloc_stats());
             reloc_time.merge(&n.tracker.reloc_time_stats());
             tracker_in_flight += n.tracker.in_flight() as u64;
         }
@@ -192,8 +186,7 @@ impl ClusterStats {
             tech_demotions,
             tracker_in_flight,
             value_bytes_moved,
-            value_allocs_arena: arena.arena,
-            value_allocs_heap: arena.heap + value_allocs_heap,
+            value_allocs_heap,
             reloc_time,
             messages: 0,
             bytes: 0,
@@ -243,18 +236,14 @@ mod tests {
     use lapse_proto::{Layout, ProtoConfig};
 
     /// `collect` sums each counter over the lanes of every node and
-    /// reports it under its own name — including the two that are not a
-    /// plain copy (`handovers`, and `value_allocs_heap` on top of the
-    /// stores' own heap allocations).
+    /// reports it under its own name — including the one that is renamed
+    /// on the way (`handovers`).
     #[test]
     fn collect_sums_lanes_across_nodes_under_the_right_names() {
-        let mut cfg = ProtoConfig::new(2, 8, Layout::Uniform(1));
-        cfg.dense = false; // sparse stores: every initial insert allocates
-        let cfg = Arc::new(cfg);
+        let cfg = Arc::new(ProtoConfig::new(2, 8, Layout::Uniform(1)));
         let nodes: Vec<_> = (0..2)
             .map(|n| NodeShared::new(cfg.clone(), NodeId(n), Arc::new(|| 0)))
             .collect();
-        let store_heap: u64 = nodes.iter().map(|n| n.store_alloc_stats().heap).sum();
         for (n, node) in nodes.iter().enumerate() {
             for lane in [node.claim_lane(), node.claim_lane()] {
                 lane.pull_local.add(1 + n as u64);
@@ -266,7 +255,7 @@ mod tests {
         let s = ClusterStats::collect(&nodes);
         assert_eq!(s.pull_local, 2 * (1 + 2));
         assert_eq!(s.handovers, 40);
-        assert_eq!(s.value_allocs_heap, store_heap + 400);
+        assert_eq!(s.value_allocs_heap, 400);
         assert_eq!(s.snapshot_fallbacks, 4000);
         assert_eq!((s.pull_total(), s.pull_remote, s.messages), (6, 0, 0));
         // The runtime's own counters are not the lanes': `collect` leaves

@@ -249,11 +249,6 @@ impl<M> Endpoint<M> {
         self.rx.recv().ok()
     }
 
-    /// Waits up to `timeout`; `None` on timeout or disconnect.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<Incoming<M>> {
-        self.rx.recv_timeout(timeout).ok()
-    }
-
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Option<Incoming<M>> {
         self.rx.try_recv().ok()

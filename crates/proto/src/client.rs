@@ -35,10 +35,10 @@
 //! 2. **Walk** — under a [`LatchCursor`] (one write latch at a time,
 //!    kept across adjacent keys of one shard) each key is routed and
 //!    handled on the spot: local and replica keys are served (values
-//!    copied directly between the store arena and the caller's buffer),
-//!    parked keys enqueue, remote keys append to their destination's
-//!    group — so a message's keys are in the operation's key order by
-//!    construction. A sync pull first tries each key as a wait-free
+//!    copied directly between the key's store slot and the caller's
+//!    buffer), parked keys enqueue, remote keys append to their
+//!    destination's group — so a message's keys are in the operation's
+//!    key order by construction. A sync pull first tries each key as a wait-free
 //!    seqlock read and asks the cursor only for the keys that could not
 //!    serve.
 //! 3. **Register and flush** — what is cheaper once per operation than

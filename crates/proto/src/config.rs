@@ -168,6 +168,41 @@ pub enum HomePartition {
     Stripe,
 }
 
+/// Why a [`ProtoConfig`] cannot be run ([`ProtoConfig::validate`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConfigError {
+    /// `nodes` is 0: nobody is home to any key.
+    NoNodes,
+    /// `keys` is 0: there is nothing to serve.
+    NoKeys,
+    /// `latches` is 0: the key space cannot be cut into shards.
+    NoLatches,
+    /// A shard's values do not fit the store's `u32` slot offsets.
+    ShardSlabTooLarge {
+        /// The first shard that is too large.
+        shard: usize,
+        /// The floats its slab would hold.
+        floats: u64,
+    },
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            ConfigError::NoNodes => write!(f, "nodes = 0: a cluster needs at least one node"),
+            ConfigError::NoKeys => write!(f, "keys = 0: a cluster needs at least one key"),
+            ConfigError::NoLatches => write!(f, "latches = 0: a node needs at least one latch"),
+            ConfigError::ShardSlabTooLarge { shard, floats } => write!(
+                f,
+                "shard {shard} would hold {floats} floats, past the 2^32 a slot offset \
+                 addresses: raise `latches` or shorten the values"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
 /// Full protocol configuration shared by all nodes of one cluster.
 #[derive(Debug, Clone)]
 pub struct ProtoConfig {
@@ -187,8 +222,6 @@ pub struct ProtoConfig {
     pub latches: usize,
     /// Home assignment scheme.
     pub partition: HomePartition,
-    /// Use dense (preallocated) stores instead of sparse maps.
-    pub dense: bool,
     /// Hot keys replicated under [`Variant::Hybrid`] (ignored by the
     /// other variants; [`Variant::Replication`] replicates everything,
     /// [`Variant::Adaptive`] discovers its hot set online).
@@ -224,21 +257,14 @@ pub struct ProtoConfig {
     /// wait-free seqlock copies pinned to the node's serving epoch. Off
     /// by default: the simulator backend keeps every read latched so its
     /// schedules and outputs stay bit-identical. The threaded backend
-    /// enables it (kill switch: `LAPSE_NO_SNAPSHOT=1`); when off, the
-    /// reader API still works but serves through the latched path.
+    /// enables it; when off, the reader API still works but serves
+    /// through the latched path.
     pub snapshot_reads: bool,
-    /// Bounded-staleness knob of the snapshot serving plane (DSSP-style):
-    /// a replica-tier snapshot read is served wait-free only while the
-    /// node's replica epoch lags its serving epoch by at most this many
-    /// epochs; beyond it the reader waits for a refresh and then falls
-    /// back to the latched path. Owned-tier reads are never stale.
-    pub max_staleness_epochs: u64,
     /// Coalesce outgoing messages bound for the same destination into
     /// [`Msg::Batch`](crate::messages::Msg::Batch) envelopes at op/tick
     /// flush boundaries. Off by default: the simulator backend must keep
     /// per-message delivery so its schedules and outputs stay
-    /// bit-identical. The threaded backend enables it (kill switch:
-    /// `LAPSE_NO_COALESCE=1`).
+    /// bit-identical. The threaded backend enables it.
     pub coalesce: bool,
     /// Maximum constituent messages per batch envelope.
     pub coalesce_max_msgs: usize,
@@ -268,19 +294,43 @@ impl ProtoConfig {
             location_caches: false,
             latches: 1000,
             partition: HomePartition::Range,
-            dense: true,
             hot_set: HotSet::Prefix(0),
             adaptive: AdaptiveConfig::default(),
             replica_flush_every: 64,
             ordered_async_guard: true,
             wait_free_reads: false,
             snapshot_reads: false,
-            max_staleness_epochs: 64,
             coalesce: false,
             coalesce_max_msgs: 64,
             coalesce_max_bytes: 1 << 20,
             trace: false,
         }
+    }
+
+    /// Checks what every node built over this configuration relies on:
+    /// the divisions of [`ProtoConfig::range_width`] and
+    /// [`ProtoConfig::keys_per_shard`] have a divisor, and every shard's
+    /// slab stays within the store's `u32` slot offsets.
+    /// [`NodeShared`](crate::shard::NodeShared) construction calls this
+    /// first, so both backends and hand-built worlds pass through it.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.nodes == 0 {
+            return Err(ConfigError::NoNodes);
+        }
+        if self.keys == 0 {
+            return Err(ConfigError::NoKeys);
+        }
+        if self.latches == 0 {
+            return Err(ConfigError::NoLatches);
+        }
+        for shard in 0..self.shard_count() {
+            let (start, end) = self.shard_range(shard);
+            let floats = self.layout.total_len(start, end);
+            if floats > u64::from(u32::MAX) {
+                return Err(ConfigError::ShardSlabTooLarge { shard, floats });
+            }
+        }
+        Ok(())
     }
 
     /// The management-technique policy view of this configuration.
@@ -347,7 +397,7 @@ impl ProtoConfig {
     }
 
     /// Keys per latch/shard: shards are contiguous key ranges of this
-    /// width, so that dense shards hold contiguous keys.
+    /// width, so that a shard's store holds contiguous keys.
     #[inline]
     pub fn keys_per_shard(&self) -> u64 {
         self.keys.div_ceil(self.latches as u64).max(1)
@@ -448,6 +498,53 @@ mod tests {
         for k in 0..5 {
             assert!(c.shard_of(Key(k)) < c.shard_count());
         }
+    }
+
+    #[test]
+    fn validate_refuses_no_nodes() {
+        assert_eq!(cfg(3, 32).validate(), Ok(()));
+        assert_eq!(cfg(0, 32).validate(), Err(ConfigError::NoNodes));
+    }
+
+    #[test]
+    fn validate_refuses_no_keys() {
+        assert_eq!(cfg(3, 0).validate(), Err(ConfigError::NoKeys));
+    }
+
+    #[test]
+    fn validate_refuses_no_latches() {
+        let mut c = cfg(3, 32);
+        c.latches = 0;
+        assert_eq!(c.validate(), Err(ConfigError::NoLatches));
+    }
+
+    #[test]
+    fn validate_refuses_a_shard_past_u32_slot_offsets() {
+        // Four keys of 2³¹ floats on two latches: 2³² floats a shard, one
+        // more than a `u32` offset reaches. Four latches halve the shards.
+        let mut c = ProtoConfig::new(1, 4, Layout::Uniform(1 << 31));
+        c.latches = 2;
+        let too_large = ConfigError::ShardSlabTooLarge {
+            shard: 0,
+            floats: 1 << 32,
+        };
+        assert_eq!(c.validate(), Err(too_large));
+        assert!(too_large
+            .to_string()
+            .contains("shard 0 would hold 4294967296 floats"));
+        c.latches = 4;
+        assert_eq!(c.validate(), Ok(()));
+        // The second tier alone is too long; the first shard is fine.
+        c.layout = Layout::TwoTier {
+            split: 2,
+            first: 1,
+            rest: u32::MAX,
+        };
+        c.latches = 2;
+        assert!(matches!(
+            c.validate(),
+            Err(ConfigError::ShardSlabTooLarge { shard: 1, .. })
+        ));
     }
 
     #[test]

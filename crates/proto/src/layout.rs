@@ -48,12 +48,19 @@ impl Layout {
         }
     }
 
-    /// Total float count across a key range `[start, end)` — used by dense
-    /// stores to size their backing buffer.
-    pub fn total_len(&self, start: u64, end: u64) -> usize {
-        match self {
-            Layout::Uniform(n) => (end - start) as usize * *n as usize,
-            _ => (start..end).map(|k| self.len(Key(k))).sum(),
+    /// Total float count across a key range `[start, end)` — what a
+    /// shard's store would have to hold (`ProtoConfig::validate`). In
+    /// `u64`, saturating: the answer may be "more than fits anywhere".
+    pub fn total_len(&self, start: u64, end: u64) -> u64 {
+        match *self {
+            Layout::Uniform(n) => (end - start).saturating_mul(n as u64),
+            Layout::TwoTier { split, first, rest } => {
+                let below = split.clamp(start, end) - start;
+                let above = end - start - below;
+                (below.saturating_mul(first as u64))
+                    .saturating_add(above.saturating_mul(rest as u64))
+            }
+            Layout::PerKey(_) => (start..end).map(|k| self.len(Key(k)) as u64).sum(),
         }
     }
 
@@ -85,6 +92,8 @@ mod tests {
         assert_eq!(l.len(Key(9)), 4);
         assert_eq!(l.len(Key(10)), 16);
         assert_eq!(l.total_len(8, 12), 4 + 4 + 16 + 16);
+        assert_eq!((l.total_len(0, 10), l.total_len(10, 12)), (40, 32));
+        assert_eq!(l.total_len(0, u64::MAX), u64::MAX, "saturates");
     }
 
     #[test]

@@ -22,7 +22,8 @@
 //! * [`layout`] — per-key value lengths (uniform / two-tier / per-key).
 //! * [`messages`] — the wire protocol: operations, responses, relocation
 //!   messages; wire sizes and codec.
-//! * [`storage`] — dense and sparse per-shard parameter stores.
+//! * [`storage`] — the per-shard parameter store: one slot per key,
+//!   holding the value a node owns or replicates.
 //! * [`shard`] — the latched shared node state: store shards, in-flight
 //!   relocation queues, location caches.
 //! * [`tracker`] — client-side operation tracker (per-key completion,
@@ -64,7 +65,7 @@ pub mod technique;
 pub mod testkit;
 pub mod tracker;
 
-pub use config::{AdaptiveConfig, HomePartition, HotSet, ProtoConfig, Variant};
+pub use config::{AdaptiveConfig, ConfigError, HomePartition, HotSet, ProtoConfig, Variant};
 pub use layout::Layout;
 pub use messages::{Msg, OpId, OpKind};
 pub use serving::{SnapshotRead, SnapshotReader, SnapshotTier};

@@ -155,8 +155,8 @@ pub struct HandOverMsg {
     /// Relocated keys.
     pub keys: Vec<Key>,
     /// Concatenated parameter values in `keys` order (one contiguous
-    /// block; the new owner installs slices of it straight into its
-    /// store arena).
+    /// block; the new owner installs slices of it straight into the
+    /// keys' store slots).
     pub vals: ValueBlock,
 }
 

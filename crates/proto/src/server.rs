@@ -26,8 +26,8 @@
 //! of one shard), and each key is decided *and emitted* on the spot —
 //! straight into the per-destination `Batches`, so outgoing messages
 //! are in the incoming message's key order by construction. Values copy
-//! once, store arena → outgoing [`ValueBlockBuilder`] (or message block
-//! → arena for a hand-over install), under the key's latch.
+//! once, store slot → outgoing [`ValueBlockBuilder`] (or message block
+//! → slot for a hand-over or replica install), under the key's latch.
 //!
 //! Two things wait for the end of the walk. Emission: the `Batches` of a
 //! message flush when its handler returns, in a fixed category order.
@@ -823,7 +823,7 @@ impl ServerCore {
     /// instruction is parked and executed right after the hand-over
     /// arrives (localization conflicts, Section 3.2).
     ///
-    /// A value is copied once, from its arena slot into the hand-over
+    /// A value is copied once, from its store slot into the hand-over
     /// block, under its shard's latch; keys and values append in message
     /// key order (a key that is parked or degenerate adds nothing).
     fn handle_relocate(&mut self, m: RelocateMsg, batches: &mut Batches) {
@@ -891,8 +891,9 @@ impl ServerCore {
     }
 
     /// Message 3, at the new owner: install the values straight from the
-    /// message block into the store arena, complete waiting localizes,
-    /// and drain parked operations in arrival order ([`Drain`]).
+    /// message block into the keys' store slots, complete waiting
+    /// localizes, and drain parked operations in arrival order
+    /// ([`Drain`]).
     fn handle_handover(&mut self, m: HandOverMsg, batches: &mut Batches) {
         let ServerCore {
             shared,
@@ -915,7 +916,7 @@ impl ServerCore {
         for &k in &m.keys {
             let len = cfg.layout.len(k);
             let shard = cursor.write(shared.shard_index(k));
-            // Install: block bytes copy directly into the arena slot.
+            // Install: block bytes copy directly into the key's slot.
             shard
                 .store
                 .insert_with(k, |dst| m.vals.copy_to(block_off, dst));
@@ -1220,10 +1221,10 @@ impl ServerCore {
                 "refresh for unreplicated {k}"
             );
             // Fresh values copy straight from the message block into
-            // the replica view.
+            // the key's slot.
             shard
-                .replica
-                .refresh_with(k, len, |dst| m.vals.copy_to(val_off, dst));
+                .store
+                .refresh_with(k, |dst| m.vals.copy_to(val_off, dst));
             val_off += len;
         }
         drop(cursor);
@@ -1412,8 +1413,8 @@ impl ServerCore {
             let promoted = shard.techniques.promote(k);
             debug_assert!(promoted, "promote broadcast for already-promoted {k}");
             shard
-                .replica
-                .refresh_with(k, len, |dst| m.vals.copy_to(block_off, dst));
+                .store
+                .refresh_with(k, |dst| m.vals.copy_to(block_off, dst));
             block_off += len;
             shard.loc_cache.remove(&k);
             if let Some(entry) = shard.incoming.remove(&k) {
@@ -1478,10 +1479,6 @@ impl ServerCore {
             let mut shard = self.shared.shard_for(k).write();
             let was = shard.techniques.demote(k);
             debug_assert!(was, "demotion of unreplicated {k}");
-            debug_assert!(
-                !shard.replica.values.contains_key(&k),
-                "home holds a replica of its own key {k}"
-            );
             if let Some(delta) = shard.replica.pending.remove(&k) {
                 let applied = shard.store.add(k, &delta);
                 debug_assert!(applied, "home lost demoted key {k}");
@@ -1551,7 +1548,8 @@ impl ServerCore {
             let mut shard = self.shared.shard_for(k).write();
             let was = shard.techniques.demote(k);
             debug_assert!(was, "demote broadcast for unreplicated {k}");
-            shard.replica.values.remove(&k);
+            let held = shard.store.drop_replica(k);
+            debug_assert!(held, "promoted {k} had no replica here");
             if let Some(delta) = shard.replica.pending.remove(&k) {
                 drained_keys.push(k);
                 drained_vals.extend_from_slice(&delta);

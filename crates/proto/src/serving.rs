@@ -26,7 +26,7 @@
 //!
 //! Replica-tier reads are allowed to lag the owners — that is the
 //! replication technique's design — but a serving plane needs a bound.
-//! `ProtoConfig::max_staleness_epochs` is that DSSP-style knob: when
+//! `MAX_STALENESS_EPOCHS` is that DSSP-style bound: when
 //! `serving_epoch - replica_epoch` exceeds it, the reader first waits
 //! (bounded, latch-free) for a refresh to land, then falls back to the
 //! latched read path, which always serves the freshest local view.
@@ -36,9 +36,8 @@
 //!
 //! The snapshot plane is threaded-backend only: `run_sim` forces
 //! `ProtoConfig::snapshot_reads` off (like `wait_free_reads`), so
-//! simulator schedules and outputs stay bit-identical, and
-//! `LAPSE_NO_SNAPSHOT=1` kills the plane in the threaded backend for
-//! A/B runs. Reads are wait-free and side-effect free (counters aside),
+//! simulator schedules and outputs stay bit-identical. Reads are
+//! wait-free and side-effect free (counters aside),
 //! so enabling the plane never changes protocol state or results — the
 //! property the `micro_serving` smoke mode pins down.
 
@@ -54,6 +53,11 @@ use crate::shard::{AccessLane, NodeShared, OptRead};
 /// falling back to the latched path. Latch-free and bounded: the wait
 /// must never turn a wait-free read into an unbounded stall.
 const STALE_WAIT_SPINS: usize = 64;
+
+/// Epochs a replica-tier read may lag the node's serving epoch and still
+/// be served wait-free; beyond it the reader waits for a refresh and
+/// then falls back to the latched path. Owned-tier reads are never stale.
+const MAX_STALENESS_EPOCHS: u64 = 64;
 
 /// Node-local serving-epoch publication (one per [`NodeShared`]), in a
 /// block of its own: workers tick it and the server stamps it, while
@@ -140,15 +144,13 @@ pub struct SnapshotReader {
     /// This reader's counters (`&mut self` reads: one writer).
     lane: Arc<AccessLane>,
     last_epoch: u64,
-    max_staleness: u64,
     /// Flight-recorder lane for this reader (`None` when tracing is off).
     trace: Option<(Arc<Recorder>, Arc<Ring>)>,
 }
 
 impl SnapshotReader {
-    /// A reader over `shared`, with the configured staleness bound.
+    /// A reader over `shared`.
     pub fn new(shared: Arc<NodeShared>) -> Self {
-        let max_staleness = shared.cfg.max_staleness_epochs;
         let trace = shared.trace.on().then(|| {
             let ring = shared.trace.lane(
                 shared.node.0,
@@ -161,7 +163,6 @@ impl SnapshotReader {
             lane: shared.claim_lane(),
             shared,
             last_epoch: 0,
-            max_staleness,
             trace,
         }
     }
@@ -195,7 +196,7 @@ impl SnapshotReader {
                 return Some(self.pin(SnapshotTier::Owned, key));
             }
             Some(OptRead::Replica) => {
-                if shared.serving.replica_lag() <= self.max_staleness {
+                if shared.serving.replica_lag() <= MAX_STALENESS_EPOCHS {
                     self.lane.snapshot_reads.add(1);
                     return Some(self.pin(SnapshotTier::Replica, key));
                 }
@@ -204,7 +205,7 @@ impl SnapshotReader {
                 self.lane.snapshot_stale_waits.add(1);
                 for _ in 0..STALE_WAIT_SPINS {
                     std::hint::spin_loop();
-                    if shared.serving.replica_lag() <= self.max_staleness {
+                    if shared.serving.replica_lag() <= MAX_STALENESS_EPOCHS {
                         match shared.optimistic_read_raw(key, out) {
                             Some(OptRead::Owned) => {
                                 self.lane.snapshot_reads.add(1);

@@ -7,11 +7,17 @@
 //! of latch-guarded [`Shard`]s, each covering a contiguous key range and
 //! holding
 //!
-//! * the shard's slice of the local parameter store,
+//! * the shard's slice of the local parameter store — one slot per key
+//!   of the range, holding the value the node owns or, for a key it
+//!   replicates, the owner's last refresh ([`crate::storage`]),
 //! * the queues of operations addressed to keys currently relocating *to*
 //!   this node (Section 3.2: the requester queues local and forwarded
 //!   accesses until the hand-over arrives), and
-//! * the shard's slice of the optional location cache (Section 3.3).
+//! * the shard's slice of the optional location cache (Section 3.3),
+//!
+//! plus the not-yet-propagated deltas of replicated keys
+//! ([`ReplicaSlice`]) and the dynamic technique table
+//! ([`TechniqueTable`]).
 //!
 //! The paper's default of 1000 latches per node is kept
 //! (`ProtoConfig::latches`).
@@ -42,7 +48,7 @@ use crate::adaptive::AdaptiveShared;
 use crate::config::{ProtoConfig, Variant};
 use crate::messages::{OpId, OpKind};
 use crate::serving::ServingState;
-use crate::storage::{RacyRead, ShardStore};
+use crate::storage::{Residency, ShardStore};
 use crate::tracker::{ClockFn, OpTracker};
 
 /// Optimistic-read retry budget before falling back to the latch.
@@ -110,9 +116,10 @@ impl IncomingState {
 }
 
 /// The shard's slice of the replica state used by the replication
-/// technique (NuPS §2): the last refreshed values of replicated keys
-/// homed elsewhere, plus the locally accumulated update terms that have
-/// not reached the owner yet.
+/// technique (NuPS §2): the locally accumulated update terms of
+/// replicated keys that have not reached the owner yet. The values
+/// themselves — the owned value at the owner, the last refresh at a
+/// replica holder — sit in the key's slot of [`Shard::store`].
 ///
 /// A local read of a replicated key must never go backwards, so deltas
 /// stay visible through their whole life cycle: they accumulate in
@@ -120,12 +127,10 @@ impl IncomingState {
 /// and are retired only when a
 /// [`ReplicaRefreshMsg`](crate::messages::ReplicaRefreshMsg) acknowledges that
 /// the owner applied them (its values then include them). The local view
-/// of a key is always `values + in_flight + pending` (with the owned
-/// store standing in for `values` at the owner).
+/// of a key is always `slot + in_flight + pending`
+/// ([`Shard::read_replicated`]).
 #[derive(Debug, Default)]
 pub struct ReplicaSlice {
-    /// Last refreshed values of replicated keys homed elsewhere.
-    pub values: HashMap<Key, Vec<f32>>,
     /// Deltas accumulated since the last flush (key-sorted so flush
     /// emission order is deterministic).
     pub pending: BTreeMap<Key, Vec<f32>>,
@@ -164,21 +169,6 @@ impl ReplicaSlice {
                 *o += d;
             }
         }
-    }
-
-    /// Installs refreshed values for `key` (overwrites the last refresh).
-    pub fn refresh(&mut self, key: Key, vals: &[f32]) {
-        self.refresh_with(key, vals.len(), |dst| dst.copy_from_slice(vals));
-    }
-
-    /// Installs refreshed values for `key` by filling the stored buffer
-    /// in place — the alloc-free path for refreshes decoded from a
-    /// [`ValueBlock`](lapse_net::ValueBlock): bytes copy straight from
-    /// the message block into the replica view.
-    pub fn refresh_with(&mut self, key: Key, len: usize, fill: impl FnOnce(&mut [f32])) {
-        let dst = self.values.entry(key).or_insert_with(|| vec![0.0; len]);
-        debug_assert_eq!(dst.len(), len, "refresh length mismatch for {key}");
-        fill(dst);
     }
 
     /// Retires the in-flight batch towards `owner` with exactly flush
@@ -258,19 +248,16 @@ pub struct Shard {
 }
 
 impl Shard {
-    /// Reads a replicated key into `out`: the freshest local view is the
-    /// owned value (at the owner) or the last refresh (at a replica
-    /// holder), plus all locally accumulated deltas. Returns false if the
-    /// key has no local replica state (never happens for replicated keys
-    /// after eager initialization).
+    /// Reads a replicated key into `out`: the freshest local view is
+    /// what the key's slot holds — the owned value (at the owner) or the
+    /// last refresh (at a replica holder) — plus all locally accumulated
+    /// deltas. Returns false if the key is absent (never happens for
+    /// replicated keys after eager initialization).
     pub fn read_replicated(&self, key: Key, out: &mut [f32]) -> bool {
-        if let Some(v) = self.store.get(key) {
-            out.copy_from_slice(v);
-        } else if let Some(v) = self.replica.values.get(&key) {
-            out.copy_from_slice(v);
-        } else {
+        let Some(v) = self.store.resident(key) else {
             return false;
-        }
+        };
+        out.copy_from_slice(v);
         self.replica.overlay(key, out);
         true
     }
@@ -413,10 +400,9 @@ access_counters! {
     /// message, never per key.
     value_bytes_moved,
     /// Per-value heap allocations on the hot paths (e.g. parked-operation
-    /// payload copies). The arena/heap allocation split of the stores
-    /// themselves is collected separately from the store arenas; owned
-    /// local serves contribute **zero** here — the property the
-    /// value-plane stress test pins down.
+    /// payload copies). The stores allocate nothing after construction,
+    /// and owned local serves contribute **zero** here — the property
+    /// the value-plane stress test pins down.
     value_allocs_heap,
     /// Batch envelopes this node sent (sender-side coalescing; threaded
     /// backend only — the simulator never coalesces).
@@ -706,10 +692,10 @@ impl ShardCell {
     ///
     /// `observe` may run concurrently with a writer and may run more
     /// than once. It must touch only memory that writers never
-    /// reallocate (the dense store's flags and arena, a frozen replica
-    /// map) and must treat everything it reads as possibly torn until
-    /// this function returns `Some`; the hint atomics tell it which
-    /// structures those are.
+    /// reallocate (the store's residency bytes and slab) and must treat
+    /// everything it reads as possibly torn until this function returns
+    /// `Some`; the hint atomics tell it when the rest of the shard has a
+    /// say in the answer.
     #[inline]
     fn optimistic<R>(&self, mut observe: impl FnMut(&Shard) -> Option<R>) -> Option<R> {
         for _ in 0..SEQLOCK_RETRIES {
@@ -910,19 +896,17 @@ impl NodeShared {
         trace: Arc<Recorder>,
         mut init: impl FnMut(Key) -> Option<Vec<f32>>,
     ) -> Arc<Self> {
+        if let Err(e) = cfg.validate() {
+            panic!("invalid ProtoConfig: {e}");
+        }
         let shard_count = cfg.shard_count();
         let policy = cfg.policy();
         let mut shards = Vec::with_capacity(shard_count);
         let mut replica_shards = Vec::new();
         for s in 0..shard_count {
             let (start, end) = cfg.shard_range(s);
-            let store = if cfg.dense {
-                ShardStore::dense(&cfg.layout, start, end)
-            } else {
-                ShardStore::sparse(&cfg.layout)
-            };
             let mut shard = Shard {
-                store,
+                store: ShardStore::dense(&cfg.layout, start, end),
                 incoming: HashMap::new(),
                 loc_cache: HashMap::new(),
                 replica: ReplicaSlice::default(),
@@ -930,18 +914,27 @@ impl NodeShared {
             };
             // Initially every key is owned by its home node (Section 3.5);
             // replicated keys homed elsewhere start as local replicas of
-            // the same deterministic initial values.
+            // the same deterministic initial values. Either way the value
+            // goes into the key's slot, which is zero already.
             let mut replicates = policy.adaptive();
             for k in start..end {
                 let key = Key(k);
                 let replicated = policy.replicated(key);
                 replicates |= replicated;
-                if cfg.home(key) == node {
-                    let v = init(key).unwrap_or_else(|| vec![0.0; cfg.layout.len(key)]);
-                    shard.store.insert(key, &v);
-                } else if replicated {
-                    let v = init(key).unwrap_or_else(|| vec![0.0; cfg.layout.len(key)]);
-                    shard.replica.values.insert(key, v);
+                let at_home = cfg.home(key) == node;
+                if !(at_home || replicated) {
+                    continue;
+                }
+                let v = init(key);
+                let fill = |dst: &mut [f32]| {
+                    if let Some(v) = &v {
+                        dst.copy_from_slice(v); // panics on a wrong length
+                    }
+                };
+                if at_home {
+                    shard.store.insert_with(key, fill);
+                } else {
+                    shard.store.refresh_with(key, fill);
                 }
             }
             if replicates {
@@ -1054,28 +1047,18 @@ impl NodeShared {
         keys
     }
 
-    /// Aggregated arena-vs-heap allocation counters of all shard stores
-    /// (takes each latch once; diagnostics/statistics).
-    pub fn store_alloc_stats(&self) -> crate::storage::ArenaStats {
-        let mut total = crate::storage::ArenaStats::default();
-        for s in &self.shards {
-            total.merge(s.read().store.alloc_stats());
-        }
-        total
-    }
-
     /// Wait-free optimistic read of `key`'s local value into `out`.
     ///
     /// Returns `None` when the attempt must fall back to the latched
     /// path: the fast path is disabled (`ProtoConfig::wait_free_reads`
     /// off, guard-forced key, or a message-only variant), the shard's
     /// hints report state the fast path cannot serve (parked keys,
-    /// unpropagated replica deltas, a live dynamic technique table), the
-    /// store flavour is sparse, or the retry budget ran out under writer
-    /// pressure. A `Some` outcome is a **validated snapshot**: the
-    /// sequence number was even and unchanged across the whole
-    /// observation, so the routing decision and the copied floats are
-    /// exactly what a latched reader would have produced at that instant.
+    /// unpropagated replica deltas, a live dynamic technique table), or
+    /// the retry budget ran out under writer pressure. A `Some` outcome
+    /// is a **validated snapshot**: the sequence number was even and
+    /// unchanged across the whole observation, so the routing decision
+    /// and the copied floats are exactly what a latched reader would
+    /// have produced at that instant.
     /// Callers are responsible for the access-statistics increments of
     /// the corresponding latched route.
     pub fn try_optimistic_read(&self, key: Key, forced: bool, out: &mut [f32]) -> Option<OptRead> {
@@ -1095,57 +1078,29 @@ impl NodeShared {
     /// `ProtoConfig::snapshot_reads`). Callers must have checked their
     /// own enablement gates and `Policy::shared_memory`.
     pub(crate) fn optimistic_read_raw(&self, key: Key, out: &mut [f32]) -> Option<OptRead> {
-        let policy = self.cfg.policy();
-        // Statically replicated keys ([`Variant::Replication`]/`Hybrid`)
-        // have a frozen replica-map structure (eagerly initialized, never
-        // resized), so their replica view is racy-readable. Adaptive
-        // promotion mutates the map structurally — those shards are
-        // excluded via the technique-table hint below.
-        let replicated = policy.replicated(key);
-        let at_home = self.cfg.home(key) == self.node;
+        let replicated = self.cfg.policy().replicated(key);
         let cell = self.shard_for(key);
         cell.optimistic(|shard| {
+            // Adaptive promotion changes which keys are replicated —
+            // those shards are excluded via the technique-table hint.
             if cell.maybe_incoming() || cell.maybe_techniques() {
                 return None;
             }
-            let outcome = if replicated {
-                if cell.maybe_replica_deltas() {
-                    // The local view would need the pending/in-flight
-                    // overlay, whose BTreeMaps are not racy-readable.
-                    return None;
-                }
-                if at_home {
-                    // The home of a statically replicated key always owns
-                    // it; anything else is a torn observation or an
-                    // invariant violation — let the latched path decide.
-                    match shard.store.read_racy(key, out) {
-                        RacyRead::Copied => OptRead::Replica,
-                        RacyRead::NotOwned | RacyRead::Unsupported => return None,
-                    }
-                } else {
-                    match shard.replica.values.get(&key) {
-                        Some(v) => {
-                            debug_assert_eq!(v.len(), out.len());
-                            let src = v.as_ptr();
-                            for (i, o) in out.iter_mut().enumerate() {
-                                // SAFETY: the Vec is never resized after
-                                // eager initialization; only its floats
-                                // race with refresh writers.
-                                *o = unsafe { std::ptr::read_volatile(src.add(i)) };
-                            }
-                            OptRead::Replica
-                        }
-                        None => return None,
-                    }
-                }
-            } else {
-                match shard.store.read_racy(key, out) {
-                    RacyRead::Copied => OptRead::Owned,
-                    RacyRead::NotOwned => OptRead::Absent,
-                    RacyRead::Unsupported => return None,
-                }
-            };
-            Some(outcome)
+            if replicated && cell.maybe_replica_deltas() {
+                // The local view would need the pending/in-flight
+                // overlay, whose BTreeMaps are not racy-readable.
+                return None;
+            }
+            match (shard.store.read_racy(key, out), replicated) {
+                (Residency::Owned, false) => Some(OptRead::Owned),
+                (Residency::Absent, false) => Some(OptRead::Absent),
+                // The slot of a statically replicated key holds the
+                // value at its home and the last refresh everywhere else.
+                (Residency::Owned | Residency::Replica, true) => Some(OptRead::Replica),
+                // Anything else is a torn observation or an invariant
+                // violation — let the latched path decide.
+                (Residency::Replica, false) | (Residency::Absent, true) => None,
+            }
         })
     }
 
@@ -1156,11 +1111,11 @@ impl NodeShared {
     /// and write-latches only the rest, at the index it probed with.
     ///
     /// Where the wait-free read path is on, the answer is a
-    /// seqlock-validated read of the dense store's owned flag — same
-    /// gate, same protocol and same adaptive exclusion as
+    /// seqlock-validated read of the key's residency byte — same gate,
+    /// same protocol and same adaptive exclusion as
     /// [`NodeShared::try_optimistic_read`], and no value is copied.
-    /// Otherwise (simulator, sparse stores, a live technique table, a
-    /// writer that outlasts the retries) it is read under the latch,
+    /// Otherwise (simulator, a live technique table, a writer that
+    /// outlasts the retries) it is read under the latch,
     /// through [`ShardCell::read`], which bumps no sequence number.
     ///
     /// Either way the answer is one a latched check could have given at
@@ -1176,7 +1131,7 @@ impl NodeShared {
                 if cell.maybe_techniques() {
                     return None;
                 }
-                shard.store.owned_racy(key)
+                Some(shard.store.residency_racy(key) == Residency::Owned)
             });
             if let Some(owned) = owned {
                 return owned;
@@ -1220,13 +1175,15 @@ mod tests {
         assert_eq!(n.read_value(Key(3)).unwrap(), vec![3.0, 0.5]);
     }
 
+    /// Every way of building a node passes through
+    /// `ProtoConfig::validate` first and fails with the error's text —
+    /// not with the division by zero further down.
     #[test]
-    fn sparse_initialization() {
+    #[should_panic(expected = "invalid ProtoConfig: latches = 0")]
+    fn a_node_refuses_an_invalid_configuration_by_name() {
         let mut cfg = ProtoConfig::new(2, 10, Layout::Uniform(1));
-        cfg.dense = false;
-        let cfg = Arc::new(cfg);
-        let n = NodeShared::new(cfg.clone(), NodeId(1), clock());
-        assert_eq!(n.owned_keys(), cfg.home_keys(NodeId(1)).len());
+        cfg.latches = 0;
+        NodeShared::new(Arc::new(cfg), NodeId(0), clock());
     }
 
     #[test]

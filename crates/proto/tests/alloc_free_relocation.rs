@@ -10,16 +10,22 @@
 //! have bounced between the two nodes before, so scratch buffers, shard
 //! tables and tracker tables are warm.
 //!
+//! The same holds for the replicated residency of a key's slot: a node
+//! that replicates every key is built from a few blocks per shard, and a
+//! promotion broadcast installs its values without a buffer per key.
+//!
 //! This file is a test binary of its own because it replaces the global
 //! allocator with a counting one (counts are per thread, so the test
 //! harness's other threads do not show).
 
 use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 use lapse_net::{Key, NodeId};
+use lapse_proto::messages::{Msg, TechniquePromoteMsg};
 use lapse_proto::testkit::TestCluster;
-use lapse_proto::{Layout, ProtoConfig};
+use lapse_proto::{Layout, NodeShared, ProtoConfig, Variant};
 
 struct Counting;
 
@@ -109,4 +115,85 @@ fn a_512_key_round_allocates_what_a_32_key_round_does() {
     );
     // And the counter does count.
     assert!(small_allocs >= 12, "a round trip is six messages");
+}
+
+/// A node of the all-replica variant holds a value for every key of the
+/// key space — its own third owned, the rest as replicas — in the slots
+/// its stores preallocate: building it allocates a few blocks per shard,
+/// not one per replica.
+#[test]
+fn a_replication_node_is_built_from_blocks_per_shard_not_per_replica() {
+    const LATCHES: u64 = 16;
+    let mut c = cfg();
+    c.variant = Variant::Replication;
+    c.latches = LATCHES as usize;
+    let c = Arc::new(c);
+    let before = ALLOCS.with(Cell::get);
+    let node = NodeShared::new(c, NodeId(0), Arc::new(|| 0));
+    let allocs = ALLOCS.with(Cell::get) - before;
+    println!("allocations building a 3 × {KEYS_PER_NODE}-key replication node: {allocs}");
+    // A store is three blocks (offsets, slab, residency bytes); the rest
+    // is the node's own fixed furniture. 4 096 replicas would show.
+    assert!(
+        allocs <= 4 * LATCHES + 32,
+        "{allocs} allocations for {LATCHES} shards"
+    );
+    assert_eq!(node.owned_keys() as u64, KEYS_PER_NODE);
+    for k in [0, KEYS_PER_NODE, 3 * KEYS_PER_NODE - 1].map(Key) {
+        assert_eq!(node.read_replica(k), Some(vec![0.0; DIM as usize]), "{k}");
+    }
+}
+
+/// Allocations at node 0 when node 2, as home, promotes `keys` and its
+/// `TechniquePromoteAck` broadcast is installed there.
+fn promote_ack_install(cluster: &mut TestCluster, keys: &[Key]) -> u64 {
+    let (requester, home) = (NodeId(1), NodeId(2));
+    let promote = TechniquePromoteMsg {
+        node: requester,
+        keys: keys.to_vec(),
+    };
+    cluster.inject(requester, home, Msg::TechniquePromote(promote));
+    cluster.drain_link(requester, home);
+    assert_eq!(cluster.pending(home, NodeId(0)), 1, "one broadcast");
+    let before = ALLOCS.with(Cell::get);
+    cluster.deliver_one(home, NodeId(0));
+    let allocs = ALLOCS.with(Cell::get) - before;
+    cluster.run_until_quiet();
+    allocs
+}
+
+/// A promotion broadcast's values go from the message block straight
+/// into the keys' slots: installing 512 replicas allocates what
+/// installing 32 does, plus the technique table's tree nodes.
+#[test]
+fn a_512_key_promotion_install_allocates_no_buffer_per_key() {
+    let mut c = cfg();
+    c.variant = Variant::Adaptive;
+    c.latches = 16; // 384 keys a shard: each batch below fills one or two tables
+    let mut cluster = TestCluster::new(c, 1);
+    let batch = |from: u64, n: u64| -> Vec<Key> {
+        (0..n).map(|i| Key(2 * KEYS_PER_NODE + from + i)).collect()
+    };
+    // Warm the server's scratch up with a batch of the larger size.
+    promote_ack_install(&mut cluster, &batch(0, 512));
+    let large_allocs = promote_ack_install(&mut cluster, &batch(512, 512));
+    let small_allocs = promote_ack_install(&mut cluster, &batch(1024, 32));
+    for k in batch(512, 512) {
+        assert!(cluster.replicated_on(NodeId(0), k));
+        assert_eq!(
+            cluster.replica_view(NodeId(0), k),
+            Some(vec![0.0; DIM as usize])
+        );
+    }
+    cluster.check_ownership_invariant();
+
+    // Keys arriving in ascending order leave the `BTreeSet`'s leaves half
+    // full: 480 more keys are some 80 more leaves and a few inner nodes.
+    // A value buffer per key would be 480 on top of that.
+    let allowance = 128;
+    println!("allocations per install: {large_allocs} (512 keys), {small_allocs} (32 keys)");
+    assert!(
+        large_allocs <= small_allocs + allowance,
+        "{large_allocs} allocations for 512 keys against {small_allocs} for 32"
+    );
 }

@@ -8,8 +8,7 @@
 //! * no update was lost (final value = sum of all pushes),
 //! * per-worker monotonic reads and read-your-writes hold (caches off —
 //!   the configuration for which the paper claims sequential consistency
-//!   of asynchronous operations, Theorem 2),
-//! * dense and sparse stores produce identical results.
+//!   of asynchronous operations, Theorem 2).
 
 use proptest::prelude::*;
 use rand::Rng as _;
@@ -282,20 +281,6 @@ proptest! {
         prop_assert!(mono.is_empty(), "monotonic-read violations: {mono:?}");
         let ryw = check_read_your_writes(&logs);
         prop_assert!(ryw.is_empty(), "read-your-writes violations: {ryw:?}");
-    }
-
-    #[test]
-    fn dense_and_sparse_stores_agree(
-        seed in any::<u64>(),
-        actions in proptest::collection::vec(action_strategy(3, 12, 2), 1..40),
-    ) {
-        let mut dense_cfg = ProtoConfig::new(3, 12, Layout::Uniform(1));
-        dense_cfg.dense = true;
-        let mut sparse_cfg = ProtoConfig::new(3, 12, Layout::Uniform(1));
-        sparse_cfg.dense = false;
-        let (dense_finals, _) = run_schedule(dense_cfg, 2, &actions, seed);
-        let (sparse_finals, _) = run_schedule(sparse_cfg, 2, &actions, seed);
-        prop_assert_eq!(dense_finals, sparse_finals);
     }
 
     /// With location caches, ordering may degrade (Theorem 3) but updates

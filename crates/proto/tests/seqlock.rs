@@ -8,21 +8,29 @@
 //! bound and the client falls back to the latched route, which blocks
 //! until the writer commits and then serves the committed value.
 //!
-//! `localize`'s probe ([`NodeShared::probe_local`]) reads the dense
-//! store's owned flag under the same protocol and is held to the same
+//! `localize`'s probe ([`NodeShared::probe_local`]) reads the key's
+//! residency byte under the same protocol and is held to the same
 //! contract: a validated answer is one of a committed state, never the
 //! middle of a writer's critical section, and a probe that cannot
 //! validate answers from under the latch.
+//!
+//! A replica is the same slot in another residency, so the same two
+//! halves are pinned for it: against a server installing refreshes
+//! (Hybrid), and against one promoting and demoting the key (Adaptive).
 
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use lapse_net::{Key, NodeId};
+use lapse_net::{Key, NodeId, ValueBlock};
 use lapse_proto::client::IssueHandle;
+use lapse_proto::messages::{
+    Msg, ReplicaRefreshMsg, TechniqueDemoteAckMsg, TechniquePromoteAckMsg,
+};
+use lapse_proto::server::ServerCore;
 use lapse_proto::shard::{NodeShared, OptRead};
 use lapse_proto::testkit::TestCluster;
-use lapse_proto::{Layout, ProtoConfig, Variant};
+use lapse_proto::{HotSet, Layout, ProtoConfig, SnapshotReader, SnapshotTier, Variant};
 
 const DIM: usize = 64;
 const KEYS: u64 = 8;
@@ -205,4 +213,131 @@ fn probe_never_reports_the_inside_of_a_critical_section() {
     }
     stop.store(true, Relaxed);
     writer.join().unwrap();
+}
+
+/// Node 1 of a two-node cluster of `variant` (every key hot), zero
+/// valued: keys `0..KEYS / 2` are homed at node 0, so whatever node 1
+/// holds of them is a replica.
+fn non_home_node(variant: Variant) -> Arc<NodeShared> {
+    let mut c = cfg();
+    c.nodes = 2;
+    c.variant = variant;
+    c.hot_set = HotSet::Prefix(KEYS);
+    c.snapshot_reads = true;
+    NodeShared::new(Arc::new(c), NodeId(1), Arc::new(|| 0))
+}
+
+/// Runs `server_step(round)` for rounds 1, 2, … on a thread of its own
+/// until `read(round_so_far)` has been called `reads` times.
+fn race(
+    shared: &Arc<NodeShared>,
+    reads: u64,
+    mut server_step: impl FnMut(&mut ServerCore, u64) + Send + 'static,
+    mut read: impl FnMut(u64),
+) {
+    let stop = Arc::new(AtomicBool::new(false));
+    let server = {
+        let (shared, stop) = (shared.clone(), stop.clone());
+        std::thread::spawn(move || {
+            let mut server = ServerCore::new(shared);
+            let mut round = 0;
+            while !stop.load(Relaxed) {
+                round += 1;
+                server_step(&mut server, round);
+            }
+        })
+    };
+    (0..reads).for_each(&mut read);
+    stop.store(true, Relaxed);
+    server.join().unwrap();
+}
+
+#[test]
+fn a_hybrid_non_home_reader_never_sees_a_torn_refresh() {
+    let shared = non_home_node(Variant::Hybrid);
+    let keys: Vec<Key> = (0..KEYS / 2).map(Key).collect();
+    let mut buf = vec![0.0f32; DIM];
+    let (mut validated, mut last) = (0u64, vec![0.0f32; keys.len()]);
+    // Round r refreshes every key to r in all elements: a consistent
+    // snapshot has all elements equal, and never goes back a round.
+    let refresh = {
+        let keys = keys.clone();
+        move |server: &mut ServerCore, round: u64| {
+            let refresh = ReplicaRefreshMsg {
+                owner: NodeId(0),
+                round,
+                ack: 0,
+                keys: keys.clone(),
+                vals: ValueBlock::from_f32s(&vec![round as f32; keys.len() * DIM]),
+            };
+            server.handle(Msg::ReplicaRefresh(refresh), &mut Vec::new());
+        }
+    };
+    race(&shared, 200_000, refresh, |i| {
+        let k = keys[i as usize % keys.len()];
+        match shared.try_optimistic_read(k, false, &mut buf) {
+            Some(OptRead::Replica) => {
+                validated += 1;
+                let first = buf[0];
+                assert!(
+                    buf.iter().all(|&x| x == first),
+                    "torn replica of {k}: {buf:?}"
+                );
+                assert!(
+                    first >= last[k.idx()],
+                    "{k} went back: {first} after {last:?}"
+                );
+                last[k.idx()] = first;
+            }
+            None => {}
+            other => panic!("{k} is replicated here, read as {other:?}"),
+        }
+    });
+    assert!(validated > 0, "optimistic path never validated");
+}
+
+#[test]
+fn an_adaptive_reader_sees_what_the_home_sent_or_nothing_across_promote_and_demote() {
+    let shared = non_home_node(Variant::Adaptive);
+    let k = Key(1);
+    // Round r promotes the key with value r in all elements, then demotes
+    // it: the slot goes Absent → Replica(r) → Absent (zeroed), over and over.
+    let promote_demote = move |server: &mut ServerCore, round: u64| {
+        let promote = TechniquePromoteAckMsg {
+            home: NodeId(0),
+            epoch: 2 * round - 1,
+            keys: vec![k],
+            vals: ValueBlock::from_f32s(&[round as f32; DIM]),
+        };
+        let demote = TechniqueDemoteAckMsg {
+            home: NodeId(0),
+            epoch: 2 * round,
+            keys: vec![k],
+        };
+        server.handle(Msg::TechniquePromoteAck(promote), &mut Vec::new());
+        server.handle(Msg::TechniqueDemoteAck(demote), &mut Vec::new());
+    };
+    let mut reader = SnapshotReader::new(shared.clone());
+    let mut buf = vec![0.0f32; DIM];
+    let (mut served, mut last) = (0u64, 0.0f32);
+    race(&shared, 200_000, promote_demote, |_| {
+        // Absent, validated or latched, is `None`; a replica is served
+        // under the latch (the technique-table hint sends the reader
+        // there) and is never the zeroed or half-filled slot.
+        if let Some(read) = reader.read(k, &mut buf) {
+            served += 1;
+            assert_eq!(read.tier, SnapshotTier::Latched);
+            let first = buf[0];
+            assert!(buf.iter().all(|&x| x == first), "torn replica: {buf:?}");
+            assert!(
+                first >= 1.0 && first >= last,
+                "{first} after {last}: not a value sent"
+            );
+            last = first;
+        }
+        // The wait-free read alone never reports more than absence.
+        let racy = shared.try_optimistic_read(k, false, &mut buf);
+        assert!(matches!(racy, None | Some(OptRead::Absent)), "{racy:?}");
+    });
+    assert!(served > 0, "the reader never met the key promoted");
 }

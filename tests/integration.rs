@@ -194,7 +194,7 @@ fn delayed_links_do_not_lose_updates() {
     }
 }
 
-/// Dense and sparse stores, range and stripe partitioning: same results.
+/// Range and stripe partitioning: same results.
 #[test]
 fn storage_and_partitioning_equivalence() {
     let body = |w: &mut dyn PsWorker| {
@@ -209,12 +209,10 @@ fn storage_and_partitioning_equivalence() {
         out
     };
     let mut outcomes = Vec::new();
-    for dense in [true, false] {
-        for partition in [lapse::HomePartition::Range, lapse::HomePartition::Stripe] {
-            let cfg = PsConfig::new(3, 12, 1).dense(dense).partition(partition);
-            let (results, _) = run_sim(cfg, 1, CostModel::default(), |_| None, body);
-            outcomes.push(results[0].clone());
-        }
+    for partition in [lapse::HomePartition::Range, lapse::HomePartition::Stripe] {
+        let cfg = PsConfig::new(3, 12, 1).partition(partition);
+        let (results, _) = run_sim(cfg, 1, CostModel::default(), |_| None, body);
+        outcomes.push(results[0].clone());
     }
     for o in &outcomes[1..] {
         assert_eq!(o, &outcomes[0]);

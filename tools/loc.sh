@@ -1,0 +1,55 @@
+#!/usr/bin/env bash
+# What a simplicity PR counts, in one command: "simpler" is a diff of
+# this script's output at the parent and at the change.
+#
+#   tools/loc.sh            # the working tree (tracked files)
+#   tools/loc.sh <ref>      # a commit, read through git
+#   make loc                # the working tree
+#   diff <(tools/loc.sh HEAD~1) <(tools/loc.sh)
+#
+# Prints, from tracked files only: `src` lines per crate, `unsafe` sites
+# per crate (code lines naming the keyword), the `pub` fields of
+# `ProtoConfig` and `PsConfig`, and the `LAPSE_*` environment variables
+# the workspace reads (`benchmark/` is a package of its own and frozen:
+# not counted).
+set -euo pipefail
+
+ref=${1:-}
+cd "$(git rev-parse --show-toplevel)"
+if [ -n "$ref" ]; then
+    list() { git ls-tree -r --name-only "$ref" -- "$@"; }
+    show() { git show "$ref:$1"; }
+else
+    list() { git ls-files -- "$@"; }
+    show() { [ ! -f "$1" ] || cat "$1"; }
+fi
+# Every listed file of the given paths, concatenated.
+cat_all() { list "$@" | grep '\.rs$' | while read -r f; do show "$f"; done; }
+code_lines() { grep -vE '^\s*//' || true; }
+
+echo "== src lines (tracked *.rs) and unsafe sites, per crate"
+printf '%-18s %7s %7s\n' crate lines unsafe
+total=0
+for dir in src $(list crates | sed -nE 's|^(crates/[^/]+)/src/.*|\1/src|p' | sort -u); do
+    lines=$(cat_all "$dir" | wc -l)
+    sites=$(cat_all "$dir" | code_lines | grep -cE '\bunsafe\b' || true)
+    printf '%-18s %7d %7d\n' "${dir%/src}" "$lines" "$sites"
+    total=$((total + lines))
+done
+printf '%-18s %7d\n' total "$total"
+
+echo
+echo "== pub fields"
+for spec in ProtoConfig:crates/proto/src/config.rs PsConfig:crates/core/src/cluster.rs; do
+    name=${spec%%:*}
+    fields=$(show "${spec#*:}" | awk -v s="pub struct $name {" \
+        '$0 == s { on = 1; next } on && /^}/ { on = 0 } on && /^    pub [a-z_]+:/ { print $2 }' |
+        tr -d ':' | tr '\n' ' ')
+    printf '%-12s %2d  %s\n' "$name" "$(echo "$fields" | wc -w)" "$fields"
+done
+
+echo
+echo "== LAPSE_* variables read (crates, src, examples, tests)"
+cat_all crates src examples tests | code_lines | grep -oE '"LAPSE_[A-Z0-9_]+"' | tr -d '"' | sort -u |
+    tr '\n' ' '
+echo
