@@ -6,13 +6,22 @@
 
 CARGO ?= cargo
 
-.PHONY: build test bench-check bench-smoke smoke-parent bench-contract bench-pairs loc fmt fmt-check clippy lint-check lint tsan doc ci clean
+.PHONY: build test test-release-seqlock bench-check bench-smoke smoke-parent bench-contract bench-pairs loc fmt fmt-check clippy lint-check lint tsan doc ci clean
 
 build:
 	$(CARGO) build --release
 
 test:
 	$(CARGO) test -q
+
+## `make test` compiles the latch-free read path in the debug profile
+## only, where the volatile chunk loads of `storage.rs`'s racy copy, the
+## inlining around them and the `debug_assert`s all differ from what
+## ships: the seqlock contract, the in-order walk that drives the
+## wait-free pull, and the store's own tests, in the release profile.
+test-release-seqlock:
+	$(CARGO) test --release -q -p lapse-proto --test seqlock --test in_order_walk
+	$(CARGO) test --release -q -p lapse-proto --lib storage
 
 ## Compile all bench targets without running them.
 bench-check:
@@ -138,7 +147,7 @@ tsan:
 doc:
 	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --no-deps
 
-ci: fmt-check clippy lint-check doc build test bench-check bench-smoke bench-contract
+ci: fmt-check clippy lint-check doc build test test-release-seqlock bench-check bench-smoke bench-contract
 
 clean:
 	$(CARGO) clean

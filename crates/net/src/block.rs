@@ -85,6 +85,9 @@ impl ValueBlock {
     #[inline]
     pub fn copy_to(&self, off: usize, dst: &mut [f32]) {
         let src = &self.bytes.as_slice()[off * 4..(off + dst.len()) * 4];
+        #[cfg(target_endian = "little")]
+        le_bytes_mut(dst).copy_from_slice(src);
+        #[cfg(not(target_endian = "little"))]
         for (d, c) in dst.iter_mut().zip(src.chunks_exact(4)) {
             *d = f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
         }
@@ -139,19 +142,25 @@ impl ValueBlockBuilder {
         self.buf.reserve(floats * 4);
     }
 
-    /// Appends a float slice. Floats are converted chunk-wise through a
-    /// stack buffer so the byte buffer grows by one bulk append per chunk
-    /// (the per-float path does not inline across crates and is ~20×
-    /// slower).
+    /// Appends a float slice: one bulk append where memory already holds
+    /// the wire's byte order. Elsewhere floats are converted chunk-wise
+    /// through a stack buffer so the byte buffer still grows by one bulk
+    /// append per chunk (the per-float path does not inline across
+    /// crates and is ~20× slower).
     pub fn push_slice(&mut self, vals: &[f32]) {
-        const CHUNK: usize = 64;
-        self.buf.reserve(vals.len() * 4);
-        let mut tmp = [0u8; CHUNK * 4];
-        for chunk in vals.chunks(CHUNK) {
-            for (dst, &v) in tmp.chunks_exact_mut(4).zip(chunk) {
-                dst.copy_from_slice(&v.to_le_bytes());
+        #[cfg(target_endian = "little")]
+        self.buf.extend_from_slice(le_bytes(vals));
+        #[cfg(not(target_endian = "little"))]
+        {
+            const CHUNK: usize = 64;
+            self.buf.reserve(vals.len() * 4);
+            let mut tmp = [0u8; CHUNK * 4];
+            for chunk in vals.chunks(CHUNK) {
+                for (dst, &v) in tmp.chunks_exact_mut(4).zip(chunk) {
+                    dst.copy_from_slice(&v.to_le_bytes());
+                }
+                self.buf.extend_from_slice(&tmp[..chunk.len() * 4]);
             }
-            self.buf.extend_from_slice(&tmp[..chunk.len() * 4]);
         }
     }
 
@@ -161,6 +170,24 @@ impl ValueBlockBuilder {
             bytes: self.buf.freeze(),
         }
     }
+}
+
+/// `vals` as the bytes a block stores: on a little-endian target a
+/// float's memory is its wire encoding.
+#[cfg(target_endian = "little")]
+fn le_bytes(vals: &[f32]) -> &[u8] {
+    // SAFETY: an `f32` is four initialized bytes without padding, `u8`
+    // has alignment 1, and the length is that of `vals` in bytes; the
+    // borrow is `vals`'s.
+    unsafe { std::slice::from_raw_parts(vals.as_ptr().cast(), std::mem::size_of_val(vals)) }
+}
+
+/// [`le_bytes`] for writing: every bit pattern is a valid `f32`, so any
+/// bytes may be stored through the view.
+#[cfg(target_endian = "little")]
+fn le_bytes_mut(vals: &mut [f32]) -> &mut [u8] {
+    // SAFETY: as `le_bytes`; the borrow is exclusive because `vals`'s is.
+    unsafe { std::slice::from_raw_parts_mut(vals.as_mut_ptr().cast(), std::mem::size_of_val(vals)) }
 }
 
 #[cfg(test)]
@@ -181,6 +208,26 @@ mod tests {
         let mut out = [0.0f32; 2];
         block.copy_to(1, &mut out);
         assert_eq!(out, [-2.5, 3.25]);
+    }
+
+    /// The bulk paths against the definition of the format: float `i`
+    /// of a block is bytes `4i..4i + 4`, little-endian, whatever the
+    /// slice lengths it was built from and the offset it is read at.
+    #[test]
+    fn bytes_are_each_floats_le_encoding() {
+        let vals: Vec<f32> = (0..131).map(|i| (i as f32 - 60.5) * 1.25e-3).collect();
+        for split in [0, 1, 63, 64, 65, 131] {
+            let mut b = ValueBlockBuilder::default();
+            b.push_slice(&vals[..split]);
+            b.push_slice(&vals[split..]);
+            let block = b.finish();
+            let want: Vec<u8> = vals.iter().flat_map(|v| v.to_le_bytes()).collect();
+            assert_eq!(block.as_bytes(), &want[..], "split at {split}");
+            let mut out = vec![f32::NAN; vals.len() - split];
+            block.copy_to(split, &mut out);
+            assert_eq!(out, &vals[split..]);
+            assert!((0..vals.len()).all(|i| block.get(i) == vals[i]));
+        }
     }
 
     #[test]

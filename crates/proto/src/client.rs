@@ -846,40 +846,26 @@ impl ClientCore {
     /// replicated here); returns whether `out` was filled. Used by the
     /// word-vector workload to sample negatives without network traffic
     /// (Appendix A).
+    ///
+    /// # Panics
+    /// Panics, with `out` untouched, if `out.len()` is not the length of
+    /// `key`'s value — wait-free or latched alike.
     pub fn pull_if_local(&self, key: Key, out: &mut [f32]) -> bool {
-        let policy = self.cfg().policy();
-        if !policy.shared_memory() {
+        if !self.cfg().policy().shared_memory() {
             return false;
         }
         // Wait-free fast path: a validated optimistic snapshot answers
         // the local-or-not question and copies the value in one pass.
-        match self.shared.try_optimistic_read(key, false, out) {
-            Some(OptRead::Owned) => {
-                self.lane.pull_local.add(1);
-                return true;
-            }
-            Some(OptRead::Replica) => {
-                self.lane.pull_replica.add(1);
-                return true;
-            }
-            Some(OptRead::Absent) => return false,
-            None => {}
+        let read = self
+            .shared
+            .try_optimistic_read(key, false, out)
+            .unwrap_or_else(|| self.shared.latched_read(key, out));
+        match read {
+            OptRead::Owned => self.lane.pull_local.add(1),
+            OptRead::Replica => self.lane.pull_replica.add(1),
+            OptRead::Absent => return false,
         }
-        let shard = self.shared.shard_for(key).read();
-        if policy.replicated_in(key, &shard) {
-            let ok = shard.read_replicated(key, out);
-            debug_assert!(ok, "replicated key {key} without replica state");
-            self.lane.pull_replica.add(1);
-            return ok;
-        }
-        match shard.store.get(key) {
-            Some(v) => {
-                out.copy_from_slice(v);
-                self.lane.pull_local.add(1);
-                true
-            }
-            None => false,
-        }
+        true
     }
 
     /// Assembles a completed sync pull into the caller's buffer and

@@ -185,6 +185,10 @@ impl SnapshotReader {
     /// The returned epoch never decreases across the reads of one
     /// reader, and the copied floats are a seqlock-validated consistent
     /// snapshot (never torn, never a partially applied refresh).
+    ///
+    /// # Panics
+    /// Panics, with `out` untouched, if `out.len()` is not the length of
+    /// `key`'s value — on the wait-free path and the latched one alike.
     pub fn read(&mut self, key: Key, out: &mut [f32]) -> Option<SnapshotRead> {
         let shared = &self.shared;
         if !shared.cfg.snapshot_reads || !shared.cfg.policy().shared_memory() {
@@ -228,29 +232,11 @@ impl SnapshotReader {
     }
 
     /// The latched fallback: the freshest local view, under the shard
-    /// latch. Shares the route logic of `pull_if_local` — replica view
-    /// first (owned values included), owned store second.
+    /// latch ([`NodeShared::latched_read`], as `pull_if_local`).
     fn read_latched(&mut self, key: Key, out: &mut [f32]) -> Option<SnapshotRead> {
         self.lane.snapshot_fallbacks.add(1);
-        let served = {
-            let shared = &self.shared;
-            let policy = shared.cfg.policy();
-            let shard = shared.shard_for(key).read();
-            if policy.replicated_in(key, &shard) {
-                let ok = shard.read_replicated(key, out);
-                debug_assert!(ok, "replicated key {key} without replica state");
-                ok
-            } else {
-                match shard.store.get(key) {
-                    Some(v) => {
-                        out.copy_from_slice(v);
-                        true
-                    }
-                    None => false,
-                }
-            }
-        };
-        served.then(|| self.pin(SnapshotTier::Latched, key))
+        let held = self.shared.latched_read(key, out) != OptRead::Absent;
+        held.then(|| self.pin(SnapshotTier::Latched, key))
     }
 
     /// Pins the read to the current serving epoch, monotone per reader.

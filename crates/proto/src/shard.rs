@@ -810,7 +810,8 @@ impl<'a> LatchCursor<'a> {
 }
 
 /// Outcome of a validated optimistic read
-/// ([`NodeShared::try_optimistic_read`]).
+/// ([`NodeShared::try_optimistic_read`]), or of the latched read that
+/// stands in for one that could not be validated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OptRead {
     /// Served from the owned store (the latched `OwnedLocal` route).
@@ -1102,6 +1103,28 @@ impl NodeShared {
                 (Residency::Replica, false) | (Residency::Absent, true) => None,
             }
         })
+    }
+
+    /// The latched counterpart of [`NodeShared::optimistic_read_raw`], for
+    /// the reads it could not serve: `key`'s freshest local view under
+    /// the shard latch — the replica view (owned value included) of a
+    /// replicated key, the owned store otherwise. Refuses a wrong-length
+    /// `out` as the racy read does, so one call has one behaviour on
+    /// either path.
+    pub(crate) fn latched_read(&self, key: Key, out: &mut [f32]) -> OptRead {
+        let shard = self.shard_for(key).read();
+        shard.store.check_len(key, out);
+        let served = if self.cfg.policy().replicated_in(key, &shard) {
+            let ok = shard.read_replicated(key, out);
+            debug_assert!(ok, "replicated key {key} without replica state");
+            ok.then_some(OptRead::Replica)
+        } else {
+            shard.store.get(key).map(|v| {
+                out.copy_from_slice(v);
+                OptRead::Owned
+            })
+        };
+        served.unwrap_or(OptRead::Absent)
     }
 
     /// Whether a `localize` of `key` (of shard `shard`, its

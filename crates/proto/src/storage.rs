@@ -15,6 +15,14 @@
 //! elsewhere that this node **replicates** (`Replica`, NuPS §2). One byte
 //! has one value, so a node never holds a key twice.
 //!
+//! Without the latch a value leaves its slot through one loop,
+//! `copy_racy`: volatile loads of the widest unit the target has without
+//! runtime detection (16 bytes on x86_64, 8 elsewhere), counted off the
+//! caller's buffer — whose length `read_racy` has asserted, hard, to be the
+//! slot's — so the last chunk ends inside the slot, and a float-wise tail
+//! for the rest. What a racing writer does to such a copy is the seqlock's
+//! to reject (DESIGN.md §7).
+//!
 //! Values never travel as owned `Vec<f32>`: reads hand out borrows,
 //! installs fill the slot in place from the message block, and a hand-over
 //! *takes* the slot, copies it into the outgoing block and releases it.
@@ -226,26 +234,92 @@ impl ShardStore {
         unsafe { std::ptr::read_volatile(self.residency.as_ptr().add(idx)) }
     }
 
+    /// Panics unless `out` has exactly the length of `key`'s value. Every
+    /// read that copies a value into a caller's buffer checks here first,
+    /// latched or not, so a wrong buffer is refused before it is touched.
+    #[inline]
+    pub(crate) fn check_len(&self, key: Key, out: &[f32]) {
+        let want = self.range(self.index(key)).len();
+        assert!(
+            out.len() == want,
+            "read of {key} into a buffer of {} floats: its value has {want}",
+            out.len()
+        );
+    }
+
     /// Unsynchronized (seqlock-optimistic) read of `key`'s value into
     /// `out`, without the shard latch: reports what the slot held and,
     /// unless that is `Absent`, copies it. `keys` and `offsets` are
     /// immutable after construction and neither `residency` nor `slab`
     /// ever reallocates, so a concurrent writer can tear the floats (the
     /// caller's sequence check rejects that) but never dangle a pointer.
+    /// Panics like [`ShardStore::check_len`], before the first load.
     pub(crate) fn read_racy(&self, key: Key, out: &mut [f32]) -> Residency {
-        let held = self.residency_racy(key);
-        if held == Absent {
-            return held;
+        if !self.keys.contains(&key.0) {
+            return Absent;
         }
-        let range = self.range(self.index(key));
-        debug_assert_eq!(out.len(), range.len(), "racy read length mismatch");
-        // SAFETY: the slot range is within the preallocated slab, whose
-        // backing memory never moves. Volatile for the byte's reason.
-        let src = unsafe { self.slab.as_ptr().add(range.start) };
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = unsafe { std::ptr::read_volatile(src.add(i)) };
+        self.check_len(key, out);
+        let held = self.residency_racy(key);
+        if held != Absent {
+            let start = self.range(self.index(key)).start;
+            // SAFETY: `out.len()` is the slot's length (`check_len`, a
+            // hard assert) and `copy_racy` counts its chunks off `out`,
+            // so its last chunk, or the last float of its tail, ends at
+            // float `start + out.len()` of the slab: the slot's end and,
+            // for the shard's last key, the slab's, never past it. The
+            // slab's backing memory never moves.
+            unsafe { copy_racy(self.slab.as_ptr().add(start), out) };
         }
         held
+    }
+}
+
+/// The unit [`copy_racy`] loads at a time: the widest the target has
+/// without runtime detection (SSE2 is baseline on x86_64).
+#[cfg(target_arch = "x86_64")]
+type Chunk = std::arch::x86_64::__m128;
+#[cfg(not(target_arch = "x86_64"))]
+type Chunk = u64;
+
+/// A [`Chunk`] at the alignment a slot has: that of an `f32`.
+#[repr(C, packed(4))]
+struct Unaligned(Chunk);
+
+/// Floats per [`Chunk`].
+const LANES: usize = std::mem::size_of::<Chunk>() / std::mem::size_of::<f32>();
+
+/// The only way a value leaves a slot without the latch: copies
+/// `out.len()` floats from `src`, one volatile [`Chunk`] load per
+/// [`LANES`] floats and one volatile `f32` load for each of the
+/// `out.len() % LANES` floats left. Chunks are counted off `out`, so the
+/// last one ends at or before `src + out.len()`: nothing is read that a
+/// float-by-float loop would not read.
+///
+/// A chunk may be wider than the writer's stores. That is the seqlock's
+/// business, not this loop's: a copy torn inside a chunk or between two
+/// is rejected by the same sequence check, and every bit pattern is a
+/// valid `f32`. Volatile, so that the loads the protocol tolerates being
+/// stale are neither merged with others nor compiled away (a volatile
+/// `[f32; 4]` would be four scalar loads: hence the vector type).
+///
+/// # Safety
+/// `src` must be `f32`-aligned and valid for reads of `out.len()` floats
+/// in memory that is not freed or moved during the call; the floats
+/// themselves may be written concurrently.
+#[inline]
+unsafe fn copy_racy(src: *const f32, out: &mut [f32]) {
+    // Index loops, not `chunks_exact_mut`: that form compiles to an
+    // eight-chunk body behind a remainder loop, in which the four chunks
+    // of a 16-float value spend their whole copy (EXPERIMENTS.md, PR 24).
+    let mut i = 0;
+    while i + LANES <= out.len() {
+        let chunk = std::ptr::read_volatile(src.add(i).cast::<Unaligned>());
+        out[i..i + LANES].copy_from_slice(&std::mem::transmute::<Unaligned, [f32; LANES]>(chunk));
+        i += LANES;
+    }
+    while i < out.len() {
+        out[i] = std::ptr::read_volatile(src.add(i));
+        i += 1;
     }
 }
 
@@ -370,6 +444,52 @@ mod tests {
         assert_eq!(s.resident(Key(5)).unwrap(), &[5.0; 4]);
         assert_eq!(s.resident(Key(4)).unwrap(), &[0.0; 2]);
         assert_eq!(s.slab.len(), 5 * 2 + 5 * 4);
+    }
+
+    /// The kernel at every chunk count, tail length and slot alignment:
+    /// `off` one-float keys in front put the slots of the next two keys
+    /// at float offsets `off` and `off + len`, the second one ending the
+    /// slab.
+    #[test]
+    fn racy_read_equals_get_at_every_length_and_slot_offset() {
+        for (off, len) in (0..4u64).flat_map(|off| (0..=33u32).map(move |len| (off, len))) {
+            let layout = Layout::TwoTier {
+                split: off,
+                first: 1,
+                rest: len,
+            };
+            let mut s = ShardStore::dense(&layout, 0, off + 2);
+            for k in 0..off + 2 {
+                s.insert_with(Key(k), |dst| {
+                    for (i, d) in dst.iter_mut().enumerate() {
+                        *d = (100 * k + i as u64) as f32 + 0.5;
+                    }
+                });
+            }
+            for k in [Key(off), Key(off + 1)] {
+                let mut out = vec![f32::NAN; len as usize];
+                assert_eq!(s.read_racy(k, &mut out), Owned);
+                assert_eq!(out, s.get(k).unwrap(), "{k}: len {len} at offset {off}");
+            }
+        }
+    }
+
+    /// Longer or shorter, owned or absent: refused before anything is
+    /// read, so nothing past the slot is loaded and `out` stays as it was.
+    #[test]
+    fn racy_read_refuses_a_wrong_length_buffer_untouched() {
+        let mut s = store(3, 4);
+        s.insert(Key(3), &[1.0, 2.0, 3.0]);
+        for (k, len) in [(Key(3), 4), (Key(3), 2), (Key(0), 0)] {
+            let mut out = vec![9.0f32; len];
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                s.read_racy(k, &mut out);
+            }));
+            let msg = *caught.unwrap_err().downcast::<String>().unwrap();
+            let want = format!("read of {k} into a buffer of {len} floats: its value has 3");
+            assert_eq!(msg, want);
+            assert_eq!(out, vec![9.0; len]);
+        }
     }
 
     #[test]

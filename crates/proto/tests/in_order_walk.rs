@@ -12,9 +12,9 @@
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use lapse_net::{Key, NodeId, ValueBlock};
+use lapse_net::{Key, NodeId};
 use lapse_proto::client::IssueHandle;
-use lapse_proto::messages::{Msg, ReplicaPushMsg, ReplicaRefreshMsg};
+use lapse_proto::messages::Msg;
 use lapse_proto::shard::AccessStats;
 use lapse_proto::testkit::{IssueOp, TestCluster};
 use lapse_proto::{HomePartition, Layout, ProtoConfig, Variant};
@@ -298,7 +298,7 @@ fn a_replica_push_whose_keys_do_not_ascend_is_refused() {
     c.inject(
         N1,
         N0,
-        Msg::ReplicaPush(ReplicaPushMsg {
+        Msg::ReplicaPush(lapse_proto::messages::ReplicaPushMsg {
             node: N1,
             flush_seq: 1,
             keys: vec![Key(0), Key(6), Key(2)], // shards 0 2 0
@@ -316,12 +316,12 @@ fn an_acknowledging_refresh_whose_keys_do_not_ascend_is_refused() {
     c.inject(
         N0,
         N1,
-        Msg::ReplicaRefresh(ReplicaRefreshMsg {
+        Msg::ReplicaRefresh(lapse_proto::messages::ReplicaRefreshMsg {
             owner: N0,
             round: 1,
             ack: 1,
             keys: vec![Key(6), Key(0)], // shards 2 0
-            vals: ValueBlock::from_f32s(&[1.0, 1.0]),
+            vals: lapse_net::ValueBlock::from_f32s(&[1.0, 1.0]),
         }),
     );
     c.run_until_quiet();

@@ -20,7 +20,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use lapse_net::{Key, NodeId, ValueBlock};
 use lapse_proto::client::IssueHandle;
@@ -106,19 +106,21 @@ fn pull_falls_back_to_latched_path_under_a_writer() {
     assert_eq!(out, vec![9.0; DIM]);
 }
 
-#[test]
-fn concurrent_writers_never_yield_torn_snapshots() {
-    let shared = node(0.0);
+/// Two writers against one reader on values of `len` floats. Every
+/// committed write adds the same constant to all elements of a key, so
+/// any *consistent* snapshot has all elements equal — a torn one mixes
+/// generations — and a key's value never goes back.
+fn hunt_torn_snapshots(len: usize, reads: u64) {
+    let mut c = ProtoConfig::new(1, KEYS, Layout::Uniform(len as u32));
+    c.wait_free_reads = true;
+    let shared = NodeShared::new(Arc::new(c), NodeId(0), Arc::new(|| 0));
     let stop = Arc::new(AtomicBool::new(false));
     let writers: Vec<_> = (0..2)
         .map(|w| {
             let shared = shared.clone();
             let stop = stop.clone();
             std::thread::spawn(move || {
-                // Every committed write adds the same constant to all
-                // elements of a key, so any *consistent* snapshot has all
-                // elements equal; a torn one mixes generations.
-                let delta = vec![1.0f32 + w as f32; DIM];
+                let delta = vec![1.0f32 + w as f32; len];
                 let mut i = w as u64;
                 while !stop.load(Relaxed) {
                     let k = Key(i % KEYS);
@@ -128,17 +130,22 @@ fn concurrent_writers_never_yield_torn_snapshots() {
             })
         })
         .collect();
-    let mut buf = vec![0.0f32; DIM];
-    let mut validated = 0u64;
-    for i in 0..200_000u64 {
+    let mut buf = vec![0.0f32; len];
+    let (mut validated, mut last) = (0u64, [0.0f32; KEYS as usize]);
+    for i in 0..reads {
         let k = Key(i % KEYS);
         if shared.try_optimistic_read(k, false, &mut buf) == Some(OptRead::Owned) {
             validated += 1;
             let first = buf[0];
             assert!(
                 buf.iter().all(|&x| x == first),
-                "torn snapshot for {k}: {buf:?}"
+                "len {len}: torn snapshot for {k}: {buf:?}"
             );
+            assert!(
+                first >= last[k.idx()],
+                "len {len}: {k} went back to {first} from {last:?}"
+            );
+            last[k.idx()] = first;
         }
     }
     stop.store(true, Relaxed);
@@ -147,7 +154,22 @@ fn concurrent_writers_never_yield_torn_snapshots() {
     }
     // The fast path must actually have served reads (hints allow it:
     // no incoming queues, no dynamic techniques on this node).
-    assert!(validated > 0, "optimistic path never validated");
+    assert!(validated > 0, "len {len}: optimistic path never validated");
+}
+
+#[test]
+fn concurrent_writers_never_yield_torn_snapshots() {
+    hunt_torn_snapshots(DIM, 200_000);
+}
+
+/// The copy moves a slot in chunks wider than the writer's stores, plus
+/// a float-wise tail: no chunk count and no tail length lets a validated
+/// read mix two generations.
+#[test]
+fn no_value_length_yields_a_snapshot_of_two_generations() {
+    for len in [1, 3, 5, 17, 128] {
+        hunt_torn_snapshots(len, 100_000);
+    }
 }
 
 /// `localize`'s probe of `key`, at the shard index `localize` computes.
@@ -228,12 +250,15 @@ fn non_home_node(variant: Variant) -> Arc<NodeShared> {
 }
 
 /// Runs `server_step(round)` for rounds 1, 2, … on a thread of its own
-/// until `read(round_so_far)` has been called `reads` times.
+/// while `read(i)` is called for i = 0, 1, … — `reads` times, and then
+/// until one call has returned true (the read was served): in the release
+/// profile `reads` reads can be over before the server thread has run, and
+/// a test that met no served read has checked nothing.
 fn race(
     shared: &Arc<NodeShared>,
     reads: u64,
     mut server_step: impl FnMut(&mut ServerCore, u64) + Send + 'static,
-    mut read: impl FnMut(u64),
+    mut read: impl FnMut(u64) -> bool,
 ) {
     let stop = Arc::new(AtomicBool::new(false));
     let server = {
@@ -247,7 +272,16 @@ fn race(
             }
         })
     };
-    (0..reads).for_each(&mut read);
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let (mut i, mut served) = (0, false);
+    while i < reads || !served {
+        served |= read(i);
+        i += 1;
+        assert!(
+            served || i % 1024 != 0 || Instant::now() < deadline,
+            "no read was served in {i}"
+        );
+    }
     stop.store(true, Relaxed);
     server.join().unwrap();
 }
@@ -257,7 +291,7 @@ fn a_hybrid_non_home_reader_never_sees_a_torn_refresh() {
     let shared = non_home_node(Variant::Hybrid);
     let keys: Vec<Key> = (0..KEYS / 2).map(Key).collect();
     let mut buf = vec![0.0f32; DIM];
-    let (mut validated, mut last) = (0u64, vec![0.0f32; keys.len()]);
+    let mut last = vec![0.0f32; keys.len()];
     // Round r refreshes every key to r in all elements: a consistent
     // snapshot has all elements equal, and never goes back a round.
     let refresh = {
@@ -277,7 +311,6 @@ fn a_hybrid_non_home_reader_never_sees_a_torn_refresh() {
         let k = keys[i as usize % keys.len()];
         match shared.try_optimistic_read(k, false, &mut buf) {
             Some(OptRead::Replica) => {
-                validated += 1;
                 let first = buf[0];
                 assert!(
                     buf.iter().all(|&x| x == first),
@@ -288,12 +321,12 @@ fn a_hybrid_non_home_reader_never_sees_a_torn_refresh() {
                     "{k} went back: {first} after {last:?}"
                 );
                 last[k.idx()] = first;
+                true
             }
-            None => {}
+            None => false,
             other => panic!("{k} is replicated here, read as {other:?}"),
         }
     });
-    assert!(validated > 0, "optimistic path never validated");
 }
 
 #[test]
@@ -319,13 +352,13 @@ fn an_adaptive_reader_sees_what_the_home_sent_or_nothing_across_promote_and_demo
     };
     let mut reader = SnapshotReader::new(shared.clone());
     let mut buf = vec![0.0f32; DIM];
-    let (mut served, mut last) = (0u64, 0.0f32);
+    let mut last = 0.0f32;
     race(&shared, 200_000, promote_demote, |_| {
         // Absent, validated or latched, is `None`; a replica is served
         // under the latch (the technique-table hint sends the reader
         // there) and is never the zeroed or half-filled slot.
-        if let Some(read) = reader.read(k, &mut buf) {
-            served += 1;
+        let served = reader.read(k, &mut buf);
+        if let Some(read) = served {
             assert_eq!(read.tier, SnapshotTier::Latched);
             let first = buf[0];
             assert!(buf.iter().all(|&x| x == first), "torn replica: {buf:?}");
@@ -338,6 +371,53 @@ fn an_adaptive_reader_sees_what_the_home_sent_or_nothing_across_promote_and_demo
         // The wait-free read alone never reports more than absence.
         let racy = shared.try_optimistic_read(k, false, &mut buf);
         assert!(matches!(racy, None | Some(OptRead::Absent)), "{racy:?}");
+        served.is_some()
     });
-    assert!(served > 0, "the reader never met the key promoted");
+}
+
+/// The panic message of `f`, which must panic.
+fn panic_message(f: impl FnOnce()) -> String {
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+        .expect_err("a wrong-length buffer was accepted");
+    *payload.downcast::<String>().expect("a formatted panic")
+}
+
+/// A buffer longer or shorter than the value is refused by name — key,
+/// its length, the value's — before a float of it is written, whether the
+/// call would have been served wait-free or under the latch.
+#[test]
+fn wrong_length_buffers_are_refused_untouched_on_either_path() {
+    for wait_free in [true, false] {
+        let mut c = cfg();
+        c.wait_free_reads = wait_free;
+        c.snapshot_reads = wait_free;
+        let cluster = TestCluster::with_init(c, 1, |_| Some(vec![5.0; DIM]));
+        let node = &cluster.nodes[0];
+        let mut reader = SnapshotReader::new(node.shared.clone());
+        for len in [DIM + 1, DIM - 1, 0] {
+            let want = format!("read of k3 into a buffer of {len} floats: its value has {DIM}");
+            let mut out = vec![-1.0f32; len];
+            let msg = panic_message(|| {
+                node.clients[0].pull_if_local(Key(3), &mut out);
+            });
+            assert_eq!(msg, want, "pull_if_local, wait_free {wait_free}");
+            assert_eq!(out, vec![-1.0; len]);
+            let msg = panic_message(|| {
+                reader.read(Key(3), &mut out);
+            });
+            assert_eq!(msg, want, "SnapshotReader::read, wait_free {wait_free}");
+            assert_eq!(out, vec![-1.0; len]);
+        }
+        // The right length is served, by the path the config names.
+        let mut out = vec![0.0f32; DIM];
+        assert!(node.clients[0].pull_if_local(Key(3), &mut out));
+        assert_eq!(out, vec![5.0; DIM]);
+        let tier = reader.read(Key(3), &mut out).unwrap().tier;
+        let want = if wait_free {
+            SnapshotTier::Owned
+        } else {
+            SnapshotTier::Latched
+        };
+        assert_eq!(tier, want);
+    }
 }
