@@ -18,10 +18,12 @@ test:
 ## only, where the volatile chunk loads of `storage.rs`'s racy copy, the
 ## inlining around them and the `debug_assert`s all differ from what
 ## ships: the seqlock contract, the in-order walk that drives the
-## wait-free pull, and the store's own tests, in the release profile.
+## wait-free pull, the shard latch (the same word as the sequence, taken
+## by an inlined compare-and-swap), and the store's and the shard's own
+## tests, in the release profile.
 test-release-seqlock:
-	$(CARGO) test --release -q -p lapse-proto --test seqlock --test in_order_walk
-	$(CARGO) test --release -q -p lapse-proto --lib storage
+	$(CARGO) test --release -q -p lapse-proto --test seqlock --test in_order_walk --test latch
+	$(CARGO) test --release -q -p lapse-proto --lib -- storage shard::
 
 ## Compile all bench targets without running them.
 bench-check:
@@ -133,11 +135,17 @@ lint: fmt-check clippy lint-check
 ## the sanitizer pass exercises the latched configuration. `-p lapse-core`
 ## covers the dispatch tests (crates/core/tests/dispatch.rs: role
 ## hand-off race, oversubscribed stress) and the WakeCell hammer.
+## `-p lapse-proto --test latch` takes shard guards only and never reads
+## racily, so it checks the hand-rolled latch's acquire/release pairing
+## with the wait-free path left on.
 tsan:
 	@if rustup component list --toolchain nightly 2>/dev/null | grep -q "rust-src (installed)"; then \
 		LAPSE_NO_SEQLOCK=1 RUSTFLAGS="-Zsanitizer=thread" RUSTDOCFLAGS="-Zsanitizer=thread" \
 		$(CARGO) +nightly test -Zbuild-std --target x86_64-unknown-linux-gnu \
-			-p lapse-core -q; \
+			-p lapse-core -q && \
+		RUSTFLAGS="-Zsanitizer=thread" RUSTDOCFLAGS="-Zsanitizer=thread" \
+		$(CARGO) +nightly test -Zbuild-std --target x86_64-unknown-linux-gnu \
+			-p lapse-proto --test latch -q; \
 	else \
 		echo "tsan: no nightly toolchain with rust-src; skipping (best-effort target)"; \
 	fi

@@ -28,7 +28,8 @@
 //!
 //! 1. **Prepass** (no latch) — per key its value length, its offset into
 //!    the caller's buffer, its shard and its ordered-async-guard bit,
-//!    all guard bits read under one guard-map lock; the adaptive sampler
+//!    all guard bits read under one guard-map lock, taken only while the
+//!    worker has a remote key in flight; the adaptive sampler
 //!    is fed; the caller's buffer length is checked against the keys'
 //!    total **before any key is touched**. Reusable scratch, no
 //!    allocation in steady state.
@@ -62,9 +63,18 @@
 //! order (sequential consistency property 1): every remote key counts
 //! into the worker's [`GuardMap`] when it is registered and out when it
 //! completes.
+//!
+//! The map also keeps a count of its keys, set under the map's lock by
+//! its two writers only: the issuing worker, counting keys in after the
+//! walk, and whichever thread completes them, counting them out. The
+//! prepass loads the count (acquire) and locks the map only when it is
+//! not zero, so a worker with nothing in flight — every worker of a
+//! blocked or all-local workload — reads its guard bits for free. A zero
+//! is the lock's own answer at the instant of the load: only the worker
+//! itself raises the count, so the zero cannot hide a registration of
+//! its own, and a decrement seen early un-forces only a key whose remote
+//! operation has completed — exactly what the lock would have said then.
 
-use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::iter::once;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
@@ -243,7 +253,7 @@ impl ClientCore {
             lane: shared.claim_lane(),
             shared,
             slot,
-            guard: Arc::new(Mutex::new(HashMap::new())),
+            guard: GuardMap::new(),
             scratch: IssueScratch::default(),
             tracer,
         }
@@ -269,11 +279,12 @@ impl ClientCore {
     }
 
     /// Number of keys this worker currently guards (keys with in-flight
-    /// remotely-routed operations). Zero at quiescence — the
+    /// remotely-routed operations; the guard map's count, read without
+    /// its lock). Zero at quiescence — the
     /// ordered-async-guard balance invariant (each remote registration
     /// increments a key's count once, each completion decrements it).
     pub fn guarded_keys(&self) -> usize {
-        self.guard.lock().len()
+        self.guard.keys()
     }
 
     /// Opens the trace record of a pull or push. A one-key operation
@@ -292,7 +303,8 @@ impl ClientCore {
 
     /// Prepass of a pull or push, before any latch: fills the plan
     /// scratch with per-key lengths, buffer offsets, shards and guard
-    /// bits (one guard-map lock for the whole operation), feeds the
+    /// bits (one guard-map lock for the whole operation, none while the
+    /// worker has nothing in flight), feeds the
     /// adaptive access sampler, and checks the caller's buffer of
     /// `buf_len` floats against the keys' total length — hard, and
     /// before any key is touched: a short buffer must not apply half a
@@ -316,16 +328,17 @@ impl ClientCore {
         let mut sampled = 0u64;
         let mut off = 0u32;
         {
-            // One guard-map lock per operation. It is released before
-            // the walk: a completion takes latch → tracker → guard map,
-            // so the map must never be held while a latch is waited for.
-            // Under it the adaptive sketch (`AdaptiveShared::inner`) is a
-            // leaf lock — nothing acquires the guard map or a latch
-            // while holding it.
-            let g = guard.lock();
+            // At most one guard-map lock per operation, and none while the
+            // count says the map is empty (module doc: reading zero is
+            // safe). It is released before the walk: a completion takes
+            // latch → tracker → guard map, so the map must never be held
+            // while a latch is waited for. Under it the adaptive sketch
+            // (`AdaptiveShared::inner`) is a leaf lock — nothing acquires
+            // the guard map or a latch while holding it.
+            let g = (guard.keys() > 0).then(|| guard.lock());
             for &k in keys {
                 let len = cfg.layout.len(k) as u32;
-                let forced = g.get(&k).is_some_and(|&n| n > 0);
+                let forced = g.as_ref().is_some_and(|g| g.count(k) > 0);
                 any_replicated |= policy.may_replicate(k);
                 if let Some(ad) = &shared.adaptive {
                     sampled += ad.sample(k, &cfg.adaptive) as u64;
@@ -549,7 +562,8 @@ impl ClientCore {
             if wait_free && !cursor.holds(p.shard as usize) {
                 if let Some(buf) = out.as_deref_mut() {
                     let dst = &mut buf[off..off + len];
-                    let served = match shared.try_optimistic_read(p.key, p.forced, dst) {
+                    let shard = p.shard as usize;
+                    let served = match shared.try_optimistic_read_at(shard, p.key, p.forced, dst) {
                         Some(OptRead::Owned) => Some(&mut n_local),
                         Some(OptRead::Replica) => Some(&mut n_replica),
                         Some(OptRead::Absent) | None => None,
@@ -950,7 +964,7 @@ fn register_remotes(
     shared.tracker.add_keys(seq, pinned, true, dests);
     let mut g = guard.lock();
     for p in keys() {
-        *g.entry(p.key).or_insert(0) += 1;
+        g.count_in(p.key);
     }
 }
 

@@ -1031,11 +1031,24 @@ impl ServerCore {
     /// unapplied (dropped writes) or vice versa (double count). A flush
     /// lists its keys shard by shard, ascending ([`ascends`]), so the
     /// cursor meets each shard once and retires as it enters.
+    ///
+    /// A push implies a subscription. A node registers once, from the
+    /// worker that first touches a replicated key, so another worker's
+    /// flush can reach this owner before that worker's [`ReplicaRegMsg`]
+    /// does. A push from a node that is not subscribed yet therefore
+    /// subscribes it first — its snapshot, taken before the push applies,
+    /// goes out ahead of the refresh that acknowledges the push — and the
+    /// registration that follows is a no-op. Unsubscribed, the pusher would
+    /// get no acknowledgement, and the later snapshot would already include
+    /// the batch it still holds in flight: counted twice, for ever.
     fn handle_replica_push(&mut self, m: ReplicaPushMsg, batches: &mut Batches) {
-        let cfg: &ProtoConfig = &self.shared.cfg;
-        let policy = cfg.policy();
         let node = self.shared.node;
         let own_flush = m.node == node;
+        if !own_flush && !self.replica_subs.contains(&m.node) {
+            self.handle_replica_reg(ReplicaRegMsg { node: m.node }, batches);
+        }
+        let cfg: &ProtoConfig = &self.shared.cfg;
+        let policy = cfg.policy();
         let adaptive = policy.adaptive();
         debug_assert_eq!(
             cfg.layout.keys_len(&m.keys),

@@ -24,17 +24,18 @@
 //!
 //! ## Seqlock read fast path
 //!
-//! Each shard's latch is paired with a **sequence counter** bumped around
-//! every writer critical section ([`ShardCell`]): writers still serialize
-//! through the latch ([`ShardCell::write`]), but local pulls of owned and
-//! replicated keys can run as wait-free optimistic reads
-//! ([`NodeShared::try_optimistic_read`]) — copy the value without any
-//! lock, then re-check the sequence number and retry (bounded, falling
+//! Each shard's latch **is** its sequence word ([`ShardCell`]): one
+//! `AtomicU64` holds the shard's write generation and two bits, "a guard
+//! holds the latch" and "that guard writes". Writers serialize on it
+//! ([`ShardCell::write`]: one compare-and-swap in, one store out), but
+//! local pulls of owned and replicated keys can run as wait-free
+//! optimistic reads ([`NodeShared::try_optimistic_read`]) — copy the value
+//! without any lock, then re-check the word and retry (bounded, falling
 //! back to the latch) if a writer intervened. Both backends turn it on
 //! (`ProtoConfig::wait_free_reads`); on the simulator, which runs one
 //! task at a time, every such read validates first time.
 
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 use std::cell::UnsafeCell;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -54,6 +55,18 @@ use crate::tracker::{ClockFn, OpTracker};
 
 /// Optimistic-read retry budget before falling back to the latch.
 const SEQLOCK_RETRIES: usize = 4;
+
+/// [`ShardCell`] word bit: a guard holds the latch.
+const LOCKED: u64 = 1;
+/// [`ShardCell`] word bit: the guard holding the latch is a writer's
+/// (set only together with [`LOCKED`]).
+const WRITING: u64 = 2;
+/// One write generation in a [`ShardCell`] word (the two bits below it
+/// are [`LOCKED`] and [`WRITING`]).
+const GENERATION: u64 = 4;
+/// Failed attempts of a contended latch acquisition between two
+/// `yield_now`s.
+const LATCH_SPINS: u32 = 64;
 
 /// An operation parked while its key relocates to this node.
 #[derive(Debug)]
@@ -452,17 +465,19 @@ impl LaneRegistry {
     }
 }
 
-/// A latch-guarded, seqlock-instrumented shard slot.
+/// A latched, seqlock-read shard slot.
 ///
-/// All mutation goes through [`ShardCell::write`], which serializes on
-/// the latch **and** bumps the sequence counter to odd on entry / even on
-/// exit (release-ordered), exactly the crossbeam-style seqlock write
-/// protocol. [`ShardCell::read`] takes the latch without bumping the
-/// sequence — read-only guard holders never invalidate concurrent
-/// optimistic readers. Optimistic readers load the sequence (acquire),
-/// copy racily out of *stable* memory only (see `ShardStore::read_racy`),
-/// and accept the snapshot iff the sequence
-/// is unchanged and even afterwards.
+/// The latch and the seqlock are one word, `seq = generation << 2 |
+/// WRITING | LOCKED`. All mutation goes through [`ShardCell::write`]: one
+/// compare-and-swap from an unlocked word to `| LOCKED | WRITING`
+/// (acquire), and on guard drop one release store of the next generation
+/// with both bits clear — the crossbeam-style seqlock write protocol, with
+/// the latch folded in. [`ShardCell::read`] sets `LOCKED` only and its
+/// drop restores the word, so read-only guard holders exclude writers but
+/// never invalidate concurrent optimistic readers. Optimistic readers
+/// load the word (acquire), retry while `WRITING` is set, copy racily out
+/// of *stable* memory only (see `ShardStore::read_racy`), and accept the
+/// snapshot iff the word without `LOCKED` is unchanged afterwards.
 ///
 /// One hint atomic summarizes the shard state as of the last committed
 /// write: whether the shard holds unpropagated replica deltas, which a
@@ -474,18 +489,17 @@ impl LaneRegistry {
 ///
 /// Aligned to 128 bytes and laid out in declaration order: the store's
 /// header opens the cell's first block, which only a transition between
-/// replicated and not writes, and the sequence word, hint and latch fill
-/// the block after the shard's, which they share with nothing — not with
-/// the next shard's state either (contiguous range sharding puts the
-/// Zipf-hot keys in neighbouring shards).
+/// replicated and not writes, and the sequence word and hint open the
+/// block after the shard's, which they share with nothing — not with the
+/// next shard's state either (contiguous range sharding puts the Zipf-hot
+/// keys in neighbouring shards).
 #[repr(C, align(128))]
 pub struct ShardCell {
     shard: UnsafeCell<Shard>,
-    /// Seqlock generation: odd while a write guard is live.
+    /// The latch and the seqlock: `generation << 2 | WRITING | LOCKED`.
     seq: AtomicU64,
     /// Whether replica pending/in-flight deltas existed at the last commit.
     replica_deltas: AtomicBool,
-    latch: Mutex<()>,
     /// Flight-recorder hookup for latch-wait spans (`None` when tracing
     /// is off: acquisitions skip instrumentation entirely). Boxed so
     /// that a cell fills three 128-byte blocks, not four.
@@ -500,10 +514,13 @@ struct LatchTrace {
     shard_idx: u64,
 }
 
-// SAFETY: every `&mut Shard` is created under the latch (write guards);
-// `&Shard` access is either under the latch (read guards) or follows the
+// SAFETY: every `&mut Shard` is created under a write guard, whose
+// compare-and-swap set `LOCKED` on an unlocked word (so no other guard is
+// live until its drop clears it); `&Shard` access is either under a guard
+// (read guards set `LOCKED` too, so no writer is live) or follows the
 // seqlock protocol, which touches only realloc-free memory and validates
-// the sequence number before trusting any observation.
+// the word before trusting any observation. The other fields are atomics
+// or, like the trace handle, never written after construction.
 unsafe impl Sync for ShardCell {}
 
 impl ShardCell {
@@ -512,7 +529,6 @@ impl ShardCell {
         let cell = ShardCell {
             seq: AtomicU64::new(0),
             replica_deltas: AtomicBool::new(false),
-            latch: Mutex::new(()),
             trace: None,
             shard: UnsafeCell::new(shard),
         };
@@ -530,31 +546,68 @@ impl ShardCell {
         }));
     }
 
-    /// Acquires the latch, recording a latch-wait span when the
-    /// acquisition had to block and tracing is on. On the sim backend at
-    /// most one thread runs at a time, so the uncontended `try_lock`
-    /// always succeeds and no event is recorded — traces stay
-    /// bit-deterministic.
-    fn lock_latch(&self) -> MutexGuard<'_, ()> {
-        if let Some(t) = &self.trace {
-            if t.rec.on() {
-                if let Some(guard) = self.latch.try_lock() {
-                    return guard;
-                }
-                let t0 = t.rec.now();
-                let guard = self.latch.lock();
-                let t1 = t.rec.now();
-                t.rec.record_at(
-                    &t.ring,
-                    EventKind::LatchWait,
-                    t1,
-                    t.shard_idx,
-                    t1.saturating_sub(t0),
-                );
-                return guard;
-            }
+    /// Acquires the latch by setting `bits` (`LOCKED`, plus `WRITING` for
+    /// a writer) on an unlocked word, and returns the word it found: the
+    /// guard's drop stores that word's successor. The uncontended case is
+    /// one load and one compare-and-swap, inlined here; anything else goes
+    /// to [`ShardCell::lock_contended`]. On the sim backend at most one
+    /// thread runs at a time, so the first attempt always succeeds and no
+    /// latch-wait event is recorded — traces stay bit-deterministic.
+    #[inline]
+    fn lock(&self, bits: u64) -> u64 {
+        let s = self.seq.load(Ordering::Relaxed);
+        if s & LOCKED == 0
+            && self
+                .seq
+                .compare_exchange(s, s | bits, Ordering::Acquire, Ordering::Relaxed)
+                .is_ok()
+        {
+            return s;
         }
-        self.latch.lock()
+        self.lock_contended(bits)
+    }
+
+    /// [`ShardCell::lock`] once the first attempt failed: retries,
+    /// spinning [`LATCH_SPINS`] times between `yield_now`s (a preempted
+    /// holder gets the CPU back), and records a latch-wait span when
+    /// tracing is on. The attempt is written out here and in `lock`
+    /// rather than shared: sharing it through an `Option` changes how
+    /// LLVM lays out every guard site (checked on the benchmark binary).
+    #[cold]
+    #[inline(never)]
+    fn lock_contended(&self, bits: u64) -> u64 {
+        let traced = self.trace.as_deref().filter(|t| t.rec.on());
+        let t0 = traced.map(|t| t.rec.now());
+        let mut spins = 0;
+        let s = loop {
+            let s = self.seq.load(Ordering::Relaxed);
+            if s & LOCKED == 0
+                && self
+                    .seq
+                    .compare_exchange(s, s | bits, Ordering::Acquire, Ordering::Relaxed)
+                    .is_ok()
+            {
+                break s;
+            }
+            spins += 1;
+            if spins < LATCH_SPINS {
+                std::hint::spin_loop();
+            } else {
+                spins = 0;
+                std::thread::yield_now();
+            }
+        };
+        if let (Some(t), Some(t0)) = (traced, t0) {
+            let t1 = t.rec.now();
+            t.rec.record_at(
+                &t.ring,
+                EventKind::LatchWait,
+                t1,
+                t.shard_idx,
+                t1.saturating_sub(t0),
+            );
+        }
+        s
     }
 
     fn store_hint(&self) {
@@ -567,8 +620,9 @@ impl ShardCell {
         );
     }
 
-    /// Takes the latch for read-only access. Does **not** bump the
-    /// sequence counter, so concurrent optimistic readers stay valid.
+    /// Takes the latch for read-only access: sets `LOCKED` but not
+    /// `WRITING`, and the guard's drop restores the word, so concurrent
+    /// optimistic readers stay valid.
     ///
     /// The guard is `Deref` only and [`Shard`] has no interior
     /// mutability, so a write through it — which optimistic readers
@@ -594,26 +648,31 @@ impl ShardCell {
     /// let node = NodeShared::new(cfg, NodeId(0), Arc::new(|| 0));
     /// assert!(node.shard_for(Key(0)).write().store.add(Key(0), &[1.0]));
     /// ```
+    #[inline]
     pub fn read(&self) -> ShardReadGuard<'_> {
-        let latch = self.lock_latch();
+        let unlocked = self.lock(LOCKED);
         // SAFETY: the latch excludes all writers (they hold it for their
         // whole critical section), so a shared borrow is safe.
         ShardReadGuard {
             shard: unsafe { &*self.shard.get() },
-            _latch: latch,
+            seq: &self.seq,
+            unlocked,
         }
     }
 
     /// Takes the latch for mutation, entering a seqlock write critical
-    /// section (sequence bumped to odd now, back to even on drop).
+    /// section (`LOCKED | WRITING` set now, the next generation stored on
+    /// drop).
+    #[inline]
     pub fn write(&self) -> ShardWriteGuard<'_> {
-        let latch = self.lock_latch();
-        let s = self.seq.load(Ordering::Relaxed);
-        self.seq.store(s.wrapping_add(1), Ordering::Relaxed);
+        let unlocked = self.lock(LOCKED | WRITING);
+        // `WRITING` before any store of the section: an optimistic reader
+        // that sees one of them sees the bit (or a later word) when it
+        // validates.
         fence(Ordering::Release);
         ShardWriteGuard {
             cell: self,
-            _latch: latch,
+            unlocked,
         }
     }
 
@@ -625,31 +684,33 @@ impl ShardCell {
         self.replica_deltas.load(Ordering::Relaxed)
     }
 
-    /// Committed write generation of this shard (`seq >> 1`): advances
+    /// Committed write generation of this shard (`seq >> 2`): advances
     /// once per write critical section — the write-guard-drop component
     /// of the serving-epoch publication (see [`crate::serving`]).
     #[inline]
     pub fn generation(&self) -> u64 {
-        self.seq.load(Ordering::Acquire) >> 1
+        self.seq.load(Ordering::Acquire) >> 2
     }
 
-    /// Begins an optimistic read: the current sequence number (acquire).
+    /// Begins an optimistic read: the current word (acquire).
     #[inline]
     fn seq_enter(&self) -> u64 {
         self.seq.load(Ordering::Acquire)
     }
 
     /// Ends an optimistic read: true iff no writer intervened since
-    /// `seq_enter` returned `s1` (and `s1` was even).
+    /// `seq_enter` returned `s1` (and `s1` had `WRITING` clear). A read
+    /// guard taken or dropped meanwhile flips `LOCKED` only, which both
+    /// sides of the comparison have set.
     #[inline]
     fn seq_validate(&self, s1: u64) -> bool {
         fence(Ordering::Acquire);
-        self.seq.load(Ordering::Relaxed) == s1
+        self.seq.load(Ordering::Relaxed) | LOCKED == s1 | LOCKED
     }
 
     /// Runs `observe` on the shard **without the latch**, under the
-    /// seqlock read protocol, and returns what it saw only if the
-    /// sequence number was even and unchanged across the observation — a
+    /// seqlock read protocol, and returns what it saw only if no writer
+    /// was inside the shard at any point of the observation — a
     /// validated snapshot, exactly what a latched reader would have seen
     /// at that instant. `None` when `observe` gives up (it met state the
     /// racy path cannot read) or the retry budget ran out under writer
@@ -665,7 +726,7 @@ impl ShardCell {
     fn optimistic<R>(&self, mut observe: impl FnMut(&Shard) -> Option<R>) -> Option<R> {
         for _ in 0..SEQLOCK_RETRIES {
             let s1 = self.seq_enter();
-            if s1 & 1 == 1 {
+            if s1 & WRITING != 0 {
                 std::hint::spin_loop();
                 continue;
             }
@@ -683,10 +744,12 @@ impl ShardCell {
     }
 }
 
-/// Read-only latch guard for a [`ShardCell`] (no sequence bump).
+/// Read-only latch guard for a [`ShardCell`] (no generation bump).
 pub struct ShardReadGuard<'a> {
     shard: &'a Shard,
-    _latch: MutexGuard<'a, ()>,
+    seq: &'a AtomicU64,
+    /// The word before the guard set `LOCKED`, restored on drop.
+    unlocked: u64,
 }
 
 impl Deref for ShardReadGuard<'_> {
@@ -697,12 +760,22 @@ impl Deref for ShardReadGuard<'_> {
     }
 }
 
+impl Drop for ShardReadGuard<'_> {
+    #[inline]
+    fn drop(&mut self) {
+        // Nobody else writes a locked word, so the one this guard found
+        // is still the one to restore.
+        self.seq.store(self.unlocked, Ordering::Release);
+    }
+}
+
 /// Mutating latch guard for a [`ShardCell`]: a seqlock write critical
-/// section. Dropping it recomputes the hint atomic and releases the
-/// sequence (even, release-ordered) before the latch unlocks.
+/// section. Dropping it recomputes the hint atomic, then unlocks with the
+/// next generation (one release store).
 pub struct ShardWriteGuard<'a> {
     cell: &'a ShardCell,
-    _latch: MutexGuard<'a, ()>,
+    /// The word before the guard set `LOCKED | WRITING`.
+    unlocked: u64,
 }
 
 impl Deref for ShardWriteGuard<'_> {
@@ -724,10 +797,11 @@ impl DerefMut for ShardWriteGuard<'_> {
 }
 
 impl Drop for ShardWriteGuard<'_> {
+    #[inline]
     fn drop(&mut self) {
         self.cell.store_hint();
-        let s = self.cell.seq.load(Ordering::Relaxed);
-        self.cell.seq.store(s.wrapping_add(1), Ordering::Release);
+        let next = self.unlocked.wrapping_add(GENERATION);
+        self.cell.seq.store(next, Ordering::Release);
     }
 }
 
@@ -1026,10 +1100,23 @@ impl NodeShared {
     /// Callers are responsible for the access-statistics increments of
     /// the corresponding latched route.
     pub fn try_optimistic_read(&self, key: Key, forced: bool, out: &mut [f32]) -> Option<OptRead> {
+        self.try_optimistic_read_at(self.shard_index(key), key, forced, out)
+    }
+
+    /// [`NodeShared::try_optimistic_read`] at `key`'s shard index
+    /// `shard`, for a caller that has computed it already.
+    #[inline]
+    pub(crate) fn try_optimistic_read_at(
+        &self,
+        shard: usize,
+        key: Key,
+        forced: bool,
+        out: &mut [f32],
+    ) -> Option<OptRead> {
         if forced || !self.wait_free() {
             return None;
         }
-        self.optimistic_read_raw(key, out)
+        self.optimistic_read_at(shard, key, out)
     }
 
     /// The gate of the wait-free read path: `ProtoConfig::wait_free_reads`
@@ -1046,8 +1133,16 @@ impl NodeShared {
     /// own enablement gates and `Policy::shared_memory`. The key's byte
     /// decides, under every variant: a promotion or demotion flips it
     /// under the write latch, so a validated read sees one side of it.
+    #[inline]
     pub(crate) fn optimistic_read_raw(&self, key: Key, out: &mut [f32]) -> Option<OptRead> {
-        let cell = self.shard_for(key);
+        self.optimistic_read_at(self.shard_index(key), key, out)
+    }
+
+    /// [`NodeShared::optimistic_read_raw`] at `key`'s shard index `shard`.
+    /// Every wait-free read of a value calls this one function, so the
+    /// seqlock loop is compiled once, with `observe` inlined into it.
+    fn optimistic_read_at(&self, shard: usize, key: Key, out: &mut [f32]) -> Option<OptRead> {
+        let cell = &self.shards[shard];
         cell.optimistic(|shard| match shard.store.read_racy(key, out) {
             Residency::Owned => Some(OptRead::Owned),
             // The replicated view would need the pending/in-flight
@@ -1194,6 +1289,58 @@ mod tests {
         drop(cursor);
         assert_eq!((written(0), written(2)), (3, 1));
         assert_eq!(n.read_value(Key(1)), Some(vec![1.0]));
+    }
+
+    fn one_shard() -> Arc<NodeShared> {
+        let mut cfg = ProtoConfig::new(1, 4, Layout::Uniform(1));
+        cfg.latches = 1;
+        NodeShared::new(Arc::new(cfg), NodeId(0), clock())
+    }
+
+    #[test]
+    fn a_read_guard_keeps_the_generation_and_optimistic_reads_valid() {
+        let n = one_shard();
+        let cell = &n.shards[0];
+        let before = cell.generation();
+        // Held across a whole optimistic read...
+        let guard = cell.read();
+        assert_eq!(cell.generation(), before);
+        assert_eq!(cell.optimistic(|_| Some(())), Some(()));
+        drop(guard);
+        // ...or taken and dropped in the middle of one: `LOCKED` came and
+        // went, the generation did not move, the read validates first time.
+        let mut attempts = 0;
+        let spanning = cell.optimistic(|_| {
+            attempts += 1;
+            drop(cell.read());
+            Some(())
+        });
+        assert_eq!((spanning, attempts), (Some(()), 1));
+        assert_eq!(cell.generation(), before);
+    }
+
+    #[test]
+    fn a_write_guard_advances_the_generation_by_exactly_one() {
+        let n = one_shard();
+        let cell = &n.shards[0];
+        let before = cell.generation();
+        let guard = cell.write();
+        assert_eq!(cell.generation(), before, "not committed yet");
+        assert_eq!(cell.optimistic(|_| Some(())), None, "a writer is inside");
+        drop(guard);
+        assert_eq!(cell.generation(), before + 1);
+        // A write section inside an optimistic read fails its first
+        // validation; the retry sees a quiet shard.
+        let mut attempts = 0;
+        let read = cell.optimistic(|_| {
+            attempts += 1;
+            if attempts == 1 {
+                drop(cell.write());
+            }
+            Some(())
+        });
+        assert_eq!((read, attempts), (Some(()), 2));
+        assert_eq!(cell.generation(), before + 2);
     }
 
     #[test]

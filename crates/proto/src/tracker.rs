@@ -14,7 +14,7 @@
 
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use lapse_net::{Key, ValueBlock};
@@ -32,8 +32,80 @@ pub enum TrackedKind {
 }
 
 /// Per-worker map of keys with in-flight remotely-routed operations, used
-/// by the ordered-async guard (see the `client` module doc).
-pub type GuardMap = Arc<Mutex<HashMap<Key, u32>>>;
+/// by the ordered-async guard (see the `client` module doc), plus the
+/// number of keys in it.
+///
+/// The map sits under a mutex; the count is an atomic beside it, so a
+/// worker with nothing in flight learns that from one load, without the
+/// lock. Only the map's two writers set the count, each while it holds
+/// the lock, to the map's size after its change: the issuing worker
+/// counting keys in (`GuardsHeld::count_in`) and whichever thread
+/// completes them counting them out (`GuardsHeld::release`). They store
+/// it with `Release` and `GuardMap::keys` loads it with `Acquire`, so a
+/// zero the worker reads happens after the completions that emptied the
+/// map.
+#[derive(Debug, Clone, Default)]
+pub struct GuardMap(Arc<Guards>);
+
+#[derive(Debug, Default)]
+struct Guards {
+    /// Keys in `map`, as of the last change under its lock.
+    keys: AtomicUsize,
+    map: Mutex<HashMap<Key, u32>>,
+}
+
+/// A [`GuardMap`] under its lock.
+pub(crate) struct GuardsHeld<'a> {
+    keys: &'a AtomicUsize,
+    map: MutexGuard<'a, HashMap<Key, u32>>,
+}
+
+impl GuardMap {
+    /// An empty map.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of keys with an in-flight remote operation: one acquire
+    /// load, no lock.
+    #[inline]
+    pub(crate) fn keys(&self) -> usize {
+        self.0.keys.load(Ordering::Acquire)
+    }
+
+    /// Locks the map.
+    pub(crate) fn lock(&self) -> GuardsHeld<'_> {
+        GuardsHeld {
+            keys: &self.0.keys,
+            map: self.0.map.lock(),
+        }
+    }
+}
+
+impl GuardsHeld<'_> {
+    /// In-flight remote operations of the worker on `key`.
+    #[inline]
+    pub(crate) fn count(&self, key: Key) -> u32 {
+        self.map.get(&key).copied().unwrap_or(0)
+    }
+
+    /// Counts one more in-flight remote operation on `key`.
+    pub(crate) fn count_in(&mut self, key: Key) {
+        *self.map.entry(key).or_insert(0) += 1;
+        self.keys.store(self.map.len(), Ordering::Release);
+    }
+
+    /// Gives back one count of `key` (a remote key completed).
+    pub(crate) fn release(&mut self, key: Key) {
+        if let Some(n) = self.map.get_mut(&key) {
+            *n -= 1;
+            if *n == 0 {
+                self.map.remove(&key);
+                self.keys.store(self.map.len(), Ordering::Release);
+            }
+        }
+    }
+}
 
 /// Where one key of a pull writes its value.
 #[derive(Debug, Clone, Copy)]
@@ -372,7 +444,7 @@ impl OpTracker {
                     }
                     if dest.remote {
                         if let Some(guard) = &op.guard {
-                            release_guard(&mut guard.lock(), key);
+                            guard.lock().release(key);
                         }
                     }
                 }
@@ -430,7 +502,7 @@ impl OpTracker {
                 }
                 if dest.remote {
                     if let Some(g) = guard.as_mut() {
-                        release_guard(g, key);
+                        g.release(key);
                     }
                 }
             }
@@ -549,16 +621,6 @@ impl OpTracker {
     }
 }
 
-/// Gives back one guard count of `key` (a remote key completed).
-fn release_guard(guard: &mut HashMap<Key, u32>, key: Key) {
-    if let Some(n) = guard.get_mut(&key) {
-        *n -= 1;
-        if *n == 0 {
-            guard.remove(&key);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -645,19 +707,20 @@ mod tests {
     #[test]
     fn guard_decrements_on_remote_completion() {
         let t = tracker();
-        let guard: GuardMap = Arc::new(Mutex::new(HashMap::new()));
-        guard.lock().insert(Key(4), 2);
+        let guard = GuardMap::new();
+        guard.lock().count_in(Key(4));
+        guard.lock().count_in(Key(4));
         let seq = t.begin(TrackedKind::Push, 0, Some(guard.clone()));
         add_key(&t, seq, Key(4), 0, 0, true);
         t.seal(seq);
         t.complete_key(seq, Key(4), None);
-        assert_eq!(guard.lock().get(&Key(4)), Some(&1));
+        assert_eq!(guard.lock().count(Key(4)), 1);
         // Second op clears it.
         let seq2 = t.begin(TrackedKind::Push, 0, Some(guard.clone()));
         add_key(&t, seq2, Key(4), 0, 0, true);
         t.seal(seq2);
         t.complete_key(seq2, Key(4), None);
-        assert!(guard.lock().get(&Key(4)).is_none());
+        assert_eq!((guard.lock().count(Key(4)), guard.keys()), (0, 0));
     }
 
     #[test]
@@ -740,10 +803,11 @@ mod tests {
     #[test]
     fn complete_resp_fills_results_and_balances_guard() {
         let t = tracker();
-        let guard: GuardMap = Arc::new(Mutex::new(HashMap::new()));
+        let guard = GuardMap::new();
         let seq = t.begin(TrackedKind::Pull, 0, Some(guard.clone()));
-        guard.lock().insert(Key(1), 1);
-        guard.lock().insert(Key(2), 2);
+        for k in [Key(1), Key(2), Key(2)] {
+            guard.lock().count_in(k);
+        }
         t.add_keys(
             seq,
             false,
@@ -757,8 +821,9 @@ mod tests {
         let res = t.take(seq);
         assert_eq!(res.result, vec![5.0, 6.0, 7.0]);
         // One decrement per completed key, under a single lock.
-        assert!(guard.lock().get(&Key(1)).is_none());
-        assert_eq!(guard.lock().get(&Key(2)), Some(&1));
+        assert_eq!(guard.lock().count(Key(1)), 0);
+        assert_eq!(guard.lock().count(Key(2)), 1);
+        assert_eq!(guard.keys(), 1);
     }
 
     #[test]
@@ -857,11 +922,11 @@ mod tests {
     #[test]
     fn one_op_mixes_counted_and_identified_keys() {
         let (t, fired) = counting_tracker();
-        let guard: GuardMap = Arc::new(Mutex::new(HashMap::new()));
+        let guard = GuardMap::new();
         // A push: key 1 routed over the network (identified, guarded),
         // keys 2 and 3 parked on the issuing node (counted).
         let seq = t.begin(TrackedKind::Push, 0, Some(guard.clone()));
-        guard.lock().insert(Key(1), 1);
+        guard.lock().count_in(Key(1));
         add_key(&t, seq, Key(1), 0, 0, true);
         t.note_counted(seq, Key(2), 1);
         t.note_counted(seq, Key(3), 1);
@@ -874,7 +939,7 @@ mod tests {
         t.complete_resp(seq, &[Key(3), Key(1)], &ValueBlock::empty());
         assert!(t.is_done(seq));
         assert_eq!(fired.load(Ordering::SeqCst), 1);
-        assert!(guard.lock().is_empty(), "one guard count, given back once");
+        assert_eq!(guard.keys(), 0, "one guard count, given back once");
         t.discard(seq);
 
         // A pull keeps its offsets next to a counted completion of the

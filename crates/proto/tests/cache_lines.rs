@@ -102,6 +102,37 @@ fn every_written_block_is_apart_from_the_header_and_from_the_others() {
     assert_eq!(std::mem::size_of_val(&shared.shards[0]) % BLOCK, 0);
 }
 
+/// A shard cell is three whole blocks, and the word that is both its
+/// latch and its seqlock sequence opens the third: the two blocks before
+/// it are the shard's (the store's header first). Located by what the
+/// word does — `generation << 2`, plus `LOCKED` (1) under a read guard
+/// and `LOCKED | WRITING` (3) under a write guard — not by a field name.
+#[test]
+fn the_latch_word_opens_the_third_block_of_a_shard_cell() {
+    let shared = node(Variant::Lapse);
+    let cell = &shared.shards[3];
+    assert_eq!(std::mem::size_of_val(cell), 3 * BLOCK);
+    assert_eq!(std::mem::align_of_val(cell), BLOCK);
+    let base = cell as *const _ as *const u8;
+    // SAFETY: `base + 2 * BLOCK` is inside the cell (three blocks), 8-byte
+    // aligned, and only read here; every value the asserts accept is one
+    // the word takes, and no other thread touches the node.
+    let word =
+        || unsafe { (*(base.add(2 * BLOCK) as *const std::sync::atomic::AtomicU64)).load(SeqCst) };
+    for _ in 0..3 {
+        let generation = cell.generation();
+        assert_eq!(word(), generation << 2);
+        let read = cell.read();
+        assert_eq!(word(), generation << 2 | 1);
+        drop(read);
+        assert_eq!(word(), generation << 2);
+        let write = cell.write();
+        assert_eq!(word(), generation << 2 | 3);
+        drop(write);
+        assert_eq!(word(), (generation + 1) << 2);
+    }
+}
+
 /// Readers come and go (one per serving thread, per request burst, …):
 /// a dropped reader's lane goes to the next one with its counts, so the
 /// node's lane set does not grow and nothing is lost from the sums.

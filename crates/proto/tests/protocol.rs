@@ -570,6 +570,66 @@ fn guard_suppresses_fast_path_while_op_outstanding() {
     c.check_ownership_invariant();
 }
 
+/// The guard map's count follows completions: a completed remote key
+/// counts out, and the worker's next pull of it — local by now — is
+/// served on the spot, while a key still in flight stays forced remote.
+/// Once nothing is in flight the count is zero, and the worker's pulls
+/// of local keys are served without the guard map.
+#[test]
+fn completed_remote_keys_leave_the_guard_and_in_flight_ones_stay_forced() {
+    let mut base = cfg(4, 16);
+    base.location_caches = true;
+    let mut c = TestCluster::new(base, 2);
+    let (k, j) = (Key(4), Key(5)); // both homed at n1
+    let mut out = [0.0f32; 2];
+    let mut local_pull = |c: &mut TestCluster, key: Key| {
+        let h = c.issue(N0, 0, IssueOp::Pull(&[key]), Some(&mut out));
+        matches!(h, IssueHandle::Ready(_))
+    };
+
+    // Both keys live on n3, and worker 0's cache knows it.
+    c.localize_now(N3, 0, &[k, j]);
+    let _ = c.pull_now(N0, 0, &[k, j]);
+    // Two async pushes straight to n3, held on that link.
+    let h_k = c.issue(N0, 0, IssueOp::Push(&[k], &[1.0, 0.0]), None);
+    let h_j = c.issue(N0, 0, IssueOp::Push(&[j], &[2.0, 0.0]), None);
+    assert_eq!(c.pending(N0, N3), 2);
+    assert_eq!(c.nodes[0].clients[0].guarded_keys(), 2);
+
+    // Worker 1 brings both keys to n0 meanwhile, over other links.
+    let h_loc = c.issue(N0, 1, IssueOp::Localize(&[k, j]), None);
+    c.deliver_one(N0, N1); // home: owner ← n0, relocate → n3
+    c.deliver_one(N1, N3); // old owner hands over
+    c.deliver_one(N3, N0);
+    assert!(c.op_done(N0, &h_loc));
+    assert!(c.nodes[0].shared.read_value(k).is_some());
+    assert!(c.nodes[0].shared.read_value(j).is_some());
+    assert_eq!(c.pending(N0, N3), 2, "the pushes are still held");
+
+    // The push of k goes n3 → home n1 → owner n0 and completes there.
+    c.deliver_one(N0, N3);
+    c.deliver_one(N3, N1);
+    c.deliver_one(N1, N0);
+    assert!(c.op_done(N0, &h_k) && !c.op_done(N0, &h_j));
+    assert_eq!(c.nodes[0].clients[0].guarded_keys(), 1);
+    assert!(
+        local_pull(&mut c, k),
+        "k's remote op completed: served locally"
+    );
+    assert!(
+        !local_pull(&mut c, j),
+        "j's push is in flight: forced remote"
+    );
+
+    c.run_until_quiet();
+    assert!(c.op_done(N0, &h_j));
+    assert_eq!(c.nodes[0].clients[0].guarded_keys(), 0);
+    assert!(local_pull(&mut c, j) && local_pull(&mut c, k));
+    assert_eq!(c.pending_total(), 0, "local pulls sent nothing");
+    assert_eq!(c.value_of(k), vec![1.0, 0.0]);
+    assert_eq!(c.value_of(j), vec![2.0, 0.0]);
+}
+
 // ---------------------------------------------------------------------------
 // duplicate keys & larger ops
 // ---------------------------------------------------------------------------
@@ -739,6 +799,43 @@ fn owner_local_pushes_propagate_through_self_flush() {
     assert_eq!(c.value_of(k), vec![5.0, 0.0], "self flush applied at owner");
     assert_eq!(c.replica_view(N0, k).unwrap(), vec![5.0, 0.0]);
     c.check_ownership_invariant();
+}
+
+/// A node registers for refreshes once, from the worker that first
+/// touches a replicated key; another worker of the node can flush before
+/// that registration is delivered. The owner treats the push as the
+/// registration: it sends its snapshot first, then the refresh that
+/// acknowledges the push, and the late registration changes nothing. The
+/// replica view ends equal to the owner's value, with no batch left in
+/// flight.
+#[test]
+fn a_flush_that_overtakes_its_nodes_registration_is_acknowledged() {
+    let mut c = TestCluster::new(replication_cfg(2, 8), 2);
+    let k = Key(0); // homed at n0
+                    // n1's worker 0 pushes first: its sink carries the registration.
+                    // Hold it back.
+    let mut held = Vec::new();
+    c.nodes[1].clients[0].push(&[k], &[3.0, 0.0], &mut held);
+    assert!(held
+        .iter()
+        .any(|(_, m)| matches!(m, lapse_proto::Msg::ReplicaReg(_))));
+    // Worker 1 pushes and flushes both pushes; that reaches the owner
+    // first.
+    c.issue(N1, 1, IssueOp::Push(&[k], &[4.0, 0.0]), None);
+    let mut sink = Vec::new();
+    c.nodes[1].clients[1].flush_replicas(&mut sink);
+    c.send_all(N1, sink);
+    c.run_until_quiet();
+    // The registration arrives last.
+    c.send_all(N1, held);
+    c.run_until_quiet();
+    assert_eq!(c.value_of(k), vec![7.0, 0.0]);
+    assert_eq!(
+        c.replica_view(N1, k).unwrap(),
+        vec![7.0, 0.0],
+        "replica view against the owner's value"
+    );
+    assert!(c.replica_deltas_settled(), "a batch left in flight");
 }
 
 #[test]
