@@ -16,7 +16,10 @@
 //!   operations in arrival order;
 //! * **response handling**: completing tracker operations and refreshing
 //!   location caches by piggybacking on responses and relocations only
-//!   (the paper sends no dedicated cache-maintenance messages).
+//!   (the paper sends no dedicated cache-maintenance messages);
+//! * **technique transitions** (DESIGN.md §5): as home it coordinates
+//!   them; one under way is the key's byte (`Promoting`, `Demoting`), and
+//!   the home's one table is the drain of each demotion epoch.
 //!
 //! ## One in-order walk per message
 //!
@@ -43,7 +46,7 @@
 //! All batching uses insertion-ordered maps so message emission order is
 //! deterministic and re-dispatched operations keep their arrival order.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
@@ -58,8 +61,10 @@ use crate::messages::{
     ReplicaRefreshMsg, ReplicaRegMsg, TechniqueDemoteAckMsg, TechniqueDemoteMsg,
     TechniqueDrainedMsg, TechniquePromoteAckMsg, TechniquePromoteMsg,
 };
-use crate::shard::{AccessLane, IncomingState, LatchCursor, NodeShared, Queued, QueuedOp, Shard};
-use crate::storage::Residency::{Incoming, Owned, Primary, Replica};
+use crate::shard::{
+    AccessLane, IncomingState, LatchCursor, NodeShared, Queued, QueuedOp, Shard, ShardCell,
+};
+use crate::storage::Residency::{Demoting, Incoming, Owned, Primary, Promoting, Replica};
 
 /// A keys-plus-values accumulator for forwarded requests (they become
 /// [`OpMsg`]s, whose push payloads stay `Vec<f32>`).
@@ -114,29 +119,18 @@ impl Batches {
                 }),
             ));
         }
-        for ((dst, op, kind), kv) in self.fwd_owner.into_iter() {
-            sink.push((
-                dst,
-                Msg::Op(OpMsg {
+        for (routed_by_home, fwd) in [(true, self.fwd_owner), (false, self.fwd_home)] {
+            for ((dst, op, kind), kv) in fwd.into_iter() {
+                let (keys, vals) = (kv.keys, kv.vals);
+                let op = OpMsg {
                     op,
                     kind,
-                    keys: kv.keys,
-                    vals: kv.vals,
-                    routed_by_home: true,
-                }),
-            ));
-        }
-        for ((dst, op, kind), kv) in self.fwd_home.into_iter() {
-            sink.push((
-                dst,
-                Msg::Op(OpMsg {
-                    op,
-                    kind,
-                    keys: kv.keys,
-                    vals: kv.vals,
-                    routed_by_home: false,
-                }),
-            ));
+                    keys,
+                    vals,
+                    routed_by_home,
+                };
+                sink.push((dst, Msg::Op(op)));
+            }
         }
         for (dst, reloc) in self.relocates {
             sink.push((dst, Msg::Relocate(reloc)));
@@ -245,21 +239,6 @@ impl ServerScratch {
     }
 }
 
-/// How the key of a draining incoming entry has arrived.
-#[derive(Debug, Clone, Copy)]
-enum Arrival {
-    /// Handed over: this node owns it. Parked operations are served from
-    /// the store, remote origins answered, a parked relocation moves the
-    /// key onward.
-    Owned,
-    /// Promoted to replication by `home` while a localize of it was
-    /// refused there: the key is as local as it gets. Parked local
-    /// pushes accumulate into the replica (visible to subsequent local
-    /// reads), parked local pulls read the fresh replica view, parked
-    /// remote-origin operations re-dispatch to the owning home.
-    Replica { home: NodeId },
-}
-
 /// The queue drains of one message: state changes and emissions happen
 /// at once, under the key's latch; completions for this node's workers
 /// are left in the scratch and fire when the drains end ([`Drain::finish`]).
@@ -312,11 +291,18 @@ impl<'a> Drain<'a> {
         }
     }
 
-    /// Drains the incoming entry of `k`, which has just arrived in
-    /// `shard`: completes the waiting localizes, then walks the parked
+    /// Drains the incoming entry of `k`, which has just arrived in `shard`
+    /// at the byte that says how: `Owned` by hand-over (parked operations
+    /// are served from the store, remote origins answered, a parked
+    /// relocation moves the key onward), or `Replica` by the promotion
+    /// broadcast of a home that refused a localize of it meanwhile (the key
+    /// is as local as it gets: parked local pushes accumulate into the
+    /// replica, visible to later local reads, parked local pulls read the
+    /// fresh replica view, parked remote-origin operations re-dispatch to
+    /// the home). Completes the waiting localizes, then walks the parked
     /// queue in arrival order. Returns whether a parked relocation moved
     /// the key onward.
-    fn key(&mut self, shard: &mut Shard, k: Key, entry: IncomingState, arrival: Arrival) -> bool {
+    fn key(&mut self, shard: &mut Shard, k: Key, entry: IncomingState) -> bool {
         let cfg: &ProtoConfig = &self.shared.cfg;
         let node = self.shared.node;
         for op in entry.waiting_localizes() {
@@ -324,10 +310,7 @@ impl<'a> Drain<'a> {
             self.scratch.counted.owe(op.seq);
             self.scratch.done.push((op, k, Done::Localize));
         }
-        let replica_home = match arrival {
-            Arrival::Owned => None,
-            Arrival::Replica { home } => Some(home),
-        };
+        let replica = shard.store.residency(k) == Replica;
         let mut moved_on = false;
         for item in entry.queue {
             match item {
@@ -335,14 +318,13 @@ impl<'a> Drain<'a> {
                 // normal routing and reach the key's current owner via
                 // home; so do a remote origin's when the key arrived as
                 // a replica (the home serves it).
-                Queued::Op(q) if moved_on || (replica_home.is_some() && q.op.node != node) => {
-                    let entry = match replica_home {
-                        Some(home) => self.batches.fwd_home.entry((home, q.op, q.kind)),
-                        None if cfg.home(k) == node => {
+                Queued::Op(q) if moved_on || (replica && q.op.node != node) => {
+                    let entry = match cfg.home(k) {
+                        home if home == node => {
                             let owner = self.owner[cfg.home_slot(k)];
                             self.batches.fwd_owner.entry((owner, q.op, q.kind))
                         }
-                        None => self.batches.fwd_home.entry((cfg.home(k), q.op, q.kind)),
+                        home => self.batches.fwd_home.entry((home, q.op, q.kind)),
                     };
                     entry.keys.push(k);
                     entry.vals.extend_from_slice(&q.val);
@@ -351,15 +333,12 @@ impl<'a> Drain<'a> {
                 // a push is applied (to the replica's pending deltas if
                 // that is how the key arrived) …
                 Queued::Op(q) if q.kind == OpKind::Push => {
-                    match arrival {
-                        Arrival::Owned => {
-                            let applied = shard.store.add(k, &q.val);
-                            debug_assert!(applied);
-                        }
-                        Arrival::Replica { .. } => {
-                            shard.replica.accumulate(k, &q.val);
-                            self.accumulated += 1;
-                        }
+                    if replica {
+                        shard.replica.accumulate(k, &q.val);
+                        self.accumulated += 1;
+                    } else {
+                        let applied = shard.store.add(k, &q.val);
+                        debug_assert!(applied);
                     }
                     if q.op.node == node {
                         self.scratch.done.push((q.op, k, Done::Push));
@@ -371,15 +350,13 @@ impl<'a> Drain<'a> {
                 Queued::Op(q) if q.op.node == node => {
                     let vals = &mut self.scratch.vals;
                     let soff = vals.len();
-                    match arrival {
-                        Arrival::Owned => {
-                            let v = shard.store.get(k).expect("handed-over key is owned");
-                            vals.extend_from_slice(v);
-                        }
-                        Arrival::Replica { .. } => {
-                            vals.resize(soff + cfg.layout.len(k), 0.0);
-                            shard.read_replicated(k, &mut vals[soff..]);
-                        }
+                    if replica {
+                        vals.resize(soff + cfg.layout.len(k), 0.0);
+                        shard.read_replicated(k, &mut vals[soff..]);
+                    } else {
+                        vals.extend_from_slice(
+                            shard.store.get(k).expect("handed-over key is owned"),
+                        );
                     }
                     self.scratch.done.push((q.op, k, Done::Pull(soff as u32)));
                 }
@@ -393,7 +370,7 @@ impl<'a> Drain<'a> {
                     self.moved_bytes += 4 * v.len() as u64;
                 }
                 Queued::Relocate { op, new_owner } => {
-                    if replica_home.is_some() {
+                    if replica {
                         // Home refuses localizes for promoting keys, so
                         // no relocate instruction can be parked here.
                         debug_assert!(false, "parked relocate for promoted {k}");
@@ -421,8 +398,8 @@ impl<'a> Drain<'a> {
 }
 
 /// One draining demotion batch at its coordinating home node: the keys
-/// stay pinned (no relocation) until every other node has confirmed its
-/// drain and every already-flushed self batch has been delivered.
+/// stay `Demoting` (no relocation) until every other node has confirmed
+/// its drain and every already-flushed self batch has been delivered.
 #[derive(Debug)]
 struct DemoteDrain {
     /// The demoted keys of this epoch.
@@ -433,6 +410,8 @@ struct DemoteDrain {
     /// carry one of `keys` (they arrive over the self link and are
     /// applied to the owned store on delivery).
     self_flushes: u64,
+    /// Localizes of `keys` deferred so far: the last one's arrival tag.
+    deferred: u64,
 }
 
 /// The server half of the protocol for one node.
@@ -461,18 +440,8 @@ pub struct ServerCore {
     /// makes the sequence strictly increasing (the fencing witness,
     /// asserted in debug builds).
     tech_epochs_in: HashMap<NodeId, u64>,
-    /// Keys whose promotion awaits the relocation-to-home hand-over.
-    pending_promote: HashSet<Key>,
-    /// Demotion votes per key homed here; a key demotes once every node
-    /// has voted, and any promotion interest clears its votes.
-    demote_votes: HashMap<Key, BTreeSet<NodeId>>,
     /// Draining demotion batches by epoch.
     demote_draining: HashMap<u64, DemoteDrain>,
-    /// Keys pinned by a draining demotion → their epoch.
-    demote_pinned: HashMap<Key, u64>,
-    /// Localize requests for pinned keys, deferred in arrival order and
-    /// replayed when their key's drain completes.
-    deferred_localizes: Vec<(OpId, Key)>,
     /// What the queue drains of the message being handled owe.
     scratch: ServerScratch,
     /// Flight-recorder lane for this server thread (`None` when tracing
@@ -522,28 +491,17 @@ impl ServerCore {
             replica_rounds_in: HashMap::new(),
             tech_epoch: 0,
             tech_epochs_in: HashMap::new(),
-            pending_promote: HashSet::new(),
-            demote_votes: HashMap::new(),
             demote_draining: HashMap::new(),
-            demote_pinned: HashMap::new(),
-            deferred_localizes: Vec::new(),
             scratch: ServerScratch::default(),
             tracer,
         }
     }
 
-    /// Whether no technique transition is in progress at this node (all
-    /// promotions finished, all demotions drained; diagnostics/tests).
+    /// Whether no technique transition is in progress here: no demotion
+    /// drains, and no key is `Promoting` or `Demoting` (diagnostics/tests).
     pub fn transitions_idle(&self) -> bool {
-        self.pending_promote.is_empty()
-            && self.demote_draining.is_empty()
-            && self.demote_pinned.is_empty()
-            && self.deferred_localizes.is_empty()
-    }
-
-    /// The transition epoch of this home node (diagnostics/tests).
-    pub fn tech_epoch(&self) -> u64 {
-        self.tech_epoch
+        let busy = |s: &ShardCell| s.read().store.any(&[Promoting, Demoting]);
+        self.demote_draining.is_empty() && !self.shared.shards.iter().any(busy)
     }
 
     /// The node this server runs on.
@@ -665,7 +623,7 @@ impl ServerCore {
             );
             let shard = cursor.write(self.shared.shard_index(k));
             let held = shard.store.residency(k);
-            if let Owned | Primary = held {
+            if let Owned | Demoting | Primary = held {
                 // Serve as owner.
                 match m.kind {
                     OpKind::Push => {
@@ -693,7 +651,7 @@ impl ServerCore {
                         }
                     }
                 }
-            } else if held == Incoming {
+            } else if let Incoming | Promoting = held {
                 // Relocating towards this node: park until the
                 // hand-over (Section 3.2).
                 let (op, kind, val) = (m.op, m.kind, val.to_vec());
@@ -753,11 +711,11 @@ impl ServerCore {
     // ---- relocation (Figure 4) --------------------------------------------
 
     /// Message 1, at the home node: update the owner table immediately and
-    /// instruct each old owner. Under adaptive management, keys that are
-    /// currently replicated (or promoting) refuse relocation — the
-    /// requester's parked localize completes when the promotion broadcast
-    /// drains its incoming entry — and keys pinned by a draining demotion
-    /// are deferred until the drain completes.
+    /// instruct each old owner. Under adaptive management the key's byte
+    /// decides first: a `Primary` or `Promoting` key refuses relocation —
+    /// the requester's parked localize completes when the promotion
+    /// broadcast drains its incoming entry — and a `Demoting` one defers
+    /// it until the demotion has drained.
     fn handle_localize(&mut self, m: LocalizeReqMsg, batches: &mut Batches) {
         let cfg: &ProtoConfig = &self.shared.cfg;
         let policy = cfg.policy();
@@ -766,28 +724,26 @@ impl ServerCore {
         for &k in &m.keys {
             debug_assert_eq!(cfg.home(k), self.shared.node, "localize at wrong home");
             if policy.adaptive() {
-                if self.pending_promote.contains(&k)
-                    || self.shared.shard_for(k).read().store.residency(k) == Primary
-                {
-                    continue;
-                }
-                if let Some(&epoch) = self.demote_pinned.get(&k) {
-                    let drain = self
-                        .demote_draining
-                        .get(&epoch)
-                        .expect("pinned key without drain state");
-                    if drain.awaiting.contains(&requester) {
-                        // Stale: issued before the requester learned of
-                        // the demotion (its drain confirmation has not
-                        // arrived on this FIFO link yet), so the request
-                        // already completed at the requester when the
-                        // promotion broadcast drained its incoming entry.
-                        // Relocating for it would hand the key to a node
-                        // that no longer expects it.
+                let cell = self.shared.shard_for(k);
+                let held = cell.read().store.residency(k);
+                match held {
+                    Primary | Promoting => continue,
+                    Demoting => {
+                        let mut shard = cell.write();
+                        let epoch = shard.demotion_epoch(k);
+                        let drain = self.demote_draining.get_mut(&epoch).expect("a drain");
+                        // Stale if the requester has not drained: it sent
+                        // the request before it learned of the demotion
+                        // (FIFO link), and the promotion broadcast already
+                        // completed it there. Relocating for it would hand
+                        // the key to a node that no longer expects it.
+                        if !drain.awaiting.contains(&requester) {
+                            drain.deferred += 1;
+                            shard.defer(k, drain.deferred, m.op);
+                        }
                         continue;
                     }
-                    self.deferred_localizes.push((m.op, k));
-                    continue;
+                    _ => {}
                 }
             }
             let slot = cfg.home_slot(k);
@@ -858,10 +814,11 @@ impl ServerCore {
                 if let Some(t) = &self.tracer {
                     t.event(EventKind::RelocHandOver, k.0, m.new_owner.0 as u64);
                 }
-            } else if held == Incoming {
+            } else if let Incoming | Promoting = held {
                 let (op, new_owner) = (m.op, m.new_owner);
                 shard.park(k, Queued::Relocate { op, new_owner });
             } else {
+                // Absent, replicated, or pinned by a draining demotion.
                 if let Some(t) = &self.tracer {
                     // Flush the recorder before the debug assertion so
                     // the events leading up to the violation survive
@@ -897,7 +854,6 @@ impl ServerCore {
             shared,
             lane,
             owner,
-            pending_promote,
             scratch,
             tracer,
             ..
@@ -909,31 +865,29 @@ impl ServerCore {
             "handover payload length mismatch"
         );
         let mut drain = Drain::begin(shared, owner, scratch, batches);
-        // Adaptive: promotions that were waiting for this relocation to
-        // bring their key home, to finish once the drains are done.
+        // Adaptive: the `Promoting` keys this relocation brings home, whose
+        // promotions finish once the drains are done.
         let mut finish: Vec<Key> = Vec::new();
         let mut block_off = 0usize;
         let mut cursor = LatchCursor::new(&shared.shards);
         for &k in &m.keys {
             let len = cfg.layout.len(k);
             let shard = cursor.write(shared.shard_index(k));
+            let arrived = shard.store.residency(k);
             // Install: block bytes copy directly into the key's slot.
             let entry = shard.hand_in(k, |dst| m.vals.copy_to(block_off, dst));
             block_off += len;
             if let Some(t) = tracer.as_ref() {
                 t.event(EventKind::RelocInstall, k.0, len as u64);
             }
-            let moved_on = drain.key(shard, k, entry, Arrival::Owned);
-            if !pending_promote.contains(&k) {
-                continue;
-            }
-            if moved_on {
+            let moved_on = drain.key(shard, k, entry);
+            match arrived {
                 // A pre-promotion relocation chain is still playing
                 // out; the promote coordinator's relocation-to-home
                 // chases it, so expect the key to come back.
-                shard.expect(k);
-            } else {
-                finish.push(k);
+                Promoting if moved_on => shard.expect_promotion(k),
+                Promoting => finish.push(k),
+                _ => {}
             }
         }
         drop(cursor);
@@ -1059,7 +1013,7 @@ impl ServerCore {
         // subscriber's refresh clones the same block (a reference-count
         // bump, not a copy). Under adaptive management, keys demoted
         // since the flush left its sender still apply here (the home
-        // owns them while pinned) but are excluded — the subscribers
+        // owns them while `Demoting`) but are excluded — the subscribers
         // have dropped (or are about to drop) their replicas.
         let broadcast = !self.replica_subs.is_empty();
         let (mut bkeys, mut block) = if broadcast {
@@ -1078,6 +1032,7 @@ impl ServerCore {
         // The home then no longer owns the key; the delta is forwarded to
         // the current owner below instead of being dropped.
         let mut stragglers: Vec<(Key, &[f32])> = Vec::new();
+        let mut pinned: Vec<u64> = Vec::new();
         let mut val_off = 0usize;
         let mut last_shard = None;
         let mut cursor = LatchCursor::new(&self.shared.shards);
@@ -1102,9 +1057,20 @@ impl ServerCore {
                 continue;
             }
             applied_keys += 1;
-            if broadcast && shard.store.residency(k) == Primary {
-                bkeys.push(k);
-                block.push_slice(shard.store.get(k).expect("just updated"));
+            match shard.store.residency(k) {
+                Primary if broadcast => {
+                    bkeys.push(k);
+                    block.push_slice(shard.store.get(k).expect("just updated"));
+                }
+                // A delivered self flush releases its hold on a key pinned
+                // by a draining demotion (its delta was just applied).
+                Demoting if own_flush => {
+                    let epoch = shard.demotion_epoch(k);
+                    let drain = self.demote_draining.get_mut(&epoch).expect("a drain");
+                    drain.self_flushes -= 1;
+                    pinned.push(epoch);
+                }
+                _ => {}
             }
         }
         drop(cursor);
@@ -1130,26 +1096,9 @@ impl ServerCore {
         if broadcast {
             self.broadcast_refresh(bkeys, block.finish(), Some((m.node, m.flush_seq)), batches);
         }
-        // A delivered self flush releases its hold on keys pinned by a
-        // draining demotion (their deltas were applied above).
-        if own_flush && !self.demote_pinned.is_empty() {
-            let mut touched: Vec<u64> = Vec::new();
-            for &k in &m.keys {
-                if let Some(&epoch) = self.demote_pinned.get(&k) {
-                    let drain = self
-                        .demote_draining
-                        .get_mut(&epoch)
-                        .expect("pinned key without drain state");
-                    debug_assert!(drain.self_flushes > 0, "self-flush underflow for {k}");
-                    drain.self_flushes -= 1;
-                    if !touched.contains(&epoch) {
-                        touched.push(epoch);
-                    }
-                }
-            }
-            for epoch in touched {
-                self.maybe_complete_demotion(epoch, batches);
-            }
+        // An epoch listed twice completes once: a completed drain is gone.
+        for epoch in pinned {
+            self.maybe_complete_demotion(epoch, batches);
         }
     }
 
@@ -1162,17 +1111,7 @@ impl ServerCore {
     /// writes).
     fn handle_replica_refresh(&mut self, m: ReplicaRefreshMsg) {
         let cfg: &ProtoConfig = &self.shared.cfg;
-        // Rounds from one owner arrive strictly increasing (per-link
-        // FIFO); a violation means refreshes were reordered and stale
-        // values could overwrite fresh ones.
-        let last_round = self.replica_rounds_in.entry(m.owner).or_insert(0);
-        debug_assert!(
-            m.round > *last_round,
-            "refresh round {} from {} after round {last_round}",
-            m.round,
-            m.owner
-        );
-        *last_round = m.round;
+        fence(&mut self.replica_rounds_in, m.owner, m.round, "round");
         debug_assert_eq!(
             cfg.layout.keys_len(&m.keys),
             m.vals.len(),
@@ -1222,10 +1161,10 @@ impl ServerCore {
     /// replication. A key whose value already sits at home promotes
     /// immediately; otherwise the home first relocates it to itself
     /// (reusing the relocation protocol with itself as requester) and the
-    /// promotion finishes when the hand-over arrives. Requests for keys
-    /// already replicated, already promoting, or draining a demotion are
-    /// dropped (the controller re-sends after its TTL); any promotion
-    /// interest clears stale demotion votes.
+    /// promotion finishes when the hand-over arrives (the key is
+    /// `Promoting` until then). Requests for keys `Primary`, `Promoting`
+    /// or `Demoting` are dropped (the controller re-sends after its TTL);
+    /// any promotion interest clears stale demotion votes.
     fn handle_technique_promote(&mut self, m: TechniquePromoteMsg, batches: &mut Batches) {
         let cfg: &ProtoConfig = &self.shared.cfg;
         debug_assert!(
@@ -1244,37 +1183,27 @@ impl ServerCore {
                 self.shared.node,
                 "promote request at wrong home"
             );
-            self.demote_votes.remove(&k);
-            if self.pending_promote.contains(&k) || self.demote_pinned.contains_key(&k) {
-                continue;
-            }
             let slot = cfg.home_slot(k);
             let owner = self.owner[slot];
             let mut shard = self.shared.shard_for(k).write();
-            let held = shard.store.residency(k);
-            if held == Primary {
-                continue;
-            }
-            if owner == self.shared.node {
-                drop(shard);
-                if held == Owned {
-                    finish.push(k);
-                } else {
-                    // Already relocating here (a home worker's localize);
-                    // the hand-over finishes the promotion.
-                    debug_assert_eq!(held, Incoming, "home owns {k} without value or hand-over");
-                    self.pending_promote.insert(k);
+            match shard.store.residency(k) {
+                Primary => shard.clear_votes(k),
+                Promoting | Demoting => {}
+                Owned => finish.push(k),
+                // The hand-over finishes it: of the relocation under way for
+                // a home worker's localize, or of one home started now (the
+                // owner table updates, the old owner is told, work parks).
+                held => {
+                    let home = self.shared.node;
+                    debug_assert!(owner != home || held == Incoming, "home owns {k}: {held:?}");
+                    shard.expect_promotion(k);
+                    if owner != home {
+                        self.owner[slot] = home;
+                        started += 1;
+                        per_old.entry(owner).push(k);
+                    }
                 }
-                continue;
             }
-            // Relocate the key home first: owner-table update now,
-            // instruct the old owner, park everything else meanwhile.
-            shard.expect(k);
-            drop(shard);
-            self.owner[slot] = self.shared.node;
-            self.pending_promote.insert(k);
-            started += 1;
-            per_old.entry(owner).push(k);
         }
         if started > 0 {
             self.lane.relocations.add(started);
@@ -1297,15 +1226,13 @@ impl ServerCore {
     }
 
     /// Finishes promotions for keys whose value is at home: makes them
-    /// `Primary` here and broadcasts the epoch-fenced
+    /// `Owned` → `Primary` here and broadcasts the epoch-fenced
     /// [`TechniquePromoteAckMsg`] with the authoritative values to every
     /// other node.
     fn finish_promotion(&mut self, keys: &[Key], batches: &mut Batches) {
         let cfg: &ProtoConfig = &self.shared.cfg;
         let mut block = ValueBlockBuilder::default();
         for &k in keys {
-            self.pending_promote.remove(&k);
-            self.demote_votes.remove(&k);
             let mut shard = self.shared.shard_for(k).write();
             block.push_slice(shard.store.promote(k));
             shard.loc_cache.remove(&k);
@@ -1343,22 +1270,11 @@ impl ServerCore {
 
     /// Transition message 2, at every other node: install the replicas.
     /// If a refused localize left the key incoming here, drain its parked
-    /// work as a replica arrival
-    /// ([`Arrival::Replica`]) — not a single update is lost or applied
-    /// twice.
+    /// work as a replica arrival ([`Drain::key`]) — not a single update is
+    /// lost or applied twice.
     fn handle_technique_promote_ack(&mut self, m: TechniquePromoteAckMsg, batches: &mut Batches) {
         debug_assert_ne!(m.home, self.shared.node, "self-addressed promote broadcast");
-        // Epoch fencing: transitions from one home arrive strictly
-        // increasing (per-link FIFO); a violation means a stale broadcast
-        // could overwrite a newer technique decision.
-        let last = self.tech_epochs_in.entry(m.home).or_insert(0);
-        debug_assert!(
-            m.epoch > *last,
-            "transition epoch {} from {} after epoch {last}",
-            m.epoch,
-            m.home
-        );
-        *last = m.epoch;
+        fence(&mut self.tech_epochs_in, m.home, m.epoch, "tech epoch");
 
         let ServerCore {
             shared,
@@ -1387,7 +1303,7 @@ impl ServerCore {
                 // A localize raced the promotion and was refused at
                 // home; complete it and drain everything parked behind
                 // it.
-                drain.key(shard, k, entry, Arrival::Replica { home: m.home });
+                drain.key(shard, k, entry);
             }
         }
         drop(cursor);
@@ -1406,18 +1322,12 @@ impl ServerCore {
             cfg.policy().adaptive(),
             "technique transition without adaptive variant"
         );
-        let mut demote: Vec<Key> = Vec::new();
+        let (mut demote, nodes) = (Vec::new(), cfg.nodes as usize);
         for &k in &m.keys {
             debug_assert_eq!(cfg.home(k), self.shared.node, "demote vote at wrong home");
-            if self.pending_promote.contains(&k) || self.demote_pinned.contains_key(&k) {
-                continue;
-            }
-            if self.shared.shard_for(k).read().store.residency(k) != Primary {
-                continue;
-            }
-            let votes = self.demote_votes.entry(k).or_default();
-            votes.insert(m.node);
-            if votes.len() == cfg.nodes as usize {
+            // Only a `Primary` key collects votes.
+            let mut shard = self.shared.shard_for(k).write();
+            if shard.store.residency(k) == Primary && shard.vote_demotion(k, m.node) == nodes {
                 demote.push(k);
             }
         }
@@ -1426,10 +1336,10 @@ impl ServerCore {
         }
     }
 
-    /// Starts a demotion batch: the keys go `Primary` → `Owned` (the home's
-    /// own accumulated deltas apply directly — it is the owner), broadcasts
-    /// the epoch-fenced [`TechniqueDemoteAckMsg`], and pins the keys —
-    /// relocation stays disabled until every node has drained and every
+    /// Starts a demotion batch: the keys go `Primary` → `Demoting` (the
+    /// home's own accumulated deltas apply directly — it is the owner) and
+    /// the epoch-fenced [`TechniqueDemoteAckMsg`] goes out. A `Demoting`
+    /// key does not relocate until every node has drained and every
     /// already-flushed self batch has been delivered, so no delta can
     /// chase a key that has moved away.
     fn start_demotion(&mut self, keys: Vec<Key>, batches: &mut Batches) {
@@ -1441,9 +1351,8 @@ impl ServerCore {
         }
         let mut self_flushes = 0u64;
         for &k in &keys {
-            self.demote_votes.remove(&k);
             let mut shard = self.shared.shard_for(k).write();
-            shard.store.demote(k);
+            shard.start_demotion(k, epoch);
             if let Some(delta) = shard.replica.pending.remove(&k) {
                 let applied = shard.store.add(k, &delta);
                 debug_assert!(applied, "home lost demoted key {k}");
@@ -1455,8 +1364,6 @@ impl ServerCore {
                 .filter(|(o, _, b)| *o == self.shared.node && b.contains_key(&k))
                 .count() as u64;
             shard.loc_cache.remove(&k);
-            drop(shard);
-            self.demote_pinned.insert(k, epoch);
         }
         self.lane.tech_demotions.add(keys.len() as u64);
         let awaiting: BTreeSet<NodeId> = (0..cfg.nodes)
@@ -1482,6 +1389,7 @@ impl ServerCore {
                 keys,
                 awaiting,
                 self_flushes,
+                deferred: 0,
             },
         );
         // Single-node clusters (and batches with no outstanding self
@@ -1497,14 +1405,7 @@ impl ServerCore {
     fn handle_technique_demote_ack(&mut self, m: TechniqueDemoteAckMsg, batches: &mut Batches) {
         let cfg: &ProtoConfig = &self.shared.cfg;
         debug_assert_ne!(m.home, self.shared.node, "self-addressed demote broadcast");
-        let last = self.tech_epochs_in.entry(m.home).or_insert(0);
-        debug_assert!(
-            m.epoch > *last,
-            "transition epoch {} from {} after epoch {last}",
-            m.epoch,
-            m.home
-        );
-        *last = m.epoch;
+        fence(&mut self.tech_epochs_in, m.home, m.epoch, "tech epoch");
 
         let mut drained_keys: Vec<Key> = Vec::new();
         let mut drained_vals: Vec<f32> = Vec::new();
@@ -1540,7 +1441,7 @@ impl ServerCore {
     }
 
     /// Transition message 5, at the home node: apply a node's final
-    /// deltas (the home owns every demoted key while it is pinned) and
+    /// deltas (the home owns every `Demoting` key) and
     /// mark the node drained; the batch completes — re-enabling
     /// relocation and replaying deferred localizes — once every node has
     /// confirmed and the home's own flushed batches have been delivered.
@@ -1553,7 +1454,7 @@ impl ServerCore {
             let len = cfg.layout.len(k);
             let mut shard = self.shared.shard_for(k).write();
             let applied = shard.store.add(k, &m.vals[off..off + len]);
-            debug_assert!(applied, "home lost pinned key {k}");
+            debug_assert!(applied, "home lost demoting key {k}");
             off += len;
             applied_keys += 1;
         }
@@ -1573,38 +1474,33 @@ impl ServerCore {
         }
     }
 
-    /// Completes a demotion batch once fully drained: unpins its keys and
-    /// replays localizes deferred while they were pinned (in arrival
-    /// order).
+    /// Completes a demotion batch once fully drained: its keys go
+    /// `Demoting` → `Owned`, and the localizes deferred meanwhile replay in
+    /// the order they arrived, across the batch's keys.
     fn maybe_complete_demotion(&mut self, epoch: u64, batches: &mut Batches) {
-        let done = self
-            .demote_draining
-            .get(&epoch)
-            .is_some_and(|d| d.awaiting.is_empty() && d.self_flushes == 0);
-        if !done {
-            return;
+        match self.demote_draining.get(&epoch) {
+            Some(d) if d.awaiting.is_empty() && d.self_flushes == 0 => {}
+            _ => return,
         }
         let drain = self.demote_draining.remove(&epoch).expect("checked above");
-        for k in &drain.keys {
-            let pinned = self.demote_pinned.remove(k);
-            debug_assert_eq!(pinned, Some(epoch), "pin epoch mismatch for {k}");
+        let mut replay: Vec<(u64, OpId, Key)> = Vec::new();
+        for &k in &drain.keys {
+            let deferred = self.shared.shard_for(k).write().finish_demotion(k);
+            replay.extend(deferred.into_iter().map(|(tag, op)| (tag, op, k)));
         }
-        if self.deferred_localizes.is_empty() {
-            return;
-        }
-        let unpinned: Vec<(OpId, Key)> = {
-            let keys = &drain.keys;
-            let (ready, still): (Vec<_>, Vec<_>) = self
-                .deferred_localizes
-                .drain(..)
-                .partition(|(_, k)| keys.contains(k));
-            self.deferred_localizes = still;
-            ready
-        };
-        for (op, k) in unpinned {
+        replay.sort_unstable_by_key(|&(tag, ..)| tag);
+        for (_, op, k) in replay {
             self.handle_localize(LocalizeReqMsg { op, keys: vec![k] }, batches);
         }
     }
+}
+
+/// Records `seq` as the latest of `from`'s refresh rounds or transition
+/// epochs, which per-link FIFO keeps strictly increasing (asserted in debug
+/// builds: a violation means a stale message could overwrite a newer one).
+fn fence(last: &mut HashMap<NodeId, u64>, from: NodeId, seq: u64, what: &str) {
+    let prev = last.insert(from, seq).unwrap_or(0);
+    debug_assert!(seq > prev, "{what} {seq} from {from} after {prev}");
 }
 
 /// Whether a replica round's walk enters a new shard at `shard` (the

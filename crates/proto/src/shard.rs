@@ -13,7 +13,11 @@
 //! * the queues of operations addressed to keys currently relocating *to*
 //!   this node (Section 3.2: the requester queues local and forwarded
 //!   accesses until the hand-over arrives) — private to the [`Shard`]
-//!   transitions that also set the key's byte to or from `Incoming`, and
+//!   transitions that also set the key's byte to or from `Incoming` or
+//!   `Promoting`,
+//! * at a key's home, its demotion votes while it is `Primary`, and its
+//!   drain epoch and deferred localizes while it is `Demoting` — private
+//!   to the [`Shard`] transitions of adaptive management, and
 //! * the shard's slice of the optional location cache (Section 3.3),
 //!
 //! plus the not-yet-propagated deltas of replicated keys
@@ -38,7 +42,7 @@
 use parking_lot::Mutex;
 use std::cell::UnsafeCell;
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -129,6 +133,18 @@ impl IncomingState {
     }
 }
 
+/// The home's bookkeeping of a key in a technique transition; its byte
+/// says which fields speak.
+#[derive(Debug, Default)]
+struct Transit {
+    /// `Primary`: the nodes that have voted the key cold.
+    votes: BTreeSet<NodeId>,
+    /// `Demoting`: the epoch of the drain that pins it.
+    epoch: u64,
+    /// `Demoting`: localizes deferred until then, tagged by arrival.
+    deferred: Vec<(u64, OpId)>,
+}
+
 /// The shard's slice of the replica state used by the replication
 /// technique (NuPS §2): the locally accumulated update terms of
 /// replicated keys that have not reached the owner yet. The values
@@ -204,17 +220,20 @@ pub struct Shard {
     pub store: ShardStore,
     /// Replica state of the replication technique.
     pub replica: ReplicaSlice,
-    /// The parked work of exactly the `Incoming` keys: only the
-    /// transitions below, which set the key's byte too, touch it.
+    /// The parked work of exactly the `Incoming` and `Promoting` keys:
+    /// only the transitions below, which set the key's byte too, touch it.
     incoming: HashMap<Key, IncomingState>,
     /// Location cache (used only when `ProtoConfig::location_caches`).
     pub loc_cache: HashMap<Key, NodeId>,
+    /// The transition bookkeeping of exactly the `Demoting` keys and the
+    /// `Primary` keys with votes: only the transitions below touch it.
+    transit: BTreeMap<Key, Transit>,
 }
 
 impl Shard {
     /// `Absent` → `Incoming`: a relocation of `key` to this node starts (a
-    /// `localize`, or the home chasing a key it promotes); for a key
-    /// already incoming, its entry again. The flag says whether it is new.
+    /// `localize`); for a key already incoming or promoting, its entry
+    /// again. The flag says whether it is new.
     pub fn expect(&mut self, key: Key) -> (&mut IncomingState, bool) {
         match self.incoming.entry(key) {
             Entry::Occupied(e) => (e.into_mut(), false),
@@ -231,8 +250,16 @@ impl Shard {
         entry.expect("park: not incoming").queue.push_back(item);
     }
 
-    /// `Incoming` → `Owned`: the hand-over of `key` arrives, `fill` writes
-    /// its value. Returns the work parked behind it, to drain.
+    /// `Absent`/`Incoming` → `Promoting`, at `key`'s home: a promotion
+    /// waits for the hand-over that brings the key home, and work parks as
+    /// for `Incoming`.
+    pub fn expect_promotion(&mut self, key: Key) {
+        self.store.mark_promoting(key);
+        self.incoming.entry(key).or_default();
+    }
+
+    /// `Incoming`/`Promoting` → `Owned`: the hand-over of `key` arrives,
+    /// `fill` writes its value. Returns the work parked behind it, to drain.
     pub fn hand_in(&mut self, key: Key, fill: impl FnOnce(&mut [f32])) -> IncomingState {
         self.store.arrive_with(key, Residency::Owned, fill);
         self.incoming.remove(&key).expect("an incoming key's entry")
@@ -250,6 +277,51 @@ impl Shard {
             self.store.refresh_with(key, fill);
         }
         parked
+    }
+
+    /// `node` votes the `Primary` key cold; returns how many nodes have.
+    pub(crate) fn vote_demotion(&mut self, key: Key, node: NodeId) -> usize {
+        let votes = &mut self.transit.entry(key).or_default().votes;
+        votes.insert(node);
+        votes.len()
+    }
+
+    /// Forgets the demotion votes of the `Primary` key.
+    pub(crate) fn clear_votes(&mut self, key: Key) {
+        self.transit.remove(&key);
+    }
+
+    /// `Primary` → `Demoting`: `key` is pinned until the drain of `epoch`
+    /// completes; its votes go.
+    pub(crate) fn start_demotion(&mut self, key: Key, epoch: u64) {
+        self.store.demote(key);
+        self.transit.insert(key, Transit::default());
+        self.pinned(key).epoch = epoch;
+    }
+
+    /// The drain bookkeeping of `key`, which is `Demoting`.
+    fn pinned(&mut self, key: Key) -> &mut Transit {
+        let held = self.store.residency(key);
+        assert_eq!(held, Residency::Demoting, "drain of {key}");
+        self.transit.get_mut(&key).expect("a demoting key's drain")
+    }
+
+    /// The epoch of the drain that pins `key`, which is `Demoting`.
+    pub(crate) fn demotion_epoch(&mut self, key: Key) -> u64 {
+        self.pinned(key).epoch
+    }
+
+    /// Defers localize `op` of the `Demoting` key until its drain
+    /// completes; `tag` orders it among that drain's deferred localizes.
+    pub(crate) fn defer(&mut self, key: Key, tag: u64, op: OpId) {
+        self.pinned(key).deferred.push((tag, op));
+    }
+
+    /// `Demoting` → `Owned`: the drain of `key` has completed. Returns the
+    /// localizes deferred meanwhile, tagged.
+    pub(crate) fn finish_demotion(&mut self, key: Key) -> Vec<(u64, OpId)> {
+        self.store.unpin(key);
+        self.transit.remove(&key).expect("a drain").deferred
     }
 
     /// Reads a held key's replicated view into `out`: what its slot holds
@@ -950,6 +1022,7 @@ impl NodeShared {
                 incoming: HashMap::new(),
                 loc_cache: HashMap::new(),
                 replica: ReplicaSlice::default(),
+                transit: BTreeMap::new(),
             };
             // Initially every key is owned by its home node (Section 3.5),
             // as `Primary` if it is statically replicated; replicated keys
@@ -965,10 +1038,13 @@ impl NodeShared {
                 if !(at_home || replicated) {
                     continue;
                 }
-                let v = init(key);
+                let (v, want) = (init(key), cfg.layout.len(key));
+                if let Some(got) = v.as_ref().map(Vec::len).filter(|&got| got != want) {
+                    panic!("init value of {key} has {got} floats: its layout has {want}");
+                }
                 let fill = |dst: &mut [f32]| {
                     if let Some(v) = &v {
-                        dst.copy_from_slice(v); // panics on a wrong length
+                        dst.copy_from_slice(v);
                     }
                 };
                 if at_home {
@@ -1144,12 +1220,12 @@ impl NodeShared {
     fn optimistic_read_at(&self, shard: usize, key: Key, out: &mut [f32]) -> Option<OptRead> {
         let cell = &self.shards[shard];
         cell.optimistic(|shard| match shard.store.read_racy(key, out) {
-            Residency::Owned => Some(OptRead::Owned),
+            Residency::Owned | Residency::Demoting => Some(OptRead::Owned),
             // The replicated view would need the pending/in-flight
             // overlay, whose BTreeMaps are not racy-readable.
             Residency::Primary | Residency::Replica if cell.maybe_replica_deltas() => None,
             Residency::Primary | Residency::Replica => Some(OptRead::Replica),
-            Residency::Absent | Residency::Incoming => Some(OptRead::Absent),
+            Residency::Absent | Residency::Incoming | Residency::Promoting => Some(OptRead::Absent),
         })
     }
 
@@ -1163,7 +1239,7 @@ impl NodeShared {
         let shard = self.shard_for(key).read();
         shard.store.check_len(key, out);
         match shard.store.residency(key) {
-            Residency::Owned => {
+            Residency::Owned | Residency::Demoting => {
                 out.copy_from_slice(shard.store.get(key).expect("owned"));
                 OptRead::Owned
             }
@@ -1171,7 +1247,7 @@ impl NodeShared {
                 shard.read_replicated(key, out);
                 OptRead::Replica
             }
-            Residency::Absent | Residency::Incoming => OptRead::Absent,
+            Residency::Absent | Residency::Incoming | Residency::Promoting => OptRead::Absent,
         }
     }
 
@@ -1234,6 +1310,16 @@ mod tests {
         let cfg = Arc::new(ProtoConfig::new(1, 4, Layout::Uniform(2)));
         let n = NodeShared::with_init(cfg, NodeId(0), clock(), |k| Some(vec![k.0 as f32, 0.5]));
         assert_eq!(n.read_value(Key(3)).unwrap(), vec![3.0, 0.5]);
+    }
+
+    /// The caller's `init` closure is input: a value of the wrong length
+    /// is refused by key, before its slot is written.
+    #[test]
+    #[should_panic(expected = "init value of k2 has 3 floats: its layout has 2")]
+    fn a_wrong_length_init_value_is_refused_by_key() {
+        let cfg = Arc::new(ProtoConfig::new(1, 4, Layout::Uniform(2)));
+        let init = |k: Key| Some(vec![1.0; 2 + usize::from(k == Key(2))]);
+        NodeShared::with_init(cfg, NodeId(0), clock(), init);
     }
 
     /// Every way of building a node passes through

@@ -11,11 +11,13 @@
 //! The slot is the only place a key's local value is kept, and a per-key
 //! [`Residency`] byte is the key's whole state on this node: nothing
 //! (`Absent`), a relocation to this node under way (`Incoming`, its parked
-//! work in the shard's private map), the value this node **owns** (`Owned`,
-//! or `Primary` at the home of a key the others replicate), or the last
-//! refresh of a key this node **replicates** (`Replica`, NuPS §2). Each
-//! legal move (DESIGN.md §4) is one method; any other panics. One byte has
-//! one value, so a node never holds a key twice.
+//! work in the shard's private map, or `Promoting` at the home when the
+//! hand-over finishes a promotion), the value this node **owns** (`Owned`;
+//! `Demoting` at the home while a demotion drains; `Primary` at the home of
+//! a key the others replicate), or the last refresh of a key this node
+//! **replicates** (`Replica`, NuPS §2). Each legal move (DESIGN.md §4) is
+//! one method; any other panics. One byte has one value, so a node never
+//! holds a key twice, and a transition under way is a state, not a lookup.
 //!
 //! Without the latch a value leaves its slot through one loop,
 //! `copy_racy`: volatile loads of the widest unit the target has without
@@ -32,7 +34,7 @@
 use lapse_net::Key;
 
 use crate::layout::Layout;
-use Residency::{Absent, Incoming, Owned, Primary, Replica};
+use Residency::{Absent, Demoting, Incoming, Owned, Primary, Promoting, Replica};
 
 /// Handle to the slot of a key just taken: readable ([`ShardStore::slot_slice`])
 /// from the moment [`ShardStore::take`] returns it until it is passed to
@@ -48,8 +50,12 @@ pub enum Residency {
     Absent,
     /// Nothing yet: the key is relocating here, the slot is zero.
     Incoming,
+    /// `Incoming` at the key's home, whose hand-over finishes a promotion.
+    Promoting,
     /// The value itself: this node owns the key.
     Owned,
+    /// `Owned` at the key's home, pinned until a demotion has drained.
+    Demoting,
     /// The value of a key the other nodes replicate: its home owns it.
     Primary,
     /// The owner's last refresh: this node replicates the key.
@@ -59,7 +65,7 @@ pub enum Residency {
 impl Residency {
     /// Whether the slot holds a value: the key is here to be read.
     pub fn held(self) -> bool {
-        matches!(self, Owned | Primary | Replica)
+        matches!(self, Owned | Demoting | Primary | Replica)
     }
 
     /// Whether the key is managed by replication.
@@ -68,20 +74,21 @@ impl Residency {
     }
 
     fn owned(self) -> bool {
-        matches!(self, Owned | Primary)
+        matches!(self, Owned | Demoting | Primary)
     }
 }
 
 /// One shard's parameter store: a slot and a [`Residency`] for every key
 /// it covers. `contains`/`get`/`add`/`take`/`len` speak of owned keys
-/// (`Owned` and `Primary`) only; a replica is read through
+/// (`Owned`, `Demoting` and `Primary`) only; a replica is read through
 /// [`ShardStore::resident`].
 #[derive(Debug)]
 pub struct ShardStore {
     /// The keys this shard covers.
     keys: std::ops::Range<u64>,
     /// Key `keys.start + i` has floats `offsets[i]..offsets[i + 1]` of `slab`.
-    offsets: Vec<u32>,
+    /// Boxed, a word shorter than a `Vec`: a `Shard` stays two blocks.
+    offsets: Box<[u32]>,
     /// Every slot, zero where the key holds no value. Never resized.
     slab: Vec<f32>,
     /// What each slot holds. Never resized.
@@ -107,7 +114,7 @@ impl ShardStore {
         }
         ShardStore {
             keys: start..end,
-            offsets,
+            offsets: offsets.into_boxed_slice(),
             slab: vec![0.0; acc as usize],
             residency: vec![Absent; n],
             replicated: 0,
@@ -227,11 +234,20 @@ impl ShardStore {
         self.shift(key, &[Absent], Incoming, "incoming entry");
     }
 
-    /// `Incoming` → `to` (`Owned`: the hand-over; `Replica`: a promotion
-    /// broadcast), filling the zeroed slot, for the [`Shard`](crate::shard::Shard)
-    /// transitions that remove the key's entry. Panics unless it is incoming.
+    /// `Absent`/`Incoming` → `Promoting`, for `Shard::expect_promotion`.
+    pub(crate) fn mark_promoting(&mut self, key: Key) {
+        self.shift(key, &[Absent, Incoming], Promoting, "promotion entry");
+    }
+
+    /// `Incoming`/`Promoting` → `Owned` (the hand-over) or `Incoming` →
+    /// `Replica` (a promotion broadcast), filling the zeroed slot, for the
+    /// [`Shard`](crate::shard::Shard) transitions that remove the key's entry.
     pub(crate) fn arrive_with(&mut self, key: Key, to: Residency, fill: impl FnOnce(&mut [f32])) {
-        fill(self.shift(key, &[Incoming], to, "arrival"));
+        let from = match to {
+            Owned => &[Incoming, Promoting][..],
+            _ => &[Incoming],
+        };
+        fill(self.shift(key, from, to, "arrival"));
     }
 
     /// `Owned` → `Primary` (a promotion finishes at the key's home): the
@@ -240,15 +256,20 @@ impl ShardStore {
         self.shift(key, &[Owned], Primary, "promotion")
     }
 
-    /// `Primary` → `Owned` (a demotion starts at the key's home). Panics
-    /// unless the key is primary.
+    /// `Primary` → `Demoting` (a demotion starts at the key's home).
     pub(crate) fn demote(&mut self, key: Key) {
-        self.shift(key, &[Primary], Owned, "demotion");
+        self.shift(key, &[Primary], Demoting, "demotion");
+    }
+
+    /// `Demoting` → `Owned` (the demotion has drained).
+    pub(crate) fn unpin(&mut self, key: Key) {
+        self.shift(key, &[Demoting], Owned, "unpin");
     }
 
     /// `Owned` → `Absent` (a hand-over): the key's slot, readable until
     /// released, or `None` if the key is not owned. Panics if it is
-    /// `Primary`: a home never relocates a replicated key.
+    /// `Primary` or `Demoting`: a home never relocates a replicated key,
+    /// nor one whose demotion drains.
     pub fn take(&mut self, key: Key) -> Option<ValueSlot> {
         if !self.residency(key).owned() {
             return None;
@@ -279,6 +300,11 @@ impl ShardStore {
         self.len() == 0
     }
 
+    /// Whether some key is in one of `states` (a diagnostic walk of the bytes).
+    pub fn any(&self, states: &[Residency]) -> bool {
+        self.residency.iter().any(|r| states.contains(r))
+    }
+
     /// The `Primary` and `Replica` keys of this shard with their state,
     /// ascending. A shard that holds none returns without reading a byte.
     pub fn replicated_keys(&self) -> impl Iterator<Item = (Key, Residency)> + '_ {
@@ -301,7 +327,7 @@ impl ShardStore {
         // SAFETY: `idx < residency.len()` by the range check (one byte
         // per key of `keys`), and the Vec is never resized after `dense`,
         // so the pointer cannot dangle. The byte races only with the
-        // transitions above, which store one of the five variants: every
+        // transitions above, which store one of the seven variants: every
         // bit pattern a racing read can see is a valid `Residency`.
         // Volatile, so that the stale states the seqlock protocol
         // tolerates are not compiled away.
@@ -406,6 +432,14 @@ mod tests {
         ShardStore::dense(&Layout::Uniform(len), 0, keys)
     }
 
+    const ALL: [Residency; 7] = [
+        Absent, Incoming, Promoting, Owned, Demoting, Primary, Replica,
+    ];
+    const K: Key = Key(1);
+
+    /// A move's name, the states it leaves without a panic, and the move.
+    type Move = (&'static str, &'static [Residency], fn(&mut ShardStore));
+
     /// A two-float store of four keys with key 1 in `state`, its slot (if
     /// it holds one) `[1, 2]`.
     fn store_in(state: Residency) -> ShardStore {
@@ -413,11 +447,15 @@ mod tests {
         match state {
             Absent => {}
             Incoming => s.mark_incoming(k),
-            Owned | Primary => s.insert(k, &[1.0, 2.0]),
+            Promoting => s.mark_promoting(k),
+            Owned | Demoting | Primary => s.insert(k, &[1.0, 2.0]),
             Replica => s.refresh_with(k, |dst| dst.copy_from_slice(&[1.0, 2.0])),
         }
-        if state == Primary {
+        if let Demoting | Primary = state {
             s.promote(k);
+        }
+        if state == Demoting {
+            s.demote(k);
         }
         s
     }
@@ -484,17 +522,26 @@ mod tests {
         s.insert(k, &[1.0, 2.0]);
         assert_eq!(racy(&s, k), (Owned, [1.0, 2.0]));
         assert_eq!(take_vec(&mut s, k).unwrap(), vec![1.0, 2.0]);
-        // Absent → Incoming → Owned: the hand-over in fills a zero slot.
+        // Absent → Incoming → Promoting → Owned: the hand-over in fills a
+        // zero slot, whether or not it finishes a promotion.
         s.mark_incoming(k);
         assert_eq!(racy(&s, k), (Incoming, [0.0, 0.0]));
+        s.mark_promoting(k);
+        assert_eq!(racy(&s, k), (Promoting, [0.0, 0.0]));
         s.arrive_with(k, Owned, |dst| dst[0] += 5.0);
-        // Owned → Primary → Owned: a promotion and a demotion at the home
-        // keep the value.
+        // Owned → Primary → Demoting → Owned: a promotion and a demotion
+        // at the home keep the value, which serves while it drains.
         assert_eq!(s.promote(k), &[5.0, 0.0]);
         assert_eq!(racy(&s, k), (Primary, [5.0, 0.0]));
         s.demote(k);
-        assert_eq!(racy(&s, k), (Owned, [5.0, 0.0]));
-        assert_eq!(take_vec(&mut s, k).unwrap(), vec![5.0, 0.0]);
+        assert!(s.add(k, &[1.0, 0.0]) && s.contains(k));
+        assert_eq!(racy(&s, k), (Demoting, [6.0, 0.0]));
+        s.unpin(k);
+        assert_eq!(take_vec(&mut s, k).unwrap(), vec![6.0, 0.0]);
+        // Absent → Promoting → Owned: the home chases a key it promotes.
+        s.mark_promoting(k);
+        s.arrive_with(k, Owned, |dst| dst[1] = 4.0);
+        assert_eq!(take_vec(&mut s, k).unwrap(), vec![0.0, 4.0]);
         // Absent → Replica → Replica → Absent: the first fill sees a
         // zero slot, the second the previous refresh.
         s.refresh_with(k, |dst| dst[0] += 3.0);
@@ -519,27 +566,24 @@ mod tests {
     /// and the state it found.
     #[test]
     fn every_illegal_transition_panics_by_name() {
-        let illegal: [(&str, &[Residency]); 7] = [
-            ("install", &[Incoming, Owned, Primary, Replica]),
-            ("replica refresh", &[Incoming, Owned, Primary]),
-            ("take", &[Primary]),
-            ("incoming entry", &[Incoming, Owned, Primary, Replica]),
-            ("arrival", &[Absent, Owned, Primary, Replica]),
-            ("promotion", &[Absent, Incoming, Primary, Replica]),
-            ("demotion", &[Absent, Incoming, Owned, Replica]),
+        // Each move with the states it leaves without a panic.
+        #[rustfmt::skip]
+        let moves: [Move; 10] = [
+            ("install", &[Absent], |s| s.insert(K, &[0.0; 2])),
+            ("replica refresh", &[Absent, Replica], |s| s.refresh_with(K, |_| {})),
+            ("take", &[Absent, Incoming, Promoting, Owned, Replica], |s| _ = s.take(K)),
+            ("incoming entry", &[Absent], |s| s.mark_incoming(K)),
+            ("promotion entry", &[Absent, Incoming], |s| s.mark_promoting(K)),
+            ("arrival", &[Incoming, Promoting], |s| s.arrive_with(K, Owned, |_| {})),
+            ("arrival", &[Incoming], |s| s.arrive_with(K, Replica, |_| {})),
+            ("promotion", &[Owned], |s| _ = s.promote(K)),
+            ("demotion", &[Primary], |s| s.demote(K)),
+            ("unpin", &[Demoting], |s| s.unpin(K)),
         ];
-        for (what, states) in illegal {
-            for &state in states {
+        for (what, legal, apply) in moves {
+            for state in ALL.into_iter().filter(|r| !legal.contains(r)) {
                 let mut s = store_in(state);
-                let caught = catch_unwind(AssertUnwindSafe(|| match what {
-                    "install" => s.insert(Key(1), &[0.0; 2]),
-                    "replica refresh" => s.refresh_with(Key(1), |_| {}),
-                    "take" => _ = s.take(Key(1)),
-                    "incoming entry" => s.mark_incoming(Key(1)),
-                    "arrival" => s.arrive_with(Key(1), Owned, |_| {}),
-                    "promotion" => _ = s.promote(Key(1)),
-                    _ => s.demote(Key(1)),
-                }));
+                let caught = catch_unwind(AssertUnwindSafe(|| apply(&mut s)));
                 let msg = *caught.expect_err(what).downcast::<String>().unwrap();
                 assert_eq!(msg, format!("{what} of k1, which is {state:?}"));
             }
@@ -575,11 +619,11 @@ mod tests {
         assert_eq!(s.replicated_keys().count(), 0);
     }
 
-    /// The racy read reports each of the five states, and copies the slot
+    /// The racy read reports each of the seven states, and copies the slot
     /// only where it holds a value.
     #[test]
     fn read_racy_names_each_state() {
-        for state in [Absent, Incoming, Owned, Primary, Replica] {
+        for state in ALL {
             let mut out = [-1.0; 2];
             assert_eq!(store_in(state).read_racy(Key(1), &mut out), state);
             let want = if state.held() { [1.0, 2.0] } else { [-1.0; 2] };
@@ -658,30 +702,6 @@ mod tests {
         assert!(!s.contains(Key(5)));
         assert!(!s.contains(Key(25)));
         assert_eq!(s.residency_racy(Key(25)), Absent);
-    }
-
-    #[test]
-    #[should_panic(expected = "install of k0, which is Owned")]
-    fn double_insert_panics_dense() {
-        let mut s = store(1, 4);
-        s.insert(Key(0), &[1.0]);
-        s.insert(Key(0), &[2.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "install of k1, which is Replica")]
-    fn insert_over_a_replica_panics() {
-        let mut s = store(1, 4);
-        s.refresh_with(Key(1), |dst| dst[0] = 1.0);
-        s.insert_with(Key(1), |dst| dst[0] = 2.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "replica refresh of k1, which is Owned")]
-    fn refresh_over_an_owned_key_panics() {
-        let mut s = store(1, 4);
-        s.insert(Key(1), &[1.0]);
-        s.refresh_with(Key(1), |dst| dst[0] = 2.0);
     }
 
     #[test]

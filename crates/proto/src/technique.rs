@@ -13,9 +13,9 @@
 //!   [`Technique::Static`], [`Technique::Relocation`], or
 //!   [`Technique::Replication`] according to the configured
 //!   [`Variant`] and hot set: what can ever happen to the key. What
-//!   manages it *now* is data — its [`Residency`] byte: `Primary` at the
-//!   home and `Replica` elsewhere for a replicated key, whether the hot
-//!   set named it or [`Variant::Adaptive`] promoted it;
+//!   manages it *now* is data — its [`crate::storage::Residency`] byte:
+//!   `Primary` at the home and `Replica` elsewhere for a replicated key,
+//!   whether the hot set named it or [`Variant::Adaptive`] promoted it;
 //! * **client routing** — [`Policy::issue_route`] turns one key of an
 //!   operation into an [`IssueRoute`] (shared-memory serve, replica
 //!   serve/accumulate, park on a relocation queue, or ship remotely) from
@@ -31,7 +31,7 @@ use lapse_net::{Key, NodeId};
 
 use crate::config::{ProtoConfig, Variant};
 use crate::shard::{AccessLane, Shard};
-use crate::storage::Residency;
+use crate::storage::Residency::{Absent, Demoting, Incoming, Owned, Primary, Promoting, Replica};
 
 /// How one key's parameter is managed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,10 +155,10 @@ impl<'c> Policy<'c> {
     ) -> IssueRoute {
         if !forced {
             match shard.store.residency(key) {
-                Residency::Primary | Residency::Replica => return IssueRoute::Replica,
-                Residency::Owned if self.shared_memory() => return IssueRoute::OwnedLocal,
-                Residency::Incoming => return IssueRoute::Park,
-                Residency::Owned | Residency::Absent => {}
+                Primary | Replica => return IssueRoute::Replica,
+                Owned | Demoting if self.shared_memory() => return IssueRoute::OwnedLocal,
+                Incoming | Promoting => return IssueRoute::Park,
+                Owned | Demoting | Absent => {}
             }
         }
         IssueRoute::Remote(self.remote_dst(key, &shard.loc_cache, forced, lane))

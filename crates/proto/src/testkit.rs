@@ -170,8 +170,8 @@ impl TestCluster {
             .residency(key)
     }
 
-    /// Whether every node's transition machinery is idle (no pending
-    /// promotions, draining demotions, or deferred localizes).
+    /// Whether every node's transition machinery is idle (no key
+    /// `Promoting` or `Demoting`, no demotion draining).
     pub fn transitions_idle(&self) -> bool {
         self.nodes.iter().all(|n| n.server.transitions_idle())
     }
@@ -351,38 +351,34 @@ impl TestCluster {
     // ---- invariants --------------------------------------------------------
 
     /// At quiescence: every key is owned by exactly one node, and that
-    /// node matches the home's owner table; no key is `Incoming` anywhere
-    /// (so no relocation queue is left: a key has one exactly while it is
-    /// `Incoming`), `Primary` appears only at the key's home, and a
-    /// `Replica` anywhere implies `Primary` at the home.
+    /// node matches the home's owner table; no key is `Incoming`,
+    /// `Promoting` or `Demoting` anywhere (so no relocation queue or
+    /// transition is left: a key has one exactly while in such a state),
+    /// `Primary` appears only at the key's home, and a `Replica` anywhere
+    /// implies `Primary` at the home.
     pub fn check_ownership_invariant(&self) {
         assert_eq!(self.pending_total(), 0, "cluster not quiescent");
-        for k in 0..self.cfg.keys {
-            let key = Key(k);
-            let owners: Vec<NodeId> = self
-                .nodes
-                .iter()
-                .filter(|n| n.shared.read_value(key).is_some())
-                .map(|n| n.shared.node)
-                .collect();
-            assert_eq!(owners.len(), 1, "key {key} owned by {owners:?}");
+        for key in (0..self.cfg.keys).map(Key) {
             let home = self.cfg.home(key);
-            let tabled = self.nodes[home.idx()].server.owner_of(key);
-            assert_eq!(tabled, owners[0], "home table stale for {key}");
             let held: Vec<Residency> = (0..self.nodes.len())
                 .map(|n| self.residency(NodeId(n as u16), key))
                 .collect();
             let legal = held.iter().enumerate().all(|(n, &r)| match r {
-                Residency::Incoming => false,
+                Residency::Incoming | Residency::Promoting | Residency::Demoting => false,
                 Residency::Primary => n == home.idx(),
                 Residency::Replica => held[home.idx()] == Residency::Primary,
                 Residency::Absent | Residency::Owned => true,
             });
             assert!(legal, "{key} at quiescence: {held:?} (home {home})");
+            let owned = |n: &usize| matches!(held[*n], Residency::Owned | Residency::Primary);
+            let owners: Vec<usize> = (0..held.len()).filter(owned).collect();
+            assert_eq!(owners.len(), 1, "key {key} owned by nodes {owners:?}");
+            let tabled = self.nodes[home.idx()].server.owner_of(key);
+            assert_eq!(tabled.idx(), owners[0], "home table stale for {key}");
         }
     }
 
-    /// Sum of a single-float key across... reads the unique owner's value.
+    /// The value of `key` at its one owner.
     pub fn value_of(&self, key: Key) -> Vec<f32> {
         let mut found = None;
         for n in &self.nodes {

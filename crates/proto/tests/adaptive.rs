@@ -8,15 +8,33 @@
 
 use lapse_net::{Key, NodeId};
 use lapse_proto::client::IssueHandle;
-use lapse_proto::messages::{Msg, TechniqueDemoteMsg, TechniquePromoteMsg};
+use lapse_proto::messages::{LocalizeReqMsg, Msg, TechniqueDemoteMsg, TechniquePromoteMsg};
+use lapse_proto::shard::OptRead;
+use lapse_proto::storage::Residency;
 use lapse_proto::testkit::{IssueOp, TestCluster};
-use lapse_proto::{Layout, ProtoConfig, Variant};
+use lapse_proto::{Layout, OpId, ProtoConfig, Variant};
 
-fn cluster(nodes: u16) -> TestCluster {
+fn adaptive(nodes: u16) -> ProtoConfig {
     let mut cfg = ProtoConfig::new(nodes, 8, Layout::Uniform(2));
     cfg.variant = Variant::Adaptive;
     cfg.latches = 4;
-    TestCluster::new(cfg, 2)
+    cfg
+}
+
+fn cluster(nodes: u16) -> TestCluster {
+    TestCluster::new(adaptive(nodes), 2)
+}
+
+/// Injects `node`'s demotion vote for `keys` and delivers it to their home.
+fn vote(c: &mut TestCluster, node: NodeId, keys: &[Key]) {
+    let home = c.cfg.home(keys[0]);
+    let keys = keys.to_vec();
+    c.inject(
+        node,
+        home,
+        Msg::TechniqueDemote(TechniqueDemoteMsg { node, keys }),
+    );
+    c.drain_link(node, home);
 }
 
 fn promote(c: &mut TestCluster, requester: NodeId, key: Key) {
@@ -35,16 +53,8 @@ fn promote(c: &mut TestCluster, requester: NodeId, key: Key) {
 /// Votes for demotion from every node and drives the demotion to
 /// completion.
 fn demote(c: &mut TestCluster, key: Key) {
-    let home = c.cfg.home(key);
     for n in 0..c.cfg.nodes {
-        c.inject(
-            NodeId(n),
-            home,
-            Msg::TechniqueDemote(TechniqueDemoteMsg {
-                node: NodeId(n),
-                keys: vec![key],
-            }),
-        );
+        vote(c, NodeId(n), &[key]);
     }
     c.run_until_quiet();
 }
@@ -187,17 +197,9 @@ fn demotion_defers_localizes_until_drained() {
 
     // All three nodes vote; home demotes and pins the key.
     for n in 0..3 {
-        c.inject(
-            NodeId(n),
-            home,
-            Msg::TechniqueDemote(TechniqueDemoteMsg {
-                node: NodeId(n),
-                keys: vec![k],
-            }),
-        );
-        c.drain_link(NodeId(n), home);
+        vote(&mut c, NodeId(n), &[k]);
     }
-    assert!(!c.replicated_on(home, k));
+    assert_eq!(c.residency(home, k), Residency::Demoting);
 
     // n2 learns of the demotion and immediately localizes; n1 has not
     // drained yet, so the home defers the relocation.
@@ -214,6 +216,160 @@ fn demotion_defers_localizes_until_drained() {
         c.nodes[2].clients[0].finish_ack(seq);
     }
     assert_eq!(c.nodes[home.idx()].server.owner_of(k), NodeId(2));
+    assert!(c.transitions_idle());
+    c.check_ownership_invariant();
+    assert_eq!(c.in_flight_ops(), 0);
+}
+
+/// Localizes deferred across the keys of one demotion batch replay in the
+/// order they arrived, not key by key; one from a node whose drain
+/// confirmation has not arrived is stale and dropped.
+#[test]
+fn deferred_localizes_replay_in_arrival_order_across_a_batch() {
+    let mut c = TestCluster::recording(adaptive(4), 2);
+    let (home, stale, n2, n3) = (NodeId(0), NodeId(1), NodeId(2), NodeId(3));
+    let (a, b) = (Key(0), Key(1));
+    assert!(c.cfg.home(a) == home && c.cfg.home(b) == home);
+    let keys = vec![a, b];
+    c.inject(
+        stale,
+        home,
+        Msg::TechniquePromote(TechniquePromoteMsg { node: stale, keys }),
+    );
+    c.run_until_quiet();
+    // Every node votes both keys cold, `b` first: one batch, `[b, a]`.
+    for n in 0..4 {
+        vote(&mut c, NodeId(n), &[b, a]);
+    }
+    // n2 and n3 drain; `stale` has not heard of the demotion yet.
+    for n in [n2, n3] {
+        c.drain_link(home, n);
+        c.drain_link(n, home);
+    }
+    assert_eq!(
+        (c.residency(home, a), c.residency(home, b)),
+        (Residency::Demoting, Residency::Demoting)
+    );
+    let op = OpId::new(stale, 99);
+    c.inject(
+        stale,
+        home,
+        Msg::LocalizeReq(LocalizeReqMsg { op, keys: vec![a] }),
+    );
+    c.drain_link(stale, home);
+    // `a`, `b`, `a` arrive while both keys drain.
+    let issued = [(n2, 0, a), (n2, 1, b), (n3, 0, a)];
+    let handles: Vec<IssueHandle> = issued
+        .iter()
+        .map(|&(n, slot, k)| c.issue(n, slot, IssueOp::Localize(&[k]), None))
+        .collect();
+    c.drain_link(n2, home);
+    c.drain_link(n3, home);
+    assert!(handles
+        .iter()
+        .zip(&issued)
+        .all(|(h, &(n, ..))| !c.op_done(n, h)));
+    assert_eq!(c.nodes[0].server.owner_of(a), home, "deferred while pinned");
+
+    // `stale` drains: the batch completes, and the replay hands `a` to n2
+    // before `b`, then moves it on to n3.
+    c.recorded();
+    c.run_until_quiet();
+    let log = c.recorded();
+    let handed = |dst: NodeId| -> Vec<Vec<Key>> {
+        let handovers = log
+            .delivered
+            .iter()
+            .filter(|(src, d, _)| *src == home && *d == dst);
+        handovers
+            .filter_map(|(.., m)| match m {
+                Msg::HandOver(h) => Some(h.keys.clone()),
+                _ => None,
+            })
+            .collect()
+    };
+    assert_eq!(handed(n2), [vec![a], vec![b]]);
+    assert!(handed(stale).is_empty(), "a stale localize relocated");
+    let owners = (c.nodes[0].server.owner_of(a), c.nodes[0].server.owner_of(b));
+    assert_eq!(owners, (n3, n2));
+    for (h, &(n, slot, _)) in handles.iter().zip(&issued) {
+        assert!(c.op_done(n, h));
+        if let IssueHandle::Pending(seq) = *h {
+            c.nodes[n.idx()].clients[slot].finish_ack(seq);
+        }
+    }
+    assert!(c.transitions_idle());
+    c.check_ownership_invariant();
+    assert_eq!(c.in_flight_ops(), 0);
+}
+
+const DEMOTING: Key = Key(0);
+const PROMOTING: Key = Key(2);
+
+/// Two nodes, both transitions under way at the home, node 0: `DEMOTING`
+/// (its value `[1, 2]`) waits for node 1's drain, `PROMOTING` for node 1's
+/// hand-over.
+fn mid_transitions(wait_free_reads: bool) -> TestCluster {
+    let mut cfg = adaptive(2);
+    cfg.wait_free_reads = wait_free_reads;
+    let mut c = TestCluster::new(cfg, 1);
+    let (home, n1) = (NodeId(0), NodeId(1));
+    c.push_now(home, 0, &[DEMOTING], &[1.0, 2.0]);
+    c.localize_now(n1, 0, &[PROMOTING]);
+    promote(&mut c, n1, DEMOTING);
+    vote(&mut c, home, &[DEMOTING]);
+    vote(&mut c, n1, &[DEMOTING]);
+    let keys = vec![PROMOTING];
+    c.inject(
+        n1,
+        home,
+        Msg::TechniquePromote(TechniquePromoteMsg { node: n1, keys }),
+    );
+    c.drain_link(n1, home);
+    assert_eq!(c.residency(home, DEMOTING), Residency::Demoting);
+    assert_eq!(c.residency(home, PROMOTING), Residency::Promoting);
+    c
+}
+
+/// The home's wait-free read takes a transition's byte as it is: a
+/// `Demoting` key serves as owned, without a write section, and a
+/// `Promoting` one is not here yet.
+#[test]
+fn wait_free_reads_at_the_home_see_demoting_owned_and_promoting_absent() {
+    let mut c = mid_transitions(true);
+    let shared = &c.nodes[0].shared;
+    let generation = shared.shard_for(DEMOTING).generation();
+    let mut out = [0.0; 2];
+    let read = shared.try_optimistic_read(DEMOTING, false, &mut out);
+    assert_eq!((read, out), (Some(OptRead::Owned), [1.0, 2.0]));
+    assert_eq!(shared.shard_for(DEMOTING).generation(), generation);
+    let read = shared.try_optimistic_read(PROMOTING, false, &mut out);
+    assert_eq!(read, Some(OptRead::Absent));
+
+    c.run_until_quiet();
+    assert!(c.transitions_idle());
+    let n1 = NodeId(1);
+    assert!(c.replicated_on(n1, PROMOTING) && !c.replicated_on(n1, DEMOTING));
+    c.check_ownership_invariant();
+}
+
+/// A home worker's operations route by the byte too: a `Demoting` key is
+/// served in place, and a `Promoting` one parks until its hand-over.
+#[test]
+fn home_workers_serve_demoting_keys_and_park_on_promoting_ones() {
+    let mut c = mid_transitions(false);
+    let home = NodeId(0);
+    let push = c.issue(home, 0, IssueOp::Push(&[DEMOTING], &[1.0, 1.0]), None);
+    assert!(matches!(push, IssueHandle::Ready(_)), "served in place");
+    let pull = c.issue(home, 0, IssueOp::Pull(&[PROMOTING]), None);
+    assert_eq!(c.pending_total(), 2, "the parked pull sent nothing");
+    assert!(!c.op_done(home, &pull));
+    c.run_until_quiet();
+    assert!(c.op_done(home, &pull));
+    if let IssueHandle::Pending(seq) = pull {
+        assert_eq!(c.nodes[0].clients[0].take_pull(seq), vec![0.0, 0.0]);
+    }
+    assert_eq!(c.value_of(DEMOTING), vec![2.0, 3.0]);
     assert!(c.transitions_idle());
     c.check_ownership_invariant();
     assert_eq!(c.in_flight_ops(), 0);
