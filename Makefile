@@ -19,10 +19,12 @@ test:
 ## inlining around them and the `debug_assert`s all differ from what
 ## ships: the seqlock contract, the in-order walk that drives the
 ## wait-free pull, the shard latch (the same word as the sequence, taken
-## by an inlined compare-and-swap), and the store's and the shard's own
-## tests, in the release profile.
+## by an inlined compare-and-swap), the snapshot storms (racy reads of
+## replicated keys decide on the key's own delta count, across promote
+## and demote), and the store's and the shard's own tests, in the release
+## profile.
 test-release-seqlock:
-	$(CARGO) test --release -q -p lapse-proto --test seqlock --test in_order_walk --test latch
+	$(CARGO) test --release -q -p lapse-proto --test seqlock --test in_order_walk --test latch --test proptest_snapshot
 	$(CARGO) test --release -q -p lapse-proto --lib -- storage shard::
 
 ## Compile all bench targets without running them.

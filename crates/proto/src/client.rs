@@ -148,7 +148,7 @@ struct IssueScratch {
     /// in key order: registered with the tracker and the guard map once,
     /// after the walk.
     remote: Vec<u32>,
-    /// Staging for async replica reads (reused, never per-key allocated).
+    /// Staging for async local reads (reused, never per-key allocated).
     replica_buf: Vec<f32>,
 }
 
@@ -431,9 +431,9 @@ impl ClientCore {
     }
 
     /// Propagates all accumulated replicated pushes of this node to the
-    /// owners (one [`ReplicaPushMsg`] per owner), moving them to the
-    /// in-flight set until the owners' refreshes acknowledge them. A
-    /// no-op when nothing is pending or the variant replicates nothing.
+    /// owners (one [`ReplicaPushMsg`] per owner); the shipped deltas stay
+    /// visible until the owners' refreshes acknowledge them. A no-op when
+    /// nothing is pending or the variant replicates nothing.
     pub fn flush_replicas(&self, sink: &mut MsgSink) {
         // Serving-epoch tick (snapshot read plane): every propagation
         // tick advances the node's serving epoch, under all variants.
@@ -446,42 +446,25 @@ impl ClientCore {
         }
         let mut groups: OrderedGroups<NodeId, RemoteGroup> = OrderedGroups::new();
         // fetch_add so concurrent flushes of two workers get distinct
-        // sequence numbers (gaps for empty flushes are harmless — acks
-        // match batches exactly by sequence number).
+        // sequence numbers (acks match deltas exactly by sequence number).
         let flush_seq = self.shared.replica.flush_seq.fetch_add(1, Relaxed) + 1;
-        // Atomically take the accumulation count before draining: pushes
-        // counted here are all in the pending sets this flush is about to
-        // drain, while a concurrent worker's later increments survive for
-        // the next auto-flush threshold check (an increment racing in
-        // between merely triggers one extra empty — free — flush).
+        // Take the accumulation count before shipping: pushes counted here
+        // are all pending now, and a concurrent worker's later increments
+        // survive for the next auto-flush check (one racing in between
+        // merely triggers one extra, empty, flush).
         self.shared.replica.unflushed.swap(0, Relaxed);
         for &s in &self.shared.replica_shards {
-            // Pending deltas imply the hint (recomputed at every write
-            // commit), so untouched shards are skipped without latching.
+            // A shard without pending deltas is skipped without latching.
             let cell = &self.shared.shards[s as usize];
-            if !cell.maybe_replica_deltas() {
-                continue;
+            if cell.has_pending() {
+                cell.write().store.flush_deltas(flush_seq, |k, delta| {
+                    let owner = self.cfg().home(k);
+                    let group = groups.entry(owner);
+                    group.keys.push(k);
+                    group.vals.extend_from_slice(delta);
+                    owner
+                });
             }
-            let mut shard = cell.write();
-            if shard.replica.pending.is_empty() {
-                continue;
-            }
-            let pending = std::mem::take(&mut shard.replica.pending);
-            let mut per_owner: OrderedGroups<NodeId, std::collections::BTreeMap<Key, Vec<f32>>> =
-                OrderedGroups::new();
-            for (k, delta) in pending {
-                let owner = self.cfg().home(k);
-                let group = groups.entry(owner);
-                group.keys.push(k);
-                group.vals.extend_from_slice(&delta);
-                per_owner.entry(owner).insert(k, delta);
-            }
-            for (owner, batch) in per_owner.into_iter() {
-                shard.replica.in_flight.push((owner, flush_seq, batch));
-            }
-        }
-        if groups.is_empty() {
-            return;
         }
         for (owner, group) in groups.into_iter() {
             self.lane.replica_flushes.add(1);
@@ -577,21 +560,12 @@ impl ClientCore {
             }
             let shard = cursor.write(p.shard as usize);
             match policy.issue_route(p.key, shard, p.forced, lane) {
-                IssueRoute::OwnedLocal => {
-                    let v = shard.store.get(p.key).expect("routed to owned store");
-                    n_local += 1;
-                    bytes_moved += 4 * len as u64;
-                    match &mut out {
-                        Some(buf) => buf[off..off + len].copy_from_slice(v),
-                        None => {
-                            let s = seq.expect("async op registered");
-                            tracker.add_keys(s, true, false, once((p.key, p.len, p.off)));
-                            tracker.complete_key(s, p.key, Some(v));
-                        }
+                // The key's local view: the owned value, or a replica's.
+                route @ (IssueRoute::OwnedLocal | IssueRoute::Replica) => {
+                    match route {
+                        IssueRoute::Replica => n_replica += 1,
+                        _ => n_local += 1,
                     }
-                }
-                IssueRoute::Replica => {
-                    n_replica += 1;
                     bytes_moved += 4 * len as u64;
                     let dst = match &mut out {
                         Some(buf) => &mut buf[off..off + len],
@@ -601,7 +575,7 @@ impl ClientCore {
                             &mut replica_buf[..]
                         }
                     };
-                    shard.read_replicated(p.key, dst);
+                    shard.store.read_replicated(p.key, dst);
                     if is_async {
                         let s = seq.expect("async op registered");
                         tracker.add_keys(s, true, false, once((p.key, p.len, p.off)));
@@ -691,7 +665,7 @@ impl ClientCore {
                     n_local += 1;
                 }
                 IssueRoute::Replica => {
-                    shard.replica.accumulate(p.key, val);
+                    shard.store.accumulate(p.key, val);
                     n_replica += 1;
                 }
                 IssueRoute::Park => {

@@ -121,8 +121,8 @@ pub enum HotSet {
         /// Hot ids per block.
         hot: u64,
     },
-    /// An explicit key set, sorted ascending (membership is a binary
-    /// search). Build with [`HotSet::explicit`].
+    /// A strictly ascending key set (membership is a binary search): build
+    /// it with [`HotSet::explicit`]; [`ProtoConfig::validate`] refuses others.
     Explicit(Vec<Key>),
 }
 
@@ -184,6 +184,9 @@ pub enum ConfigError {
         /// The floats its slab would hold.
         floats: u64,
     },
+    /// Entry `i` of an explicit hot set is not above entry `i - 1`, or is
+    /// past the key space.
+    HotSetKey(usize),
 }
 
 impl std::fmt::Display for ConfigError {
@@ -197,6 +200,7 @@ impl std::fmt::Display for ConfigError {
                 "shard {shard} would hold {floats} floats, past the 2^32 a slot offset \
                  addresses: raise `latches` or shorten the values"
             ),
+            ConfigError::HotSetKey(i) => write!(f, "hot_set entry {i} is out of order or range"),
         }
     }
 }
@@ -295,8 +299,9 @@ impl ProtoConfig {
 
     /// Checks what every node built over this configuration relies on:
     /// the divisions of [`ProtoConfig::range_width`] and
-    /// [`ProtoConfig::keys_per_shard`] have a divisor, and every shard's
-    /// slab stays within the store's `u32` slot offsets.
+    /// [`ProtoConfig::keys_per_shard`] have a divisor, every shard's
+    /// slab stays within the store's `u32` slot offsets, and an explicit
+    /// hot set is a strictly ascending list of keys.
     /// [`NodeShared`](crate::shard::NodeShared) construction calls this
     /// first, so both backends and hand-built worlds pass through it.
     pub fn validate(&self) -> Result<(), ConfigError> {
@@ -314,6 +319,12 @@ impl ProtoConfig {
             let floats = self.layout.total_len(start, end);
             if floats > u64::from(u32::MAX) {
                 return Err(ConfigError::ShardSlabTooLarge { shard, floats });
+            }
+        }
+        if let HotSet::Explicit(hot) = &self.hot_set {
+            let bad = |i: usize| hot[i].0 >= self.keys || (i > 0 && hot[i] <= hot[i - 1]);
+            if let Some(i) = (0..hot.len()).find(|&i| bad(i)) {
+                return Err(ConfigError::HotSetKey(i));
             }
         }
         Ok(())

@@ -334,7 +334,7 @@ impl<'a> Drain<'a> {
                 // that is how the key arrived) …
                 Queued::Op(q) if q.kind == OpKind::Push => {
                     if replica {
-                        shard.replica.accumulate(k, &q.val);
+                        shard.store.accumulate(k, &q.val);
                         self.accumulated += 1;
                     } else {
                         let applied = shard.store.add(k, &q.val);
@@ -350,14 +350,8 @@ impl<'a> Drain<'a> {
                 Queued::Op(q) if q.op.node == node => {
                     let vals = &mut self.scratch.vals;
                     let soff = vals.len();
-                    if replica {
-                        vals.resize(soff + cfg.layout.len(k), 0.0);
-                        shard.read_replicated(k, &mut vals[soff..]);
-                    } else {
-                        vals.extend_from_slice(
-                            shard.store.get(k).expect("handed-over key is owned"),
-                        );
-                    }
+                    vals.resize(soff + cfg.layout.len(k), 0.0);
+                    shard.store.read_replicated(k, &mut vals[soff..]);
                     self.scratch.done.push((q.op, k, Done::Pull(soff as u32)));
                 }
                 // … and a remote origin's pull (of a key that arrived
@@ -973,17 +967,16 @@ impl ServerCore {
     /// Replica-sync message 2, at the owner: apply the accumulated update
     /// terms exactly once, then broadcast the fresh values to every
     /// subscriber (the propagation step closing this round). The refresh
-    /// sent back to the pusher acknowledges exactly `m.flush_seq`, so its
-    /// in-flight batch is retired only once the owner has really applied
-    /// it — flushes of concurrent workers that overtake each other on the
-    /// wire cannot retire one another's batches.
+    /// sent back to the pusher acknowledges exactly `m.flush_seq`, so the
+    /// deltas it shipped are retired only once the owner has really
+    /// applied them — flushes of concurrent workers that overtake each
+    /// other on the wire cannot retire one another's deltas.
     ///
-    /// For the owner's own flushes a shard's deltas are applied and its
-    /// in-flight batch retired under **one** latch hold: the owned store
-    /// is the owner's replica view, so a local reader must never see a
-    /// shard's batch retired while some of its deltas are still
-    /// unapplied (dropped writes) or vice versa (double count). A flush
-    /// lists its keys shard by shard, ascending ([`ascends`]), so the
+    /// For the owner's own flushes a shard's deltas are applied and
+    /// retired under **one** latch hold: the owned store is the owner's
+    /// replica view, so a local reader must never see a shard's deltas
+    /// retired while some are still unapplied (dropped writes) or vice
+    /// versa (double count). A flush lists its keys ascending, so the
     /// cursor meets each shard once and retires as it enters.
     ///
     /// A push implies a subscription. A node registers once, from the
@@ -1034,7 +1027,7 @@ impl ServerCore {
         let mut stragglers: Vec<(Key, &[f32])> = Vec::new();
         let mut pinned: Vec<u64> = Vec::new();
         let mut val_off = 0usize;
-        let mut last_shard = None;
+        debug_assert!(m.keys.is_sorted(), "replica round does not ascend");
         let mut cursor = LatchCursor::new(&self.shared.shards);
         for &k in &m.keys {
             debug_assert!(
@@ -1046,10 +1039,10 @@ impl ServerCore {
             let delta = &m.vals[val_off..val_off + len];
             val_off += len;
             let idx = self.shared.shard_index(k);
-            let entered = ascends(&mut last_shard, idx, k);
+            let entered = !cursor.holds(idx);
             let shard = cursor.write(idx);
             if entered && own_flush {
-                shard.replica.retire(node, m.flush_seq);
+                shard.store.retire(node, m.flush_seq);
             }
             if !shard.store.add(k, delta) {
                 debug_assert!(adaptive, "owner lost replicated key {k}");
@@ -1103,12 +1096,11 @@ impl ServerCore {
     }
 
     /// Replica-sync message 3, at a replica holder: install the fresh
-    /// values and retire the acknowledged in-flight batch. Install and
-    /// retirement happen under one latch hold per shard (the refresh
-    /// echoes the flush's ascending key list, see [`ascends`]): the
-    /// refreshed values already include the acknowledged deltas, so a
-    /// reader must never see both (double count) or neither (dropped
-    /// writes).
+    /// values and retire the acknowledged deltas. Install and retirement
+    /// happen under one latch hold per shard (the refresh echoes the
+    /// flush's ascending key list): the refreshed values already include
+    /// the acknowledged deltas, so a reader must never see both (double
+    /// count) or neither (dropped writes).
     fn handle_replica_refresh(&mut self, m: ReplicaRefreshMsg) {
         let cfg: &ProtoConfig = &self.shared.cfg;
         fence(&mut self.replica_rounds_in, m.owner, m.round, "round");
@@ -1118,18 +1110,18 @@ impl ServerCore {
             "refresh payload mismatch"
         );
         let mut val_off = 0usize;
-        let mut last_shard = None;
+        debug_assert!(m.keys.is_sorted(), "replica round does not ascend");
         let mut cursor = LatchCursor::new(&self.shared.shards);
         for &k in &m.keys {
             debug_assert_eq!(cfg.home(k), m.owner, "refresh from non-owner");
             let len = cfg.layout.len(k);
             let idx = self.shared.shard_index(k);
-            let entered = m.ack > 0 && ascends(&mut last_shard, idx, k);
+            let entered = m.ack > 0 && !cursor.holds(idx);
             let shard = cursor.write(idx);
             if entered {
-                // An acked batch's keys are exactly the refreshed keys,
+                // An acked flush's keys are exactly the refreshed keys,
                 // so every shard holding a part of it is entered here.
-                shard.replica.retire(m.owner, m.ack);
+                shard.store.retire(m.owner, m.ack);
             }
             // Per-link FIFO fences refreshes against transition
             // broadcasts: a refresh for a key this node demoted (or
@@ -1353,16 +1345,10 @@ impl ServerCore {
         for &k in &keys {
             let mut shard = self.shared.shard_for(k).write();
             shard.start_demotion(k, epoch);
-            if let Some(delta) = shard.replica.pending.remove(&k) {
-                let applied = shard.store.add(k, &delta);
-                debug_assert!(applied, "home lost demoted key {k}");
-            }
-            self_flushes += shard
-                .replica
-                .in_flight
-                .iter()
-                .filter(|(o, _, b)| *o == self.shared.node && b.contains_key(&k))
-                .count() as u64;
+            // The home's own pending delta applies directly: it owns the key.
+            self_flushes += shard.store.drop_deltas(k, |slot, delta| {
+                slot.iter_mut().zip(delta).for_each(|(v, d)| *v += d)
+            });
             shard.loc_cache.remove(&k);
         }
         self.lane.tech_demotions.add(keys.len() as u64);
@@ -1414,16 +1400,10 @@ impl ServerCore {
             let mut shard = self.shared.shard_for(k).write();
             let held = shard.store.drop_replica(k);
             debug_assert!(held, "demote broadcast for unreplicated {k}");
-            if let Some(delta) = shard.replica.pending.remove(&k) {
+            shard.store.drop_deltas(k, |_, delta| {
                 drained_keys.push(k);
-                drained_vals.extend_from_slice(&delta);
-            }
-            for (o, _, batch) in shard.replica.in_flight.iter_mut() {
-                if *o == m.home {
-                    batch.remove(&k);
-                }
-            }
-            shard.replica.in_flight.retain(|(_, _, b)| !b.is_empty());
+                drained_vals.extend_from_slice(delta);
+            });
             shard.loc_cache.remove(&k);
         }
         if let Some(ad) = &self.shared.adaptive {
@@ -1501,20 +1481,4 @@ impl ServerCore {
 fn fence(last: &mut HashMap<NodeId, u64>, from: NodeId, seq: u64, what: &str) {
     let prev = last.insert(from, seq).unwrap_or(0);
     debug_assert!(seq > prev, "{what} {seq} from {from} after {prev}");
-}
-
-/// Whether a replica round's walk enters a new shard at `shard` (the
-/// shard of `k`), remembering it in `last`. Asserts that the round's key
-/// list ascends shard by shard — it does by construction:
-/// `flush_replicas` visits `replica_shards` ascending, a shard's pending
-/// deltas are a `BTreeMap`, a refresh echoes its push — which is what
-/// makes "once per shard entered" the same as "once per shard".
-fn ascends(last: &mut Option<usize>, shard: usize, k: Key) -> bool {
-    let entered = *last != Some(shard);
-    debug_assert!(
-        !entered || last.is_none_or(|l| l < shard),
-        "replica round does not ascend at {k}: shard {shard} after {last:?}"
-    );
-    *last = Some(shard);
-    entered
 }

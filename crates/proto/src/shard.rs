@@ -8,7 +8,8 @@
 //! holding
 //!
 //! * the shard's slice of the local parameter store — one slot per key of
-//!   the range, and one byte that is the key's whole state on this node
+//!   the range, one byte that is the key's whole state on this node, and
+//!   the not-yet-propagated deltas of its replicated keys
 //!   ([`crate::storage`]),
 //! * the queues of operations addressed to keys currently relocating *to*
 //!   this node (Section 3.2: the requester queues local and forwarded
@@ -18,10 +19,7 @@
 //! * at a key's home, its demotion votes while it is `Primary`, and its
 //!   drain epoch and deferred localizes while it is `Demoting` — private
 //!   to the [`Shard`] transitions of adaptive management, and
-//! * the shard's slice of the optional location cache (Section 3.3),
-//!
-//! plus the not-yet-propagated deltas of replicated keys
-//! ([`ReplicaSlice`]).
+//! * the shard's slice of the optional location cache (Section 3.3).
 //!
 //! The paper's default of 1000 latches per node is kept
 //! (`ProtoConfig::latches`).
@@ -145,72 +143,6 @@ struct Transit {
     deferred: Vec<(u64, OpId)>,
 }
 
-/// The shard's slice of the replica state used by the replication
-/// technique (NuPS §2): the locally accumulated update terms of
-/// replicated keys that have not reached the owner yet. The values
-/// themselves — the owned value at the owner, the last refresh at a
-/// replica holder — sit in the key's slot of [`Shard::store`].
-///
-/// A local read of a replicated key must never go backwards, so deltas
-/// stay visible through their whole life cycle: they accumulate in
-/// `pending`, move to `in_flight` when a flush ships them to the owner,
-/// and are retired only when a
-/// [`ReplicaRefreshMsg`](crate::messages::ReplicaRefreshMsg) acknowledges that
-/// the owner applied them (its values then include them). The local view
-/// of a key is always `slot + in_flight + pending`
-/// ([`Shard::read_replicated`]).
-#[derive(Debug, Default)]
-pub struct ReplicaSlice {
-    /// Deltas accumulated since the last flush (key-sorted so flush
-    /// emission order is deterministic).
-    pub pending: BTreeMap<Key, Vec<f32>>,
-    /// Flushed-but-unacknowledged delta batches: `(owner, flush_seq,
-    /// deltas)`, each retired by the refresh whose `ack` equals its
-    /// `flush_seq` exactly (see [`ReplicaSlice::retire`]).
-    pub in_flight: Vec<(NodeId, u64, BTreeMap<Key, Vec<f32>>)>,
-}
-
-impl ReplicaSlice {
-    /// Adds a push's update terms to the pending accumulator.
-    pub fn accumulate(&mut self, key: Key, delta: &[f32]) {
-        match self.pending.entry(key) {
-            std::collections::btree_map::Entry::Occupied(mut e) => {
-                for (acc, d) in e.get_mut().iter_mut().zip(delta) {
-                    *acc += d;
-                }
-            }
-            std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert(delta.to_vec());
-            }
-        }
-    }
-
-    /// Overlays the not-yet-refreshed local deltas of `key` onto `out`.
-    pub fn overlay(&self, key: Key, out: &mut [f32]) {
-        for (_, _, batch) in &self.in_flight {
-            if let Some(delta) = batch.get(&key) {
-                for (o, d) in out.iter_mut().zip(delta) {
-                    *o += d;
-                }
-            }
-        }
-        if let Some(delta) = self.pending.get(&key) {
-            for (o, d) in out.iter_mut().zip(delta) {
-                *o += d;
-            }
-        }
-    }
-
-    /// Retires the in-flight batch towards `owner` with exactly flush
-    /// sequence `ack` (the owner's values now include it). Exact matching
-    /// keeps concurrent workers' flushes that overtake each other on the
-    /// wire from retiring one another's unapplied batches.
-    pub fn retire(&mut self, owner: NodeId, ack: u64) {
-        self.in_flight
-            .retain(|&(o, seq, _)| o != owner || seq != ack);
-    }
-}
-
 /// One latch-guarded shard of node state, in whole blocks and declaration
 /// order (see [`ShardCell`]).
 #[derive(Debug)]
@@ -218,8 +150,6 @@ impl ReplicaSlice {
 pub struct Shard {
     /// The shard's slice of the local parameter store.
     pub store: ShardStore,
-    /// Replica state of the replication technique.
-    pub replica: ReplicaSlice,
     /// The parked work of exactly the `Incoming` and `Promoting` keys:
     /// only the transitions below, which set the key's byte too, touch it.
     incoming: HashMap<Key, IncomingState>,
@@ -322,15 +252,6 @@ impl Shard {
     pub(crate) fn finish_demotion(&mut self, key: Key) -> Vec<(u64, OpId)> {
         self.store.unpin(key);
         self.transit.remove(&key).expect("a drain").deferred
-    }
-
-    /// Reads a held key's replicated view into `out`: what its slot holds
-    /// — the owned value (at the owner) or the last refresh (at a replica
-    /// holder) — plus all locally accumulated deltas. Panics if the slot
-    /// holds nothing.
-    pub fn read_replicated(&self, key: Key, out: &mut [f32]) {
-        out.copy_from_slice(self.store.resident(key).expect("a replicated key is held"));
-        self.replica.overlay(key, out);
     }
 }
 
@@ -550,28 +471,21 @@ impl LaneRegistry {
 /// load the word (acquire), retry while `WRITING` is set, copy racily out
 /// of *stable* memory only (see `ShardStore::read_racy`), and accept the
 /// snapshot iff the word without `LOCKED` is unchanged afterwards.
-///
-/// One hint atomic summarizes the shard state as of the last committed
-/// write: whether the shard holds unpropagated replica deltas, which a
-/// replicated key's read must add and whose maps are not safe to read
-/// racily — such reads go to the latched path. Everything else a read
-/// needs is in the key's residency byte. The hint is recomputed under the
-/// latch at every write-guard drop, so a `false` hint observed under a
-/// validated sequence is authoritative.
+/// Everything a read needs is the key's residency byte and, for a
+/// replicated key, its count of deltas held (`ShardStore::has_deltas`).
 ///
 /// Aligned to 128 bytes and laid out in declaration order: the store's
 /// header opens the cell's first block, which only a transition between
-/// replicated and not writes, and the sequence word and hint open the
-/// block after the shard's, which they share with nothing — not with the
-/// next shard's state either (contiguous range sharding puts the Zipf-hot
-/// keys in neighbouring shards).
+/// replicated and not, and the shard's first delta, write; the sequence
+/// word opens the block after
+/// the shard's, which it shares with nothing — not with the next shard's
+/// state either (contiguous range sharding puts the Zipf-hot keys in
+/// neighbouring shards).
 #[repr(C, align(128))]
 pub struct ShardCell {
     shard: UnsafeCell<Shard>,
     /// The latch and the seqlock: `generation << 2 | WRITING | LOCKED`.
     seq: AtomicU64,
-    /// Whether replica pending/in-flight deltas existed at the last commit.
-    replica_deltas: AtomicBool,
     /// Flight-recorder hookup for latch-wait spans (`None` when tracing
     /// is off: acquisitions skip instrumentation entirely). Boxed so
     /// that a cell fills three 128-byte blocks, not four.
@@ -596,18 +510,6 @@ struct LatchTrace {
 unsafe impl Sync for ShardCell {}
 
 impl ShardCell {
-    /// Wraps a shard, deriving the initial hint value from its state.
-    pub fn new(shard: Shard) -> Self {
-        let cell = ShardCell {
-            seq: AtomicU64::new(0),
-            replica_deltas: AtomicBool::new(false),
-            trace: None,
-            shard: UnsafeCell::new(shard),
-        };
-        cell.store_hint();
-        cell
-    }
-
     /// Attaches the node's latch-wait lane (called once at node
     /// construction, before the cell is shared).
     fn set_trace(&mut self, rec: Arc<Recorder>, ring: Arc<Ring>, shard_idx: u64) {
@@ -682,16 +584,6 @@ impl ShardCell {
         s
     }
 
-    fn store_hint(&self) {
-        // Only called while no other thread can write (construction or
-        // write-guard drop, both serialized by the latch).
-        let shard = unsafe { &*self.shard.get() };
-        self.replica_deltas.store(
-            !(shard.replica.pending.is_empty() && shard.replica.in_flight.is_empty()),
-            Ordering::Relaxed,
-        );
-    }
-
     /// Takes the latch for read-only access: sets `LOCKED` but not
     /// `WRITING`, and the guard's drop restores the word, so concurrent
     /// optimistic readers stay valid.
@@ -748,12 +640,11 @@ impl ShardCell {
         }
     }
 
-    /// Whether the shard may hold unpropagated replica deltas (pending
-    /// or in-flight; as of the last committed write — authoritative while
-    /// the latch or a validated sequence is held).
+    /// Whether the shard holds pending replica deltas: a validated read
+    /// without the latch, or `true` when none validated.
     #[inline]
-    pub fn maybe_replica_deltas(&self) -> bool {
-        self.replica_deltas.load(Ordering::Relaxed)
+    pub(crate) fn has_pending(&self) -> bool {
+        !matches!(self.optimistic(|s| Some(s.store.pending())), Some(0))
     }
 
     /// Committed write generation of this shard (`seq >> 2`): advances
@@ -790,10 +681,9 @@ impl ShardCell {
     ///
     /// `observe` may run concurrently with a writer and may run more
     /// than once. It must touch only memory that writers never
-    /// reallocate (the store's residency bytes and slab) and must treat
-    /// everything it reads as possibly torn until this function returns
-    /// `Some`; the hint atomic tells it when the rest of the shard has a
-    /// say in the answer.
+    /// reallocate (the store's residency bytes, slab and delta counts) and
+    /// must treat everything it reads as possibly torn until this function
+    /// returns `Some`.
     #[inline]
     fn optimistic<R>(&self, mut observe: impl FnMut(&Shard) -> Option<R>) -> Option<R> {
         for _ in 0..SEQLOCK_RETRIES {
@@ -842,8 +732,8 @@ impl Drop for ShardReadGuard<'_> {
 }
 
 /// Mutating latch guard for a [`ShardCell`]: a seqlock write critical
-/// section. Dropping it recomputes the hint atomic, then unlocks with the
-/// next generation (one release store).
+/// section. Dropping it unlocks with the next generation (one release
+/// store).
 pub struct ShardWriteGuard<'a> {
     cell: &'a ShardCell,
     /// The word before the guard set `LOCKED | WRITING`.
@@ -871,7 +761,6 @@ impl DerefMut for ShardWriteGuard<'_> {
 impl Drop for ShardWriteGuard<'_> {
     #[inline]
     fn drop(&mut self) {
-        self.cell.store_hint();
         let next = self.unlocked.wrapping_add(GENERATION);
         self.cell.seq.store(next, Ordering::Release);
     }
@@ -1021,7 +910,6 @@ impl NodeShared {
                 store: ShardStore::dense(&cfg.layout, start, end),
                 incoming: HashMap::new(),
                 loc_cache: HashMap::new(),
-                replica: ReplicaSlice::default(),
                 transit: BTreeMap::new(),
             };
             // Initially every key is owned by its home node (Section 3.5),
@@ -1057,9 +945,14 @@ impl NodeShared {
                 }
             }
             if replicates {
+                shard.store.hold_deltas();
                 replica_shards.push(s as u32);
             }
-            shards.push(ShardCell::new(shard));
+            shards.push(ShardCell {
+                shard: UnsafeCell::new(shard),
+                seq: AtomicU64::new(0),
+                trace: None,
+            });
         }
         if trace.on() {
             let ring = trace.lane(node.0, ACTOR_LATCH, format!("n{}/latch", node.0));
@@ -1141,10 +1034,8 @@ impl NodeShared {
     /// refresh, plus unpropagated local deltas), if any — test/diagnostic
     /// helper; takes the latch.
     pub fn read_replica(&self, key: Key) -> Option<Vec<f32>> {
-        let shard = self.shard_for(key).read();
-        let mut out = shard.store.resident(key)?.to_vec();
-        shard.replica.overlay(key, &mut out);
-        Some(out)
+        let mut out = vec![0.0; self.cfg.layout.len(key)];
+        (self.latched_read(key, &mut out) != OptRead::Absent).then_some(out)
     }
 
     /// Number of keys this node currently owns.
@@ -1167,8 +1058,8 @@ impl NodeShared {
     /// Returns `None` when the attempt must fall back to the latched
     /// path: the fast path is disabled (`ProtoConfig::wait_free_reads`
     /// off, guard-forced key, or a message-only variant), the key is
-    /// replicated and its shard holds unpropagated replica deltas, or the
-    /// retry budget ran out under writer pressure. A `Some` outcome
+    /// replicated and holds unpropagated replica deltas, or the retry
+    /// budget ran out under writer pressure. A `Some` outcome
     /// is a **validated snapshot**: the sequence number was even and
     /// unchanged across the whole observation, so the routing decision
     /// and the copied floats are exactly what a latched reader would
@@ -1221,9 +1112,8 @@ impl NodeShared {
         let cell = &self.shards[shard];
         cell.optimistic(|shard| match shard.store.read_racy(key, out) {
             Residency::Owned | Residency::Demoting => Some(OptRead::Owned),
-            // The replicated view would need the pending/in-flight
-            // overlay, whose BTreeMaps are not racy-readable.
-            Residency::Primary | Residency::Replica if cell.maybe_replica_deltas() => None,
+            // The key's replicated view adds its deltas: under the latch.
+            Residency::Primary | Residency::Replica if shard.store.has_deltas(key) => None,
             Residency::Primary | Residency::Replica => Some(OptRead::Replica),
             Residency::Absent | Residency::Incoming | Residency::Promoting => Some(OptRead::Absent),
         })
@@ -1238,17 +1128,15 @@ impl NodeShared {
     pub(crate) fn latched_read(&self, key: Key, out: &mut [f32]) -> OptRead {
         let shard = self.shard_for(key).read();
         shard.store.check_len(key, out);
-        match shard.store.residency(key) {
-            Residency::Owned | Residency::Demoting => {
-                out.copy_from_slice(shard.store.get(key).expect("owned"));
-                OptRead::Owned
+        let read = match shard.store.residency(key) {
+            Residency::Owned | Residency::Demoting => OptRead::Owned,
+            Residency::Primary | Residency::Replica => OptRead::Replica,
+            Residency::Absent | Residency::Incoming | Residency::Promoting => {
+                return OptRead::Absent
             }
-            Residency::Primary | Residency::Replica => {
-                shard.read_replicated(key, out);
-                OptRead::Replica
-            }
-            Residency::Absent | Residency::Incoming | Residency::Promoting => OptRead::Absent,
-        }
+        };
+        shard.store.read_replicated(key, out);
+        read
     }
 
     /// Whether a `localize` of `key` (of shard `shard`, its

@@ -30,8 +30,15 @@
 //! Values never travel as owned `Vec<f32>`: reads hand out borrows,
 //! installs fill the slot in place from the message block, and a hand-over
 //! *takes* the slot, copies it into the outgoing block and releases it.
+//!
+//! A replicated key's updates that have not reached its owner's values
+//! live beside its slot too (NuPS §2), in flat buffers that keep their
+//! capacity, and a per-key count of them tells a wait-free read whether
+//! the key's replicated view is its slot alone.
 
-use lapse_net::Key;
+use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
+
+use lapse_net::{Key, NodeId};
 
 use crate::layout::Layout;
 use Residency::{Absent, Demoting, Incoming, Owned, Primary, Promoting, Replica};
@@ -95,6 +102,86 @@ pub struct ShardStore {
     residency: Vec<Residency>,
     /// How many keys are `Primary` or `Replica`.
     replicated: usize,
+    /// Per key, how many deltas it has; last, how many keys have a pending
+    /// one. Read without the latch too. Empty on a shard that never replicates.
+    held: Box<[AtomicU32]>,
+    /// The deltas, from the shard's first one on.
+    log: Option<Box<DeltaLog>>,
+}
+
+/// Floats `at..at + len` of the log's buffer, shipped `to` an owner with a
+/// flush (`None` while pending).
+#[derive(Debug)]
+struct Delta {
+    key: Key,
+    at: usize,
+    len: usize,
+    to: Option<(NodeId, u64)>,
+}
+
+/// A shard's deltas, oldest first: shipped ones in flush order, then one
+/// pending per key, ascending. A replica read must never go backwards, so
+/// a delta stays until the refresh that acknowledges its flush
+/// ([`ShardStore::retire`]); a key's view is its slot plus its deltas.
+#[derive(Debug, Default)]
+struct DeltaLog {
+    deltas: Vec<Delta>,
+    vals: Vec<f32>,
+    /// What `vals` is compacted into when deltas go.
+    spare: Vec<f32>,
+}
+
+impl DeltaLog {
+    /// Removes the deltas `gone` picks, counting them off `held` (a
+    /// shard's from key `start`) and handing each pending one's floats to
+    /// `pending`. Returns how many shipped ones went.
+    fn remove(
+        &mut self,
+        (held, start): (&[AtomicU32], u64),
+        gone: impl Fn(&Delta) -> bool,
+        mut pending: impl FnMut(&[f32]),
+    ) -> u64 {
+        let (deltas, vals, spare) = (&mut self.deltas, &mut self.vals, &mut self.spare);
+        let mut shipped = 0;
+        spare.clear();
+        deltas.retain_mut(|d| {
+            let floats = &vals[d.at..d.at + d.len];
+            if !gone(d) {
+                d.at = spare.len();
+                spare.extend_from_slice(floats);
+                return true;
+            }
+            count(held, (d.key.0 - start) as usize, -1, d.to.is_none());
+            match d.to {
+                Some(_) => shipped += 1,
+                None => pending(floats),
+            }
+            false
+        });
+        if deltas.is_empty() {
+            vals.clear();
+        } else {
+            std::mem::swap(vals, spare);
+        }
+        shipped
+    }
+}
+
+/// Adds `by` to count `i`, and to the pending count if the delta is
+/// `pending`: the latch holder's side of the racy counts.
+fn count(held: &[AtomicU32], i: usize, by: i32, pending: bool) {
+    let add = |n: &AtomicU32| n.store(n.load(Relaxed).wrapping_add_signed(by), Relaxed);
+    add(&held[i]);
+    if pending {
+        add(&held[held.len() - 1]);
+    }
+}
+
+/// Adds `delta` into `dst`, float by float.
+fn add_into(dst: &mut [f32], delta: &[f32]) {
+    for (d, &x) in dst.iter_mut().zip(delta) {
+        *d += x;
+    }
 }
 
 impl ShardStore {
@@ -118,7 +205,15 @@ impl ShardStore {
             slab: vec![0.0; acc as usize],
             residency: vec![Absent; n],
             replicated: 0,
+            held: Box::default(),
+            log: None,
         }
+    }
+
+    /// Makes room for the deltas of this shard's keys, before it is shared.
+    pub(crate) fn hold_deltas(&mut self) {
+        let n = self.residency.len() + 1;
+        self.held = (0..n).map(|_| AtomicU32::new(0)).collect();
     }
 
     fn index(&self, key: Key) -> usize {
@@ -188,9 +283,7 @@ impl ShardStore {
         let range = self.range(idx);
         let dst = &mut self.slab[range];
         assert_eq!(dst.len(), delta.len(), "push length mismatch for {key}");
-        for (d, &x) in dst.iter_mut().zip(delta) {
-            *d += x;
-        }
+        add_into(dst, delta);
         true
     }
 
@@ -312,6 +405,89 @@ impl ShardStore {
         (self.keys.clone().zip(bytes.unwrap_or_default()))
             .filter(|(_, r)| r.replicated())
             .map(|(k, &r)| (Key(k), r))
+    }
+
+    /// Whether deltas of `key` are held here, pending or shipped. Also read
+    /// without the latch, where the caller's sequence check decides.
+    #[inline]
+    pub(crate) fn has_deltas(&self, key: Key) -> bool {
+        let held = self.held.get(self.index(key));
+        held.is_some_and(|n| n.load(Relaxed) > 0)
+    }
+
+    /// How many keys have a pending delta (racy like `has_deltas`).
+    #[inline]
+    pub(crate) fn pending(&self) -> usize {
+        self.held.last().map_or(0, |n| n.load(Relaxed) as usize)
+    }
+
+    /// Whether no delta is held at all (a diagnostic).
+    pub fn deltas_settled(&self) -> bool {
+        self.held.iter().all(|n| n.load(Relaxed) == 0)
+    }
+
+    /// Reads a held key's replicated view into `out`: its slot — the owned
+    /// value or the last refresh — plus its deltas, if it is replicated.
+    /// Panics if the slot holds nothing.
+    pub(crate) fn read_replicated(&self, key: Key, out: &mut [f32]) {
+        out.copy_from_slice(self.resident(key).expect("a read key is held"));
+        if let Some(log) = self.log.as_deref().filter(|_| self.has_deltas(key)) {
+            for d in log.deltas.iter().filter(|d| d.key == key) {
+                add_into(out, &log.vals[d.at..d.at + d.len]);
+            }
+        }
+    }
+
+    /// Adds a push's update terms to `key`'s pending delta: the first push
+    /// since the last flush is copied, later ones are added.
+    pub(crate) fn accumulate(&mut self, key: Key, delta: &[f32]) {
+        let idx = self.index(key);
+        let log = self.log.get_or_insert_with(Box::default);
+        let first = log.deltas.partition_point(|d| d.to.is_some());
+        match log.deltas[first..].binary_search_by_key(&key, |d| d.key) {
+            Ok(i) => {
+                let d = &log.deltas[first + i];
+                add_into(&mut log.vals[d.at..d.at + d.len], delta);
+            }
+            Err(i) => {
+                let (at, len, to) = (log.vals.len(), delta.len(), None);
+                log.deltas.insert(first + i, Delta { key, at, len, to });
+                log.vals.extend_from_slice(delta);
+                count(&self.held, idx, 1, true);
+            }
+        }
+    }
+
+    /// Ships the pending deltas, ascending by key: `ship` sends each and
+    /// names its owner. They stay until [`ShardStore::retire`] of `seq`.
+    pub(crate) fn flush_deltas(&mut self, seq: u64, mut ship: impl FnMut(Key, &[f32]) -> NodeId) {
+        if let Some(log) = self.log.as_deref_mut() {
+            for d in log.deltas.iter_mut().filter(|d| d.to.is_none()) {
+                d.to = Some((ship(d.key, &log.vals[d.at..d.at + d.len]), seq));
+            }
+            self.held[self.residency.len()].store(0, Relaxed);
+        }
+    }
+
+    /// Retires the deltas of `owner`'s flush `seq`, which its values now
+    /// include (exactly that flush: concurrent workers' flushes overtake
+    /// each other on the wire).
+    pub(crate) fn retire(&mut self, owner: NodeId, seq: u64) {
+        if let Some(log) = self.log.as_deref_mut() {
+            let gone = |d: &Delta| d.to == Some((owner, seq));
+            log.remove((&self.held, self.keys.start), gone, |_| {});
+        }
+    }
+
+    /// `key` leaves replication: its deltas go, `f` getting its slot and its
+    /// pending one. Returns how many were shipped: those are on the wire to
+    /// the home, which owns the key and applies them whatever its state.
+    pub(crate) fn drop_deltas(&mut self, key: Key, mut f: impl FnMut(&mut [f32], &[f32])) -> u64 {
+        let range = self.range(self.index(key));
+        let (slot, held) = (&mut self.slab[range], (&self.held[..], self.keys.start));
+        let gone = |d: &Delta| d.key == key;
+        let log = self.log.as_deref_mut();
+        log.map_or(0, |log| log.remove(held, gone, |vals| f(slot, vals)))
     }
 
     /// Unsynchronized (seqlock-optimistic) read of `key`'s state (`Absent`

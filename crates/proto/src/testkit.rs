@@ -394,12 +394,8 @@ impl TestCluster {
     /// flight (every replicated push has reached its owner and been
     /// acknowledged).
     pub fn replica_deltas_settled(&self) -> bool {
-        self.nodes.iter().all(|n| {
-            n.shared.shards.iter().all(|s| {
-                let s = s.read();
-                s.replica.pending.is_empty() && s.replica.in_flight.is_empty()
-            })
-        })
+        let mut shards = self.nodes.iter().flat_map(|n| &n.shared.shards);
+        shards.all(|s| s.read().store.deltas_settled())
     }
 
     /// Number of in-flight tracker operations across all nodes.

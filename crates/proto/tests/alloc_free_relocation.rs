@@ -11,8 +11,10 @@
 //! tables and tracker tables are warm.
 //!
 //! The same holds for the replicated residency of a key's slot: a node
-//! that replicates every key is built from a few blocks per shard, and a
-//! promotion broadcast installs its values without a buffer per key.
+//! that replicates every key is built from a few blocks per shard, a
+//! promotion broadcast installs its values without a buffer per key, and
+//! a replica round — pushes, a flush, the owner's refresh — keeps its
+//! deltas in buffers that outlive it.
 //!
 //! This file is a test binary of its own because it replaces the global
 //! allocator with a counting one (counts are per thread, so the test
@@ -24,13 +26,15 @@ use std::sync::Arc;
 
 use lapse_net::{Key, NodeId};
 use lapse_proto::messages::{Msg, TechniquePromoteMsg};
-use lapse_proto::testkit::TestCluster;
-use lapse_proto::{Layout, NodeShared, ProtoConfig, Variant};
+use lapse_proto::testkit::{IssueOp, TestCluster};
+use lapse_proto::{HotSet, Layout, NodeShared, ProtoConfig, Variant};
 
 struct Counting;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Fresh blocks only: `ALLOCS` without the reallocations.
+    static BLOCKS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn count_one() {
@@ -38,15 +42,20 @@ fn count_one() {
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
 }
 
+fn count_block() {
+    count_one();
+    let _ = BLOCKS.try_with(|n| n.set(n.get() + 1));
+}
+
 // SAFETY: every call is forwarded unchanged to the system allocator; the
-// counter is a plain thread-local `Cell` with no destructor.
+// counters are plain thread-local `Cell`s with no destructor.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: AllocLayout) -> *mut u8 {
-        count_one();
+        count_block();
         unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: AllocLayout) -> *mut u8 {
-        count_one();
+        count_block();
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: AllocLayout, new_size: usize) -> *mut u8 {
@@ -195,4 +204,37 @@ fn a_512_key_promotion_install_allocates_no_buffer_per_key() {
         large_allocs <= small_allocs + allowance,
         "{large_allocs} allocations for 512 keys against {small_allocs} for 32"
     );
+}
+
+/// Blocks node 1 allocates in one replica round of `keys` (homed at node
+/// 0): its pushes, its flush, the owner's refresh installed.
+fn replica_round(cluster: &mut TestCluster, keys: &[Key]) -> u64 {
+    let vals = vec![0.5; keys.len() * DIM as usize];
+    let before = BLOCKS.with(Cell::get);
+    cluster.issue(NodeId(1), 0, IssueOp::Push(keys, &vals), None);
+    cluster.flush_replicas(NodeId(1));
+    cluster.run_until_quiet();
+    BLOCKS.with(Cell::get) - before
+}
+
+/// A replicated push accumulates into its shard's delta buffers, a flush
+/// ships from them and a refresh retires them in place: once a round has
+/// grown those buffers, one of 64 keys allocates the blocks one of 4 does
+/// — its messages' — and nothing per key.
+#[test]
+fn a_64_key_replica_round_allocates_the_blocks_of_a_4_key_round() {
+    let mut c = cfg();
+    (c.variant, c.hot_set) = (Variant::Hybrid, HotSet::Prefix(64));
+    let mut cluster = TestCluster::new(c, 1);
+    let keys: Vec<Key> = (0..64).map(Key).collect();
+    replica_round(&mut cluster, &keys);
+    let small = replica_round(&mut cluster, &keys[..4]);
+    let large = replica_round(&mut cluster, &keys);
+    println!("blocks per replica round: {large} (64 keys), {small} (4 keys)");
+    assert!(cluster.replica_deltas_settled());
+    assert_eq!(
+        cluster.replica_view(NodeId(1), Key(3)),
+        Some(vec![1.5; DIM as usize])
+    );
+    assert_eq!(large, small, "blocks for 64 keys against 4");
 }

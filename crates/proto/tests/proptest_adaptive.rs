@@ -203,13 +203,7 @@ fn run_storm(nodes: u16, workers: u16, actions: &[Action], seed: u64) -> HashMap
     // Propagation rounds until no replica delta is pending or in flight
     // anywhere (a round's refresh retires the previous round's batches).
     for round in 0.. {
-        let settled = (0..nodes).all(|n| {
-            cluster.nodes[n as usize].shared.shards.iter().all(|s| {
-                let s = s.read();
-                s.replica.pending.is_empty() && s.replica.in_flight.is_empty()
-            })
-        });
-        if settled {
+        if cluster.replica_deltas_settled() {
             break;
         }
         assert!(round < 8, "replica deltas never settled");

@@ -215,13 +215,11 @@ fn run_schedule(
             if !policy_cfg.policy().replicated(key) {
                 continue;
             }
-            let shard = node.shared.shard_for(key).read();
             assert!(
-                shard.replica.pending.is_empty() && shard.replica.in_flight.is_empty(),
+                node.shared.shard_for(key).read().store.deltas_settled(),
                 "unpropagated replica deltas left on {} at quiescence",
                 node.shared.node
             );
-            drop(shard);
             if registered {
                 let view = node
                     .shared

@@ -252,13 +252,7 @@ fn run_storm(nodes: u16, workers: u16, actions: &[Action], seed: u64) {
     let mut drain_rng = derive_rng(seed, 63);
     cluster.run_random_schedule(|n| drain_rng.gen_range(0..n));
     for round in 0.. {
-        let settled = (0..nodes).all(|n| {
-            cluster.nodes[n as usize].shared.shards.iter().all(|s| {
-                let s = s.read();
-                s.replica.pending.is_empty() && s.replica.in_flight.is_empty()
-            })
-        });
-        if settled {
+        if cluster.replica_deltas_settled() {
             break;
         }
         assert!(round < 8, "replica deltas never settled");

@@ -10,7 +10,7 @@
 use lapse_net::{Key, NodeId};
 use lapse_proto::client::IssueHandle;
 use lapse_proto::testkit::{IssueOp, TestCluster};
-use lapse_proto::{Layout, ProtoConfig, Variant};
+use lapse_proto::{ConfigError, HotSet, Layout, NodeShared, ProtoConfig, Variant};
 
 const N0: NodeId = NodeId(0);
 const N1: NodeId = NodeId(1);
@@ -778,10 +778,8 @@ fn replica_reads_never_go_backwards_across_flush() {
     assert_eq!(read(&c), 1.0, "in-flight deltas stay visible");
     c.run_until_quiet();
     assert_eq!(read(&c), 1.0, "refresh retires the in-flight batch");
-    // The in-flight set is empty again after the ack.
-    let shard = c.nodes[0].shared.shard_for(k).read();
-    assert!(shard.replica.in_flight.is_empty());
-    assert!(shard.replica.pending.is_empty());
+    // No delta is left after the ack.
+    assert!(c.nodes[0].shared.shard_for(k).read().store.deltas_settled());
 }
 
 #[test]
@@ -990,4 +988,31 @@ fn owned_local_sync_pull_allocates_nothing() {
         "value-plane byte accounting"
     );
     assert_eq!(c.pending_total(), 0, "no messages for local pulls");
+}
+
+/// `HotSet::contains` binary-searches an explicit set, so a hand-built one
+/// that is not strictly ascending would miss keys and `Hybrid` would
+/// replicate the wrong set: it is refused by name, as is a key past the
+/// key space, and no node is built from it.
+#[test]
+fn an_explicit_hot_set_out_of_order_or_range_is_refused_by_name() {
+    let mut c = cfg(2, 12);
+    c.variant = Variant::Hybrid;
+    c.hot_set = HotSet::Explicit(vec![Key(9), Key(2)]);
+    assert_eq!(c.validate(), Err(ConfigError::HotSetKey(1)));
+    let build = |c: &ProtoConfig| {
+        let c = std::sync::Arc::new(c.clone());
+        std::panic::catch_unwind(|| NodeShared::new(c, NodeId(0), std::sync::Arc::new(|| 0)))
+    };
+    let msg = *build(&c).err().unwrap().downcast::<String>().unwrap();
+    assert_eq!(
+        msg,
+        "invalid ProtoConfig: hot_set entry 1 is out of order or range"
+    );
+    c.hot_set = HotSet::Explicit(vec![Key(2), Key(9), Key(12)]);
+    assert_eq!(c.validate(), Err(ConfigError::HotSetKey(2)));
+    assert!(build(&c).is_err());
+    c.hot_set = HotSet::explicit(vec![Key(9), Key(2)]);
+    assert_eq!(c.validate(), Ok(()));
+    assert!(c.hot_set.contains(Key(2)) && c.hot_set.contains(Key(9)));
 }

@@ -29,7 +29,7 @@ use lapse_proto::messages::{
 };
 use lapse_proto::server::ServerCore;
 use lapse_proto::shard::{NodeShared, OptRead};
-use lapse_proto::testkit::TestCluster;
+use lapse_proto::testkit::{IssueOp, TestCluster};
 use lapse_proto::{HotSet, Layout, ProtoConfig, SnapshotReader, SnapshotTier, Variant};
 
 const DIM: usize = 64;
@@ -404,6 +404,36 @@ fn an_adaptive_reader_sees_what_the_home_sent_or_nothing_across_promote_and_demo
         }
         wait_free_reads > 0 && wait_free_replicas > 0
     });
+}
+
+/// A key's deltas are its own, not its shard's: beside a pushed replica, the
+/// other replica of the shard is still read wait-free, and the pushed one
+/// goes to the latch only until the owner has acknowledged its flush.
+#[test]
+fn only_the_replica_with_deltas_leaves_the_wait_free_path() {
+    let mut c = cfg();
+    (c.nodes, c.variant, c.hot_set, c.latches) = (2, Variant::Hybrid, HotSet::Prefix(2), 1);
+    let (mut cluster, node, pushed, other) = (TestCluster::new(c, 1), NodeId(1), Key(0), Key(1));
+    let shared = cluster.nodes[1].shared.clone();
+    let cell = shared.shard_for(pushed);
+    assert!(std::ptr::eq(cell, shared.shard_for(other)), "one shard");
+    cluster.issue(node, 0, IssueOp::Push(&[pushed], &[1.0; DIM]), None);
+    let mut buf = vec![0.0f32; DIM];
+    let read = |key: Key, buf: &mut [f32]| shared.try_optimistic_read(key, false, buf);
+    for stage in ["pending", "in flight"] {
+        let generation = cell.generation();
+        assert_eq!(read(other, &mut buf), Some(OptRead::Replica), "{stage}");
+        assert_eq!(cell.generation(), generation, "{stage}: the read wrote");
+        assert_eq!(read(pushed, &mut buf), None, "{stage}");
+        cluster.flush_replicas(node);
+    }
+    cluster.run_until_quiet();
+    assert_eq!(
+        read(pushed, &mut buf),
+        Some(OptRead::Replica),
+        "acknowledged"
+    );
+    assert_eq!(buf, vec![1.0; DIM]);
 }
 
 /// The panic message of `f`, which must panic.
