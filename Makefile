@@ -1,8 +1,9 @@
 # Developer/CI entry points for the lapse workspace.
 #
 # The tier-1 verify is `make build && make test` (same commands CI runs);
-# `make ci` additionally checks formatting, clippy, the workspace
-# invariants, the API docs, and that every bench target compiles.
+# `make ci` additionally checks formatting, clippy (which carries the
+# determinism bans), the config-borrow rule, the API docs, and that every
+# bench target compiles.
 
 CARGO ?= cargo
 
@@ -113,13 +114,15 @@ fmt:
 fmt-check:
 	$(CARGO) fmt --check
 
+## Clippy with warnings denied. `crates/proto/clippy.toml` (linked from
+## sim, core and net) bans wall-clock reads, timed stalls, entropy seeds
+## and std's hash maps there: the determinism rules of DESIGN.md §6
+## "Static invariants".
 clippy:
 	$(CARGO) clippy --all-targets -- -D warnings
 
-## Run the workspace invariant checker (determinism, lock discipline,
-## batch-envelope construction sites — see DESIGN.md "Static invariants").
+## The one source rule no type or clippy setting expresses (DESIGN.md §6).
 lint-check:
-	$(CARGO) run --release -q -p lapse-lint -- check
 	@# The one cluster-wide `Arc<ProtoConfig>` is borrowed on operation
 	@# paths, never cloned: its strong count sits on the line every
 	@# operation of every node reads (DESIGN.md §7, "Who writes which line").

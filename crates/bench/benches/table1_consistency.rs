@@ -11,7 +11,7 @@
 //! staleness behaviour that costs it sequential consistency.
 
 use rand::Rng;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use lapse_bench::banner;
 use lapse_core::CostModel;
@@ -117,7 +117,7 @@ fn fuzz(cfg_of: impl Fn() -> ProtoConfig, sync: bool) -> Outcome {
                 _ => {}
             }
         }
-        let mut finals = HashMap::new();
+        let mut finals = BTreeMap::new();
         for k in 0..KEYS {
             finals.insert(Key(k), cluster.value_of(Key(k))[0] as f64);
         }

@@ -305,7 +305,10 @@ where
     proto.snapshot_reads = true;
     proto.trace = cfg.trace.unwrap_or(false) || trace_enabled_by_env();
     let proto = Arc::new(proto);
-    // lint:allow(wall-clock, threaded backend timestamps real elapsed time; it never feeds message contents or ordering)
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "threaded backend timestamps real elapsed time; it never feeds message contents or ordering"
+    )]
     let start = Instant::now();
     let clock: ClockFn = Arc::new(move || start.elapsed().as_nanos() as u64);
     let recorder = build_recorder(proto.trace, &clock);

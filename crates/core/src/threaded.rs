@@ -113,7 +113,10 @@ impl WakeCell {
             counts.immediate.add(1);
             return;
         }
-        // lint:allow(wall-clock, bounds the spin stage and times the wait for a statistic; it never feeds message contents or ordering)
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "bounds the spin stage and times the wait for a statistic; it never feeds message contents or ordering"
+        )]
         let start = Instant::now();
         loop {
             std::hint::spin_loop();
@@ -532,6 +535,10 @@ pub(crate) fn spawn_server(dispatch: Arc<Dispatch>, node: NodeId) -> JoinHandle<
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "test module: the hammer's delays are wall-clock spins on purpose"
+)]
 mod tests {
     use super::*;
 

@@ -15,6 +15,11 @@
 //!   are finished by whoever held the role and the issuer waits for it:
 //!   exact sums, nothing left queued, every wait counted once.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a test file: the determinism bans guard the crate's protocol paths, not the tests that drive them"
+)]
+
 mod common;
 
 use std::sync::atomic::Ordering::{Relaxed, SeqCst};

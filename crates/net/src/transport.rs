@@ -117,7 +117,10 @@ impl<M: Send + WireSize + 'static> ThreadedNet<M> {
                                 // this link even with varying delays.
                                 for (incoming, d) in rx.iter() {
                                     if !d.is_zero() {
-                                        // lint:allow(thread-sleep, fault-injection delay helper; opt-in test-only path that exists to stall on purpose)
+                                        #[allow(
+                                            clippy::disallowed_methods,
+                                            reason = "fault-injection delay helper; opt-in test-only path that exists to stall on purpose"
+                                        )]
                                         std::thread::sleep(d);
                                     }
                                     if out.send(incoming).is_err() {

@@ -20,12 +20,13 @@
 //! `table_adaptive` smoke diff).
 
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 
 use lapse_net::Key;
 
 use crate::config::AdaptiveConfig;
+use crate::keymap::KeyMap;
 
 /// One tracked key of the space-saving sketch.
 #[derive(Debug, Clone, Copy)]
@@ -47,7 +48,7 @@ pub struct SpaceSaving {
     capacity: usize,
     counters: Vec<Counter>,
     /// Key → index into `counters`.
-    index: HashMap<Key, usize>,
+    index: KeyMap<Key, usize>,
 }
 
 impl SpaceSaving {
@@ -57,7 +58,7 @@ impl SpaceSaving {
         SpaceSaving {
             capacity,
             counters: Vec::with_capacity(capacity),
-            index: HashMap::with_capacity(capacity),
+            index: KeyMap::with_capacity(capacity),
         }
     }
 

@@ -330,11 +330,9 @@ impl ClientCore {
         {
             // At most one guard-map lock per operation, and none while the
             // count says the map is empty (module doc: reading zero is
-            // safe). It is released before the walk: a completion takes
-            // latch → tracker → guard map, so the map must never be held
-            // while a latch is waited for. Under it the adaptive sketch
-            // (`AdaptiveShared::inner`) is a leaf lock — nothing acquires
-            // the guard map or a latch while holding it.
+            // safe). It is released before the walk: the lock order is
+            // latch → tracker → guard map (`tracker` module doc), and
+            // under it the adaptive sketch is a leaf.
             let g = (guard.keys() > 0).then(|| guard.lock());
             for &k in keys {
                 let len = cfg.layout.len(k) as u32;

@@ -9,11 +9,12 @@
 //! what it was — and wraps runs of two or more into
 //! [`Msg::Batch`] envelopes, cut at the configured count/byte caps.
 //!
-//! This module is the **only** place that constructs `Msg::Batch`
-//! (enforced by lapse-lint's batch-nesting pass): with a single
-//! construction site that packs already-flat sink messages, a nested
-//! batch cannot be built by construction, which is what lets the decoder
-//! reject tag 15 inside a batch unconditionally.
+//! This module is the only place in the crates that constructs
+//! `Msg::Batch`, and it packs already-flat sink messages. A nested batch
+//! is refused wherever one could show: debug builds check each message
+//! [`Coalescer::pack`] packs and each one the server's burst and the
+//! threaded ingest unwrap, the encoder panics on one in every profile,
+//! and the decoder rejects tag 15 inside a batch unconditionally.
 //!
 //! The simulator never coalesces: its cost model charges per message and
 //! its schedules must stay bit-identical (`run_sim` clears

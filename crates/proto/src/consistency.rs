@@ -23,7 +23,7 @@
 //! * **Read your writes** — a worker's read must be at least the sum of
 //!   its own earlier pushes to that key (client-centric consistency).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use lapse_net::{Key, WorkerId};
 
@@ -83,9 +83,8 @@ const EPS: f64 = 1e-3;
 /// Checks that every final value equals the sum of all pushes to its key
 /// (no lost updates). `finals` maps keys to final values; keys never
 /// pushed may be omitted.
-pub fn check_no_lost_updates(finals: &HashMap<Key, f64>, logs: &[WorkerLog]) -> Vec<Violation> {
-    // BTreeMap: violations are reported in key order, independent of
-    // hasher state.
+pub fn check_no_lost_updates(finals: &BTreeMap<Key, f64>, logs: &[WorkerLog]) -> Vec<Violation> {
+    // Violations are reported in key order.
     let mut sums: BTreeMap<Key, f64> = BTreeMap::new();
     for log in logs {
         for &(key, ev) in &log.events {
@@ -113,7 +112,7 @@ pub fn check_no_lost_updates(finals: &HashMap<Key, f64>, logs: &[WorkerLog]) -> 
 pub fn check_monotonic_reads(logs: &[WorkerLog]) -> Vec<Violation> {
     let mut violations = Vec::new();
     for log in logs {
-        let mut last_read: HashMap<Key, f64> = HashMap::new();
+        let mut last_read: BTreeMap<Key, f64> = BTreeMap::new();
         for &(key, ev) in &log.events {
             match ev {
                 LogEvent::Push(delta) => {
@@ -143,7 +142,7 @@ pub fn check_monotonic_reads(logs: &[WorkerLog]) -> Vec<Violation> {
 pub fn check_read_your_writes(logs: &[WorkerLog]) -> Vec<Violation> {
     let mut violations = Vec::new();
     for log in logs {
-        let mut own: HashMap<Key, f64> = HashMap::new();
+        let mut own: BTreeMap<Key, f64> = BTreeMap::new();
         for &(key, ev) in &log.events {
             match ev {
                 LogEvent::Push(delta) => {
@@ -181,7 +180,7 @@ mod tests {
         a.push(Key(1), 2.0);
         let mut b = WorkerLog::new(w(1));
         b.push(Key(1), 3.0);
-        let mut finals = HashMap::new();
+        let mut finals = BTreeMap::new();
         finals.insert(Key(1), 5.0);
         assert!(check_no_lost_updates(&finals, &[a.clone(), b.clone()]).is_empty());
         finals.insert(Key(1), 4.0); // lost one update

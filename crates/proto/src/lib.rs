@@ -43,6 +43,7 @@
 //! * [`adaptive`] — online access statistics (space-saving sketch) and
 //!   the controller that drives runtime technique transitions under
 //!   [`Variant::Adaptive`](config::Variant).
+//! * [`keymap`] — the lookup-only hash map the protocol state keys by.
 //! * [`consistency`] — sequential-consistency witnesses used by tests and
 //!   the Table 1 experiment.
 //! * [`strategies`] — the four location-management strategies of Table 3
@@ -54,6 +55,7 @@ pub mod coalesce;
 pub mod config;
 pub mod consistency;
 pub mod group;
+pub mod keymap;
 pub mod layout;
 pub mod messages;
 pub mod server;

@@ -425,7 +425,7 @@ macro_rules! wire_messages {
                         put_u8(buf, $batch_tag);
                         put_u32(buf, msgs.len() as u32);
                         for m in msgs {
-                            debug_assert!(
+                            assert!(
                                 !matches!(m, Msg::Batch(_)),
                                 "batch envelopes must not nest"
                             );

@@ -46,7 +46,7 @@
 //! All batching uses insertion-ordered maps so message emission order is
 //! deterministic and re-dispatched operations keep their arrival order.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
@@ -56,6 +56,7 @@ use lapse_trace::{EventKind, Recorder, Ring, ACTOR_SERVER};
 use crate::client::MsgSink;
 use crate::config::ProtoConfig;
 use crate::group::OrderedGroups;
+use crate::keymap::KeyMap;
 use crate::messages::{
     HandOverMsg, LocalizeReqMsg, Msg, OpId, OpKind, OpMsg, OpRespMsg, RelocateMsg, ReplicaPushMsg,
     ReplicaRefreshMsg, ReplicaRegMsg, TechniqueDemoteAckMsg, TechniqueDemoteMsg,
@@ -426,16 +427,16 @@ pub struct ServerCore {
     replica_round: u64,
     /// Last refresh round received per owner; per-link FIFO makes the
     /// sequence strictly increasing (asserted in debug builds).
-    replica_rounds_in: HashMap<NodeId, u64>,
+    replica_rounds_in: KeyMap<NodeId, u64>,
     /// Technique-transition epoch of this home (adaptive management),
     /// bumped per promotion/demotion broadcast.
     tech_epoch: u64,
     /// Last transition epoch seen per coordinating home; per-link FIFO
     /// makes the sequence strictly increasing (the fencing witness,
     /// asserted in debug builds).
-    tech_epochs_in: HashMap<NodeId, u64>,
+    tech_epochs_in: KeyMap<NodeId, u64>,
     /// Draining demotion batches by epoch.
-    demote_draining: HashMap<u64, DemoteDrain>,
+    demote_draining: KeyMap<u64, DemoteDrain>,
     /// What the queue drains of the message being handled owe.
     scratch: ServerScratch,
     /// Flight-recorder lane for this server thread (`None` when tracing
@@ -482,10 +483,10 @@ impl ServerCore {
             owner,
             replica_subs: Vec::new(),
             replica_round: 0,
-            replica_rounds_in: HashMap::new(),
+            replica_rounds_in: KeyMap::default(),
             tech_epoch: 0,
-            tech_epochs_in: HashMap::new(),
-            demote_draining: HashMap::new(),
+            tech_epochs_in: KeyMap::default(),
+            demote_draining: KeyMap::default(),
             scratch: ServerScratch::default(),
             tracer,
         }
@@ -1478,7 +1479,7 @@ impl ServerCore {
 /// Records `seq` as the latest of `from`'s refresh rounds or transition
 /// epochs, which per-link FIFO keeps strictly increasing (asserted in debug
 /// builds: a violation means a stale message could overwrite a newer one).
-fn fence(last: &mut HashMap<NodeId, u64>, from: NodeId, seq: u64, what: &str) {
+fn fence(last: &mut KeyMap<NodeId, u64>, from: NodeId, seq: u64, what: &str) {
     let prev = last.insert(from, seq).unwrap_or(0);
     debug_assert!(seq > prev, "{what} {seq} from {from} after {prev}");
 }

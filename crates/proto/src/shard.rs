@@ -39,8 +39,7 @@
 
 use parking_lot::Mutex;
 use std::cell::UnsafeCell;
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -50,10 +49,11 @@ use lapse_trace::{EventKind, Recorder, Ring, ACTOR_LATCH};
 
 use crate::adaptive::AdaptiveShared;
 use crate::config::{ProtoConfig, Variant};
+use crate::keymap::{Entry, KeyMap};
 use crate::messages::{OpId, OpKind};
 use crate::serving::ServingState;
 use crate::storage::{Residency, ShardStore};
-use crate::tracker::{ClockFn, OpTracker};
+use crate::tracker::{ClockFn, OpTracker, GUARDS_HELD};
 
 /// Optimistic-read retry budget before falling back to the latch.
 const SEQLOCK_RETRIES: usize = 4;
@@ -152,9 +152,9 @@ pub struct Shard {
     pub store: ShardStore,
     /// The parked work of exactly the `Incoming` and `Promoting` keys:
     /// only the transitions below, which set the key's byte too, touch it.
-    incoming: HashMap<Key, IncomingState>,
+    incoming: KeyMap<Key, IncomingState>,
     /// Location cache (used only when `ProtoConfig::location_caches`).
-    pub loc_cache: HashMap<Key, NodeId>,
+    pub loc_cache: KeyMap<Key, NodeId>,
     /// The transition bookkeeping of exactly the `Demoting` keys and the
     /// `Primary` keys with votes: only the transitions below touch it.
     transit: BTreeMap<Key, Transit>,
@@ -529,6 +529,10 @@ impl ShardCell {
     /// latch-wait event is recorded — traces stay bit-deterministic.
     #[inline]
     fn lock(&self, bits: u64) -> u64 {
+        debug_assert!(
+            GUARDS_HELD.get() == 0,
+            "lock order is latch → tracker shard → guard map: a shard latch under a guard map"
+        );
         let s = self.seq.load(Ordering::Relaxed);
         if s & LOCKED == 0
             && self
@@ -908,8 +912,8 @@ impl NodeShared {
             let (start, end) = cfg.shard_range(s);
             let mut shard = Shard {
                 store: ShardStore::dense(&cfg.layout, start, end),
-                incoming: HashMap::new(),
-                loc_cache: HashMap::new(),
+                incoming: KeyMap::default(),
+                loc_cache: KeyMap::default(),
                 transit: BTreeMap::new(),
             };
             // Initially every key is owned by its home node (Section 3.5),

@@ -25,11 +25,10 @@
 //! * **location caching** — [`Policy::note_owner`] centralizes the
 //!   piggybacked cache refreshes of Section 3.3.
 
-use std::collections::HashMap;
-
 use lapse_net::{Key, NodeId};
 
 use crate::config::{ProtoConfig, Variant};
+use crate::keymap::KeyMap;
 use crate::shard::{AccessLane, Shard};
 use crate::storage::Residency::{Absent, Demoting, Incoming, Owned, Primary, Promoting, Replica};
 
@@ -172,7 +171,7 @@ impl<'c> Policy<'c> {
     pub fn remote_dst(
         &self,
         key: Key,
-        loc_cache: &HashMap<Key, NodeId>,
+        loc_cache: &KeyMap<Key, NodeId>,
         forced: bool,
         lane: &AccessLane,
     ) -> NodeId {

@@ -11,14 +11,21 @@
 //! The tracker also measures **relocation times** (the paper's definition,
 //! Section 3.2: from issuing `localize` until the new owner starts
 //! answering operations locally, i.e. until the hand-over completed).
+//!
+//! **Lock order: shard latch → tracker shard → guard map**, the adaptive
+//! sketch a leaf (DESIGN.md §6). Debug builds count the guard maps each
+//! thread holds (`GUARDS_HELD`); taking a tracker shard or a latch
+//! asserts the count is zero.
 
 use parking_lot::{Mutex, MutexGuard};
-use std::collections::HashMap;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use lapse_net::{Key, ValueBlock};
 use lapse_utils::stats::LogHistogram;
+
+use crate::keymap::{Entry, KeyMap};
 
 /// What kind of operation an entry tracks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,13 +58,13 @@ pub struct GuardMap(Arc<Guards>);
 struct Guards {
     /// Keys in `map`, as of the last change under its lock.
     keys: AtomicUsize,
-    map: Mutex<HashMap<Key, u32>>,
+    map: Mutex<KeyMap<Key, u32>>,
 }
 
 /// A [`GuardMap`] under its lock.
 pub(crate) struct GuardsHeld<'a> {
     keys: &'a AtomicUsize,
-    map: MutexGuard<'a, HashMap<Key, u32>>,
+    map: MutexGuard<'a, KeyMap<Key, u32>>,
 }
 
 impl GuardMap {
@@ -75,10 +82,21 @@ impl GuardMap {
 
     /// Locks the map.
     pub(crate) fn lock(&self) -> GuardsHeld<'_> {
+        #[cfg(test)]
+        LOCKS_TAKEN.set(LOCKS_TAKEN.get() + 1);
+        #[cfg(debug_assertions)]
+        GUARDS_HELD.set(GUARDS_HELD.get() + 1);
         GuardsHeld {
             keys: &self.0.keys,
             map: self.0.map.lock(),
         }
+    }
+}
+
+#[cfg(debug_assertions)]
+impl Drop for GuardsHeld<'_> {
+    fn drop(&mut self) {
+        GUARDS_HELD.set(GUARDS_HELD.get() - 1);
     }
 }
 
@@ -159,7 +177,7 @@ struct OpState {
     /// order (keys may legitimately repeat within one operation; a chain
     /// instead of a queue per key, so registering allocates nothing per
     /// key).
-    by_key: HashMap<Key, (u32, u32)>,
+    by_key: KeyMap<Key, (u32, u32)>,
     /// Guard map of the issuing worker, decremented as remote keys
     /// complete.
     guard: Option<GuardMap>,
@@ -183,10 +201,10 @@ impl OpState {
         let idx = self.dests.len() as u32;
         self.dests.push(dest);
         match self.by_key.entry(key) {
-            std::collections::hash_map::Entry::Vacant(e) => {
+            Entry::Vacant(e) => {
                 e.insert((idx, idx));
             }
-            std::collections::hash_map::Entry::Occupied(mut e) => {
+            Entry::Occupied(mut e) => {
                 let (head, tail) = e.get_mut();
                 if *head == NO_DEST {
                     *head = idx;
@@ -216,7 +234,7 @@ pub type WakeFn = Arc<dyn Fn(u16, u64) + Send + Sync>;
 /// Clock used for relocation timing (virtual in the simulator).
 pub type ClockFn = Arc<dyn Fn() -> u64 + Send + Sync>;
 
-type OpMap = HashMap<u64, OpState>;
+type OpMap = KeyMap<u64, OpState>;
 
 /// The per-node operation tracker.
 pub struct OpTracker {
@@ -233,16 +251,18 @@ pub struct OpTracker {
     /// ([`OpTracker::note_counted`]). All zero when the operation is done,
     /// or a key was completed that was never registered (or twice).
     #[cfg(debug_assertions)]
-    counted_keys: Mutex<HashMap<u64, HashMap<Key, i32>>>,
+    counted_keys: Mutex<KeyMap<u64, KeyMap<Key, i32>>>,
 }
 
 const TRACKER_SHARDS: usize = 16;
 
-#[cfg(test)]
 thread_local! {
-    /// Tracker lock acquisitions of the current thread (tests count them
-    /// around a protocol round; the debug-only `note_counted` is not one).
-    pub(crate) static LOCKS_TAKEN: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Live [`GuardsHeld`] of the current thread (debug builds, module doc).
+    pub(crate) static GUARDS_HELD: Cell<u32> = const { Cell::new(0) };
+    /// Tracker and guard-map lock acquisitions of the current thread (tests
+    /// count them per protocol round; `note_counted`'s debug lock is not one).
+    #[cfg(test)]
+    pub(crate) static LOCKS_TAKEN: Cell<u64> = const { Cell::new(0) };
 }
 
 impl OpTracker {
@@ -251,14 +271,14 @@ impl OpTracker {
         OpTracker {
             next_seq: AtomicU64::new(1),
             shards: (0..TRACKER_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
+                .map(|_| Mutex::new(KeyMap::default()))
                 .collect(),
             waker: OnceLock::new(),
             clock,
             // 1 µs .. ~18 s in 5%-wide buckets.
             reloc_times: Mutex::new(LogHistogram::new(1_000.0, 1.05, 360)),
             #[cfg(debug_assertions)]
-            counted_keys: Mutex::new(HashMap::new()),
+            counted_keys: Mutex::new(KeyMap::default()),
         }
     }
 
@@ -275,8 +295,12 @@ impl OpTracker {
 
     /// Locks the tracker shard of operation `seq`.
     fn lock(&self, seq: u64) -> MutexGuard<'_, OpMap> {
+        debug_assert!(
+            GUARDS_HELD.get() == 0,
+            "lock order is latch → tracker shard → guard map: a tracker shard under a guard map"
+        );
         #[cfg(test)]
-        LOCKS_TAKEN.with(|n| n.set(n.get() + 1));
+        LOCKS_TAKEN.set(LOCKS_TAKEN.get() + 1);
         self.shards[(seq % TRACKER_SHARDS as u64) as usize].lock()
     }
 
@@ -296,7 +320,7 @@ impl OpTracker {
             abandoned: false,
             result: Vec::new(),
             dests: Vec::new(),
-            by_key: HashMap::new(),
+            by_key: KeyMap::default(),
             guard,
             issued_ns: (self.clock)(),
         };
@@ -556,7 +580,7 @@ impl OpTracker {
         if let Some(keys) = self.counted_keys.lock().remove(&seq) {
             assert!(
                 keys.is_empty(),
-                "op {seq} done with unbalanced counted keys (registered − completed): {keys:?}"
+                "op {seq} done with unbalanced counted keys: {keys:?}"
             );
         }
         #[cfg(not(debug_assertions))]
@@ -624,6 +648,8 @@ impl OpTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{testkit::TestCluster, Layout, NodeShared, ProtoConfig};
+    use lapse_net::NodeId;
     use std::sync::atomic::AtomicUsize;
 
     fn tracker() -> OpTracker {
@@ -979,30 +1005,56 @@ mod tests {
         t.set_waker(Arc::new(|_, _| {}));
     }
 
-    /// Tracker locks this thread takes for one three-node localize round
-    /// of `keys` (requester 0, old owner 1, home 2), `is_done` and
-    /// `discard` of the hand-cranked driver included.
-    fn locks_of_round(cluster: &mut crate::testkit::TestCluster, keys: &[Key]) -> u64 {
-        use lapse_net::NodeId;
-        cluster.localize_now(NodeId(1), 0, keys);
-        let before = LOCKS_TAKEN.with(|n| n.get());
-        cluster.localize_now(NodeId(0), 0, keys);
-        LOCKS_TAKEN.with(|n| n.get()) - before
+    /// Tracker-shard and guard-map locks this thread takes for `round` of
+    /// 512 and of 32 keys homed and owned at node 2 of three.
+    fn locks_of(round: impl Fn(&mut TestCluster, &[Key])) -> [u64; 2] {
+        let mut cluster = TestCluster::new(ProtoConfig::new(3, 6144, Layout::Uniform(16)), 1);
+        let keys: Vec<Key> = (0..512).map(|i| Key(2 * 2048 + 4 * i)).collect();
+        [&keys[..], &keys[..32]].map(|keys| {
+            let before = LOCKS_TAKEN.get();
+            round(&mut cluster, keys);
+            LOCKS_TAKEN.get() - before
+        })
     }
 
     #[test]
     fn a_localize_round_locks_the_tracker_per_message_not_per_key() {
-        use crate::config::ProtoConfig;
-        use crate::layout::Layout;
-        let mut cfg = ProtoConfig::new(3, 3 * 2048, Layout::Uniform(16));
-        cfg.wait_free_reads = true;
-        let mut cluster = crate::testkit::TestCluster::new(cfg, 1);
-        let keys: Vec<Key> = (0..512).map(|i| Key(2 * 2048 + 4 * i)).collect();
-        let large = locks_of_round(&mut cluster, &keys);
-        let small = locks_of_round(&mut cluster, &keys[..32]);
-        // begin, seal, one completion for the one hand-over message, the
-        // driver's is_done and discard.
-        assert_eq!(large, 5, "tracker locks of a 512-key round");
-        assert_eq!(small, large, "the count does not depend on the keys");
+        // Per localize: begin, seal, one completion for the one hand-over,
+        // the harness's is_done and discard; localize keys have no guard.
+        let locks = locks_of(|c, keys| {
+            c.localize_now(NodeId(1), 0, keys);
+            c.localize_now(NodeId(0), 0, keys);
+        });
+        assert_eq!(locks, [10, 10], "rounds of 512 and of 32 keys");
+    }
+
+    #[test]
+    fn a_remote_pull_or_push_round_locks_per_message_not_per_key() {
+        // begin, add_keys, seal, one completion for the one response, the
+        // harness's is_done and take or discard; guard map in and out.
+        let pull = locks_of(|c, keys| drop(c.pull_now(NodeId(0), 0, keys)));
+        let push = locks_of(|c, keys| c.push_now(NodeId(0), 0, keys, &vec![1.0; 16 * keys.len()]));
+        assert_eq!(pull, [8, 8], "pull rounds of 512 and of 32 keys");
+        assert_eq!(push, [8, 8], "push rounds of 512 and of 32 keys");
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "lock order is latch → tracker shard → guard map")]
+    fn a_tracker_shard_under_a_guard_map_breaks_the_lock_order() {
+        let guard = GuardMap::new();
+        let _held = guard.lock();
+        tracker().begin(TrackedKind::Pull, 0, None);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "lock order is latch → tracker shard → guard map")]
+    fn a_shard_latch_under_a_guard_map_breaks_the_lock_order() {
+        let cfg = Arc::new(ProtoConfig::new(1, 4, Layout::Uniform(1)));
+        let node = NodeShared::new(cfg, NodeId(0), Arc::new(|| 0));
+        let guard = GuardMap::new();
+        let _held = guard.lock();
+        let _latch = node.shard_for(Key(0)).write();
     }
 }

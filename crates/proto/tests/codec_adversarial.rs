@@ -362,6 +362,13 @@ fn nested_batch_is_rejected_without_recursing() {
 }
 
 #[test]
+#[should_panic(expected = "batch envelopes must not nest")]
+fn encoding_a_nested_batch_panics() {
+    // The encoder's side of the refusal above, in every profile.
+    encode(&Msg::Batch(vec![Msg::Batch(vec![])]));
+}
+
+#[test]
 fn deep_nesting_bomb_does_not_overflow_the_stack() {
     // 10k levels of [15, count=1, ...]: the nesting check turns what
     // would be unbounded recursion into an error at depth one.

@@ -9,6 +9,11 @@
 //! acquire/release pairing without meeting the optimistic path's benign
 //! races (`make tsan`).
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a test file: the determinism bans guard the crate's protocol paths, not the tests that drive them"
+)]
+
 use std::sync::{Arc, Barrier};
 
 use lapse_net::{Key, NodeId};

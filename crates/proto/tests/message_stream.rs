@@ -26,6 +26,11 @@
 //! what goes over the wire or who wakes first: that is a protocol change
 //! and needs the smoke outputs re-examined, not just a new constant.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "a test file: the determinism bans guard the crate's protocol paths, not the tests that drive them"
+)]
+
 use rand::Rng as _;
 use std::collections::HashMap;
 

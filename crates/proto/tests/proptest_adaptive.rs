@@ -17,6 +17,11 @@
 //! * the transition machinery is idle (no stuck promotion, drain, or
 //!   deferred localize).
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "a test file: the determinism bans guard the crate's protocol paths, not the tests that drive them"
+)]
+
 use proptest::prelude::*;
 use rand::Rng as _;
 use std::collections::HashMap;

@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 use rand::Rng as _;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use lapse_net::{Key, NodeId, WorkerId};
 use lapse_proto::client::IssueHandle;
@@ -82,7 +82,7 @@ fn run_schedule(
     workers: u16,
     actions: &[Action],
     seed: u64,
-) -> (HashMap<Key, f64>, Vec<WorkerLog>) {
+) -> (BTreeMap<Key, f64>, Vec<WorkerLog>) {
     cfg.latches = 8;
     let keys = cfg.keys;
     let nodes = cfg.nodes;
@@ -237,7 +237,7 @@ fn run_schedule(
         }
     }
 
-    let mut finals = HashMap::new();
+    let mut finals = BTreeMap::new();
     for k in 0..keys {
         let v = cluster.value_of(Key(k));
         finals.insert(Key(k), v[0] as f64);

@@ -19,6 +19,11 @@
 //! * **quiescent agreement**: once traffic drains and replica deltas
 //!   settle, a snapshot read on the owner node equals the owner value.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "a test file: the determinism bans guard the crate's protocol paths, not the tests that drive them"
+)]
+
 use proptest::prelude::*;
 use rand::Rng as _;
 use std::collections::HashMap;

@@ -18,6 +18,11 @@
 //! halves are pinned for it: against a server installing refreshes
 //! (Hybrid), and against one promoting and demoting the key (Adaptive).
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a test file: the determinism bans guard the crate's protocol paths, not the tests that drive them"
+)]
+
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};

@@ -1,5 +1,10 @@
 //! Simulator behaviour tests, using a minimal counter protocol.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a test file: the determinism bans guard the crate's protocol paths, not the tests that drive them"
+)]
+
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -37,6 +37,7 @@ for dir in src $(list crates | sed -nE 's|^(crates/[^/]+)/src/.*|\1/src|p' | sor
     total=$((total + lines))
 done
 printf '%-18s %7d\n' total "$total"
+printf '%-18s %7d\n' clippy.toml "$(show crates/proto/clippy.toml 2>/dev/null | wc -l)"
 
 echo
 echo "== pub fields"
