@@ -135,9 +135,11 @@ lint: fmt-check clippy lint-check
 ## Best-effort ThreadSanitizer pass over the threaded-backend tests.
 ## Requires a nightly toolchain with rust-src; skipped gracefully when
 ## unavailable (the container pins stable). LAPSE_NO_SEQLOCK=1 disables
-## the wait-free read path: its volatile racy reads are benign by the
-## seqlock argument (DESIGN.md §7) but are exactly what tsan reports, so
-## the sanitizer pass exercises the latched configuration. `-p lapse-core`
+## the wait-free read path — the pull walk, `pull_if_local` and snapshot
+## reads alike (`crates/core/tests/exact_counts.rs` checks the last): its
+## volatile racy reads are benign by the seqlock argument (DESIGN.md §7)
+## but are exactly what tsan reports, so the sanitizer pass exercises the
+## latched configuration. `-p lapse-core`
 ## covers the dispatch tests (crates/core/tests/dispatch.rs: role
 ## hand-off race, oversubscribed stress) and the WakeCell hammer.
 ## `-p lapse-proto --test latch` takes shard guards only and never reads

@@ -17,12 +17,13 @@
 //!
 //! * **protocol** — `PsWorker::pull` on the single key: the training
 //!   path with its issue machinery, latches/tracker where needed.
-//! * **snapshot** — [`SnapshotReader::read`]: the epoch-versioned
-//!   wait-free plane (no latch, no tracker, no message).
+//! * **snapshot** — [`SnapshotReader::read`]: the node's one local read,
+//!   pinned to a serving epoch (a seqlock copy, no tracker, no message).
 //!
 //! Reported per variant and mode: achieved request rate, latency
 //! p50/p99/p999 from a fixed-bucket histogram, and the serving counters
-//! (snapshot reads / stale waits / latched fallbacks).
+//! (wait-free snapshot reads / latched fallbacks). The smoke line still
+//! prints `ClusterStats::snapshot_stale_waits`, always 0.
 //!
 //! With `LAPSE_SMOKE` set, timing is skipped and a deterministic
 //! fixed-schedule run prints schedule-independent counters only (op
@@ -313,7 +314,7 @@ fn main() {
         "micro_serving — open-loop serving latency while training",
         &[
             "variant", "mode", "kreq/s", "p50 ns", "p99 ns", "p999 ns", "late%", "snapshot",
-            "stale", "fallback",
+            "fallback",
         ],
     );
     let mut classic_ratio = None;
@@ -337,7 +338,6 @@ fn main() {
                 format!("{}", r.hist.p999()),
                 format!("{:.1}", r.late_pct),
                 format!("{}", r.stats.snapshot_reads),
-                format!("{}", r.stats.snapshot_stale_waits),
                 format!("{}", r.stats.snapshot_fallbacks),
             ]);
         }
@@ -353,7 +353,7 @@ fn main() {
         println!(
             "shared-memory fast path (Lapse pull) vs snapshot serving: {ratio:.2}x p50 \
              — the snapshot plane strips the issue machinery down to a seqlock copy \
-             and adds epoch pinning with bounded replica staleness"
+             and adds epoch pinning"
         );
     }
 }

@@ -27,7 +27,8 @@ use crate::worker::Worker;
 pub struct PsConfig {
     /// The underlying protocol configuration.
     pub proto: ProtoConfig,
-    /// Seqlock read fast path: `None` leaves it on (both backends: the
+    /// Seqlock read fast path, of every local read (pulls, `pull_if_local`,
+    /// snapshot reads): `None` leaves it on (both backends: the
     /// simulator runs one task at a time, so every optimistic read
     /// validates first time and serves what the latched route would),
     /// `Some(v)` forces it. The `LAPSE_NO_SEQLOCK` environment variable
@@ -128,9 +129,11 @@ impl PsConfig {
     }
 }
 
-/// `LAPSE_NO_SEQLOCK=1` disables the wait-free read path everywhere:
-/// ThreadSanitizer cannot reason about seqlocks (intentional benign
-/// races), and the contended benchmark uses it for a latched baseline.
+/// `LAPSE_NO_SEQLOCK=1` disables the wait-free read path everywhere —
+/// the pull walk, `pull_if_local` and snapshot reads alike, as
+/// `PsConfig::wait_free_reads(false)` does: ThreadSanitizer cannot
+/// reason about seqlocks (intentional benign races), and the contended
+/// benchmark uses it for a latched baseline.
 fn seqlock_disabled_by_env() -> bool {
     std::env::var_os("LAPSE_NO_SEQLOCK").is_some_and(|v| !v.is_empty() && v != "0")
 }
@@ -218,8 +221,6 @@ where
     // No coalescing: the cost model charges per message and the
     // deterministic experiment outputs are specified per-message.
     proto.coalesce = false;
-    // And no snapshot plane: simulated serving reads stay latched.
-    proto.snapshot_reads = false;
     // Tracing *is* allowed on the simulator: the recorder stamps virtual
     // time and a global sequence counter, both deterministic under the
     // sim's one-runnable-task-at-a-time execution, so seeded runs export
@@ -302,7 +303,6 @@ where
     let mut proto = cfg.proto;
     proto.wait_free_reads = cfg.wait_free_reads.unwrap_or(true) && !seqlock_disabled_by_env();
     proto.coalesce = cfg.coalesce.unwrap_or(true);
-    proto.snapshot_reads = true;
     proto.trace = cfg.trace.unwrap_or(false) || trace_enabled_by_env();
     let proto = Arc::new(proto);
     #[allow(

@@ -81,10 +81,11 @@ pub struct ClusterStats {
     pub net_batches: u64,
     /// Constituent messages carried inside those envelopes.
     pub net_batched_msgs: u64,
-    /// Snapshot-plane reads served wait-free (threaded backend; 0 on the
-    /// simulator, whose serving reads stay latched).
+    /// Snapshot-plane reads served wait-free (threaded backend: the
+    /// simulator has no snapshot reader).
     pub snapshot_reads: u64,
-    /// Snapshot-plane reads that waited on the staleness bound.
+    /// Always 0: snapshot reads no longer wait on anything. Kept only
+    /// because the frozen benchmark reads it.
     pub snapshot_stale_waits: u64,
     /// Snapshot-plane reads that fell back to the latched path.
     pub snapshot_fallbacks: u64,
@@ -158,7 +159,6 @@ impl ClusterStats {
             net_batches,
             net_batched_msgs,
             snapshot_reads,
-            snapshot_stale_waits,
             snapshot_fallbacks,
         } = access;
         ClusterStats {
@@ -194,7 +194,7 @@ impl ClusterStats {
             net_batches,
             net_batched_msgs,
             snapshot_reads,
-            snapshot_stale_waits,
+            snapshot_stale_waits: 0,
             snapshot_fallbacks,
             doorbell_rings: 0,
             wake_immediate: 0,

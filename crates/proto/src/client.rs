@@ -433,13 +433,9 @@ impl ClientCore {
     /// visible until the owners' refreshes acknowledge them. A no-op when
     /// nothing is pending or the variant replicates nothing.
     pub fn flush_replicas(&self, sink: &mut MsgSink) {
-        // Serving-epoch tick (snapshot read plane): every propagation
-        // tick advances the node's serving epoch, under all variants.
-        // With no replica tier at all the replica epoch trivially keeps
-        // up — nothing can be stale.
-        let any_replication = self.cfg().policy().any_replication();
-        self.shared.serving.tick(!any_replication);
-        if !any_replication {
+        // Every propagation tick advances the node's serving epoch.
+        self.shared.serving.tick();
+        if !self.cfg().policy().any_replication() {
             return;
         }
         let mut groups: OrderedGroups<NodeId, RemoteGroup> = OrderedGroups::new();
@@ -821,22 +817,17 @@ impl ClientCore {
     /// Reads `key` only if it is currently stored on this node (owned, or
     /// replicated here); returns whether `out` was filled. Used by the
     /// word-vector workload to sample negatives without network traffic
-    /// (Appendix A).
+    /// (Appendix A). A variant without shared-memory access refuses every
+    /// key; the others read through [`NodeShared::read_local`].
     ///
     /// # Panics
-    /// Panics, with `out` untouched, if `out.len()` is not the length of
-    /// `key`'s value — wait-free or latched alike.
+    /// As [`NodeShared::read_local`]: with `out` untouched, on a key
+    /// outside the key space or an `out` of the wrong length.
     pub fn pull_if_local(&self, key: Key, out: &mut [f32]) -> bool {
         if !self.cfg().policy().shared_memory() {
             return false;
         }
-        // Wait-free fast path: a validated optimistic snapshot answers
-        // the local-or-not question and copies the value in one pass.
-        let read = self
-            .shared
-            .try_optimistic_read(key, false, out)
-            .unwrap_or_else(|| self.shared.latched_read(key, out));
-        match read {
+        match self.shared.read_local(key, out).tier {
             OptRead::Owned => self.lane.pull_local.add(1),
             OptRead::Replica => self.lane.pull_replica.add(1),
             OptRead::Absent => return false,

@@ -244,12 +244,10 @@ pub struct ProtoConfig {
     /// simulator, one task at a time, every such read validates first
     /// time and serves what the latched route would.
     pub wait_free_reads: bool,
-    /// Serve [`SnapshotReader`](crate::serving::SnapshotReader) reads as
-    /// wait-free seqlock copies pinned to the node's serving epoch. Off
-    /// by default: the simulator backend keeps every read latched so its
-    /// schedules and outputs stay bit-identical. The threaded backend
-    /// enables it; when off, the reader API still works but serves
-    /// through the latched path.
+    /// Unread. Snapshot reads take the wait-free path under
+    /// `wait_free_reads`, as every local read does
+    /// ([`NodeShared::read_local`](crate::shard::NodeShared::read_local)).
+    /// The field stays only because the frozen benchmark assigns it.
     pub snapshot_reads: bool,
     /// Coalesce outgoing messages bound for the same destination into
     /// [`Msg::Batch`](crate::messages::Msg::Batch) envelopes at op/tick

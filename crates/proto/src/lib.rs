@@ -34,9 +34,8 @@
 //!   [`Msg::Batch`](messages::Msg) envelopes (threaded backend only).
 //! * [`server`] — the per-node server logic: op routing and forwarding,
 //!   relocation handling, queue draining.
-//! * [`serving`] — the snapshot serving plane: epoch-versioned,
-//!   wait-free local reads for inference traffic (threaded backend
-//!   only).
+//! * [`serving`] — the snapshot serving plane: epoch-pinned local
+//!   reads for inference traffic (threaded backend only).
 //! * [`technique`] — the management-technique policy layer: per-key
 //!   choice of static allocation, relocation, or replication, and every
 //!   routing decision derived from it.

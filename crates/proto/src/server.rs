@@ -1139,13 +1139,7 @@ impl ServerCore {
             val_off += len;
         }
         drop(cursor);
-        if !m.keys.is_empty() {
-            self.lane.replica_refreshes.add(m.keys.len() as u64);
-            // Serving-epoch publication: the replica tier just caught up
-            // with owner state as of the current epoch (snapshot plane
-            // staleness bound, see `crate::serving`).
-            self.shared.serving.note_refresh();
-        }
+        self.lane.replica_refreshes.add(m.keys.len() as u64);
     }
 
     // ---- technique transitions (adaptive management) ----------------------

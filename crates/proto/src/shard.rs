@@ -401,12 +401,8 @@ access_counters! {
     net_batches,
     /// Constituent messages carried inside those envelopes.
     net_batched_msgs,
-    /// Snapshot-plane reads served wait-free (owned or replica tier,
-    /// within the staleness bound; threaded backend only).
+    /// Snapshot-plane reads served wait-free (owned or replica tier).
     snapshot_reads,
-    /// Snapshot-plane reads that waited on the staleness bound for a
-    /// replica refresh.
-    snapshot_stale_waits,
     /// Snapshot-plane reads that fell back to the latched path.
     snapshot_fallbacks,
 }
@@ -827,13 +823,40 @@ pub enum OptRead {
     Absent,
 }
 
+impl OptRead {
+    /// The tier a key in residency `r` is read from.
+    fn of(r: Residency) -> Self {
+        match r {
+            Residency::Owned | Residency::Demoting => OptRead::Owned,
+            Residency::Primary | Residency::Replica => OptRead::Replica,
+            Residency::Absent | Residency::Incoming | Residency::Promoting => OptRead::Absent,
+        }
+    }
+}
+
+/// What [`NodeShared::read_local`] found, and how.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LocalRead {
+    /// The tier that held the key, or [`OptRead::Absent`].
+    pub tier: OptRead,
+    /// Whether the seqlock served the read (else the shard latch did).
+    pub wait_free: bool,
+}
+
+/// Refuses a read of `key` outside the key space of `keys` keys.
+#[cold]
+#[inline(never)]
+fn outside_key_space(key: Key, keys: u64) -> ! {
+    panic!("read of {key}: the key space has {keys} keys")
+}
+
 /// The shared state of one node, accessed by its worker threads (fast
 /// local path) and its server logic.
 ///
 /// **Read-only header.** The fields every operation loads — `cfg`,
 /// `node`, `shards`, `tracker`, `trace` — are never written after
 /// construction. Everything that is written lives in a 128-byte-aligned
-/// block of its own: the replica control words, the serving epochs, the
+/// block of its own: the replica control words, the serving epoch, the
 /// adaptive sampler, the lane registry (and, behind it, one
 /// [`AccessLane`] per core). That alignment also pushes the header a
 /// full block away from the `Arc` counts in front of it, which no
@@ -1039,7 +1062,7 @@ impl NodeShared {
     /// helper; takes the latch.
     pub fn read_replica(&self, key: Key) -> Option<Vec<f32>> {
         let mut out = vec![0.0; self.cfg.layout.len(key)];
-        (self.latched_read(key, &mut out) != OptRead::Absent).then_some(out)
+        (self.read_latched(key, &mut out) != OptRead::Absent).then_some(out)
     }
 
     /// Number of keys this node currently owns.
@@ -1096,51 +1119,53 @@ impl NodeShared {
         self.cfg.wait_free_reads && self.cfg.policy().shared_memory()
     }
 
-    /// The gate-free seqlock read loop shared by
-    /// [`NodeShared::try_optimistic_read`] (protocol fast path, gated on
-    /// `ProtoConfig::wait_free_reads`) and the snapshot serving plane
-    /// ([`crate::serving::SnapshotReader`], gated on
-    /// `ProtoConfig::snapshot_reads`). Callers must have checked their
-    /// own enablement gates and `Policy::shared_memory`. The key's byte
+    /// The seqlock read loop at `key`'s shard index `shard`. Every
+    /// wait-free read of a value calls this one function, so the loop is
+    /// compiled once, with `observe` inlined into it. The key's byte
     /// decides, under every variant: a promotion or demotion flips it
     /// under the write latch, so a validated read sees one side of it.
-    #[inline]
-    pub(crate) fn optimistic_read_raw(&self, key: Key, out: &mut [f32]) -> Option<OptRead> {
-        self.optimistic_read_at(self.shard_index(key), key, out)
-    }
-
-    /// [`NodeShared::optimistic_read_raw`] at `key`'s shard index `shard`.
-    /// Every wait-free read of a value calls this one function, so the
-    /// seqlock loop is compiled once, with `observe` inlined into it.
     fn optimistic_read_at(&self, shard: usize, key: Key, out: &mut [f32]) -> Option<OptRead> {
         let cell = &self.shards[shard];
         cell.optimistic(|shard| match shard.store.read_racy(key, out) {
-            Residency::Owned | Residency::Demoting => Some(OptRead::Owned),
             // The key's replicated view adds its deltas: under the latch.
-            Residency::Primary | Residency::Replica if shard.store.has_deltas(key) => None,
-            Residency::Primary | Residency::Replica => Some(OptRead::Replica),
-            Residency::Absent | Residency::Incoming | Residency::Promoting => Some(OptRead::Absent),
+            r if r.replicated() && shard.store.has_deltas(key) => None,
+            r => Some(OptRead::of(r)),
         })
     }
 
-    /// The latched counterpart of [`NodeShared::optimistic_read_raw`], for
-    /// the reads it could not serve: `key`'s freshest local view under
-    /// the shard latch — the replica view (owned value included) of a
-    /// replicated key, the owned value otherwise. Refuses a wrong-length
-    /// `out` as the racy read does, so one call has one behaviour on
-    /// either path.
-    pub(crate) fn latched_read(&self, key: Key, out: &mut [f32]) -> OptRead {
+    /// The node's one local read, shared by `pull_if_local` and the
+    /// serving plane ([`crate::serving::SnapshotReader`]): `key`'s
+    /// freshest local view into `out` — the replica view (owned value
+    /// included) of a replicated key, the owned value otherwise — or
+    /// [`OptRead::Absent`] with `out` untouched when this node holds no
+    /// value of it: [`NodeShared::try_optimistic_read`] (its gate and
+    /// seqlock copy), then the shard latch for what that cannot serve.
+    ///
+    /// # Panics
+    /// Panics, with `out` untouched, if `key` is outside the key space or
+    /// `out.len()` is not the length of `key`'s value — on either path.
+    pub fn read_local(&self, key: Key, out: &mut [f32]) -> LocalRead {
+        if key.0 >= self.cfg.keys {
+            outside_key_space(key, self.cfg.keys);
+        }
+        let validated = self.try_optimistic_read(key, false, out);
+        LocalRead {
+            wait_free: validated.is_some(),
+            tier: validated.unwrap_or_else(|| self.read_latched(key, out)),
+        }
+    }
+
+    /// [`NodeShared::read_local`]'s latched half, out of line (as is the
+    /// key-space panic) so that the wait-free half inlines into callers.
+    #[cold]
+    fn read_latched(&self, key: Key, out: &mut [f32]) -> OptRead {
         let shard = self.shard_for(key).read();
         shard.store.check_len(key, out);
-        let read = match shard.store.residency(key) {
-            Residency::Owned | Residency::Demoting => OptRead::Owned,
-            Residency::Primary | Residency::Replica => OptRead::Replica,
-            Residency::Absent | Residency::Incoming | Residency::Promoting => {
-                return OptRead::Absent
-            }
-        };
-        shard.store.read_replicated(key, out);
-        read
+        let tier = OptRead::of(shard.store.residency(key));
+        if tier != OptRead::Absent {
+            shard.store.read_replicated(key, out);
+        }
+        tier
     }
 
     /// Whether a `localize` of `key` (of shard `shard`, its

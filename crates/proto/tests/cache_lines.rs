@@ -25,7 +25,6 @@ fn node(variant: Variant) -> Arc<NodeShared> {
     cfg.variant = variant;
     cfg.latches = 16;
     cfg.wait_free_reads = true;
-    cfg.snapshot_reads = true;
     NodeShared::new(Arc::new(cfg), NodeId(0), Arc::new(|| 0))
 }
 
@@ -40,7 +39,7 @@ fn disjoint(a: &Range<usize>, b: &Range<usize>) -> bool {
 }
 
 /// (a) Two workers, the server and two readers on one node: no two of
-/// their lanes, nor the serving epochs, the replica control words, the
+/// their lanes, nor the serving epoch, the replica control words, the
 /// adaptive sampler or any shard's head, share a 128-byte block with
 /// each other or with the header fields every operation loads.
 #[test]
@@ -170,9 +169,10 @@ fn concurrent_readers_count_into_their_own_lanes() {
     let s = wait_free.stats();
     assert_eq!((s.snapshot_reads, s.snapshot_fallbacks), (13, 0));
 
-    // With the plane off every read is a latched fallback, counted once.
+    // With the wait-free path off every read is a latched fallback,
+    // counted once.
     let mut cfg = ProtoConfig::new(1, 64, Layout::Uniform(4));
-    cfg.snapshot_reads = false;
+    cfg.wait_free_reads = false;
     let latched = NodeShared::new(Arc::new(cfg), NodeId(0), Arc::new(|| 0));
     let mut r = SnapshotReader::new(latched.clone());
     for k in 0..5 {

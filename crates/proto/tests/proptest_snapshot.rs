@@ -163,7 +163,7 @@ fn run_storm(nodes: u16, workers: u16, actions: &[Action], seed: u64) {
     let mut cfg = ProtoConfig::new(nodes, KEYS, Layout::Uniform(2));
     cfg.variant = Variant::Adaptive;
     cfg.latches = 8;
-    cfg.snapshot_reads = true;
+    cfg.wait_free_reads = true;
     let mut cluster = TestCluster::new(cfg, workers);
     let mut readers: Vec<SnapshotReader> = (0..nodes)
         .map(|n| SnapshotReader::new(cluster.nodes[n as usize].shared.clone()))

@@ -28,14 +28,16 @@ use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use lapse_net::{Key, NodeId, ValueBlock};
-use lapse_proto::client::IssueHandle;
+use lapse_proto::client::{ClientCore, IssueHandle};
 use lapse_proto::messages::{
     Msg, ReplicaRefreshMsg, TechniqueDemoteAckMsg, TechniquePromoteAckMsg,
 };
 use lapse_proto::server::ServerCore;
 use lapse_proto::shard::{NodeShared, OptRead};
 use lapse_proto::testkit::{IssueOp, TestCluster};
-use lapse_proto::{HotSet, Layout, ProtoConfig, SnapshotReader, SnapshotTier, Variant};
+use lapse_proto::{
+    HotSet, Layout, ProtoConfig, SnapshotRead, SnapshotReader, SnapshotTier, Variant,
+};
 
 const DIM: usize = 64;
 const KEYS: u64 = 8;
@@ -250,7 +252,6 @@ fn non_home_node(variant: Variant) -> Arc<NodeShared> {
     c.nodes = 2;
     c.variant = variant;
     c.hot_set = HotSet::Prefix(KEYS);
-    c.snapshot_reads = true;
     NodeShared::new(Arc::new(c), NodeId(1), Arc::new(|| 0))
 }
 
@@ -441,10 +442,45 @@ fn only_the_replica_with_deltas_leaves_the_wait_free_path() {
     assert_eq!(buf, vec![1.0; DIM]);
 }
 
+/// A replica nobody refreshes is served wait-free however many ticks the
+/// node's serving epoch has run past its last refresh: the seqlock copy is
+/// the view the latch would serve, so waiting on a tick count changes no
+/// value.
+#[test]
+fn a_replica_unrefreshed_for_65_ticks_is_still_read_wait_free() {
+    let shared = non_home_node(Variant::Hybrid);
+    let k = Key(1);
+    let refresh = ReplicaRefreshMsg {
+        owner: NodeId(0),
+        round: 1,
+        ack: 0,
+        keys: vec![k],
+        vals: ValueBlock::from_f32s(&[3.0; DIM]),
+    };
+    ServerCore::new(shared.clone()).handle(Msg::ReplicaRefresh(refresh), &mut Vec::new());
+    let client = ClientCore::new(shared.clone(), 0);
+    let mut sink = Vec::new();
+    for _ in 0..65 {
+        client.flush_replicas(&mut sink);
+    }
+    assert!(
+        sink.is_empty(),
+        "a flush with nothing pending sent {sink:?}"
+    );
+    let mut buf = vec![0.0f32; DIM];
+    let read = SnapshotReader::new(shared.clone()).read(k, &mut buf);
+    let want = SnapshotRead {
+        epoch: 65,
+        tier: SnapshotTier::Replica,
+    };
+    assert_eq!(read, Some(want));
+    assert_eq!(Some(buf), shared.read_replica(k));
+}
+
 /// The panic message of `f`, which must panic.
 fn panic_message(f: impl FnOnce()) -> String {
     let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
-        .expect_err("a wrong-length buffer was accepted");
+        .expect_err("the call was accepted");
     *payload.downcast::<String>().expect("a formatted panic")
 }
 
@@ -456,7 +492,6 @@ fn wrong_length_buffers_are_refused_untouched_on_either_path() {
     for wait_free in [true, false] {
         let mut c = cfg();
         c.wait_free_reads = wait_free;
-        c.snapshot_reads = wait_free;
         let cluster = TestCluster::with_init(c, 1, |_| Some(vec![5.0; DIM]));
         let node = &cluster.nodes[0];
         let mut reader = SnapshotReader::new(node.shared.clone());
@@ -485,5 +520,33 @@ fn wrong_length_buffers_are_refused_untouched_on_either_path() {
             SnapshotTier::Latched
         };
         assert_eq!(tier, want);
+    }
+}
+
+/// A key outside the key space is refused by name on either path: in a
+/// ragged last shard (10 keys over 3 latches: the key indexes the last
+/// shard) and past the last shard (64 keys over 16: it indexes none).
+#[test]
+fn keys_outside_the_key_space_are_refused_on_either_path() {
+    for (keys, latches) in [(10, 3), (64, 16)] {
+        for wait_free in [true, false] {
+            let mut c = ProtoConfig::new(1, keys, Layout::Uniform(DIM as u32));
+            (c.latches, c.wait_free_reads) = (latches, wait_free);
+            let cluster = TestCluster::new(c, 1);
+            let node = &cluster.nodes[0];
+            let mut reader = SnapshotReader::new(node.shared.clone());
+            let at = format!("{keys} keys over {latches} latches, wait_free {wait_free}");
+            let want = format!("read of k{keys}: the key space has {keys} keys");
+            let mut out = vec![-1.0f32; DIM];
+            let msg = panic_message(|| {
+                node.clients[0].pull_if_local(Key(keys), &mut out);
+            });
+            assert_eq!(msg, want, "pull_if_local, {at}");
+            let msg = panic_message(|| {
+                reader.read(Key(keys), &mut out);
+            });
+            assert_eq!(msg, want, "SnapshotReader::read, {at}");
+            assert_eq!(out, vec![-1.0; DIM], "{at}");
+        }
     }
 }

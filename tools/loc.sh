@@ -7,8 +7,11 @@
 #   make loc                # the working tree
 #   diff <(tools/loc.sh HEAD~1) <(tools/loc.sh)
 #
-# Prints, from tracked files only: `src` lines per crate, `unsafe` sites
-# per crate (code lines naming the keyword), the `pub` fields of
+# Prints, from tracked files only: `src` lines per crate, the shipped
+# ones among them (without `#[cfg(test)]` modules and without the
+# test-support modules `testkit`, `strategies` and `consistency`, so
+# that added tests do not read as growth), `unsafe` sites per crate
+# (code lines naming the keyword), the `pub` fields of
 # `ProtoConfig` and `PsConfig`, and the `LAPSE_*` environment variables
 # the workspace reads (`benchmark/` is a package of its own and frozen:
 # not counted).
@@ -26,17 +29,40 @@ fi
 # Every listed file of the given paths, concatenated.
 cat_all() { list "$@" | grep '\.rs$' | while read -r f; do show "$f"; done; }
 code_lines() { grep -vE '^\s*//' || true; }
+# The lines of a `src` directory that ship: its files but the test-support
+# modules, each without its `#[cfg(test)] mod … { … }` blocks (the
+# attribute, any attributes after it, the module through its closing brace
+# at the attribute's indentation). A `#[cfg(test)]` on anything but a module
+# is counted.
+shipped_lines() {
+    list "$1" | grep '\.rs$' | grep -vE '/(testkit|strategies|consistency)\.rs$' |
+        while read -r f; do show "$f"; done |
+        awk '
+            skip { if ($0 == ind "}") skip = 0; next }
+            pend {
+                held = held $0 "\n"
+                if (index($0, ind "mod ") == 1) { pend = 0; held = ""; skip = 1 }
+                else if (substr($0, 1, length(ind) + 1) !~ /^ *[ #)]$/) {
+                    n += split(held, _, "\n") - 1; pend = 0; held = ""
+                }
+                next
+            }
+            /^ *#\[cfg\(test\)\]$/ { match($0, /^ */); ind = substr($0, 1, RLENGTH); pend = 1; held = $0 "\n"; next }
+            { n++ }
+            END { print n + 0 }'
+}
 
-echo "== src lines (tracked *.rs) and unsafe sites, per crate"
-printf '%-18s %7s %7s\n' crate lines unsafe
-total=0
+echo "== src lines (tracked *.rs), shipped lines and unsafe sites, per crate"
+printf '%-18s %7s %7s %7s\n' crate lines shipped unsafe
+total=0 total_shipped=0
 for dir in src $(list crates | sed -nE 's|^(crates/[^/]+)/src/.*|\1/src|p' | sort -u); do
     lines=$(cat_all "$dir" | wc -l)
+    shipped=$(shipped_lines "$dir")
     sites=$(cat_all "$dir" | code_lines | grep -cE '\bunsafe\b' || true)
-    printf '%-18s %7d %7d\n' "${dir%/src}" "$lines" "$sites"
-    total=$((total + lines))
+    printf '%-18s %7d %7d %7d\n' "${dir%/src}" "$lines" "$shipped" "$sites"
+    total=$((total + lines)) total_shipped=$((total_shipped + shipped))
 done
-printf '%-18s %7d\n' total "$total"
+printf '%-18s %7d %7d\n' total "$total" "$total_shipped"
 printf '%-18s %7d\n' clippy.toml "$(show crates/proto/clippy.toml 2>/dev/null | wc -l)"
 
 echo
