@@ -28,9 +28,9 @@
 //!
 //! 1. **Prepass** (no latch) — per key its value length, its offset into
 //!    the caller's buffer, its shard and its ordered-async-guard bit,
-//!    all guard bits read under one guard-map lock, taken only while the
-//!    worker has a remote key in flight; the adaptive sampler
-//!    is fed; the caller's buffer length is checked against the keys'
+//!    read without a lock and only while the worker has a remote key in
+//!    flight; the adaptive sampler is fed; a key outside the key space is
+//!    refused and the caller's buffer length is checked against the keys'
 //!    total **before any key is touched**. Reusable scratch, no
 //!    allocation in steady state.
 //! 2. **Walk** — under a [`LatchCursor`] (one write latch at a time,
@@ -43,8 +43,8 @@
 //!    seqlock read and asks the cursor only for the keys that could not
 //!    serve.
 //! 3. **Register and flush** — what is cheaper once per operation than
-//!    once per key stays batched: one tracker registration and one
-//!    guard-map lock for all remote keys, then the messages and the seal.
+//!    once per key stays batched: one tracker registration for all
+//!    remote keys, then the messages and the seal.
 //!
 //! `localize` is the same walk over fewer keys: its prepass asks of every
 //! key whether it is here already — an unlatched probe where the
@@ -64,16 +64,17 @@
 //! into the worker's [`GuardMap`] when it is registered and out when it
 //! completes.
 //!
-//! The map also keeps a count of its keys, set under the map's lock by
-//! its two writers only: the issuing worker, counting keys in after the
-//! walk, and whichever thread completes them, counting them out. The
-//! prepass loads the count (acquire) and locks the map only when it is
-//! not zero, so a worker with nothing in flight — every worker of a
-//! blocked or all-local workload — reads its guard bits for free. A zero
-//! is the lock's own answer at the instant of the load: only the worker
-//! itself raises the count, so the zero cannot hide a registration of
-//! its own, and a decrement seen early un-forces only a key whose remote
-//! operation has completed — exactly what the lock would have said then.
+//! The map is an atomic count per key plus a total of the keys whose count
+//! is not zero; no lock. Only the issuing worker raises them, counting
+//! keys in after the walk; whichever thread completes a key counts it out
+//! (release). The prepass loads the total (acquire) and reads a key's
+//! count only when the total is not zero, so a worker with nothing in
+//! flight — every worker of a blocked or all-local workload — reads its
+//! guard bits with one load. A zero is safe: only the worker raises a
+//! count, so it cannot hide a registration of its own (a count stays
+//! above zero, and the total counts its key, until the key completes),
+//! and a decrement seen early un-forces only a key whose remote operation
+//! has completed — which the acquire orders before the local access.
 
 use std::iter::once;
 use std::sync::atomic::Ordering::Relaxed;
@@ -251,9 +252,9 @@ impl ClientCore {
         });
         ClientCore {
             lane: shared.claim_lane(),
+            guard: GuardMap::new(shared.cfg.keys),
             shared,
             slot,
-            guard: GuardMap::new(),
             scratch: IssueScratch::default(),
             tracer,
         }
@@ -279,8 +280,8 @@ impl ClientCore {
     }
 
     /// Number of keys this worker currently guards (keys with in-flight
-    /// remotely-routed operations; the guard map's count, read without
-    /// its lock). Zero at quiescence — the
+    /// remotely-routed operations; the guard map's total, one load).
+    /// Zero at quiescence — the
     /// ordered-async-guard balance invariant (each remote registration
     /// increments a key's count once, each completion decrements it).
     pub fn guarded_keys(&self) -> usize {
@@ -301,18 +302,18 @@ impl ClientCore {
         Some(t.rec.now())
     }
 
-    /// Prepass of a pull or push, before any latch: fills the plan
-    /// scratch with per-key lengths, buffer offsets, shards and guard
-    /// bits (one guard-map lock for the whole operation, none while the
-    /// worker has nothing in flight), feeds the
-    /// adaptive access sampler, and checks the caller's buffer of
-    /// `buf_len` floats against the keys' total length — hard, and
-    /// before any key is touched: a short buffer must not apply half a
-    /// push and then fail a slice index under a latch, a long one must
-    /// not be silently truncated. Then subscribes to replica refreshes
-    /// if a key may be replicated and runs a due controller tick.
-    /// Returns the total value length.
-    fn prepass(&mut self, keys: &[Key], buf_len: Option<usize>, sink: &mut MsgSink) -> u32 {
+    /// Prepass of a pull or push (`op` names it), before any latch:
+    /// refuses a key outside the key space, fills the plan scratch with
+    /// per-key lengths, buffer offsets, shards and guard bits (read only
+    /// while the worker has something in flight), feeds the adaptive
+    /// access sampler, and checks the caller's buffer of `buf` floats
+    /// against the keys' total length — hard, and before any key is
+    /// touched: a short buffer must not apply half a push and then fail a
+    /// slice index under a latch, a long one must not be silently
+    /// truncated. Then subscribes to replica refreshes if a key may be
+    /// replicated and runs a due controller tick. Returns the total value
+    /// length.
+    fn prepass(&mut self, op: &str, keys: &[Key], buf: Option<usize>, sink: &mut MsgSink) -> u32 {
         let ClientCore {
             shared,
             lane,
@@ -327,38 +328,34 @@ impl ClientCore {
         let mut any_replicated = false;
         let mut sampled = 0u64;
         let mut off = 0u32;
-        {
-            // At most one guard-map lock per operation, and none while the
-            // count says the map is empty (module doc: reading zero is
-            // safe). It is released before the walk: the lock order is
-            // latch → tracker → guard map (`tracker` module doc), and
-            // under it the adaptive sketch is a leaf.
-            let g = (guard.keys() > 0).then(|| guard.lock());
-            for &k in keys {
-                let len = cfg.layout.len(k) as u32;
-                let forced = g.as_ref().is_some_and(|g| g.count(k) > 0);
-                any_replicated |= policy.may_replicate(k);
-                if let Some(ad) = &shared.adaptive {
-                    sampled += ad.sample(k, &cfg.adaptive) as u64;
-                }
-                scratch.plan.push(KeyPlan {
-                    key: k,
-                    shard: shared.shard_index(k) as u32,
-                    len,
-                    off,
-                    forced,
-                });
-                off += len;
+        // No key's count is read while the total says none is in flight
+        // (module doc: reading zero is safe).
+        let guarded = guard.keys() > 0;
+        for &k in keys {
+            shared.check_key(op, k);
+            let len = cfg.layout.len(k) as u32;
+            let forced = guarded && guard.count(k) > 0;
+            any_replicated |= policy.may_replicate(k);
+            if let Some(ad) = &shared.adaptive {
+                sampled += ad.sample(k, &cfg.adaptive) as u64;
             }
+            scratch.plan.push(KeyPlan {
+                key: k,
+                shard: shared.shard_index(k) as u32,
+                len,
+                off,
+                forced,
+            });
+            off += len;
         }
         if sampled > 0 {
             lane.sketch_samples.add(sampled);
         }
-        if let Some(buf_len) = buf_len {
+        if let Some(buf) = buf {
             assert_eq!(
-                buf_len,
+                buf,
                 off as usize,
-                "value buffer of {buf_len} floats for {} keys of {off} floats in total",
+                "value buffer of {buf} floats for {} keys of {off} floats in total",
                 keys.len()
             );
         }
@@ -483,8 +480,9 @@ impl ClientCore {
     /// [`ClientCore::take_pull`].
     ///
     /// # Panics
-    /// Panics, before any key is touched, if the output buffer's length
-    /// is not the total value length of `keys`.
+    /// Panics, before any key is touched, on a key outside the key space
+    /// or if the output buffer's length is not the total value length of
+    /// `keys`.
     pub fn pull(
         &mut self,
         keys: &[Key],
@@ -493,7 +491,7 @@ impl ClientCore {
     ) -> IssueHandle {
         let t0 = self.trace_begin(CLASS_PULL, keys.len());
         let is_async = out.is_none();
-        let total = self.prepass(keys, out.as_deref().map(<[f32]>::len), sink);
+        let total = self.prepass("pull", keys, out.as_deref().map(<[f32]>::len), sink);
         let t1 = phase_end(&self.tracer, t0);
         // Async pulls register every key so the result buffer is in key
         // order (reserved up front, offsets fixed by the prepass); sync
@@ -613,7 +611,7 @@ impl ClientCore {
         }
         // An untracked pull was served here, every key of it.
         let handle = match seq {
-            Some(s) => self.flush(s, OpKind::Pull, 0, groups, sink),
+            Some(s) => self.flush(s, OpKind::Pull, groups, sink),
             None => IssueHandle::Ready(None),
         };
         if let (Some(t), Some(t0), Some(t1), Some(t2)) = (self.tracer.as_ref(), t0, t1, t2) {
@@ -627,11 +625,11 @@ impl ClientCore {
     /// value (Section 2.1).
     ///
     /// # Panics
-    /// Panics, before any key is touched, if `vals.len()` is not the
-    /// total value length of `keys`.
+    /// Panics, before any key is touched, on a key outside the key space
+    /// or if `vals.len()` is not the total value length of `keys`.
     pub fn push(&mut self, keys: &[Key], vals: &[f32], sink: &mut MsgSink) -> IssueHandle {
         let t0 = self.trace_begin(CLASS_PUSH, keys.len());
-        self.prepass(keys, Some(vals.len()), sink);
+        self.prepass("push", keys, Some(vals.len()), sink);
         let t1 = phase_end(&self.tracer, t0);
         let mut seq: Option<u64> = None;
 
@@ -663,10 +661,9 @@ impl ClientCore {
                     n_replica += 1;
                 }
                 IssueRoute::Park => {
-                    // Completes with the hand-over, by count.
                     let s =
                         *seq.get_or_insert_with(|| begin(shared, *slot, guard, TrackedKind::Push));
-                    tracker.note_counted(s, p.key, 1);
+                    tracker.add_keys(s, false, false, once((p.key, 0, 0)));
                     let op = OpId::new(shared.node, s);
                     let (kind, val) = (OpKind::Push, val.to_vec());
                     shard.park(p.key, Queued::Op(QueuedOp { op, kind, val }));
@@ -705,7 +702,7 @@ impl ClientCore {
             }
         }
         let handle = match seq {
-            Some(s) => self.flush(s, OpKind::Push, n_queued as u32, groups, sink),
+            Some(s) => self.flush(s, OpKind::Push, groups, sink),
             None => IssueHandle::Ready(None),
         };
         if let (Some(t), Some(t0), Some(t1), Some(t2)) = (self.tracer.as_ref(), t0, t1, t2) {
@@ -728,6 +725,9 @@ impl ClientCore {
     /// absent is handed to the shard's incoming state, which completes it
     /// by count when the hand-over arrives; the tracker hears of them
     /// once, at the seal.
+    ///
+    /// # Panics
+    /// Panics, before any key is touched, on a key outside the key space.
     pub fn localize(&mut self, keys: &[Key], sink: &mut MsgSink) -> IssueHandle {
         let t0 = self.tracer.as_ref().map(|t| t.rec.now());
         let ClientCore {
@@ -742,6 +742,7 @@ impl ClientCore {
         let policy = cfg.policy();
         scratch.plan.clear();
         for &k in keys {
+            shared.check_key("localize", k);
             if !policy.relocation_enabled(k) {
                 continue;
             }
@@ -872,13 +873,11 @@ impl ClientCore {
         }
     }
 
-    /// Sends the remote groups of tracked operation `seq` and seals it,
-    /// registering its `counted` keys (parked pushes) in the same step.
+    /// Sends the remote groups of tracked operation `seq` and seals it.
     fn flush(
         &self,
         seq: u64,
         kind: OpKind,
-        counted: u32,
         groups: OrderedGroups<NodeId, RemoteGroup>,
         sink: &mut MsgSink,
     ) -> IssueHandle {
@@ -897,7 +896,7 @@ impl ClientCore {
         // Done at the seal if every key completed during issue (e.g. a
         // queued key drained concurrently); a pull stays pending even
         // so: its caller still assembles the values.
-        if self.shared.tracker.seal_counted(seq, counted) && kind == OpKind::Push {
+        if self.shared.tracker.seal(seq) && kind == OpKind::Push {
             self.shared.tracker.discard(seq);
             return IssueHandle::Ready(None);
         }
@@ -908,8 +907,8 @@ impl ClientCore {
 /// After the walk, once per operation: registers the keys it routed over
 /// the network (`remote`: indices into `plan`, in key order) with the
 /// tracker under one tracker lock — a pull's with the place of their
-/// values, `pinned` to the caller's offsets for an async one — then
-/// counts them into the worker's guard map under one guard-map lock.
+/// values, `pinned` to the caller's offsets for an async one — counting
+/// each into the worker's guard map on the way.
 fn register_remotes(
     shared: &NodeShared,
     guard: &GuardMap,
@@ -919,16 +918,15 @@ fn register_remotes(
     plan: &[KeyPlan],
     remote: &[u32],
 ) {
-    let keys = || remote.iter().map(|&i| &plan[i as usize]);
-    let dests = keys().map(|p| match kind {
-        OpKind::Pull => (p.key, p.len, p.off),
-        OpKind::Push => (p.key, 0, 0),
+    let dests = remote.iter().map(|&i| {
+        let p = &plan[i as usize];
+        guard.count_in(p.key);
+        match kind {
+            OpKind::Pull => (p.key, p.len, p.off),
+            OpKind::Push => (p.key, 0, 0),
+        }
     });
     shared.tracker.add_keys(seq, pinned, true, dests);
-    let mut g = guard.lock();
-    for p in keys() {
-        g.count_in(p.key);
-    }
 }
 
 /// Begins a tracked operation for worker `slot`.

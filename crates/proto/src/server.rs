@@ -160,9 +160,8 @@ impl Batches {
 enum Done {
     /// A waiting localize (completed by count, see [`CountedOps`]).
     Localize,
-    /// A parked push: issued here (a counted key) or parked by this
-    /// server after a trip via the home node (identified,
-    /// guard-counted) — the tracker knows which.
+    /// A parked push: issued here, or parked by this server after a trip
+    /// via the home node (then guard-counted) — the tracker knows which.
     Push,
     /// A parked pull; its value is staged at this float offset of
     /// [`ServerScratch::vals`].

@@ -53,7 +53,7 @@ use crate::keymap::{Entry, KeyMap};
 use crate::messages::{OpId, OpKind};
 use crate::serving::ServingState;
 use crate::storage::{Residency, ShardStore};
-use crate::tracker::{ClockFn, OpTracker, GUARDS_HELD};
+use crate::tracker::{ClockFn, OpTracker};
 
 /// Optimistic-read retry budget before falling back to the latch.
 const SEQLOCK_RETRIES: usize = 4;
@@ -525,10 +525,6 @@ impl ShardCell {
     /// latch-wait event is recorded — traces stay bit-deterministic.
     #[inline]
     fn lock(&self, bits: u64) -> u64 {
-        debug_assert!(
-            GUARDS_HELD.get() == 0,
-            "lock order is latch → tracker shard → guard map: a shard latch under a guard map"
-        );
         let s = self.seq.load(Ordering::Relaxed);
         if s & LOCKED == 0
             && self
@@ -776,7 +772,7 @@ impl Drop for ShardWriteGuard<'_> {
 /// elsewhere drops it **before** the next latch is taken. A walk
 /// therefore never holds two shard latches, whatever its key order, so
 /// no two walks can deadlock on them; what a walk may take *under* the
-/// held latch is the tracker and, below that, a guard map (DESIGN.md §4).
+/// held latch is a tracker shard (DESIGN.md §4).
 pub struct LatchCursor<'a> {
     shards: &'a [ShardCell],
     held: Option<(usize, ShardWriteGuard<'a>)>,
@@ -843,11 +839,11 @@ pub struct LocalRead {
     pub wait_free: bool,
 }
 
-/// Refuses a read of `key` outside the key space of `keys` keys.
+/// Refuses `op` of `key` outside the key space of `keys` keys.
 #[cold]
 #[inline(never)]
-fn outside_key_space(key: Key, keys: u64) -> ! {
-    panic!("read of {key}: the key space has {keys} keys")
+fn outside_key_space(op: &str, key: Key, keys: u64) -> ! {
+    panic!("{op} of {key}: the key space has {keys} keys")
 }
 
 /// The shared state of one node, accessed by its worker threads (fast
@@ -1133,6 +1129,14 @@ impl NodeShared {
         })
     }
 
+    /// Refuses `key`, as `op`'s, if it is outside the key space.
+    #[inline]
+    pub(crate) fn check_key(&self, op: &str, key: Key) {
+        if key.0 >= self.cfg.keys {
+            outside_key_space(op, key, self.cfg.keys);
+        }
+    }
+
     /// The node's one local read, shared by `pull_if_local` and the
     /// serving plane ([`crate::serving::SnapshotReader`]): `key`'s
     /// freshest local view into `out` — the replica view (owned value
@@ -1145,9 +1149,7 @@ impl NodeShared {
     /// Panics, with `out` untouched, if `key` is outside the key space or
     /// `out.len()` is not the length of `key`'s value — on either path.
     pub fn read_local(&self, key: Key, out: &mut [f32]) -> LocalRead {
-        if key.0 >= self.cfg.keys {
-            outside_key_space(key, self.cfg.keys);
-        }
+        self.check_key("read", key);
         let validated = self.try_optimistic_read(key, false, out);
         LocalRead {
             wait_free: validated.is_some(),

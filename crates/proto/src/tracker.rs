@@ -12,14 +12,12 @@
 //! Section 3.2: from issuing `localize` until the new owner starts
 //! answering operations locally, i.e. until the hand-over completed).
 //!
-//! **Lock order: shard latch → tracker shard → guard map**, the adaptive
-//! sketch a leaf (DESIGN.md §6). Debug builds count the guard maps each
-//! thread holds (`GUARDS_HELD`); taking a tracker shard or a latch
-//! asserts the count is zero.
+//! **Lock order: shard latch → tracker shard**, the adaptive sketch a
+//! leaf (DESIGN.md §6). The ordered-async guard's counts are atomics
+//! ([`GuardMap`]) and take no lock.
 
 use parking_lot::{Mutex, MutexGuard};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use lapse_net::{Key, ValueBlock};
@@ -38,89 +36,59 @@ pub enum TrackedKind {
     Localize,
 }
 
-/// Per-worker map of keys with in-flight remotely-routed operations, used
-/// by the ordered-async guard (see the `client` module doc), plus the
-/// number of keys in it.
-///
-/// The map sits under a mutex; the count is an atomic beside it, so a
-/// worker with nothing in flight learns that from one load, without the
-/// lock. Only the map's two writers set the count, each while it holds
-/// the lock, to the map's size after its change: the issuing worker
-/// counting keys in (`GuardsHeld::count_in`) and whichever thread
-/// completes them counting them out (`GuardsHeld::release`). They store
-/// it with `Release` and `GuardMap::keys` loads it with `Acquire`, so a
-/// zero the worker reads happens after the completions that emptied the
-/// map.
-#[derive(Debug, Clone, Default)]
+/// One worker's in-flight remotely-routed operations per key, for the
+/// ordered-async guard, plus the number of keys whose count is not zero:
+/// an atomic count per key of the key space (4 bytes per key per worker)
+/// and no lock. The issuing worker counts keys in, whichever thread
+/// completes them counts them out; the `client` module doc argues why the
+/// worker may read the counts so.
+#[derive(Debug, Clone)]
 pub struct GuardMap(Arc<Guards>);
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Guards {
-    /// Keys in `map`, as of the last change under its lock.
+    /// Keys whose count is not zero.
     keys: AtomicUsize,
-    map: Mutex<KeyMap<Key, u32>>,
-}
-
-/// A [`GuardMap`] under its lock.
-pub(crate) struct GuardsHeld<'a> {
-    keys: &'a AtomicUsize,
-    map: MutexGuard<'a, KeyMap<Key, u32>>,
+    /// In-flight remote operations per key, indexed by key.
+    counts: Box<[AtomicU32]>,
 }
 
 impl GuardMap {
-    /// An empty map.
-    pub fn new() -> Self {
-        Self::default()
+    /// A map of zero counts for a key space of `keys` keys.
+    pub fn new(keys: u64) -> Self {
+        GuardMap(Arc::new(Guards {
+            keys: AtomicUsize::new(0),
+            counts: (0..keys).map(|_| AtomicU32::new(0)).collect(),
+        }))
     }
 
-    /// Number of keys with an in-flight remote operation: one acquire
-    /// load, no lock.
+    /// Number of keys with an in-flight remote operation.
     #[inline]
     pub(crate) fn keys(&self) -> usize {
         self.0.keys.load(Ordering::Acquire)
     }
 
-    /// Locks the map.
-    pub(crate) fn lock(&self) -> GuardsHeld<'_> {
-        #[cfg(test)]
-        LOCKS_TAKEN.set(LOCKS_TAKEN.get() + 1);
-        #[cfg(debug_assertions)]
-        GUARDS_HELD.set(GUARDS_HELD.get() + 1);
-        GuardsHeld {
-            keys: &self.0.keys,
-            map: self.0.map.lock(),
-        }
-    }
-}
-
-#[cfg(debug_assertions)]
-impl Drop for GuardsHeld<'_> {
-    fn drop(&mut self) {
-        GUARDS_HELD.set(GUARDS_HELD.get() - 1);
-    }
-}
-
-impl GuardsHeld<'_> {
     /// In-flight remote operations of the worker on `key`.
     #[inline]
     pub(crate) fn count(&self, key: Key) -> u32 {
-        self.map.get(&key).copied().unwrap_or(0)
+        self.0.counts[key.0 as usize].load(Ordering::Acquire)
     }
 
-    /// Counts one more in-flight remote operation on `key`.
-    pub(crate) fn count_in(&mut self, key: Key) {
-        *self.map.entry(key).or_insert(0) += 1;
-        self.keys.store(self.map.len(), Ordering::Release);
+    /// Counts one more in-flight remote operation on `key`. `Relaxed`:
+    /// only the issuing worker raises counts and reads them, and the
+    /// completion that gives one back follows the message it answers.
+    pub(crate) fn count_in(&self, key: Key) {
+        if self.0.counts[key.0 as usize].fetch_add(1, Ordering::Relaxed) == 0 {
+            self.0.keys.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Gives back one count of `key` (a remote key completed).
-    pub(crate) fn release(&mut self, key: Key) {
-        if let Some(n) = self.map.get_mut(&key) {
-            *n -= 1;
-            if *n == 0 {
-                self.map.remove(&key);
-                self.keys.store(self.map.len(), Ordering::Release);
-            }
+    pub(crate) fn release(&self, key: Key) {
+        let was = self.0.counts[key.0 as usize].fetch_sub(1, Ordering::Release);
+        debug_assert!(was > 0, "guard count of {key} released below zero");
+        if was == 1 {
+            self.0.keys.fetch_sub(1, Ordering::Release);
         }
     }
 }
@@ -145,15 +113,15 @@ const NO_DEST: u32 = u32::MAX;
 
 /// State of one in-flight operation.
 ///
-/// A key is tracked in one of two ways. **Identified** keys
-/// ([`OpTracker::add_keys`]) have a `dests` entry reachable through
-/// `by_key`: the keys a completion has to find again, because it carries a
+/// The operation's kind decides how its keys are tracked. A pull's or a
+/// push's keys are **identified** ([`OpTracker::add_keys`]): each has a
+/// `dests` entry reachable through `by_key`, because its completion has a
 /// value to place (pulls) or a guard count to give back (keys routed over
-/// the network). **Counted** keys ([`OpTracker::seal_counted`]) are only a
-/// contribution to `pending`: every localize key and every push parked on
-/// the issuing node completes with no value and no guard count, so all the
-/// tracker has to know is how many are left. A completion that names a key
-/// `by_key` does not know is a counted key's.
+/// the network), or comes in a response that names keys, not positions.
+/// A localize's keys are **counted** ([`OpTracker::seal_counted`]), only
+/// a contribution to `pending`: a hand-over brings no value and no guard
+/// count, so all the tracker has to know is how many are left. A
+/// completion that names a key `by_key` does not know is refused.
 struct OpState {
     kind: TrackedKind,
     /// Worker slot (on this node) to wake on completion.
@@ -186,13 +154,25 @@ struct OpState {
 }
 
 impl OpState {
-    /// Takes the next incomplete dest of identified key `key` off its
-    /// chain.
-    fn pop_dest(&mut self, key: Key) -> Option<KeyDest> {
-        let (head, _) = self.by_key.get_mut(&key)?;
-        let dest = *self.dests.get(*head as usize)?; // `NO_DEST`: all completed
-        *head = dest.next;
-        Some(dest)
+    /// Completes the next incomplete registration of identified key
+    /// `key`: takes its dest off the key's chain and gives back its guard
+    /// count if it was routed over the network. Refuses, by name, a key
+    /// with no registration left.
+    fn complete(&mut self, seq: u64, key: Key) -> KeyDest {
+        let dest = self
+            .by_key
+            .get_mut(&key)
+            .and_then(|(head, _)| {
+                let dest = *self.dests.get(*head as usize)?; // `NO_DEST`: all completed
+                *head = dest.next;
+                Some(dest)
+            })
+            .unwrap_or_else(|| panic!("completion of unregistered key {key} of op {seq}"));
+        if let (true, Some(guard)) = (dest.remote, &self.guard) {
+            guard.release(key);
+        }
+        self.pending -= 1;
+        dest
     }
 
     /// Registers one more dest of identified key `key`.
@@ -256,13 +236,11 @@ pub struct OpTracker {
 
 const TRACKER_SHARDS: usize = 16;
 
+#[cfg(test)]
 thread_local! {
-    /// Live [`GuardsHeld`] of the current thread (debug builds, module doc).
-    pub(crate) static GUARDS_HELD: Cell<u32> = const { Cell::new(0) };
-    /// Tracker and guard-map lock acquisitions of the current thread (tests
-    /// count them per protocol round; `note_counted`'s debug lock is not one).
-    #[cfg(test)]
-    pub(crate) static LOCKS_TAKEN: Cell<u64> = const { Cell::new(0) };
+    /// Tracker-shard lock acquisitions of the current thread (tests count
+    /// them per protocol round; `note_counted`'s debug lock is not one).
+    pub(crate) static LOCKS_TAKEN: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 impl OpTracker {
@@ -295,10 +273,6 @@ impl OpTracker {
 
     /// Locks the tracker shard of operation `seq`.
     fn lock(&self, seq: u64) -> MutexGuard<'_, OpMap> {
-        debug_assert!(
-            GUARDS_HELD.get() == 0,
-            "lock order is latch → tracker shard → guard map: a tracker shard under a guard map"
-        );
         #[cfg(test)]
         LOCKS_TAKEN.set(LOCKS_TAKEN.get() + 1);
         self.shards[(seq % TRACKER_SHARDS as u64) as usize].lock()
@@ -346,6 +320,9 @@ impl OpTracker {
     /// [`OpTracker::reserve`]) instead of a compact append; `remote`
     /// marks all keys as network-routed (guard accounting). Items are
     /// `(key, len, out_off)` in registration order.
+    ///
+    /// # Panics
+    /// Panics on a localize, whose keys are counted.
     pub fn add_keys(
         &self,
         seq: u64,
@@ -356,6 +333,7 @@ impl OpTracker {
         let mut shard = self.lock(seq);
         let op = shard.get_mut(&seq).expect("add_keys on unknown op");
         debug_assert!(!op.sealed, "add_keys after seal");
+        assert_ne!(op.kind, TrackedKind::Localize, "add_keys on op {seq}");
         for (key, len, out_off) in items {
             let res_off = if pinned {
                 debug_assert!(
@@ -387,26 +365,26 @@ impl OpTracker {
         self.seal_counted(seq, 0)
     }
 
-    /// [`OpTracker::seal`], registering `counted` **counted** keys in the
-    /// same step: keys whose completion carries no value and no guard
-    /// count (localize keys, pushes parked on the issuing node). Some may
-    /// have completed already — the issuer has handed them to the shard
-    /// state key by key, under the shard latches, and registers them here
-    /// once.
+    /// [`OpTracker::seal`], registering `counted` **counted** keys of a
+    /// localize in the same step. Some may have completed already — the
+    /// issuer has handed them to the shard state key by key, under the
+    /// shard latches, and registers them here once.
+    ///
+    /// # Panics
+    /// Panics if `counted` is not zero and operation `seq` is not a
+    /// localize.
     pub fn seal_counted(&self, seq: u64, counted: u32) -> bool {
         let mut shard = self.lock(seq);
         let op = shard.get_mut(&seq).expect("seal on unknown op");
         debug_assert!(!op.sealed, "operation {seq} sealed twice");
+        assert!(
+            counted == 0 || op.kind == TrackedKind::Localize,
+            "counted keys of op {seq}"
+        );
         op.pending += i64::from(counted);
         op.sealed = true;
-        debug_assert!(op.pending >= 0, "operation {seq} over-completed");
-        if op.pending == 0 {
-            op.done = true;
-            self.finish(seq, op);
-            true
-        } else {
-            false
-        }
+        // Done now if every key completed already; nobody is waiting yet.
+        self.settle(&mut shard, seq).is_some()
     }
 
     /// Debug builds only (a no-op in release builds): notes that counted
@@ -432,88 +410,51 @@ impl OpTracker {
     /// Completes `n` counted keys of operation `seq` under one tracker
     /// lock (see [`OpTracker::seal_counted`]). Fires the wake callback
     /// when the operation becomes done.
+    ///
+    /// # Panics
+    /// Panics if operation `seq` is not a localize.
     pub fn complete_counted(&self, seq: u64, n: u32) {
-        let waiter = {
-            let mut shard = self.lock(seq);
-            let Some(op) = shard.get_mut(&seq) else {
-                debug_assert!(false, "completion for unknown op {seq}");
-                return;
-            };
+        self.complete_with(seq, |op| {
+            assert_eq!(op.kind, TrackedKind::Localize, "counted keys of op {seq}");
             op.pending -= i64::from(n);
-            self.settle(&mut shard, seq)
-        };
-        self.wake(waiter, seq);
+        });
     }
 
-    /// Completes one key of operation `seq`, storing `vals` for pulls. A
-    /// key that was not registered by [`OpTracker::add_keys`] and carries
-    /// no value is a counted one.
+    /// Completes one key of operation `seq`, storing `vals` for pulls.
     ///
     /// Safe to call from any thread (server threads call it while holding
     /// shard latches). Fires the wake callback when the operation becomes
     /// done.
+    ///
+    /// # Panics
+    /// Panics on a key [`OpTracker::add_keys`] did not register (or whose
+    /// registrations all completed).
     pub fn complete_key(&self, seq: u64, key: Key, vals: Option<&[f32]>) {
-        let waiter = {
-            let mut shard = self.lock(seq);
-            let Some(op) = shard.get_mut(&seq) else {
-                debug_assert!(false, "completion for unknown op {seq}");
-                return;
-            };
-            match (op.pop_dest(key), vals) {
-                (Some(dest), vals) => {
-                    if let Some(vals) = vals {
-                        let off = dest.res_off as usize;
-                        debug_assert_eq!(vals.len(), dest.len as usize, "value length of {key}");
-                        op.result[off..off + vals.len()].copy_from_slice(vals);
-                    }
-                    if dest.remote {
-                        if let Some(guard) = &op.guard {
-                            guard.lock().release(key);
-                        }
-                    }
-                }
-                (None, None) => self.note_counted(seq, key, -1),
-                (None, Some(_)) => panic!("value for unregistered key {key} of op {seq}"),
+        self.complete_with(seq, |op| {
+            let dest = op.complete(seq, key);
+            if let Some(vals) = vals {
+                let off = dest.res_off as usize;
+                debug_assert_eq!(vals.len(), dest.len as usize, "value length of {key}");
+                op.result[off..off + vals.len()].copy_from_slice(vals);
             }
-            op.pending -= 1;
-            self.settle(&mut shard, seq)
-        };
-        self.wake(waiter, seq);
+        });
     }
 
     /// Completes every key of one grouped response under a **single**
     /// tracker lock, copying pull values straight from the decoded
-    /// message block into the result buffer (no per-key staging) and
-    /// batching all guard decrements under one guard-lock acquisition.
+    /// message block into the result buffer (no per-key staging).
     ///
     /// `block` carries the concatenated values in `keys` order for pulls
     /// and is empty for push acknowledgements (every push key has length
-    /// 0; one that [`OpTracker::add_keys`] did not register — a parked
-    /// push that was re-dispatched — is a counted one). Fires the wake
-    /// callback at most once.
+    /// 0). Fires the wake callback at most once.
+    ///
+    /// # Panics
+    /// As [`OpTracker::complete_key`], on a key it did not register.
     pub fn complete_resp(&self, seq: u64, keys: &[Key], block: &ValueBlock) {
-        let waiter = {
-            let mut shard = self.lock(seq);
-            let Some(op) = shard.get_mut(&seq) else {
-                debug_assert!(false, "response for unknown op {seq}");
-                return;
-            };
-            // Taken out for the loop and put back after it, not cloned:
-            // the count of the worker's `Arc` sits on a line the issuing
-            // worker owns, and this runs on whichever thread drives the
-            // server.
-            let guard_arc = op.guard.take();
-            let mut guard = guard_arc.as_ref().map(|g| g.lock());
+        self.complete_with(seq, |op| {
             let mut block_off = 0usize;
             for &key in keys {
-                let Some(dest) = op.pop_dest(key) else {
-                    assert!(
-                        block.is_empty(),
-                        "value for unregistered key {key} of op {seq}"
-                    );
-                    self.note_counted(seq, key, -1);
-                    continue;
-                };
+                let dest = op.complete(seq, key);
                 if dest.len > 0 {
                     let off = dest.res_off as usize;
                     let len = dest.len as usize;
@@ -524,24 +465,31 @@ impl OpTracker {
                     block.copy_to(block_off, &mut op.result[off..off + len]);
                     block_off += len;
                 }
-                if dest.remote {
-                    if let Some(g) = guard.as_mut() {
-                        g.release(key);
-                    }
-                }
             }
             debug_assert_eq!(block_off, block.len(), "response block not consumed");
-            drop(guard);
-            op.guard = guard_arc;
-            op.pending -= keys.len() as i64;
+        });
+    }
+
+    /// Applies completion `f` to operation `seq` under its tracker shard,
+    /// then settles it; fires the wake callback if it became done.
+    fn complete_with(&self, seq: u64, f: impl FnOnce(&mut OpState)) {
+        let waiter = {
+            let mut shard = self.lock(seq);
+            let Some(op) = shard.get_mut(&seq) else {
+                debug_assert!(false, "completion for unknown op {seq}");
+                return;
+            };
+            f(op);
             self.settle(&mut shard, seq)
         };
         self.wake(waiter, seq);
     }
 
-    /// After a completion: if operation `seq` is sealed and nothing is
-    /// pending it becomes done; returns the worker slot to wake, unless
-    /// the operation was abandoned (then it is reclaimed here).
+    /// After a completion or the seal: if operation `seq` is sealed and
+    /// nothing is pending it becomes done — relocation timing, and in
+    /// debug builds the check that its counted keys balance; returns the
+    /// worker slot to wake, unless the operation was abandoned (then it
+    /// is reclaimed here).
     fn settle(&self, shard: &mut OpMap, seq: u64) -> Option<u16> {
         let op = shard.get_mut(&seq).expect("settled op is present");
         debug_assert!(
@@ -552,7 +500,17 @@ impl OpTracker {
             return None;
         }
         op.done = true;
-        self.finish(seq, op);
+        if op.kind == TrackedKind::Localize {
+            let elapsed = (self.clock)().saturating_sub(op.issued_ns);
+            self.reloc_times.lock().record(elapsed as f64);
+        }
+        #[cfg(debug_assertions)]
+        if let Some(keys) = self.counted_keys.lock().remove(&seq) {
+            assert!(
+                keys.is_empty(),
+                "op {seq} done with unbalanced counted keys: {keys:?}"
+            );
+        }
         if op.abandoned {
             // The issuing worker dropped its handle; reclaim the entry
             // now instead of waking anyone.
@@ -567,24 +525,6 @@ impl OpTracker {
         if let (Some(waiter), Some(waker)) = (waiter, self.waker.get()) {
             waker(waiter, seq);
         }
-    }
-
-    /// Operation `seq` just became done: relocation timing, and in debug
-    /// builds the check that its counted keys balance.
-    fn finish(&self, seq: u64, op: &OpState) {
-        if op.kind == TrackedKind::Localize {
-            let elapsed = (self.clock)().saturating_sub(op.issued_ns);
-            self.reloc_times.lock().record(elapsed as f64);
-        }
-        #[cfg(debug_assertions)]
-        if let Some(keys) = self.counted_keys.lock().remove(&seq) {
-            assert!(
-                keys.is_empty(),
-                "op {seq} done with unbalanced counted keys: {keys:?}"
-            );
-        }
-        #[cfg(not(debug_assertions))]
-        let _ = seq;
     }
 
     /// Whether operation `seq` has completed.
@@ -648,12 +588,19 @@ impl OpTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{testkit::TestCluster, Layout, NodeShared, ProtoConfig};
+    use crate::{testkit::TestCluster, Layout, ProtoConfig};
     use lapse_net::NodeId;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::AtomicUsize;
 
     fn tracker() -> OpTracker {
         OpTracker::new(Arc::new(|| 0))
+    }
+
+    /// The message `f` panics with.
+    fn panic_of(f: impl FnOnce()) -> String {
+        let payload = catch_unwind(AssertUnwindSafe(f)).expect_err("the call was accepted");
+        *payload.downcast::<String>().expect("a formatted panic")
     }
 
     /// Registers one identified key, appended to the result.
@@ -733,20 +680,20 @@ mod tests {
     #[test]
     fn guard_decrements_on_remote_completion() {
         let t = tracker();
-        let guard = GuardMap::new();
-        guard.lock().count_in(Key(4));
-        guard.lock().count_in(Key(4));
+        let guard = GuardMap::new(8);
+        guard.count_in(Key(4));
+        guard.count_in(Key(4));
         let seq = t.begin(TrackedKind::Push, 0, Some(guard.clone()));
         add_key(&t, seq, Key(4), 0, 0, true);
         t.seal(seq);
         t.complete_key(seq, Key(4), None);
-        assert_eq!(guard.lock().count(Key(4)), 1);
+        assert_eq!((guard.count(Key(4)), guard.keys()), (1, 1));
         // Second op clears it.
         let seq2 = t.begin(TrackedKind::Push, 0, Some(guard.clone()));
         add_key(&t, seq2, Key(4), 0, 0, true);
         t.seal(seq2);
         t.complete_key(seq2, Key(4), None);
-        assert_eq!((guard.lock().count(Key(4)), guard.keys()), (0, 0));
+        assert_eq!((guard.count(Key(4)), guard.keys()), (0, 0));
     }
 
     #[test]
@@ -755,10 +702,11 @@ mod tests {
         let time2 = time.clone();
         let t = OpTracker::new(Arc::new(move || time2.load(Ordering::SeqCst)));
         let seq = t.begin(TrackedKind::Localize, 0, None);
-        add_key(&t, seq, Key(0), 0, 0, true);
-        t.seal(seq);
+        t.note_counted(seq, Key(0), 1);
+        t.seal_counted(seq, 1);
         time.store(3_000_000, Ordering::SeqCst);
-        t.complete_key(seq, Key(0), None);
+        t.note_counted(seq, Key(0), -1);
+        t.complete_counted(seq, 1);
         let h = t.reloc_time_stats();
         assert_eq!(h.stats().count(), 1);
         assert!((h.stats().mean() - 2_000_000.0).abs() < 1.0);
@@ -829,10 +777,10 @@ mod tests {
     #[test]
     fn complete_resp_fills_results_and_balances_guard() {
         let t = tracker();
-        let guard = GuardMap::new();
+        let guard = GuardMap::new(8);
         let seq = t.begin(TrackedKind::Pull, 0, Some(guard.clone()));
         for k in [Key(1), Key(2), Key(2)] {
-            guard.lock().count_in(k);
+            guard.count_in(k);
         }
         t.add_keys(
             seq,
@@ -846,9 +794,8 @@ mod tests {
         assert!(t.is_done(seq));
         let res = t.take(seq);
         assert_eq!(res.result, vec![5.0, 6.0, 7.0]);
-        // One decrement per completed key, under a single lock.
-        assert_eq!(guard.lock().count(Key(1)), 0);
-        assert_eq!(guard.lock().count(Key(2)), 1);
+        // One decrement per completed key.
+        assert_eq!((guard.count(Key(1)), guard.count(Key(2))), (0, 1));
         assert_eq!(guard.keys(), 1);
     }
 
@@ -916,7 +863,7 @@ mod tests {
         assert_eq!(fired.load(Ordering::SeqCst), 1);
 
         // All of them before the seal: done at the seal, nobody to wake.
-        let seq = t.begin(TrackedKind::Push, 0, None);
+        let seq = t.begin(TrackedKind::Localize, 0, None);
         t.note_counted(seq, Key(3), 1);
         t.note_counted(seq, Key(3), -1);
         t.complete_counted(seq, 1);
@@ -946,21 +893,21 @@ mod tests {
     }
 
     #[test]
-    fn one_op_mixes_counted_and_identified_keys() {
+    fn a_parked_push_completes_beside_its_remote_keys() {
         let (t, fired) = counting_tracker();
-        let guard = GuardMap::new();
-        // A push: key 1 routed over the network (identified, guarded),
-        // keys 2 and 3 parked on the issuing node (counted).
+        let guard = GuardMap::new(8);
+        // A push: keys 2 and 3 parked on the issuing node, registered as
+        // the walk parks them; key 1 routed over the network (guarded),
+        // registered after the walk.
         let seq = t.begin(TrackedKind::Push, 0, Some(guard.clone()));
-        guard.lock().count_in(Key(1));
+        add_key(&t, seq, Key(2), 0, 0, false);
+        add_key(&t, seq, Key(3), 0, 0, false);
         add_key(&t, seq, Key(1), 0, 0, true);
-        t.note_counted(seq, Key(2), 1);
-        t.note_counted(seq, Key(3), 1);
-        assert!(!t.seal_counted(seq, 2));
+        guard.count_in(Key(1));
+        assert!(!t.seal(seq));
         // Key 2 drains with its hand-over; key 3 was re-dispatched and
         // comes back in the same response as key 1.
-        t.note_counted(seq, Key(2), -1);
-        t.complete_counted(seq, 1);
+        t.complete_key(seq, Key(2), None);
         assert!(!t.is_done(seq));
         t.complete_resp(seq, &[Key(3), Key(1)], &ValueBlock::empty());
         assert!(t.is_done(seq));
@@ -969,7 +916,7 @@ mod tests {
         t.discard(seq);
 
         // A pull keeps its offsets next to a counted completion of the
-        // same tracker (another op's): neither sees the other.
+        // same key in another op, a localize: neither sees the other.
         let pull = t.begin(TrackedKind::Pull, 0, None);
         add_key(&t, pull, Key(5), 2, 0, false);
         t.seal(pull);
@@ -977,9 +924,44 @@ mod tests {
         t.note_counted(loc, Key(5), 1);
         t.seal_counted(loc, 1);
         t.complete_key(pull, Key(5), Some(&[1.0, 2.0]));
-        t.complete_key(loc, Key(5), None); // counted: not in `by_key`
+        t.note_counted(loc, Key(5), -1);
+        t.complete_counted(loc, 1);
         assert!(t.is_done(pull) && t.is_done(loc));
         assert_eq!(t.take(pull).result, vec![1.0, 2.0]);
+    }
+
+    /// A completion must name a key its operation registered, in release
+    /// builds too: neither completion path takes an unknown key for a
+    /// counted one.
+    #[test]
+    fn a_completion_of_an_unregistered_key_is_refused_by_name() {
+        let t = tracker();
+        let seq = t.begin(TrackedKind::Push, 0, None);
+        add_key(&t, seq, Key(1), 0, 0, true);
+        t.seal(seq);
+        let want = format!("completion of unregistered key k2 of op {seq}");
+        assert_eq!(panic_of(|| t.complete_key(seq, Key(2), None)), want);
+        let block = ValueBlock::empty();
+        assert_eq!(panic_of(|| t.complete_resp(seq, &[Key(2)], &block)), want);
+        assert!(!t.is_done(seq), "a refused completion completes nothing");
+        t.complete_key(seq, Key(1), None);
+        assert!(t.is_done(seq));
+    }
+
+    /// Counted keys are a localize's and only a localize's.
+    #[test]
+    fn only_a_localize_has_counted_keys() {
+        let t = tracker();
+        let push = t.begin(TrackedKind::Push, 0, None);
+        let seal = || {
+            t.seal_counted(push, 1);
+        };
+        let want = format!("counted keys of op {push}");
+        assert_eq!(panic_of(seal), want);
+        assert!(panic_of(|| t.complete_counted(push, 1)).contains(&want));
+        let loc = t.begin(TrackedKind::Localize, 0, None);
+        let msg = panic_of(|| add_key(&t, loc, Key(1), 0, 0, true));
+        assert!(msg.contains(&format!("add_keys on op {loc}")), "{msg}");
     }
 
     #[cfg(debug_assertions)]
@@ -1005,7 +987,7 @@ mod tests {
         t.set_waker(Arc::new(|_, _| {}));
     }
 
-    /// Tracker-shard and guard-map locks this thread takes for `round` of
+    /// Tracker-shard locks this thread takes for `round` of
     /// 512 and of 32 keys homed and owned at node 2 of three.
     fn locks_of(round: impl Fn(&mut TestCluster, &[Key])) -> [u64; 2] {
         let mut cluster = TestCluster::new(ProtoConfig::new(3, 6144, Layout::Uniform(16)), 1);
@@ -1031,30 +1013,10 @@ mod tests {
     #[test]
     fn a_remote_pull_or_push_round_locks_per_message_not_per_key() {
         // begin, add_keys, seal, one completion for the one response, the
-        // harness's is_done and take or discard; guard map in and out.
+        // harness's is_done and take or discard; the guard takes no lock.
         let pull = locks_of(|c, keys| drop(c.pull_now(NodeId(0), 0, keys)));
         let push = locks_of(|c, keys| c.push_now(NodeId(0), 0, keys, &vec![1.0; 16 * keys.len()]));
-        assert_eq!(pull, [8, 8], "pull rounds of 512 and of 32 keys");
-        assert_eq!(push, [8, 8], "push rounds of 512 and of 32 keys");
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "lock order is latch → tracker shard → guard map")]
-    fn a_tracker_shard_under_a_guard_map_breaks_the_lock_order() {
-        let guard = GuardMap::new();
-        let _held = guard.lock();
-        tracker().begin(TrackedKind::Pull, 0, None);
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "lock order is latch → tracker shard → guard map")]
-    fn a_shard_latch_under_a_guard_map_breaks_the_lock_order() {
-        let cfg = Arc::new(ProtoConfig::new(1, 4, Layout::Uniform(1)));
-        let node = NodeShared::new(cfg, NodeId(0), Arc::new(|| 0));
-        let guard = GuardMap::new();
-        let _held = guard.lock();
-        let _latch = node.shard_for(Key(0)).write();
+        assert_eq!(pull, [6, 6], "pull rounds of 512 and of 32 keys");
+        assert_eq!(push, [6, 6], "push rounds of 512 and of 32 keys");
     }
 }

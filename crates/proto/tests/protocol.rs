@@ -573,8 +573,9 @@ fn guard_suppresses_fast_path_while_op_outstanding() {
 /// The guard map's count follows completions: a completed remote key
 /// counts out, and the worker's next pull of it — local by now — is
 /// served on the spot, while a key still in flight stays forced remote.
-/// Once nothing is in flight the count is zero, and the worker's pulls
-/// of local keys are served without the guard map.
+/// The guard is the worker's own: another worker of the node pulls the
+/// in-flight key locally. Once nothing is in flight the count is zero,
+/// and the worker's pulls of local keys are served without the guard.
 #[test]
 fn completed_remote_keys_leave_the_guard_and_in_flight_ones_stay_forced() {
     let mut base = cfg(4, 16);
@@ -582,8 +583,8 @@ fn completed_remote_keys_leave_the_guard_and_in_flight_ones_stay_forced() {
     let mut c = TestCluster::new(base, 2);
     let (k, j) = (Key(4), Key(5)); // both homed at n1
     let mut out = [0.0f32; 2];
-    let mut local_pull = |c: &mut TestCluster, key: Key| {
-        let h = c.issue(N0, 0, IssueOp::Pull(&[key]), Some(&mut out));
+    let mut local_pull_by = |c: &mut TestCluster, slot: usize, key: Key| {
+        let h = c.issue(N0, slot, IssueOp::Pull(&[key]), Some(&mut out));
         matches!(h, IssueHandle::Ready(_))
     };
 
@@ -613,18 +614,22 @@ fn completed_remote_keys_leave_the_guard_and_in_flight_ones_stay_forced() {
     assert!(c.op_done(N0, &h_k) && !c.op_done(N0, &h_j));
     assert_eq!(c.nodes[0].clients[0].guarded_keys(), 1);
     assert!(
-        local_pull(&mut c, k),
+        local_pull_by(&mut c, 0, k),
         "k's remote op completed: served locally"
     );
     assert!(
-        !local_pull(&mut c, j),
+        !local_pull_by(&mut c, 0, j),
         "j's push is in flight: forced remote"
+    );
+    assert!(
+        local_pull_by(&mut c, 1, j),
+        "worker 1 has nothing in flight on j: served locally"
     );
 
     c.run_until_quiet();
     assert!(c.op_done(N0, &h_j));
     assert_eq!(c.nodes[0].clients[0].guarded_keys(), 0);
-    assert!(local_pull(&mut c, j) && local_pull(&mut c, k));
+    assert!(local_pull_by(&mut c, 0, j) && local_pull_by(&mut c, 0, k));
     assert_eq!(c.pending_total(), 0, "local pulls sent nothing");
     assert_eq!(c.value_of(k), vec![1.0, 0.0]);
     assert_eq!(c.value_of(j), vec![2.0, 0.0]);
@@ -911,8 +916,8 @@ fn hybrid_mixed_op_splits_by_technique() {
 // value plane: guard balance and allocation accounting
 // ---------------------------------------------------------------------------
 
-/// The ordered-async guard map is locked once per operation (issue) and
-/// once per grouped response (completion). After mixed sync/async traffic
+/// The ordered-async guard counts remote keys in at issue and out at
+/// completion, without a lock. After mixed sync/async traffic
 /// — including guard-forced rerouting of later ops on the same keys —
 /// every worker's guard count must balance back to zero.
 #[test]

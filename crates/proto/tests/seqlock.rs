@@ -550,3 +550,35 @@ fn keys_outside_the_key_space_are_refused_on_either_path() {
         }
     }
 }
+
+/// An operation naming a key outside the key space is refused by name
+/// before any of its keys is touched, the keys in front of it included:
+/// in a ragged last shard (10 keys over 3 latches) and past the last
+/// shard (64 keys over 16).
+#[test]
+fn an_operation_with_a_key_outside_the_key_space_touches_no_key() {
+    for (keys, latches) in [(10, 3), (64, 16)] {
+        let mut c = ProtoConfig::new(1, keys, Layout::Uniform(DIM as u32));
+        c.latches = latches;
+        let mut cluster = TestCluster::new(c, 1);
+        let at = format!("{keys} keys over {latches} latches");
+        let want = |op: &str| format!("{op} of k{keys}: the key space has {keys} keys");
+        let ks = [Key(0), Key(1), Key(keys)];
+        let vals = vec![1.0f32; ks.len() * DIM];
+        let mut out = vec![0.0f32; ks.len() * DIM];
+        let msg = panic_message(|| {
+            cluster.issue(NodeId(0), 0, IssueOp::Pull(&ks), Some(&mut out));
+        });
+        assert_eq!(msg, want("pull"), "{at}");
+        let msg = panic_message(|| {
+            cluster.issue(NodeId(0), 0, IssueOp::Push(&ks, &vals), None);
+        });
+        assert_eq!(msg, want("push"), "{at}");
+        let msg = panic_message(|| {
+            cluster.issue(NodeId(0), 0, IssueOp::Localize(&ks), None);
+        });
+        assert_eq!(msg, want("localize"), "{at}");
+        assert_eq!(cluster.value_of(Key(0)), vec![0.0; DIM], "{at}");
+        assert_eq!(cluster.pending_total(), 0, "{at}");
+    }
+}

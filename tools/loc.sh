@@ -11,7 +11,8 @@
 # ones among them (without `#[cfg(test)]` modules and without the
 # test-support modules `testkit`, `strategies` and `consistency`, so
 # that added tests do not read as growth), `unsafe` sites per crate
-# (code lines naming the keyword), the `pub` fields of
+# (code lines naming the keyword), lock sites per crate (shipped code lines
+# naming `Mutex<`, `RwLock<` or `Condvar`), the `pub` fields of
 # `ProtoConfig` and `PsConfig`, and the `LAPSE_*` environment variables
 # the workspace reads (`benchmark/` is a package of its own and frozen:
 # not counted).
@@ -33,8 +34,8 @@ code_lines() { grep -vE '^\s*//' || true; }
 # modules, each without its `#[cfg(test)] mod … { … }` blocks (the
 # attribute, any attributes after it, the module through its closing brace
 # at the attribute's indentation). A `#[cfg(test)]` on anything but a module
-# is counted.
-shipped_lines() {
+# ships.
+shipped_src() {
     list "$1" | grep '\.rs$' | grep -vE '/(testkit|strategies|consistency)\.rs$' |
         while read -r f; do show "$f"; done |
         awk '
@@ -43,23 +44,23 @@ shipped_lines() {
                 held = held $0 "\n"
                 if (index($0, ind "mod ") == 1) { pend = 0; held = ""; skip = 1 }
                 else if (substr($0, 1, length(ind) + 1) !~ /^ *[ #)]$/) {
-                    n += split(held, _, "\n") - 1; pend = 0; held = ""
+                    printf "%s", held; pend = 0; held = ""
                 }
                 next
             }
             /^ *#\[cfg\(test\)\]$/ { match($0, /^ */); ind = substr($0, 1, RLENGTH); pend = 1; held = $0 "\n"; next }
-            { n++ }
-            END { print n + 0 }'
+            { print }'
 }
 
-echo "== src lines (tracked *.rs), shipped lines and unsafe sites, per crate"
-printf '%-18s %7s %7s %7s\n' crate lines shipped unsafe
+echo "== src lines (tracked *.rs), shipped lines, unsafe sites and shipped lock sites, per crate"
+printf '%-18s %7s %7s %7s %7s\n' crate lines shipped unsafe locks
 total=0 total_shipped=0
 for dir in src $(list crates | sed -nE 's|^(crates/[^/]+)/src/.*|\1/src|p' | sort -u); do
     lines=$(cat_all "$dir" | wc -l)
-    shipped=$(shipped_lines "$dir")
+    shipped=$(shipped_src "$dir" | wc -l)
     sites=$(cat_all "$dir" | code_lines | grep -cE '\bunsafe\b' || true)
-    printf '%-18s %7d %7d %7d\n' "${dir%/src}" "$lines" "$shipped" "$sites"
+    locks=$(shipped_src "$dir" | code_lines | grep -cE 'Mutex<|RwLock<|\bCondvar\b' || true)
+    printf '%-18s %7d %7d %7d %7d\n' "${dir%/src}" "$lines" "$shipped" "$sites" "$locks"
     total=$((total + lines)) total_shipped=$((total_shipped + shipped))
 done
 printf '%-18s %7d %7d\n' total "$total" "$total_shipped"
