@@ -9,7 +9,7 @@ use lapse_proto::client::ClientCore;
 use lapse_proto::server::ServerCore;
 use lapse_proto::shard::NodeShared;
 use lapse_proto::tracker::ClockFn;
-use lapse_proto::{HomePartition, HotSet, Layout, ProtoConfig, Variant};
+use lapse_proto::{HotSet, Layout, ProtoConfig, Variant};
 use lapse_sim::{CostModel, SimCluster};
 use lapse_trace::Recorder;
 use lapse_utils::metrics::Metrics;
@@ -22,39 +22,22 @@ use crate::threaded::{
 };
 use crate::worker::Worker;
 
-/// Parameter-server configuration (builder style).
+/// Parameter-server configuration (builder style): every builder sets a
+/// field of the protocol configuration, which the backends run as given
+/// but for two environment overrides (`LAPSE_NO_SEQLOCK`, `LAPSE_TRACE`).
 #[derive(Debug, Clone)]
 pub struct PsConfig {
     /// The underlying protocol configuration.
     pub proto: ProtoConfig,
-    /// Seqlock read fast path, of every local read (pulls, `pull_if_local`,
-    /// snapshot reads): `None` leaves it on (both backends: the
-    /// simulator runs one task at a time, so every optimistic read
-    /// validates first time and serves what the latched route would),
-    /// `Some(v)` forces it. The `LAPSE_NO_SEQLOCK` environment variable
-    /// overrides both to off (ThreadSanitizer runs, latched baselines).
-    pub wait_free_reads: Option<bool>,
-    /// Per-link message coalescing: `None` leaves the backend default
-    /// (sim: off — its cost model charges per message and its schedules
-    /// must stay bit-identical; threaded: on), `Some(v)` forces it.
-    pub coalesce: Option<bool>,
-    /// Flight recorder (always compiled in, off by default): `None`
-    /// leaves it off unless `LAPSE_TRACE=1` opts in, `Some(v)` forces
-    /// it. On the simulator the recorder stamps virtual time, so traces
-    /// are bit-deterministic across seeded runs; on the threaded backend
-    /// it reuses the run's wall-clock base.
-    pub trace: Option<bool>,
 }
 
 impl PsConfig {
     /// `nodes` nodes, keys `0..keys`, `value_len` floats per key, Lapse
-    /// variant, caches off — the paper's default experimental setup.
+    /// variant, caches off — the paper's default experimental setup, with
+    /// the rest of [`ProtoConfig::new`]'s shipped defaults.
     pub fn new(nodes: u16, keys: u64, value_len: u32) -> Self {
         PsConfig {
             proto: ProtoConfig::new(nodes, keys, Layout::Uniform(value_len)),
-            wait_free_reads: None,
-            coalesce: None,
-            trace: None,
         }
     }
 
@@ -82,12 +65,6 @@ impl PsConfig {
         self
     }
 
-    /// Chooses the home partitioning scheme.
-    pub fn partition(mut self, p: HomePartition) -> Self {
-        self.proto.partition = p;
-        self
-    }
-
     /// Names the hot keys replicated under [`Variant::Hybrid`].
     pub fn hot_set(mut self, hot: HotSet) -> Self {
         self.proto.hot_set = hot;
@@ -107,26 +84,43 @@ impl PsConfig {
         self
     }
 
-    /// Forces the seqlock read fast path on or off (default: on, unless
-    /// `LAPSE_NO_SEQLOCK` is set).
+    /// Turns the seqlock read fast path of every local read (pulls,
+    /// `pull_if_local`, snapshot reads) on or off (default: on). The
+    /// `LAPSE_NO_SEQLOCK` environment variable turns it off whatever this
+    /// says (ThreadSanitizer runs, latched baselines). On the simulator,
+    /// which runs one task at a time, every optimistic read validates
+    /// first time and serves what the latched route would.
     pub fn wait_free_reads(mut self, on: bool) -> Self {
-        self.wait_free_reads = Some(on);
+        self.proto.wait_free_reads = on;
         self
     }
 
-    /// Forces per-link message coalescing on or off (default: backend
-    /// decides — off for the simulator, on for the threaded backend).
+    /// Turns per-link message coalescing on or off (default: on). Only
+    /// the threaded backend coalesces; the simulator's cost model charges
+    /// per message and its schedules must stay bit-identical.
     pub fn coalesce(mut self, on: bool) -> Self {
-        self.coalesce = Some(on);
+        self.proto.coalesce = on;
         self
     }
 
-    /// Forces the flight recorder on or off (default: off unless
-    /// `LAPSE_TRACE=1` opts in).
+    /// Turns the flight recorder on or off (always compiled in; default:
+    /// off). `LAPSE_TRACE=1` turns it on whatever this says. On the
+    /// simulator the recorder stamps virtual time, so traces are
+    /// bit-deterministic across seeded runs; on the threaded backend it
+    /// reuses the run's wall-clock base.
     pub fn trace(mut self, on: bool) -> Self {
-        self.trace = Some(on);
+        self.proto.trace = on;
         self
     }
+}
+
+/// The protocol configuration a run uses: `cfg`'s, but for the two
+/// environment overrides below.
+fn run_config(cfg: PsConfig) -> Arc<ProtoConfig> {
+    let mut proto = cfg.proto;
+    proto.wait_free_reads &= !seqlock_disabled_by_env();
+    proto.trace |= trace_enabled_by_env();
+    Arc::new(proto)
 }
 
 /// `LAPSE_NO_SEQLOCK=1` disables the wait-free read path everywhere —
@@ -213,20 +207,14 @@ where
     R: Send + 'static,
     F: Fn(&mut dyn PsWorker) -> R + Send + Sync + 'static,
 {
-    let mut proto = cfg.proto;
-    // The read path the threaded backend ships: one task runs at a time,
-    // so every optimistic read validates first time, and the cost model
-    // charges per key, not per path — outputs are the latched path's.
-    proto.wait_free_reads = cfg.wait_free_reads.unwrap_or(true) && !seqlock_disabled_by_env();
-    // No coalescing: the cost model charges per message and the
-    // deterministic experiment outputs are specified per-message.
-    proto.coalesce = false;
-    // Tracing *is* allowed on the simulator: the recorder stamps virtual
-    // time and a global sequence counter, both deterministic under the
-    // sim's one-runnable-task-at-a-time execution, so seeded runs export
+    // Wait-free reads run here as on the threaded backend: one task runs
+    // at a time, so every optimistic read validates first time, and the
+    // cost model charges per key, not per path — outputs are the latched
+    // path's. Tracing too: the recorder stamps virtual time and a global
+    // sequence counter, both deterministic under the sim's
+    // one-runnable-task-at-a-time execution, so seeded runs export
     // byte-identical traces.
-    proto.trace = cfg.trace.unwrap_or(false) || trace_enabled_by_env();
-    let proto = Arc::new(proto);
+    let proto = run_config(cfg);
     let clock_cell = Arc::new(AtomicU64::new(0));
     let clock: ClockFn = {
         let c = clock_cell.clone();
@@ -300,11 +288,7 @@ where
     R: Send + 'static,
     F: Fn(&mut dyn PsWorker) -> R + Send + Sync + 'static,
 {
-    let mut proto = cfg.proto;
-    proto.wait_free_reads = cfg.wait_free_reads.unwrap_or(true) && !seqlock_disabled_by_env();
-    proto.coalesce = cfg.coalesce.unwrap_or(true);
-    proto.trace = cfg.trace.unwrap_or(false) || trace_enabled_by_env();
-    let proto = Arc::new(proto);
+    let proto = run_config(cfg);
     #[allow(
         clippy::disallowed_methods,
         reason = "threaded backend timestamps real elapsed time; it never feeds message contents or ordering"

@@ -25,8 +25,8 @@
 //! local access, full Lapse, NuPS-style Replication, the Hybrid of both
 //! techniques, or the Adaptive variant that detects hot keys online and
 //! switches techniques at runtime — is selected by
-//! [`Variant`] in the [`PsConfig`]; the per-key
-//! decisions live in the technique policy layer of `lapse-proto`.
+//! [`Variant`] in the [`PsConfig`]; [`ProtoConfig`] says what each variant
+//! means for a key, and the key's residency byte says how it is managed now.
 //!
 //! ```
 //! use lapse_core::{PsConfig, run_threaded, PsWorker};
@@ -55,7 +55,5 @@ pub use api::{api_internals, OpToken, PsWorker};
 pub use cluster::{run_sim, run_threaded, PsConfig};
 pub use stats::ClusterStats;
 
-pub use lapse_proto::{
-    AdaptiveConfig, HomePartition, HotSet, Layout, ProtoConfig, Technique, Variant,
-};
+pub use lapse_proto::{AdaptiveConfig, HotSet, Layout, ProtoConfig, Variant};
 pub use lapse_sim::CostModel;

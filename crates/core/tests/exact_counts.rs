@@ -83,9 +83,15 @@ fn two_workers_and_two_readers_count_every_key_exactly_once() {
 
 /// The wait-free switch covers the serving plane too: with it off (as
 /// under `LAPSE_NO_SEQLOCK`, the sanitizer's configuration) no reader
-/// copies racily, and every snapshot read is a latched one.
+/// copies racily, and every snapshot read is a latched one — whether the
+/// switch is set through the builder or on the protocol configuration.
 #[test]
 fn with_wait_free_reads_off_every_snapshot_read_is_latched() {
-    let stats = hammer(PsConfig::new(1, KEYS, DIM as u32).wait_free_reads(false));
-    assert_eq!((stats.snapshot_reads, stats.snapshot_fallbacks), (0, OPS));
+    let mut direct = PsConfig::new(1, KEYS, DIM as u32);
+    direct.proto.wait_free_reads = false;
+    let builder = PsConfig::new(1, KEYS, DIM as u32).wait_free_reads(false);
+    for cfg in [builder, direct] {
+        let stats = hammer(cfg);
+        assert_eq!((stats.snapshot_reads, stats.snapshot_fallbacks), (0, OPS));
+    }
 }

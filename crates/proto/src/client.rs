@@ -7,11 +7,12 @@
 //! wrap a `ClientCore` in their worker handles; the core itself performs
 //! no I/O — outgoing messages are collected into a caller-provided sink.
 //!
-//! Routing per key is decided by the management-technique
-//! [`Policy`](crate::technique::Policy) ([`IssueRoute`]):
+//! Each key of an operation is routed by its residency byte (`route`),
+//! under the key's latch:
 //!
 //! 1. **Fast local path** — if the node owns the key (and the variant
-//!    allows shared-memory access), serve under the key's latch.
+//!    allows shared-memory access, [`ProtoConfig::shared_memory`]), serve
+//!    under the key's latch.
 //! 2. **Replica path** — if the key is replicated, serve reads from the
 //!    local replica view and accumulate pushes for the next propagation
 //!    round (NuPS §2); both complete at issue.
@@ -93,8 +94,10 @@ use crate::messages::{
     LocalizeReqMsg, Msg, OpId, OpKind, OpMsg, ReplicaPushMsg, ReplicaRegMsg, TechniqueDemoteMsg,
     TechniquePromoteMsg,
 };
-use crate::shard::{AccessLane, LaneCounter, LatchCursor, NodeShared, OptRead, Queued, QueuedOp};
-use crate::technique::IssueRoute;
+use crate::shard::{
+    AccessLane, LaneCounter, LatchCursor, NodeShared, OptRead, Queued, QueuedOp, Shard,
+};
+use crate::storage::Residency::{Absent, Demoting, Incoming, Owned, Primary, Promoting, Replica};
 use crate::tracker::{GuardMap, TrackedKind};
 
 /// Sink for outgoing messages produced while issuing an operation.
@@ -118,6 +121,44 @@ impl IssueHandle {
             IssueHandle::Pending(seq) => Some(*seq),
         }
     }
+}
+
+/// Where one key of an operation goes ([`route`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Route {
+    /// Serve through shared memory from the owned store.
+    OwnedLocal,
+    /// Serve from the local replica view (reads) or accumulate locally
+    /// for the next propagation round (pushes).
+    Replica,
+    /// Park on the inbound-relocation queue until the hand-over arrives.
+    Park,
+    /// Send over the network to this node.
+    Remote(NodeId),
+}
+
+/// Routes one key of an operation by its residency byte. `forced` is the
+/// ordered-async guard (module doc): a guard-forced key travels via its
+/// home, so that it shares one FIFO path with the operation in flight.
+/// Otherwise a remote key goes to its cached owner when location caches
+/// are on (a hit counts into `lane`, the issuing worker's), else home.
+#[inline]
+fn route(cfg: &ProtoConfig, key: Key, shard: &Shard, forced: bool, lane: &AccessLane) -> Route {
+    if !forced {
+        match shard.store.residency(key) {
+            Primary | Replica => return Route::Replica,
+            Owned | Demoting if cfg.shared_memory() => return Route::OwnedLocal,
+            Incoming | Promoting => return Route::Park,
+            Owned | Demoting | Absent => {}
+        }
+        if cfg.location_caches {
+            if let Some(&owner) = shard.loc_cache.get(&key) {
+                lane.loc_cache_hits.add(1);
+                return Route::Remote(owner);
+            }
+        }
+    }
+    Route::Remote(cfg.home(key))
 }
 
 /// Per-destination accumulator for one remote operation.
@@ -322,7 +363,7 @@ impl ClientCore {
             ..
         } = self;
         let cfg = &shared.cfg;
-        let policy = cfg.policy();
+        let adaptive = shared.adaptive.is_some();
         scratch.plan.clear();
         scratch.remote.clear();
         let mut any_replicated = false;
@@ -335,7 +376,7 @@ impl ClientCore {
             shared.check_key(op, k);
             let len = cfg.layout.len(k) as u32;
             let forced = guarded && guard.count(k) > 0;
-            any_replicated |= policy.may_replicate(k);
+            any_replicated |= adaptive || cfg.replicated(k);
             if let Some(ad) = &shared.adaptive {
                 sampled += ad.sample(k, &cfg.adaptive) as u64;
             }
@@ -432,7 +473,7 @@ impl ClientCore {
     pub fn flush_replicas(&self, sink: &mut MsgSink) {
         // Every propagation tick advances the node's serving epoch.
         self.shared.serving.tick();
-        if !self.cfg().policy().any_replication() {
+        if self.shared.replica_shards.is_empty() {
             return;
         }
         let mut groups: OrderedGroups<NodeId, RemoteGroup> = OrderedGroups::new();
@@ -518,9 +559,9 @@ impl ClientCore {
             remote,
             replica_buf,
         } = scratch;
-        let policy = shared.cfg.policy();
+        let cfg = &shared.cfg;
         let tracker = &shared.tracker;
-        let wait_free = shared.cfg.wait_free_reads;
+        let wait_free = cfg.wait_free_reads;
         let (mut n_local, mut n_replica, mut n_queued) = (0u64, 0u64, 0u64);
         let mut bytes_moved = 0u64;
         let mut groups: OrderedGroups<NodeId, RemoteGroup> = OrderedGroups::new();
@@ -551,11 +592,11 @@ impl ClientCore {
                 }
             }
             let shard = cursor.write(p.shard as usize);
-            match policy.issue_route(p.key, shard, p.forced, lane) {
+            match route(cfg, p.key, shard, p.forced, lane) {
                 // The key's local view: the owned value, or a replica's.
-                route @ (IssueRoute::OwnedLocal | IssueRoute::Replica) => {
-                    match route {
-                        IssueRoute::Replica => n_replica += 1,
+                to @ (Route::OwnedLocal | Route::Replica) => {
+                    match to {
+                        Route::Replica => n_replica += 1,
                         _ => n_local += 1,
                     }
                     bytes_moved += 4 * len as u64;
@@ -574,7 +615,7 @@ impl ClientCore {
                         tracker.complete_key(s, p.key, Some(replica_buf));
                     }
                 }
-                IssueRoute::Park => {
+                Route::Park => {
                     let s =
                         *seq.get_or_insert_with(|| begin(shared, *slot, guard, TrackedKind::Pull));
                     tracker.add_keys(s, is_async, false, once((p.key, p.len, p.off)));
@@ -583,7 +624,7 @@ impl ClientCore {
                     shard.park(p.key, Queued::Op(QueuedOp { op, kind, val }));
                     n_queued += 1;
                 }
-                IssueRoute::Remote(dst) => {
+                Route::Remote(dst) => {
                     groups.entry(dst).keys.push(p.key);
                     remote.push(i as u32);
                 }
@@ -642,7 +683,7 @@ impl ClientCore {
             tracer,
         } = &mut *self;
         let IssueScratch { plan, remote, .. } = scratch;
-        let policy = shared.cfg.policy();
+        let cfg = &shared.cfg;
         let tracker = &shared.tracker;
         let (mut n_local, mut n_replica, mut n_queued) = (0u64, 0u64, 0u64);
         let mut groups: OrderedGroups<NodeId, RemoteGroup> = OrderedGroups::new();
@@ -650,17 +691,17 @@ impl ClientCore {
         for (i, p) in plan.iter().enumerate() {
             let val = &vals[p.off as usize..(p.off + p.len) as usize];
             let shard = cursor.write(p.shard as usize);
-            match policy.issue_route(p.key, shard, p.forced, lane) {
-                IssueRoute::OwnedLocal => {
+            match route(cfg, p.key, shard, p.forced, lane) {
+                Route::OwnedLocal => {
                     let applied = shard.store.add(p.key, val);
                     debug_assert!(applied);
                     n_local += 1;
                 }
-                IssueRoute::Replica => {
+                Route::Replica => {
                     shard.store.accumulate(p.key, val);
                     n_replica += 1;
                 }
-                IssueRoute::Park => {
+                Route::Park => {
                     let s =
                         *seq.get_or_insert_with(|| begin(shared, *slot, guard, TrackedKind::Push));
                     tracker.add_keys(s, false, false, once((p.key, 0, 0)));
@@ -669,7 +710,7 @@ impl ClientCore {
                     shard.park(p.key, Queued::Op(QueuedOp { op, kind, val }));
                     n_queued += 1;
                 }
-                IssueRoute::Remote(dst) => {
+                Route::Remote(dst) => {
                     let group = groups.entry(dst);
                     group.keys.push(p.key);
                     group.vals.extend_from_slice(val);
@@ -697,7 +738,7 @@ impl ClientCore {
         }
         if n_replica > 0 {
             let unflushed = shared.replica.unflushed.fetch_add(n_replica, Relaxed) + n_replica;
-            if unflushed >= shared.cfg.replica_flush_every {
+            if unflushed >= cfg.replica_flush_every {
                 self.flush_replicas(sink);
             }
         }
@@ -739,11 +780,10 @@ impl ClientCore {
             tracer,
         } = &mut *self;
         let cfg = &shared.cfg;
-        let policy = cfg.policy();
         scratch.plan.clear();
         for &k in keys {
             shared.check_key("localize", k);
-            if !policy.relocation_enabled(k) {
+            if !cfg.relocates(k) {
                 continue;
             }
             let shard = shared.shard_index(k);
@@ -825,7 +865,7 @@ impl ClientCore {
     /// As [`NodeShared::read_local`]: with `out` untouched, on a key
     /// outside the key space or an `out` of the wrong length.
     pub fn pull_if_local(&self, key: Key, out: &mut [f32]) -> bool {
-        if !self.cfg().policy().shared_memory() {
+        if !self.cfg().shared_memory() {
             return false;
         }
         match self.shared.read_local(key, out).tier {
@@ -932,4 +972,83 @@ fn register_remotes(
 /// Begins a tracked operation for worker `slot`.
 fn begin(shared: &NodeShared, slot: u16, guard: &GuardMap, kind: TrackedKind) -> u64 {
     shared.tracker.begin(kind, slot, Some(guard.clone()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::Variant;
+    use crate::layout::Layout;
+
+    /// Node 0 of two over 16 keys, under `variant`.
+    fn node(variant: Variant, tune: impl FnOnce(&mut ProtoConfig)) -> Arc<NodeShared> {
+        let mut c = ProtoConfig::new(2, 16, Layout::Uniform(1));
+        c.variant = variant;
+        tune(&mut c);
+        NodeShared::new(Arc::new(c), NodeId(0), Arc::new(|| 0))
+    }
+
+    #[test]
+    fn cache_hits_are_counted_into_the_lane_that_routed() {
+        let node = node(Variant::Lapse, |c| c.location_caches = true);
+        let cfg = &node.cfg;
+        let (mine, other) = (node.claim_lane(), node.claim_lane());
+        let key = Key(12); // homed at node 1
+        node.shard_for(key).write().loc_cache.insert(key, NodeId(1));
+        let shard = node.shard_for(key).read();
+        assert_eq!(
+            route(cfg, key, &shard, false, &mine),
+            Route::Remote(NodeId(1))
+        );
+        // Guard-forced: via home, the cache is not consulted.
+        assert_eq!(
+            route(cfg, key, &shard, true, &mine),
+            Route::Remote(cfg.home(key))
+        );
+        assert_eq!(
+            (mine.loc_cache_hits.get(), other.loc_cache_hits.get()),
+            (1, 0)
+        );
+        assert_eq!(node.stats().loc_cache_hits, 1);
+    }
+
+    #[test]
+    fn adaptive_routes_a_promoted_key_by_its_byte() {
+        let node = node(Variant::Adaptive, |c| c.latches = 4);
+        let cfg = &node.cfg;
+        let lane = node.claim_lane();
+        // Statically everything relocates; replication is dynamic, and
+        // any shard can come to hold a replica.
+        assert!(cfg.relocates(Key(5)) && !cfg.replicated(Key(5)));
+        assert!(node.adaptive.is_some());
+        assert_eq!(node.replica_shards, [0, 1, 2, 3]);
+        let to = |k: Key| route(cfg, k, &node.shard_for(k).read(), false, &lane);
+        assert_eq!(to(Key(5)), Route::OwnedLocal);
+        // A promotion rewrites the key's byte, not the config.
+        node.shard_for(Key(5)).write().store.promote(Key(5));
+        assert_eq!(to(Key(5)), Route::Replica);
+        assert_eq!(to(Key(6)), Route::OwnedLocal);
+        assert_eq!(node.replicated_keys(), vec![Key(5)]);
+    }
+
+    /// Which shards a replica flush walks: none where nothing replicates,
+    /// those of the hot set under `Hybrid`.
+    #[test]
+    fn replica_shards_are_the_replicated_keys_shards() {
+        for variant in [Variant::Classic, Variant::ClassicFastLocal, Variant::Lapse] {
+            assert!(node(variant, |c| c.latches = 4).replica_shards.is_empty());
+        }
+        let hybrid = |hot: u64| {
+            let node = node(Variant::Hybrid, |c| {
+                (c.latches, c.hot_set) = (4, crate::config::HotSet::Prefix(hot));
+            });
+            node.replica_shards.clone()
+        };
+        assert_eq!(hybrid(0), Vec::<u32>::new());
+        assert_eq!(hybrid(5), [0, 1]);
+        assert_eq!(
+            node(Variant::Replication, |c| c.latches = 4).replica_shards,
+            [0, 1, 2, 3]
+        );
+    }
 }

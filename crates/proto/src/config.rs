@@ -3,15 +3,16 @@
 use lapse_net::{Key, NodeId};
 
 use crate::layout::Layout;
-use crate::technique::Policy;
 
 /// Which parameter-server architecture a cluster runs (Section 4.6 of the
 /// paper compares the first three; `Replication` and `Hybrid` add the
 /// management techniques of the NuPS follow-up).
 ///
-/// Every per-key decision derived from the variant lives in the
-/// [`Policy`] layer; the variant itself is just
-/// the named configuration.
+/// What a variant means is read in one place, the three predicates of
+/// [`ProtoConfig`]: [`shared_memory`](ProtoConfig::shared_memory),
+/// [`relocates`](ProtoConfig::relocates) and
+/// [`replicated`](ProtoConfig::replicated). What manages a key *now* is
+/// data, its [`Residency`](crate::storage::Residency) byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Variant {
     /// Classic PS à la PS-Lite: static allocation, *all* parameter access
@@ -155,19 +156,6 @@ impl HotSet {
     }
 }
 
-/// Static assignment of keys to home nodes.
-///
-/// The home node of a key never changes (Section 3.5); only ownership
-/// moves. Classic PSs use the same partitioning for the (static) owner.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HomePartition {
-    /// Contiguous ranges: node `i` is home to keys
-    /// `[i·⌈K/N⌉, (i+1)·⌈K/N⌉)`.
-    Range,
-    /// Round-robin striping: key `k` is homed at `k mod N`.
-    Stripe,
-}
-
 /// Why a [`ProtoConfig`] cannot be run ([`ProtoConfig::validate`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigError {
@@ -224,8 +212,6 @@ pub struct ProtoConfig {
     /// Number of latches (= state shards) per node; the paper's default of
     /// 1000 worked well in their experiments (Section 3.7).
     pub latches: usize,
-    /// Home assignment scheme.
-    pub partition: HomePartition,
     /// Hot keys replicated under [`Variant::Hybrid`] (ignored by the
     /// other variants; [`Variant::Replication`] replicates everything,
     /// [`Variant::Adaptive`] discovers its hot set online).
@@ -239,10 +225,10 @@ pub struct ProtoConfig {
     pub replica_flush_every: u64,
     /// Serve local pulls of owned and replicated keys as wait-free
     /// seqlock reads (see [`ShardCell`](crate::shard::ShardCell)) instead
-    /// of taking the shard latch. Off in [`ProtoConfig::new`]; both
-    /// backends turn it on (a latched baseline turns it off). On the
-    /// simulator, one task at a time, every such read validates first
-    /// time and serves what the latched route would.
+    /// of taking the shard latch. On in [`ProtoConfig::new`]; a latched
+    /// baseline turns it off, and so does `LAPSE_NO_SEQLOCK` on either
+    /// backend. On the simulator, one task at a time, every such read
+    /// validates first time and serves what the latched route would.
     pub wait_free_reads: bool,
     /// Unread. Snapshot reads take the wait-free path under
     /// `wait_free_reads`, as every local read does
@@ -251,9 +237,10 @@ pub struct ProtoConfig {
     pub snapshot_reads: bool,
     /// Coalesce outgoing messages bound for the same destination into
     /// [`Msg::Batch`](crate::messages::Msg::Batch) envelopes at op/tick
-    /// flush boundaries. Off by default: the simulator backend must keep
-    /// per-message delivery so its schedules and outputs stay
-    /// bit-identical. The threaded backend enables it.
+    /// flush boundaries. On in [`ProtoConfig::new`]. Only the threaded
+    /// backend reads it: the simulator delivers message by message, so
+    /// that its cost model charges per message and its schedules and
+    /// outputs stay bit-identical.
     pub coalesce: bool,
     /// Maximum constituent messages per batch envelope.
     pub coalesce_max_msgs: usize,
@@ -273,7 +260,9 @@ pub struct ProtoConfig {
 }
 
 impl ProtoConfig {
-    /// A small default configuration, convenient for tests.
+    /// The shipped configuration of `nodes` nodes and keys `0..keys`:
+    /// Lapse, location caches off, 1000 latches, wait-free reads and
+    /// message coalescing on, tracing off.
     pub fn new(nodes: u16, keys: u64, layout: Layout) -> Self {
         ProtoConfig {
             nodes,
@@ -282,13 +271,12 @@ impl ProtoConfig {
             variant: Variant::Lapse,
             location_caches: false,
             latches: 1000,
-            partition: HomePartition::Range,
             hot_set: HotSet::Prefix(0),
             adaptive: AdaptiveConfig::default(),
             replica_flush_every: 64,
-            wait_free_reads: false,
+            wait_free_reads: true,
             snapshot_reads: false,
-            coalesce: false,
+            coalesce: true,
             coalesce_max_msgs: 64,
             coalesce_max_bytes: 1 << 20,
             trace: false,
@@ -328,19 +316,50 @@ impl ProtoConfig {
         Ok(())
     }
 
-    /// The management-technique policy view of this configuration.
+    /// Whether workers access node-local parameters through shared
+    /// memory: every variant but [`Variant::Classic`], whose every access
+    /// goes through the server as a message.
     #[inline]
-    pub fn policy(&self) -> Policy<'_> {
-        Policy::new(self)
+    pub fn shared_memory(&self) -> bool {
+        self.variant != Variant::Classic
     }
 
-    /// Keys per home range under [`HomePartition::Range`].
+    /// Whether `localize` can ever relocate `key`: not under the classic
+    /// variants, and not a statically replicated key. Under
+    /// [`Variant::Adaptive`] this is a pre-filter only: a key promoted
+    /// meanwhile is held here, and skipped for that.
+    #[inline]
+    pub fn relocates(&self, key: Key) -> bool {
+        match self.variant {
+            Variant::Classic | Variant::ClassicFastLocal | Variant::Replication => false,
+            Variant::Lapse | Variant::Adaptive => true,
+            Variant::Hybrid => !self.hot_set.contains(key),
+        }
+    }
+
+    /// Whether `key` is statically replicated on every node: every key
+    /// under [`Variant::Replication`], the [`hot_set`](ProtoConfig::hot_set)
+    /// under [`Variant::Hybrid`]. Always false under [`Variant::Adaptive`],
+    /// whose replicated set is in the keys' residency bytes.
+    #[inline]
+    pub fn replicated(&self, key: Key) -> bool {
+        match self.variant {
+            Variant::Replication => true,
+            Variant::Hybrid => self.hot_set.contains(key),
+            _ => false,
+        }
+    }
+
+    /// Keys per home range: node `i` is home to keys
+    /// `[i·⌈K/N⌉, (i+1)·⌈K/N⌉)`.
     #[inline]
     pub fn range_width(&self) -> u64 {
         self.keys.div_ceil(self.nodes as u64)
     }
 
-    /// The (static) home node of `key`.
+    /// The (static) home node of `key`: contiguous ranges of
+    /// [`ProtoConfig::range_width`] keys. The home node of a key never
+    /// changes (Section 3.5); only ownership moves.
     ///
     /// Hard assert (not `debug_assert`): an out-of-range key that reaches
     /// the routing layer otherwise maps to a location slot of a *different*
@@ -350,37 +369,21 @@ impl ProtoConfig {
     #[inline]
     pub fn home(&self, key: Key) -> NodeId {
         assert!(key.0 < self.keys, "key {key} out of range");
-        match self.partition {
-            HomePartition::Range => {
-                NodeId(((key.0 / self.range_width()).min(self.nodes as u64 - 1)) as u16)
-            }
-            HomePartition::Stripe => NodeId((key.0 % self.nodes as u64) as u16),
-        }
+        NodeId(((key.0 / self.range_width()).min(self.nodes as u64 - 1)) as u16)
     }
 
     /// Dense index of `key` within its home node's location table.
     #[inline]
     pub fn home_slot(&self, key: Key) -> usize {
-        match self.partition {
-            HomePartition::Range => (key.0 % self.range_width()) as usize,
-            HomePartition::Stripe => (key.0 / self.nodes as u64) as usize,
-        }
+        (key.0 % self.range_width()) as usize
     }
 
     /// Number of location-table slots node `node` needs as a home.
     pub fn home_slots(&self, node: NodeId) -> usize {
-        match self.partition {
-            HomePartition::Range => {
-                let w = self.range_width();
-                let start = node.idx() as u64 * w;
-                let end = ((node.idx() as u64 + 1) * w).min(self.keys);
-                end.saturating_sub(start) as usize
-            }
-            HomePartition::Stripe => {
-                let n = self.nodes as u64;
-                (self.keys / n + u64::from(self.keys % n > node.idx() as u64)) as usize
-            }
-        }
+        let w = self.range_width();
+        let start = node.idx() as u64 * w;
+        let end = ((node.idx() as u64 + 1) * w).min(self.keys);
+        end.saturating_sub(start) as usize
     }
 
     /// Keys homed at `node`, in increasing order.
@@ -442,32 +445,20 @@ mod tests {
     }
 
     #[test]
-    fn stripe_home_round_robins() {
-        let mut c = cfg(4, 100);
-        c.partition = HomePartition::Stripe;
-        assert_eq!(c.home(Key(0)), NodeId(0));
-        assert_eq!(c.home(Key(1)), NodeId(1));
-        assert_eq!(c.home(Key(5)), NodeId(1));
-    }
-
-    #[test]
     fn home_slevery_key_unique_slot() {
-        for partition in [HomePartition::Range, HomePartition::Stripe] {
-            let mut c = cfg(3, 32);
-            c.partition = partition;
-            for node in 0..3u16 {
-                let keys = c.home_keys(NodeId(node));
-                let slots: Vec<usize> = keys.iter().map(|&k| c.home_slot(k)).collect();
-                let mut sorted = slots.clone();
-                sorted.sort_unstable();
-                sorted.dedup();
-                assert_eq!(sorted.len(), slots.len(), "slot collision on node {node}");
-                assert!(
-                    slots.iter().all(|&s| s < c.home_slots(NodeId(node))),
-                    "slot out of bounds on node {node}: {slots:?} vs {}",
-                    c.home_slots(NodeId(node))
-                );
-            }
+        let c = cfg(3, 32);
+        for node in 0..3u16 {
+            let keys = c.home_keys(NodeId(node));
+            let slots: Vec<usize> = keys.iter().map(|&k| c.home_slot(k)).collect();
+            let mut sorted = slots.clone();
+            sorted.sort_unstable();
+            sorted.dedup();
+            assert_eq!(sorted.len(), slots.len(), "slot collision on node {node}");
+            assert!(
+                slots.iter().all(|&s| s < c.home_slots(NodeId(node))),
+                "slot out of bounds on node {node}: {slots:?} vs {}",
+                c.home_slots(NodeId(node))
+            );
         }
     }
 

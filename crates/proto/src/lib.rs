@@ -18,7 +18,9 @@
 //! Module map:
 //!
 //! * [`config`] — protocol configuration: PS variant, key space, home
-//!   partitioning, latch count, feature flags.
+//!   ranges, latch count, feature flags; the one place that says what a
+//!   variant means (shared-memory access, which keys relocate, which are
+//!   statically replicated).
 //! * [`layout`] — per-key value lengths (uniform / two-tier / per-key).
 //! * [`messages`] — the wire protocol: operations, responses, relocation
 //!   messages; wire sizes and codec.
@@ -28,17 +30,15 @@
 //!   relocation queues, location caches.
 //! * [`tracker`] — client-side operation tracker (per-key completion,
 //!   result assembly, wake callbacks).
-//! * [`client`] — operation issue paths (fast local access, routing,
-//!   grouping); shared by every backend worker handle.
+//! * [`client`] — operation issue paths (fast local access, per-key
+//!   routing by residency byte, grouping); shared by every backend worker
+//!   handle.
 //! * [`coalesce`] — per-destination batching of emit-phase sinks into
 //!   [`Msg::Batch`](messages::Msg) envelopes (threaded backend only).
 //! * [`server`] — the per-node server logic: op routing and forwarding,
 //!   relocation handling, queue draining.
 //! * [`serving`] — the snapshot serving plane: epoch-pinned local
 //!   reads for inference traffic (threaded backend only).
-//! * [`technique`] — the management-technique policy layer: per-key
-//!   choice of static allocation, relocation, or replication, and every
-//!   routing decision derived from it.
 //! * [`adaptive`] — online access statistics (space-saving sketch) and
 //!   the controller that drives runtime technique transitions under
 //!   [`Variant::Adaptive`](config::Variant).
@@ -62,13 +62,17 @@ pub mod serving;
 pub mod shard;
 pub mod storage;
 pub mod strategies;
-pub mod technique;
 pub mod testkit;
 pub mod tracker;
 
-pub use config::{AdaptiveConfig, ConfigError, HomePartition, HotSet, ProtoConfig, Variant};
+/// What each [`Variant`] means per key: [`ProtoConfig`]'s three
+/// predicates, and the replica shards [`NodeShared`] derives from them.
+#[cfg(test)]
+#[path = "technique_tests.rs"]
+mod technique;
+
+pub use config::{AdaptiveConfig, ConfigError, HotSet, ProtoConfig, Variant};
 pub use layout::Layout;
 pub use messages::{Msg, OpId, OpKind};
 pub use serving::{SnapshotRead, SnapshotReader, SnapshotTier};
 pub use shard::NodeShared;
-pub use technique::{IssueRoute, Policy, Technique};

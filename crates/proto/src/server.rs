@@ -107,6 +107,57 @@ struct Batches {
 }
 
 impl Batches {
+    /// Forwards key `k` of `op` (`val`: its push term) from its home to
+    /// the owner in the home's table `owner`, from elsewhere to the home.
+    /// Returns whether it went to the home.
+    fn forward(
+        &mut self,
+        shared: &NodeShared,
+        owner: &[NodeId],
+        (op, kind): (OpId, OpKind),
+        k: Key,
+        val: &[f32],
+    ) -> bool {
+        let home = shared.cfg.home(k);
+        let entry = if home == shared.node {
+            let owner = owner[shared.cfg.home_slot(k)];
+            self.fwd_owner.entry((owner, op, kind))
+        } else {
+            self.fwd_home.entry((home, op, kind))
+        };
+        entry.keys.push(k);
+        entry.vals.extend_from_slice(val);
+        home != shared.node
+    }
+
+    /// Hands the owned `k` over to `dst` (new owner, relocating op) and
+    /// returns the value bytes moved. A hand-over this opens makes room
+    /// for `rest`, the keys it may come to carry.
+    fn hand_over(
+        &mut self,
+        cfg: &ProtoConfig,
+        shard: &mut Shard,
+        k: Key,
+        dst: (NodeId, OpId),
+        rest: &[Key],
+    ) -> u64 {
+        let slot = shard.store.take(k).expect("handed-over key is owned");
+        if cfg.location_caches {
+            shard.loc_cache.insert(k, dst.0);
+        }
+        let v = shard.store.slot_slice(slot);
+        let entry = self.handover.entry(dst);
+        if entry.keys.is_empty() {
+            entry.keys.reserve(rest.len());
+            entry.vals.reserve(cfg.layout.keys_len(rest));
+        }
+        entry.keys.push(k);
+        entry.vals.push_slice(v);
+        let bytes = 4 * v.len() as u64;
+        shard.store.release(slot);
+        bytes
+    }
+
     fn flush(self, node: NodeId, sink: &mut MsgSink) {
         for ((op, kind), kb) in self.resp.into_iter() {
             sink.push((
@@ -319,15 +370,8 @@ impl<'a> Drain<'a> {
                 // home; so do a remote origin's when the key arrived as
                 // a replica (the home serves it).
                 Queued::Op(q) if moved_on || (replica && q.op.node != node) => {
-                    let entry = match cfg.home(k) {
-                        home if home == node => {
-                            let owner = self.owner[cfg.home_slot(k)];
-                            self.batches.fwd_owner.entry((owner, q.op, q.kind))
-                        }
-                        home => self.batches.fwd_home.entry((home, q.op, q.kind)),
-                    };
-                    entry.keys.push(k);
-                    entry.vals.extend_from_slice(&q.val);
+                    let op = (q.op, q.kind);
+                    self.batches.forward(self.shared, self.owner, op, k, &q.val);
                 }
                 // Every other parked operation is served here and now:
                 // a push is applied (to the replica's pending deltas if
@@ -372,17 +416,8 @@ impl<'a> Drain<'a> {
                     }
                     debug_assert!(!moved_on, "second parked relocate for {k}");
                     debug_assert_ne!(new_owner, node);
-                    let slot = shard
-                        .store
-                        .take(k)
-                        .expect("parked relocate found missing key");
-                    cfg.policy().note_owner(shard, k, new_owner);
-                    let v = shard.store.slot_slice(slot);
-                    let entry = self.batches.handover.entry((new_owner, op));
-                    entry.keys.push(k);
-                    entry.vals.push_slice(v);
-                    self.moved_bytes += 4 * v.len() as u64;
-                    shard.store.release(slot);
+                    let dst = (new_owner, op);
+                    self.moved_bytes += self.batches.hand_over(cfg, shard, k, dst, &[]);
                     moved_on = true;
                 }
             }
@@ -586,7 +621,6 @@ impl ServerCore {
     /// location cache was stale (double-forward, Figure 5d).
     fn handle_op(&mut self, m: OpMsg, batches: &mut Batches) {
         let cfg: &ProtoConfig = &self.shared.cfg;
-        let policy = cfg.policy();
         let node = self.shared.node;
         let local = m.op.node == node;
         debug_assert!(
@@ -612,7 +646,7 @@ impl ServerCore {
             let val = &m.vals[val_off..val_off + len];
             val_off += len;
             debug_assert!(
-                policy.adaptive() || !policy.replicated(k),
+                self.shared.adaptive.is_some() || !cfg.replicated(k),
                 "op message for replicated key {k} (replicated access is always local)"
             );
             let shard = cursor.write(self.shared.shard_index(k));
@@ -650,27 +684,21 @@ impl ServerCore {
                 // hand-over (Section 3.2).
                 let (op, kind, val) = (m.op, m.kind, val.to_vec());
                 shard.park(k, Queued::Op(QueuedOp { op, kind, val }));
-            } else if cfg.home(k) == node {
-                // Act as home: forward to the current owner.
-                let owner = self.owner[cfg.home_slot(k)];
-                debug_assert_ne!(
-                    owner, node,
-                    "home believes it owns {k} but the store disagrees"
-                );
-                let entry = batches.fwd_owner.entry((owner, m.op, m.kind));
-                entry.keys.push(k);
-                entry.vals.extend_from_slice(val);
-            } else {
+            } else if batches.forward(&self.shared, &self.owner, (m.op, m.kind), k, val) {
                 // Direct delivery based on a stale location cache:
-                // forward to the home node (double-forward, Figure 5d).
+                // forwarded to the home node (double-forward, Figure 5d).
                 debug_assert!(
                     !m.routed_by_home,
                     "home-routed op for {k} reached a non-owner"
                 );
                 stale_forwards += 1;
-                let entry = batches.fwd_home.entry((cfg.home(k), m.op, m.kind));
-                entry.keys.push(k);
-                entry.vals.extend_from_slice(val);
+            } else {
+                // Acted as home: forwarded to the current owner.
+                debug_assert_ne!(
+                    self.owner[cfg.home_slot(k)],
+                    node,
+                    "home believes it owns {k} but the store disagrees"
+                );
             }
         }
         drop(cursor);
@@ -690,8 +718,8 @@ impl ServerCore {
         debug_assert_eq!(m.op.node, self.shared.node, "response at wrong node");
         if cfg.location_caches {
             for &k in &m.keys {
-                cfg.policy()
-                    .note_owner(&mut self.shared.shard_for(k).write(), k, m.owner);
+                let mut shard = self.shared.shard_for(k).write();
+                shard.loc_cache.insert(k, m.owner);
             }
         }
         // One tracker lock completes the whole grouped response; pull
@@ -712,12 +740,12 @@ impl ServerCore {
     /// it until the demotion has drained.
     fn handle_localize(&mut self, m: LocalizeReqMsg, batches: &mut Batches) {
         let cfg: &ProtoConfig = &self.shared.cfg;
-        let policy = cfg.policy();
+        let adaptive = self.shared.adaptive.is_some();
         let requester = m.op.node;
         let mut per_old: OrderedGroups<NodeId, Vec<Key>> = OrderedGroups::new();
         for &k in &m.keys {
             debug_assert_eq!(cfg.home(k), self.shared.node, "localize at wrong home");
-            if policy.adaptive() {
+            if adaptive {
                 let cell = self.shared.shard_for(k);
                 let held = cell.read().store.residency(k);
                 match held {
@@ -776,7 +804,6 @@ impl ServerCore {
     /// key order (a key that is parked or degenerate adds nothing).
     fn handle_relocate(&mut self, m: RelocateMsg, batches: &mut Batches) {
         let cfg: &ProtoConfig = &self.shared.cfg;
-        let policy = cfg.policy();
         let dst = (m.new_owner, m.op);
         let (mut moved_bytes, mut degenerate, mut unexpected) = (0u64, 0u32, 0u64);
         let mut cursor = LatchCursor::new(&self.shared.shards);
@@ -790,21 +817,9 @@ impl ServerCore {
                 self.shared.tracker.note_counted(m.op.seq, k, -1);
                 degenerate += 1;
             } else if held == Owned {
-                let slot = shard.store.take(k).expect("owned");
-                policy.note_owner(shard, k, m.new_owner);
-                let v = shard.store.slot_slice(slot);
-                let entry = batches.handover.entry(dst);
-                if entry.keys.is_empty() {
-                    // The hand-over's first key: room for all that may
-                    // follow, allocated once.
-                    let rest = &m.keys[i..];
-                    entry.keys.reserve(rest.len());
-                    entry.vals.reserve(cfg.layout.keys_len(rest));
-                }
-                entry.keys.push(k);
-                entry.vals.push_slice(v);
-                moved_bytes += 4 * v.len() as u64;
-                shard.store.release(slot);
+                // The hand-over's first key makes room for all that may
+                // follow, allocated once.
+                moved_bytes += batches.hand_over(cfg, shard, k, dst, &m.keys[i..]);
                 if let Some(t) = &self.tracer {
                     t.event(EventKind::RelocHandOver, k.0, m.new_owner.0 as u64);
                 }
@@ -995,8 +1010,7 @@ impl ServerCore {
             self.handle_replica_reg(ReplicaRegMsg { node: m.node }, batches);
         }
         let cfg: &ProtoConfig = &self.shared.cfg;
-        let policy = cfg.policy();
-        let adaptive = policy.adaptive();
+        let adaptive = self.shared.adaptive.is_some();
         debug_assert_eq!(
             cfg.layout.keys_len(&m.keys),
             m.vals.len(),
@@ -1031,7 +1045,7 @@ impl ServerCore {
         let mut cursor = LatchCursor::new(&self.shared.shards);
         for &k in &m.keys {
             debug_assert!(
-                adaptive || policy.replicated(k),
+                adaptive || cfg.replicated(k),
                 "replica push for unreplicated {k}"
             );
             debug_assert_eq!(cfg.home(k), node, "replica push at wrong owner");
@@ -1154,7 +1168,7 @@ impl ServerCore {
     fn handle_technique_promote(&mut self, m: TechniquePromoteMsg, batches: &mut Batches) {
         let cfg: &ProtoConfig = &self.shared.cfg;
         debug_assert!(
-            cfg.policy().adaptive(),
+            self.shared.adaptive.is_some(),
             "technique transition without adaptive variant"
         );
         if let Some(t) = &self.tracer {
@@ -1305,7 +1319,7 @@ impl ServerCore {
     fn handle_technique_demote(&mut self, m: TechniqueDemoteMsg, batches: &mut Batches) {
         let cfg: &ProtoConfig = &self.shared.cfg;
         debug_assert!(
-            cfg.policy().adaptive(),
+            self.shared.adaptive.is_some(),
             "technique transition without adaptive variant"
         );
         let (mut demote, nodes) = (Vec::new(), cfg.nodes as usize);

@@ -924,7 +924,7 @@ impl NodeShared {
             panic!("invalid ProtoConfig: {e}");
         }
         let shard_count = cfg.shard_count();
-        let policy = cfg.policy();
+        let adaptive = cfg.variant == Variant::Adaptive;
         let mut shards = Vec::with_capacity(shard_count);
         let mut replica_shards = Vec::new();
         for s in 0..shard_count {
@@ -940,10 +940,10 @@ impl NodeShared {
             // homed elsewhere start as local replicas of the same
             // deterministic initial values. Either way the value goes into
             // the key's slot, which is zero already.
-            let mut replicates = policy.adaptive();
+            let mut replicates = adaptive;
             for k in start..end {
                 let key = Key(k);
-                let replicated = policy.replicated(key);
+                let replicated = cfg.replicated(key);
                 replicates |= replicated;
                 let at_home = cfg.home(key) == node;
                 if !(at_home || replicated) {
@@ -983,8 +983,7 @@ impl NodeShared {
                 cell.set_trace(Arc::clone(&trace), Arc::clone(&ring), idx as u64);
             }
         }
-        let adaptive =
-            matches!(cfg.variant, Variant::Adaptive).then(|| AdaptiveShared::new(&cfg.adaptive));
+        let adaptive = adaptive.then(|| AdaptiveShared::new(&cfg.adaptive));
         Arc::new(NodeShared {
             cfg: cfg.clone(),
             node,
@@ -1112,7 +1111,7 @@ impl NodeShared {
     /// The gate of the wait-free read path: `ProtoConfig::wait_free_reads`
     /// on a variant with shared-memory access.
     fn wait_free(&self) -> bool {
-        self.cfg.wait_free_reads && self.cfg.policy().shared_memory()
+        self.cfg.wait_free_reads && self.cfg.shared_memory()
     }
 
     /// The seqlock read loop at `key`'s shard index `shard`. Every

@@ -17,7 +17,7 @@ use lapse_proto::client::IssueHandle;
 use lapse_proto::messages::Msg;
 use lapse_proto::shard::AccessStats;
 use lapse_proto::testkit::{IssueOp, TestCluster};
-use lapse_proto::{HomePartition, Layout, ProtoConfig, Variant};
+use lapse_proto::{Layout, ProtoConfig, Variant};
 
 const N0: NodeId = NodeId(0);
 const N1: NodeId = NodeId(1);
@@ -247,12 +247,11 @@ fn parked_ops_behind_a_handover_whose_list_revisits_a_shard() {
 // (b) replica rounds meet each shard once
 // ---------------------------------------------------------------------------
 
-/// 2 nodes × 12 striped keys × 4 latches, everything replicated: node 0
-/// is home to the even keys, which span all four shards.
+/// 2 nodes × 24 keys × 8 latches, everything replicated: node 0 is home
+/// to keys 0..12, which span four shards of three keys each.
 fn replication_cfg() -> ProtoConfig {
-    let mut c = ProtoConfig::new(2, 12, Layout::Uniform(1));
-    c.latches = 4;
-    c.partition = HomePartition::Stripe;
+    let mut c = ProtoConfig::new(2, 24, Layout::Uniform(1));
+    c.latches = 8;
     c.variant = Variant::Replication;
     c
 }

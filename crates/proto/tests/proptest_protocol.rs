@@ -212,7 +212,7 @@ fn run_schedule(
             .load(std::sync::atomic::Ordering::Relaxed);
         for k in 0..keys {
             let key = Key(k);
-            if !policy_cfg.policy().replicated(key) {
+            if !policy_cfg.replicated(key) {
                 continue;
             }
             assert!(

@@ -63,7 +63,7 @@ pub use lapse_core::{
     run_sim, run_threaded, ClusterStats, CostModel, OpToken, PsConfig, PsWorker, Variant,
 };
 pub use lapse_net::{Key, NodeId, WorkerId};
-pub use lapse_proto::{AdaptiveConfig, HomePartition, HotSet, Layout, ProtoConfig};
+pub use lapse_proto::{AdaptiveConfig, HotSet, Layout, ProtoConfig};
 
 /// Selects the PS variant from the `LAPSE_VARIANT` environment variable,
 /// falling back to `default` when unset. Accepted values: `classic`,

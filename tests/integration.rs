@@ -194,31 +194,6 @@ fn delayed_links_do_not_lose_updates() {
     }
 }
 
-/// Range and stripe partitioning: same results.
-#[test]
-fn storage_and_partitioning_equivalence() {
-    let body = |w: &mut dyn PsWorker| {
-        let gid = w.global_id() as u64;
-        for i in 0..40u64 {
-            w.push(&[Key((i + gid * 5) % 12)], &[1.0]);
-        }
-        w.barrier();
-        let keys: Vec<Key> = (0..12).map(Key).collect();
-        let mut out = vec![0.0f32; 12];
-        w.pull(&keys, &mut out);
-        out
-    };
-    let mut outcomes = Vec::new();
-    for partition in [lapse::HomePartition::Range, lapse::HomePartition::Stripe] {
-        let cfg = PsConfig::new(3, 12, 1).partition(partition);
-        let (results, _) = run_sim(cfg, 1, CostModel::default(), |_| None, body);
-        outcomes.push(results[0].clone());
-    }
-    for o in &outcomes[1..] {
-        assert_eq!(o, &outcomes[0]);
-    }
-}
-
 /// Uneven key spaces (keys not divisible by nodes, more latches than
 /// keys) still work.
 #[test]

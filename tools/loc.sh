@@ -12,7 +12,9 @@
 # test-support modules `testkit`, `strategies` and `consistency`, so
 # that added tests do not read as growth), `unsafe` sites per crate
 # (code lines naming the keyword), lock sites per crate (shipped code lines
-# naming `Mutex<`, `RwLock<` or `Condvar`), the `pub` fields of
+# naming `Mutex<`, `RwLock<` or `Condvar`), public types per crate
+# (shipped lines declaring a `pub struct`, `enum`, `trait` or `type`,
+# so that a public type that goes shows in a diff), the `pub` fields of
 # `ProtoConfig` and `PsConfig`, and the `LAPSE_*` environment variables
 # the workspace reads (`benchmark/` is a package of its own and frozen:
 # not counted).
@@ -52,15 +54,16 @@ shipped_src() {
             { print }'
 }
 
-echo "== src lines (tracked *.rs), shipped lines, unsafe sites and shipped lock sites, per crate"
-printf '%-18s %7s %7s %7s %7s\n' crate lines shipped unsafe locks
+echo "== src lines (tracked *.rs), shipped lines, unsafe sites, shipped lock sites and pub types, per crate"
+printf '%-18s %7s %7s %7s %7s %9s\n' crate lines shipped unsafe locks 'pub types'
 total=0 total_shipped=0
 for dir in src $(list crates | sed -nE 's|^(crates/[^/]+)/src/.*|\1/src|p' | sort -u); do
     lines=$(cat_all "$dir" | wc -l)
     shipped=$(shipped_src "$dir" | wc -l)
     sites=$(cat_all "$dir" | code_lines | grep -cE '\bunsafe\b' || true)
     locks=$(shipped_src "$dir" | code_lines | grep -cE 'Mutex<|RwLock<|\bCondvar\b' || true)
-    printf '%-18s %7d %7d %7d %7d\n' "${dir%/src}" "$lines" "$shipped" "$sites" "$locks"
+    types=$(shipped_src "$dir" | grep -cE '^\s*pub (struct|enum|trait|type) ' || true)
+    printf '%-18s %7d %7d %7d %7d %9d\n' "${dir%/src}" "$lines" "$shipped" "$sites" "$locks" "$types"
     total=$((total + lines)) total_shipped=$((total_shipped + shipped))
 done
 printf '%-18s %7d %7d\n' total "$total" "$total_shipped"
