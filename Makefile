@@ -102,7 +102,8 @@ bench-pairs:
 	TRACE=$(TRACE) tools/bench-pairs.sh $(PARENT) $(WORKLOAD) $(SEED) $(PAIRS)
 
 ## What a simplicity PR counts: `src` lines, `unsafe` sites, shipped
-## lock sites and public types per crate, the `pub` fields of `ProtoConfig`/`PsConfig`,
+## lock sites and public types per crate, the `pub` fields of `ProtoConfig`/`PsConfig`
+## and of `ClusterStats` (a counter mirrored from the lanes shows there),
 ## the `LAPSE_*` variables read — from tracked files. "Simpler" is a diff of two outputs:
 ##   diff <(tools/loc.sh HEAD~1) <(tools/loc.sh)
 loc:

@@ -255,7 +255,7 @@ fn smoke() {
     );
     println!(
         "relocations {}, handovers {}",
-        stats.relocations, stats.handovers_in
+        stats.relocations, stats.handovers
     );
     println!("value plane: {} bytes moved", stats.value_bytes_moved);
     println!("pull checksum {checksum:.3}, local probe {:?}", &out[..2]);

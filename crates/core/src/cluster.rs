@@ -377,9 +377,6 @@ where
     stats.bytes = net.total_bytes();
     stats.self_messages = net.self_messages();
     stats.doorbell_rings = dispatch.doorbell_rings();
-    for wake in wakes.iter().flatten() {
-        wake.report(&mut stats);
-    }
     export_trace(&recorder, &mut stats);
     (results, stats, dispatch)
 }

@@ -31,10 +31,9 @@ use lapse_proto::client::{ClientCore, MsgSink};
 use lapse_proto::coalesce::Coalescer;
 use lapse_proto::messages::Msg;
 use lapse_proto::server::ServerCore;
-use lapse_proto::shard::{AccessLane, LaneCounter, NodeShared};
+use lapse_proto::shard::{AccessLane, NodeShared};
 use lapse_proto::{ProtoConfig, SnapshotReader};
 
-use crate::stats::ClusterStats;
 use crate::worker::Backend;
 
 /// How long a waiter polls before it goes to sleep: about what the sleep
@@ -47,23 +46,6 @@ use crate::worker::Backend;
 /// flat between 20 and 100 µs (EXPERIMENTS.md, "before/after PR 18"), so
 /// this is a constant, not a setting.
 const SPIN_BUDGET: Duration = Duration::from_micros(30);
-
-/// What a waiter counts about its own waits. It is the only writer, so
-/// the bumps are plain stores, and the block has its lines to itself:
-/// the notifiers, which read `parked` on every completion, never see
-/// them move.
-#[derive(Default)]
-#[repr(align(128))]
-struct WaitCounts {
-    /// Waits whose first check found the operation done.
-    immediate: LaneCounter,
-    /// Waits that ended in the spin stage.
-    spins: LaneCounter,
-    /// Waits that outlasted the spin stage and went on to park.
-    parks: LaneCounter,
-    /// Nanoseconds between a failed first check and the end of the wait.
-    wait_ns: LaneCounter,
-}
 
 /// Where a worker waits for the completion of one of its operations:
 /// check, spin, park.
@@ -85,12 +67,17 @@ struct WaitCounts {
 /// check already sees the completion and it never sleeps. (The spin
 /// stage before the announcement only reads `done`: it can end a wait
 /// early, never make one miss its wake-up.)
+///
+/// The cell holds no counters: the waiter counts its waits in its own
+/// [`AccessLane`], a block of its own that the notifiers, which read
+/// `parked` on every completion, never touch. Aligned to 128 bytes, so
+/// that the cells of two workers never share a line either.
 #[derive(Default)]
+#[repr(align(128))]
 pub(crate) struct WakeCell {
     parked: AtomicU32,
     lock: Mutex<()>,
     cv: Condvar,
-    counts: WaitCounts,
 }
 
 impl WakeCell {
@@ -106,11 +93,11 @@ impl WakeCell {
     }
 
     /// Blocks until `done()`: polls it for [`SPIN_BUDGET`], then parks.
-    /// Every wait bumps exactly one of the three stage counters.
-    pub(crate) fn wait_until(&self, mut done: impl FnMut() -> bool) {
-        let counts = &self.counts;
+    /// Every wait bumps exactly one of the three stage counters of
+    /// `lane`, the waiter's own.
+    pub(crate) fn wait_until(&self, lane: &AccessLane, mut done: impl FnMut() -> bool) {
         if done() {
-            counts.immediate.add(1);
+            lane.wake_immediate.add(1);
             return;
         }
         #[allow(
@@ -121,16 +108,16 @@ impl WakeCell {
         loop {
             std::hint::spin_loop();
             if done() {
-                counts.spins.add(1);
+                lane.wake_spins.add(1);
                 break;
             }
             if start.elapsed() >= SPIN_BUDGET {
-                counts.parks.add(1);
+                lane.wake_parks.add(1);
                 self.park_until(&mut done);
                 break;
             }
         }
-        counts.wait_ns.add(start.elapsed().as_nanos() as u64);
+        lane.wait_ns.add(start.elapsed().as_nanos() as u64);
     }
 
     /// The park stage of [`WakeCell::wait_until`]: announce, fence,
@@ -144,14 +131,6 @@ impl WakeCell {
         }
         drop(g);
         self.parked.fetch_sub(1, SeqCst);
-    }
-
-    /// Adds this cell's counts to `stats`. Exact once the waiter stopped.
-    pub(crate) fn report(&self, stats: &mut ClusterStats) {
-        stats.wake_immediate += self.counts.immediate.get();
-        stats.wake_spins += self.counts.spins.get();
-        stats.wake_parks += self.counts.parks.get();
-        stats.wait_ns += self.counts.wait_ns.get();
     }
 }
 
@@ -454,7 +433,7 @@ impl Backend for ThreadedBackend {
 
     fn wait_done(&mut self, client: &ClientCore, seq: u64) {
         let tracker = &client.shared().tracker;
-        self.wake.wait_until(|| tracker.is_done(seq));
+        self.wake.wait_until(client.lane(), || tracker.is_done(seq));
     }
 
     fn barrier(&mut self) {
@@ -599,12 +578,12 @@ mod tests {
     #[test]
     fn wake_cell_hammer_across_the_spin_boundary() {
         const ROUNDS: u64 = 4_000;
-        let cell = WakeCell::default();
+        let lane = AccessLane::default();
         let mut rng = lapse_utils::rng::rng_from_seed(18);
         hammer(
             ROUNDS,
-            &cell,
-            |cell, done| cell.wait_until(done),
+            &WakeCell::default(),
+            |cell, done| cell.wait_until(&lane, done),
             move || {
                 let delay = SPIN_BUDGET.mul_f64(rand::Rng::gen_range(&mut rng, 0.0..2.0));
                 let start = Instant::now();
@@ -613,39 +592,36 @@ mod tests {
                 }
             },
         );
-        let mut stats = ClusterStats::collect(&[]);
-        cell.report(&mut stats);
-        assert_eq!(
-            stats.wake_immediate + stats.wake_spins + stats.wake_parks,
-            ROUNDS
-        );
+        let s = lane.snapshot();
+        assert_eq!(s.wake_immediate + s.wake_spins + s.wake_parks, ROUNDS);
     }
 
-    /// Each stage on one thread, and each under its own name in
-    /// `ClusterStats`: done at the first check, done at the second, and
-    /// done only once the waiter announced that it parks.
+    /// Each stage on one thread, and each under its own name in the
+    /// waiter's lane: done at the first check, done at the second, and
+    /// done only once the waiter announced that it parks. Another lane
+    /// counts none of it.
     #[test]
     fn every_wait_counts_as_exactly_one_stage() {
         let cell = WakeCell::default();
-        let report = || {
-            let mut stats = ClusterStats::collect(&[]);
-            cell.report(&mut stats);
-            let stages = (stats.wake_immediate, stats.wake_spins, stats.wake_parks);
-            (stages, stats.wait_ns)
+        let (lane, other) = (AccessLane::default(), AccessLane::default());
+        let report = |lane: &AccessLane| {
+            let s = lane.snapshot();
+            ((s.wake_immediate, s.wake_spins, s.wake_parks), s.wait_ns)
         };
-        cell.wait_until(|| true);
-        assert_eq!(report(), ((1, 0, 0), 0));
+        cell.wait_until(&lane, || true);
+        assert_eq!(report(&lane), ((1, 0, 0), 0));
         let mut checks = 0;
-        cell.wait_until(|| {
+        cell.wait_until(&lane, || {
             checks += 1;
             checks == 2
         });
-        assert_eq!(report().0, (1, 1, 0));
-        cell.wait_until(|| cell.parked.load(SeqCst) > 0);
-        let (stages, wait_ns) = report();
+        assert_eq!(report(&lane).0, (1, 1, 0));
+        cell.wait_until(&lane, || cell.parked.load(SeqCst) > 0);
+        let (stages, wait_ns) = report(&lane);
         assert_eq!(stages, (1, 1, 1));
         assert!(wait_ns >= SPIN_BUDGET.as_nanos() as u64);
         assert_eq!(cell.parked.load(SeqCst), 0);
+        assert_eq!(report(&other), ((0, 0, 0), 0));
     }
 
     #[test]

@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use lapse_trace::{EventKind, Recorder, Ring, ACTOR_NET};
+use lapse_trace::{EventKind, Recorder, Tracer, ACTOR_NET};
 use lapse_utils::metrics::Metrics;
 
 use crate::id::NodeId;
@@ -64,7 +64,7 @@ pub struct ThreadedNet<M> {
     delayed_links: Option<Vec<Vec<DelayedSender<M>>>>,
     /// Flight-recorder lanes, one per sending node (`None` when tracing
     /// is off, so the disabled send path costs one pointer test).
-    trace: Option<(Arc<Recorder>, Vec<Arc<Ring>>)>,
+    trace: Option<Vec<Tracer>>,
 }
 
 impl<M: Send + WireSize + 'static> ThreadedNet<M> {
@@ -135,12 +135,9 @@ impl<M: Send + WireSize + 'static> ThreadedNet<M> {
                 .collect()
         });
 
-        let trace = trace.on().then(|| {
-            let lanes = (0..n)
-                .map(|src| trace.lane(src as u16, ACTOR_NET, format!("n{src}/net")))
-                .collect();
-            (trace, lanes)
-        });
+        let trace = (0..n)
+            .map(|src| trace.tracer(src as u16, ACTOR_NET, format!("n{src}/net")))
+            .collect();
 
         Arc::new(ThreadedNet {
             senders,
@@ -169,8 +166,8 @@ impl<M: Send + WireSize + 'static> ThreadedNet<M> {
         let link = &self.stats[src.idx()][dst.idx()];
         link.messages.fetch_add(1, Ordering::Relaxed);
         link.bytes.fetch_add(bytes, Ordering::Relaxed);
-        if let Some((rec, lanes)) = &self.trace {
-            rec.record(&lanes[src.idx()], EventKind::MsgSend, dst.0 as u64, bytes);
+        if let Some(lanes) = &self.trace {
+            lanes[src.idx()].record(EventKind::MsgSend, dst.0 as u64, bytes);
         }
 
         let incoming = Incoming { src, msg };

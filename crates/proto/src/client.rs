@@ -83,7 +83,7 @@ use std::sync::Arc;
 
 use lapse_net::{Key, NodeId};
 use lapse_trace::{
-    EventKind, Recorder, Ring, ACTOR_WORKER0, CLASS_LOCALIZE, CLASS_PULL, CLASS_PUSH, PHASE_EMIT,
+    EventKind, Tracer, ACTOR_WORKER0, CLASS_LOCALIZE, CLASS_PULL, CLASS_PUSH, PHASE_EMIT,
     PHASE_PLAN, PHASE_SHARD,
 };
 
@@ -208,53 +208,25 @@ pub struct ClientCore {
     /// Flight-recorder lane of this worker (`None` when tracing is off,
     /// so untraced issue paths carry no instrumentation beyond this
     /// option check).
-    tracer: Option<WorkerTracer>,
+    tracer: Option<Tracer>,
 }
 
-/// One worker's flight-recorder handle: the shared recorder plus the
-/// worker's own event lane.
-struct WorkerTracer {
-    rec: Arc<Recorder>,
-    ring: Arc<Ring>,
-}
-
-impl WorkerTracer {
-    /// Records one multi-phase op's lifecycle: an issue instant at `t0`
-    /// and its prepass (`t0..t1`), walk (`t1..t2`) and register-and-flush
-    /// (`t2..t3`) spans — under the trace format's phase names `plan`,
-    /// `shard` and `emit` — with the durations fed to the per-class phase
-    /// histograms.
-    fn op(&self, class: u64, keys: u64, t0: u64, t1: u64, t2: u64, t3: u64) {
-        let (plan, shard, emit) = (
-            t1.saturating_sub(t0),
-            t2.saturating_sub(t1),
-            t3.saturating_sub(t2),
-        );
-        self.rec
-            .record_at(&self.ring, EventKind::OpIssue, t0, class, keys);
-        self.rec.record_at(
-            &self.ring,
-            EventKind::OpPhase,
-            t1,
-            class << 32 | PHASE_PLAN,
-            plan,
-        );
-        self.rec.record_at(
-            &self.ring,
-            EventKind::OpPhase,
-            t2,
-            class << 32 | PHASE_SHARD,
-            shard,
-        );
-        self.rec.record_at(
-            &self.ring,
-            EventKind::OpPhase,
-            t3,
-            class << 32 | PHASE_EMIT,
-            emit,
-        );
-        self.rec.record_op_phases(class, plan, shard, emit);
-    }
+/// Records one multi-phase op's lifecycle in a worker's lane: an issue
+/// instant at `t0` and its prepass (`t0..t1`), walk (`t1..t2`) and
+/// register-and-flush (`t2..t3`) spans — under the trace format's phase
+/// names `plan`, `shard` and `emit` — with the durations fed to the
+/// per-class phase histograms.
+fn trace_op(t: &Tracer, class: u64, keys: u64, t0: u64, t1: u64, t2: u64, t3: u64) {
+    let (plan, shard, emit) = (
+        t1.saturating_sub(t0),
+        t2.saturating_sub(t1),
+        t3.saturating_sub(t2),
+    );
+    t.record_at(EventKind::OpIssue, t0, class, keys);
+    t.record_at(EventKind::OpPhase, t1, class << 32 | PHASE_PLAN, plan);
+    t.record_at(EventKind::OpPhase, t2, class << 32 | PHASE_SHARD, shard);
+    t.record_at(EventKind::OpPhase, t3, class << 32 | PHASE_EMIT, emit);
+    t.recorder().record_op_phases(class, plan, shard, emit);
 }
 
 /// Subscribes the node to replica refreshes on its first replicated
@@ -276,21 +248,18 @@ fn ensure_registered(shared: &NodeShared, sink: &mut MsgSink) {
 
 /// The end of a phase of a traced multi-phase operation (`t0` is its
 /// start, `None` when the operation records no phases).
-fn phase_end(tracer: &Option<WorkerTracer>, t0: Option<u64>) -> Option<u64> {
-    t0.map(|_| tracer.as_ref().expect("t0 set with tracer").rec.now())
+fn phase_end(tracer: &Option<Tracer>, t0: Option<u64>) -> Option<u64> {
+    t0.map(|_| tracer.as_ref().expect("t0 set with tracer").now())
 }
 
 impl ClientCore {
     /// Creates the client core for worker `slot` of the node.
     pub fn new(shared: Arc<NodeShared>, slot: u16) -> Self {
-        let tracer = shared.trace.on().then(|| WorkerTracer {
-            ring: shared.trace.lane(
-                shared.node.0,
-                ACTOR_WORKER0 + slot,
-                format!("n{}/w{}", shared.node.0, slot),
-            ),
-            rec: Arc::clone(&shared.trace),
-        });
+        let tracer = shared.trace.tracer(
+            shared.node.0,
+            ACTOR_WORKER0 + slot,
+            format!("n{}/w{}", shared.node.0, slot),
+        );
         ClientCore {
             lane: shared.claim_lane(),
             guard: GuardMap::new(shared.cfg.keys),
@@ -333,14 +302,14 @@ impl ClientCore {
     /// records its issue instant and nothing else (four events an
     /// operation would quarter the window an event ring covers); any
     /// other gets its start time back and records its phases when it
-    /// ends ([`WorkerTracer::op`]).
+    /// ends (`trace_op`).
     fn trace_begin(&self, class: u64, keys: usize) -> Option<u64> {
         let t = self.tracer.as_ref()?;
         if keys == 1 {
-            t.rec.record(&t.ring, EventKind::OpIssue, class, 1);
+            t.record(EventKind::OpIssue, class, 1);
             return None;
         }
-        Some(t.rec.now())
+        Some(t.now())
     }
 
     /// Prepass of a pull or push (`op` names it), before any latch:
@@ -656,7 +625,7 @@ impl ClientCore {
             None => IssueHandle::Ready(None),
         };
         if let (Some(t), Some(t0), Some(t1), Some(t2)) = (self.tracer.as_ref(), t0, t1, t2) {
-            t.op(CLASS_PULL, keys.len() as u64, t0, t1, t2, t.rec.now());
+            trace_op(t, CLASS_PULL, keys.len() as u64, t0, t1, t2, t.now());
         }
         handle
     }
@@ -747,7 +716,7 @@ impl ClientCore {
             None => IssueHandle::Ready(None),
         };
         if let (Some(t), Some(t0), Some(t1), Some(t2)) = (self.tracer.as_ref(), t0, t1, t2) {
-            t.op(CLASS_PUSH, keys.len() as u64, t0, t1, t2, t.rec.now());
+            trace_op(t, CLASS_PUSH, keys.len() as u64, t0, t1, t2, t.now());
         }
         handle
     }
@@ -770,7 +739,7 @@ impl ClientCore {
     /// # Panics
     /// Panics, before any key is touched, on a key outside the key space.
     pub fn localize(&mut self, keys: &[Key], sink: &mut MsgSink) -> IssueHandle {
-        let t0 = self.tracer.as_ref().map(|t| t.rec.now());
+        let t0 = self.tracer.as_ref().map(Tracer::now);
         let ClientCore {
             shared,
             lane,
@@ -850,7 +819,7 @@ impl ClientCore {
             }
         };
         if let (Some(t), Some(t0), Some(t1), Some(t2)) = (tracer.as_ref(), t0, t1, t2) {
-            t.op(CLASS_LOCALIZE, keys.len() as u64, t0, t1, t2, t.rec.now());
+            trace_op(t, CLASS_LOCALIZE, keys.len() as u64, t0, t1, t2, t.now());
         }
         handle
     }
@@ -880,8 +849,7 @@ impl ClientCore {
     /// releases the tracker entry.
     pub fn finish_pull(&self, seq: u64, out: &mut [f32]) {
         if let Some(t) = self.tracer.as_ref() {
-            t.rec
-                .record(&t.ring, EventKind::OpComplete, CLASS_PULL, seq);
+            t.record(EventKind::OpComplete, CLASS_PULL, seq);
         }
         let res = self.shared.tracker.take(seq);
         for (out_off, res_off, len) in res.assembly {
@@ -893,8 +861,7 @@ impl ClientCore {
     /// Takes the values of a completed async pull (in key order).
     pub fn take_pull(&self, seq: u64) -> Vec<f32> {
         if let Some(t) = self.tracer.as_ref() {
-            t.rec
-                .record(&t.ring, EventKind::OpComplete, CLASS_PULL, seq);
+            t.record(EventKind::OpComplete, CLASS_PULL, seq);
         }
         self.shared.tracker.take(seq).result
     }
@@ -909,7 +876,7 @@ impl ClientCore {
                 Some(TrackedKind::Localize) => CLASS_LOCALIZE,
                 _ => CLASS_PUSH,
             };
-            t.rec.record(&t.ring, EventKind::OpComplete, class, seq);
+            t.record(EventKind::OpComplete, class, seq);
         }
     }
 

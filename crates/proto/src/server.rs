@@ -51,7 +51,7 @@ use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
 use lapse_net::{Key, NodeId, ValueBlock, ValueBlockBuilder};
-use lapse_trace::{EventKind, Recorder, Ring, ACTOR_SERVER};
+use lapse_trace::{EventKind, Tracer, ACTOR_SERVER};
 
 use crate::client::MsgSink;
 use crate::config::ProtoConfig;
@@ -475,26 +475,7 @@ pub struct ServerCore {
     scratch: ServerScratch,
     /// Flight-recorder lane for this server thread (`None` when tracing
     /// is off, so the disabled path costs one pointer test).
-    tracer: Option<ServerTracer>,
-}
-
-/// The server's flight-recorder lane plus the recorder it belongs to.
-struct ServerTracer {
-    rec: Arc<Recorder>,
-    ring: Arc<Ring>,
-}
-
-impl ServerTracer {
-    #[inline]
-    fn event(&self, kind: EventKind, a: u64, b: u64) {
-        self.rec.record(&self.ring, kind, a, b);
-    }
-
-    /// Records that the server consumed `msg`.
-    #[inline]
-    fn recv(&self, msg: &Msg) {
-        self.event(EventKind::MsgRecv, msg.tag() as u64, msg.key_count());
-    }
+    tracer: Option<Tracer>,
 }
 
 impl ServerCore {
@@ -503,14 +484,11 @@ impl ServerCore {
     pub fn new(shared: Arc<NodeShared>) -> Self {
         let slots = shared.cfg.home_slots(shared.node);
         let owner = vec![shared.node; slots];
-        let tracer = shared.trace.on().then(|| ServerTracer {
-            rec: Arc::clone(&shared.trace),
-            ring: shared.trace.lane(
-                shared.node.0,
-                ACTOR_SERVER,
-                format!("n{}/server", shared.node.0),
-            ),
-        });
+        let tracer = shared.trace.tracer(
+            shared.node.0,
+            ACTOR_SERVER,
+            format!("n{}/server", shared.node.0),
+        );
         ServerCore {
             lane: shared.claim_lane(),
             shared,
@@ -562,7 +540,7 @@ impl ServerCore {
             return self.handle_batch(msgs, sink);
         }
         if let Some(t) = &self.tracer {
-            t.recv(&msg);
+            t.record(EventKind::MsgRecv, msg.tag() as u64, msg.key_count());
         }
         let mut batches = Batches::default();
         match msg {
@@ -602,7 +580,7 @@ impl ServerCore {
     /// buffer: drains `msgs` and leaves its capacity behind.
     pub fn handle_burst(&mut self, msgs: &mut Vec<Msg>, sink: &mut MsgSink) {
         if let Some(t) = &self.tracer {
-            t.event(EventKind::MsgBatch, 0, msgs.len() as u64);
+            t.record(EventKind::MsgBatch, 0, msgs.len() as u64);
         }
         for msg in msgs.drain(..) {
             debug_assert!(
@@ -773,7 +751,7 @@ impl ServerCore {
             self.owner[slot] = requester;
             self.lane.relocations.add(1);
             if let Some(t) = &self.tracer {
-                t.event(EventKind::RelocStart, k.0, old.0 as u64);
+                t.record(EventKind::RelocStart, k.0, old.0 as u64);
             }
             per_old.entry(old).push(k);
         }
@@ -821,7 +799,7 @@ impl ServerCore {
                 // follow, allocated once.
                 moved_bytes += batches.hand_over(cfg, shard, k, dst, &m.keys[i..]);
                 if let Some(t) = &self.tracer {
-                    t.event(EventKind::RelocHandOver, k.0, m.new_owner.0 as u64);
+                    t.record(EventKind::RelocHandOver, k.0, m.new_owner.0 as u64);
                 }
             } else if let Incoming | Promoting = held {
                 let (op, new_owner) = (m.op, m.new_owner);
@@ -832,8 +810,8 @@ impl ServerCore {
                     // Flush the recorder before the debug assertion so
                     // the events leading up to the violation survive
                     // the panic in debug builds.
-                    t.event(EventKind::RelocUnexpected, k.0, m.new_owner.0 as u64);
-                    t.rec.dump("unexpected relocate");
+                    t.record(EventKind::RelocUnexpected, k.0, m.new_owner.0 as u64);
+                    t.recorder().dump("unexpected relocate");
                 }
                 debug_assert!(
                     false,
@@ -887,7 +865,7 @@ impl ServerCore {
             let entry = shard.hand_in(k, |dst| m.vals.copy_to(block_off, dst));
             block_off += len;
             if let Some(t) = tracer.as_ref() {
-                t.event(EventKind::RelocInstall, k.0, len as u64);
+                t.record(EventKind::RelocInstall, k.0, len as u64);
             }
             let moved_on = drain.key(shard, k, entry);
             match arrived {
@@ -902,7 +880,7 @@ impl ServerCore {
         drop(cursor);
         drain.finish(lane);
         if !m.keys.is_empty() {
-            lane.handovers_in.add(m.keys.len() as u64);
+            lane.handovers.add(m.keys.len() as u64);
         }
         if !finish.is_empty() {
             self.finish_promotion(&finish, batches);
@@ -1172,7 +1150,7 @@ impl ServerCore {
             "technique transition without adaptive variant"
         );
         if let Some(t) = &self.tracer {
-            t.event(EventKind::TechPromote, m.node.0 as u64, m.keys.len() as u64);
+            t.record(EventKind::TechPromote, m.node.0 as u64, m.keys.len() as u64);
         }
         let mut finish: Vec<Key> = Vec::new();
         let mut per_old: OrderedGroups<NodeId, Vec<Key>> = OrderedGroups::new();
@@ -1240,7 +1218,7 @@ impl ServerCore {
         self.lane.tech_promotions.add(keys.len() as u64);
         self.tech_epoch += 1;
         if let Some(t) = &self.tracer {
-            t.event(
+            t.record(
                 EventKind::TechPromoteAck,
                 self.tech_epoch,
                 keys.len() as u64,
@@ -1347,7 +1325,7 @@ impl ServerCore {
         self.tech_epoch += 1;
         let epoch = self.tech_epoch;
         if let Some(t) = &self.tracer {
-            t.event(EventKind::TechDemote, epoch, keys.len() as u64);
+            t.record(EventKind::TechDemote, epoch, keys.len() as u64);
         }
         let mut self_flushes = 0u64;
         for &k in &keys {
@@ -1454,7 +1432,7 @@ impl ServerCore {
             let removed = drain.awaiting.remove(&m.node);
             debug_assert!(removed, "duplicate drain confirmation from {}", m.node);
             if let Some(t) = &self.tracer {
-                t.event(EventKind::TechDrained, m.epoch, m.node.0 as u64);
+                t.record(EventKind::TechDrained, m.epoch, m.node.0 as u64);
             }
             self.maybe_complete_demotion(m.epoch, batches);
         } else {

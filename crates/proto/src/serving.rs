@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use lapse_net::Key;
-use lapse_trace::{EventKind, Recorder, Ring, ACTOR_SERVING};
+use lapse_trace::{EventKind, Tracer, ACTOR_SERVING};
 
 use crate::shard::{AccessLane, LocalRead, NodeShared, OptRead};
 
@@ -78,20 +78,17 @@ pub struct SnapshotReader {
     lane: Arc<AccessLane>,
     last_epoch: u64,
     /// Flight-recorder lane for this reader (`None` when tracing is off).
-    trace: Option<(Arc<Recorder>, Arc<Ring>)>,
+    trace: Option<Tracer>,
 }
 
 impl SnapshotReader {
     /// A reader over `shared`.
     pub fn new(shared: Arc<NodeShared>) -> Self {
-        let trace = shared.trace.on().then(|| {
-            let ring = shared.trace.lane(
-                shared.node.0,
-                ACTOR_SERVING,
-                format!("n{}/serving", shared.node.0),
-            );
-            (Arc::clone(&shared.trace), ring)
-        });
+        let trace = shared.trace.tracer(
+            shared.node.0,
+            ACTOR_SERVING,
+            format!("n{}/serving", shared.node.0),
+        );
         SnapshotReader {
             lane: shared.claim_lane(),
             shared,
@@ -138,8 +135,8 @@ impl SnapshotReader {
     /// Pins the read to the current serving epoch, monotone per reader.
     fn pin(&mut self, tier: SnapshotTier, key: Key) -> SnapshotRead {
         self.last_epoch = self.last_epoch.max(self.shared.serving.epoch());
-        if let Some((rec, ring)) = &self.trace {
-            rec.record(ring, EventKind::SnapshotRead, tier as u64, key.0);
+        if let Some(t) = &self.trace {
+            t.record(EventKind::SnapshotRead, tier as u64, key.0);
         }
         SnapshotRead {
             epoch: self.last_epoch,

@@ -45,7 +45,7 @@ use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use lapse_net::{Key, NodeId};
-use lapse_trace::{EventKind, Recorder, Ring, ACTOR_LATCH};
+use lapse_trace::{EventKind, Recorder, Tracer, ACTOR_LATCH};
 
 use crate::adaptive::AdaptiveShared;
 use crate::config::{ProtoConfig, Variant};
@@ -282,15 +282,17 @@ impl LaneCounter {
     }
 }
 
-/// Declares the access counters once: the per-core [`AccessLane`] that
-/// counts them, the plain [`AccessStats`] snapshot that reports them,
-/// and the two conversions between (lane → snapshot, snapshot sum).
-/// `ClusterStats::collect` destructures the snapshot exhaustively, so a
-/// counter added here and not aggregated there does not compile.
+/// Declares every per-core counter once: the [`AccessLane`] that counts
+/// them, the plain [`AccessStats`] snapshot that reports them, and the
+/// two conversions between (lane → snapshot, snapshot sum). A run's
+/// `ClusterStats` is the sum of every lane of every node and reads
+/// these counters through it, under these names: a counter added here
+/// is reported with nothing else to write.
 macro_rules! access_counters {
     ($($(#[$doc:meta])* $name:ident,)*) => {
-        /// One core's block of access counters (Table 5 and the workload
-        /// table of the paper; they sit on every parameter access).
+        /// One core's block of counters: the accesses of Table 5 and the
+        /// workload table of the paper, which sit on every parameter
+        /// access, and a worker's waits.
         ///
         /// Every `ClientCore`, `ServerCore` and `SnapshotReader` claims
         /// a lane of its own from its node when it is built
@@ -299,7 +301,8 @@ macro_rules! access_counters {
         /// cores never write the same cache line:
         ///
         /// * a `ClientCore` is owned by its worker thread (the threaded
-        ///   worker also counts its own coalescer's envelopes there);
+        ///   worker also counts its own coalescer's envelopes and its
+        ///   own waits there);
         /// * a `ServerCore`, and the coalescer beside it, is only run
         ///   under the node's role lock, whose release/acquire orders
         ///   the plain stores of one holder before the loads of the
@@ -356,7 +359,7 @@ access_counters! {
     /// Keys relocated by this node acting as home (paper: "relocations").
     relocations,
     /// Keys received via hand-over.
-    handovers_in,
+    handovers,
     /// Remote keys routed to a location-cache entry instead of the home
     /// node (cache hits; only meaningful with `location_caches` on).
     loc_cache_hits,
@@ -405,6 +408,23 @@ access_counters! {
     snapshot_reads,
     /// Snapshot-plane reads that fell back to the latched path.
     snapshot_fallbacks,
+    /// Waits for an operation that found it complete at the first check:
+    /// it ran to completion on the issuing worker's own thread (threaded
+    /// backend; 0 on the simulator, like the three below). Every wait
+    /// counts as exactly one of `wake_immediate`, `wake_spins`,
+    /// `wake_parks`.
+    wake_immediate,
+    /// Waits that ended while the worker polled: another thread held the
+    /// destination's role and finished the operation within the spin
+    /// budget.
+    wake_spins,
+    /// Waits that outlasted the spin budget, so that the worker went on
+    /// to sleep and the completing thread had to wake it.
+    wake_parks,
+    /// Nanoseconds the worker spent waiting after a failed first check,
+    /// polling and asleep: the "remote wait" term of an epoch's
+    /// attribution.
+    wait_ns,
 }
 
 impl AccessStats {
@@ -491,8 +511,7 @@ pub struct ShardCell {
 /// Per-cell flight-recorder handle: the node's shared latch lane plus
 /// this cell's shard index.
 struct LatchTrace {
-    rec: Arc<Recorder>,
-    ring: Arc<Ring>,
+    tracer: Tracer,
     shard_idx: u64,
 }
 
@@ -508,12 +527,8 @@ unsafe impl Sync for ShardCell {}
 impl ShardCell {
     /// Attaches the node's latch-wait lane (called once at node
     /// construction, before the cell is shared).
-    fn set_trace(&mut self, rec: Arc<Recorder>, ring: Arc<Ring>, shard_idx: u64) {
-        self.trace = Some(Box::new(LatchTrace {
-            rec,
-            ring,
-            shard_idx,
-        }));
+    fn set_trace(&mut self, tracer: Tracer, shard_idx: u64) {
+        self.trace = Some(Box::new(LatchTrace { tracer, shard_idx }));
     }
 
     /// Acquires the latch by setting `bits` (`LOCKED`, plus `WRITING` for
@@ -546,8 +561,8 @@ impl ShardCell {
     #[cold]
     #[inline(never)]
     fn lock_contended(&self, bits: u64) -> u64 {
-        let traced = self.trace.as_deref().filter(|t| t.rec.on());
-        let t0 = traced.map(|t| t.rec.now());
+        let traced = self.trace.as_deref();
+        let t0 = traced.map(|t| t.tracer.now());
         let mut spins = 0;
         let s = loop {
             let s = self.seq.load(Ordering::Relaxed);
@@ -568,14 +583,10 @@ impl ShardCell {
             }
         };
         if let (Some(t), Some(t0)) = (traced, t0) {
-            let t1 = t.rec.now();
-            t.rec.record_at(
-                &t.ring,
-                EventKind::LatchWait,
-                t1,
-                t.shard_idx,
-                t1.saturating_sub(t0),
-            );
+            let t1 = t.tracer.now();
+            let waited = t1.saturating_sub(t0);
+            t.tracer
+                .record_at(EventKind::LatchWait, t1, t.shard_idx, waited);
         }
         s
     }
@@ -977,10 +988,9 @@ impl NodeShared {
                 trace: None,
             });
         }
-        if trace.on() {
-            let ring = trace.lane(node.0, ACTOR_LATCH, format!("n{}/latch", node.0));
+        if let Some(tracer) = trace.tracer(node.0, ACTOR_LATCH, format!("n{}/latch", node.0)) {
             for (idx, cell) in shards.iter_mut().enumerate() {
-                cell.set_trace(Arc::clone(&trace), Arc::clone(&ring), idx as u64);
+                cell.set_trace(tracer.clone(), idx as u64);
             }
         }
         let adaptive = adaptive.then(|| AdaptiveShared::new(&cfg.adaptive));

@@ -244,6 +244,14 @@ thread_local! {
 }
 
 impl OpTracker {
+    /// An empty histogram of relocation times (ns) in the one geometry
+    /// every tracker records into: 1 µs .. ~18 s in 5%-wide buckets. A
+    /// sum over trackers starts from one, since `LogHistogram::merge`
+    /// requires equal geometry.
+    pub fn reloc_time_histogram() -> LogHistogram {
+        LogHistogram::new(1_000.0, 1.05, 360)
+    }
+
     /// Creates a tracker using `clock` for relocation timing.
     pub fn new(clock: ClockFn) -> Self {
         OpTracker {
@@ -253,8 +261,7 @@ impl OpTracker {
                 .collect(),
             waker: OnceLock::new(),
             clock,
-            // 1 µs .. ~18 s in 5%-wide buckets.
-            reloc_times: Mutex::new(LogHistogram::new(1_000.0, 1.05, 360)),
+            reloc_times: Mutex::new(Self::reloc_time_histogram()),
             #[cfg(debug_assertions)]
             counted_keys: Mutex::new(KeyMap::default()),
         }

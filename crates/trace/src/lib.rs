@@ -433,11 +433,27 @@ impl Recorder {
         (self.time)()
     }
 
-    /// Creates (and registers for export) a new event lane.
-    pub fn lane(&self, node: u16, actor: u16, name: impl Into<String>) -> Arc<Ring> {
+    /// Creates (and registers for export) a new event lane; outside this
+    /// crate a lane comes with its recorder, as a [`Tracer`].
+    pub(crate) fn lane(&self, node: u16, actor: u16, name: impl Into<String>) -> Arc<Ring> {
         let ring = Arc::new(Ring::new(node, actor, name.into(), self.capacity));
         self.lanes.lock().push(Arc::clone(&ring));
         ring
+    }
+
+    /// The hookup of one actor: a new lane of this recorder and the
+    /// recorder itself. `None` when tracing is off, so that the actor
+    /// holds `None` and its untraced paths cost one pointer test.
+    pub fn tracer(
+        self: &Arc<Self>,
+        node: u16,
+        actor: u16,
+        name: impl Into<String>,
+    ) -> Option<Tracer> {
+        self.on().then(|| Tracer {
+            ring: self.lane(node, actor, name),
+            rec: Arc::clone(self),
+        })
     }
 
     /// Records one event stamped `now()` into `ring`.
@@ -536,6 +552,42 @@ impl Recorder {
     }
 }
 
+/// One actor's hookup to the flight recorder — a worker, a server, a
+/// snapshot reader, a node's latches or its network egress: the run's
+/// [`Recorder`] and the actor's own [`Ring`]. Built by
+/// [`Recorder::tracer`].
+#[derive(Clone)]
+pub struct Tracer {
+    rec: Arc<Recorder>,
+    ring: Arc<Ring>,
+}
+
+impl Tracer {
+    /// Records one event stamped now into this actor's lane.
+    #[inline]
+    pub fn record(&self, kind: EventKind, a: u64, b: u64) {
+        self.rec.record(&self.ring, kind, a, b);
+    }
+
+    /// Records one event with an explicit timestamp (span ends measured
+    /// by the caller).
+    #[inline]
+    pub fn record_at(&self, kind: EventKind, ts: u64, a: u64, b: u64) {
+        self.rec.record_at(&self.ring, kind, ts, a, b);
+    }
+
+    /// Current recorder time in nanoseconds.
+    #[inline]
+    pub fn now(&self) -> u64 {
+        self.rec.now()
+    }
+
+    /// The recorder this actor records into (phase histograms, dumps).
+    pub fn recorder(&self) -> &Recorder {
+        &self.rec
+    }
+}
+
 impl std::fmt::Debug for Recorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Recorder")
@@ -629,6 +681,7 @@ mod tests {
     fn disabled_recorder_records_nothing() {
         let rec = Recorder::disabled();
         assert!(!rec.on());
+        assert!(rec.tracer(0, ACTOR_SERVER, "n0/server").is_none());
         let ring = rec.lane(0, ACTOR_SERVER, "n0/server");
         rec.record(&ring, EventKind::MsgSend, 1, 2);
         rec.record_op_phases(CLASS_PULL, 1, 2, 3);

@@ -15,7 +15,9 @@
 # naming `Mutex<`, `RwLock<` or `Condvar`), public types per crate
 # (shipped lines declaring a `pub struct`, `enum`, `trait` or `type`,
 # so that a public type that goes shows in a diff), the `pub` fields of
-# `ProtoConfig` and `PsConfig`, and the `LAPSE_*` environment variables
+# `ProtoConfig` and `PsConfig`, and of `ClusterStats` (which holds the
+# summed lanes and only what the run knows: a counter mirrored there
+# again shows as a field), and the `LAPSE_*` environment variables
 # the workspace reads (`benchmark/` is a package of its own and frozen:
 # not counted).
 set -euo pipefail
@@ -71,7 +73,8 @@ printf '%-18s %7d\n' clippy.toml "$(show crates/proto/clippy.toml 2>/dev/null | 
 
 echo
 echo "== pub fields"
-for spec in ProtoConfig:crates/proto/src/config.rs PsConfig:crates/core/src/cluster.rs; do
+for spec in ProtoConfig:crates/proto/src/config.rs PsConfig:crates/core/src/cluster.rs \
+    ClusterStats:crates/core/src/stats.rs; do
     name=${spec%%:*}
     fields=$(show "${spec#*:}" | awk -v s="pub struct $name {" \
         '$0 == s { on = 1; next } on && /^}/ { on = 0 } on && /^    pub [a-z_]+:/ { print $2 }' |
