@@ -104,7 +104,9 @@ bench-pairs:
 ## What a simplicity PR counts: `src` lines, `unsafe` sites, shipped
 ## lock sites and public types per crate, the `pub` fields of `ProtoConfig`/`PsConfig`
 ## and of `ClusterStats` (a counter mirrored from the lanes shows there),
-## the `LAPSE_*` variables read — from tracked files. "Simpler" is a diff of two outputs:
+## the `LAPSE_*` variables read and each workspace crate's `[dependencies]`
+## (an edge that comes or goes shows) — from tracked files. "Simpler" is a
+## diff of two outputs:
 ##   diff <(tools/loc.sh HEAD~1) <(tools/loc.sh)
 loc:
 	@tools/loc.sh $(REF)

@@ -144,23 +144,19 @@ fn trace_enabled_by_env() -> bool {
 /// longer runs bounded.
 const TRACE_RING_CAPACITY: usize = 8192;
 
-/// Builds the run's recorder: enabled (stamping the backend's clock) when
-/// the config asks for tracing, the cheap disabled singleton otherwise.
-fn build_recorder(on: bool, clock: &ClockFn) -> Arc<Recorder> {
-    if on {
-        Recorder::new(clock.clone(), TRACE_RING_CAPACITY)
-    } else {
-        Recorder::disabled()
-    }
+/// Builds the run's recorder, stamping the backend's clock, when the
+/// config asks for tracing; an untraced run has none.
+fn build_recorder(on: bool, clock: &ClockFn) -> Option<Arc<Recorder>> {
+    on.then(|| Recorder::new(clock.clone(), TRACE_RING_CAPACITY))
 }
 
 /// Exports the recorder after a run: stashes the Chrome trace-event JSON
 /// in the stats and, when `LAPSE_TRACE_OUT` names a path, writes it there
 /// (best effort — an unwritable path must not fail the run).
-fn export_trace(recorder: &Recorder, stats: &mut ClusterStats) {
-    if !recorder.on() {
+fn export_trace(recorder: Option<&Recorder>, stats: &mut ClusterStats) {
+    let Some(recorder) = recorder else {
         return;
-    }
+    };
     let json = recorder.export_chrome();
     if let Some(path) = std::env::var_os("LAPSE_TRACE_OUT") {
         if let Err(e) = std::fs::write(&path, &json) {
@@ -176,7 +172,7 @@ fn export_trace(recorder: &Recorder, stats: &mut ClusterStats) {
 fn build_shareds(
     cfg: &Arc<ProtoConfig>,
     clock: ClockFn,
-    trace: &Arc<Recorder>,
+    trace: &Option<Arc<Recorder>>,
     mut init: impl FnMut(Key) -> Option<Vec<f32>>,
 ) -> Vec<Arc<NodeShared>> {
     (0..cfg.nodes)
@@ -248,7 +244,7 @@ where
     stats.bytes = report.bytes;
     stats.self_messages = report.self_messages;
     stats.virtual_time_ns = Some(report.virtual_time_ns);
-    export_trace(&recorder, &mut stats);
+    export_trace(recorder.as_deref(), &mut stats);
     (results, stats)
 }
 
@@ -299,10 +295,9 @@ where
     let shareds = build_shareds(&proto, clock, &recorder, init);
 
     let nodes = proto.nodes as usize;
-    let net = if recorder.on() {
-        ThreadedNet::with_trace(nodes, Metrics::new(), recorder.clone())
-    } else {
-        ThreadedNet::new(nodes, Metrics::new())
+    let net = match &recorder {
+        Some(rec) => ThreadedNet::with_trace(nodes, Metrics::new(), rec.clone()),
+        None => ThreadedNet::new(nodes, Metrics::new()),
     };
     let dispatch = Dispatch::new(&shareds, net.clone(), drain_cap);
 
@@ -377,6 +372,6 @@ where
     stats.bytes = net.total_bytes();
     stats.self_messages = net.self_messages();
     stats.doorbell_rings = dispatch.doorbell_rings();
-    export_trace(&recorder, &mut stats);
+    export_trace(recorder.as_deref(), &mut stats);
     (results, stats, dispatch)
 }

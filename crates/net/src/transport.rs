@@ -63,7 +63,7 @@ pub struct ThreadedNet<M> {
     /// link keeps FIFO despite the sleeping.
     delayed_links: Option<Vec<Vec<DelayedSender<M>>>>,
     /// Flight-recorder lanes, one per sending node (`None` when tracing
-    /// is off, so the disabled send path costs one pointer test).
+    /// is off, so the untraced send path costs one pointer test).
     trace: Option<Vec<Tracer>>,
 }
 
@@ -76,23 +76,23 @@ impl<M: Send + WireSize + 'static> ThreadedNet<M> {
     /// over the links ([`Self::total_messages`], [`Self::total_bytes`],
     /// [`Self::self_messages`]).
     pub fn new(n: usize, _metrics: Metrics) -> Arc<Self> {
-        Self::build(n, None, Recorder::disabled())
+        Self::build(n, None, None)
     }
 
     /// Creates a network of `n` nodes with per-send flight-recorder
     /// events (one `net` lane per sending node).
     pub fn with_trace(n: usize, _metrics: Metrics, trace: Arc<Recorder>) -> Arc<Self> {
-        Self::build(n, None, trace)
+        Self::build(n, None, Some(trace))
     }
 
     /// Creates a network of `n` nodes, optionally with injected per-link
     /// delays (fault-injection tests only; delays cost one helper thread
     /// per link).
     pub fn with_delay(n: usize, _metrics: Metrics, delay: Option<DelayPolicy>) -> Arc<Self> {
-        Self::build(n, delay, Recorder::disabled())
+        Self::build(n, delay, None)
     }
 
-    fn build(n: usize, delay: Option<DelayPolicy>, trace: Arc<Recorder>) -> Arc<Self> {
+    fn build(n: usize, delay: Option<DelayPolicy>, trace: Option<Arc<Recorder>>) -> Arc<Self> {
         assert!(n > 0, "network needs at least one node");
         let mut senders = Vec::with_capacity(n);
         let mut receivers = Vec::with_capacity(n);
@@ -135,9 +135,11 @@ impl<M: Send + WireSize + 'static> ThreadedNet<M> {
                 .collect()
         });
 
-        let trace = (0..n)
-            .map(|src| trace.tracer(src as u16, ACTOR_NET, format!("n{src}/net")))
-            .collect();
+        let trace = trace.map(|rec| {
+            (0..n)
+                .map(|src| rec.tracer(src as u16, ACTOR_NET, format!("n{src}/net")))
+                .collect()
+        });
 
         Arc::new(ThreadedNet {
             senders,

@@ -214,8 +214,7 @@ pub struct ClientCore {
 /// Records one multi-phase op's lifecycle in a worker's lane: an issue
 /// instant at `t0` and its prepass (`t0..t1`), walk (`t1..t2`) and
 /// register-and-flush (`t2..t3`) spans — under the trace format's phase
-/// names `plan`, `shard` and `emit` — with the durations fed to the
-/// per-class phase histograms.
+/// names `plan`, `shard` and `emit`.
 fn trace_op(t: &Tracer, class: u64, keys: u64, t0: u64, t1: u64, t2: u64, t3: u64) {
     let (plan, shard, emit) = (
         t1.saturating_sub(t0),
@@ -226,7 +225,6 @@ fn trace_op(t: &Tracer, class: u64, keys: u64, t0: u64, t1: u64, t2: u64, t3: u6
     t.record_at(EventKind::OpPhase, t1, class << 32 | PHASE_PLAN, plan);
     t.record_at(EventKind::OpPhase, t2, class << 32 | PHASE_SHARD, shard);
     t.record_at(EventKind::OpPhase, t3, class << 32 | PHASE_EMIT, emit);
-    t.recorder().record_op_phases(class, plan, shard, emit);
 }
 
 /// Subscribes the node to replica refreshes on its first replicated
@@ -255,11 +253,11 @@ fn phase_end(tracer: &Option<Tracer>, t0: Option<u64>) -> Option<u64> {
 impl ClientCore {
     /// Creates the client core for worker `slot` of the node.
     pub fn new(shared: Arc<NodeShared>, slot: u16) -> Self {
-        let tracer = shared.trace.tracer(
-            shared.node.0,
-            ACTOR_WORKER0 + slot,
-            format!("n{}/w{}", shared.node.0, slot),
-        );
+        let node = shared.node.0;
+        let tracer = shared
+            .trace
+            .as_ref()
+            .map(|rec| rec.tracer(node, ACTOR_WORKER0 + slot, format!("n{node}/w{slot}")));
         ClientCore {
             lane: shared.claim_lane(),
             guard: GuardMap::new(shared.cfg.keys),

@@ -17,8 +17,9 @@
 //! and the decoder rejects tag 15 inside a batch unconditionally.
 //!
 //! The simulator never coalesces: its cost model charges per message and
-//! its schedules must stay bit-identical (`run_sim` clears
-//! [`ProtoConfig::coalesce`](crate::config::ProtoConfig)).
+//! its schedules must stay bit-identical, so its backend sends message by
+//! message and never builds a [`Coalescer`], whatever
+//! [`ProtoConfig::coalesce`](crate::config::ProtoConfig) says.
 
 use lapse_net::{NodeId, WireSize};
 

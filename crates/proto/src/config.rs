@@ -251,11 +251,13 @@ pub struct ProtoConfig {
     /// Enable the flight recorder (`lapse-trace`): protocol cores and
     /// backends record op-lifecycle, message, relocation, technique,
     /// snapshot-tier, and latch-wait events into per-lane ring buffers.
-    /// Off by default; when off the only residue is a `None` tracer /
-    /// one relaxed atomic load per instrumented site. Deterministic on
-    /// the sim backend (virtual-time stamps + a single-running-thread
-    /// sequence order), so traces diff byte-for-byte across seeded
-    /// runs.
+    /// Read by the cluster runners only, which build the run's recorder
+    /// from it and hand it to each node
+    /// ([`NodeShared::trace`](crate::shard::NodeShared::trace)). Off by
+    /// default; when off no recorder exists and every instrumented site
+    /// tests a `None` tracer. Deterministic on the sim backend
+    /// (virtual-time stamps + a single-running-thread sequence order),
+    /// so traces diff byte-for-byte across seeded runs.
     pub trace: bool,
 }
 

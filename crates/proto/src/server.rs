@@ -484,11 +484,11 @@ impl ServerCore {
     pub fn new(shared: Arc<NodeShared>) -> Self {
         let slots = shared.cfg.home_slots(shared.node);
         let owner = vec![shared.node; slots];
-        let tracer = shared.trace.tracer(
-            shared.node.0,
-            ACTOR_SERVER,
-            format!("n{}/server", shared.node.0),
-        );
+        let node = shared.node.0;
+        let tracer = shared
+            .trace
+            .as_ref()
+            .map(|rec| rec.tracer(node, ACTOR_SERVER, format!("n{node}/server")));
         ServerCore {
             lane: shared.claim_lane(),
             shared,

@@ -84,11 +84,11 @@ pub struct SnapshotReader {
 impl SnapshotReader {
     /// A reader over `shared`.
     pub fn new(shared: Arc<NodeShared>) -> Self {
-        let trace = shared.trace.tracer(
-            shared.node.0,
-            ACTOR_SERVING,
-            format!("n{}/serving", shared.node.0),
-        );
+        let node = shared.node.0;
+        let trace = shared
+            .trace
+            .as_ref()
+            .map(|rec| rec.tracer(node, ACTOR_SERVING, format!("n{node}/serving")));
         SnapshotReader {
             lane: shared.claim_lane(),
             shared,

@@ -898,9 +898,9 @@ pub struct NodeShared {
     /// Serving-epoch publication of the snapshot read plane.
     pub serving: ServingState,
     /// Flight recorder shared by every core and lane of this node's
-    /// run (the disabled recorder when tracing is off — see
-    /// `ProtoConfig::trace`).
-    pub trace: Arc<Recorder>,
+    /// run; `None` when the run is untraced, and then the cores built
+    /// over this state record nothing and allocate no lane.
+    pub trace: Option<Arc<Recorder>>,
 }
 
 impl NodeShared {
@@ -918,17 +918,17 @@ impl NodeShared {
         clock: ClockFn,
         init: impl FnMut(Key) -> Option<Vec<f32>>,
     ) -> Arc<Self> {
-        Self::with_init_traced(cfg, node, clock, Recorder::disabled(), init)
+        Self::with_init_traced(cfg, node, clock, None, init)
     }
 
-    /// [`NodeShared::with_init`] plus an explicit flight recorder: when
-    /// it is enabled, every shard cell gets the node's latch-wait lane
-    /// and the cores built over this state record protocol events.
+    /// [`NodeShared::with_init`] plus the run's flight recorder, if it is
+    /// traced: then every shard cell gets the node's latch-wait lane and
+    /// the cores built over this state record protocol events.
     pub fn with_init_traced(
         cfg: Arc<ProtoConfig>,
         node: NodeId,
         clock: ClockFn,
-        trace: Arc<Recorder>,
+        trace: Option<Arc<Recorder>>,
         mut init: impl FnMut(Key) -> Option<Vec<f32>>,
     ) -> Arc<Self> {
         if let Err(e) = cfg.validate() {
@@ -988,7 +988,8 @@ impl NodeShared {
                 trace: None,
             });
         }
-        if let Some(tracer) = trace.tracer(node.0, ACTOR_LATCH, format!("n{}/latch", node.0)) {
+        if let Some(rec) = &trace {
+            let tracer = rec.tracer(node.0, ACTOR_LATCH, format!("n{}/latch", node.0));
             for (idx, cell) in shards.iter_mut().enumerate() {
                 cell.set_trace(tracer.clone(), idx as u64);
             }

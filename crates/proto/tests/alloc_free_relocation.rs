@@ -16,6 +16,9 @@
 //! a replica round — pushes, a flush, the owner's refresh — keeps its
 //! deltas in buffers that outlive it.
 //!
+//! And a node of an untraced run carries no flight-recorder state: no
+//! recorder, no lane, nothing allocated for tracing at all.
+//!
 //! This file is a test binary of its own because it replaces the global
 //! allocator with a counting one (counts are per thread, so the test
 //! harness's other threads do not show).
@@ -35,15 +38,19 @@ thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     /// Fresh blocks only: `ALLOCS` without the reallocations.
     static BLOCKS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes asked for: each fresh block's size, each reallocation's new
+    /// size.
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_one() {
+fn count_one(bytes: usize) {
     // `try_with`: an allocation during thread teardown is not ours.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
-fn count_block() {
-    count_one();
+fn count_block(bytes: usize) {
+    count_one(bytes);
     let _ = BLOCKS.try_with(|n| n.set(n.get() + 1));
 }
 
@@ -51,15 +58,15 @@ fn count_block() {
 // counters are plain thread-local `Cell`s with no destructor.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: AllocLayout) -> *mut u8 {
-        count_block();
+        count_block(layout.size());
         unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: AllocLayout) -> *mut u8 {
-        count_block();
+        count_block(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: AllocLayout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: AllocLayout) {
@@ -151,6 +158,21 @@ fn a_replication_node_is_built_from_blocks_per_shard_not_per_replica() {
     for k in [0, KEYS_PER_NODE, 3 * KEYS_PER_NODE - 1].map(Key) {
         assert_eq!(node.read_replica(k), Some(vec![0.0; DIM as usize]), "{k}");
     }
+}
+
+/// An untraced node has no recorder and allocates nothing for tracing:
+/// what building it allocates is the node's own furniture for 8 keys in
+/// one shard, a few KB.
+#[test]
+fn an_untraced_node_allocates_no_trace_state() {
+    let mut c = ProtoConfig::new(1, 8, Layout::Uniform(DIM));
+    c.latches = 1;
+    let before = BYTES.with(Cell::get);
+    let node = NodeShared::new(Arc::new(c), NodeId(0), Arc::new(|| 0));
+    let bytes = BYTES.with(Cell::get) - before;
+    println!("bytes allocated building an untraced 8-key node: {bytes}");
+    assert!(node.trace.is_none());
+    assert!(bytes <= 16 * 1024, "{bytes} bytes for an 8-key node");
 }
 
 /// Allocations at node 0 when node 2, as home, promotes `keys` and its

@@ -23,13 +23,12 @@ fn traced_node() -> (Arc<NodeShared>, Arc<Recorder>) {
     let mut cfg = ProtoConfig::new(2, 8, Layout::Uniform(1));
     cfg.variant = Variant::Lapse;
     cfg.latches = 2;
-    cfg.trace = true;
     let recorder = Recorder::new(Arc::new(|| 0u64), 64);
     let shared = NodeShared::with_init_traced(
         Arc::new(cfg),
         NodeId(0),
         Arc::new(|| 0u64),
-        recorder.clone(),
+        Some(recorder.clone()),
         |_| None,
     );
     (shared, recorder)

@@ -28,22 +28,26 @@ fn escape(s: &str) -> String {
     out
 }
 
+/// The (class, phase) indices of an `op.phase` event, `None` for any
+/// other event or for indices outside [`CLASS_NAMES`] × [`PHASE_NAMES`].
+fn phase_of(e: &Event) -> Option<(usize, usize)> {
+    let (class, phase) = ((e.a >> 32) as usize, (e.a & 0xffff_ffff) as usize);
+    (e.kind == EventKind::OpPhase && class < CLASS_NAMES.len() && phase < PHASE_NAMES.len())
+        .then_some((class, phase))
+}
+
 /// Display name for an event: phase spans get their `class.phase` name
 /// (`pull.plan`), everything else the kind's dotted name.
 fn event_name(e: &Event) -> &'static str {
-    if e.kind == EventKind::OpPhase {
-        let class = (e.a >> 32) as usize;
-        let phase = (e.a & 0xffff_ffff) as usize;
-        if class < CLASS_NAMES.len() && phase < PHASE_NAMES.len() {
-            const SPAN_NAMES: [[&str; 3]; 3] = [
-                ["pull.plan", "pull.shard", "pull.emit"],
-                ["push.plan", "push.shard", "push.emit"],
-                ["localize.plan", "localize.shard", "localize.emit"],
-            ];
-            return SPAN_NAMES[class][phase];
-        }
+    const SPAN_NAMES: [[&str; 3]; 3] = [
+        ["pull.plan", "pull.shard", "pull.emit"],
+        ["push.plan", "push.shard", "push.emit"],
+        ["localize.plan", "localize.shard", "localize.emit"],
+    ];
+    match phase_of(e) {
+        Some((class, phase)) => SPAN_NAMES[class][phase],
+        None => e.kind.name(),
     }
-    e.kind.name()
 }
 
 pub(crate) fn chrome(rec: &Recorder) -> String {
@@ -53,21 +57,20 @@ pub(crate) fn chrome(rec: &Recorder) -> String {
     // Process (node) and thread (lane) name metadata, sorted order.
     let mut last_node = None;
     for lane in &lanes {
-        if last_node != Some(lane.node()) {
+        if last_node != Some(lane.node) {
             entries.push(format!(
                 "{{\"ph\":\"M\",\"pid\":{},\"tid\":0,\"name\":\"process_name\",\
                  \"args\":{{\"name\":\"node {}\"}}}}",
-                lane.node(),
-                lane.node()
+                lane.node, lane.node
             ));
-            last_node = Some(lane.node());
+            last_node = Some(lane.node);
         }
         entries.push(format!(
             "{{\"ph\":\"M\",\"pid\":{},\"tid\":{},\"name\":\"thread_name\",\
              \"args\":{{\"name\":\"{}\"}}}}",
-            lane.node(),
-            lane.actor(),
-            escape(lane.name())
+            lane.node,
+            lane.actor,
+            escape(&lane.name)
         ));
     }
     for e in &events {
@@ -118,9 +121,9 @@ pub(crate) fn text(rec: &Recorder) -> String {
     for lane in &lanes {
         out.push_str(&format!(
             "  lane n{}/a{} {:12} dropped={}\n",
-            lane.node(),
-            lane.actor(),
-            lane.name(),
+            lane.node,
+            lane.actor,
+            lane.name,
             lane.dropped()
         ));
     }
@@ -137,25 +140,36 @@ pub(crate) fn text(rec: &Recorder) -> String {
         ));
     }
     out.push_str("phase percentiles (ns):\n");
-    rec.with_phases(|p| {
-        for (c, class) in CLASS_NAMES.iter().enumerate() {
-            for (ph, phase) in PHASE_NAMES.iter().enumerate() {
-                let h = p.get(c, ph);
-                if h.count() == 0 {
-                    continue;
-                }
-                out.push_str(&format!(
-                    "  {class}.{phase}: count={} p50={} p99={} p999={} max={}\n",
-                    h.count(),
-                    h.p50(),
-                    h.p99(),
-                    h.p999(),
-                    h.max()
-                ));
-            }
+    let mut durations: [[Vec<u64>; 3]; 3] = Default::default();
+    for e in &events {
+        if let Some((class, phase)) = phase_of(e) {
+            durations[class][phase].push(e.b);
         }
-    });
+    }
+    for (class, per_phase) in CLASS_NAMES.iter().zip(&mut durations) {
+        for (phase, d) in PHASE_NAMES.iter().zip(per_phase) {
+            if d.is_empty() {
+                continue;
+            }
+            d.sort_unstable();
+            out.push_str(&format!(
+                "  {class}.{phase}: count={} p50={} p99={} p999={} max={}\n",
+                d.len(),
+                nearest_rank(d, 500),
+                nearest_rank(d, 990),
+                nearest_rank(d, 999),
+                d[d.len() - 1]
+            ));
+        }
+    }
     out
+}
+
+/// The nearest-rank `per_mille`‰ percentile of the sorted, non-empty
+/// `sorted`: its ⌈n·p⌉-th smallest value.
+fn nearest_rank(sorted: &[u64], per_mille: usize) -> u64 {
+    let rank = (sorted.len() * per_mille).div_ceil(1000);
+    sorted[rank.max(1) - 1]
 }
 
 #[cfg(test)]
@@ -172,18 +186,16 @@ mod tests {
 
     fn sample_recorder() -> Arc<Recorder> {
         let rec = Recorder::new(counting_time(), 16);
-        let w = rec.lane(0, ACTOR_WORKER0, "n0/w0");
-        let s = rec.lane(1, ACTOR_SERVER, "n1/server");
-        rec.record(&w, EventKind::OpIssue, crate::CLASS_PULL, 4);
-        rec.record_at(
-            &w,
+        let w = rec.tracer(0, ACTOR_WORKER0, "n0/w0");
+        let s = rec.tracer(1, ACTOR_SERVER, "n1/server");
+        w.record(EventKind::OpIssue, crate::CLASS_PULL, 4);
+        w.record_at(
             EventKind::OpPhase,
             5_000,
             crate::CLASS_PULL << 32 | crate::PHASE_PLAN,
             2_000,
         );
-        rec.record(&s, EventKind::MsgRecv, 3, 4);
-        rec.record_op_phases(crate::CLASS_PULL, 2_000, 10, 20);
+        s.record(EventKind::MsgRecv, 3, 4);
         rec
     }
 
@@ -216,6 +228,27 @@ mod tests {
         assert!(text.contains("lanes: 2"));
         assert!(text.contains("pull.plan: count=1"));
         assert!(text.contains("op.issue"));
+    }
+
+    #[test]
+    fn phase_percentiles_come_from_the_events() {
+        let rec = Recorder::new(Arc::new(|| 0), 512);
+        let w = rec.tracer(0, ACTOR_WORKER0, "n0/w0");
+        let push = crate::CLASS_PUSH << 32;
+        for i in 0..100 {
+            w.record(EventKind::OpPhase, push | crate::PHASE_PLAN, 1_000 + i);
+            w.record(EventKind::OpPhase, push | crate::PHASE_EMIT, 3_000_000);
+        }
+        let text = rec.export_text();
+        // Nearest rank over 1000..=1099: the 50th, 99th and 100th value.
+        assert!(
+            text.contains("push.plan: count=100 p50=1049 p99=1098 p999=1099 max=1099\n"),
+            "{text}"
+        );
+        assert!(text.contains("push.emit: count=100 p50=3000000 "), "{text}");
+        assert!(text.contains("max=3000000\n"), "{text}");
+        assert!(!text.contains("push.shard:"), "{text}");
+        assert!(!text.contains("pull.plan:"), "{text}");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Always-compiled-in flight recorder for the Lapse protocol planes.
+//! Flight recorder for the Lapse protocol planes.
 //!
 //! The paper's analyses (Table 5 locality splits, §3.2 relocation-time
 //! distributions, the ablation message counts) are questions an operator
@@ -6,26 +6,28 @@
 //! *when* a relocation stalled or which phase of a grouped op ate the
 //! p999. This crate records compact binary events into per-lane ring
 //! buffers so the last moments before any protocol bug are a readable
-//! timeline instead of a bench bisect.
+//! timeline instead of a bench bisect. The events are the recorder's
+//! only state: the exports, the phase percentiles among them, are
+//! computed from them.
 //!
 //! ## Hot-path contract
 //!
-//! * **Off** (the default): instrumented call sites hold an
-//!   `Option<...>` that is `None`, or check [`Recorder::on`] — a single
-//!   relaxed atomic load. No ring is touched, no lock is taken.
+//! * **Off** (the default): no [`Recorder`] exists. Every instrumented
+//!   actor holds an `Option<Tracer>` that is `None`, so a record site
+//!   costs one pointer test and nothing is allocated for tracing.
 //! * **On**: one global sequence `fetch_add`, one clock read, and five
 //!   relaxed stores into a fixed-capacity power-of-two ring that
 //!   overwrites its oldest slot. No allocation, no lock, no syscall.
 //!
 //! ## Rings and torn-record safety
 //!
-//! Each lane ([`Ring`]) is a power-of-two array of slots claimed by a
-//! `fetch_add` head. A writer CASes the slot's stamp from even to odd,
-//! stores the five event words, and releases the stamp back to a fresh
-//! even value. A writer that laps a still-odd slot *drops* its event
-//! (counted in [`Ring::dropped`]) rather than tearing the laggard's —
-//! exported records are therefore always internally consistent, even
-//! with multiple writers on one lane.
+//! Each lane is a power-of-two ring of slots claimed by a `fetch_add`
+//! head. A writer CASes the slot's stamp from even to odd, stores the
+//! five event words, and releases the stamp back to a fresh even value.
+//! A writer that laps a still-odd slot *drops* its event (counted in
+//! [`Recorder::dropped`]) rather than tearing the laggard's — exported
+//! records are therefore always internally consistent, even with
+//! multiple writers on one lane.
 //!
 //! ## Time and determinism
 //!
@@ -49,7 +51,6 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex as StdMutex, Once, Weak};
 
-use lapse_utils::stats::FixedHistogram;
 use parking_lot::Mutex;
 
 mod export;
@@ -107,8 +108,8 @@ event_kinds! {
     3 MsgSend "msg.send",
     /// A server consumed a message. `a` = wire tag, `b` = key count.
     4 MsgRecv "msg.recv",
-    /// A batch/burst boundary. `a` = destination (or 0 for an ingest
-    /// burst), `b` = messages in the batch.
+    /// A server ingest burst began. `a` = 0, `b` = messages in the
+    /// burst.
     5 MsgBatch "msg.batch",
     /// Home node started relocating a key. `a` = key, `b` = old owner.
     6 RelocStart "reloc.start",
@@ -118,15 +119,21 @@ event_kinds! {
     /// length.
     8 RelocInstall "reloc.install",
     /// A `Relocate` arrived for a key neither owned nor expected —
-    /// the invariant-violation trigger. `a` = key.
+    /// the invariant-violation trigger. `a` = key, `b` = the new owner
+    /// it names.
     9 RelocUnexpected "reloc.unexpected",
-    /// Management node asked an owner to promote. `a` = key.
+    /// A home node received a promotion request. `a` = requesting
+    /// node, `b` = key count.
     10 TechPromote "tech.promote",
-    /// Promotion finished on the owner. `a` = key, `b` = epoch.
+    /// A home node promoted a batch and broadcasts its values. `a` =
+    /// transition epoch, `b` = key count.
     11 TechPromoteAck "tech.promote_ack",
-    /// Demotion started. `a` = key, `b` = epoch.
+    /// A home node started demoting a batch. `a` = transition epoch,
+    /// `b` = key count.
     12 TechDemote "tech.demote",
-    /// Demotion drained and completed. `a` = key, `b` = epoch.
+    /// A node confirmed it drained a demotion (one event per
+    /// confirmation, not per completed demotion). `a` = transition
+    /// epoch, `b` = confirming node.
     13 TechDrained "tech.drained",
     /// Snapshot-plane read served. `a` = tier (0 owned, 1 replica,
     /// 2 latched), `b` = key.
@@ -209,12 +216,14 @@ impl Slot {
 /// A fixed-capacity, overwrite-oldest event lane. Writers never block:
 /// a slot still owned by a lapped writer drops the new event instead of
 /// tearing the old one.
-pub struct Ring {
+pub(crate) struct Ring {
     node: u16,
     actor: u16,
+    /// Human-readable lane label (Perfetto thread name).
     name: String,
     mask: u64,
     head: AtomicU64,
+    /// Events dropped because a lapped slot was still being written.
     dropped: AtomicU64,
     slots: Box<[Slot]>,
 }
@@ -233,23 +242,7 @@ impl Ring {
         }
     }
 
-    /// Node this lane belongs to.
-    pub fn node(&self) -> u16 {
-        self.node
-    }
-
-    /// Actor id of this lane.
-    pub fn actor(&self) -> u16 {
-        self.actor
-    }
-
-    /// Human-readable lane label (Perfetto thread name).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Events dropped because a lapped slot was still being written.
-    pub fn dropped(&self) -> u64 {
+    fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
 
@@ -293,11 +286,7 @@ impl Ring {
             if s1 == 0 || s1 & 1 == 1 {
                 continue;
             }
-            let w: Vec<u64> = slot
-                .words
-                .iter()
-                .map(|w| w.load(Ordering::Relaxed))
-                .collect();
+            let w: [u64; 5] = std::array::from_fn(|i| slot.words[i].load(Ordering::Relaxed));
             if slot.stamp.load(Ordering::Acquire) != s1 {
                 continue;
             }
@@ -317,36 +306,13 @@ impl Ring {
     }
 }
 
-/// Per-phase issue-latency histograms, one [`FixedHistogram`] per
-/// op class × phase (1 µs buckets, 2 ms span; the overflow bucket
-/// reports exact maxima beyond that).
-pub struct PhaseHist {
-    hist: [[FixedHistogram; 3]; 3],
-}
-
-impl PhaseHist {
-    fn new() -> PhaseHist {
-        PhaseHist {
-            hist: std::array::from_fn(|_| {
-                std::array::from_fn(|_| FixedHistogram::new(1_000, 2048))
-            }),
-        }
-    }
-
-    /// The histogram for (`class`, `phase`) — indices as in the
-    /// `CLASS_*` / `PHASE_*` constants.
-    pub fn get(&self, class: usize, phase: usize) -> &FixedHistogram {
-        &self.hist[class][phase]
-    }
-}
-
 /// Registry of live recorders, flushed by the panic hook. Weak refs
 /// only: a dropped cluster's recorder unregisters itself by expiring.
 static REGISTRY: StdMutex<Vec<Weak<Recorder>>> = StdMutex::new(Vec::new());
 static HOOK: Once = Once::new();
 static DUMPING: AtomicBool = AtomicBool::new(false);
 
-/// Text-dumps every live, enabled recorder (panic hook and explicit
+/// Text-dumps every live recorder (panic hook and explicit
 /// invariant-violation triggers). Re-entrant calls no-op.
 pub fn dump_all(reason: &str) {
     if DUMPING.swap(true, Ordering::AcqRel) {
@@ -360,37 +326,32 @@ pub fn dump_all(reason: &str) {
         Err(_) => Vec::new(),
     };
     for rec in recorders {
-        if rec.on() {
-            rec.dump(reason);
-        }
+        rec.dump(reason);
     }
     DUMPING.store(false, Ordering::Release);
 }
 
-/// The flight recorder: one per cluster run, shared by every node's
-/// cores and lanes. See the crate docs for the hot-path contract.
+/// The flight recorder of one traced cluster run, shared by every
+/// node's cores and lanes; an untraced run has none. See the crate docs
+/// for the hot-path contract.
 pub struct Recorder {
-    enabled: AtomicBool,
     time: TimeFn,
     capacity: usize,
     seq: AtomicU64,
     lanes: Mutex<Vec<Arc<Ring>>>,
-    phases: Mutex<PhaseHist>,
     last_dump: Mutex<Option<String>>,
 }
 
 impl Recorder {
-    /// An enabled recorder stamping events with `time`, with `capacity`
-    /// slots per lane (rounded up to a power of two, min 8). Registers
-    /// with the panic-hook flush registry.
+    /// A recorder stamping events with `time`, with `capacity` slots per
+    /// lane (rounded up to a power of two, min 8). Registers with the
+    /// panic-hook flush registry.
     pub fn new(time: TimeFn, capacity: usize) -> Arc<Recorder> {
         let rec = Arc::new(Recorder {
-            enabled: AtomicBool::new(true),
             time,
             capacity,
             seq: AtomicU64::new(0),
             lanes: Mutex::new(Vec::new()),
-            phases: Mutex::new(PhaseHist::new()),
             last_dump: Mutex::new(None),
         });
         if let Ok(mut reg) = REGISTRY.lock() {
@@ -407,91 +368,15 @@ impl Recorder {
         rec
     }
 
-    /// The no-op recorder: never records, never registers. Call sites
-    /// built against it skip instrumentation via `None` tracers.
-    pub fn disabled() -> Arc<Recorder> {
-        Arc::new(Recorder {
-            enabled: AtomicBool::new(false),
-            time: Arc::new(|| 0),
-            capacity: 8,
-            seq: AtomicU64::new(0),
-            lanes: Mutex::new(Vec::new()),
-            phases: Mutex::new(PhaseHist::new()),
-            last_dump: Mutex::new(None),
-        })
-    }
-
-    /// The off-gate: one relaxed load.
-    #[inline]
-    pub fn on(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Current recorder time in nanoseconds.
-    #[inline]
-    pub fn now(&self) -> u64 {
-        (self.time)()
-    }
-
-    /// Creates (and registers for export) a new event lane; outside this
-    /// crate a lane comes with its recorder, as a [`Tracer`].
-    pub(crate) fn lane(&self, node: u16, actor: u16, name: impl Into<String>) -> Arc<Ring> {
+    /// The hookup of one actor: a new lane of this recorder, registered
+    /// for export, and the recorder itself.
+    pub fn tracer(self: &Arc<Self>, node: u16, actor: u16, name: impl Into<String>) -> Tracer {
         let ring = Arc::new(Ring::new(node, actor, name.into(), self.capacity));
         self.lanes.lock().push(Arc::clone(&ring));
-        ring
-    }
-
-    /// The hookup of one actor: a new lane of this recorder and the
-    /// recorder itself. `None` when tracing is off, so that the actor
-    /// holds `None` and its untraced paths cost one pointer test.
-    pub fn tracer(
-        self: &Arc<Self>,
-        node: u16,
-        actor: u16,
-        name: impl Into<String>,
-    ) -> Option<Tracer> {
-        self.on().then(|| Tracer {
-            ring: self.lane(node, actor, name),
+        Tracer {
             rec: Arc::clone(self),
-        })
-    }
-
-    /// Records one event stamped `now()` into `ring`.
-    #[inline]
-    pub fn record(&self, ring: &Ring, kind: EventKind, a: u64, b: u64) {
-        if !self.on() {
-            return;
+            ring,
         }
-        self.record_at(ring, kind, self.now(), a, b);
-    }
-
-    /// Records one event with an explicit timestamp (span ends measured
-    /// by the caller).
-    #[inline]
-    pub fn record_at(&self, ring: &Ring, kind: EventKind, ts: u64, a: u64, b: u64) {
-        if !self.on() {
-            return;
-        }
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        ring.write(seq, ts, kind, a, b);
-    }
-
-    /// Feeds one grouped op's plan/shard/emit durations into the
-    /// per-class phase histograms (one lock, off the per-key path).
-    pub fn record_op_phases(&self, class: u64, plan_ns: u64, shard_ns: u64, emit_ns: u64) {
-        if !self.on() {
-            return;
-        }
-        let c = (class as usize).min(2);
-        let mut phases = self.phases.lock();
-        phases.hist[c][PHASE_PLAN as usize].record(plan_ns);
-        phases.hist[c][PHASE_SHARD as usize].record(shard_ns);
-        phases.hist[c][PHASE_EMIT as usize].record(emit_ns);
-    }
-
-    /// Runs `f` over the phase histograms (export/report hook).
-    pub fn with_phases<R>(&self, f: impl FnOnce(&PhaseHist) -> R) -> R {
-        f(&self.phases.lock())
     }
 
     /// All currently valid events across all lanes, in global-sequence
@@ -521,7 +406,7 @@ impl Recorder {
     }
 
     /// Human-readable dump: lane inventory, the event log in sequence
-    /// order, and per-class phase percentiles.
+    /// order, and per-phase percentiles of the `op.phase` events in it.
     pub fn export_text(&self) -> String {
         export::text(self)
     }
@@ -554,8 +439,8 @@ impl Recorder {
 
 /// One actor's hookup to the flight recorder — a worker, a server, a
 /// snapshot reader, a node's latches or its network egress: the run's
-/// [`Recorder`] and the actor's own [`Ring`]. Built by
-/// [`Recorder::tracer`].
+/// [`Recorder`] and the actor's own lane, the only way to record. Built
+/// by [`Recorder::tracer`].
 #[derive(Clone)]
 pub struct Tracer {
     rec: Arc<Recorder>,
@@ -566,23 +451,25 @@ impl Tracer {
     /// Records one event stamped now into this actor's lane.
     #[inline]
     pub fn record(&self, kind: EventKind, a: u64, b: u64) {
-        self.rec.record(&self.ring, kind, a, b);
+        self.record_at(kind, self.now(), a, b);
     }
 
     /// Records one event with an explicit timestamp (span ends measured
     /// by the caller).
     #[inline]
     pub fn record_at(&self, kind: EventKind, ts: u64, a: u64, b: u64) {
-        self.rec.record_at(&self.ring, kind, ts, a, b);
+        let seq = self.rec.seq.fetch_add(1, Ordering::Relaxed);
+        self.ring.write(seq, ts, kind, a, b);
     }
 
     /// Current recorder time in nanoseconds.
     #[inline]
     pub fn now(&self) -> u64 {
-        self.rec.now()
+        (self.rec.time)()
     }
 
-    /// The recorder this actor records into (phase histograms, dumps).
+    /// The recorder this actor records into (to dump it on an
+    /// invariant violation).
     pub fn recorder(&self) -> &Recorder {
         &self.rec
     }
@@ -591,7 +478,6 @@ impl Tracer {
 impl std::fmt::Debug for Recorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Recorder")
-            .field("enabled", &self.on())
             .field("capacity", &self.capacity)
             .field("lanes", &self.lanes.lock().len())
             .finish()
@@ -610,9 +496,9 @@ mod tests {
     #[test]
     fn ring_wraparound_keeps_newest() {
         let rec = Recorder::new(fixed_time(), 8);
-        let ring = rec.lane(0, ACTOR_WORKER0, "n0/w0");
+        let t = rec.tracer(0, ACTOR_WORKER0, "n0/w0");
         for i in 0..20u64 {
-            rec.record(&ring, EventKind::OpIssue, i, i * 2);
+            t.record(EventKind::OpIssue, i, i * 2);
         }
         let events = rec.take_events();
         assert_eq!(events.len(), 8, "capacity-8 ring holds the last 8 events");
@@ -633,15 +519,14 @@ mod tests {
         const WRITERS: usize = 8;
         const PER_WRITER: u64 = 4000;
         let rec = Recorder::new(Arc::new(|| 7), 64);
-        let ring = rec.lane(3, ACTOR_SERVER, "n3/server");
+        let t = rec.tracer(3, ACTOR_SERVER, "n3/server");
         std::thread::scope(|scope| {
             for w in 0..WRITERS as u64 {
-                let rec = &rec;
-                let ring = &ring;
+                let t = &t;
                 scope.spawn(move || {
                     for i in 0..PER_WRITER {
                         let a = w * PER_WRITER + i;
-                        rec.record(ring, EventKind::MsgRecv, a, a ^ MAGIC);
+                        t.record(EventKind::MsgRecv, a, a ^ MAGIC);
                     }
                 });
             }
@@ -665,9 +550,9 @@ mod tests {
     #[test]
     fn span_and_instant_round_trip() {
         let rec = Recorder::new(Arc::new(|| 1500), 16);
-        let ring = rec.lane(1, ACTOR_LATCH, "n1/latch");
-        rec.record_at(&ring, EventKind::LatchWait, 2500, 4, 1000);
-        rec.record(&ring, EventKind::RelocStart, 42, 0);
+        let t = rec.tracer(1, ACTOR_LATCH, "n1/latch");
+        t.record_at(EventKind::LatchWait, 2500, 4, 1000);
+        t.record(EventKind::RelocStart, 42, 0);
         let events = rec.take_events();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].kind, EventKind::LatchWait);
@@ -678,38 +563,10 @@ mod tests {
     }
 
     #[test]
-    fn disabled_recorder_records_nothing() {
-        let rec = Recorder::disabled();
-        assert!(!rec.on());
-        assert!(rec.tracer(0, ACTOR_SERVER, "n0/server").is_none());
-        let ring = rec.lane(0, ACTOR_SERVER, "n0/server");
-        rec.record(&ring, EventKind::MsgSend, 1, 2);
-        rec.record_op_phases(CLASS_PULL, 1, 2, 3);
-        assert!(rec.take_events().is_empty());
-        assert_eq!(rec.with_phases(|p| p.get(0, 0).count()), 0);
-    }
-
-    #[test]
-    fn phase_histograms_accumulate() {
-        let rec = Recorder::new(Arc::new(|| 0), 8);
-        for i in 0..100 {
-            rec.record_op_phases(CLASS_PUSH, 1_000 + i, 2_000, 3_000_000);
-        }
-        rec.with_phases(|p| {
-            let plan = p.get(CLASS_PUSH as usize, PHASE_PLAN as usize);
-            assert_eq!(plan.count(), 100);
-            assert!(plan.p50() >= 1_000);
-            let emit = p.get(CLASS_PUSH as usize, PHASE_EMIT as usize);
-            assert_eq!(emit.max(), 3_000_000, "overflow keeps exact max");
-            assert_eq!(p.get(CLASS_PULL as usize, 0).count(), 0);
-        });
-    }
-
-    #[test]
     fn dump_stashes_text() {
         let rec = Recorder::new(Arc::new(|| 5), 8);
-        let ring = rec.lane(0, ACTOR_SERVER, "n0/server");
-        rec.record(&ring, EventKind::RelocUnexpected, 99, 0);
+        let t = rec.tracer(0, ACTOR_SERVER, "n0/server");
+        t.record(EventKind::RelocUnexpected, 99, 0);
         assert!(rec.last_dump().is_none());
         rec.dump("test trigger");
         let dump = rec.last_dump().expect("dump stashed");

@@ -17,9 +17,10 @@
 # so that a public type that goes shows in a diff), the `pub` fields of
 # `ProtoConfig` and `PsConfig`, and of `ClusterStats` (which holds the
 # summed lanes and only what the run knows: a counter mirrored there
-# again shows as a field), and the `LAPSE_*` environment variables
-# the workspace reads (`benchmark/` is a package of its own and frozen:
-# not counted).
+# again shows as a field), the `LAPSE_*` environment variables the
+# workspace reads, and each workspace crate's `[dependencies]` (so that a
+# dependency edge that comes or goes shows in a diff; `benchmark/` is a
+# package of its own and frozen: not counted anywhere).
 set -euo pipefail
 
 ref=${1:-}
@@ -87,3 +88,13 @@ echo "== LAPSE_* variables read (crates, src, examples, tests)"
 cat_all crates src examples tests | code_lines | grep -oE '"LAPSE_[A-Z0-9_]+"' | tr -d '"' | sort -u |
     tr '\n' ' '
 echo
+
+echo
+echo "== [dependencies] per workspace crate"
+for manifest in Cargo.toml $(list crates | grep -E '^crates/[^/]+/Cargo\.toml$' | sort); do
+    deps=$(show "$manifest" | awk '
+        /^\[/ { on = ($0 == "[dependencies]"); next }
+        on && /^[A-Za-z0-9_-]/ { sub(/[ .=].*/, ""); print }' | sort | tr '\n' ' ')
+    crate=$(dirname "$manifest")
+    printf '%-18s %s\n' "${crate/#./(root)}" "$deps"
+done
