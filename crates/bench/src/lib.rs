@@ -16,7 +16,7 @@
 
 use std::sync::Arc;
 
-use lapse_core::{run_sim, AdaptiveConfig, CostModel, HotSet, PsConfig, PsWorker, Variant};
+use lapse_core::{run_sim, AdaptiveConfig, CostModel, HotSet, PsConfig, Variant};
 use lapse_ml::data::corpus::{Corpus, CorpusConfig};
 use lapse_ml::data::kg::{KgConfig, KnowledgeGraph};
 use lapse_ml::data::matrix::{MatrixConfig, SparseMatrix};
@@ -456,14 +456,6 @@ pub fn measure_w2v_tuned(
         t2.run(w)
     });
     summarize(results, stats)
-}
-
-/// A body adapter so non-task closures read naturally at call sites.
-pub fn body_of<R, F>(f: F) -> F
-where
-    F: Fn(&mut dyn PsWorker) -> R + Send + Sync + 'static,
-{
-    f
 }
 
 // ---------------------------------------------------------------------------

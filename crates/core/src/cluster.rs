@@ -6,6 +6,7 @@ use std::time::Instant;
 
 use lapse_net::{Key, NodeId, ThreadedNet};
 use lapse_proto::client::ClientCore;
+use lapse_proto::messages::Msg;
 use lapse_proto::server::ServerCore;
 use lapse_proto::shard::NodeShared;
 use lapse_proto::tracker::ClockFn;
@@ -95,9 +96,11 @@ impl PsConfig {
         self
     }
 
-    /// Turns per-link message coalescing on or off (default: on). Only
-    /// the threaded backend coalesces; the simulator's cost model charges
-    /// per message and its schedules must stay bit-identical.
+    /// Turns per-link message coalescing on or off (default: on); off,
+    /// every message travels in an envelope of its own (a count cap of
+    /// one). Only the threaded backend coalesces; the simulator's cost
+    /// model charges per message and its schedules must stay
+    /// bit-identical.
     pub fn coalesce(mut self, on: bool) -> Self {
         self.proto.coalesce = on;
         self
@@ -240,9 +243,14 @@ where
     });
 
     let mut stats = ClusterStats::collect(&shareds);
-    stats.messages = report.messages;
-    stats.bytes = report.bytes;
-    stats.self_messages = report.self_messages;
+    // The lanes count every envelope where it leaves a core; the
+    // simulator counts the same envelopes where it delivers them.
+    let lanes = (stats.messages, stats.bytes, stats.self_messages);
+    let sim = (report.messages, report.bytes, report.self_messages);
+    assert_eq!(
+        lanes, sim,
+        "envelopes counted by the lanes and by the simulator"
+    );
     stats.virtual_time_ns = Some(report.virtual_time_ns);
     export_trace(recorder.as_deref(), &mut stats);
     (results, stats)
@@ -299,7 +307,7 @@ where
         Some(rec) => ThreadedNet::with_trace(nodes, Metrics::new(), rec.clone()),
         None => ThreadedNet::new(nodes, Metrics::new()),
     };
-    let dispatch = Dispatch::new(&shareds, net.clone(), drain_cap);
+    let dispatch = Dispatch::new(&shareds, net, drain_cap);
 
     // Per-worker wake cells, wired into each node's tracker.
     let wakes: Vec<Vec<Arc<WakeCell>>> = (0..nodes)
@@ -353,14 +361,14 @@ where
         .collect();
 
     // Stop the servers: one `Shutdown` per node, handled like any other
-    // message by this thread or by whoever holds the node's role.
+    // message by this thread or by whoever holds the node's role, and
+    // counted in a lane of node 0 that this thread claims for them.
     let mut driver = Driver::new(dispatch.clone());
+    let lane = shareds[0].claim_lane();
     for n in 0..nodes {
-        driver.send(
-            NodeId(0),
-            NodeId(n as u16),
-            lapse_proto::messages::Msg::Shutdown,
-        );
+        let (src, dst, msg) = (NodeId(0), NodeId(n as u16), Msg::Shutdown);
+        lane.count_send(src, dst, &msg);
+        driver.send(src, dst, msg);
     }
     driver.drive();
     for j in server_joins {
@@ -368,9 +376,6 @@ where
     }
 
     let mut stats = ClusterStats::collect(&shareds);
-    stats.messages = net.total_messages();
-    stats.bytes = net.total_bytes();
-    stats.self_messages = net.self_messages();
     stats.doorbell_rings = dispatch.doorbell_rings();
     export_trace(recorder.as_deref(), &mut stats);
     (results, stats, dispatch)

@@ -1,4 +1,10 @@
 //! Simulator backend: drives the protocol in virtual time.
+//!
+//! Every envelope counts where it leaves a core, as on the threaded
+//! backend: a worker's in its client lane (`SimBackend::send`), a
+//! server's output in the server's lane ([`LapseProto::handle`]). The
+//! simulator counts the same envelopes again in its `SimReport`, and
+//! `run_sim` checks that the two agree.
 
 use lapse_net::{Key, NodeId};
 use lapse_proto::client::{ClientCore, MsgSink};
@@ -16,7 +22,12 @@ impl SimProtocol for LapseProto {
     type Server = ServerCore;
 
     fn handle(server: &mut ServerCore, msg: Msg, out: &mut Vec<(NodeId, Msg)>) {
+        let sent = out.len();
         server.handle(msg, out);
+        let (src, lane) = (server.node(), server.lane());
+        for (dst, msg) in &out[sent..] {
+            lane.count_send(src, *dst, msg);
+        }
     }
 
     fn msg_load(msg: &Msg) -> (u64, u64) {
@@ -44,8 +55,10 @@ impl Backend for SimBackend<'_> {
         self.ctx.charge(ns);
     }
 
-    fn send(&mut self, _client: &ClientCore, sink: &mut MsgSink) {
+    fn send(&mut self, client: &ClientCore, sink: &mut MsgSink) {
+        let (src, lane) = (client.node(), client.lane());
         for (dst, msg) in sink.drain(..) {
+            lane.count_send(src, dst, &msg);
             self.ctx.send(dst, msg);
         }
     }

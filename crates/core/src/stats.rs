@@ -15,7 +15,8 @@ use lapse_utils::stats::LogHistogram;
 /// The per-core counters are declared once, beside the lanes that count
 /// them ([`AccessStats`]): a `ClusterStats` is their sum over every lane
 /// of every node and reads as one through `Deref` (`stats.pull_remote`,
-/// `stats.pull_total()`). Its own fields are what only the run knows.
+/// `stats.pull_total()`, `stats.messages`: every core counts the
+/// envelopes it sends). Its own fields are what only the run knows.
 #[derive(Debug, Clone)]
 pub struct ClusterStats {
     /// Every lane of every node, summed.
@@ -26,13 +27,6 @@ pub struct ClusterStats {
     /// Tracker entries still registered when the run ended (leaked or
     /// abandoned-but-incomplete operations; 0 for clean runs).
     pub tracker_in_flight: u64,
-    /// Messages sent (both backends). With coalescing on, a batch
-    /// envelope counts as **one** message.
-    pub messages: u64,
-    /// Bytes sent (envelope included).
-    pub bytes: u64,
-    /// Node-local (IPC) messages.
-    pub self_messages: u64,
     /// Times a thread driving a server hit the drain cap and rang the
     /// node's fallback server thread (threaded backend; 0 on the
     /// simulator).
@@ -57,16 +51,13 @@ impl Deref for ClusterStats {
 }
 
 impl ClusterStats {
-    /// Gathers the counters of every node's lanes and trackers; the
-    /// transport totals are the caller's to fill in.
+    /// Gathers the counters of every node's lanes and trackers; what
+    /// only the run knows is the caller's to fill in.
     pub fn collect(nodes: &[Arc<NodeShared>]) -> Self {
         let mut stats = ClusterStats {
             access: AccessStats::default(),
             reloc_time: OpTracker::reloc_time_histogram(),
             tracker_in_flight: 0,
-            messages: 0,
-            bytes: 0,
-            self_messages: 0,
             doorbell_rings: 0,
             snapshot_stale_waits: 0,
             virtual_time_ns: None,
@@ -96,12 +87,15 @@ impl ClusterStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lapse_net::wire::message_bytes;
     use lapse_net::NodeId;
+    use lapse_proto::messages::Msg;
     use lapse_proto::{Layout, ProtoConfig};
 
     /// `collect` sums each counter over the lanes of every node and
     /// reports it under its own name — the wait stages a worker counts
-    /// in its own lane included.
+    /// in its own lane, and the envelopes every core counts in its own,
+    /// included.
     #[test]
     fn collect_sums_lanes_across_nodes_under_the_right_names() {
         let cfg = Arc::new(ProtoConfig::new(2, 8, Layout::Uniform(1)));
@@ -116,6 +110,7 @@ mod tests {
                 lane.snapshot_fallbacks.add(1000);
                 lane.wake_spins.add(2);
                 lane.wait_ns.add(500);
+                lane.count_send(NodeId(n as u16), NodeId(0), &Msg::Shutdown);
             }
         }
         let s = ClusterStats::collect(&nodes);
@@ -123,11 +118,13 @@ mod tests {
         assert_eq!(s.handovers, 40);
         assert_eq!(s.value_allocs_heap, 400);
         assert_eq!(s.snapshot_fallbacks, 4000);
-        assert_eq!((s.pull_total(), s.pull_remote, s.messages), (6, 0, 0));
+        assert_eq!((s.pull_total(), s.pull_remote), (6, 0));
+        let envelope = message_bytes(&Msg::Shutdown) as u64;
+        assert_eq!((s.messages, s.bytes, s.self_messages), (4, 4 * envelope, 2));
         let waits = (s.wake_immediate, s.wake_spins, s.wake_parks, s.wait_ns);
         assert_eq!(waits, (0, 8, 0, 2000));
         // The run's own counters are not the lanes': `collect` leaves
         // them zero and the backend fills them in.
-        assert_eq!((s.doorbell_rings, s.self_messages), (0, 0));
+        assert_eq!((s.doorbell_rings, s.virtual_time_ns), (0, None));
     }
 }

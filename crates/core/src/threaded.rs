@@ -170,8 +170,7 @@ pub const SERVER_DRAIN_CAP: usize = 256;
 struct Role {
     server: ServerCore,
     endpoint: Endpoint<Msg>,
-    /// `None` when coalescing is off: the sink is then sent as it is.
-    coalescer: Option<Coalescer>,
+    coalescer: Coalescer,
     burst: Vec<Msg>,
     sink: MsgSink,
 }
@@ -244,7 +243,7 @@ impl Dispatch {
                 role: Mutex::new(Role {
                     server: ServerCore::new(shared.clone()),
                     endpoint: net.take_endpoint(shared.node),
-                    coalescer: shared.cfg.coalesce.then(|| Coalescer::new(&shared.cfg)),
+                    coalescer: Coalescer::new(&shared.cfg),
                     burst: Vec::new(),
                     sink: Vec::new(),
                 }),
@@ -319,7 +318,7 @@ impl Dispatch {
             if !burst.is_empty() {
                 handled += burst.len();
                 server.handle_burst(burst, sink);
-                flush(coalescer, server.lane(), sink, &mut |dst, msg| {
+                flush(coalescer, node, server.lane(), sink, &mut |dst, msg| {
                     self.enqueue(node, dst, msg, worklist)
                 });
             }
@@ -394,8 +393,8 @@ pub(crate) struct ThreadedBackend {
     wake: Arc<WakeCell>,
     barrier: Arc<std::sync::Barrier>,
     start: Instant,
-    /// Per-link batching of flushed sinks (`None` when coalescing is off).
-    coalescer: Option<Coalescer>,
+    /// Per-link batching of flushed sinks.
+    coalescer: Coalescer,
 }
 
 impl ThreadedBackend {
@@ -406,13 +405,12 @@ impl ThreadedBackend {
         barrier: Arc<std::sync::Barrier>,
         start: Instant,
     ) -> Self {
-        let coalescer = cfg.coalesce.then(|| Coalescer::new(cfg));
         ThreadedBackend {
             driver: Driver::new(dispatch),
             wake,
             barrier,
             start,
-            coalescer,
+            coalescer: Coalescer::new(cfg),
         }
     }
 }
@@ -425,7 +423,7 @@ impl Backend for ThreadedBackend {
             driver, coalescer, ..
         } = self;
         let src = client.node();
-        flush(coalescer, client.lane(), sink, &mut |dst, msg| {
+        flush(coalescer, src, client.lane(), sink, &mut |dst, msg| {
             driver.send(src, dst, msg)
         });
         driver.drive();
@@ -453,26 +451,26 @@ impl Backend for ThreadedBackend {
     }
 }
 
-/// Sends a flushed sink, workers' and servers' alike: through the
-/// coalescer when there is one, message by message when coalescing is
-/// off. Drains `sink`. The pack's batching counters go to `lane`, the
-/// lane of the core whose sink this is (a worker's own, or the server's
-/// under its role).
+/// Sends a flushed sink of a core of node `src`, a worker's or a
+/// server's, through its coalescer (with coalescing off, every message
+/// leaves in an envelope of its own). Drains `sink`. Every envelope, and
+/// the pack's batching counters, count in `lane`, the lane of the core
+/// whose sink this is (a worker's own, or the server's under its role):
+/// this is where an envelope leaves a core.
 fn flush(
-    coalescer: &mut Option<Coalescer>,
+    coalescer: &mut Coalescer,
+    src: NodeId,
     lane: &AccessLane,
     sink: &mut MsgSink,
-    emit: &mut dyn FnMut(NodeId, Msg),
+    send: &mut dyn FnMut(NodeId, Msg),
 ) {
-    match coalescer {
-        Some(c) => {
-            let packed = c.pack(sink, emit);
-            if packed.batches > 0 {
-                lane.net_batches.add(packed.batches);
-                lane.net_batched_msgs.add(packed.batched_msgs);
-            }
-        }
-        None => sink.drain(..).for_each(|(dst, msg)| emit(dst, msg)),
+    let packed = coalescer.pack(sink, &mut |dst, msg| {
+        lane.count_send(src, dst, &msg);
+        send(dst, msg);
+    });
+    if packed.batches > 0 {
+        lane.net_batches.add(packed.batches);
+        lane.net_batched_msgs.add(packed.batched_msgs);
     }
 }
 
@@ -622,6 +620,55 @@ mod tests {
         assert!(wait_ns >= SPIN_BUDGET.as_nanos() as u64);
         assert_eq!(cell.parked.load(SeqCst), 0);
         assert_eq!(report(&other), ((0, 0, 0), 0));
+    }
+
+    /// `flush` counts every envelope it sends once, in the lane it is
+    /// given: a batch is one envelope of the bytes `message_bytes` gives
+    /// it, and one addressed to the sending node is a self message too.
+    /// With coalescing off every message leaves alone, in sink order.
+    #[test]
+    fn flush_counts_each_envelope_once_in_the_senders_lane() {
+        use lapse_net::wire::message_bytes;
+        use lapse_net::Key;
+        use lapse_proto::messages::{OpId, OpKind, OpMsg};
+        use lapse_proto::Layout;
+
+        let pull = |seq| {
+            Msg::Op(OpMsg {
+                op: OpId::new(NodeId(0), seq),
+                kind: OpKind::Pull,
+                keys: vec![Key(seq)],
+                vals: vec![],
+                routed_by_home: false,
+            })
+        };
+        let (me, other) = (NodeId(0), NodeId(1));
+        let dsts = [other, me, other, me, me];
+        for coalesce in [true, false] {
+            let mut cfg = ProtoConfig::new(2, 8, Layout::Uniform(1));
+            cfg.coalesce = coalesce;
+            let mut coalescer = Coalescer::new(&cfg);
+            let lane = AccessLane::default();
+            let mut sink: MsgSink = (0..).zip(dsts).map(|(i, d)| (d, pull(i))).collect();
+            let mut sent = Vec::new();
+            flush(&mut coalescer, me, &lane, &mut sink, &mut |dst, msg| {
+                sent.push((dst, msg))
+            });
+            assert!(sink.is_empty());
+            let order: Vec<NodeId> = sent.iter().map(|(d, _)| *d).collect();
+            let (batched, own) = if coalesce {
+                assert_eq!(order, [other, me]);
+                ((2, 5), 1)
+            } else {
+                assert_eq!(order, dsts);
+                ((0, 0), 3)
+            };
+            let bytes: u64 = sent.iter().map(|(_, m)| message_bytes(m) as u64).sum();
+            let s = lane.snapshot();
+            assert_eq!((s.messages, s.bytes), (sent.len() as u64, bytes));
+            assert_eq!(s.self_messages, own);
+            assert_eq!((s.net_batches, s.net_batched_msgs), batched);
+        }
     }
 
     #[test]

@@ -100,7 +100,8 @@ struct Sender {
 
 impl Sender {
     /// Sends what the last client call emitted and drives what it
-    /// reaches, like `ThreadedPsWorker::send_sink`.
+    /// reaches, like a threaded worker's send (which also counts the
+    /// envelopes in its lane; this helper counts nothing).
     fn flush(&mut self) {
         let Sender {
             client,

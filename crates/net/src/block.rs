@@ -47,12 +47,6 @@ impl ValueBlock {
         b.finish()
     }
 
-    /// Wraps raw little-endian bytes (length must be a multiple of 4).
-    pub fn from_bytes(bytes: Bytes) -> Self {
-        assert_eq!(bytes.len() % 4, 0, "value block length not float-sized");
-        ValueBlock { bytes }
-    }
-
     /// Number of floats in the block.
     #[inline]
     pub fn len(&self) -> usize {

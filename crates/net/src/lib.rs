@@ -18,7 +18,7 @@
 //!   [`codec::WireCodec`] trait; protocol crates implement it for their
 //!   message types so the wire format is testable end to end.
 //! * [`transport`] — the threaded transport: per-destination channels with
-//!   per-link FIFO delivery and per-link statistics, plus an optional
+//!   per-link FIFO delivery (it counts nothing), plus an optional
 //!   delay-injection hook used by failure-injection tests.
 
 pub mod block;

@@ -8,6 +8,11 @@
 //! protocol's consistency arguments require (messages from *different*
 //! senders may interleave arbitrarily, exactly as with TCP connections).
 //!
+//! The network counts nothing. An envelope is counted by the core that
+//! sends it, in that core's own counter lane (`AccessLane::count_send`
+//! in `lapse-proto`), so that no line on the send path has more than
+//! one writer; a traced network records one `net` event per send.
+//!
 //! An optional [`DelayPolicy`] injects artificial per-link latency. It is
 //! used by failure-injection tests to widen race windows (e.g. to force an
 //! operation to arrive at an old owner after a relocation). The delay is
@@ -16,7 +21,6 @@
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -29,16 +33,6 @@ use crate::wire::{message_bytes, WireSize};
 /// A delay policy for fault-injection: returns the artificial latency for
 /// a `(src, dst)` link.
 pub type DelayPolicy = Arc<dyn Fn(NodeId, NodeId) -> Duration + Send + Sync>;
-
-/// Per-link counters. Only threads of the link's source node write them,
-/// so each link gets a cache line of its own: senders on different nodes
-/// never share one.
-#[derive(Debug, Default)]
-#[repr(align(64))]
-struct LinkStats {
-    messages: AtomicU64,
-    bytes: AtomicU64,
-}
 
 /// Sender of one delay-injected link: carries the message plus the delay
 /// left to serve before delivery.
@@ -57,7 +51,6 @@ pub struct Incoming<M> {
 pub struct ThreadedNet<M> {
     senders: Vec<Sender<Incoming<M>>>,
     receivers: Mutex<Vec<Option<Receiver<Incoming<M>>>>>,
-    stats: Vec<Vec<LinkStats>>, // [src][dst]
     delay: Option<DelayPolicy>,
     /// Helper senders used when a delay policy is active: one channel per
     /// link keeps FIFO despite the sleeping.
@@ -72,9 +65,7 @@ impl<M: Send + WireSize + 'static> ThreadedNet<M> {
     ///
     /// The registry argument (here and on the other constructors) is
     /// accepted for the callers that pass one and is not written: the
-    /// send path counts per link only, and the cluster totals are sums
-    /// over the links ([`Self::total_messages`], [`Self::total_bytes`],
-    /// [`Self::self_messages`]).
+    /// network keeps no counters.
     pub fn new(n: usize, _metrics: Metrics) -> Arc<Self> {
         Self::build(n, None, None)
     }
@@ -101,10 +92,6 @@ impl<M: Send + WireSize + 'static> ThreadedNet<M> {
             senders.push(tx);
             receivers.push(Some(rx));
         }
-        let stats = (0..n)
-            .map(|_| (0..n).map(|_| LinkStats::default()).collect())
-            .collect();
-
         let delayed_links = delay.as_ref().map(|_| {
             (0..n)
                 .map(|_src| {
@@ -144,7 +131,6 @@ impl<M: Send + WireSize + 'static> ThreadedNet<M> {
         Arc::new(ThreadedNet {
             senders,
             receivers: Mutex::new(receivers),
-            stats,
             delay,
             delayed_links,
             trace,
@@ -164,11 +150,8 @@ impl<M: Send + WireSize + 'static> ThreadedNet<M> {
 
     /// Sends `msg` from `src` to `dst`. Never blocks.
     pub fn send(&self, src: NodeId, dst: NodeId, msg: M) {
-        let bytes = message_bytes(&msg) as u64;
-        let link = &self.stats[src.idx()][dst.idx()];
-        link.messages.fetch_add(1, Ordering::Relaxed);
-        link.bytes.fetch_add(bytes, Ordering::Relaxed);
         if let Some(lanes) = &self.trace {
+            let bytes = message_bytes(&msg) as u64;
             lanes[src.idx()].record(EventKind::MsgSend, dst.0 as u64, bytes);
         }
 
@@ -192,45 +175,6 @@ impl<M: Send + WireSize + 'static> ThreadedNet<M> {
             .take()
             .expect("endpoint already taken");
         Endpoint { node, rx }
-    }
-
-    /// Messages sent on the `(src, dst)` link so far.
-    pub fn link_messages(&self, src: NodeId, dst: NodeId) -> u64 {
-        self.stats[src.idx()][dst.idx()]
-            .messages
-            .load(Ordering::Relaxed)
-    }
-
-    /// Bytes sent on the `(src, dst)` link so far (envelope included).
-    pub fn link_bytes(&self, src: NodeId, dst: NodeId) -> u64 {
-        self.stats[src.idx()][dst.idx()]
-            .bytes
-            .load(Ordering::Relaxed)
-    }
-
-    /// Total messages sent.
-    pub fn total_messages(&self) -> u64 {
-        self.stats
-            .iter()
-            .flatten()
-            .map(|l| l.messages.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Total bytes sent (envelopes included).
-    pub fn total_bytes(&self) -> u64 {
-        self.stats
-            .iter()
-            .flatten()
-            .map(|l| l.bytes.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Node-local messages sent: the diagonal of the link matrix.
-    pub fn self_messages(&self) -> u64 {
-        (0..self.len())
-            .map(|n| self.stats[n][n].messages.load(Ordering::Relaxed))
-            .sum()
     }
 }
 
@@ -318,43 +262,6 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-    }
-
-    #[test]
-    fn stats_count_messages_and_bytes() {
-        let net: Arc<ThreadedNet<TestMsg>> = ThreadedNet::new(2, Metrics::new());
-        let _ep = net.take_endpoint(NodeId(1));
-        net.send(NodeId(0), NodeId(1), TestMsg(1));
-        net.send(NodeId(0), NodeId(1), TestMsg(2));
-        assert_eq!(net.link_messages(NodeId(0), NodeId(1)), 2);
-        assert_eq!(net.link_messages(NodeId(1), NodeId(0)), 0);
-        let expected = 2 * (crate::wire::ENVELOPE_OVERHEAD_BYTES as u64 + 8);
-        assert_eq!(net.link_bytes(NodeId(0), NodeId(1)), expected);
-        assert_eq!(net.total_messages(), 2);
-    }
-
-    #[test]
-    fn totals_are_sums_over_the_links() {
-        let net: Arc<ThreadedNet<TestMsg>> = ThreadedNet::new(3, Metrics::new());
-        let script = [
-            (0, 1),
-            (0, 1),
-            (1, 1),
-            (2, 0),
-            (1, 2),
-            (2, 2),
-            (2, 2),
-            (0, 0),
-        ];
-        for (i, &(src, dst)) in script.iter().enumerate() {
-            net.send(NodeId(src), NodeId(dst), TestMsg(i as u64));
-        }
-        let per_msg = crate::wire::ENVELOPE_OVERHEAD_BYTES as u64 + 8;
-        assert_eq!(net.total_messages(), script.len() as u64);
-        assert_eq!(net.total_bytes(), script.len() as u64 * per_msg);
-        assert_eq!(net.self_messages(), 4);
-        assert_eq!(net.link_messages(NodeId(2), NodeId(2)), 2);
-        assert_eq!(std::mem::align_of::<LinkStats>(), 64);
     }
 
     #[test]

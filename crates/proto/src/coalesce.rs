@@ -8,6 +8,8 @@
 //! order and per-destination message order, so per-link FIFO is exactly
 //! what it was — and wraps runs of two or more into
 //! [`Msg::Batch`] envelopes, cut at the configured count/byte caps.
+//! Coalescing off is a count cap of one: every message then leaves bare,
+//! in sink order.
 //!
 //! This module is the only place in the crates that constructs
 //! `Msg::Batch`, and it packs already-flat sink messages. A nested batch
@@ -57,10 +59,15 @@ pub struct Coalescer {
 }
 
 impl Coalescer {
-    /// A coalescer with the configuration's caps.
+    /// A coalescer with the configuration's caps; with
+    /// [`ProtoConfig::coalesce`] off, a count cap of one message.
     pub fn new(cfg: &ProtoConfig) -> Self {
         Coalescer {
-            max_msgs: cfg.coalesce_max_msgs.max(1),
+            max_msgs: if cfg.coalesce {
+                cfg.coalesce_max_msgs.max(1)
+            } else {
+                1
+            },
             max_bytes: cfg.coalesce_max_bytes.max(1),
             groups: Vec::new(),
             active: 0,
@@ -77,17 +84,17 @@ impl Coalescer {
     /// Drains `sink`, emitting each destination's run as batch envelopes
     /// (runs of one, and singleton chunks left over after cap cuts, are
     /// emitted bare — a batch of one would pay 5 envelope bytes for
-    /// nothing). Returns what was batched, for stats accounting.
+    /// nothing). Under a count cap of one nothing is grouped: the sink
+    /// leaves message by message, in its own order. Returns what was
+    /// batched, for stats accounting.
     pub fn pack(
         &mut self,
         sink: &mut Vec<(NodeId, Msg)>,
         emit: &mut dyn FnMut(NodeId, Msg),
     ) -> PackStats {
         let mut stats = PackStats::default();
-        if sink.len() <= 1 {
-            if let Some((dst, msg)) = sink.pop() {
-                emit(dst, msg);
-            }
+        if sink.len() <= 1 || self.max_msgs == 1 {
+            sink.drain(..).for_each(|(dst, msg)| emit(dst, msg));
             return stats;
         }
         for (dst, msg) in sink.drain(..) {

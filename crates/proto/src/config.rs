@@ -196,7 +196,13 @@ impl std::fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 /// Full protocol configuration shared by all nodes of one cluster.
+///
+/// Every node keeps a copy of its own (`NodeShared::cfg`), read on every
+/// operation. Aligned to 128 bytes, like the other blocks an operation
+/// reads (DESIGN.md §7): a copy shares no line, nor an adjacent-line
+/// prefetch pair, with another allocation.
 #[derive(Debug, Clone)]
+#[repr(align(128))]
 pub struct ProtoConfig {
     /// Number of nodes.
     pub nodes: u16,
@@ -237,10 +243,13 @@ pub struct ProtoConfig {
     pub snapshot_reads: bool,
     /// Coalesce outgoing messages bound for the same destination into
     /// [`Msg::Batch`](crate::messages::Msg::Batch) envelopes at op/tick
-    /// flush boundaries. On in [`ProtoConfig::new`]. Only the threaded
-    /// backend reads it: the simulator delivers message by message, so
-    /// that its cost model charges per message and its schedules and
-    /// outputs stay bit-identical.
+    /// flush boundaries. On in [`ProtoConfig::new`]. Off is a count cap
+    /// of one message (`coalesce_max_msgs` is then not read): every
+    /// message leaves in an envelope of its own. Only
+    /// [`Coalescer::new`](crate::coalesce::Coalescer::new) reads it, and
+    /// only the threaded backend builds a coalescer: the simulator
+    /// delivers message by message, so that its cost model charges per
+    /// message and its schedules and outputs stay bit-identical.
     pub coalesce: bool,
     /// Maximum constituent messages per batch envelope.
     pub coalesce_max_msgs: usize,

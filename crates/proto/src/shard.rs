@@ -44,13 +44,14 @@ use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use lapse_net::wire::message_bytes;
 use lapse_net::{Key, NodeId};
 use lapse_trace::{EventKind, Recorder, Tracer, ACTOR_LATCH};
 
 use crate::adaptive::AdaptiveShared;
 use crate::config::{ProtoConfig, Variant};
 use crate::keymap::{Entry, KeyMap};
-use crate::messages::{OpId, OpKind};
+use crate::messages::{Msg, OpId, OpKind};
 use crate::serving::ServingState;
 use crate::storage::{Residency, ShardStore};
 use crate::tracker::{ClockFn, OpTracker};
@@ -292,7 +293,7 @@ macro_rules! access_counters {
     ($($(#[$doc:meta])* $name:ident,)*) => {
         /// One core's block of counters: the accesses of Table 5 and the
         /// workload table of the paper, which sit on every parameter
-        /// access, and a worker's waits.
+        /// access, the envelopes a core sends, and a worker's waits.
         ///
         /// Every `ClientCore`, `ServerCore` and `SnapshotReader` claims
         /// a lane of its own from its node when it is built
@@ -300,13 +301,14 @@ macro_rules! access_counters {
         /// lane, so bumps need no atomic read-modify-write and two
         /// cores never write the same cache line:
         ///
-        /// * a `ClientCore` is owned by its worker thread (the threaded
-        ///   worker also counts its own coalescer's envelopes and its
-        ///   own waits there);
+        /// * a `ClientCore` is owned by its worker thread (the worker
+        ///   also counts the envelopes it sends and its own waits
+        ///   there);
         /// * a `ServerCore`, and the coalescer beside it, is only run
         ///   under the node's role lock, whose release/acquire orders
         ///   the plain stores of one holder before the loads of the
-        ///   next (on the simulator one task runs at a time);
+        ///   next (on the simulator one task runs at a time); the
+        ///   server's output envelopes count in its lane;
         /// * a `SnapshotReader` reads through `&mut self`.
         ///
         /// Aligned to 128 bytes: a lane shares neither a line nor an
@@ -399,6 +401,15 @@ access_counters! {
     /// and owned local serves contribute **zero** here — the property
     /// the value-plane stress test pins down.
     value_allocs_heap,
+    /// Envelopes this core sent, counted where they leave it (both
+    /// backends; `run_threaded`'s closing `Shutdown`s included). With
+    /// coalescing on, a batch envelope counts as **one** message.
+    messages,
+    /// Bytes of those envelopes (`message_bytes`: envelope included).
+    bytes,
+    /// Those envelopes addressed to the sending core's own node (the
+    /// classic PS's local-access IPC path).
+    self_messages,
     /// Batch envelopes this node sent (sender-side coalescing; threaded
     /// backend only — the simulator never coalesces).
     net_batches,
@@ -425,6 +436,20 @@ access_counters! {
     /// polling and asleep: the "remote wait" term of an epoch's
     /// attribution.
     wait_ns,
+}
+
+impl AccessLane {
+    /// Counts one envelope `msg` that this lane's core sends from its
+    /// node `src` to `dst`. The one place an envelope is counted: both
+    /// backends call it where an envelope leaves a core.
+    #[inline]
+    pub fn count_send(&self, src: NodeId, dst: NodeId, msg: &Msg) {
+        self.messages.add(1);
+        self.bytes.add(message_bytes(msg) as u64);
+        if src == dst {
+            self.self_messages.add(1);
+        }
+    }
 }
 
 impl AccessStats {
@@ -870,8 +895,10 @@ fn outside_key_space(op: &str, key: Key, keys: u64) -> ! {
 /// operation path touches either (cores borrow their `Arc<NodeShared>`,
 /// they do not clone it per operation).
 pub struct NodeShared {
-    /// Cluster-wide configuration.
-    pub cfg: Arc<ProtoConfig>,
+    /// This node's own copy of the cluster-wide configuration, made once
+    /// at construction. Boxed, not shared: the config has no reference
+    /// count that other nodes (or clones on an operation path) write.
+    pub cfg: Box<ProtoConfig>,
     /// This node.
     pub node: NodeId,
     /// Latch-guarded, seqlock-instrumented shards, indexed by
@@ -996,7 +1023,7 @@ impl NodeShared {
         }
         let adaptive = adaptive.then(|| AdaptiveShared::new(&cfg.adaptive));
         Arc::new(NodeShared {
-            cfg: cfg.clone(),
+            cfg: Box::new(ProtoConfig::clone(&cfg)),
             node,
             shards,
             keys_per_shard: cfg.keys_per_shard(),

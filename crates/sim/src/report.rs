@@ -3,7 +3,9 @@
 /// What the simulator measures in one run. Protocol-specific statistics
 /// (access counts, relocation times, the value plane) live in the
 /// protocol's own state and are read back by the caller after `run`
-/// returns.
+/// returns. The message counts are taken where the simulator delivers:
+/// the only count the SSP and low-level baselines have, and the
+/// reference a protocol that counts its own sends is checked against.
 #[derive(Debug, Clone)]
 pub struct SimReport {
     /// Virtual time at which the last event (or worker) finished.

@@ -86,11 +86,6 @@ pub struct SimShared<P: SimProtocol> {
 }
 
 impl<P: SimProtocol> SimShared<P> {
-    /// The shared virtual clock handle (for protocol clock functions).
-    pub fn clock_handle(&self) -> Arc<AtomicU64> {
-        self.clock.clone()
-    }
-
     /// Stores the current effective virtual time (scheduler and the one
     /// running worker only).
     pub(crate) fn store_clock(&self, t: u64) {
@@ -180,11 +175,6 @@ impl<P: SimProtocol> SimCluster<P> {
     /// `run`).
     pub fn shared(&self) -> &Arc<SimShared<P>> {
         &self.shared
-    }
-
-    /// Task id of `(node, slot)`.
-    pub fn task_id(&self, node: NodeId, slot: usize) -> TaskId {
-        node.idx() * self.workers_per_node + slot
     }
 
     /// Runs the simulation: spawns one thread per worker, executes `body`

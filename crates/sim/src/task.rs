@@ -167,13 +167,6 @@ impl<P: SimProtocol> TaskCtx<P> {
         self.shared.send_msg(self.node, dst, msg, self.my_time);
     }
 
-    /// Sends a batch of messages (an issue sink) in order.
-    pub fn send_sink(&mut self, sink: Vec<(NodeId, P::Msg)>) {
-        for (dst, msg) in sink {
-            self.send(dst, msg);
-        }
-    }
-
     /// Blocks (in virtual time) until `cond` holds. The condition is
     /// re-checked after every notification addressed to this task; the
     /// worker's clock advances to the notification's virtual time.

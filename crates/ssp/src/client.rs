@@ -107,11 +107,6 @@ impl SspClientShared {
             _ => false,
         }
     }
-
-    /// Cached keys (diagnostics).
-    pub fn cached_keys(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
-    }
 }
 
 /// SSP worker handle on the simulator backend. Implements [`PsWorker`],
@@ -151,11 +146,6 @@ impl<'a> SspWorker<'a> {
             update_buf: HashMap::new(),
             update_order: Vec::new(),
         }
-    }
-
-    /// The worker's current logical clock.
-    pub fn logical_clock(&self) -> i64 {
-        self.clock
     }
 
     /// Adds the worker's own unflushed updates on top of a fetched value

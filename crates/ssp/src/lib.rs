@@ -29,7 +29,7 @@ pub mod server;
 
 pub use client::SspWorker;
 pub use messages::SspMsg;
-pub use runner::{run_ssp_sim, SspRunStats};
+pub use runner::run_ssp_sim;
 pub use server::{SspMode, SspServer};
 
 /// SSP-specific configuration on top of the shared key-space layout.

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use lapse_core::PsWorker;
 use lapse_net::{Key, NodeId};
 use lapse_proto::tracker::ClockFn;
-use lapse_sim::{CostModel, SimCluster, SimProtocol};
+use lapse_sim::{CostModel, SimCluster, SimProtocol, SimReport};
 
 use crate::client::{SspClientShared, SspWorker};
 use crate::messages::SspMsg;
@@ -56,29 +56,17 @@ impl SimProtocol for SspProto {
     }
 }
 
-/// Statistics of one SSP simulation run.
-#[derive(Debug, Clone)]
-pub struct SspRunStats {
-    /// Virtual run time (ns).
-    pub virtual_time_ns: u64,
-    /// Messages sent.
-    pub messages: u64,
-    /// Bytes sent.
-    pub bytes: u64,
-    /// Node-local messages.
-    pub self_messages: u64,
-}
-
 /// Runs `body` on every worker of a simulated SSP cluster; returns the
-/// per-worker results, run statistics, and the final per-node states
-/// (whose servers hold the authoritative values).
+/// per-worker results, the simulator's report (virtual run time and the
+/// messages it delivered), and the final per-node states (whose servers
+/// hold the authoritative values).
 pub fn run_ssp_sim<R, F>(
     cfg: SspConfig,
     workers_per_node: usize,
     cost: CostModel,
     init: impl FnMut(Key) -> Option<Vec<f32>>,
     body: F,
-) -> (Vec<R>, SspRunStats, Vec<SspNode>)
+) -> (Vec<R>, SimReport, Vec<SspNode>)
 where
     R: Send + 'static,
     F: Fn(&mut dyn PsWorker) -> R + Send + Sync + 'static,
@@ -124,11 +112,5 @@ where
         body(&mut worker)
     });
 
-    let stats = SspRunStats {
-        virtual_time_ns: report.virtual_time_ns,
-        messages: report.messages,
-        bytes: report.bytes,
-        self_messages: report.self_messages,
-    };
-    (results, stats, nodes_back)
+    (results, report, nodes_back)
 }

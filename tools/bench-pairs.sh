@@ -21,6 +21,14 @@
 # median — the spread a difference has to exceed. A gain may be claimed
 # at >= 9/10 pairs won and a median difference above the parent IQR.
 #
+# The same numbers go to BENCH_<parent>_<change>.json at the repo root
+# (<change> is CHANGE's short sha, or `worktree`): both sides' commits
+# and the host each side's benchmark recorded (nproc, cpu_model, rustc),
+# the run settings, and per workload the `failed` and not-`correct` run
+# counts and per metric each side's median and quartiles, the pairs won
+# and the parent IQR relative to its median. A PR that runs pairs checks
+# its file in; `tests/bench_records.rs` parses every one.
+#
 # Workload `all` runs every workload of BENCHMARK.json back to back, the
 # two builds shared, and prints one table: the "nothing else got worse"
 # guard of a claim in one command instead of four.
@@ -79,6 +87,14 @@ run_once() {
 
 parent_bin=$(build parent "$parent")
 change_bin=$(build change "${CHANGE:-}")
+parent_sha=$(git -C "$root" rev-parse "$parent^{commit}")
+if [ -n "${CHANGE:-}" ]; then
+    change_sha=$(git -C "$root" rev-parse "$CHANGE^{commit}") worktree=false
+    change_label=$(git -C "$root" rev-parse --short "$CHANGE^{commit}")
+else
+    change_sha=$(git -C "$root" rev-parse HEAD) worktree=true change_label=worktree
+fi
+record=$root/BENCH_$(git -C "$root" rev-parse --short "$parent^{commit}")_$change_label.json
 
 files=()
 for workload in $workloads; do
@@ -96,13 +112,27 @@ for workload in $workloads; do
     done
 done
 
+# side_json <side> <sha> <worktree>: the side's commit and the host its
+# benchmark recorded in the provenance of its last run's artifact
+side_json() {
+    local artifact host
+    artifact=$work/$1/target/benchmark/result-${workloads%% *}-trace$trace.json
+    host=$(grep -o '"nproc": [0-9]*, "cpu_model": "[^"]*", "rustc": "[^"]*"' "$artifact" 2>/dev/null || true)
+    [ -n "$host" ] || host='"nproc": null, "cpu_model": null, "rustc": null'
+    printf '{"commit": "%s", "worktree": %s, %s}' "$2" "$3" "$host"
+}
+parent_json=$(side_json parent "$parent_sha" false)
+change_json=$(side_json change "$change_sha" "$worktree")
+
 # Metric names and directions come from the contract, not from here.
 directions=$(sed -n '/"'$section'"/,/\]/s/.*"name": "\([a-z0-9_.]*\)".*"better": "\([a-z]*\)".*/\1=\2/p' \
     "$root/BENCHMARK.json" | tr '\n' ' ')
 
 # One runs file per workload, in order: its rows go to the table when the
 # next file starts (or the input ends), its `failed` note below the table.
-awk -F'\t' -v workloads="$workloads" -v seed="$seed" -v directions="$directions" '
+awk -F'\t' -v workloads="$workloads" -v seed="$seed" -v directions="$directions" \
+    -v record="$record" -v parent_json="$parent_json" -v change_json="$change_json" \
+    -v settings="{\"seconds\": $seconds, \"seed\": $seed, \"pairs\": $pairs, \"trace\": $trace}" '
 function metric(line, name,    re, s) {
     re = "\"" name "\": [{]\"value\": [-0-9.e+]+"
     if (!match(line, re)) return "nan"
@@ -123,6 +153,11 @@ function quantile(side, m, p,    n, i, pos, lo, tmp) {   # type-7, on a sorted c
 }
 function sort(a, n,    i, j, t) {
     for (i = 2; i <= n; i++) { t = a[i]; for (j = i - 1; j >= 1 && a[j] > t; j--) a[j + 1] = a[j]; a[j + 1] = t }
+}
+function num(x) { return x == x + 0 ? sprintf("%.10g", x) : "null" }
+function quartiles(side, m) {
+    return sprintf("{\"median\": %s, \"q1\": %s, \"q3\": %s}", num(quantile(side, m, 0.5)),
+        num(quantile(side, m, 0.25)), num(quantile(side, m, 0.75)))
 }
 function fmt(x,    a) {
     a = x < 0 ? -x : x
@@ -172,11 +207,21 @@ function rows(    i, m, pm, p1, p3, cm, c1, c3, won, ties, p, a, b, tie_note, de
         printf "| `%s` (%s, %d) | `%s` | %s [%s, %s] | %s [%s, %s] | %s | %d/%d%s | %s |\n",
             workload, seed, npairs, m, fmt(pm), fmt(p1), fmt(p3), fmt(cm), fmt(c1), fmt(c3),
             delta, won, npairs, tie_note, iqr
+        metrics_json = metrics_json sprintf("%s\n        \"%s\": {\"parent\": %s, \"change\": %s, \"pairs_won\": %d, \"ties\": %d, \"parent_iqr_rel\": %s}",
+            metrics_json == "" ? "" : ",", m, quartiles("parent", m), quartiles("change", m),
+            won, ties, pm != 0 ? num((p3 - p1) / (pm < 0 ? -pm : pm)) : "null")
     }
+    workloads_json = workloads_json sprintf("%s\n    \"%s\": {\"runs_per_side\": %d, \"failed\": {\"parent\": %d, \"change\": %d}, \"not_correct\": {\"parent\": %d, \"change\": %d}, \"metrics\": {%s\n    }}",
+        workloads_json == "" ? "" : ",", workload, npairs, failed["parent"], failed["change"],
+        incorrect["parent"], incorrect["change"], metrics_json)
+    metrics_json = ""
     notes = notes sprintf("`%s` `failed`: parent %d, change %d; runs not `correct`: parent %d, change %d (of %d runs a side).\n",
         workload, failed["parent"], failed["change"], incorrect["parent"], incorrect["change"], npairs)
 }
 END {
     rows()
     printf "\n%s", notes
+    printf "{\n  \"parent\": %s,\n  \"change\": %s,\n  \"settings\": %s,\n  \"workloads\": {%s\n  }\n}\n",
+        parent_json, change_json, settings, workloads_json > record
+    printf "\nwrote %s\n", record
 }' "${files[@]}"
