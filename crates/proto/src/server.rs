@@ -21,27 +21,31 @@
 //!   them; one under way is the key's byte (`Promoting`, `Demoting`), and
 //!   the home's one table is the drain of each demotion epoch.
 //!
-//! ## One in-order walk per message
+//! ## One in-order walk per message, settled once
 //!
-//! Every keyed message is handled as the client issues an operation:
-//! its keys are visited **once, in the order they arrive**, under a
+//! A keyed message is handled as the client issues an operation: its
+//! keys are visited **once, in the order they arrive**, under a
 //! [`LatchCursor`] (one write latch at a time, kept across adjacent keys
 //! of one shard), and each key is decided *and emitted* on the spot —
 //! straight into the per-destination `Batches`, so outgoing messages
 //! are in the incoming message's key order by construction. Values copy
 //! once, store slot → outgoing [`ValueBlockBuilder`] (or message block
 //! → slot for a hand-over or replica install), under the key's latch.
+//! The rare technique-transition handlers (`handle_technique_promote`,
+//! `finish_promotion`, `handle_technique_demote`, `start_demotion`,
+//! `handle_technique_demote_ack`, `handle_technique_drained`,
+//! `maybe_complete_demotion`) and `handle_localize`'s adaptive check
+//! take one latch per key instead.
 //!
-//! Two things wait for the end of the walk. Emission: the `Batches` of a
-//! message flush when its handler returns, in a fixed category order.
-//! And the completions a queue drain owes **this node's** workers: they
-//! go into one flat list in walk order and fire after the last latch is
-//! dropped (`Drain::finish`) — one hand-over can complete
-//! operations of several workers, the order their wake-ups are enqueued
-//! is the order a key-by-key dispatch would produce (the simulator's
-//! task schedule depends on it), and an operation's waiting localizes
-//! complete together, by count, where that dispatch would have completed
-//! the last of them (`CountedOps`).
+//! A handler stages the rest into one per-message context (`MsgCx`):
+//! the batches, the completions owed to **this node's** workers, the
+//! value bytes moved and the replica deltas applied. [`ServerCore::handle`]
+//! settles it once the handler has returned, after its last latch: the
+//! counts bump once, the completions fire in walk order (the order a
+//! key-by-key dispatch would enqueue the wake-ups, which the simulator's
+//! task schedule depends on; an operation's waiting localizes complete
+//! together, by count, at the last of them: `CountedOps`), and the
+//! batches flush in a fixed category order.
 //!
 //! All batching uses insertion-ordered maps so message emission order is
 //! deterministic and re-dispatched operations keep their arrival order.
@@ -130,34 +134,6 @@ impl Batches {
         home != shared.node
     }
 
-    /// Hands the owned `k` over to `dst` (new owner, relocating op) and
-    /// returns the value bytes moved. A hand-over this opens makes room
-    /// for `rest`, the keys it may come to carry.
-    fn hand_over(
-        &mut self,
-        cfg: &ProtoConfig,
-        shard: &mut Shard,
-        k: Key,
-        dst: (NodeId, OpId),
-        rest: &[Key],
-    ) -> u64 {
-        let slot = shard.store.take(k).expect("handed-over key is owned");
-        if cfg.location_caches {
-            shard.loc_cache.insert(k, dst.0);
-        }
-        let v = shard.store.slot_slice(slot);
-        let entry = self.handover.entry(dst);
-        if entry.keys.is_empty() {
-            entry.keys.reserve(rest.len());
-            entry.vals.reserve(cfg.layout.keys_len(rest));
-        }
-        entry.keys.push(k);
-        entry.vals.push_slice(v);
-        let bytes = 4 * v.len() as u64;
-        shard.store.release(slot);
-        bytes
-    }
-
     fn flush(self, node: NodeId, sink: &mut MsgSink) {
         for ((op, kind), kb) in self.resp.into_iter() {
             sink.push((
@@ -172,8 +148,7 @@ impl Batches {
             ));
         }
         for (routed_by_home, fwd) in [(true, self.fwd_owner), (false, self.fwd_home)] {
-            for ((dst, op, kind), kv) in fwd.into_iter() {
-                let (keys, vals) = (kv.keys, kv.vals);
+            for ((dst, op, kind), KeyVals { keys, vals }) in fwd.into_iter() {
                 let op = OpMsg {
                     op,
                     kind,
@@ -206,16 +181,16 @@ impl Batches {
     }
 }
 
-/// A completion a queue drain owes one of this node's workers.
+/// A completion one message owes one of this node's workers.
 #[derive(Debug)]
 enum Done {
     /// A waiting localize (completed by count, see [`CountedOps`]).
     Localize,
-    /// A parked push: issued here, or parked by this server after a trip
-    /// via the home node (then guard-counted) — the tracker knows which.
+    /// A push: issued here, or parked by this server after a trip via
+    /// the home node (then guard-counted) — the tracker knows which.
     Push,
-    /// A parked pull; its value is staged at this float offset of
-    /// [`ServerScratch::vals`].
+    /// A pull; its value is staged at this float offset of
+    /// [`MsgCx::vals`].
     Pull(u32),
 }
 
@@ -254,91 +229,149 @@ impl CountedOps {
     }
 }
 
-/// What the queue drains of one message ([`Drain`]) leave for after its
-/// walk; reusable per-server buffers (amortized alloc-free).
-#[derive(Debug, Default)]
-struct ServerScratch {
+/// What one message does beyond the state it changes under its latches:
+/// what it emits, what it owes this node's workers and what it moves.
+/// Every handler stages into it; [`ServerCore::handle`] settles it once
+/// the handler has returned ([`MsgCx::settle`]). The server keeps one and
+/// reuses its buffers message to message.
+#[derive(Default)]
+struct MsgCx {
+    /// Outgoing messages, per destination and category.
+    batches: Batches,
     /// Completions owed to this node's workers, in walk order (per key
     /// in queue-arrival order).
     done: Vec<(OpId, Key, Done)>,
     /// The counted ones among them, per operation.
     counted: CountedOps,
-    /// Staged values of the parked pulls among them.
+    /// Staged values of the pulls among them.
     vals: Vec<f32>,
-}
-
-impl ServerScratch {
-    /// Fires the owed completions, in walk order. Called once the walk
-    /// has dropped its last latch.
-    fn fire(&mut self, shared: &NodeShared) {
-        for (op, k, what) in self.done.drain(..) {
-            match what {
-                Done::Localize => {
-                    shared.tracker.note_counted(op.seq, k, -1);
-                    if let Some(n) = self.counted.fired(op.seq) {
-                        shared.tracker.complete_counted(op.seq, n);
-                    }
-                }
-                Done::Push => shared.tracker.complete_key(op.seq, k, None),
-                Done::Pull(soff) => {
-                    let soff = soff as usize;
-                    let v = &self.vals[soff..soff + shared.cfg.layout.len(k)];
-                    shared.tracker.complete_key(op.seq, k, Some(v));
-                }
-            }
-        }
-    }
-}
-
-/// The queue drains of one message: state changes and emissions happen
-/// at once, under the key's latch; completions for this node's workers
-/// are left in the scratch and fire when the drains end ([`Drain::finish`]).
-struct Drain<'a> {
-    shared: &'a NodeShared,
-    /// The home's owner table ([`ServerCore::owner`]).
-    owner: &'a [NodeId],
-    scratch: &'a mut ServerScratch,
-    batches: &'a mut Batches,
     /// Value bytes moved into outgoing messages.
     moved_bytes: u64,
-    /// Parked pushes accumulated into replicas.
+    /// Replica deltas applied to owned values.
+    applied: u64,
+    /// Pushes accumulated into replicas.
     accumulated: u64,
 }
 
-impl<'a> Drain<'a> {
-    /// Starts the drains of one message on an empty scratch.
-    fn begin(
-        shared: &'a NodeShared,
-        owner: &'a [NodeId],
-        scratch: &'a mut ServerScratch,
-        batches: &'a mut Batches,
-    ) -> Self {
-        scratch.done.clear();
-        scratch.counted.ops.clear();
-        scratch.vals.clear();
-        Drain {
-            shared,
-            owner,
-            scratch,
-            batches,
-            moved_bytes: 0,
-            accumulated: 0,
-        }
-    }
-
-    /// Ends them, once the walk has dropped its last latch: fires the
-    /// completions owed to this node's workers, in walk order, and
-    /// settles the counts (`lane` is the server's).
-    fn finish(self, lane: &AccessLane) {
+impl MsgCx {
+    /// Settles the message once its walks have dropped their last latch
+    /// (see the module doc): counts into `lane`, the server's, then the
+    /// completions, then the batches. Leaves the buffers empty.
+    fn settle(&mut self, shared: &NodeShared, lane: &AccessLane, sink: &mut MsgSink) {
+        lane.value_bytes_moved.add(self.moved_bytes);
+        lane.replica_pushes_applied.add(self.applied);
         if self.accumulated > 0 {
-            // Keep the auto-flush trigger honest about the drained
+            // Keep the auto-flush trigger honest about the accumulated
             // pushes (the issuing workers flush after completion anyway).
-            let unflushed = &self.shared.replica.unflushed;
+            let unflushed = &shared.replica.unflushed;
             unflushed.fetch_add(self.accumulated, Relaxed);
         }
-        self.scratch.fire(self.shared);
-        if self.moved_bytes > 0 {
-            lane.value_bytes_moved.add(self.moved_bytes);
+        let tracker = &shared.tracker;
+        for (op, k, what) in self.done.drain(..) {
+            match what {
+                Done::Localize => {
+                    tracker.note_counted(op.seq, k, -1);
+                    if let Some(n) = self.counted.fired(op.seq) {
+                        tracker.complete_counted(op.seq, n);
+                    }
+                }
+                Done::Push => tracker.complete_key(op.seq, k, None),
+                Done::Pull(at) => {
+                    let v = &self.vals[at as usize..][..shared.cfg.layout.len(k)];
+                    tracker.complete_key(op.seq, k, Some(v));
+                }
+            }
+        }
+        self.counted.ops.clear();
+        self.vals.clear();
+        (self.moved_bytes, self.applied, self.accumulated) = (0, 0, 0);
+        std::mem::take(&mut self.batches).flush(shared.node, sink);
+    }
+
+    /// Owes `op`, a localize of this node's worker, the counted key `k`.
+    fn owe_localize(&mut self, op: OpId, k: Key) {
+        self.counted.owe(op.seq);
+        self.done.push((op, k, Done::Localize));
+    }
+
+    /// Hands the owned `k` over to `dst` (new owner, relocating op). A
+    /// hand-over this opens makes room for `rest`, the keys it may come
+    /// to carry.
+    fn hand_over(
+        &mut self,
+        cfg: &ProtoConfig,
+        shard: &mut Shard,
+        k: Key,
+        dst: (NodeId, OpId),
+        rest: &[Key],
+    ) {
+        let slot = shard.store.take(k).expect("handed-over key is owned");
+        if cfg.location_caches {
+            shard.loc_cache.insert(k, dst.0);
+        }
+        let v = shard.store.slot_slice(slot);
+        let entry = self.batches.handover.entry(dst);
+        if entry.keys.is_empty() {
+            entry.keys.reserve(rest.len());
+            entry.vals.reserve(cfg.layout.keys_len(rest));
+        }
+        entry.keys.push(k);
+        entry.vals.push_slice(v);
+        self.moved_bytes += 4 * v.len() as u64;
+        shard.store.release(slot);
+    }
+
+    /// Serves key `k` of `op` here — the one place a key is served,
+    /// whether it came in an [`OpMsg`] or was parked behind a hand-over
+    /// or promotion. A push is applied, to the pending deltas if the key
+    /// is a `replica` here; a pull reads the replica's view with its
+    /// deltas, or otherwise the owned slot. This node's own operation is
+    /// owed its completion; a remote origin's (of an owned key only) is
+    /// answered.
+    fn serve(
+        &mut self,
+        shared: &NodeShared,
+        shard: &mut Shard,
+        (op, kind): (OpId, OpKind),
+        k: Key,
+        val: &[f32],
+        replica: bool,
+    ) {
+        let local = op.node == shared.node;
+        debug_assert!(local || !replica, "remote origin served from replica {k}");
+        match kind {
+            OpKind::Push => {
+                if replica {
+                    shard.store.accumulate(k, val);
+                    self.accumulated += 1;
+                } else {
+                    let applied = shard.store.add(k, val);
+                    debug_assert!(applied, "served push of unowned {k}");
+                }
+                if local {
+                    self.done.push((op, k, Done::Push));
+                } else {
+                    self.batches.resp.entry((op, kind)).keys.push(k);
+                }
+            }
+            OpKind::Pull if local => {
+                let soff = self.vals.len();
+                if replica {
+                    self.vals.resize(soff + shared.cfg.layout.len(k), 0.0);
+                    shard.store.read_replicated(k, &mut self.vals[soff..]);
+                } else {
+                    let v = shard.store.get(k).expect("served key is owned");
+                    self.vals.extend_from_slice(v);
+                }
+                self.done.push((op, k, Done::Pull(soff as u32)));
+            }
+            OpKind::Pull => {
+                let v = shard.store.get(k).expect("served key is owned");
+                let entry = self.batches.resp.entry((op, kind));
+                entry.keys.push(k);
+                entry.vals.push_slice(v);
+                self.moved_bytes += 4 * v.len() as u64;
+            }
         }
     }
 
@@ -350,16 +383,22 @@ impl<'a> Drain<'a> {
     /// is as local as it gets: parked local pushes accumulate into the
     /// replica, visible to later local reads, parked local pulls read the
     /// fresh replica view, parked remote-origin operations re-dispatch to
-    /// the home). Completes the waiting localizes, then walks the parked
-    /// queue in arrival order. Returns whether a parked relocation moved
+    /// the home). Owes the waiting localizes, then walks the parked queue
+    /// in arrival order. `owner` is the home's owner table
+    /// ([`ServerCore::owner`]). Returns whether a parked relocation moved
     /// the key onward.
-    fn key(&mut self, shard: &mut Shard, k: Key, entry: IncomingState) -> bool {
-        let cfg: &ProtoConfig = &self.shared.cfg;
-        let node = self.shared.node;
+    fn drain(
+        &mut self,
+        shared: &NodeShared,
+        owner: &[NodeId],
+        shard: &mut Shard,
+        k: Key,
+        entry: IncomingState,
+    ) -> bool {
+        let node = shared.node;
         for op in entry.waiting_localizes() {
             debug_assert_eq!(op.node, node);
-            self.scratch.counted.owe(op.seq);
-            self.scratch.done.push((op, k, Done::Localize));
+            self.owe_localize(op, k);
         }
         let replica = shard.store.residency(k) == Replica;
         let mut moved_on = false;
@@ -371,42 +410,10 @@ impl<'a> Drain<'a> {
                 // a replica (the home serves it).
                 Queued::Op(q) if moved_on || (replica && q.op.node != node) => {
                     let op = (q.op, q.kind);
-                    self.batches.forward(self.shared, self.owner, op, k, &q.val);
+                    self.batches.forward(shared, owner, op, k, &q.val);
                 }
-                // Every other parked operation is served here and now:
-                // a push is applied (to the replica's pending deltas if
-                // that is how the key arrived) …
-                Queued::Op(q) if q.kind == OpKind::Push => {
-                    if replica {
-                        shard.store.accumulate(k, &q.val);
-                        self.accumulated += 1;
-                    } else {
-                        let applied = shard.store.add(k, &q.val);
-                        debug_assert!(applied);
-                    }
-                    if q.op.node == node {
-                        self.scratch.done.push((q.op, k, Done::Push));
-                    } else {
-                        self.batches.resp.entry((q.op, OpKind::Push)).keys.push(k);
-                    }
-                }
-                // … a local worker's pull is staged for its completion …
-                Queued::Op(q) if q.op.node == node => {
-                    let vals = &mut self.scratch.vals;
-                    let soff = vals.len();
-                    vals.resize(soff + cfg.layout.len(k), 0.0);
-                    shard.store.read_replicated(k, &mut vals[soff..]);
-                    self.scratch.done.push((q.op, k, Done::Pull(soff as u32)));
-                }
-                // … and a remote origin's pull (of a key that arrived
-                // owned: the guards above leave nothing else) answered.
-                Queued::Op(q) => {
-                    let v = shard.store.get(k).expect("handed-over key is owned");
-                    let entry = self.batches.resp.entry((q.op, OpKind::Pull));
-                    entry.keys.push(k);
-                    entry.vals.push_slice(v);
-                    self.moved_bytes += 4 * v.len() as u64;
-                }
+                // Every other parked operation is served here and now.
+                Queued::Op(q) => self.serve(shared, shard, (q.op, q.kind), k, &q.val, replica),
                 Queued::Relocate { op, new_owner } => {
                     if replica {
                         // Home refuses localizes for promoting keys, so
@@ -416,8 +423,7 @@ impl<'a> Drain<'a> {
                     }
                     debug_assert!(!moved_on, "second parked relocate for {k}");
                     debug_assert_ne!(new_owner, node);
-                    let dst = (new_owner, op);
-                    self.moved_bytes += self.batches.hand_over(cfg, shard, k, dst, &[]);
+                    self.hand_over(&shared.cfg, shard, k, (new_owner, op), &[]);
                     moved_on = true;
                 }
             }
@@ -471,8 +477,8 @@ pub struct ServerCore {
     tech_epochs_in: KeyMap<NodeId, u64>,
     /// Draining demotion batches by epoch.
     demote_draining: KeyMap<u64, DemoteDrain>,
-    /// What the queue drains of the message being handled owe.
-    scratch: ServerScratch,
+    /// The context of the message being handled, kept for its buffers.
+    cx: MsgCx,
     /// Flight-recorder lane for this server thread (`None` when tracing
     /// is off, so the disabled path costs one pointer test).
     tracer: Option<Tracer>,
@@ -499,7 +505,7 @@ impl ServerCore {
             tech_epoch: 0,
             tech_epochs_in: KeyMap::default(),
             demote_draining: KeyMap::default(),
-            scratch: ServerScratch::default(),
+            cx: MsgCx::default(),
             tracer,
         }
     }
@@ -534,7 +540,8 @@ impl ServerCore {
     }
 
     /// Handles one incoming message, appending outgoing messages to
-    /// `sink` in a deterministic order.
+    /// `sink` in a deterministic order. The handler stages into one
+    /// context, settled here once it has returned (see the module doc).
     pub fn handle(&mut self, msg: Msg, sink: &mut MsgSink) {
         if let Msg::Batch(msgs) = msg {
             return self.handle_batch(msgs, sink);
@@ -542,30 +549,31 @@ impl ServerCore {
         if let Some(t) = &self.tracer {
             t.record(EventKind::MsgRecv, msg.tag() as u64, msg.key_count());
         }
-        let mut batches = Batches::default();
+        let mut cx = std::mem::take(&mut self.cx);
         match msg {
-            Msg::Op(m) => self.handle_op(m, &mut batches),
+            Msg::Op(m) => self.handle_op(m, &mut cx),
             Msg::OpResp(m) => self.handle_resp(m),
-            Msg::LocalizeReq(m) => self.handle_localize(m, &mut batches),
-            Msg::Relocate(m) => self.handle_relocate(m, &mut batches),
-            Msg::HandOver(m) => self.handle_handover(m, &mut batches),
-            Msg::ReplicaReg(m) => self.handle_replica_reg(m, &mut batches),
-            Msg::ReplicaPush(m) => self.handle_replica_push(m, &mut batches),
+            Msg::LocalizeReq(m) => self.handle_localize(m, &mut cx),
+            Msg::Relocate(m) => self.handle_relocate(m, &mut cx),
+            Msg::HandOver(m) => self.handle_handover(m, &mut cx),
+            Msg::ReplicaReg(m) => self.handle_replica_reg(m, &mut cx),
+            Msg::ReplicaPush(m) => self.handle_replica_push(m, &mut cx),
             Msg::ReplicaRefresh(m) => self.handle_replica_refresh(m),
-            Msg::TechniquePromote(m) => self.handle_technique_promote(m, &mut batches),
-            Msg::TechniquePromoteAck(m) => self.handle_technique_promote_ack(m, &mut batches),
-            Msg::TechniqueDemote(m) => self.handle_technique_demote(m, &mut batches),
-            Msg::TechniqueDemoteAck(m) => self.handle_technique_demote_ack(m, &mut batches),
-            Msg::TechniqueDrained(m) => self.handle_technique_drained(m, &mut batches),
+            Msg::TechniquePromote(m) => self.handle_technique_promote(m, &mut cx),
+            Msg::TechniquePromoteAck(m) => self.handle_technique_promote_ack(m, &mut cx),
+            Msg::TechniqueDemote(m) => self.handle_technique_demote(m, &mut cx),
+            Msg::TechniqueDemoteAck(m) => self.handle_technique_demote_ack(m, &mut cx),
+            Msg::TechniqueDrained(m) => self.handle_technique_drained(m, &mut cx),
             Msg::Shutdown => {}
             Msg::Batch(_) => unreachable!("batch envelopes are unpacked above"),
         }
-        batches.flush(self.shared.node, sink);
+        cx.settle(&self.shared, &self.lane, sink);
+        self.cx = cx;
     }
 
     /// Handles one batch envelope: its constituents, strictly in arrival
     /// order (per-link FIFO is untouched), each as a message of its own.
-    /// Every constituent flushes its own `Batches` — the category flush
+    /// Every constituent settles its own context — the category flush
     /// order (responses before relocates before refreshes before
     /// technique traffic) is a per-message contract; merging it across,
     /// say, a promotion ack and a replica push would reorder a refresh
@@ -597,10 +605,8 @@ impl ServerCore {
     /// parked if it is relocating here, and otherwise forwarded — to the
     /// owner if this node is the key's home, to the home if the sender's
     /// location cache was stale (double-forward, Figure 5d).
-    fn handle_op(&mut self, m: OpMsg, batches: &mut Batches) {
+    fn handle_op(&mut self, m: OpMsg, cx: &mut MsgCx) {
         let cfg: &ProtoConfig = &self.shared.cfg;
-        let node = self.shared.node;
-        let local = m.op.node == node;
         debug_assert!(
             m.kind == OpKind::Pull || cfg.layout.keys_len(&m.keys) == m.vals.len(),
             "push payload length mismatch"
@@ -613,7 +619,6 @@ impl ServerCore {
         let refresh = !self.replica_subs.is_empty();
         let mut fresh_keys: Vec<Key> = Vec::new();
         let mut fresh = ValueBlockBuilder::default();
-        let (mut stale_forwards, mut resp_bytes) = (0u64, 0u64);
         let mut val_off = 0usize;
         let mut cursor = LatchCursor::new(&self.shared.shards);
         for &k in &m.keys {
@@ -630,73 +635,48 @@ impl ServerCore {
             let shard = cursor.write(self.shared.shard_index(k));
             let held = shard.store.residency(k);
             if let Owned | Demoting | Primary = held {
-                // Serve as owner.
-                match m.kind {
-                    OpKind::Push => {
-                        let applied = shard.store.add(k, val);
-                        debug_assert!(applied);
-                        if refresh && held == Primary {
-                            fresh_keys.push(k);
-                            fresh.push_slice(shard.store.get(k).expect("just updated"));
-                        }
-                        if local {
-                            self.shared.tracker.complete_key(m.op.seq, k, None);
-                        } else {
-                            batches.resp.entry((m.op, m.kind)).keys.push(k);
-                        }
-                    }
-                    OpKind::Pull => {
-                        let v = shard.store.get(k).expect("contains implies get");
-                        if local {
-                            self.shared.tracker.complete_key(m.op.seq, k, Some(v));
-                        } else {
-                            let entry = batches.resp.entry((m.op, m.kind));
-                            entry.keys.push(k);
-                            entry.vals.push_slice(v);
-                            resp_bytes += 4 * v.len() as u64;
-                        }
-                    }
+                cx.serve(&self.shared, shard, (m.op, m.kind), k, val, false);
+                if refresh && held == Primary && m.kind == OpKind::Push {
+                    fresh_keys.push(k);
+                    fresh.push_slice(shard.store.get(k).expect("just updated"));
                 }
             } else if let Incoming | Promoting = held {
                 // Relocating towards this node: park until the
                 // hand-over (Section 3.2).
                 let (op, kind, val) = (m.op, m.kind, val.to_vec());
                 shard.park(k, Queued::Op(QueuedOp { op, kind, val }));
-            } else if batches.forward(&self.shared, &self.owner, (m.op, m.kind), k, val) {
+            } else if cx
+                .batches
+                .forward(&self.shared, &self.owner, (m.op, m.kind), k, val)
+            {
                 // Direct delivery based on a stale location cache:
                 // forwarded to the home node (double-forward, Figure 5d).
                 debug_assert!(
                     !m.routed_by_home,
                     "home-routed op for {k} reached a non-owner"
                 );
-                stale_forwards += 1;
+                self.lane.loc_cache_stale_forwards.add(1);
             } else {
                 // Acted as home: forwarded to the current owner.
                 debug_assert_ne!(
                     self.owner[cfg.home_slot(k)],
-                    node,
+                    self.shared.node,
                     "home believes it owns {k} but the store disagrees"
                 );
             }
         }
         drop(cursor);
-        if stale_forwards > 0 {
-            self.lane.loc_cache_stale_forwards.add(stale_forwards);
-        }
-        if resp_bytes > 0 {
-            self.lane.value_bytes_moved.add(resp_bytes);
-        }
         if !fresh_keys.is_empty() {
-            self.broadcast_refresh(fresh_keys, fresh.finish(), None, batches);
+            self.broadcast_refresh(fresh_keys, fresh.finish(), None, cx);
         }
     }
 
     fn handle_resp(&mut self, m: OpRespMsg) {
-        let cfg: &ProtoConfig = &self.shared.cfg;
         debug_assert_eq!(m.op.node, self.shared.node, "response at wrong node");
-        if cfg.location_caches {
+        if self.shared.cfg.location_caches {
+            let mut cursor = LatchCursor::new(&self.shared.shards);
             for &k in &m.keys {
-                let mut shard = self.shared.shard_for(k).write();
+                let shard = cursor.write(self.shared.shard_index(k));
                 shard.loc_cache.insert(k, m.owner);
             }
         }
@@ -716,7 +696,7 @@ impl ServerCore {
     /// the requester's parked localize completes when the promotion
     /// broadcast drains its incoming entry — and a `Demoting` one defers
     /// it until the demotion has drained.
-    fn handle_localize(&mut self, m: LocalizeReqMsg, batches: &mut Batches) {
+    fn handle_localize(&mut self, m: LocalizeReqMsg, cx: &mut MsgCx) {
         let cfg: &ProtoConfig = &self.shared.cfg;
         let adaptive = self.shared.adaptive.is_some();
         let requester = m.op.node;
@@ -765,9 +745,9 @@ impl ServerCore {
                 // Home is the current owner: handle locally rather than
                 // sending a message to ourselves, so a relocation costs at
                 // most three messages as in the paper.
-                self.handle_relocate(reloc, batches);
+                self.handle_relocate(reloc, cx);
             } else {
-                batches.relocates.push((old, reloc));
+                cx.batches.relocates.push((old, reloc));
             }
         }
     }
@@ -780,10 +760,9 @@ impl ServerCore {
     /// A value is copied once, from its store slot into the hand-over
     /// block, under its shard's latch; keys and values append in message
     /// key order (a key that is parked or degenerate adds nothing).
-    fn handle_relocate(&mut self, m: RelocateMsg, batches: &mut Batches) {
+    fn handle_relocate(&mut self, m: RelocateMsg, cx: &mut MsgCx) {
         let cfg: &ProtoConfig = &self.shared.cfg;
         let dst = (m.new_owner, m.op);
-        let (mut moved_bytes, mut degenerate, mut unexpected) = (0u64, 0u32, 0u64);
         let mut cursor = LatchCursor::new(&self.shared.shards);
         for (i, &k) in m.keys.iter().enumerate() {
             let shard = cursor.write(self.shared.shard_index(k));
@@ -792,12 +771,11 @@ impl ServerCore {
                 // Degenerate self-relocation (the requester already
                 // owned the key when the home processed its request):
                 // the value stays in place; complete the localize.
-                self.shared.tracker.note_counted(m.op.seq, k, -1);
-                degenerate += 1;
+                cx.owe_localize(m.op, k);
             } else if held == Owned {
                 // The hand-over's first key makes room for all that may
                 // follow, allocated once.
-                moved_bytes += batches.hand_over(cfg, shard, k, dst, &m.keys[i..]);
+                cx.hand_over(cfg, shard, k, dst, &m.keys[i..]);
                 if let Some(t) = &self.tracer {
                     t.record(EventKind::RelocHandOver, k.0, m.new_owner.0 as u64);
                 }
@@ -817,41 +795,23 @@ impl ServerCore {
                     false,
                     "relocate for {k} which is neither owned nor expected"
                 );
-                unexpected += 1;
+                self.lane.unexpected_relocates.add(1);
             }
-        }
-        drop(cursor);
-        if degenerate > 0 {
-            self.shared.tracker.complete_counted(m.op.seq, degenerate);
-        }
-        if unexpected > 0 {
-            self.lane.unexpected_relocates.add(unexpected);
-        }
-        if moved_bytes > 0 {
-            self.lane.value_bytes_moved.add(moved_bytes);
         }
     }
 
     /// Message 3, at the new owner: install the values straight from the
     /// message block into the keys' store slots, complete waiting
     /// localizes, and drain parked operations in arrival order
-    /// ([`Drain`]).
-    fn handle_handover(&mut self, m: HandOverMsg, batches: &mut Batches) {
-        let ServerCore {
-            shared,
-            lane,
-            owner,
-            scratch,
-            tracer,
-            ..
-        } = &mut *self;
+    /// ([`MsgCx::drain`]).
+    fn handle_handover(&mut self, m: HandOverMsg, cx: &mut MsgCx) {
+        let shared: &NodeShared = &self.shared;
         let cfg: &ProtoConfig = &shared.cfg;
         debug_assert_eq!(
             cfg.layout.keys_len(&m.keys),
             m.vals.len(),
             "handover payload length mismatch"
         );
-        let mut drain = Drain::begin(shared, owner, scratch, batches);
         // Adaptive: the `Promoting` keys this relocation brings home, whose
         // promotions finish once the drains are done.
         let mut finish: Vec<Key> = Vec::new();
@@ -864,10 +824,10 @@ impl ServerCore {
             // Install: block bytes copy directly into the key's slot.
             let entry = shard.hand_in(k, |dst| m.vals.copy_to(block_off, dst));
             block_off += len;
-            if let Some(t) = tracer.as_ref() {
+            if let Some(t) = &self.tracer {
                 t.record(EventKind::RelocInstall, k.0, len as u64);
             }
-            let moved_on = drain.key(shard, k, entry);
+            let moved_on = cx.drain(shared, &self.owner, shard, k, entry);
             match arrived {
                 // A pre-promotion relocation chain is still playing
                 // out; the promote coordinator's relocation-to-home
@@ -878,12 +838,11 @@ impl ServerCore {
             }
         }
         drop(cursor);
-        drain.finish(lane);
         if !m.keys.is_empty() {
-            lane.handovers.add(m.keys.len() as u64);
+            self.lane.handovers.add(m.keys.len() as u64);
         }
         if !finish.is_empty() {
-            self.finish_promotion(&finish, batches);
+            self.finish_promotion(&finish, cx);
         }
     }
 
@@ -893,7 +852,7 @@ impl ServerCore {
     /// initial snapshot of every replicated key homed here — its
     /// `Primary` keys, ascending: one latch per shard that can hold a
     /// replicated key, whose bytes are read only if it holds one.
-    fn handle_replica_reg(&mut self, m: ReplicaRegMsg, batches: &mut Batches) {
+    fn handle_replica_reg(&mut self, m: ReplicaRegMsg, cx: &mut MsgCx) {
         debug_assert_ne!(m.node, self.shared.node, "self-registration");
         if self.replica_subs.contains(&m.node) {
             return;
@@ -912,7 +871,7 @@ impl ServerCore {
             return;
         }
         self.replica_round += 1;
-        batches.refreshes.push((
+        cx.batches.refreshes.push((
             m.node,
             ReplicaRefreshMsg {
                 owner: self.shared.node,
@@ -933,15 +892,15 @@ impl ServerCore {
         keys: Vec<Key>,
         block: ValueBlock,
         ack: Option<(NodeId, u64)>,
-        batches: &mut Batches,
+        cx: &mut MsgCx,
     ) {
         if keys.is_empty() || self.replica_subs.is_empty() {
             return;
         }
-        self.lane.value_bytes_moved.add(4 * block.len() as u64);
+        cx.moved_bytes += 4 * block.len() as u64;
         self.replica_round += 1;
         for &sub in &self.replica_subs {
-            batches.refreshes.push((
+            cx.batches.refreshes.push((
                 sub,
                 ReplicaRefreshMsg {
                     owner: self.shared.node,
@@ -981,11 +940,11 @@ impl ServerCore {
     /// registration that follows is a no-op. Unsubscribed, the pusher would
     /// get no acknowledgement, and the later snapshot would already include
     /// the batch it still holds in flight: counted twice, for ever.
-    fn handle_replica_push(&mut self, m: ReplicaPushMsg, batches: &mut Batches) {
+    fn handle_replica_push(&mut self, m: ReplicaPushMsg, cx: &mut MsgCx) {
         let node = self.shared.node;
         let own_flush = m.node == node;
         if !own_flush && !self.replica_subs.contains(&m.node) {
-            self.handle_replica_reg(ReplicaRegMsg { node: m.node }, batches);
+            self.handle_replica_reg(ReplicaRegMsg { node: m.node }, cx);
         }
         let cfg: &ProtoConfig = &self.shared.cfg;
         let adaptive = self.shared.adaptive.is_some();
@@ -1009,7 +968,6 @@ impl ServerCore {
         } else {
             Default::default()
         };
-        let mut applied_keys = 0u64;
         // Straggler deltas (adaptive, threaded backend): a worker records
         // a flush's in-flight batch under the latch before its message is
         // actually enqueued on the link, so a demotion drain can complete
@@ -1041,7 +999,7 @@ impl ServerCore {
                 stragglers.push((k, delta));
                 continue;
             }
-            applied_keys += 1;
+            cx.applied += 1;
             match shard.store.residency(k) {
                 Primary if broadcast => {
                     bkeys.push(k);
@@ -1059,9 +1017,6 @@ impl ServerCore {
             }
         }
         drop(cursor);
-        if applied_keys > 0 {
-            self.lane.replica_pushes_applied.add(applied_keys);
-        }
         for (k, delta) in stragglers {
             let owner = self.owner[cfg.home_slot(k)];
             // Fire-and-forget tracked push: the abandoned entry is
@@ -1072,18 +1027,19 @@ impl ServerCore {
             tracker.add_keys(seq, false, false, std::iter::once((k, 0, 0)));
             tracker.seal(seq);
             tracker.abandon(seq);
-            let entry = batches
+            let entry = cx
+                .batches
                 .fwd_owner
                 .entry((owner, OpId::new(node, seq), OpKind::Push));
             entry.keys.push(k);
             entry.vals.extend_from_slice(delta);
         }
         if broadcast {
-            self.broadcast_refresh(bkeys, block.finish(), Some((m.node, m.flush_seq)), batches);
+            self.broadcast_refresh(bkeys, block.finish(), Some((m.node, m.flush_seq)), cx);
         }
         // An epoch listed twice completes once: a completed drain is gone.
         for epoch in pinned {
-            self.maybe_complete_demotion(epoch, batches);
+            self.maybe_complete_demotion(epoch, cx);
         }
     }
 
@@ -1143,7 +1099,7 @@ impl ServerCore {
     /// `Promoting` until then). Requests for keys `Primary`, `Promoting`
     /// or `Demoting` are dropped (the controller re-sends after its TTL);
     /// any promotion interest clears stale demotion votes.
-    fn handle_technique_promote(&mut self, m: TechniquePromoteMsg, batches: &mut Batches) {
+    fn handle_technique_promote(&mut self, m: TechniquePromoteMsg, cx: &mut MsgCx) {
         let cfg: &ProtoConfig = &self.shared.cfg;
         debug_assert!(
             self.shared.adaptive.is_some(),
@@ -1187,7 +1143,7 @@ impl ServerCore {
             self.lane.relocations.add(started);
         }
         for (old, keys) in per_old.into_iter() {
-            batches.relocates.push((
+            cx.batches.relocates.push((
                 old,
                 RelocateMsg {
                     // Synthetic op: nothing waits on it (the promotion has
@@ -1199,7 +1155,7 @@ impl ServerCore {
             ));
         }
         if !finish.is_empty() {
-            self.finish_promotion(&finish, batches);
+            self.finish_promotion(&finish, cx);
         }
     }
 
@@ -1207,7 +1163,7 @@ impl ServerCore {
     /// `Owned` → `Primary` here and broadcasts the epoch-fenced
     /// [`TechniquePromoteAckMsg`] with the authoritative values to every
     /// other node.
-    fn finish_promotion(&mut self, keys: &[Key], batches: &mut Batches) {
+    fn finish_promotion(&mut self, keys: &[Key], cx: &mut MsgCx) {
         let cfg: &ProtoConfig = &self.shared.cfg;
         let mut block = ValueBlockBuilder::default();
         for &k in keys {
@@ -1225,11 +1181,11 @@ impl ServerCore {
             );
         }
         let vals = block.finish();
-        self.lane.value_bytes_moved.add(vals.len() as u64 * 4);
+        cx.moved_bytes += 4 * vals.len() as u64;
         for n in 0..cfg.nodes {
             let dst = NodeId(n);
             if dst != self.shared.node {
-                batches.tech.push((
+                cx.batches.tech.push((
                     dst,
                     Msg::TechniquePromoteAck(TechniquePromoteAckMsg {
                         home: self.shared.node,
@@ -1248,26 +1204,19 @@ impl ServerCore {
 
     /// Transition message 2, at every other node: install the replicas.
     /// If a refused localize left the key incoming here, drain its parked
-    /// work as a replica arrival ([`Drain::key`]) — not a single update is
-    /// lost or applied twice.
-    fn handle_technique_promote_ack(&mut self, m: TechniquePromoteAckMsg, batches: &mut Batches) {
+    /// work as a replica arrival ([`MsgCx::drain`]) — not a single update
+    /// is lost or applied twice.
+    fn handle_technique_promote_ack(&mut self, m: TechniquePromoteAckMsg, cx: &mut MsgCx) {
         debug_assert_ne!(m.home, self.shared.node, "self-addressed promote broadcast");
         fence(&mut self.tech_epochs_in, m.home, m.epoch, "tech epoch");
 
-        let ServerCore {
-            shared,
-            lane,
-            owner,
-            scratch,
-            ..
-        } = &mut *self;
+        let shared: &NodeShared = &self.shared;
         let cfg: &ProtoConfig = &shared.cfg;
         debug_assert_eq!(
             cfg.layout.keys_len(&m.keys),
             m.vals.len(),
             "promote payload mismatch"
         );
-        let mut drain = Drain::begin(shared, owner, scratch, batches);
         let mut block_off = 0usize;
         let mut cursor = LatchCursor::new(&shared.shards);
         for &k in &m.keys {
@@ -1281,11 +1230,10 @@ impl ServerCore {
                 // A localize raced the promotion and was refused at
                 // home; complete it and drain everything parked behind
                 // it.
-                drain.key(shard, k, entry);
+                cx.drain(shared, &self.owner, shard, k, entry);
             }
         }
         drop(cursor);
-        drain.finish(lane);
         if let Some(ad) = &shared.adaptive {
             ad.transition_applied(&m.keys);
         }
@@ -1294,7 +1242,7 @@ impl ServerCore {
     /// Transition message 3, at the home node: a demotion vote. The key
     /// demotes once every node (including this one — its controller votes
     /// over the self link) has voted; promotion interest clears votes.
-    fn handle_technique_demote(&mut self, m: TechniqueDemoteMsg, batches: &mut Batches) {
+    fn handle_technique_demote(&mut self, m: TechniqueDemoteMsg, cx: &mut MsgCx) {
         let cfg: &ProtoConfig = &self.shared.cfg;
         debug_assert!(
             self.shared.adaptive.is_some(),
@@ -1310,7 +1258,7 @@ impl ServerCore {
             }
         }
         if !demote.is_empty() {
-            self.start_demotion(demote, batches);
+            self.start_demotion(demote, cx);
         }
     }
 
@@ -1320,7 +1268,7 @@ impl ServerCore {
     /// key does not relocate until every node has drained and every
     /// already-flushed self batch has been delivered, so no delta can
     /// chase a key that has moved away.
-    fn start_demotion(&mut self, keys: Vec<Key>, batches: &mut Batches) {
+    fn start_demotion(&mut self, keys: Vec<Key>, cx: &mut MsgCx) {
         let cfg: &ProtoConfig = &self.shared.cfg;
         self.tech_epoch += 1;
         let epoch = self.tech_epoch;
@@ -1343,7 +1291,7 @@ impl ServerCore {
             .filter(|&n| n != self.shared.node)
             .collect();
         for &dst in &awaiting {
-            batches.tech.push((
+            cx.batches.tech.push((
                 dst,
                 Msg::TechniqueDemoteAck(TechniqueDemoteAckMsg {
                     home: self.shared.node,
@@ -1366,7 +1314,7 @@ impl ServerCore {
         );
         // Single-node clusters (and batches with no outstanding self
         // flushes and no peers) complete immediately.
-        self.maybe_complete_demotion(epoch, batches);
+        self.maybe_complete_demotion(epoch, cx);
     }
 
     /// Transition message 4, at every other node: drop the replica state
@@ -1374,7 +1322,7 @@ impl ServerCore {
     /// in the [`TechniqueDrainedMsg`]; already-flushed batches are on the
     /// wire to the home (which owns the key and applies them regardless
     /// of technique), so their records drop from the in-flight overlay.
-    fn handle_technique_demote_ack(&mut self, m: TechniqueDemoteAckMsg, batches: &mut Batches) {
+    fn handle_technique_demote_ack(&mut self, m: TechniqueDemoteAckMsg, cx: &mut MsgCx) {
         let cfg: &ProtoConfig = &self.shared.cfg;
         debug_assert_ne!(m.home, self.shared.node, "self-addressed demote broadcast");
         fence(&mut self.tech_epochs_in, m.home, m.epoch, "tech epoch");
@@ -1395,7 +1343,7 @@ impl ServerCore {
         if let Some(ad) = &self.shared.adaptive {
             ad.transition_applied(&m.keys);
         }
-        batches.tech.push((
+        cx.batches.tech.push((
             m.home,
             Msg::TechniqueDrained(TechniqueDrainedMsg {
                 node: self.shared.node,
@@ -1411,10 +1359,9 @@ impl ServerCore {
     /// mark the node drained; the batch completes — re-enabling
     /// relocation and replaying deferred localizes — once every node has
     /// confirmed and the home's own flushed batches have been delivered.
-    fn handle_technique_drained(&mut self, m: TechniqueDrainedMsg, batches: &mut Batches) {
+    fn handle_technique_drained(&mut self, m: TechniqueDrainedMsg, cx: &mut MsgCx) {
         let cfg: &ProtoConfig = &self.shared.cfg;
         let mut off = 0usize;
-        let mut applied_keys = 0u64;
         for &k in &m.keys {
             debug_assert_eq!(cfg.home(k), self.shared.node, "drain at wrong home");
             let len = cfg.layout.len(k);
@@ -1422,19 +1369,16 @@ impl ServerCore {
             let applied = shard.store.add(k, &m.vals[off..off + len]);
             debug_assert!(applied, "home lost demoting key {k}");
             off += len;
-            applied_keys += 1;
+            cx.applied += 1;
         }
         debug_assert_eq!(off, m.vals.len(), "drain payload mismatch");
-        if applied_keys > 0 {
-            self.lane.replica_pushes_applied.add(applied_keys);
-        }
         if let Some(drain) = self.demote_draining.get_mut(&m.epoch) {
             let removed = drain.awaiting.remove(&m.node);
             debug_assert!(removed, "duplicate drain confirmation from {}", m.node);
             if let Some(t) = &self.tracer {
                 t.record(EventKind::TechDrained, m.epoch, m.node.0 as u64);
             }
-            self.maybe_complete_demotion(m.epoch, batches);
+            self.maybe_complete_demotion(m.epoch, cx);
         } else {
             debug_assert!(false, "drain confirmation for unknown epoch {}", m.epoch);
         }
@@ -1443,7 +1387,7 @@ impl ServerCore {
     /// Completes a demotion batch once fully drained: its keys go
     /// `Demoting` → `Owned`, and the localizes deferred meanwhile replay in
     /// the order they arrived, across the batch's keys.
-    fn maybe_complete_demotion(&mut self, epoch: u64, batches: &mut Batches) {
+    fn maybe_complete_demotion(&mut self, epoch: u64, cx: &mut MsgCx) {
         match self.demote_draining.get(&epoch) {
             Some(d) if d.awaiting.is_empty() && d.self_flushes == 0 => {}
             _ => return,
@@ -1456,7 +1400,7 @@ impl ServerCore {
         }
         replay.sort_unstable_by_key(|&(tag, ..)| tag);
         for (_, op, k) in replay {
-            self.handle_localize(LocalizeReqMsg { op, keys: vec![k] }, batches);
+            self.handle_localize(LocalizeReqMsg { op, keys: vec![k] }, cx);
         }
     }
 }
@@ -1467,4 +1411,84 @@ impl ServerCore {
 fn fence(last: &mut KeyMap<NodeId, u64>, from: NodeId, seq: u64, what: &str) {
     let prev = last.insert(from, seq).unwrap_or(0);
     debug_assert!(seq > prev, "{what} {seq} from {from} after {prev}");
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    use super::*;
+    use crate::config::Variant;
+    use crate::layout::Layout;
+    use crate::messages::Msg;
+    use crate::testkit::{IssueOp, TestCluster};
+    use crate::tracker::{TrackedKind, WakeFn};
+
+    /// A cluster whose every wake asserts that no shard latch of the
+    /// woken node is held, and counts itself into `wakes`.
+    fn probed(variant: Variant, wakes: &Arc<AtomicU64>) -> TestCluster {
+        let mut cfg = ProtoConfig::new(2, 8, Layout::Uniform(2));
+        cfg.variant = variant;
+        TestCluster::with_waker(cfg, 2, |shared| -> WakeFn {
+            let (node, wakes) = (Arc::downgrade(shared), wakes.clone());
+            Arc::new(move |_, _| {
+                let node = node.upgrade().expect("a live node");
+                let held = node.shards.iter().position(ShardCell::latched);
+                assert_eq!(held, None, "woken under the latch of shard {held:?}");
+                wakes.fetch_add(1, Ordering::Relaxed);
+            })
+        })
+    }
+
+    #[test]
+    fn a_classic_local_op_served_by_the_server_wakes_after_its_last_latch() {
+        let wakes = Arc::new(AtomicU64::new(0));
+        let mut c = probed(Variant::Classic, &wakes);
+        let (n0, k) = (NodeId(0), Key(1)); // homed at n0: Classic messages itself
+        c.push_now(n0, 0, &[k], &[1.0, 2.0]);
+        assert_eq!(c.pull_now(n0, 1, &[k]), [1.0, 2.0]);
+        assert_eq!(wakes.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn a_degenerate_self_relocation_wakes_after_its_last_latch() {
+        let wakes = Arc::new(AtomicU64::new(0));
+        let mut c = probed(Variant::Lapse, &wakes);
+        // A localize of a key its requester owns by the time the home
+        // handles it: here the home's own worker, for a home key.
+        let (n0, k) = (NodeId(0), Key(1));
+        let tracker = &c.nodes[0].shared.tracker;
+        let seq = tracker.begin(TrackedKind::Localize, 0, None);
+        tracker.note_counted(seq, k, 1);
+        assert!(!tracker.seal_counted(seq, 1));
+        let op = OpId::new(n0, seq);
+        c.inject(
+            n0,
+            n0,
+            Msg::LocalizeReq(LocalizeReqMsg { op, keys: vec![k] }),
+        );
+        c.run_until_quiet();
+        assert!(c.nodes[0].shared.tracker.is_done(seq));
+        assert_eq!(wakes.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn a_hand_over_drain_wakes_after_its_last_latch() {
+        let wakes = Arc::new(AtomicU64::new(0));
+        let mut c = probed(Variant::Lapse, &wakes);
+        let (n0, k) = (NodeId(0), Key(5)); // homed and owned at n1
+        c.push_now(NodeId(1), 0, &[k], &[3.0, 4.0]);
+        // Worker 0 localizes the key; worker 1's pull and push park
+        // behind the relocation and are served by the hand-over's drain.
+        let localize = c.issue(n0, 0, IssueOp::Localize(&[k]), None);
+        let mut out = [0.0; 2];
+        let pull = c.issue(n0, 1, IssueOp::Pull(&[k]), Some(&mut out));
+        c.run_until_quiet();
+        assert!(c.op_done(n0, &localize) && c.op_done(n0, &pull));
+        let seq = pull.seq().expect("parked");
+        c.nodes[0].clients[1].finish_pull(seq, &mut out);
+        assert_eq!(out, [3.0, 4.0]);
+        assert_eq!(wakes.load(Ordering::Relaxed), 2);
+        assert_eq!(c.residency(n0, k), crate::storage::Residency::Owned);
+    }
 }

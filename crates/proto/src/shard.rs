@@ -679,6 +679,12 @@ impl ShardCell {
         !matches!(self.optimistic(|s| Some(s.store.pending())), Some(0))
     }
 
+    /// Whether a guard holds the latch (`LOCKED` is set).
+    #[cfg(test)]
+    pub(crate) fn latched(&self) -> bool {
+        self.seq.load(Ordering::Relaxed) & LOCKED != 0
+    }
+
     /// Committed write generation of this shard (`seq >> 2`): advances
     /// once per write critical section — the write-guard-drop component
     /// of the serving-epoch publication (see [`crate::serving`]).

@@ -23,6 +23,7 @@ use crate::messages::Msg;
 use crate::server::ServerCore;
 use crate::shard::NodeShared;
 use crate::storage::Residency;
+use crate::tracker::WakeFn;
 
 /// One simulated node: shared state, server logic, one client per worker.
 pub struct TestNode {
@@ -71,20 +72,36 @@ impl TestCluster {
         workers_per_node: u16,
         init: impl FnMut(Key) -> Option<Vec<f32>>,
     ) -> Self {
-        Self::build(cfg, workers_per_node, init, None)
+        Self::build(cfg, workers_per_node, init, |_| Arc::new(|_, _| {}), None)
+    }
+
+    /// Builds a zero-initialized cluster whose trackers wake through the
+    /// callback `waker` makes for each node's shared state — a test that
+    /// checks every wake installs its own.
+    pub fn with_waker(
+        cfg: ProtoConfig,
+        workers_per_node: u16,
+        waker: impl FnMut(&Arc<NodeShared>) -> WakeFn,
+    ) -> Self {
+        Self::build(cfg, workers_per_node, |_| None, waker, None)
     }
 
     /// Builds a zero-initialized cluster that logs every delivered
     /// message and every tracker wake ([`TestCluster::recorded`]).
     pub fn recording(cfg: ProtoConfig, workers_per_node: u16) -> Self {
         let log = Arc::new(Mutex::new(Recorded::default()));
-        Self::build(cfg, workers_per_node, |_| None, Some(log))
+        let waker = |shared: &Arc<NodeShared>| -> WakeFn {
+            let (log, node) = (log.clone(), shared.node);
+            Arc::new(move |slot, _| log.lock().wakes.push((node, slot)))
+        };
+        Self::build(cfg, workers_per_node, |_| None, waker, Some(log.clone()))
     }
 
     fn build(
         cfg: ProtoConfig,
         workers_per_node: u16,
         mut init: impl FnMut(Key) -> Option<Vec<f32>>,
+        mut waker: impl FnMut(&Arc<NodeShared>) -> WakeFn,
         recorded: Option<Arc<Mutex<Recorded>>>,
     ) -> Self {
         let cfg = Arc::new(cfg);
@@ -94,14 +111,8 @@ impl TestCluster {
             let shared =
                 NodeShared::with_init(cfg.clone(), NodeId(id as u16), Arc::new(|| 0), &mut init);
             // Tests poll `is_done`; completions need no wake-up, so the
-            // waker (installed once per tracker) only ever logs.
-            let node = NodeId(id as u16);
-            match recorded.clone() {
-                Some(log) => shared
-                    .tracker
-                    .set_waker(Arc::new(move |slot, _| log.lock().wakes.push((node, slot)))),
-                None => shared.tracker.set_waker(Arc::new(|_, _| {})),
-            }
+            // waker (installed once per tracker) only ever observes.
+            shared.tracker.set_waker(waker(&shared));
             let server = ServerCore::new(shared.clone());
             let clients = (0..workers_per_node)
                 .map(|slot| ClientCore::new(shared.clone(), slot))

@@ -2,7 +2,9 @@
 //! `tools/bench-pairs.sh` writes for a pair of commits — parses, and
 //! holds what a reader compares PR to PR: both sides' commits, the run
 //! settings, and per workload the failure counts and per metric each
-//! side's median and quartiles, the pairs won and the parent's spread.
+//! side's median and quartiles, the pairs won, the parent's spread, the
+//! metric's bound and whether the spread left the reading unresolved.
+//! A record backfilled from a hand-copied table names its `source`.
 //! With no such file the test passes.
 
 use std::collections::BTreeMap;
@@ -205,6 +207,13 @@ impl Json {
         }
     }
 
+    fn bool(&self) -> bool {
+        match self {
+            Json::Bool(b) => *b,
+            other => panic!("expected a bool, found {other:?}"),
+        }
+    }
+
     fn count(&self) -> u64 {
         let x = self.num();
         assert!(x >= 0.0 && x.fract() == 0.0, "expected a count, found {x}");
@@ -228,12 +237,21 @@ fn check_record(doc: &Json) {
             s.get(host);
         }
     }
+    if let Json::Obj(o) = doc {
+        if let Some(source) = o.get("source") {
+            assert!(
+                matches!(source, Json::Str(s) if s == "EXPERIMENTS.md" || s == "CHANGES.md"),
+                "source {source:?}"
+            );
+        }
+    }
     let settings = doc.get("settings");
     assert!(settings.get("seconds").num() > 0.0);
     settings.get("seed").count();
     let pairs = settings.get("pairs").count();
     assert!(pairs > 0);
-    assert!(matches!(settings.get("trace").count(), 0 | 1));
+    let trace = settings.get("trace").count();
+    assert!(matches!(trace, 0 | 1));
 
     let workloads = doc.get("workloads").obj();
     assert!(!workloads.is_empty(), "a record without workloads");
@@ -262,9 +280,28 @@ fn check_record(doc: &Json) {
             }
             let won = m.get("pairs_won").count() + m.get("ties").count();
             assert!(won <= runs, "{name} {metric}: {won} of {runs} pairs");
-            if let Some(iqr) = m.get("parent_iqr_rel").num_or_null() {
+            let iqr = m.get("parent_iqr_rel").num_or_null();
+            if let Some(iqr) = iqr {
                 assert!(iqr >= 0.0, "{name} {metric}: negative spread");
             }
+            // An end-to-end row (the trace-0 table) carries its bound; a
+            // reading whose parent spread reaches it is unresolved.
+            let bound = m.get("bound").num_or_null();
+            assert_eq!(
+                bound.is_some(),
+                trace == 0,
+                "{name} {metric}: bound {bound:?}"
+            );
+            assert!(
+                bound.is_none_or(|b| b > 0.0),
+                "{name} {metric}: bound {bound:?}"
+            );
+            let unresolved = matches!((iqr, bound), (Some(i), Some(b)) if i >= b);
+            assert_eq!(
+                m.get("unresolved").bool(),
+                unresolved,
+                "{name} {metric}: parent IQR {iqr:?} against bound {bound:?}"
+            );
         }
     }
 }

@@ -20,14 +20,21 @@
 # for neither), and the parent's interquartile range relative to its
 # median — the spread a difference has to exceed. A gain may be claimed
 # at >= 9/10 pairs won and a median difference above the parent IQR.
+# An end-to-end metric whose parent IQR is at least its `bound` in
+# BENCHMARK.json is marked `unresolved`: the parent's own runs spread as
+# wide as the regression the bound is meant to catch, so the reading
+# cannot tell a change from the host. The mark qualifies the reading; a
+# median outside its bound is outside it all the same.
 #
 # The same numbers go to BENCH_<parent>_<change>.json at the repo root
 # (<change> is CHANGE's short sha, or `worktree`): both sides' commits
 # and the host each side's benchmark recorded (nproc, cpu_model, rustc),
 # the run settings, and per workload the `failed` and not-`correct` run
-# counts and per metric each side's median and quartiles, the pairs won
-# and the parent IQR relative to its median. A PR that runs pairs checks
-# its file in; `tests/bench_records.rs` parses every one.
+# counts and per metric each side's median and quartiles, the pairs won,
+# the parent IQR relative to its median, the metric's `bound` (null for
+# a per-layer row) and whether it is `unresolved`. A PR that runs pairs
+# checks its file in; `tests/bench_records.rs` parses every one, and
+# `tools/bench-trend.sh` chains them.
 #
 # Workload `all` runs every workload of BENCHMARK.json back to back, the
 # two builds shared, and prints one table: the "nothing else got worse"
@@ -127,10 +134,12 @@ change_json=$(side_json change "$change_sha" "$worktree")
 # Metric names and directions come from the contract, not from here.
 directions=$(sed -n '/"'$section'"/,/\]/s/.*"name": "\([a-z0-9_.]*\)".*"better": "\([a-z]*\)".*/\1=\2/p' \
     "$root/BENCHMARK.json" | tr '\n' ' ')
+bounds=$(sed -n '/"end_to_end"/,/\]/s/.*"name": "\([a-z0-9_.]*\)".*"bound": \([0-9.]*\).*/\1=\2/p' \
+    "$root/BENCHMARK.json" | tr '\n' ' ')
 
 # One runs file per workload, in order: its rows go to the table when the
 # next file starts (or the input ends), its `failed` note below the table.
-awk -F'\t' -v workloads="$workloads" -v seed="$seed" -v directions="$directions" \
+awk -F'\t' -v workloads="$workloads" -v seed="$seed" -v directions="$directions" -v bounds="$bounds" \
     -v record="$record" -v parent_json="$parent_json" -v change_json="$change_json" \
     -v settings="{\"seconds\": $seconds, \"seed\": $seed, \"pairs\": $pairs, \"trace\": $trace}" '
 function metric(line, name,    re, s) {
@@ -170,6 +179,8 @@ BEGIN {
     n = split(directions, d, " ")
     for (i = 1; i <= n; i++) { split(d[i], kv, "="); names[i] = kv[1]; better[kv[1]] = kv[2] }
     nmetrics = n
+    n = split(bounds, d, " ")
+    for (i = 1; i <= n; i++) { split(d[i], kv, "="); bound[kv[1]] = kv[2] + 0 }
     split(workloads, workload_of, " ")
     print "| workload (seed, pairs) | metric | parent median [q1, q3] | change median [q1, q3] | Δ median | pairs won | parent IQR |"
     print "|---|---|---|---|---|---|---|"
@@ -188,7 +199,7 @@ FNR == 1 {
     failed[side] += field($3, "failed")
     if (field($3, "correct") != "true") incorrect[side]++
 }
-function rows(    i, m, pm, p1, p3, cm, c1, c3, won, ties, p, a, b, tie_note, delta, iqr) {
+function rows(    i, m, pm, p1, p3, cm, c1, c3, won, ties, p, a, b, tie_note, delta, iqr, rel, unresolved) {
     for (i = 1; i <= nmetrics; i++) {
         m = names[i]
         if (val["parent", m, 1] == "nan" || val["change", m, 1] == "nan") continue
@@ -204,12 +215,16 @@ function rows(    i, m, pm, p1, p3, cm, c1, c3, won, ties, p, a, b, tie_note, de
         # A row that is zero on both sides has no relative change.
         delta = pm != 0 ? sprintf("%+.1f %%", 100 * (cm - pm) / pm) : (cm == 0 ? "=" : "n/a")
         iqr = pm != 0 ? sprintf("%.1f %%", 100 * (p3 - p1) / pm) : "n/a"
+        rel = pm != 0 ? (p3 - p1) / (pm < 0 ? -pm : pm) : ""
+        unresolved = (m in bound) && rel != "" && rel >= bound[m]
+        if (unresolved) iqr = iqr sprintf(" ≥ bound %.0f %%: unresolved", 100 * bound[m])
         printf "| `%s` (%s, %d) | `%s` | %s [%s, %s] | %s [%s, %s] | %s | %d/%d%s | %s |\n",
             workload, seed, npairs, m, fmt(pm), fmt(p1), fmt(p3), fmt(cm), fmt(c1), fmt(c3),
             delta, won, npairs, tie_note, iqr
-        metrics_json = metrics_json sprintf("%s\n        \"%s\": {\"parent\": %s, \"change\": %s, \"pairs_won\": %d, \"ties\": %d, \"parent_iqr_rel\": %s}",
+        metrics_json = metrics_json sprintf("%s\n        \"%s\": {\"parent\": %s, \"change\": %s, \"pairs_won\": %d, \"ties\": %d, \"parent_iqr_rel\": %s, \"bound\": %s, \"unresolved\": %s}",
             metrics_json == "" ? "" : ",", m, quartiles("parent", m), quartiles("change", m),
-            won, ties, pm != 0 ? num((p3 - p1) / (pm < 0 ? -pm : pm)) : "null")
+            won, ties, rel != "" ? num(rel) : "null", (m in bound) ? num(bound[m]) : "null",
+            unresolved ? "true" : "false")
     }
     workloads_json = workloads_json sprintf("%s\n    \"%s\": {\"runs_per_side\": %d, \"failed\": {\"parent\": %d, \"change\": %d}, \"not_correct\": {\"parent\": %d, \"change\": %d}, \"metrics\": {%s\n    }}",
         workloads_json == "" ? "" : ",", workload, npairs, failed["parent"], failed["change"],

@@ -17,7 +17,8 @@
 # so that a public type that goes shows in a diff), the `pub` fields of
 # `ProtoConfig` and `PsConfig`, and of `ClusterStats` (which holds the
 # summed lanes and only what the run knows: a counter mirrored there
-# again shows as a field), the `LAPSE_*` environment variables the
+# again shows as a field), the five largest shipped files (by shipped
+# lines, so that a file that shrinks shows), the `LAPSE_*` environment variables the
 # workspace reads, and each workspace crate's `[dependencies]` (so that a
 # dependency edge that comes or goes shows in a diff; `benchmark/` is a
 # package of its own and frozen: not counted anywhere).
@@ -40,21 +41,23 @@ code_lines() { grep -vE '^\s*//' || true; }
 # attribute, any attributes after it, the module through its closing brace
 # at the attribute's indentation). A `#[cfg(test)]` on anything but a module
 # ships.
-shipped_src() {
-    list "$1" | grep '\.rs$' | grep -vE '/(testkit|strategies|consistency)\.rs$' |
-        while read -r f; do show "$f"; done |
-        awk '
-            skip { if ($0 == ind "}") skip = 0; next }
-            pend {
-                held = held $0 "\n"
-                if (index($0, ind "mod ") == 1) { pend = 0; held = ""; skip = 1 }
-                else if (substr($0, 1, length(ind) + 1) !~ /^ *[ #)]$/) {
-                    printf "%s", held; pend = 0; held = ""
-                }
-                next
+shipped_files() {
+    list "$@" | grep -E '^(src|crates/[^/]+/src)/.*\.rs$' | grep -vE '/(testkit|strategies|consistency)\.rs$'
+}
+shipped_src() { shipped_files "$1" | while read -r f; do show "$f"; done | strip_tests; }
+strip_tests() {
+    awk '
+        skip { if ($0 == ind "}") skip = 0; next }
+        pend {
+            held = held $0 "\n"
+            if (index($0, ind "mod ") == 1) { pend = 0; held = ""; skip = 1 }
+            else if (substr($0, 1, length(ind) + 1) !~ /^ *[ #)]$/) {
+                printf "%s", held; pend = 0; held = ""
             }
-            /^ *#\[cfg\(test\)\]$/ { match($0, /^ */); ind = substr($0, 1, RLENGTH); pend = 1; held = $0 "\n"; next }
-            { print }'
+            next
+        }
+        /^ *#\[cfg\(test\)\]$/ { match($0, /^ */); ind = substr($0, 1, RLENGTH); pend = 1; held = $0 "\n"; next }
+        { print }'
 }
 
 echo "== src lines (tracked *.rs), shipped lines, unsafe sites, shipped lock sites and pub types, per crate"
@@ -71,6 +74,12 @@ for dir in src $(list crates | sed -nE 's|^(crates/[^/]+)/src/.*|\1/src|p' | sor
 done
 printf '%-18s %7d %7d\n' total "$total" "$total_shipped"
 printf '%-18s %7d\n' clippy.toml "$(show crates/proto/clippy.toml 2>/dev/null | wc -l)"
+
+echo
+echo "== five largest shipped files: lines, shipped lines"
+shipped_files src crates | while read -r f; do
+    printf '%7d %7d  %s\n' "$(show "$f" | wc -l)" "$(show "$f" | strip_tests | wc -l)" "$f"
+done | sort -k2,2nr -k3 | head -n 5
 
 echo
 echo "== pub fields"
